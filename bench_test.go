@@ -8,6 +8,7 @@
 package mixnn
 
 import (
+	"context"
 	"crypto/aes"
 	"crypto/cipher"
 	crand "crypto/rand"
@@ -28,7 +29,9 @@ import (
 	"mixnn/internal/experiment"
 	"mixnn/internal/nn"
 	"mixnn/internal/privacy"
+	"mixnn/internal/proxy"
 	"mixnn/internal/stats"
+	"mixnn/internal/transport"
 )
 
 // benchSpec returns a reduced quick spec so one bench iteration is one
@@ -901,6 +904,108 @@ func BenchmarkProxyMixWire(b *testing.B) {
 		}
 	}
 	writeMixBench(b)
+}
+
+// BenchmarkDeliveryLeg measures what one update costs in memory between
+// its round's close and the aggregate: conv model, a front proxy closing
+// rounds of 64 into an AggServer over Loopback. One iteration is one
+// round; the window opens just before the round-closing update is handed
+// to the front (packageRound runs inside that call) and closes when the
+// aggregator has absorbed the round — drain, encode into the outbox
+// entry, queue, parse, deliver, absorb into slab rows, aggregate. The
+// other 63 updates are ingested outside the window. The counters are the
+// process's, so the dispatcher's and aggregator's goroutines are in.
+//
+// x-wire is bytes allocated per update as a multiple of the update's wire
+// size, and CI holds it under 1.25: the entry itself is the 1.0, and
+// every other stage of the leg must work in place or out of a pool. A
+// stage that starts copying the round again shows up as +1.0.
+func BenchmarkDeliveryLeg(b *testing.B) {
+	const round = 64
+	arch := experiment.PerfModels(experiment.ScaleQuick)[0].Arch
+	initial := arch.New(1).SnapshotParams()
+	platform, err := enclave.NewPlatform()
+	if err != nil {
+		b.Fatal(err)
+	}
+	encl, err := enclave.New(enclave.Config{RSABits: 1024}, platform)
+	if err != nil {
+		b.Fatal(err)
+	}
+	agg, err := proxy.NewAggServer(initial, round)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lb := transport.NewLoopback()
+	defer lb.Close()
+	lb.Register("loop://agg", agg)
+	front, err := proxy.NewSharded(proxy.ShardedConfig{
+		Upstream: "loop://agg", K: 8, RoundSize: round, Shards: 2, Seed: 1, Transport: lb,
+	}, encl, platform)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer front.Close()
+	sess, err := enclave.NewSession(encl.PublicKey())
+	if err != nil {
+		b.Fatal(err)
+	}
+	raws := make([][]byte, 8)
+	for i := range raws {
+		if raws[i], err = nn.EncodeParamSet(arch.New(int64(i + 2)).SnapshotParams()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	send := func(i int) {
+		ct, err := sess.Wrap(raws[i%len(raws)])
+		if err == nil {
+			_, err = front.HandleUpdate(ctx, transport.UpdateRequest{Body: ct})
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	var bytes, mallocs uint64
+	oneRound := func() {
+		for i := 0; i < round-1; i++ {
+			send(i)
+		}
+		want := agg.Round() + 1
+		last, err := sess.Wrap(raws[0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		b.StartTimer()
+		if _, err := front.HandleUpdate(ctx, transport.UpdateRequest{Body: last}); err != nil {
+			b.Fatal(err)
+		}
+		for deadline := time.Now().Add(30 * time.Second); agg.Round() < want; {
+			if time.Now().After(deadline) {
+				b.Fatal("round never reached the aggregator")
+			}
+			time.Sleep(20 * time.Microsecond)
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&m1)
+		bytes += m1.TotalAlloc - m0.TotalAlloc
+		mallocs += m1.Mallocs - m0.Mallocs
+	}
+	b.StopTimer()
+	for i := 0; i < 3; i++ { // slab pools, layouts, the delivery lane
+		oneRound()
+	}
+	bytes, mallocs = 0, 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		oneRound()
+	}
+	updates := float64(b.N * round)
+	b.ReportMetric(float64(bytes)/updates, "B/update")
+	b.ReportMetric(float64(mallocs)/updates, "allocs/update")
+	b.ReportMetric(float64(bytes)/updates/float64(len(raws[0])), "x-wire")
 }
 
 func BenchmarkLocalTraining(b *testing.B) {

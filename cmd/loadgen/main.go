@@ -13,6 +13,7 @@
 //	loadgen                                  # full scale: 10k participants
 //	loadgen -participants 120 -round 24 -waves 3   # CI smoke scale
 //	loadgen -out BENCH_loadgen.json          # write the metrics snapshot
+//	loadgen -cpuprofile cpu.pb.gz -memprofile mem.pb.gz   # profile the run
 package main
 
 import (
@@ -20,6 +21,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"mixnn/internal/experiment"
@@ -48,9 +51,34 @@ func run(args []string) error {
 		timeout      = fs.Duration("timeout", 10*time.Minute, "whole-run deadline")
 		out          = fs.String("out", "", "write the LoadgenResult JSON here (e.g. BENCH_loadgen.json)")
 		metricsOut   = fs.String("metrics-out", "", "write the tier's Prometheus text exposition here after the run (validated before writing)")
+		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile of the run here (go tool pprof)")
+		memProfile   = fs.String("memprofile", "", "write an allocation profile here when the run ends (go tool pprof -sample_index=alloc_space)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "loadgen: cpuprofile:", err)
+			}
+		}()
+	}
+	if *memProfile != "" {
+		defer func() {
+			if err := writeAllocProfile(*memProfile); err != nil {
+				fmt.Fprintln(os.Stderr, "loadgen: memprofile:", err)
+			}
+		}()
 	}
 
 	res, err := experiment.RunLoadgen(experiment.LoadgenConfig{
@@ -89,4 +117,19 @@ func run(args []string) error {
 		fmt.Printf("loadgen: wrote %s\n", *out)
 	}
 	return nil
+}
+
+// writeAllocProfile dumps the allocation profile since process start
+// (every sample, not only what is still live) to path.
+func writeAllocProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // fold the last cycle's allocations into the profile
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

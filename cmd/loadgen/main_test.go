@@ -10,15 +10,23 @@ import (
 // TestLoadgenSmallScale runs the command end to end at smoke scale and
 // checks the BENCH_loadgen.json snapshot it writes.
 func TestLoadgenSmallScale(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_loadgen.json")
+	dir := t.TempDir()
+	out := filepath.Join(dir, "BENCH_loadgen.json")
+	cpu, mem := filepath.Join(dir, "cpu.pb.gz"), filepath.Join(dir, "mem.pb.gz")
 	err := run([]string{
 		"-participants", "24", "-round", "12", "-k", "2", "-waves", "3",
 		"-queue-depth", "16", "-workers", "4", "-rsa-bits", "1024",
 		"-straggler", "0.2", "-disconnect", "0.1",
-		"-out", out,
+		"-out", out, "-cpuprofile", cpu, "-memprofile", mem,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, prof := range []string{cpu, mem} {
+		// pprof profiles are gzip streams.
+		if b, err := os.ReadFile(prof); err != nil || len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+			t.Fatalf("%s: not a profile (%d bytes, err %v)", filepath.Base(prof), len(b), err)
+		}
 	}
 	raw, err := os.ReadFile(out)
 	if err != nil {

@@ -472,6 +472,10 @@ func (c *Participant) rewrapFresh(ep string, key *rsa.PublicKey, raw []byte) ([]
 	return ct, sess, nil
 }
 
+// encodeBufs recycles SendUpdate's plaintext encode buffers (*[]byte)
+// across the process's participants.
+var encodeBufs sync.Pool
+
 // Busy-tier backoff: when a whole failover walk comes back with every
 // proxy rejecting at the ingress door and at least one of them answering
 // transport.ErrBusy (a full bounded queue — transient by construction),
@@ -508,10 +512,22 @@ const (
 // across downstream outages), so observe round progress with
 // WaitForRound rather than inferring it from the send.
 func (c *Participant) SendUpdate(ctx context.Context, ps nn.ParamSet) error {
-	raw, err := nn.EncodeParamSet(ps)
+	// The encoded plaintext only feeds the wraps below (every attempt
+	// seals it into a fresh ciphertext, which is what the transport
+	// owns), so it is dead once this call returns and its buffer recycles.
+	bp, _ := encodeBufs.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	defer encodeBufs.Put(bp)
+	if need := nn.EncodedSize(ps); cap(*bp) < need {
+		*bp = make([]byte, 0, need)
+	}
+	raw, err := nn.AppendParamSet((*bp)[:0], ps)
 	if err != nil {
 		return err
 	}
+	*bp = raw
 	c.mu.Lock()
 	clientID := c.clientID
 	haveAny := c.authority != nil || len(c.keys) > 0

@@ -19,12 +19,16 @@ type Shard interface {
 	// update leaving the shard mid-round).
 	Add(u nn.ParamSet) (*nn.ParamSet, error)
 	// AddWire files one ENCODED update, letting the shard choose the
-	// cheapest path from wire bytes to its storage: a slab mixer decodes
-	// straight into its slab (zero intermediate copies), a legacy mixer
-	// or relay runs the zero-copy decoder and aliases the buffer. The
-	// wire buffer's ownership transfers to the shard — the caller must
-	// not modify it afterwards.
+	// cheapest path from wire bytes to its storage: a slab mixer copies
+	// the payload straight into its slab row, a legacy mixer or relay
+	// decodes over the buffer and aliases it. The shard only reads wire;
+	// whether the caller gets the buffer back is RetainsWire's answer.
 	AddWire(wire []byte) (*nn.ParamSet, error)
+	// RetainsWire reports whether material filed with AddWire keeps
+	// referencing the wire buffer (until the round's drain has been
+	// encoded). When false the caller may reuse the buffer as soon as
+	// AddWire returns; when true it must leave it alone.
+	RetainsWire() bool
 	// Drain empties the shard at round close and returns the remainder.
 	Drain() []nn.ParamSet
 	// Buffered, Received and Emitted report the shard's ledger.
@@ -77,9 +81,12 @@ func (r *RelayShard) Add(u nn.ParamSet) (*nn.ParamSet, error) {
 	return nil, nil
 }
 
-// AddWire implements Shard: decode zero-copy (the relayed material is
-// re-encoded per destination at round close anyway) and buffer. The
-// views alias wire, whose ownership transfers to the relay.
+// RetainsWire implements Shard: the buffered views alias the buffer.
+func (r *RelayShard) RetainsWire() bool { return true }
+
+// AddWire implements Shard: decode without copying where alignment
+// allows (the relayed material is re-encoded per destination at round
+// close anyway) and buffer. The views alias wire.
 func (r *RelayShard) AddWire(wire []byte) (*nn.ParamSet, error) {
 	ps, err := nn.DecodeParamSetNoCopy(wire)
 	if err != nil {

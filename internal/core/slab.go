@@ -20,7 +20,7 @@ import (
 // Matching is by layout identity (skeleton bytes): a pooled chunk of a
 // different model structure or a smaller row count is dropped to the GC
 // rather than reshaped. The pool is safe for concurrent use and a nil
-// *SlabPool is valid (every get misses, every put discards).
+// *SlabPool is valid (every get allocates, every put discards).
 type SlabPool struct {
 	p sync.Pool
 }
@@ -28,42 +28,68 @@ type SlabPool struct {
 // NewSlabPool builds an empty pool.
 func NewSlabPool() *SlabPool { return &SlabPool{} }
 
-func (p *SlabPool) get(layout *nn.SlabLayout, rows int) *slabChunk {
-	if p == nil {
-		return nil
-	}
+// get hands out a chunk of at least rows rows of layout's stride: a
+// recycled one when the pool holds a match, a fresh allocation (slab and
+// per-row views together) otherwise. The rows' contents are whatever the
+// previous round left; every user overwrites a row before publishing it.
+func (p *SlabPool) get(layout *nn.SlabLayout, rows int) *SlabChunk {
 	// A pool may hold chunks of an older topology's shape (membership or
 	// model changes); try a few before giving up so one stale chunk does
 	// not defeat recycling forever.
-	for i := 0; i < 4; i++ {
+	for i := 0; p != nil && i < 4; i++ {
 		v := p.p.Get()
 		if v == nil {
-			return nil
+			break
 		}
-		c := v.(*slabChunk)
+		c := v.(*SlabChunk)
 		if c.rows >= rows && bytes.Equal(c.skeleton, layout.Skeleton()) {
 			return c
 		}
 	}
-	return nil
+	return NewSlabChunk(layout, rows)
 }
 
-func (p *SlabPool) put(c *slabChunk) {
+// put returns a chunk for a later round. The caller guarantees nothing
+// references its rows or views any more.
+func (p *SlabPool) put(c *SlabChunk) {
 	if p != nil && c != nil {
 		p.p.Put(c)
 	}
 }
 
-// slabChunk is one contiguous allocation of slab rows plus the ParamSet
+// SlabChunk is one contiguous allocation of slab rows plus the ParamSet
 // views materialised over them (one per row, bulk-allocated). Chunks are
 // never grown or reshaped: a store that outgrows its chunk appends a new
 // one, so every view handed out stays valid for the whole round.
-type slabChunk struct {
+type SlabChunk struct {
 	skeleton []byte // layout identity (aliases the layout's skeleton)
 	rows     int
+	stride   int
 	data     []float64
 	views    []nn.ParamSet
 }
+
+// NewSlabChunk allocates a chunk of rows rows of layout's stride, its
+// per-row views included. An owner that fills one chunk over and over —
+// the aggregation server, one round at a time — keeps it instead of
+// cycling it through a pool.
+func NewSlabChunk(layout *nn.SlabLayout, rows int) *SlabChunk {
+	data := make([]float64, rows*layout.Stride())
+	return &SlabChunk{
+		skeleton: layout.Skeleton(),
+		rows:     rows,
+		stride:   layout.Stride(),
+		data:     data,
+		views:    layout.NewChunkViews(data, rows),
+	}
+}
+
+// Row returns row i's storage (Stride() scalars).
+func (c *SlabChunk) Row(i int) []float64 { return c.data[i*c.stride : (i+1)*c.stride] }
+
+// Views returns the chunk's pre-built per-row ParamSet views; Views()[i]
+// aliases Row(i) and shows whatever the row holds at the time it is read.
+func (c *SlabChunk) Views() []nn.ParamSet { return c.views }
 
 // slabStore is a StreamMixer's slab-backed storage: each accepted update
 // occupies one stride-length row of a chunk, and what the mixing lists
@@ -80,7 +106,7 @@ type slabStore struct {
 	pool      *SlabPool
 	layout    *nn.SlabLayout
 	chunkRows int
-	chunks    []*slabChunk
+	chunks    []*SlabChunk
 	used      int // rows used in the last chunk
 
 	// Emission arenas: mid-round emissions hand out *nn.ParamSet whose
@@ -118,23 +144,11 @@ func (s *slabStore) ensureLayout(build func() (*nn.SlabLayout, error)) error {
 // nextRow claims a fresh row, returning its pre-built view and storage.
 func (s *slabStore) nextRow() (nn.ParamSet, []float64) {
 	if len(s.chunks) == 0 || s.used == s.chunkRows {
-		c := s.pool.get(s.layout, s.chunkRows)
-		if c == nil {
-			data := make([]float64, s.chunkRows*s.layout.Stride())
-			c = &slabChunk{
-				skeleton: s.layout.Skeleton(),
-				rows:     s.chunkRows,
-				data:     data,
-				views:    s.layout.NewChunkViews(data, s.chunkRows),
-			}
-		}
-		s.chunks = append(s.chunks, c)
+		s.chunks = append(s.chunks, s.pool.get(s.layout, s.chunkRows))
 		s.used = 0
 	}
 	c := s.chunks[len(s.chunks)-1]
-	stride := s.layout.Stride()
-	row := c.data[s.used*stride : (s.used+1)*stride]
-	view := c.views[s.used]
+	view, row := c.views[s.used], c.Row(s.used)
 	s.used++
 	return view, row
 }
@@ -238,6 +252,10 @@ func (m *StreamMixer) ReleaseSlab() {
 	m.lists = nil
 	m.template = nn.ParamSet{}
 }
+
+// RetainsWire implements Shard: a slab mixer copies the payload into its
+// row, a legacy mixer's lists alias the decoded buffer.
+func (m *StreamMixer) RetainsWire() bool { return m.slab == nil }
 
 // AddWire ingests one ENCODED update: the slab path decodes it straight
 // into a fresh slab row (header-skeleton validation plus one bulk

@@ -344,3 +344,62 @@ func TestSlabAddWireSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state AddWire costs %.1f allocs/update, want <= 2", avg)
 	}
 }
+
+// TestSlabPoolChunks: a chunk's views show what is decoded into its rows,
+// a recycled chunk (when the pool still holds it) serves a smaller
+// request of the same layout, and a nil pool still hands out working
+// chunks.
+func TestSlabPoolChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	u := makeUpdates(1, 3, rng)[0]
+	layout, err := nn.NewSlabLayout(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := encodeAll(t, []nn.ParamSet{u})[0]
+	for _, pool := range []*SlabPool{NewSlabPool(), nil} {
+		c := pool.get(layout, 4)
+		if len(c.Views()) != 4 || len(c.Row(3)) != layout.Stride() {
+			t.Fatalf("chunk has %d views, row of %d scalars", len(c.Views()), len(c.Row(3)))
+		}
+		if err := layout.DecodeIntoSlab(c.Row(2), wire); err != nil {
+			t.Fatal(err)
+		}
+		if !c.Views()[2].ApproxEqual(u, 0) {
+			t.Fatal("view 2 does not show what was decoded into row 2")
+		}
+		pool.put(c)
+		again := pool.get(layout, 3)
+		if len(again.Views()) < 3 || len(again.Row(2)) != layout.Stride() {
+			t.Fatal("chunk after a put/get cycle cannot hold the rows asked for")
+		}
+	}
+}
+
+// TestRetainsWire pins who keeps an AddWire buffer: only a slab mixer
+// copies out of it — and it really does, so the proxy may recycle the
+// buffer the moment AddWire returns.
+func TestRetainsWire(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	slab, _ := NewStreamMixerSlab(2, rng, nil)
+	legacy, _ := NewStreamMixer(2, rng)
+	for name, tc := range map[string]struct {
+		s    Shard
+		want bool
+	}{"slab": {slab, false}, "legacy": {legacy, true}, "relay": {NewRelayShard(2), true}} {
+		if got := tc.s.RetainsWire(); got != tc.want {
+			t.Fatalf("%s mixer RetainsWire = %v, want %v", name, got, tc.want)
+		}
+	}
+	u := makeUpdates(1, 3, rng)[0]
+	buf := encodeAll(t, []nn.ParamSet{u})[0]
+	if _, err := slab.AddWire(buf); err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] = 0xFF // the next update decrypted into the recycled buffer
+	}
+	if out := slab.Drain(); len(out) != 1 || !out[0].ApproxEqual(u, 0) {
+		t.Fatal("slab mixer's stored update followed the wire buffer")
+	}
+}

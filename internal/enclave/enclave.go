@@ -186,12 +186,25 @@ var ErrCiphertext = errors.New("enclave: invalid ciphertext")
 // session.go), the legacy hybrid format otherwise. Legacy and session
 // traffic interleave freely on one enclave.
 func (e *Enclave) Decrypt(ciphertext []byte) ([]byte, error) {
+	return e.DecryptTo(nil, ciphertext)
+}
+
+// DecryptTo is Decrypt writing the plaintext into dst's backing array
+// when its capacity suffices (dst's contents are overwritten from index
+// 0; a too-small dst costs one allocation, as Decrypt does), so a caller
+// that recycles plaintext buffers pays none per update. dst must be a
+// buffer the caller allocated and must not overlap ciphertext: the
+// ciphertext belongs to the transport — Loopback hands bodies over
+// zero-copy and senders keep them for retries — so nothing is ever
+// opened in place over it. On error dst's contents are unspecified.
+func (e *Enclave) DecryptTo(dst, ciphertext []byte) ([]byte, error) {
+	dst = dst[:0]
 	if len(ciphertext) >= 4 {
 		switch string(ciphertext[:4]) {
 		case sessionMagicEstablish:
-			return e.decryptEstablish(ciphertext)
+			return e.decryptEstablish(dst, ciphertext)
 		case sessionMagicData:
-			return e.decryptData(ciphertext)
+			return e.decryptData(dst, ciphertext)
 		}
 	}
 	if len(ciphertext) < 2 {
@@ -215,7 +228,7 @@ func (e *Enclave) Decrypt(ciphertext []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: gcm", ErrCiphertext)
 	}
 	nonce := rest[wlen : wlen+gcmNonceSize]
-	plain, err := gcm.Open(nil, nonce, rest[wlen+gcmNonceSize:], nil)
+	plain, err := gcm.Open(dst, nonce, rest[wlen+gcmNonceSize:], nil)
 	if err != nil {
 		return nil, fmt.Errorf("%w: authentication failed", ErrCiphertext)
 	}

@@ -258,8 +258,9 @@ func (e *Enclave) ResetSessions() {
 
 // decryptEstablish opens an "MXSE" establish message: unwrap the
 // session key with the enclave's RSA key, authenticate the carried
-// payload under it, and only then install the session.
-func (e *Enclave) decryptEstablish(ct []byte) ([]byte, error) {
+// payload under it (into dst, see DecryptTo), and only then install the
+// session.
+func (e *Enclave) decryptEstablish(dst, ct []byte) ([]byte, error) {
 	if len(ct) < establishHeaderSize {
 		return nil, fmt.Errorf("%w: truncated session establish", ErrCiphertext)
 	}
@@ -283,7 +284,7 @@ func (e *Enclave) decryptEstablish(ct []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: session cipher", ErrCiphertext)
 	}
 	nonce := sessionNonce(0)
-	plain, err := aead.Open(nil, nonce[:], ct[hdrLen:], ct[:hdrLen])
+	plain, err := aead.Open(dst, nonce[:], ct[hdrLen:], ct[:hdrLen])
 	if err != nil {
 		return nil, fmt.Errorf("%w: authentication failed", ErrCiphertext)
 	}
@@ -297,7 +298,7 @@ func (e *Enclave) decryptEstablish(ct []byte) ([]byte, error) {
 // The GCM open runs OUTSIDE the enclave lock (the AEAD is immutable),
 // and the replay admission re-checks the session afterwards so an
 // eviction racing the open cannot corrupt another session's state.
-func (e *Enclave) decryptData(ct []byte) ([]byte, error) {
+func (e *Enclave) decryptData(dst, ct []byte) ([]byte, error) {
 	if len(ct) < dataHeaderSize {
 		return nil, fmt.Errorf("%w: truncated session data", ErrCiphertext)
 	}
@@ -322,7 +323,7 @@ func (e *Enclave) decryptData(ct []byte) ([]byte, error) {
 	aead := s.aead
 	e.mu.Unlock()
 	nonce := sessionNonce(counter)
-	plain, err := aead.Open(nil, nonce[:], ct[dataHeaderSize:], ct[:dataHeaderSize])
+	plain, err := aead.Open(dst, nonce[:], ct[dataHeaderSize:], ct[:dataHeaderSize])
 	if err != nil {
 		return nil, fmt.Errorf("%w: authentication failed", ErrCiphertext)
 	}

@@ -235,6 +235,63 @@ func TestSessionWrapAllocations(t *testing.T) {
 	}
 }
 
+// TestDecryptToReusesCallerBuffer: for every ciphertext family the
+// plaintext lands in the caller's buffer when it is large enough (no
+// allocation), in a fresh one when it is not, and the ciphertext — which
+// belongs to the transport and may be sent again — is never written to.
+func TestDecryptToReusesCallerBuffer(t *testing.T) {
+	e := sessionFixture(t)
+	sess, err := NewSession(e.PublicKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("mixnn"), 200)
+	wrap := func() []byte {
+		ct, err := sess.Wrap(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ct
+	}
+	legacy, err := Encrypt(e.PublicKey(), payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ct := range map[string][]byte{"establish": wrap(), "data": wrap(), "legacy": legacy} {
+		sent := append([]byte(nil), ct...)
+		buf := make([]byte, 7, len(ct)) // stale contents are overwritten from index 0
+		got, err := e.DecryptTo(buf, ct)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got, payload) || &got[0] != &buf[:1][0] {
+			t.Fatalf("%s: plaintext wrong or not written into the caller's buffer", name)
+		}
+		if !bytes.Equal(ct, sent) {
+			t.Fatalf("%s: the ciphertext was modified", name)
+		}
+	}
+	small, err := e.DecryptTo(make([]byte, 0, 8), wrap())
+	if err != nil || !bytes.Equal(small, payload) {
+		t.Fatalf("too-small buffer: %v", err)
+	}
+	// Every counter opens once, so each run (and AllocsPerRun's warm-up)
+	// takes its own frame.
+	frames := [][]byte{wrap(), wrap(), wrap()}
+	buf := make([]byte, 0, len(frames[0]))
+	if allocs := testing.AllocsPerRun(len(frames)-1, func() {
+		ct := frames[0]
+		frames = frames[1:]
+		if _, err := e.DecryptTo(buf, ct); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		// The 12-byte nonce escapes through the cipher.AEAD interface;
+		// the plaintext must not be a second allocation.
+		t.Fatalf("DecryptTo into a large-enough buffer allocates %.0f times, want <= 1", allocs)
+	}
+}
+
 // FuzzSessionCiphertext drives garbage at the session ciphertext parser:
 // truncations, flipped version/sid/counter bytes, cross-session splices
 // and counter reuse must all reject cleanly — never panic, and never

@@ -86,5 +86,11 @@ type captureObserver struct{ updates []nn.ParamSet }
 
 var _ fl.Observer = (*captureObserver)(nil)
 
-// ObserveRound implements fl.Observer.
-func (c *captureObserver) ObserveRound(rec fl.RoundRecord) { c.updates = rec.Updates }
+// ObserveRound implements fl.Observer. Updates are only lent for the call
+// (fl.RoundRecord), so what outlives it is a deep copy.
+func (c *captureObserver) ObserveRound(rec fl.RoundRecord) {
+	c.updates = make([]nn.ParamSet, len(rec.Updates))
+	for i, u := range rec.Updates {
+		c.updates[i] = u.Clone()
+	}
+}

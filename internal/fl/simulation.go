@@ -15,7 +15,14 @@ import (
 type RoundRecord struct {
 	Round        int
 	Disseminated nn.ParamSet
-	Updates      []nn.ParamSet
+	// Updates is LENT to the observer for the duration of ObserveRound
+	// only. The networked aggregation server (proxy.AggServer) hands out
+	// views of the round's slab rows, which recycle the moment the round
+	// closes; an observer that wants anything past its return keeps deep
+	// copies (ParamSet.Clone), never the slice or its tensors. The
+	// in-process Simulation's updates happen to outlive the call, but
+	// observers must not rely on it.
+	Updates []nn.ParamSet
 	// ClientIDs[i] is the participant the server believes produced
 	// Updates[i] (the sender of slot i). With client sampling only the
 	// selected participants appear; after MixNN the per-layer content of

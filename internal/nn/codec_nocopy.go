@@ -158,6 +158,11 @@ func (d *byteCursor) tensorNoCopy(remainingBudget int) (*tensor.Tensor, int, err
 		// Fast path: the payload already IS the little-endian float64
 		// slice; alias it (alignment-checked, so -race/checkptr is happy).
 		data = unsafe.Slice((*float64)(unsafe.Pointer(&raw[0])), elems)
+	} else if hostLittleEndian {
+		// Misaligned: the fresh slice is the aligned side, so viewing it as
+		// bytes makes one bulk copy legal whatever raw's alignment.
+		data = make([]float64, elems)
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(&data[0])), 8*elems), raw)
 	} else {
 		data = make([]float64, elems)
 		for i := range data {

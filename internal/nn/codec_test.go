@@ -252,3 +252,70 @@ func TestQuickCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDecodeParamSetNoCopyMisalignedIsOneCopy pins the other half of the
+// contract: a payload that is not 8-byte aligned in the input — most
+// tensors of an item inside a batch body — is copied (in bulk), never
+// aliased, so the decoded tensor does not follow the buffer.
+func TestDecodeParamSetNoCopyMisalignedIsOneCopy(t *testing.T) {
+	ps := ParamSet{Layers: []LayerParams{{
+		Name:    "abc",
+		Tensors: []*tensor.Tensor{tensor.MustFromSlice([]float64{1, 2, 3, 4}, 4)},
+	}}}
+	raw, err := EncodeParamSet(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for shift := 0; shift < 8; shift++ {
+		buf := make([]byte, shift+len(raw))
+		copy(buf[shift:], raw)
+		data := buf[shift:]
+		payload := data[len(data)-32:]
+		if uintptr(unsafe.Pointer(&payload[0]))%8 == 0 {
+			continue
+		}
+		got, err := DecodeParamSetNoCopy(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload[0] ^= 0xFF
+		if d := got.Layers[0].Tensors[0].Data(); d[0] != 1 || d[3] != 4 {
+			t.Fatalf("shift %d: misaligned payload decoded to %v and follows the buffer", shift, d)
+		}
+	}
+}
+
+// TestSlabLayoutCheckWire: the header-only check accepts exactly what
+// DecodeIntoSlab accepts, without touching a row, and a rejected update
+// leaves the row as it was.
+func TestSlabLayoutCheckWire(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	good := randomParamSet(rng, 3, 2)
+	layout, err := NewSlabLayout(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := EncodeParamSet(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := layout.CheckWire(wire); err != nil {
+		t.Fatalf("own structure rejected: %v", err)
+	}
+	other, err := EncodeParamSet(randomParamSet(rng, 2, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	renamed := append([]byte(nil), wire...)
+	renamed[4+1+4+2] ^= 0x20 // first byte of the first layer's name
+	row := make([]float64, layout.Stride())
+	for name, bad := range map[string][]byte{"other shape": other, "renamed layer": renamed, "truncated": wire[:len(wire)-1], "empty": nil} {
+		if layout.CheckWire(bad) == nil {
+			t.Fatalf("%s passed CheckWire", name)
+		}
+		row[0] = 42
+		if layout.DecodeIntoSlab(row, bad) == nil || row[0] != 42 {
+			t.Fatalf("%s: DecodeIntoSlab accepted it or wrote into the row", name)
+		}
+	}
+}

@@ -158,18 +158,13 @@ func (l *SlabLayout) Matches(ps ParamSet) bool {
 	return true
 }
 
-// DecodeIntoSlab parses one encoded update directly into row (which must
-// be Stride() long): header segments are verified byte-for-byte against
-// the skeleton — a strict structural equality check, stricter than the
-// general decoder in that it also pins names, order and shapes — and the
-// float payloads are bulk-copied into the row. It allocates nothing. On
-// a big-endian host the payload copy falls back to per-element
-// conversion; misaligned input costs nothing extra, because the
-// destination row (not the wire buffer) is the aligned side.
-func (l *SlabLayout) DecodeIntoSlab(row []float64, data []byte) error {
-	if len(row) != l.stride {
-		return fmt.Errorf("nn: slab row has %d scalars, layout needs %d", len(row), l.stride)
-	}
+// CheckWire reports whether data is one encoded update of exactly this
+// layout's structure: the right size, and every header segment equal to
+// the skeleton's byte for byte — stricter than the general decoder in
+// that it also pins names, order and shapes. It reads only the header
+// bytes (a few hundred per update) and allocates nothing, so a receiver
+// can validate a whole batch before it copies any of it.
+func (l *SlabLayout) CheckWire(data []byte) error {
 	if len(data) != l.wireSize {
 		return fmt.Errorf("nn: update is %d bytes, layout needs exactly %d", len(data), l.wireSize)
 	}
@@ -177,6 +172,25 @@ func (l *SlabLayout) DecodeIntoSlab(row []float64, data []byte) error {
 		if !bytes.Equal(data[s.wireOff:s.wireOff+s.hdrLen], l.skeleton[s.wireOff:s.wireOff+s.hdrLen]) {
 			return fmt.Errorf("nn: update structure does not match the round's slab layout")
 		}
+	}
+	return nil
+}
+
+// DecodeIntoSlab parses one encoded update directly into row (which must
+// be Stride() long): the structure is verified with CheckWire and the
+// float payloads are bulk-copied into the row. It allocates nothing, and
+// a rejected update leaves row untouched. On a big-endian host the
+// payload copy falls back to per-element conversion; misaligned input
+// costs nothing extra, because the destination row (not the wire buffer)
+// is the aligned side.
+func (l *SlabLayout) DecodeIntoSlab(row []float64, data []byte) error {
+	if len(row) != l.stride {
+		return fmt.Errorf("nn: slab row has %d scalars, layout needs %d", len(row), l.stride)
+	}
+	if err := l.CheckWire(data); err != nil {
+		return err
+	}
+	for _, s := range l.segs {
 		if s.n == 0 {
 			continue
 		}

@@ -23,13 +23,11 @@
 package outbox
 
 import (
-	"bytes"
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -111,18 +109,27 @@ type Queue interface {
 // format can evolve:
 //
 //	magic   [4]byte "MXOB"
-//	version uint32 (currently 2)
+//	version uint32 (currently 3)
 //	epoch   uint64  round number the material belongs to
-//	topoVer uint64  (v2) routing-plane topology version the round closed
+//	topoVer uint64  routing-plane topology version the round closed
 //	                under — the epoch+topology key delivery is tracked by
 //	hop     uint32  cascade depth to stamp on delivery (watermark + 1)
-//	destLen uint16, dest bytes (v2) remote-shard address this entry is
+//	destLen uint16, dest bytes: remote-shard address this entry is
 //	                addressed to; empty = the tier's upstream/next-hop
-//	count   uint32  updates in the round
-//	per update: len uint32, bytes (an encoded nn.ParamSet — opaque here)
+//	v3 tail — a complete wire.BatchEnvelope body, so the /v1/batch request
+//	body is a sub-slice of the entry instead of a re-encoded copy:
+//	  magic   [4]byte "MXBE"
+//	  version uint8 (1)
+//	  count   uint32  updates in the round
+//	  per update: len uint32, bytes (an encoded nn.ParamSet — opaque here)
+//	v2 tail (entries an older binary left on disk; still read, never
+//	written): count uint32, then per update len uint32, bytes
 //
-// Version-1 entries (pre-routing-plane) still parse: they carry no
-// destination (upstream) and topology version 0.
+// Ownership: an entry's bytes are IMMUTABLE from Put to Ack. The parsed
+// Updates and Batch alias the payload handed to ParseEnvelope, the
+// dispatcher memoises them across retries, and Loopback hands request
+// bodies to the receiver without copying — so neither the sender nor a
+// receiver may decrypt, decode or otherwise write in place over them.
 type Envelope struct {
 	Epoch       uint64
 	TopoVersion uint64
@@ -132,14 +139,21 @@ type Envelope struct {
 	// ordinary downstream (upstream server or cascade next hop).
 	Dest    string
 	Updates [][]byte
+	// Batch is the entry's tail when it already is the complete
+	// wire.BatchEnvelope body of Updates (v3 entries; it aliases the
+	// parsed payload). nil for a v2 entry, or for an empty one — a batch
+	// envelope cannot be empty — and the sender then encodes the body.
+	// Marshal ignores it.
+	Batch []byte
 }
 
 const (
 	envelopeMagic = "MXOB"
 
-	// EnvelopeVersion is the current entry format; ParseEnvelope also
-	// reads version 1 (entries a pre-topology proxy left on disk).
-	EnvelopeVersion = 2
+	// EnvelopeVersion is the entry format Marshal and EntryBuilder write;
+	// ParseEnvelope also reads version 2 (entries a pre-v3 proxy left on
+	// disk). Version 1 (pre-routing-plane) is no longer read.
+	EnvelopeVersion = 3
 
 	// maxEnvelopeUpdates bounds the updates one entry may claim (entries
 	// cross the sealing boundary, so parse limits guard allocations).
@@ -148,145 +162,203 @@ const (
 	maxEnvelopeItemBytes = 512 << 20
 	// maxEnvelopeDestBytes bounds the destination address.
 	maxEnvelopeDestBytes = 1 << 10
+
+	// envelopeFixedHeader is magic + version + epoch + topoVer + hop +
+	// destLen; the destination follows it.
+	envelopeFixedHeader = 4 + 4 + 8 + 8 + 4 + 2
+	// batchMagic/batchVersion/batchHeader restate wire.BatchEnvelope's
+	// framing (magic, version, count): the v3 tail must BE that body, and
+	// FuzzEnvelopeAlias holds the two packages to it.
+	batchMagic   = "MXBE"
+	batchVersion = 1
+	batchHeader  = 4 + 1 + 4
 )
 
-// Marshal encodes the envelope.
+// EntrySize returns the exact size of a v3 entry addressed to dest that
+// carries count updates of payloadBytes encoded bytes in total.
+func EntrySize(dest string, count, payloadBytes int) int {
+	return envelopeFixedHeader + len(dest) + batchHeader + 4*count + payloadBytes
+}
+
+// EntryBuilder assembles a v3 entry in place, so a producer that can
+// append-encode its updates (nn.AppendParamSet) writes each update's
+// bytes exactly once — straight into the entry the queue will hold —
+// instead of encoding them elsewhere and copying them in. Size the
+// builder with EntrySize and the entry is one allocation.
+type EntryBuilder struct {
+	buf      []byte
+	countOff int
+	count    uint32
+}
+
+// NewEntryBuilder starts an entry with hdr's epoch, topology version, hop
+// and destination (hdr.Updates and hdr.Batch are ignored); size is the
+// capacity to reserve.
+func NewEntryBuilder(hdr Envelope, size int) (*EntryBuilder, error) {
+	if hdr.Hop < 0 {
+		return nil, fmt.Errorf("outbox: negative hop %d", hdr.Hop)
+	}
+	if len(hdr.Dest) > maxEnvelopeDestBytes {
+		return nil, fmt.Errorf("outbox: destination exceeds %d bytes", maxEnvelopeDestBytes)
+	}
+	buf := make([]byte, 0, size)
+	buf = append(buf, envelopeMagic...)
+	buf = binary.LittleEndian.AppendUint32(buf, EnvelopeVersion)
+	buf = binary.LittleEndian.AppendUint64(buf, hdr.Epoch)
+	buf = binary.LittleEndian.AppendUint64(buf, hdr.TopoVersion)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(hdr.Hop))
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(hdr.Dest)))
+	buf = append(buf, hdr.Dest...)
+	buf = append(buf, batchMagic...)
+	buf = append(buf, batchVersion)
+	b := &EntryBuilder{countOff: len(buf)}
+	b.buf = binary.LittleEndian.AppendUint32(buf, 0) // count, patched by Bytes
+	return b, nil
+}
+
+// Append adds one update: encode appends the update's bytes to the slice
+// it is given and returns the extended slice. A failed encode leaves the
+// builder as it was.
+func (b *EntryBuilder) Append(encode func(buf []byte) ([]byte, error)) error {
+	if b.count >= maxEnvelopeUpdates {
+		return fmt.Errorf("outbox: more than %d updates in one entry", maxEnvelopeUpdates)
+	}
+	lenOff := len(b.buf)
+	buf, err := encode(binary.LittleEndian.AppendUint32(b.buf, 0))
+	if err != nil {
+		return err
+	}
+	n := len(buf) - lenOff - 4
+	if n < 0 || n > maxEnvelopeItemBytes {
+		return fmt.Errorf("outbox: update %d is %d bytes, outside [0, %d]", b.count, n, maxEnvelopeItemBytes)
+	}
+	binary.LittleEndian.PutUint32(buf[lenOff:], uint32(n))
+	b.buf = buf
+	b.count++
+	return nil
+}
+
+// Bytes returns the finished entry. The builder must not be used again.
+func (b *EntryBuilder) Bytes() []byte {
+	binary.LittleEndian.PutUint32(b.buf[b.countOff:], b.count)
+	return b.buf
+}
+
+// Marshal encodes the envelope (current version) into one exactly-sized
+// allocation.
 func (e *Envelope) Marshal() ([]byte, error) {
 	if len(e.Updates) > maxEnvelopeUpdates {
 		return nil, fmt.Errorf("outbox: %d updates exceed the per-entry limit", len(e.Updates))
 	}
-	if e.Hop < 0 {
-		return nil, fmt.Errorf("outbox: negative hop %d", e.Hop)
-	}
-	if len(e.Dest) > maxEnvelopeDestBytes {
-		return nil, fmt.Errorf("outbox: destination exceeds %d bytes", maxEnvelopeDestBytes)
-	}
-	// Append-encode into one exactly-sized allocation: entries can carry a
-	// whole round (megabytes at participant scale), where the old
-	// bytes.Buffer + binary.Write path cost repeated growth copies plus an
-	// interface allocation per field.
-	size := len(envelopeMagic) + 4 + 8 + 8 + 4 + 2 + len(e.Dest) + 4
-	for i, u := range e.Updates {
-		if len(u) > maxEnvelopeItemBytes {
-			return nil, fmt.Errorf("outbox: update %d exceeds %d bytes", i, maxEnvelopeItemBytes)
-		}
-		size += 4 + len(u)
-	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, envelopeMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(EnvelopeVersion))
-	buf = binary.LittleEndian.AppendUint64(buf, e.Epoch)
-	buf = binary.LittleEndian.AppendUint64(buf, e.TopoVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(e.Hop))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(e.Dest)))
-	buf = append(buf, e.Dest...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Updates)))
+	payload := 0
 	for _, u := range e.Updates {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(u)))
-		buf = append(buf, u...)
+		payload += len(u)
 	}
-	return buf, nil
+	b, err := NewEntryBuilder(*e, EntrySize(e.Dest, len(e.Updates), payload))
+	if err != nil {
+		return nil, err
+	}
+	for _, u := range e.Updates {
+		if err := b.Append(func(buf []byte) ([]byte, error) { return append(buf, u...), nil }); err != nil {
+			return nil, err
+		}
+	}
+	return b.Bytes(), nil
 }
 
-// ParseEnvelope decodes an entry payload, validating structure before
-// allocating.
+// parseHeader decodes an entry's header (magic through dest) by offset
+// arithmetic and returns it with the entry version and the offset the
+// tail starts at. dest aliases data.
+func parseHeader(data []byte) (env Envelope, dest []byte, version uint32, off int, err error) {
+	if len(data) < 4 || string(data[:4]) != envelopeMagic {
+		return env, nil, 0, 0, fmt.Errorf("outbox: bad entry magic %q", data[:min(len(data), 4)])
+	}
+	if len(data) < 8 {
+		return env, nil, 0, 0, fmt.Errorf("outbox: entry truncated before its version")
+	}
+	version = binary.LittleEndian.Uint32(data[4:])
+	if version == 1 {
+		return env, nil, 0, 0, fmt.Errorf("outbox: entry version 1 (written by a pre-topology proxy) is no longer supported; deliver it with the release that wrote it")
+	}
+	if version != 2 && version != EnvelopeVersion {
+		return env, nil, 0, 0, fmt.Errorf("outbox: entry version %d, want 2 or %d", version, EnvelopeVersion)
+	}
+	if len(data) < envelopeFixedHeader {
+		return env, nil, 0, 0, fmt.Errorf("outbox: entry truncated inside its header")
+	}
+	env.Epoch = binary.LittleEndian.Uint64(data[8:])
+	env.TopoVersion = binary.LittleEndian.Uint64(data[16:])
+	env.Hop = int(binary.LittleEndian.Uint32(data[24:]))
+	destLen := int(binary.LittleEndian.Uint16(data[28:]))
+	off = envelopeFixedHeader
+	if destLen > maxEnvelopeDestBytes || destLen > len(data)-off {
+		return env, nil, 0, 0, fmt.Errorf("outbox: destination length %d out of range", destLen)
+	}
+	return env, data[off : off+destLen], version, off + destLen, nil
+}
+
+// ParseEnvelope decodes an entry payload of version 2 or 3, validating
+// structure before allocating. The result ALIASES data — Updates and
+// Batch are sub-slices of it, not copies — so data must stay unmodified
+// for as long as the envelope is in use (see Envelope). The only
+// allocations are the envelope, its destination string and one slice of
+// update headers.
 func ParseEnvelope(data []byte) (*Envelope, error) {
-	r := bytes.NewReader(data)
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil || string(magic[:]) != envelopeMagic {
-		return nil, fmt.Errorf("outbox: bad entry magic %q", magic)
+	hdr, dest, version, off, err := parseHeader(data)
+	if err != nil {
+		return nil, err
 	}
-	var version, hop, count uint32
-	var epoch, topoVer uint64
-	var dest []byte
-	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
-		return nil, fmt.Errorf("outbox: read entry version: %w", err)
-	}
-	if version != 1 && version != EnvelopeVersion {
-		return nil, fmt.Errorf("outbox: entry version %d, want <= %d", version, EnvelopeVersion)
-	}
-	if err := binary.Read(r, binary.LittleEndian, &epoch); err != nil {
-		return nil, fmt.Errorf("outbox: read entry epoch: %w", err)
-	}
-	if version >= 2 {
-		if err := binary.Read(r, binary.LittleEndian, &topoVer); err != nil {
-			return nil, fmt.Errorf("outbox: read entry topology version: %w", err)
+	env := &hdr
+	env.Dest = string(dest)
+	tail := off
+	if version >= 3 {
+		if len(data)-off < batchHeader || string(data[off:off+4]) != batchMagic || data[off+4] != batchVersion {
+			return nil, fmt.Errorf("outbox: entry tail is not a version-%d batch body", batchVersion)
 		}
+		off += 5
+	} else if len(data)-off < 4 {
+		return nil, fmt.Errorf("outbox: entry truncated before its update count")
 	}
-	if err := binary.Read(r, binary.LittleEndian, &hop); err != nil {
-		return nil, fmt.Errorf("outbox: read entry hop: %w", err)
-	}
-	if version >= 2 {
-		var destLen uint16
-		if err := binary.Read(r, binary.LittleEndian, &destLen); err != nil {
-			return nil, fmt.Errorf("outbox: read entry destination length: %w", err)
-		}
-		if int(destLen) > maxEnvelopeDestBytes || int(destLen) > r.Len() {
-			return nil, fmt.Errorf("outbox: destination length %d out of range", destLen)
-		}
-		dest = make([]byte, destLen)
-		if _, err := io.ReadFull(r, dest); err != nil {
-			return nil, fmt.Errorf("outbox: read entry destination: %w", err)
-		}
-	}
-	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
-		return nil, fmt.Errorf("outbox: read entry count: %w", err)
-	}
-	if count > maxEnvelopeUpdates {
+	count := binary.LittleEndian.Uint32(data[off:])
+	off += 4
+	// Each update needs at least its length prefix, so a count the entry
+	// cannot hold is rejected before the header slice is sized by it.
+	if count > maxEnvelopeUpdates || uint64(count) > uint64(len(data)-off)/4 {
 		return nil, fmt.Errorf("outbox: entry claims %d updates", count)
 	}
-	env := &Envelope{Epoch: epoch, TopoVersion: topoVer, Hop: int(hop), Dest: string(dest), Updates: make([][]byte, 0, count)}
-	for i := uint32(0); i < count; i++ {
-		var n uint32
-		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-			return nil, fmt.Errorf("outbox: read update %d length: %w", i, err)
+	env.Updates = make([][]byte, count)
+	for i := range env.Updates {
+		if len(data)-off < 4 {
+			return nil, fmt.Errorf("outbox: entry truncated at update %d", i)
 		}
 		// uint64 comparisons: int(n) would go negative on 32-bit
 		// platforms for adversarial lengths ≥ 2³¹ and bypass the bounds.
-		if uint64(n) > maxEnvelopeItemBytes || uint64(n) > uint64(r.Len()) {
+		n := binary.LittleEndian.Uint32(data[off:])
+		off += 4
+		if uint64(n) > maxEnvelopeItemBytes || uint64(n) > uint64(len(data)-off) {
 			return nil, fmt.Errorf("outbox: update %d length %d exceeds remaining bytes", i, n)
 		}
-		u := make([]byte, n)
-		if _, err := io.ReadFull(r, u); err != nil {
-			return nil, fmt.Errorf("outbox: read update %d: %w", i, err)
-		}
-		env.Updates = append(env.Updates, u)
+		env.Updates[i] = data[off : off+int(n) : off+int(n)]
+		off += int(n)
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("outbox: %d trailing bytes after entry", r.Len())
+	if off != len(data) {
+		return nil, fmt.Errorf("outbox: %d trailing bytes after entry", len(data)-off)
+	}
+	if version >= 3 && count > 0 {
+		env.Batch = data[tail:len(data):len(data)]
 	}
 	return env, nil
 }
 
 // LaneOf extracts the delivery lane of an entry payload by decoding only
 // the envelope header (magic through dest), without touching the update
-// bodies. Version-1 entries carry no destination and payloads that do not
-// parse as envelopes cannot be steered anywhere better, so both land in
-// the default lane "" — the tier's ordinary downstream — where delivery
-// (not lane indexing) decides whether to quarantine them.
+// bodies. Payloads that do not parse as envelopes cannot be steered
+// anywhere better, so they land in the default lane "" — the tier's
+// ordinary downstream — where delivery (not lane indexing) decides
+// whether to quarantine them.
 func LaneOf(payload []byte) string {
-	r := bytes.NewReader(payload)
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil || string(magic[:]) != envelopeMagic {
-		return ""
-	}
-	var version uint32
-	if err := binary.Read(r, binary.LittleEndian, &version); err != nil || version < 2 || version > EnvelopeVersion {
-		return ""
-	}
-	// Skip epoch + topoVer (uint64 each) and hop (uint32).
-	if _, err := r.Seek(8+8+4, io.SeekCurrent); err != nil {
-		return ""
-	}
-	var destLen uint16
-	if err := binary.Read(r, binary.LittleEndian, &destLen); err != nil {
-		return ""
-	}
-	if int(destLen) > maxEnvelopeDestBytes || int(destLen) > r.Len() {
-		return ""
-	}
-	dest := make([]byte, destLen)
-	if _, err := io.ReadFull(r, dest); err != nil {
+	_, dest, _, _, err := parseHeader(payload)
+	if err != nil {
 		return ""
 	}
 	return string(dest)

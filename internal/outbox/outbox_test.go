@@ -3,7 +3,6 @@ package outbox
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -43,16 +42,17 @@ func TestDeliveryEnvelopeRoundTrip(t *testing.T) {
 func TestDeliveryEnvelopeRejectsGarbage(t *testing.T) {
 	good := testEnvelope(1, "payload")
 	cases := map[string][]byte{
-		"empty":       {},
-		"bad magic":   append([]byte("ZZZZ"), good[4:]...),
-		"bad version": func() []byte { b := append([]byte(nil), good...); b[4] = 0xEE; return b }(),
-		"truncated":   good[:len(good)-3],
-		"trailing":    append(append([]byte(nil), good...), 0x01),
+		"empty":          {},
+		"bad magic":      append([]byte("ZZZZ"), good[4:]...),
+		"bad version":    func() []byte { b := append([]byte(nil), good...); b[4] = 0xEE; return b }(),
+		"truncated":      good[:len(good)-3],
+		"bad tail magic": func() []byte { b := append([]byte(nil), good...); b[30] = 'Z'; return b }(),
+		"trailing":       append(append([]byte(nil), good...), 0x01),
 		"forged count": func() []byte {
 			b := append([]byte(nil), good...)
 			// count sits after magic(4)+version(4)+epoch(8)+topoVer(8)+
-			// hop(4)+destLen(2)+dest(0)
-			b[30], b[31], b[32], b[33] = 0xFF, 0xFF, 0x0F, 0x00
+			// hop(4)+destLen(2)+dest(0)+batch magic(4)+batch version(1)
+			b[35], b[36], b[37], b[38] = 0xFF, 0xFF, 0x0F, 0x00
 			return b
 		}(),
 		"forged dest length": func() []byte {
@@ -329,27 +329,6 @@ func TestDeliveryEnvelopeDestTopoRoundTrip(t *testing.T) {
 	}
 	if got.Epoch != 3 || got.TopoVersion != 7 || got.Hop != 2 || got.Dest != env.Dest || len(got.Updates) != 2 {
 		t.Fatalf("parsed = %+v", got)
-	}
-}
-
-// TestDeliveryEnvelopeReadsV1 pins upgrade compatibility: entries a
-// pre-routing-plane proxy left on disk still parse (no destination,
-// topology version 0).
-func TestDeliveryEnvelopeReadsV1(t *testing.T) {
-	var v1 bytes.Buffer
-	v1.WriteString("MXOB")
-	binary.Write(&v1, binary.LittleEndian, uint32(1)) // version 1
-	binary.Write(&v1, binary.LittleEndian, uint64(9)) // epoch
-	binary.Write(&v1, binary.LittleEndian, uint32(2)) // hop
-	binary.Write(&v1, binary.LittleEndian, uint32(1)) // count
-	binary.Write(&v1, binary.LittleEndian, uint32(5))
-	v1.WriteString("hello")
-	env, err := ParseEnvelope(v1.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.Epoch != 9 || env.Hop != 2 || env.Dest != "" || env.TopoVersion != 0 || string(env.Updates[0]) != "hello" {
-		t.Fatalf("v1 parsed = %+v", env)
 	}
 }
 

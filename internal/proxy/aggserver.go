@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"sync"
 
+	"mixnn/internal/core"
 	"mixnn/internal/fl"
 	"mixnn/internal/nn"
 	"mixnn/internal/transport"
@@ -21,14 +22,30 @@ import (
 // round on /v1/batch — averages them, and serves the global model.
 // An optional fl.Observer sees each completed round's updates — this is
 // how the adversarial-server experiments instrument the networked path.
+//
+// The open round lives in one slab chunk of expect rows (the mixers'
+// representation, reaching the aggregator): an update's wire bytes are
+// copied once into the next row, the round's observer and Aggregate read
+// the chunk's pre-built ParamSet views, and the next round overwrites the
+// rows. Request bodies are only read, never kept.
 type AggServer struct {
 	expect int
+	// layout is the global model's slab layout: the one structure every
+	// update must have, checked by header comparison (nn.SlabLayout).
+	layout *nn.SlabLayout
 
-	mu       sync.Mutex
-	server   *fl.Server
-	round    int
-	pending  []nn.ParamSet
+	mu     sync.Mutex
+	server *fl.Server
+	round  int
+	// chunk holds the open round's updates in rows [0, filled). The
+	// server fills it one round at a time, so it keeps the one chunk for
+	// life; a round's rows are dead the moment the round closes.
+	chunk    *core.SlabChunk
+	filled   int
 	observer fl.Observer
+	// released, when set (tests), sees the chunk at each round close —
+	// the moment after which nothing may read the round's rows.
+	released func(*core.SlabChunk)
 	// seen dedups batch idempotency ids so a proxy redelivering after a
 	// lost acknowledgement cannot double-count a round.
 	seen batchDedup
@@ -49,14 +66,22 @@ func NewAggServer(initial nn.ParamSet, expectPerRound int) (*AggServer, error) {
 	if expectPerRound <= 0 {
 		return nil, fmt.Errorf("proxy: expectPerRound must be positive, got %d", expectPerRound)
 	}
+	layout, err := nn.NewSlabLayout(initial)
+	if err != nil {
+		return nil, fmt.Errorf("proxy: global model: %w", err)
+	}
 	return &AggServer{
 		expect:       expectPerRound,
+		layout:       layout,
+		chunk:        core.NewSlabChunk(layout, expectPerRound),
 		server:       fl.NewServer(initial),
 		disseminated: initial.Clone(),
 	}, nil
 }
 
-// SetObserver installs an observer of completed rounds (e.g. ∇Sim).
+// SetObserver installs an observer of completed rounds (e.g. ∇Sim). The
+// Updates it is handed are views of the round's slab rows, valid only
+// until ObserveRound returns (see fl.RoundRecord).
 func (s *AggServer) SetObserver(obs fl.Observer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -97,26 +122,41 @@ func (s *AggServer) Handler() http.Handler {
 	return transport.NewHandler(s)
 }
 
-// absorb appends updates to the open round and closes as many rounds as
-// they complete (a batch may span a round boundary — e.g. a restored
-// proxy delivering a merged backlog). Round closure is unchanged:
-// observe, aggregate, advance. It reports how many rounds closed so a
-// batch handler can tell "rejected untouched" from "partially applied".
-func (s *AggServer) absorb(updates []nn.ParamSet) (int, error) {
+// checkUpdate validates one encoded update against the global model's
+// structure without copying it. A body that is not an update at all is a
+// 400; a well-formed update of another model is structural — 422, which
+// proxies classify permanent and quarantine instead of wedging their
+// queue on it. Both are checked BEFORE anything is buffered: a poison
+// update must not enter the open round, where it would sink other
+// senders' material.
+func (s *AggServer) checkUpdate(raw []byte) *transport.StatusError {
+	if s.layout.CheckWire(raw) == nil {
+		return nil
+	}
+	if _, err := nn.DecodeParamSetNoCopy(raw); err != nil {
+		return transport.Errorf(http.StatusBadRequest, "decode update: %v", err)
+	}
+	return transport.Errorf(http.StatusUnprocessableEntity, "update incompatible with the global model")
+}
+
+// absorb copies validated updates into the open round's rows and closes
+// as many rounds as they complete (a batch may span a round boundary —
+// e.g. a restored proxy delivering a merged backlog). Round closure is
+// unchanged: observe, aggregate, advance. It reports how many rounds
+// closed so a batch handler can tell "rejected untouched" from
+// "partially applied". The items are only read.
+func (s *AggServer) absorb(items [][]byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Validate structure against the global model BEFORE buffering
-	// anything: a poison update must not enter pending, where it would
-	// sink whole rounds of other senders' material when Aggregate fails.
-	for i, u := range updates {
-		if !s.disseminated.Compatible(u) {
-			return 0, fmt.Errorf("update %d incompatible with the global model", i)
-		}
-	}
 	closed := 0
-	s.pending = append(s.pending, updates...)
-	for len(s.pending) >= s.expect {
-		batch := s.pending[:s.expect:s.expect]
+	for i, raw := range items {
+		if err := s.layout.DecodeIntoSlab(s.chunk.Row(s.filled), raw); err != nil {
+			return closed, fmt.Errorf("update %d: %w", i, err) // unreachable after checkUpdate
+		}
+		if s.filled++; s.filled < s.expect {
+			continue
+		}
+		batch := s.chunk.Views()[:s.expect:s.expect]
 		if s.observer != nil {
 			s.observer.ObserveRound(fl.RoundRecord{
 				Round:        s.round,
@@ -124,14 +164,20 @@ func (s *AggServer) absorb(updates []nn.ParamSet) (int, error) {
 				Updates:      batch,
 			})
 		}
-		if err := s.server.Aggregate(batch); err != nil {
-			// Drop only the failing round's material; later-arrived
-			// updates already acknowledged to other senders stay
-			// buffered for the rounds they belong to.
-			s.pending = append([]nn.ParamSet(nil), s.pending[s.expect:]...)
+		err := s.server.Aggregate(batch)
+		// Aggregate's result is a fresh allocation and the observer's
+		// lease ended with its call, so nothing references the rows now:
+		// the next round overwrites them.
+		if s.released != nil {
+			s.released(s.chunk)
+		}
+		s.filled = 0
+		if err != nil {
+			// The failing round's material is dropped, and with it the
+			// rest of this batch, which the sender is told failed; rounds
+			// the batch closed before stay counted (see HandleBatch).
 			return closed, fmt.Errorf("aggregate: %w", err)
 		}
-		s.pending = s.pending[s.expect:]
 		s.round++
 		s.disseminated = s.server.Global()
 		s.encModel = nil
@@ -147,18 +193,10 @@ func (s *AggServer) HandleUpdate(ctx context.Context, req transport.UpdateReques
 	if err := transport.CheckBody(req.Body); err != nil {
 		return transport.Receipt{Shard: -1}, err
 	}
-	// Zero-copy decode: the views alias req.Body, which this request owns
-	// and the aggregation path never mutates (absorb buffers the views and
-	// Average allocates a fresh result).
-	ps, err := nn.DecodeParamSetNoCopy(req.Body)
-	if err != nil {
-		return transport.Receipt{Shard: -1}, transport.Errorf(http.StatusBadRequest, "decode update: %v", err)
+	if se := s.checkUpdate(req.Body); se != nil {
+		return transport.Receipt{Shard: -1}, se
 	}
-	if _, err := s.absorb([]nn.ParamSet{ps}); err != nil {
-		// An aggregate failure is structural (updates incompatible with
-		// the global model) — retrying the same material cannot succeed,
-		// so answer 422: proxies classify it permanent and quarantine the
-		// entry instead of wedging their queue on it.
+	if _, err := s.absorb([][]byte{req.Body}); err != nil {
 		return transport.Receipt{Shard: -1}, transport.Errorf(http.StatusUnprocessableEntity, "%s", err.Error())
 	}
 	return transport.Receipt{Shard: -1}, nil
@@ -178,14 +216,15 @@ func (s *AggServer) HandleBatch(ctx context.Context, req transport.BatchRequest)
 	if err != nil {
 		return transport.Receipt{Shard: -1}, transport.Errorf(http.StatusBadRequest, "%s", err.Error())
 	}
-	// Decode every update before absorbing any, so a malformed item
-	// cannot leave a round half-counted.
-	updates := make([]nn.ParamSet, len(env.Updates))
+	// Validate every update before absorbing any, so a malformed item
+	// cannot leave a round half-counted. The body is the sender's outbox
+	// entry when the leg is a Loopback (handed over without a copy, and
+	// sent again on a retry), so it is only ever read: absorb copies each
+	// item into a slab row, the one write of this leg.
 	for i, raw := range env.Updates {
-		// The request body's ownership transferred to this handler, so
-		// the zero-copy decode is safe; aggregation never mutates updates.
-		if updates[i], err = nn.DecodeParamSetNoCopy(raw); err != nil {
-			return transport.Receipt{Shard: -1}, transport.Errorf(http.StatusBadRequest, "decode batch update %d: %v", i, err)
+		if se := s.checkUpdate(raw); se != nil {
+			se.Msg = fmt.Sprintf("batch update %d: %s", i, se.Msg)
+			return transport.Receipt{Shard: -1}, se
 		}
 	}
 	// Claim the id BEFORE absorbing: a retry overlapping a slow first
@@ -210,10 +249,10 @@ func (s *AggServer) HandleBatch(ctx context.Context, req transport.BatchRequest)
 			}
 		}
 	}
-	closed, err := s.absorb(updates)
+	closed, err := s.absorb(env.Updates)
 	if err != nil {
 		// Structural failure — permanent from the sender's point of view
-		// (see HandleUpdate); a 5xx here would make the proxy retry the
+		// (see checkUpdate); a 5xx here would make the proxy retry the
 		// same poison batch forever. If the batch spanned round
 		// boundaries and some rounds DID close before the failure, keep
 		// its id recorded as applied: the entry will be quarantined
@@ -288,7 +327,7 @@ func (s *AggServer) HandleModel(ctx context.Context) (transport.ModelResponse, e
 // HandleStatus implements transport.Server.
 func (s *AggServer) HandleStatus(ctx context.Context) (transport.StatusResponse, error) {
 	s.mu.Lock()
-	st := wire.ServerStatus{Round: s.round, UpdatesInRound: len(s.pending), ExpectPerRound: s.expect}
+	st := wire.ServerStatus{Round: s.round, UpdatesInRound: s.filled, ExpectPerRound: s.expect}
 	s.mu.Unlock()
 	return transport.StatusResponse{Server: &st}, nil
 }

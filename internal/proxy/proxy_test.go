@@ -314,13 +314,20 @@ func TestAggServerStatusEndpoint(t *testing.T) {
 	}
 }
 
-// roundObserver records what the adversarial server sees.
+// roundObserver records what the adversarial server sees. AggServer
+// lends Updates only for the duration of the call (fl.RoundRecord), so
+// the record keeps deep copies.
 type roundObserver struct {
 	mu   sync.Mutex
 	recs []fl.RoundRecord
 }
 
 func (o *roundObserver) ObserveRound(rec fl.RoundRecord) {
+	kept := make([]nn.ParamSet, len(rec.Updates))
+	for i, u := range rec.Updates {
+		kept[i] = u.Clone()
+	}
+	rec.Updates = kept
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.recs = append(o.recs, rec)

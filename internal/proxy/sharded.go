@@ -5,6 +5,7 @@ import (
 	"crypto/ecdsa"
 	"crypto/sha256"
 	"crypto/subtle"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -203,6 +204,12 @@ type ShardedProxy struct {
 	// with LegacyMix). Chunks return to it only after their round's
 	// outbox commit fully succeeded — see packageRound.
 	slabPool *core.SlabPool
+	// plainPool recycles the plaintext buffers participant updates are
+	// decrypted into (*[]byte). A buffer returns to it as soon as the
+	// shard has filed the update, unless the shard retains it
+	// (core.Shard.RetainsWire: a relay shard or legacy mixer aliases the
+	// buffer until the round's entries are committed).
+	plainPool sync.Pool
 
 	// dcache memoises each in-flight entry's parsed envelope and (batch
 	// mode) request body between retry attempts — entries are immutable,
@@ -550,8 +557,9 @@ func (p *ShardedProxy) HandleHop(ctx context.Context, req transport.HopRequest) 
 }
 
 // ingressOne processes one encrypted update through the enclave
-// pipeline: decrypt, zero-copy decode, mix, and — when the round closes
-// — package it for delivery.
+// pipeline: decrypt into a pooled buffer, file into the routed shard,
+// and — when the round closes — package the round for delivery. body is
+// only read: it stays the transport's (see enclave.DecryptTo).
 func (p *ShardedProxy) ingressOne(body []byte, clientID string, hop int, fromHop bool) (transport.Receipt, error) {
 	if err := transport.CheckBody(body); err != nil {
 		return transport.Receipt{Shard: -1}, err
@@ -562,19 +570,31 @@ func (p *ShardedProxy) ingressOne(body []byte, clientID string, hop int, fromHop
 	)
 	start := time.Now()
 	procErr := p.enclave.Process(func() error {
+		bp, _ := p.plainPool.Get().(*[]byte)
+		if bp == nil {
+			bp = new([]byte)
+		}
+		if cap(*bp) < len(body) {
+			*bp = make([]byte, 0, len(body)) // the plaintext is shorter than its ciphertext
+		}
 		t0 := time.Now()
-		plain, err := p.enclave.Decrypt(body)
+		plain, err := p.enclave.DecryptTo(*bp, body)
 		decryptDur := time.Since(t0)
 		p.observeDecrypt(decryptDur)
 		if err != nil {
+			p.plainPool.Put(bp)
 			return fmt.Errorf("proxy: decrypt: %w", err)
 		}
 		// No decode here: the plaintext wire bytes go straight to the
 		// routed shard, which picks its cheapest path to storage — a slab
-		// mixer decodes the payload directly into its slab row, a legacy
-		// mixer or relay shard runs the zero-copy decoder and aliases the
-		// buffer. Ownership of plain transfers with it.
-		closed, shard, err = p.ingest(nn.ParamSet{}, plain, len(plain), clientID, hop, fromHop, decryptDur, 0)
+		// mixer copies the payload into its slab row, a legacy mixer or
+		// relay shard decodes over the buffer and keeps it.
+		var kept bool
+		closed, shard, kept, err = p.ingest(nn.ParamSet{}, plain, len(plain), clientID, hop, fromHop, decryptDur, 0)
+		if kept {
+			*bp = nil // the shard owns the buffer now; only the box recycles
+		}
+		p.plainPool.Put(bp)
 		return err
 	})
 	p.mu.Lock()
@@ -673,6 +693,10 @@ func (p *ShardedProxy) HandleBatch(ctx context.Context, req transport.BatchReque
 		// before mixing any, so a malformed or heterogeneous batch cannot
 		// leave the round half-applied (the upstream quarantines rejected
 		// entries and must be able to trust that nothing was counted).
+		// The views alias plain where a tensor happens to sit 8-byte
+		// aligned in it and are bulk copies otherwise (most of a batch:
+		// items start at arbitrary offsets); plain is this request's own
+		// allocation, so either is safe until the round's entries commit.
 		t1 := time.Now()
 		pss := make([]nn.ParamSet, len(env.Updates))
 		for i, raw := range env.Updates {
@@ -690,7 +714,7 @@ func (p *ShardedProxy) HandleBatch(ctx context.Context, req transport.BatchReque
 		var itemErrs int
 		var firstErr error
 		for i, ps := range pss {
-			closed, _, err := p.ingest(ps, nil, len(env.Updates[i]), "", hop, true, decryptDur/n, decodeDur/n)
+			closed, _, _, err := p.ingest(ps, nil, len(env.Updates[i]), "", hop, true, decryptDur/n, decodeDur/n)
 			if err != nil {
 				// An item the open round's mixers reject (structure set
 				// by earlier traffic of this epoch) can never be mixed at
@@ -777,11 +801,14 @@ type roundClose struct {
 // loses its individual depth inside the mixers, so the watermark is what
 // keeps depth monotone — in an accidental proxy cycle the watermark grows
 // every traversal until the MaxHops check breaks the loop.
-func (p *ShardedProxy) ingest(ps nn.ParamSet, wire []byte, size int, clientID string, hop int, fromHop bool, decryptDur, decodeDur time.Duration) (*roundClose, int, error) {
+//
+// keptWire reports whether the shard still references wire after the
+// call (core.Shard.RetainsWire); otherwise the caller may reuse it.
+func (p *ShardedProxy) ingest(ps nn.ParamSet, wire []byte, size int, clientID string, hop int, fromHop bool, decryptDur, decodeDur time.Duration) (closed *roundClose, shard int, keptWire bool, err error) {
 	p.enclave.Alloc(size)
 
 	p.mu.Lock()
-	shard := p.topo.Route(clientID, p.rst)
+	shard = p.topo.Route(clientID, p.rst)
 	p.decryptT.add(decryptDur)
 	p.updateBytes = size
 	tAdd := time.Now()
@@ -791,9 +818,9 @@ func (p *ShardedProxy) ingest(ps nn.ParamSet, wire []byte, size int, clientID st
 	// decoded views. Either way there is exactly one copy of the floats
 	// between the decrypted buffer and the mixer's storage.
 	var out *nn.ParamSet
-	var err error
 	if wire != nil {
 		out, err = p.shards[shard].AddWire(wire)
+		keptWire = err == nil && p.shards[shard].RetainsWire()
 	} else {
 		out, err = p.shards[shard].Add(ps)
 	}
@@ -804,7 +831,7 @@ func (p *ShardedProxy) ingest(ps nn.ParamSet, wire []byte, size int, clientID st
 		p.rst.Load[shard]--
 		p.mu.Unlock()
 		p.enclave.Free(size)
-		return nil, shard, fmt.Errorf("proxy: shard %d mix: %w", shard, err)
+		return nil, shard, false, fmt.Errorf("proxy: shard %d mix: %w", shard, err)
 	}
 	t2 := time.Now()
 	if out != nil {
@@ -819,7 +846,6 @@ func (p *ShardedProxy) ingest(ps nn.ParamSet, wire []byte, size int, clientID st
 		p.hopMark = hop
 	}
 	p.inRound++
-	var closed *roundClose
 	if p.inRound >= p.topo.RoundSize() {
 		// The epoch boundary is where the routing plane may change: any
 		// staged topology (admin directive, shards-file reload) becomes
@@ -832,7 +858,7 @@ func (p *ShardedProxy) ingest(ps nn.ParamSet, wire []byte, size int, clientID st
 			// so the next ingest retries the close.
 			p.mixT.add(time.Since(t2))
 			p.mu.Unlock()
-			return nil, shard, ferr
+			return nil, shard, keptWire, ferr
 		}
 		closed = &roundClose{epoch: p.rounds, hop: p.hopMark + 1, topo: p.topo, mixers: p.shards, pending: p.pending}
 		// Roll the retired mixers' counters into the cumulative ledger
@@ -870,7 +896,7 @@ func (p *ShardedProxy) ingest(ps nn.ParamSet, wire []byte, size int, clientID st
 	}
 	p.mixT.add(time.Since(t2)) // §6.5 mix stage: emission assembly + epoch swap
 	p.mu.Unlock()
-	return closed, shard, nil
+	return closed, shard, keptWire, nil
 }
 
 // destEntry is one destination's share of a closed round on its way to
@@ -906,11 +932,6 @@ func resizeLedger(old []int, pPrime int) []int {
 	return out
 }
 
-// encodeBufPool recycles the append-encode buffers packageRound slices
-// outbox payloads from; a tier re-encodes one round's worth of updates
-// per epoch, so a handful of buffers reach steady state quickly.
-var encodeBufPool sync.Pool
-
 // packageRound drains a closed round's retired shard slots and commits
 // the round to the outbox in epoch order: ONE sealed entry for the
 // downstream (mid-round emissions plus every local shard's drain) and, in
@@ -933,7 +954,11 @@ func (p *ShardedProxy) packageRound(rc *roundClose) error {
 		}
 		entries[0].updates = append(entries[0].updates, drained...)
 	}
-	// Encode everything before taking the epoch's commit turn.
+	// Encode everything before taking the epoch's commit turn. Each
+	// update is append-encoded straight into its destination's one
+	// exactly-sized entry — the buffer the queue will hold (and, on the
+	// batch path, the request body the receiver will read) — so a round's
+	// bytes are written once between the slab and the outbox.
 	type rawEntry struct {
 		destEntry
 		raw   []byte
@@ -941,58 +966,25 @@ func (p *ShardedProxy) packageRound(rc *roundClose) error {
 	}
 	raws := make([]rawEntry, 0, len(entries))
 	var encErr error
-	total := 0
 	for _, de := range entries {
-		// One pooled buffer carries the whole entry's encoded updates:
-		// each update is append-encoded into it and its payload sliced
-		// out, so encoding a round costs zero allocations at steady state
-		// (Envelope.Marshal copies the payloads into the sealed entry,
-		// after which the buffer recycles).
-		bp, _ := encodeBufPool.Get().(*[]byte)
-		if bp == nil {
-			bp = new([]byte)
-		}
-		need := 0
-		for _, ps := range de.updates {
-			need += nn.EncodedSize(ps)
-		}
-		buf := (*bp)[:0]
-		if cap(buf) < need {
-			buf = make([]byte, 0, need)
-		}
-		payloads := make([][]byte, len(de.updates))
 		size := 0
-		for i, ps := range de.updates {
-			start := len(buf)
-			var err error
-			if buf, err = nn.AppendParamSet(buf, ps); err != nil {
-				encErr = err
-				break
-			}
-			payloads[i] = buf[start:len(buf):len(buf)]
-			size += len(payloads[i])
+		for _, ps := range de.updates {
+			size += nn.EncodedSize(ps)
 		}
-		var raw []byte
-		if encErr == nil {
-			env := outbox.Envelope{
-				Epoch:       uint64(rc.epoch),
-				TopoVersion: rc.topo.Version(),
-				Hop:         rc.hop,
-				Dest:        de.dest,
-				Updates:     payloads,
-			}
-			var err error
-			if raw, err = env.Marshal(); err != nil {
-				encErr = err
-			}
+		b, err := outbox.NewEntryBuilder(outbox.Envelope{
+			Epoch:       uint64(rc.epoch),
+			TopoVersion: rc.topo.Version(),
+			Hop:         rc.hop,
+			Dest:        de.dest,
+		}, outbox.EntrySize(de.dest, len(de.updates), size))
+		for i := 0; err == nil && i < len(de.updates); i++ {
+			err = b.Append(func(buf []byte) ([]byte, error) { return nn.AppendParamSet(buf, de.updates[i]) })
 		}
-		*bp = buf
-		encodeBufPool.Put(bp)
-		if encErr != nil {
+		if err != nil {
+			encErr = err
 			break
 		}
-		raws = append(raws, rawEntry{destEntry: de, raw: raw, bytes: size})
-		total += size
+		raws = append(raws, rawEntry{destEntry: de, raw: b.Bytes(), bytes: size})
 	}
 	// Ordered commit: take this epoch's turn even when there is nothing
 	// to Put — the epoch chain must advance by exactly one per close or
@@ -1130,16 +1122,19 @@ type deliverCache struct {
 // deliverMemo caches one outbox entry's delivery artefacts across retry
 // attempts.
 type deliverMemo struct {
-	env     *outbox.Envelope
-	body    []byte // assembled /v1/batch body (hop-wrapped if cascading)
+	env *outbox.Envelope // aliases the queue's (immutable) entry payload
+	// body is the /v1/batch request body: the entry's own batch tail on
+	// the plaintext server leg (a sub-slice of the payload, no copy), its
+	// one hop wrap when cascading or relaying.
+	body    []byte
 	id      string // idempotency id for body
 	singles bool   // round too large to batch; use the singles path
 	// sess is the crypto session that wrapped body (nil on the
 	// plaintext server leg): a typed session rejection invalidates
 	// exactly this session plus the memoized body, and the retry
 	// re-wraps under a fresh establish. The idempotency id derives from
-	// the PLAINTEXT payload, so it survives the re-wrap and redelivery
-	// stays exactly-once.
+	// the entry's identity, not from body, so it survives the re-wrap
+	// and redelivery stays exactly-once.
 	sess *enclave.Session
 }
 
@@ -1164,11 +1159,29 @@ func (c *deliverCache) drop(seq uint64) {
 	delete(c.entries, seq)
 }
 
-// batchIDFor derives the idempotency id of an outbox entry from its
-// plaintext payload: deterministic across retries and restarts, so a
-// receiver that already applied the entry recognises the redelivery.
-func batchIDFor(payload []byte) string {
-	sum := sha256.Sum256(payload)
+// batchIDFor derives the idempotency id of an outbox entry from what
+// already makes the entry unique and restart-stable: the queue's sender
+// identity (persisted beside a disk queue) and the entry's never-reused
+// sequence number, bound to the epoch, destination and update count the
+// entry was committed with. It costs the same for a 2KB round and a
+// 200MB one, does not depend on the hop wrap — a 428 re-wrap and a
+// redelivery after a restart carry the id the first attempt did — names
+// the entry rather than its content (two senders' byte-identical rounds
+// are two rounds), and puts no fingerprint of the mixed plaintext into
+// a cleartext header. Only a queue without a sender identity (its
+// randomness source failed) falls back to hashing payload.
+func batchIDFor(sender string, seq uint64, env *outbox.Envelope, payload []byte) string {
+	in := payload
+	if sender != "" {
+		in = make([]byte, 0, 64+len(sender)+len(env.Dest))
+		in = append(in, "mixnn/batch-id/v2\x00"...)
+		in = append(append(in, sender...), 0)
+		in = append(append(in, env.Dest...), 0)
+		in = binary.LittleEndian.AppendUint64(in, seq)
+		in = binary.LittleEndian.AppendUint64(in, env.Epoch)
+		in = binary.LittleEndian.AppendUint32(in, uint32(len(env.Updates)))
+	}
+	sum := sha256.Sum256(in)
 	return hex.EncodeToString(sum[:16])
 }
 
@@ -1301,9 +1314,13 @@ func (p *ShardedProxy) deliverPayload(ctx context.Context, seq uint64, payload [
 		return p.deliverSingles(ctx, seq, env, tgt)
 	}
 	if c.body == nil {
-		enc, err := wire.BatchEnvelope{Updates: env.Updates}.Encode()
-		if err != nil {
-			return outbox.Permanent(err)
+		// A v3 entry's tail already is the batch body; only an entry an
+		// older binary left on disk is encoded here.
+		enc := env.Batch
+		if enc == nil {
+			if enc, err = (wire.BatchEnvelope{Updates: env.Updates}).Encode(); err != nil {
+				return outbox.Permanent(err)
+			}
 		}
 		// The batch body must fit the receiver's read bound (plus
 		// hop-wrap overhead); a round too large to batch — huge models ×
@@ -1323,7 +1340,7 @@ func (p *ShardedProxy) deliverPayload(ctx context.Context, seq uint64, payload [
 				return err
 			}
 		}
-		c.body, c.id = enc, batchIDFor(payload)
+		c.body, c.id = enc, batchIDFor(p.box.SenderID(), seq, env, payload)
 	}
 	req := transport.BatchRequest{Body: c.body, ID: c.id}
 	if tgt.key != nil {
@@ -1339,8 +1356,9 @@ func (p *ShardedProxy) deliverPayload(ctx context.Context, seq uint64, payload [
 			// The downstream enclave lost our session and provably
 			// ingested nothing: invalidate the memoized body so the next
 			// attempt re-wraps under a fresh establish (the idempotency
-			// id is plaintext-derived and unchanged, so a downstream
-			// that DID apply an earlier attempt still dedups it).
+			// id derives from the entry's identity and comes out the
+			// same, so a downstream that DID apply an earlier attempt
+			// still dedups it).
 			p.dropHopSession(tgt.base, c.sess)
 			c.body, c.id, c.sess = nil, "", nil
 		}
