@@ -8,6 +8,7 @@
 package mixnn
 
 import (
+	"bytes"
 	"context"
 	"crypto/aes"
 	"crypto/cipher"
@@ -16,6 +17,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"strings"
@@ -32,6 +35,7 @@ import (
 	"mixnn/internal/proxy"
 	"mixnn/internal/stats"
 	"mixnn/internal/transport"
+	"mixnn/internal/wire"
 )
 
 // benchSpec returns a reduced quick spec so one bench iteration is one
@@ -1006,6 +1010,117 @@ func BenchmarkDeliveryLeg(b *testing.B) {
 	b.ReportMetric(float64(bytes)/updates, "B/update")
 	b.ReportMetric(float64(mallocs)/updates, "allocs/update")
 	b.ReportMetric(float64(bytes)/updates/float64(len(raws[0])), "x-wire")
+}
+
+// noopIngress accepts every update and batch untouched: what is left of
+// a request once the tier's own work is taken out.
+type noopIngress struct{ transport.Server }
+
+func (noopIngress) HandleUpdate(context.Context, transport.UpdateRequest) (transport.Receipt, error) {
+	return transport.Receipt{Shard: -1}, nil
+}
+func (noopIngress) HandleBatch(context.Context, transport.BatchRequest) (transport.Receipt, error) {
+	return transport.Receipt{Shard: -1}, nil
+}
+
+// BenchmarkHTTPIngress is the byte ceiling of the HTTP edge, beside
+// BenchmarkDeliveryLeg's for the delivery leg: what transport.NewHandler
+// allocates to get one request body from the connection to the Server,
+// for a single conv update (42,000 bytes) and for a round of 64 of them
+// in one /v1/batch (2.7MB).
+//
+// The direct arms drive the handler itself (httptest.NewRecorder, a
+// request with its Content-Length set, a Server that does nothing) and
+// are gated: in steady state the body is read into a leased buffer, so
+// bytes allocated per request must not scale with the body — at most
+// 4KB at either size, which is the recorder and the request. Reading
+// with io.ReadAll cost ~200KB and ~13MB. The server arms put a real
+// connection and transport.HTTP in front; they are recorded, not gated:
+// net/http's client allocates a 32KB copy buffer per request of its
+// own.
+func BenchmarkHTTPIngress(b *testing.B) {
+	const round, ceiling = 64, 4 << 10
+	update, err := nn.EncodeParamSet(experiment.PerfModels(experiment.ScaleQuick)[0].Arch.New(1).SnapshotParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	env := wire.BatchEnvelope{Updates: make([][]byte, round)}
+	for i := range env.Updates {
+		env.Updates[i] = update
+	}
+	batch, err := env.Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := transport.NewHandler(noopIngress{})
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	tr := transport.NewHTTP(srv.Client())
+	ctx := context.Background()
+
+	// measure reports the bytes and allocations of one call to post in
+	// steady state (the first calls size the leased buffer).
+	measure := func(b *testing.B, post func()) float64 {
+		for i := 0; i < 3; i++ {
+			post()
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			post()
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&m1)
+		perReq := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(b.N)
+		b.ReportMetric(perReq, "B/req")
+		b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(b.N), "allocs/req")
+		return perReq
+	}
+	for _, arm := range []struct {
+		name, path string
+		body       []byte
+		send       func() error
+	}{
+		{"update", "/v1/update", update, func() error {
+			_, err := tr.SendUpdate(ctx, srv.URL, transport.UpdateRequest{Body: update})
+			return err
+		}},
+		{"batch", "/v1/batch", batch, func() error {
+			_, err := tr.SendBatch(ctx, srv.URL, transport.BatchRequest{Body: batch, ID: "bench"})
+			return err
+		}},
+	} {
+		b.Run("direct/"+arm.name, func(b *testing.B) {
+			// One P: the lease pools are sync.Pools, which cache per P, so
+			// a goroutine rescheduled between two requests pays for one
+			// buffer. The gate counts copies, not migrations.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			b.SetBytes(int64(len(arm.body)))
+			perReq := measure(b, func() {
+				req, err := http.NewRequest(http.MethodPost, arm.path, bytes.NewReader(arm.body)) // sets ContentLength
+				if err != nil {
+					b.Fatal(err)
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if rec.Code != http.StatusAccepted {
+					b.Fatalf("%s answered %d", arm.path, rec.Code)
+				}
+			})
+			if perReq > ceiling {
+				b.Fatalf("the handler allocates %.0f bytes per %d-byte %s request, above the %d-byte ceiling: the body is being copied again", perReq, len(arm.body), arm.path, ceiling)
+			}
+		})
+		b.Run("server/"+arm.name, func(b *testing.B) {
+			b.SetBytes(int64(len(arm.body)))
+			measure(b, func() {
+				if err := arm.send(); err != nil {
+					b.Fatal(err)
+				}
+			})
+		})
+	}
 }
 
 func BenchmarkLocalTraining(b *testing.B) {

@@ -693,12 +693,23 @@ func (c *Participant) sendWalk(ctx context.Context, raw []byte, clientID string)
 // FetchModel retrieves the current global model and round number from
 // the aggregation server.
 func (c *Participant) FetchModel(ctx context.Context) (int, nn.ParamSet, error) {
+	return c.fetchModel(ctx, 0)
+}
+
+// fetchModel downloads the server's model and decodes it unless its
+// round is below minRound, in which case it returns the round with an
+// empty ParamSet: the download is the protocol's poll, the decode is
+// only worth its cost for a model the caller will use.
+func (c *Participant) fetchModel(ctx context.Context, minRound int) (int, nn.ParamSet, error) {
 	if c.server == "" {
 		return 0, nn.ParamSet{}, fmt.Errorf("client: no aggregation server endpoint configured")
 	}
 	m, err := c.tr.Model(ctx, c.server)
 	if err != nil {
 		return 0, nn.ParamSet{}, fmt.Errorf("client: fetch model: %w", err)
+	}
+	if m.Round < minRound {
+		return m.Round, nn.ParamSet{}, nil
 	}
 	ps, err := nn.DecodeParamSet(m.Body)
 	if err != nil {
@@ -714,7 +725,7 @@ func (c *Participant) WaitForRound(ctx context.Context, minRound int, poll time.
 		poll = 50 * time.Millisecond
 	}
 	for {
-		round, ps, err := c.FetchModel(ctx)
+		round, ps, err := c.fetchModel(ctx, minRound)
 		if err == nil && round >= minRound {
 			return round, ps, nil
 		}

@@ -4,8 +4,11 @@ import (
 	"context"
 	"crypto/rand"
 	"crypto/rsa"
+	"errors"
 	"net/http"
+	"sync"
 	"testing"
+	"time"
 
 	"mixnn/internal/client"
 	"mixnn/internal/nn"
@@ -173,5 +176,64 @@ func TestSendUpdateFailoverWalk(t *testing.T) {
 	}
 	if b.updates != 1 {
 		t.Fatalf("fallback proxy saw %d updates, want 1", b.updates)
+	}
+}
+
+// pollServer serves the model endpoint of an aggregation server that is
+// `behind` polls short of round 1. While behind it serves round 0 with a
+// body that does not decode: a stale model is never used, so whether
+// the SDK decoded it shows as a decode error.
+type pollServer struct {
+	recordingServer
+	mu     sync.Mutex
+	behind int
+	polls  int
+	model  []byte
+}
+
+func (p *pollServer) HandleModel(ctx context.Context) (transport.ModelResponse, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.polls++
+	if p.polls <= p.behind {
+		return transport.ModelResponse{Round: 0, Body: []byte("stale model, not worth a decode")}, nil
+	}
+	return transport.ModelResponse{Round: 1, Body: p.model}, nil
+}
+
+// TestWaitForRoundDecodesOnlyTheAwaitedModel: WaitForRound downloads the
+// model on every poll (that is the protocol's round probe) but decodes
+// only the one it returns.
+func TestWaitForRoundDecodesOnlyTheAwaitedModel(t *testing.T) {
+	model, err := nn.EncodeParamSet(testUpdate())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb := transport.NewLoopback()
+	defer lb.Close()
+	srv := &pollServer{behind: 3, model: model}
+	lb.Register("loop://agg", srv)
+	p, err := client.New(client.Config{Proxies: []string{"loop://px"}, Server: "loop://agg", Transport: lb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	round, ps, err := p.WaitForRound(context.Background(), 1, time.Millisecond)
+	if err != nil {
+		t.Fatalf("stale polls must be skipped undecoded: %v", err)
+	}
+	if round != 1 || !ps.ApproxEqual(testUpdate(), 0) || srv.polls != 4 {
+		t.Fatalf("round %d after %d polls, model equal=%v", round, srv.polls, ps.ApproxEqual(testUpdate(), 0))
+	}
+	// A server that never advances: the wait ends on the deadline, not on
+	// a decode error from a model nobody asked for.
+	srv.polls, srv.behind = 0, 1<<30
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, _, err := p.WaitForRound(ctx, 1, time.Millisecond); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("waiting on a stalled server: %v, want the deadline", err)
+	}
+	// FetchModel still decodes whatever round is current.
+	if _, _, err := p.FetchModel(context.Background()); err == nil {
+		t.Fatal("FetchModel returned an undecodable model as decoded")
 	}
 }

@@ -297,7 +297,7 @@ func TestCascadeHopWatermark(t *testing.T) {
 			http.Error(w, "wrong path", http.StatusNotFound)
 			return
 		}
-		body, err := wire.ReadBody(r.Body)
+		body, err := wire.ReadBody(nil, r.Body, r.ContentLength, wire.MaxBodyBytes)
 		if err != nil {
 			t.Error(err)
 		}

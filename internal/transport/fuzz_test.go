@@ -3,10 +3,44 @@ package transport
 import (
 	"bytes"
 	"context"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"unicode/utf8"
+
+	"mixnn/internal/wire"
 )
+
+// reframe is an http.RoundTripper that changes how a POST body is framed
+// before the handler sees it: declare maps the body's true length to
+// the length the request claims (negative = undeclared, sent chunked).
+// With next set the request crosses a real connection; without, it is
+// handed to h directly — the only way to deliver a declaration the body
+// does not honour, which net/http's client refuses to put on a wire.
+type reframe struct {
+	next    http.RoundTripper
+	h       http.Handler
+	declare func(n int64) int64
+}
+
+func (f reframe) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Method == http.MethodPost {
+		req = req.Clone(req.Context())
+		req.ContentLength = f.declare(req.ContentLength)
+		if req.Body != http.NoBody {
+			req.Body = io.NopCloser(req.Body) // hide the length from net/http
+		}
+	}
+	if f.next != nil {
+		return f.next.RoundTrip(req)
+	}
+	rec := httptest.NewRecorder()
+	f.h.ServeHTTP(rec, req)
+	return rec.Result(), nil
+}
 
 // FuzzEnvelopeRoundtrip checks that typed request envelopes survive the
 // HTTP wire form losslessly: whatever a typed sender puts into an
@@ -16,6 +50,14 @@ import (
 // contract bit-compatibility with pre-transport binaries rests on: the
 // HTTP client and the HTTP adapter are exact inverses over the header
 // vocabulary of package wire.
+//
+// Every request is delivered under each body framing a peer can use: an
+// exact Content-Length (this sender) and chunked (old or foreign
+// senders) must hand the Server the identical typed request; a
+// Content-Length the body falls short of, or one above the body bound,
+// must draw a 400 and hand the Server nothing. Released bodies are
+// poisoned throughout, so a request read out of a recycled buffer would
+// show.
 func FuzzEnvelopeRoundtrip(f *testing.F) {
 	f.Add([]byte("update"), "client-1", "batch-id", "sender-a", uint64(3), uint8(2), "secret", true)
 	f.Add([]byte{}, "", "", "", uint64(0), uint8(0), "", false)
@@ -30,32 +72,44 @@ func FuzzEnvelopeRoundtrip(f *testing.F) {
 			}
 		}
 		srv := &fakeServer{receipt: Receipt{Shard: -1}}
-		hsrv := httptest.NewServer(NewHandler(srv))
+		h := NewPoisoningHandler(srv)
+		var declared atomic.Int64 // Content-Length of the last request, as the server parsed it
+		hsrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			declared.Store(r.ContentLength)
+			h.ServeHTTP(w, r)
+		}))
 		defer hsrv.Close()
-		tr := NewHTTP(hsrv.Client())
 		ctx := context.Background()
+		upReq := UpdateRequest{Body: body, ClientID: clientID}
+		hopReq := HopRequest{Body: body, Hop: int(hop), Secret: secret}
+		bReq := BatchRequest{Body: body, Hop: int(hop), Secret: secret, ID: batchID, Sender: sender, Seq: seq, HasSeq: hasSeq}
 
-		if _, err := tr.SendUpdate(ctx, hsrv.URL, UpdateRequest{Body: body, ClientID: clientID}); err != nil {
-			t.Fatalf("update: %v", err)
+		// deliver sends the three requests through one framing and
+		// returns what the Server was handed.
+		deliver := func(rt http.RoundTripper) (*UpdateRequest, *HopRequest, *BatchRequest, [3]error) {
+			srv.lastUpdate, srv.lastHop, srv.lastBatch = nil, nil, nil
+			tr := NewHTTP(&http.Client{Transport: rt})
+			var errs [3]error
+			_, errs[0] = tr.SendUpdate(ctx, hsrv.URL, upReq)
+			_, errs[1] = tr.Hop(ctx, hsrv.URL, hopReq)
+			_, errs[2] = tr.SendBatch(ctx, hsrv.URL, bReq)
+			return srv.lastUpdate, srv.lastHop, srv.lastBatch, errs
 		}
-		got := srv.lastUpdate
+		wire1 := hsrv.Client().Transport
+
+		exact := func(n int64) int64 { return n }
+		got, gh, gb, errs := deliver(reframe{next: wire1, declare: exact})
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("%s: %v", [3]string{"update", "hop", "batch"}[i], err)
+			}
+		}
 		if !bytes.Equal(got.Body, body) || got.ClientID != clientID {
 			t.Fatalf("update round trip: sent (%q, %q), got (%q, %q)", body, clientID, got.Body, got.ClientID)
 		}
-
-		hopReq := HopRequest{Body: body, Hop: int(hop), Secret: secret}
-		if _, err := tr.Hop(ctx, hsrv.URL, hopReq); err != nil {
-			t.Fatalf("hop: %v", err)
-		}
-		if gh := srv.lastHop; !bytes.Equal(gh.Body, body) || gh.Hop != int(hop) || gh.Secret != secret {
+		if !bytes.Equal(gh.Body, body) || gh.Hop != int(hop) || gh.Secret != secret {
 			t.Fatalf("hop round trip: sent %+v, got %+v", hopReq, *gh)
 		}
-
-		bReq := BatchRequest{Body: body, Hop: int(hop), Secret: secret, ID: batchID, Sender: sender, Seq: seq, HasSeq: hasSeq}
-		if _, err := tr.SendBatch(ctx, hsrv.URL, bReq); err != nil {
-			t.Fatalf("batch: %v", err)
-		}
-		gb := srv.lastBatch
 		if !bytes.Equal(gb.Body, body) || gb.ID != batchID {
 			t.Fatalf("batch body/id round trip: sent %+v, got %+v", bReq, *gb)
 		}
@@ -75,6 +129,41 @@ func FuzzEnvelopeRoundtrip(f *testing.F) {
 			}
 		} else if gb.HasSeq {
 			t.Fatalf("batch grew a sender watermark: %+v", *gb)
+		}
+
+		// Chunked: the same three typed requests, field for field.
+		chunked := func(int64) int64 { return -1 }
+		cu, ch, cb, errs := deliver(reframe{next: wire1, declare: chunked})
+		for _, err := range errs {
+			if err != nil {
+				t.Fatalf("chunked delivery: %v", err)
+			}
+		}
+		if len(body) > 0 && declared.Load() != -1 {
+			t.Fatalf("the chunked arm arrived with Content-Length %d", declared.Load())
+		}
+		for _, pair := range [][2]any{{got, cu}, {gh, ch}, {gb, cb}} {
+			if !reflect.DeepEqual(pair[0], pair[1]) {
+				t.Fatalf("chunked delivery changed the typed request: exact %+v, chunked %+v", pair[0], pair[1])
+			}
+		}
+
+		// A declaration the body does not honour: 400, Server untouched.
+		short := func(n int64) int64 { return n + 1 + int64(seq%5) }
+		long := func(int64) int64 { return wire.MaxBodyBytes + 1 }
+		for _, declare := range []func(int64) int64{short, long} {
+			lu, lh, lb, errs := deliver(reframe{h: h, declare: declare})
+			if lu != nil || lh != nil || lb != nil {
+				t.Fatalf("a body with a lying Content-Length reached the Server: %v %v %v", lu, lh, lb)
+			}
+			for _, err := range errs {
+				if se := AsStatus(err); se == nil || se.Code != http.StatusBadRequest {
+					t.Fatalf("lying Content-Length answered %v, want a 400", err)
+				}
+			}
+		}
+		if n := LeasedBodies(h); n != 0 {
+			t.Fatalf("%d buffers still on lease", n)
 		}
 	})
 }

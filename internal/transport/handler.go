@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"mixnn/internal/wire"
@@ -21,6 +23,63 @@ type MetricsSource interface {
 	WriteMetrics(w io.Writer) error
 }
 
+// bodyPool leases request-body buffers to one handler's POST routes. A
+// body is read once, into a buffer that lives from the read until the
+// Server method returns (see the Server contract) and then goes back for
+// the next request, so steady traffic is read without allocating.
+type bodyPool struct {
+	free sync.Pool // *[]byte
+	// leased counts buffers out on lease; it is back at zero whenever
+	// no request is in flight, whatever path the requests took.
+	leased atomic.Int64
+	// bound is wire.MaxBodyBytes outside tests.
+	bound int
+	// poison overwrites a body as its lease ends, so that a Server which
+	// kept the slice reads garbage at once instead of another request's
+	// bytes some day. Set under the race detector and by tests.
+	poison bool
+}
+
+// read leases a buffer and reads r's body into it. On failure it answers
+// the 400, ends the lease and reports false.
+func (p *bodyPool) read(w http.ResponseWriter, r *http.Request) (*[]byte, bool) {
+	bp, _ := p.free.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	p.leased.Add(1)
+	body, err := wire.ReadBody(*bp, r.Body, r.ContentLength, p.bound)
+	if err != nil {
+		p.release(bp)
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return nil, false
+	}
+	*bp = body // keeps the buffer if the read had to grow it
+	return bp, true
+}
+
+// release ends a lease.
+func (p *bodyPool) release(bp *[]byte) {
+	if p.poison {
+		for i := range *bp {
+			(*bp)[i] = 0xA5
+		}
+	}
+	p.leased.Add(-1)
+	p.free.Put(bp)
+}
+
+// handler is the HTTP adapter of one Server. Its body pools are its own:
+// single updates and whole-round batches differ a hundredfold in size
+// and would evict each other from a shared pool, as would the tiers of
+// one process (a front's ciphertexts, an aggregator's plaintext rounds)
+// from a package-level one.
+type handler struct {
+	http.Handler
+	single bodyPool // /v1/update, /v1/hop
+	batch  bodyPool // /v1/batch
+}
+
 // NewHandler adapts a typed Server onto net/http with the exact wire
 // behaviour the pre-transport handlers had: same routes, headers,
 // status codes and rejection messages. Wire-level validation that the
@@ -28,6 +87,14 @@ type MetricsSource interface {
 // participant endpoint, a malformed depth, a bad nonce encoding — lives
 // here, where the wire form still exists.
 func NewHandler(s Server) http.Handler {
+	return newHandler(s)
+}
+
+func newHandler(s Server) *handler {
+	h := &handler{
+		single: bodyPool{bound: wire.MaxBodyBytes, poison: raceEnabled},
+		batch:  bodyPool{bound: wire.MaxBodyBytes, poison: raceEnabled},
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/update", func(w http.ResponseWriter, r *http.Request) {
 		if !checkProto(w, r) {
@@ -40,12 +107,12 @@ func NewHandler(s Server) http.Handler {
 			http.Error(w, wire.HeaderHop+" not allowed on the participant endpoint", http.StatusBadRequest)
 			return
 		}
-		body, err := wire.ReadBody(r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		body, ok := h.single.read(w, r)
+		if !ok {
 			return
 		}
-		rcpt, err := s.HandleUpdate(r.Context(), UpdateRequest{Body: body, ClientID: r.Header.Get(wire.HeaderClient)})
+		defer h.single.release(body)
+		rcpt, err := s.HandleUpdate(r.Context(), UpdateRequest{Body: *body, ClientID: r.Header.Get(wire.HeaderClient)})
 		writeReceipt(w, rcpt, err)
 	})
 	mux.HandleFunc("POST /v1/hop", func(w http.ResponseWriter, r *http.Request) {
@@ -57,12 +124,12 @@ func NewHandler(s Server) http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		body, err := wire.ReadBody(r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		body, ok := h.single.read(w, r)
+		if !ok {
 			return
 		}
-		rcpt, err := s.HandleHop(r.Context(), HopRequest{Body: body, Hop: hop, Secret: bearerToken(r.Header)})
+		defer h.single.release(body)
+		rcpt, err := s.HandleHop(r.Context(), HopRequest{Body: *body, Hop: hop, Secret: bearerToken(r.Header)})
 		writeReceipt(w, rcpt, err)
 	})
 	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
@@ -85,10 +152,12 @@ func NewHandler(s Server) http.Handler {
 				req.Seq, req.HasSeq = v, true
 			}
 		}
-		if req.Body, err = wire.ReadBody(r.Body); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		body, ok := h.batch.read(w, r)
+		if !ok {
 			return
 		}
+		defer h.batch.release(body)
+		req.Body = *body
 		rcpt, err := s.HandleBatch(r.Context(), req)
 		if err != nil {
 			writeError(w, r, err)
@@ -127,6 +196,9 @@ func NewHandler(s Server) http.Handler {
 		}
 		w.Header().Set("Content-Type", wire.ContentTypeUpdate)
 		w.Header().Set(wire.HeaderRound, strconv.Itoa(m.Round))
+		// Declared, so the model goes out unchunked and the fetching side
+		// sizes its one buffer from the length.
+		w.Header().Set("Content-Length", strconv.Itoa(len(m.Body)))
 		w.Write(m.Body)
 	})
 	mux.HandleFunc("GET /v1/status", func(w http.ResponseWriter, r *http.Request) {
@@ -208,7 +280,8 @@ func NewHandler(s Server) http.Handler {
 		w.WriteHeader(http.StatusAccepted)
 		wire.WriteJSON(w, st)
 	})
-	return protoStamp(mux)
+	h.Handler = protoStamp(mux)
+	return h
 }
 
 // protoStamp tags every response with the protocol version this binary

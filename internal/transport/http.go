@@ -187,7 +187,7 @@ func (t *HTTP) Model(ctx context.Context, ep string) (ModelResponse, error) {
 	if err != nil {
 		return ModelResponse{}, fmt.Errorf("transport: missing round header: %w", err)
 	}
-	body, err := wire.ReadBody(resp.Body)
+	body, err := wire.ReadBody(nil, resp.Body, resp.ContentLength, wire.MaxBodyBytes)
 	if err != nil {
 		return ModelResponse{}, err
 	}
@@ -252,7 +252,7 @@ func (t *HTTP) Status(ctx context.Context, ep string) (StatusResponse, error) {
 		return StatusResponse{}, err
 	}
 	defer resp.Body.Close()
-	raw, err := wire.ReadBody(resp.Body)
+	raw, err := wire.ReadBody(nil, resp.Body, resp.ContentLength, wire.MaxBodyBytes)
 	if err != nil {
 		return StatusResponse{}, err
 	}

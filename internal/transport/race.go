@@ -1,0 +1,7 @@
+//go:build race
+
+package transport
+
+// raceEnabled reports a build under the race detector, where every
+// handler poisons request bodies as their lease ends (see bodyPool).
+const raceEnabled = true

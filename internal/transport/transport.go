@@ -72,6 +72,14 @@ type Transport interface {
 // Transport. An operation a given tier does not provide returns
 // ErrNotSupported (the aggregation server has no cascade ingress or
 // attestation; the proxy serves no model).
+//
+// A request body is valid only until the Handle* method returns; a
+// server that keeps bytes copies them. Over HTTP the body sits in a
+// buffer the adapter leases for the call and hands to the next request
+// afterwards; over Loopback it is the sender's own buffer (an outbox
+// entry it will send again on a retry). Either way the server reads the
+// body and never writes it, decrypts or decodes into memory of its own,
+// and holds no slice of it past the return.
 type Server interface {
 	HandleUpdate(ctx context.Context, req UpdateRequest) (Receipt, error)
 	HandleHop(ctx context.Context, req HopRequest) (Receipt, error)

@@ -29,15 +29,21 @@ type fakeServer struct {
 	err     error
 }
 
+// The recorded requests outlive the call, so their bodies are copies
+// (the Server contract: a body is valid only until the method returns) —
+// never nil, so that recorded requests compare with reflect.DeepEqual.
 func (f *fakeServer) HandleUpdate(ctx context.Context, req UpdateRequest) (Receipt, error) {
+	req.Body = append([]byte{}, req.Body...)
 	f.lastUpdate = &req
 	return f.receipt, f.err
 }
 func (f *fakeServer) HandleHop(ctx context.Context, req HopRequest) (Receipt, error) {
+	req.Body = append([]byte{}, req.Body...)
 	f.lastHop = &req
 	return f.receipt, f.err
 }
 func (f *fakeServer) HandleBatch(ctx context.Context, req BatchRequest) (Receipt, error) {
+	req.Body = append([]byte{}, req.Body...)
 	f.lastBatch = &req
 	return f.receipt, f.err
 }

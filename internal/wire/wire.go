@@ -499,17 +499,64 @@ type TopologyStaged struct {
 	Shards    []TopologyShard `json:"shards"`
 }
 
-// ReadBody reads an entire request/response body with the standard bound,
-// failing loudly when the peer exceeds it.
-func ReadBody(r io.Reader) ([]byte, error) {
-	data, err := io.ReadAll(io.LimitReader(r, MaxBodyBytes+1))
-	if err != nil {
-		return nil, fmt.Errorf("wire: read body: %w", err)
+// Growth steps of ReadBody. A request body is read before admission
+// runs, so sizing the buffer to the declared length would let a peer
+// that sends nothing pin MaxBodyBytes per connection. The buffer instead
+// starts at min(declared, knownFirstStep) and doubles as bytes actually
+// arrive, capped at the declaration: a silent peer pins at most
+// knownFirstStep, a talking one at most twice what it has sent, and a
+// first-time multi-megabyte round batch still costs three steps, not
+// the forty of growing 1.25x from 512 bytes. These are properties of
+// the rule, not knobs.
+const (
+	knownFirstStep   = 1 << 20
+	unknownFirstStep = 512
+)
+
+// ReadBody reads one whole request/response body of at most bound bytes
+// (MaxBodyBytes everywhere outside tests) — the wire protocol's only
+// bounded read. n is the length the peer declared (Content-Length;
+// negative when the body is chunked): a declaration above bound is refused
+// before a byte is read, a body that ends short of it is an error, and
+// bytes past it are not read. An undeclared body is read to EOF and
+// refused once it exceeds bound.
+//
+// The body lands in buf's backing array from index 0 when that is large
+// enough (buf's contents are overwritten; nil is fine) and in a grown
+// copy otherwise, so a caller that recycles the returned slice reads
+// steady traffic without allocating.
+func ReadBody(buf []byte, r io.Reader, n int64, bound int) ([]byte, error) {
+	if n > int64(bound) {
+		return nil, fmt.Errorf("wire: body exceeds %d bytes", bound)
 	}
-	if len(data) > MaxBodyBytes {
-		return nil, fmt.Errorf("wire: body exceeds %d bytes", MaxBodyBytes)
+	limit, first := int(n), knownFirstStep
+	if n < 0 {
+		limit, first = bound+1, unknownFirstStep
 	}
-	return data, nil
+	if first = min(first, limit); cap(buf) < first {
+		buf = make([]byte, 0, first)
+	}
+	buf = buf[:0]
+	for len(buf) < limit {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, min(limit, 2*cap(buf))), buf...)
+		}
+		m, err := r.Read(buf[len(buf):min(cap(buf), limit)])
+		buf = buf[:len(buf)+m]
+		if err == io.EOF {
+			if n < 0 || len(buf) == limit {
+				break
+			}
+			err = io.ErrUnexpectedEOF // ended short of its declared length
+		}
+		if err != nil {
+			return nil, fmt.Errorf("wire: read body: %w", err)
+		}
+	}
+	if len(buf) > bound {
+		return nil, fmt.Errorf("wire: body exceeds %d bytes", bound)
+	}
+	return buf, nil
 }
 
 // WriteJSON writes v as a JSON response.
@@ -522,9 +569,9 @@ func WriteJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// DecodeJSON parses a bounded JSON body into v.
+// DecodeJSON parses a bounded JSON body of undeclared length into v.
 func DecodeJSON(r io.Reader, v any) error {
-	data, err := ReadBody(r)
+	data, err := ReadBody(nil, r, -1, MaxBodyBytes)
 	if err != nil {
 		return err
 	}
