@@ -23,6 +23,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -1010,6 +1011,140 @@ func BenchmarkDeliveryLeg(b *testing.B) {
 	b.ReportMetric(float64(bytes)/updates, "B/update")
 	b.ReportMetric(float64(mallocs)/updates, "allocs/update")
 	b.ReportMetric(float64(bytes)/updates/float64(len(raws[0])), "x-wire")
+}
+
+// countingSink is a plaintext upstream that accepts every batch and
+// counts them.
+type countingSink struct {
+	transport.Server
+	batches atomic.Int64
+}
+
+func (s *countingSink) HandleBatch(context.Context, transport.BatchRequest) (transport.Receipt, error) {
+	s.batches.Add(1)
+	return transport.Receipt{Shard: -1}, nil
+}
+
+// BenchmarkHopIngress is the ceiling of the hop leg, beside
+// BenchmarkDeliveryLeg's for the delivery leg: what a relay proxy
+// allocates per update between a wrapped /v1/batch body arriving over
+// Loopback and the mixed round leaving for its plaintext upstream —
+// decrypt into the pooled plaintext, check every item against the carried
+// layout, file into slab rows, close the round (fresh mixers, fresh
+// streams), drain into the outbox entry, deliver. One iteration is one
+// batch of one round; the sender's wrap is outside the window.
+//
+// The conv arm (round 64) is gated on bytes: x-wire — bytes allocated per
+// update over the update's wire size — must stay under 1.25. The outbox
+// entry the round close writes is the 1.0, as on the delivery leg; a
+// stage that copies the batch again (an unpooled plaintext, per-item
+// trees with their misaligned-tensor copies) shows up as +1.0 or more.
+// What is left above 1.0 is the plaintext pool missing after a GC cycle
+// or two (a 2.7MB buffer; the sender's wrap allocates as much again
+// between windows). Both arms are gated on allocs/update at 1.5x what
+// this path measured when it landed (parent → change, 8 runs each, Go
+// 1.24, 2 cores; the tree-building ingress read the same on every run):
+//
+//	mlp  round 16: 25.75 → 3.69 allocs/update, 5.92 → 2.03 x-wire
+//	conv round 64: 52.0  → 1.27 allocs/update, 3.06–3.12 → 1.09–1.15 x-wire
+func BenchmarkHopIngress(b *testing.B) {
+	arms := []struct {
+		name      string
+		arch      nn.Arch
+		round     int
+		maxXWire  float64 // 0 = recorded, not gated
+		maxAllocs float64
+	}{
+		{"mlp", nn.NewMLP("net", 4, []int{6}, 2), 16, 0, 1.5 * 3.69},
+		{"conv", experiment.PerfModels(experiment.ScaleQuick)[0].Arch, 64, 1.25, 1.5 * 1.27},
+	}
+	platform, err := enclave.NewPlatform()
+	if err != nil {
+		b.Fatal(err)
+	}
+	encl, err := enclave.New(enclave.Config{RSABits: 1024}, platform)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, arm := range arms {
+		b.Run(arm.name, func(b *testing.B) {
+			lb := transport.NewLoopback()
+			defer lb.Close()
+			sink := &countingSink{}
+			lb.Register("loop://sink", sink)
+			relay, err := proxy.NewSharded(proxy.ShardedConfig{
+				Upstream: "loop://sink", K: 4, RoundSize: arm.round, Shards: 1, Seed: 1, Transport: lb,
+			}, encl, platform)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer relay.Close()
+			lb.Register("loop://relay", relay)
+			sess, err := enclave.NewSession(encl.PublicKey())
+			if err != nil {
+				b.Fatal(err)
+			}
+			items := make([][]byte, arm.round)
+			for i := range items {
+				if items[i], err = nn.EncodeParamSet(arm.arch.New(int64(i + 2)).SnapshotParams()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			plain, err := wire.BatchEnvelope{Updates: items}.Encode()
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			var bytes, mallocs uint64
+			oneBatch := func() {
+				body, err := sess.Wrap(plain)
+				if err != nil {
+					b.Fatal(err)
+				}
+				want := sink.batches.Load() + 1
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				b.StartTimer()
+				if _, err := lb.SendBatch(ctx, "loop://relay", transport.BatchRequest{Body: body, Hop: 1}); err != nil {
+					b.Fatal(err)
+				}
+				for deadline := time.Now().Add(30 * time.Second); sink.batches.Load() < want; {
+					if time.Now().After(deadline) {
+						b.Fatal("round never left the relay")
+					}
+					time.Sleep(20 * time.Microsecond)
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&m1)
+				bytes += m1.TotalAlloc - m0.TotalAlloc
+				mallocs += m1.Mallocs - m0.Mallocs
+			}
+			b.StopTimer()
+			for i := 0; i < 3; i++ { // plaintext and slab pools, the layout, the delivery lane
+				oneBatch()
+			}
+			bytes, mallocs = 0, 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				oneBatch()
+			}
+			updates := float64(b.N * arm.round)
+			xwire := float64(bytes) / updates / float64(len(items[0]))
+			allocs := float64(mallocs) / updates
+			b.ReportMetric(float64(bytes)/updates, "B/update")
+			b.ReportMetric(allocs, "allocs/update")
+			b.ReportMetric(xwire, "x-wire")
+			if b.N < 20 {
+				return // too few rounds to tell a pool miss from a copy
+			}
+			if arm.maxXWire > 0 && xwire > arm.maxXWire {
+				b.Fatalf("hop leg allocates %.2fx the wire size per update, above the %.2fx ceiling", xwire, arm.maxXWire)
+			}
+			if allocs > arm.maxAllocs {
+				b.Fatalf("hop leg makes %.1f allocations per update, above the %.1f ceiling", allocs, arm.maxAllocs)
+			}
+		})
+	}
 }
 
 // noopIngress accepts every update and batch untouched: what is left of

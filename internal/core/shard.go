@@ -13,16 +13,17 @@ import (
 // regardless of WHERE the mixing happens. A local shard is a StreamMixer
 // (mixing in this enclave); a remote shard is a RelayShard (material is
 // buffered here and relayed to a peer proxy that mixes in its own
-// enclave). Implementations must be safe for concurrent use.
+// enclave). Implementations must be safe for concurrent use. Ingress is
+// wire-only: inside the tier an update is a validated wire image or a
+// slab row, never a ParamSet tree built for the occasion.
 type Shard interface {
-	// Add files one update; a non-nil return is an emission (a mixed
-	// update leaving the shard mid-round).
-	Add(u nn.ParamSet) (*nn.ParamSet, error)
-	// AddWire files one ENCODED update, letting the shard choose the
-	// cheapest path from wire bytes to its storage: a slab mixer copies
-	// the payload straight into its slab row, a legacy mixer or relay
-	// decodes over the buffer and aliases it. The shard only reads wire;
-	// whether the caller gets the buffer back is RetainsWire's answer.
+	// AddWire files one ENCODED update, fully validating it, by the
+	// shard's cheapest path from wire bytes to its storage: a slab mixer
+	// copies the payload into its slab row, a relay keeps the image, a
+	// legacy mixer decodes over the buffer and aliases it. A non-nil
+	// return is an emission (a mixed update leaving the shard mid-round).
+	// The shard only reads wire; whether the caller gets the buffer back
+	// is RetainsWire's answer.
 	AddWire(wire []byte) (*nn.ParamSet, error)
 	// RetainsWire reports whether material filed with AddWire keeps
 	// referencing the wire buffer (until the round's drain has been
@@ -48,61 +49,74 @@ type Shard interface {
 // RelayShard is the local stand-in for a REMOTE shard of the tier: it
 // buffers the round's material routed to that shard so the delivery
 // pipeline can relay it — re-encrypted for the remote proxy's enclave —
-// when the round closes. It never mixes (the remote enclave does); it
-// only needs the same conservation property as a mixer, which holds
-// trivially because Drain returns exactly what Add received.
+// when the round closes. It never mixes (the remote enclave does), so it
+// holds an update as the bytes it arrived as: validated wire images in,
+// the same images out of DrainWire, conservation trivially. Only the
+// cold ParamSet doors (Drain, SnapshotEntries, RestoreEntry) decode or
+// encode.
 type RelayShard struct {
+	pool     *SlabPool
 	mu       sync.Mutex
 	k        int
-	buf      []nn.ParamSet
+	buf      [][]byte
 	received int
 	emitted  int
 }
 
 // NewRelayShard builds a relay buffer; k is the shard's round quota
 // (capacity hint only — a relay never rejects, because the router already
-// enforces quotas).
-func NewRelayShard(k int) *RelayShard {
+// enforces quotas). pool carries the layout incoming images are checked
+// against (see SlabPool.LayoutFor); nil validates each one by decoding it.
+func NewRelayShard(k int, pool *SlabPool) *RelayShard {
 	if k <= 0 {
 		k = 1
 	}
-	return &RelayShard{k: k}
+	return &RelayShard{k: k, pool: pool}
 }
 
-// Add implements Shard: buffer, never emit.
-func (r *RelayShard) Add(u nn.ParamSet) (*nn.ParamSet, error) {
-	if len(u.Layers) == 0 {
-		return nil, fmt.Errorf("core: relay of empty update")
+// RetainsWire implements Shard: the buffer holds the image itself.
+func (r *RelayShard) RetainsWire() bool { return true }
+
+// AddWire implements Shard: validate (a header comparison against the
+// carried layout in the steady state), keep the image, never emit. Any
+// well-formed update is taken — the remote mixer decides what it mixes.
+func (r *RelayShard) AddWire(wire []byte) (*nn.ParamSet, error) {
+	if _, err := r.pool.LayoutFor(wire); err != nil {
+		return nil, err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.buf = append(r.buf, u)
+	r.buf = append(r.buf, wire)
 	r.received++
 	return nil, nil
 }
 
-// RetainsWire implements Shard: the buffered views alias the buffer.
-func (r *RelayShard) RetainsWire() bool { return true }
-
-// AddWire implements Shard: decode without copying where alignment
-// allows (the relayed material is re-encoded per destination at round
-// close anyway) and buffer. The views alias wire.
-func (r *RelayShard) AddWire(wire []byte) (*nn.ParamSet, error) {
-	ps, err := nn.DecodeParamSetNoCopy(wire)
-	if err != nil {
-		return nil, err
-	}
-	return r.Add(ps)
-}
-
-// Drain implements Shard: hand the round's buffered material to the
-// relay leg.
-func (r *RelayShard) Drain() []nn.ParamSet {
+// DrainWire hands the round's buffered images to the relay leg, exactly
+// as they arrived.
+func (r *RelayShard) DrainWire() [][]byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := r.buf
 	r.buf = nil
 	r.emitted += len(out)
+	return out
+}
+
+// Drain implements Shard: DrainWire, viewed as ParamSets.
+func (r *RelayShard) Drain() []nn.ParamSet { return DecodeImages(r.DrainWire()) }
+
+// DecodeImages views wire images a RelayShard validated as ParamSets
+// aliasing them — for the cold paths that must speak ParamSet.
+func DecodeImages(images [][]byte) []nn.ParamSet {
+	out := make([]nn.ParamSet, len(images))
+	for i, w := range images {
+		ps, err := nn.DecodeParamSetNoCopy(w)
+		if err != nil {
+			// AddWire validated every image and nothing may write to one.
+			panic(fmt.Sprintf("core: relay image %d no longer decodes: %v", i, err))
+		}
+		out[i] = ps
+	}
 	return out
 }
 
@@ -130,24 +144,27 @@ func (r *RelayShard) Emitted() int {
 // K implements Shard.
 func (r *RelayShard) K() int { return r.k }
 
-// SnapshotEntries implements Shard: the buffered updates already are
-// complete pseudo-updates.
+// SnapshotEntries implements Shard: the buffered images, decoded — a
+// seal blob's relay section is their bytes again.
 func (r *RelayShard) SnapshotEntries() []nn.ParamSet {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]nn.ParamSet, len(r.buf))
-	copy(out, r.buf)
-	return out
+	return DecodeImages(r.buf)
 }
 
-// RestoreEntry implements Shard.
+// RestoreEntry implements Shard: a restored (or re-filed) update
+// re-enters the buffer as its wire image.
 func (r *RelayShard) RestoreEntry(u nn.ParamSet) error {
 	if len(u.Layers) == 0 {
 		return fmt.Errorf("core: restore of empty update")
 	}
+	wire, err := nn.EncodeParamSet(u)
+	if err != nil {
+		return fmt.Errorf("core: restore into relay: %w", err)
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.buf = append(r.buf, u)
+	r.buf = append(r.buf, wire)
 	r.received++
 	return nil
 }

@@ -26,13 +26,14 @@ func newTier(t testing.TB, p, k int) []Shard {
 	return tier
 }
 
-// feedTier routes updates round-robin into the tier and collects whatever
-// the mixers emit.
+// feedTier routes updates round-robin into the tier — as wire images,
+// the one way in the Shard contract has — and collects whatever the
+// mixers emit.
 func feedTier(t testing.TB, tier []Shard, updates []nn.ParamSet) []nn.ParamSet {
 	t.Helper()
 	var out []nn.ParamSet
-	for i, u := range updates {
-		mixed, err := tier[i%len(tier)].Add(u)
+	for i, raw := range encodeAll(t, updates) {
+		mixed, err := tier[i%len(tier)].AddWire(raw)
 		if err != nil {
 			t.Fatalf("add %d: %v", i, err)
 		}
@@ -428,7 +429,7 @@ func TestSealShardedStateConcurrentWithAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const p, rounds = 3, 40
 	tier := newTier(t, p, 2)
-	updates := makeUpdates(rounds, 2, rng)
+	updates := encodeAll(t, makeUpdates(rounds, 2, rng))
 
 	var wg sync.WaitGroup
 	for s := 0; s < p; s++ {
@@ -436,7 +437,7 @@ func TestSealShardedStateConcurrentWithAdd(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			for i := s; i < rounds; i += p {
-				if _, err := tier[s].Add(updates[i]); err != nil {
+				if _, err := tier[s].AddWire(updates[i]); err != nil {
 					t.Errorf("shard %d add %d: %v", s, i, err)
 					return
 				}
@@ -510,14 +511,14 @@ func TestShardedStateV3TopoAndLoads(t *testing.T) {
 }
 
 // TestRelayShardConservation: the remote-placement buffer is trivially
-// conservative (Drain returns exactly what Add received) and implements
-// the full Shard contract including snapshot/restore.
+// conservative (Drain returns exactly what AddWire received) and
+// implements the full Shard contract including snapshot/restore.
 func TestRelayShardConservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	updates := makeUpdates(4, 2, rng)
-	r := NewRelayShard(4)
-	for _, u := range updates {
-		out, err := r.Add(u)
+	r := NewRelayShard(4, nil)
+	for _, raw := range encodeAll(t, updates) {
+		out, err := r.AddWire(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -544,7 +545,7 @@ func TestRelayShardConservation(t *testing.T) {
 		}
 	}
 	// Restore path: entries land back, counted.
-	r2 := NewRelayShard(4)
+	r2 := NewRelayShard(4, nil)
 	for _, u := range snap {
 		if err := r2.RestoreEntry(u); err != nil {
 			t.Fatal(err)
@@ -553,7 +554,11 @@ func TestRelayShardConservation(t *testing.T) {
 	if r2.Buffered() != 4 || r2.Received() != 4 {
 		t.Fatalf("restored relay ledger = %d/%d", r2.Buffered(), r2.Received())
 	}
-	if _, err := r.Add(nn.ParamSet{}); err == nil {
+	empty, err := nn.EncodeParamSet(nn.ParamSet{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.AddWire(empty); err == nil {
 		t.Fatal("empty update accepted by relay")
 	}
 }
@@ -568,7 +573,7 @@ func TestShardedStateRelayInTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tier := []Shard{m, NewRelayShard(3)}
+	tier := []Shard{m, NewRelayShard(3, nil)}
 	emitted := feedTier(t, tier, updates)
 	blob, err := SealShardedState(tier, ShardedStateMeta{Routing: RoutingHashQuota, InRound: 6}, nil)
 	if err != nil {
@@ -578,7 +583,7 @@ func TestShardedStateRelayInTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := []Shard{m2, NewRelayShard(3)}
+	fresh := []Shard{m2, NewRelayShard(3, nil)}
 	if _, err := RestoreShardedState(blob, fresh, nil); err != nil {
 		t.Fatal(err)
 	}

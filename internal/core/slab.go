@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"mixnn/internal/nn"
 )
@@ -19,14 +20,36 @@ import (
 //
 // Matching is by layout identity (skeleton bytes): a pooled chunk of a
 // different model structure or a smaller row count is dropped to the GC
-// rather than reshaped. The pool is safe for concurrent use and a nil
-// *SlabPool is valid (every get allocates, every put discards).
+// rather than reshaped. The pool also carries the tier's slab layout
+// across epochs (LayoutFor). It is safe for concurrent use and a nil
+// *SlabPool is valid (every get allocates, every put discards, every
+// LayoutFor derives).
 type SlabPool struct {
-	p sync.Pool
+	p      sync.Pool
+	layout atomic.Pointer[nn.SlabLayout]
 }
 
 // NewSlabPool builds an empty pool.
 func NewSlabPool() *SlabPool { return &SlabPool{} }
+
+// LayoutFor returns the slab layout of one encoded update: the layout
+// the pool last handed out when wire has exactly that structure (one
+// CheckWire, no allocation), else one derived from wire through the
+// untrusted-input decoder, which the pool then remembers — a model
+// change mid-run costs one derivation. Either way wire is fully
+// validated.
+func (p *SlabPool) LayoutFor(wire []byte) (*nn.SlabLayout, error) {
+	if p != nil {
+		if l := p.layout.Load(); l != nil && l.CheckWire(wire) == nil {
+			return l, nil
+		}
+	}
+	l, err := nn.SlabLayoutFromWire(wire)
+	if err == nil && p != nil {
+		p.layout.Store(l)
+	}
+	return l, err
+}
 
 // get hands out a chunk of at least rows rows of layout's stride: a
 // recycled one when the pool holds a match, a fresh allocation (slab and
@@ -128,19 +151,6 @@ func newSlabStore(k int, pool *SlabPool) *slabStore {
 	return &slabStore{pool: pool, chunkRows: rows}
 }
 
-// ensureLayout learns the round's model structure from its first update.
-func (s *slabStore) ensureLayout(build func() (*nn.SlabLayout, error)) error {
-	if s.layout != nil {
-		return nil
-	}
-	l, err := build()
-	if err != nil {
-		return err
-	}
-	s.layout = l
-	return nil
-}
-
 // nextRow claims a fresh row, returning its pre-built view and storage.
 func (s *slabStore) nextRow() (nn.ParamSet, []float64) {
 	if len(s.chunks) == 0 || s.used == s.chunkRows {
@@ -155,10 +165,14 @@ func (s *slabStore) nextRow() (nn.ParamSet, []float64) {
 
 // fileWire decodes one encoded update straight into a fresh row and
 // returns its view — the wire-bytes → slab path with no intermediate
-// materialisation.
+// materialisation. The round's first update settles its layout.
 func (s *slabStore) fileWire(wire []byte) (nn.ParamSet, error) {
-	if err := s.ensureLayout(func() (*nn.SlabLayout, error) { return nn.SlabLayoutFromWire(wire) }); err != nil {
-		return nn.ParamSet{}, err
+	if s.layout == nil {
+		l, err := s.pool.LayoutFor(wire)
+		if err != nil {
+			return nn.ParamSet{}, err
+		}
+		s.layout = l
 	}
 	view, row := s.nextRow()
 	if err := s.layout.DecodeIntoSlab(row, wire); err != nil {
@@ -169,10 +183,14 @@ func (s *slabStore) fileWire(wire []byte) (nn.ParamSet, error) {
 }
 
 // fileParamSet copies one already-decoded update into a fresh row and
-// returns its view (batch items and seal restores arrive decoded).
+// returns its view (seal restores and the offline transforms hold trees).
 func (s *slabStore) fileParamSet(u nn.ParamSet) (nn.ParamSet, error) {
-	if err := s.ensureLayout(func() (*nn.SlabLayout, error) { return nn.NewSlabLayout(u) }); err != nil {
-		return nn.ParamSet{}, err
+	if s.layout == nil {
+		l, err := nn.NewSlabLayout(u)
+		if err != nil {
+			return nn.ParamSet{}, err
+		}
+		s.layout = l
 	}
 	view, row := s.nextRow()
 	if err := s.layout.CopyIntoRow(row, u); err != nil {
@@ -218,18 +236,6 @@ func (s *slabStore) release() {
 	s.emSetUsed = 0
 	s.emLayers = nil
 	s.emLayUsed = 0
-}
-
-// Layout exposes the store's learned layout (nil before the first
-// update); the proxy's round packaging uses it to re-encode emissions
-// through the skeleton fast path.
-func (m *StreamMixer) Layout() *nn.SlabLayout {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.slab == nil {
-		return nil
-	}
-	return m.slab.layout
 }
 
 // ReleaseSlab recycles a slab-backed mixer's storage into its pool. It

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -394,7 +395,7 @@ func TestRetainsWire(t *testing.T) {
 	for name, tc := range map[string]struct {
 		s    Shard
 		want bool
-	}{"slab": {slab, false}, "legacy": {legacy, true}, "relay": {NewRelayShard(2), true}} {
+	}{"slab": {slab, false}, "legacy": {legacy, true}, "relay": {NewRelayShard(2, nil), true}} {
 		if got := tc.s.RetainsWire(); got != tc.want {
 			t.Fatalf("%s mixer RetainsWire = %v, want %v", name, got, tc.want)
 		}
@@ -409,5 +410,120 @@ func TestRetainsWire(t *testing.T) {
 	}
 	if out := slab.Drain(); len(out) != 1 || !out[0].ApproxEqual(u, 0) {
 		t.Fatal("slab mixer's stored update followed the wire buffer")
+	}
+}
+
+// TestRelayShardKeepsWireImages: a relay holds an update as the bytes it
+// arrived as. DrainWire returns the very slices AddWire was handed (no
+// copy, no re-encode), the ParamSet doors are views of them, and
+// SnapshotEntries → RestoreEntry lands the same bytes in the restored
+// relay — which is what keeps a seal blob's relay section byte-identical.
+func TestRelayShardKeepsWireImages(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	updates := makeUpdates(5, 3, rng)
+	images := encodeAll(t, updates)
+	pool := NewSlabPool()
+	r := NewRelayShard(5, pool)
+	for _, img := range images {
+		if out, err := r.AddWire(img); err != nil || out != nil {
+			t.Fatalf("AddWire = %v, %v", out, err)
+		}
+	}
+	carried, err := pool.LayoutFor(images[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range [][]byte{nil, images[0][:len(images[0])-1], append(append([]byte{}, images[0]...), 0)} {
+		if _, err := r.AddWire(bad); err == nil {
+			t.Fatalf("relay accepted a %d-byte malformed image", len(bad))
+		}
+	}
+	if l, _ := pool.LayoutFor(images[1]); l != carried {
+		t.Fatal("rejected images replaced the pool's carried layout")
+	}
+
+	snap := r.SnapshotEntries()
+	if len(snap) != len(updates) || r.Buffered() != len(updates) {
+		t.Fatalf("snapshot of %d entries, %d still buffered, want %d of each", len(snap), r.Buffered(), len(updates))
+	}
+	restored := NewRelayShard(5, nil)
+	for i, u := range snap {
+		if !u.ApproxEqual(updates[i], 0) {
+			t.Fatalf("snapshot entry %d differs from its input", i)
+		}
+		if err := restored.RestoreEntry(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	drained := r.DrainWire()
+	if len(drained) != len(images) || r.Buffered() != 0 || r.Emitted() != len(images) {
+		t.Fatalf("drained %d images, buffered %d, emitted %d", len(drained), r.Buffered(), r.Emitted())
+	}
+	for i := range drained {
+		if &drained[i][0] != &images[i][0] || len(drained[i]) != len(images[i]) {
+			t.Fatalf("drained image %d is not the slice AddWire was handed", i)
+		}
+	}
+	for i, img := range restored.DrainWire() {
+		if !bytes.Equal(img, images[i]) {
+			t.Fatalf("restored image %d is not byte-identical to the original", i)
+		}
+	}
+}
+
+// TestLayoutCarriedAcrossEpochs: the pool carries the model's layout from
+// one epoch's mixers to the next, so after epoch 0 no round derives a
+// layout (the pool still holds the very pointer — a derivation would
+// have stored a new one); a structure change between epochs is
+// re-derived once, accepted, and carried from then on.
+func TestLayoutCarriedAcrossEpochs(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	pool := NewSlabPool()
+	epoch := func(images [][]byte) *nn.SlabLayout {
+		t.Helper()
+		m, err := NewStreamMixerSlab(2, rng, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		relay := NewRelayShard(len(images), pool)
+		emitted := 0
+		for _, img := range images {
+			out, err := m.AddWire(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out != nil {
+				emitted++
+			}
+			if _, err := relay.AddWire(img); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := emitted + len(m.Drain()); got != len(images) || relay.Buffered() != len(images) {
+			t.Fatalf("epoch mixed %d and relayed %d of %d updates", got, relay.Buffered(), len(images))
+		}
+		m.ReleaseSlab()
+		return pool.layout.Load()
+	}
+	modelA := encodeAll(t, makeUpdates(6, 2, rng))
+	first := epoch(modelA)
+	for e := 1; e < 4; e++ {
+		if got := epoch(modelA); got != first {
+			t.Fatalf("epoch %d derived its own layout instead of adopting the carried one", e)
+		}
+	}
+	modelB := encodeAll(t, makeUpdates(6, 3, rng))
+	changed := epoch(modelB)
+	if changed == first || changed.CheckWire(modelB[0]) != nil {
+		t.Fatal("a structure change was not re-derived")
+	}
+	if got := epoch(modelB); got != changed {
+		t.Fatal("the re-derived layout was not carried to the next epoch")
+	}
+	// Back again: one more derivation, and the pooled model-B chunks are
+	// dropped rather than reshaped.
+	if back := epoch(modelA); back == changed || back.CheckWire(modelA[0]) != nil {
+		t.Fatal("switching back did not re-derive model A's layout")
 	}
 }

@@ -12,7 +12,9 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"net/http"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -200,16 +202,19 @@ type ShardedProxy struct {
 	// planner owns the routing plane's lifecycle: admin directives stage
 	// the next epoch's topology there; the round-close swap advances it.
 	planner *route.Planner
-	// slabPool recycles the local mixers' slab chunks across epochs (nil
-	// with LegacyMix). Chunks return to it only after their round's
-	// outbox commit fully succeeded — see packageRound.
+	// slabPool recycles the local mixers' slab chunks across epochs and
+	// carries the model's slab layout with them. Chunks return to it only
+	// after their round's outbox commit fully succeeded — see packageRound.
 	slabPool *core.SlabPool
-	// plainPool recycles the plaintext buffers participant updates are
-	// decrypted into (*[]byte). A buffer returns to it as soon as the
-	// shard has filed the update, unless the shard retains it
-	// (core.Shard.RetainsWire: a relay shard or legacy mixer aliases the
-	// buffer until the round's entries are committed).
+	// plainPool recycles the plaintext buffers request bodies (single
+	// updates and whole batches) are decrypted into (*[]byte). A buffer
+	// returns to it as soon as the shards have filed what it holds,
+	// unless one retains it (core.Shard.RetainsWire: a relay shard or
+	// legacy mixer aliases the buffer until the round's entries commit).
 	plainPool sync.Pool
+	// plainReleased, when set (tests), sees a plaintext buffer at the
+	// moment it is recycled — after which nothing may read it.
+	plainReleased func([]byte)
 
 	// dcache memoises each in-flight entry's parsed envelope and (batch
 	// mode) request body between retry attempts — entries are immutable,
@@ -380,10 +385,7 @@ func NewSharded(cfg ShardedConfig, encl *enclave.Enclave, platform *enclave.Plat
 			return nil, fmt.Errorf("proxy: remote shard %q has no attested key material (RemoteShards)", addr)
 		}
 	}
-	var pool *core.SlabPool
-	if !cfg.LegacyMix {
-		pool = core.NewSlabPool()
-	}
+	pool := core.NewSlabPool()
 	shards, err := newShardSet(cfg, topo, 0, pool)
 	if err != nil {
 		return nil, err
@@ -457,28 +459,48 @@ func (p *ShardedProxy) Flush(ctx context.Context) error {
 	return nil
 }
 
+// streamSource adapts a math/rand/v2 generator to the math/rand source
+// the mixers draw from.
+type streamSource struct{ *randv2.ChaCha8 }
+
+func (s streamSource) Int63() int64 { return int64(s.Uint64() >> 1) }
+func (streamSource) Seed(int64)     {}
+
+// shardStream returns the mixing stream of one shard for one epoch,
+// keyed by a HASH of (seed, epoch, shard): sums of the three collide
+// (proxies seeded S and S+1 draw one stream an epoch apart, a reshard
+// revisits earlier epochs' streams). Keying ChaCha8 is O(1); math/rand's
+// default source reseeds 607 words and allocates 4.9KB, per mixer, per
+// round close.
+func shardStream(seed int64, epoch, shard int) *rand.Rand {
+	const label = "mixnn/shard-stream/v1\x00"
+	in := make([]byte, 0, len(label)+24)
+	in = append(in, label...)
+	in = binary.LittleEndian.AppendUint64(in, uint64(seed))
+	in = binary.LittleEndian.AppendUint64(in, uint64(epoch))
+	in = binary.LittleEndian.AppendUint64(in, uint64(shard))
+	return rand.New(streamSource{randv2.NewChaCha8(sha256.Sum256(in))})
+}
+
 // newShardSet builds the tier's fresh shard slots for one epoch under a
 // topology: local shards get a StreamMixer with K clamped to the shard's
-// round quota and a per-shard rand stream derived from the seed and epoch
-// (each round's swap gets fresh, independent streams); remote shards get
-// a relay buffer sized by their quota. Shared by NewSharded, the round
-// close swap and RestoreState so every epoch's tier is shaped alike.
+// round quota and its own rand stream (shardStream: each round's swap
+// gets fresh, independent streams); remote shards get a relay buffer
+// sized by their quota. Shared by NewSharded, the round close swap and
+// RestoreState so every epoch's tier is shaped alike.
 func newShardSet(cfg ShardedConfig, topo *route.Topology, epoch int, pool *core.SlabPool) ([]core.Shard, error) {
 	shards := make([]core.Shard, topo.P())
 	for s := range shards {
 		quota := topo.Quota(s)
 		if topo.IsRemote(s) {
-			shards[s] = core.NewRelayShard(quota)
+			shards[s] = core.NewRelayShard(quota, pool)
 			continue
 		}
 		k := cfg.K
 		if k <= 0 || k > quota {
 			k = quota
 		}
-		// Each shard owns its rand stream: StreamMixer serialises itself,
-		// but a shared rand.Rand across concurrently-adding shards would
-		// race.
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(epoch)*int64(topo.P()) + int64(s)))
+		rng := shardStream(cfg.Seed, epoch, s) // its own: a rand.Rand shared across shards would race
 		var m *core.StreamMixer
 		var err error
 		if cfg.LegacyMix {
@@ -570,31 +592,15 @@ func (p *ShardedProxy) ingressOne(body []byte, clientID string, hop int, fromHop
 	)
 	start := time.Now()
 	procErr := p.enclave.Process(func() error {
-		bp, _ := p.plainPool.Get().(*[]byte)
-		if bp == nil {
-			bp = new([]byte)
-		}
-		if cap(*bp) < len(body) {
-			*bp = make([]byte, 0, len(body)) // the plaintext is shorter than its ciphertext
-		}
-		t0 := time.Now()
-		plain, err := p.enclave.DecryptTo(*bp, body)
-		decryptDur := time.Since(t0)
-		p.observeDecrypt(decryptDur)
+		bp, plain, decryptDur, err := p.decryptPooled(body)
 		if err != nil {
-			p.plainPool.Put(bp)
-			return fmt.Errorf("proxy: decrypt: %w", err)
+			return err
 		}
-		// No decode here: the plaintext wire bytes go straight to the
-		// routed shard, which picks its cheapest path to storage — a slab
-		// mixer copies the payload into its slab row, a legacy mixer or
-		// relay shard decodes over the buffer and keeps it.
+		// No decode here: the wire bytes go straight to the routed shard
+		// (core.Shard.AddWire).
 		var kept bool
-		closed, shard, kept, err = p.ingest(nn.ParamSet{}, plain, len(plain), clientID, hop, fromHop, decryptDur, 0)
-		if kept {
-			*bp = nil // the shard owns the buffer now; only the box recycles
-		}
-		p.plainPool.Put(bp)
+		closed, shard, kept, err = p.ingest(plain, clientID, hop, fromHop, decryptDur, 0)
+		p.releasePlain(bp, kept)
 		return err
 	})
 	p.mu.Lock()
@@ -613,6 +619,39 @@ func (p *ShardedProxy) ingressOne(body []byte, clientID string, hop int, fromHop
 		}
 	}
 	return transport.Receipt{Shard: shard}, nil
+}
+
+// decryptPooled opens body (only read, see enclave.DecryptTo) into a
+// buffer leased from plainPool; releasePlain ends the lease.
+func (p *ShardedProxy) decryptPooled(body []byte) (bp *[]byte, plain []byte, dur time.Duration, err error) {
+	bp, _ = p.plainPool.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	if cap(*bp) < len(body) {
+		*bp = make([]byte, 0, len(body)) // the plaintext is shorter than its ciphertext
+	}
+	t0 := time.Now()
+	plain, err = p.enclave.DecryptTo(*bp, body)
+	dur = time.Since(t0)
+	p.observeDecrypt(dur)
+	if err != nil {
+		p.plainPool.Put(bp)
+		return nil, nil, dur, fmt.Errorf("proxy: decrypt: %w", err)
+	}
+	return bp, plain, dur, nil
+}
+
+// releasePlain ends a plaintext lease: the buffer is recycled at once,
+// unless a shard kept (part of) it — then that shard's round owns it and
+// only the lease's box returns to the pool.
+func (p *ShardedProxy) releasePlain(bp *[]byte, kept bool) {
+	if kept {
+		*bp = nil
+	} else if p.plainReleased != nil {
+		p.plainReleased((*bp)[:cap(*bp)])
+	}
+	p.plainPool.Put(bp)
 }
 
 // ingressError maps an enclave-pipeline failure onto the wire
@@ -673,48 +712,43 @@ func (p *ShardedProxy) HandleBatch(ctx context.Context, req transport.BatchReque
 			}
 		}
 	}
-	body := req.Body
-
 	var closes []*roundClose
 	start := time.Now()
 	procErr := p.enclave.Process(func() error {
-		t0 := time.Now()
-		plain, err := p.enclave.Decrypt(body)
-		decryptDur := time.Since(t0)
-		p.observeDecrypt(decryptDur)
+		bp, plain, decryptDur, err := p.decryptPooled(req.Body)
 		if err != nil {
-			return fmt.Errorf("proxy: decrypt: %w", err)
+			return err
 		}
-		env, err := wire.DecodeBatchEnvelope(plain)
+		kept := false
+		defer func() { p.releasePlain(bp, kept) }()
+		env, err := wire.DecodeBatchEnvelope(plain) // items alias plain
 		if err != nil {
 			return fmt.Errorf("proxy: %w", err)
 		}
-		// Decode every item — and check they share one model structure —
-		// before mixing any, so a malformed or heterogeneous batch cannot
-		// leave the round half-applied (the upstream quarantines rejected
-		// entries and must be able to trust that nothing was counted).
-		// The views alias plain where a tensor happens to sit 8-byte
-		// aligned in it and are bulk copies otherwise (most of a batch:
-		// items start at arbitrary offsets); plain is this request's own
-		// allocation, so either is safe until the round's entries commit.
+		// Check every item against ONE layout (the first item's: the
+		// carried layout in the steady state) before filing any, so a
+		// malformed or heterogeneous batch cannot leave the round
+		// half-applied (the upstream quarantines rejected entries and must
+		// be able to trust that nothing was counted).
 		t1 := time.Now()
-		pss := make([]nn.ParamSet, len(env.Updates))
-		for i, raw := range env.Updates {
-			if pss[i], err = nn.DecodeParamSetNoCopy(raw); err != nil {
-				return fmt.Errorf("proxy: batch update %d: %w", i, err)
-			}
-			if i > 0 && !pss[0].Compatible(pss[i]) {
-				return fmt.Errorf("proxy: batch update %d incompatible with update 0", i)
+		layout, err := p.slabPool.LayoutFor(env.Updates[0])
+		if err != nil {
+			return fmt.Errorf("proxy: batch update 0: %w", err)
+		}
+		for i, raw := range env.Updates[1:] {
+			if err := layout.CheckWire(raw); err != nil {
+				return fmt.Errorf("proxy: batch update %d: %w", i+1, err)
 			}
 		}
-		decodeDur := time.Since(t1)
-		// Spread the one decrypt/decode over the items so per-update
-		// stage means stay comparable with the single-update path.
+		checkDur := time.Since(t1)
+		// Spread the one decrypt/check over the items so per-update stage
+		// means stay comparable with the single-update path.
 		n := time.Duration(len(env.Updates))
-		var itemErrs int
+		var skipped int
 		var firstErr error
-		for i, ps := range pss {
-			closed, _, _, err := p.ingest(ps, nil, len(env.Updates[i]), "", hop, true, decryptDur/n, decodeDur/n)
+		for i, raw := range env.Updates {
+			closed, _, k, err := p.ingest(raw, "", hop, true, decryptDur/n, checkDur/n)
+			kept = kept || k
 			if err != nil {
 				// An item the open round's mixers reject (structure set
 				// by earlier traffic of this epoch) can never be mixed at
@@ -722,10 +756,8 @@ func (p *ShardedProxy) HandleBatch(ctx context.Context, req transport.BatchReque
 				// half-applied round masquerade as "nothing counted" when
 				// the upstream quarantines it. Skip just this item, keep
 				// the rest of the round.
-				log.Printf("proxy: batch update %d skipped: %v", i, err)
-				itemErrs++
-				if firstErr == nil {
-					firstErr = err
+				if skipped++; firstErr == nil {
+					firstErr = fmt.Errorf("proxy: batch update %d: %w", i, err)
 				}
 				continue
 			}
@@ -733,7 +765,10 @@ func (p *ShardedProxy) HandleBatch(ctx context.Context, req transport.BatchReque
 				closes = append(closes, closed)
 			}
 		}
-		if itemErrs == len(pss) {
+		if skipped > 0 { // one line per batch: the peer chooses how many items it carries
+			log.Printf("proxy: batch: %d of %d updates skipped, first: %v", skipped, len(env.Updates), firstErr)
+		}
+		if skipped == len(env.Updates) {
 			return firstErr // nothing applied; safe for the upstream to quarantine
 		}
 		return nil
@@ -754,7 +789,7 @@ func (p *ShardedProxy) HandleBatch(ctx context.Context, req transport.BatchReque
 		}
 	}
 	if procErr != nil {
-		// Nothing was applied (decode/compat failures precede any ingest,
+		// Nothing was applied (structure check failures precede any ingest,
 		// and the all-items-failed path mixes nothing), so release the id
 		// for a future redelivery.
 		if batchID != "" {
@@ -785,12 +820,12 @@ type roundClose struct {
 	emitBase []int
 }
 
-// ingest files one decoded update into its shard's mixer and, when the
+// ingest files one encoded update into its shard's mixer and, when the
 // round completes, swaps the tier to fresh mixers and returns a
-// roundClose for packaging. The expensive stages (decrypt, decode —
-// milliseconds) already ran outside any lock in the caller; the cheap
-// mixing step (layer pointer swaps — microseconds) and the round
-// accounting run under one mutex, which makes round closure atomic: a
+// roundClose for packaging. The expensive stage (decrypt) already ran
+// outside any lock in the caller; filing (a header check and one payload
+// copy), mixing (layer pointer swaps) and the round accounting
+// run under one mutex, which makes round closure atomic: a
 // drain can never sweep in an update that belongs to the next round, and
 // updates arriving an instant after the swap land in epoch N+1's fresh
 // mixers while epoch N drains in the background (cross-round
@@ -802,9 +837,10 @@ type roundClose struct {
 // keeps depth monotone — in an accidental proxy cycle the watermark grows
 // every traversal until the MaxHops check breaks the loop.
 //
-// keptWire reports whether the shard still references wire after the
+// keptWire reports whether the shard still references raw after the
 // call (core.Shard.RetainsWire); otherwise the caller may reuse it.
-func (p *ShardedProxy) ingest(ps nn.ParamSet, wire []byte, size int, clientID string, hop int, fromHop bool, decryptDur, decodeDur time.Duration) (closed *roundClose, shard int, keptWire bool, err error) {
+func (p *ShardedProxy) ingest(raw []byte, clientID string, hop int, fromHop bool, decryptDur, checkDur time.Duration) (closed *roundClose, shard int, keptWire bool, err error) {
+	size := len(raw)
 	p.enclave.Alloc(size)
 
 	p.mu.Lock()
@@ -812,19 +848,9 @@ func (p *ShardedProxy) ingest(ps nn.ParamSet, wire []byte, size int, clientID st
 	p.decryptT.add(decryptDur)
 	p.updateBytes = size
 	tAdd := time.Now()
-	// Single-update ingress hands the shard the raw wire bytes (wire
-	// non-nil) so a slab mixer can decode straight into its slab row; the
-	// batch path validated and decoded every item up front and files the
-	// decoded views. Either way there is exactly one copy of the floats
-	// between the decrypted buffer and the mixer's storage.
-	var out *nn.ParamSet
-	if wire != nil {
-		out, err = p.shards[shard].AddWire(wire)
-		keptWire = err == nil && p.shards[shard].RetainsWire()
-	} else {
-		out, err = p.shards[shard].Add(ps)
-	}
-	p.storeT.add(decodeDur + time.Since(tAdd)) // §6.5 store stage: decode + file into the lists
+	out, err := p.shards[shard].AddWire(raw)
+	keptWire = err == nil && p.shards[shard].RetainsWire()
+	p.storeT.add(checkDur + time.Since(tAdd)) // §6.5 store stage: check + file into the lists
 	if err != nil {
 		// Route already charged the shard's quota; a rejected update must
 		// not consume it.
@@ -903,8 +929,12 @@ func (p *ShardedProxy) ingest(ps nn.ParamSet, wire []byte, size int, clientID st
 // the outbox: the tier's ordinary downstream (dest == "") or a remote
 // shard address.
 type destEntry struct {
-	dest    string
+	dest string
+	// An entry carries mixed material (the downstream entry: views of
+	// slab rows, encoded into it) or relayed material (a remote shard's:
+	// the images the relay buffered, copied into it) — never both.
 	updates []nn.ParamSet
+	images  [][]byte
 	// shard is the remote shard index the material came from (-1 for the
 	// downstream entry), used to return material on a commit failure.
 	shard int
@@ -945,20 +975,19 @@ func resizeLedger(old []int, pPrime int) []int {
 func (p *ShardedProxy) packageRound(rc *roundClose) error {
 	entries := []destEntry{{dest: "", updates: rc.pending, shard: -1}}
 	for s, m := range rc.mixers {
-		drained := m.Drain()
-		if rc.topo.IsRemote(s) {
-			if len(drained) > 0 {
-				entries = append(entries, destEntry{dest: rc.topo.Spec(s).Addr, updates: drained, shard: s})
+		if relay, ok := m.(*core.RelayShard); ok {
+			if images := relay.DrainWire(); len(images) > 0 {
+				entries = append(entries, destEntry{dest: rc.topo.Spec(s).Addr, images: images, shard: s})
 			}
 			continue
 		}
-		entries[0].updates = append(entries[0].updates, drained...)
+		entries[0].updates = append(entries[0].updates, m.Drain()...)
 	}
 	// Encode everything before taking the epoch's commit turn. Each
-	// update is append-encoded straight into its destination's one
-	// exactly-sized entry — the buffer the queue will hold (and, on the
-	// batch path, the request body the receiver will read) — so a round's
-	// bytes are written once between the slab and the outbox.
+	// update is append-encoded (a relayed image: copied) straight into its
+	// destination's one exactly-sized entry — the buffer the queue will
+	// hold (and, on the batch path, the request body the receiver will
+	// read) — so a round's bytes are written once on their way to the outbox.
 	type rawEntry struct {
 		destEntry
 		raw   []byte
@@ -971,14 +1000,20 @@ func (p *ShardedProxy) packageRound(rc *roundClose) error {
 		for _, ps := range de.updates {
 			size += nn.EncodedSize(ps)
 		}
+		for _, img := range de.images {
+			size += len(img)
+		}
 		b, err := outbox.NewEntryBuilder(outbox.Envelope{
 			Epoch:       uint64(rc.epoch),
 			TopoVersion: rc.topo.Version(),
 			Hop:         rc.hop,
 			Dest:        de.dest,
-		}, outbox.EntrySize(de.dest, len(de.updates), size))
+		}, outbox.EntrySize(de.dest, len(de.updates)+len(de.images), size))
 		for i := 0; err == nil && i < len(de.updates); i++ {
 			err = b.Append(func(buf []byte) ([]byte, error) { return nn.AppendParamSet(buf, de.updates[i]) })
+		}
+		for i := 0; err == nil && i < len(de.images); i++ {
+			err = b.Append(func(buf []byte) ([]byte, error) { return append(buf, de.images[i]...), nil })
 		}
 		if err != nil {
 			encErr = err
@@ -995,6 +1030,7 @@ func (p *ShardedProxy) packageRound(rc *roundClose) error {
 	}
 	p.mu.Unlock()
 	var failed []destEntry
+	committed := 0
 	err := encErr
 	if encErr != nil {
 		failed = entries
@@ -1019,6 +1055,7 @@ func (p *ShardedProxy) packageRound(rc *roundClose) error {
 				continue
 			}
 			p.enclave.Free(re.bytes)
+			committed += re.bytes
 		}
 	}
 
@@ -1046,23 +1083,24 @@ func (p *ShardedProxy) packageRound(rc *roundClose) error {
 			s := p.relayShardLocked(de.dest)
 			if s < 0 {
 				s = 0
-				log.Printf("proxy: remote shard %s left the topology with %d uncommitted updates; re-filing them into shard 0 of the current epoch", de.dest, len(de.updates))
+				log.Printf("proxy: remote shard %s left the topology with %d uncommitted updates; re-filing them into shard 0 of the current epoch", de.dest, len(de.images))
 			}
-			refiled := len(de.updates)
-			for i, u := range de.updates {
+			updates := core.DecodeImages(de.images) // RestoreEntry speaks ParamSet
+			refiled := len(updates)
+			for i, u := range updates {
 				if rerr := p.shards[s].RestoreEntry(u); rerr != nil {
 					// Structurally incompatible with the open round (model
 					// changed between epochs) — the only escape left is
 					// the pending buffer; it reaches the server mixed with
 					// nothing, so be loud about the privacy downgrade.
-					log.Printf("proxy: re-file update into shard %d failed (%v); %d updates will deliver downstream UNMIXED", s, rerr, len(de.updates)-i)
-					p.pending = append(append([]nn.ParamSet{}, de.updates[i:]...), p.pending...)
+					log.Printf("proxy: re-file update into shard %d failed (%v); %d updates will deliver downstream UNMIXED", s, rerr, len(updates)-i)
+					p.pending = append(append([]nn.ParamSet{}, updates[i:]...), p.pending...)
 					refiled = i
 					break
 				}
 			}
 			// The re-filed updates were already counted once (the retired
-			// relay's Add, rolled into the cumulative ledger at the swap);
+			// relay's AddWire, rolled into the cumulative ledger at the swap);
 			// RestoreEntry counted them again inside the live shard, so
 			// compensate the carry to keep sum(per-shard Received) equal
 			// to the tier's Received.
@@ -1070,7 +1108,7 @@ func (p *ShardedProxy) packageRound(rc *roundClose) error {
 			// Both halves await the next round close (re-filed head in a
 			// shard, incompatible tail in pending), so both count as
 			// retained: Flush must keep failing until they move.
-			p.retained += len(de.updates)
+			p.retained += len(updates)
 			continue
 		}
 		// Downstream material is already mixed; retain it in memory and
@@ -1096,9 +1134,24 @@ func (p *ShardedProxy) packageRound(rc *roundClose) error {
 			}
 		}
 		p.disp.Wake()
+		if committed >= handOffBytes {
+			runtime.Gosched()
+		}
 	}
 	return err
 }
+
+// handOffBytes is the round size from which the goroutine that closed a
+// round yields its core to the delivery goroutines Wake just readied:
+// the entry it wrote is still in this core's cache and the aggregator
+// waits for the round more than one sender waits for its ack, whereas on
+// saturated cores a readied goroutine otherwise queues behind the
+// senders' own hand-offs. A yield costs a scheduling round trip whatever
+// the round holds, so small rounds keep going: mlp_cascade_closed
+// commits ≈20KB a round and paid 1.5µs of CPU per update for yielding,
+// conv_closed commits 2.7MB and sheds a quarter of its absorb lag
+// (DESIGN §11).
+const handOffBytes = 256 << 10
 
 // relayShardLocked returns the index of the live relay shard for addr,
 // -1 when the current topology has none. Caller holds p.mu.
