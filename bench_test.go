@@ -825,10 +825,9 @@ func BenchmarkStreamMixerAdd(b *testing.B) {
 }
 
 // BenchmarkProxyMixWire is the sharded wire-ingress benchmark: one round
-// of raw encoded updates round-robined across P shards (the proxy's
-// ingest path minus crypto), per storage mode, including each round's
-// drain + outbox re-encode. The slab arms are what a default-config
-// sharded proxy runs per update since the slab refactor.
+// of raw encoded updates round-robined across P slab-backed shards (the
+// proxy's ingest path minus crypto), including each round's drain +
+// outbox re-encode — what a sharded proxy runs per update.
 func BenchmarkProxyMixWire(b *testing.B) {
 	model := experiment.PerfModels(experiment.ScaleQuick)[0]
 	update := model.Arch.New(1).SnapshotParams()
@@ -837,76 +836,62 @@ func BenchmarkProxyMixWire(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, p := range []int{1, 4} {
-		for _, mode := range []string{"legacy", "slab"} {
-			b.Run(fmt.Sprintf("shards=%d/%s", p, mode), func(b *testing.B) {
-				pool := core.NewSlabPool()
-				newTier := func(epoch int64) []*core.StreamMixer {
-					tier := make([]*core.StreamMixer, p)
-					for s := range tier {
-						rng := rand.New(rand.NewSource(epoch*int64(p) + int64(s)))
-						var err error
-						if mode == "slab" {
-							tier[s], err = core.NewStreamMixerSlab(8, rng, pool)
-						} else {
-							tier[s], err = core.NewStreamMixer(8, rng)
-						}
-						if err != nil {
-							b.Fatal(err)
-						}
-					}
-					return tier
-				}
-				encode := func(ps nn.ParamSet, encBuf []byte) []byte {
-					if mode == "slab" {
-						encBuf = encBuf[:0]
-						var err error
-						if encBuf, err = nn.AppendParamSet(encBuf, ps); err != nil {
-							b.Fatal(err)
-						}
-						return encBuf
-					}
-					if _, err := nn.EncodeParamSet(ps); err != nil {
+		b.Run(fmt.Sprintf("shards=%d/slab", p), func(b *testing.B) {
+			pool := core.NewSlabPool()
+			newTier := func(epoch int64) []*core.StreamMixer {
+				tier := make([]*core.StreamMixer, p)
+				for s := range tier {
+					rng := rand.New(rand.NewSource(epoch*int64(p) + int64(s)))
+					var err error
+					if tier[s], err = core.NewStreamMixerSlab(8, rng, pool); err != nil {
 						b.Fatal(err)
 					}
-					return encBuf
 				}
-				tier := newTier(0)
-				epoch := int64(0)
-				encBuf := make([]byte, 0, len(wire))
-				b.ReportAllocs()
-				b.SetBytes(int64(len(wire)))
-				var ms0, ms1 runtime.MemStats
-				runtime.ReadMemStats(&ms0)
-				start := time.Now()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					buf := make([]byte, len(wire))
-					copy(buf, wire)
-					out, err := tier[i%p].AddWire(buf)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if out != nil {
-						encBuf = encode(*out, encBuf)
-					}
-					if (i+1)%mixRoundSize == 0 {
-						for _, m := range tier {
-							for _, ps := range m.Drain() {
-								encBuf = encode(ps, encBuf)
-							}
-							m.ReleaseSlab()
+				return tier
+			}
+			encode := func(ps nn.ParamSet, encBuf []byte) []byte {
+				encBuf, err := nn.AppendParamSet(encBuf[:0], ps)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return encBuf
+			}
+			tier := newTier(0)
+			epoch := int64(0)
+			encBuf := make([]byte, 0, len(wire))
+			b.ReportAllocs()
+			b.SetBytes(int64(len(wire)))
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			start := time.Now()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf := make([]byte, len(wire))
+				copy(buf, wire)
+				out, err := tier[i%p].AddWire(buf)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if out != nil {
+					encBuf = encode(*out, encBuf)
+				}
+				if (i+1)%mixRoundSize == 0 {
+					for _, m := range tier {
+						for _, ps := range m.Drain() {
+							encBuf = encode(ps, encBuf)
 						}
-						epoch++
-						tier = newTier(epoch)
+						m.ReleaseSlab()
 					}
+					epoch++
+					tier = newTier(epoch)
 				}
-				b.StopTimer()
-				elapsed := time.Since(start)
-				runtime.ReadMemStats(&ms1)
-				recordMixArm(b, model.Name, len(wire), mixRoundSize, b.N, elapsed,
-					ms1.Mallocs-ms0.Mallocs, ms1.TotalAlloc-ms0.TotalAlloc)
-			})
-		}
+			}
+			b.StopTimer()
+			elapsed := time.Since(start)
+			runtime.ReadMemStats(&ms1)
+			recordMixArm(b, model.Name, len(wire), mixRoundSize, b.N, elapsed,
+				ms1.Mallocs-ms0.Mallocs, ms1.TotalAlloc-ms0.TotalAlloc)
+		})
 	}
 	writeMixBench(b)
 }

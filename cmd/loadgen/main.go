@@ -12,7 +12,7 @@
 //
 //	loadgen                                  # full scale: 10k participants
 //	loadgen -participants 120 -round 24 -waves 3   # CI smoke scale
-//	loadgen -out BENCH_loadgen.json          # write the metrics snapshot
+//	loadgen -out loadgen.json                # write this run's metrics snapshot
 //	loadgen -cpuprofile cpu.pb.gz -memprofile mem.pb.gz   # profile the run
 package main
 
@@ -49,7 +49,7 @@ func run(args []string) error {
 		rsaBits      = fs.Int("rsa-bits", 0, "enclave RSA key size (0 = production 2048)")
 		seed         = fs.Int64("seed", 1, "base random seed")
 		timeout      = fs.Duration("timeout", 10*time.Minute, "whole-run deadline")
-		out          = fs.String("out", "", "write the LoadgenResult JSON here (e.g. BENCH_loadgen.json)")
+		out          = fs.String("out", "", "write the LoadgenResult JSON here (e.g. loadgen.json)")
 		metricsOut   = fs.String("metrics-out", "", "write the tier's Prometheus text exposition here after the run (validated before writing)")
 		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile of the run here (go tool pprof)")
 		memProfile   = fs.String("memprofile", "", "write an allocation profile here when the run ends (go tool pprof -sample_index=alloc_space)")

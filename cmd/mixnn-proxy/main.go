@@ -22,8 +22,7 @@
 // dispatcher with bounded retry (-retry caps the backoff), so a
 // downstream outage neither blocks ingress nor loses updates. With
 // -outbox-dir the outbox is a sealed on-disk queue and delivery also
-// survives proxy restarts; -batch=false falls back to one POST per
-// update for pre-batch downstreams:
+// survives proxy restarts:
 //
 //	mixnn-proxy -listen :8441 -round-size 8 -k 4 -shards 2 \
 //	    -outbox-dir proxy.outbox -fuse-file proxy.fuse -retry 5s
@@ -101,8 +100,6 @@ func run(args []string) error {
 		stateFile    = fs.String("state-file", "", "sealed tier state: restored at startup if present, written on SIGINT/SIGTERM")
 		fuseFile     = fs.String("fuse-file", "", "platform fuse-secret file (created if missing); required for -state-file/-outbox-dir restores across process restarts")
 		outboxDir    = fs.String("outbox-dir", "", "sealed delivery outbox directory: drained rounds are committed here before forwarding and survive restarts (requires -fuse-file); empty = in-memory queue")
-		batch        = fs.Bool("batch", true, "coalesce each drained round into one /v1/batch POST; false = one POST per update for pre-batch downstreams")
-		legacyMix    = fs.Bool("legacy-mix", false, "run the shards on the legacy per-tensor mixer storage instead of pooled slab storage (same mixing output; escape hatch)")
 		retry        = fs.Duration("retry", 5*time.Second, "maximum delivery retry backoff per destination lane (jittered)")
 		workers      = fs.Int("delivery-workers", outbox.DefaultWorkers, "destination lanes delivered concurrently; a dead peer stalls only its own lane")
 		deliveryTO   = fs.Duration("delivery-timeout", outbox.DefaultAttemptTimeout, "per-attempt delivery timeout (raised to -retry if set lower)")
@@ -146,19 +143,17 @@ func run(args []string) error {
 		return err
 	}
 	cfg := proxy.ShardedConfig{
-		Upstream:      *upstream,
-		Shards:        *shards,
-		Routing:       mode,
-		DedupWindow:   *dedupWindow,
-		K:             *k,
-		RoundSize:     *roundSize,
-		MaxHops:       *maxHops,
-		Seed:          *seed,
-		HopSecret:     *hopSecret,
-		NextHopSecret: *nextHopSec,
+		Upstream:        *upstream,
+		Shards:          *shards,
+		Routing:         mode,
+		DedupWindow:     *dedupWindow,
+		K:               *k,
+		RoundSize:       *roundSize,
+		MaxHops:         *maxHops,
+		Seed:            *seed,
+		HopSecret:       *hopSecret,
+		NextHopSecret:   *nextHopSec,
 		OutboxDir:       *outboxDir,
-		NoBatch:         !*batch,
-		LegacyMix:       *legacyMix,
 		RetryMax:        *retry,
 		DeliveryWorkers: *workers,
 		DeliveryTimeout: *deliveryTO,

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -237,59 +238,6 @@ func TestShardedStateLedgersAndPendingRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRestoreShardedStateReadsV1 pins upgrade compatibility: a blob in
-// the PR 2 (version 1) layout — no per-shard ledgers, no pending
-// section — still restores, so upgrading the binary does not strand a
-// sealed mid-round.
-func TestRestoreShardedStateReadsV1(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	tier := newTier(t, 2, 2)
-	feedTier(t, tier, makeUpdates(3, 2, rng))
-
-	var v1 bytes.Buffer
-	v1.WriteString("MXSH")
-	for _, v := range []uint32{1, 2} { // version 1, 2 shards
-		binary.Write(&v1, binary.LittleEndian, v)
-	}
-	v1.WriteByte(byte(RoutingHashRR))
-	for _, v := range []uint32{3, 3, 5, 0} { // rr, inRound, rounds, hopMark
-		binary.Write(&v1, binary.LittleEndian, v)
-	}
-	for _, v := range []uint64{3, 0, 0} { // received, hopReceived, forwarded
-		binary.Write(&v1, binary.LittleEndian, v)
-	}
-	for _, m := range tier {
-		section, err := marshalSection(m.SnapshotEntries())
-		if err != nil {
-			t.Fatal(err)
-		}
-		binary.Write(&v1, binary.LittleEndian, uint32(len(section)))
-		v1.Write(section)
-	}
-
-	if rounds, err := ShardedStateRounds(v1.Bytes()); err != nil || rounds != 5 {
-		t.Fatalf("ShardedStateRounds on v1 = %d, %v; want 5, nil", rounds, err)
-	}
-	fresh := newTier(t, 2, 2)
-	meta, err := RestoreShardedState(v1.Bytes(), fresh, nil)
-	if err != nil {
-		t.Fatalf("v1 blob no longer restores: %v", err)
-	}
-	if meta.Rounds != 5 || meta.InRound != 3 || meta.Received != 3 {
-		t.Fatalf("v1 ledger = %+v", meta)
-	}
-	if meta.ShardReceived != nil || meta.Pending != nil {
-		t.Fatalf("v1 blob restored phantom v2 fields: %+v", meta)
-	}
-	buffered := 0
-	for _, m := range fresh {
-		buffered += m.Buffered()
-	}
-	if buffered != 3 {
-		t.Fatalf("v1 restore buffered %d, want 3", buffered)
-	}
-}
-
 func TestRestoreShardedStateRejects(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	tier := newTier(t, 2, 2)
@@ -317,6 +265,27 @@ func TestRestoreShardedStateRejects(t *testing.T) {
 		bad[4] = 0xFE
 		if _, err := RestoreShardedState(bad, fresh(), nil); err == nil {
 			t.Fatal("future version accepted")
+		}
+	})
+	t.Run("retired versions", func(t *testing.T) {
+		// Versions 1–3 are answered by name — the version found and the
+		// version wanted — by the restore and by both header peeks.
+		for v := byte(1); v <= 3; v++ {
+			old := append([]byte(nil), blob...)
+			old[4] = v
+			_, rerr := RestoreShardedState(old, fresh(), nil)
+			_, perr := ShardedStateRounds(old)
+			_, terr := ShardedStateTopo(old)
+			for _, err := range []error{rerr, perr, terr} {
+				if err == nil {
+					t.Fatalf("version %d accepted", v)
+				}
+				for _, want := range []string{fmt.Sprintf("version %d is no longer supported", v), "want 4", "release that sealed it"} {
+					if !strings.Contains(err.Error(), want) {
+						t.Fatalf("version %d: err = %v, want it to mention %q", v, err, want)
+					}
+				}
+			}
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
@@ -359,8 +328,10 @@ func TestRestoreShardedStateRejects(t *testing.T) {
 		for i := 0; i < 2; i++ { // shard 0 ledger
 			binary.Write(&forged, binary.LittleEndian, uint64(0))
 		}
-		// Forge the pending-section length (the first length-prefixed
-		// section of a v2 blob).
+		binary.Write(&forged, binary.LittleEndian, uint32(0)) // shard 0 load
+		binary.Write(&forged, binary.LittleEndian, uint32(0)) // no topology
+		// Forge the trust-section length (the first length-prefixed
+		// section).
 		binary.Write(&forged, binary.LittleEndian, uint32(maxSectionBytes-1))
 		if _, err := RestoreShardedState(forged.Bytes(), fresh(), nil); err == nil {
 			t.Fatal("forged oversized section length accepted")
@@ -504,7 +475,7 @@ func TestShardedStateV3TopoAndLoads(t *testing.T) {
 	if _, err := SealShardedState(tier, ShardedStateMeta{ShardLoad: []int{1}}, nil); err == nil {
 		t.Fatal("mismatched shard-load length accepted")
 	}
-	// ShardedStateTopo rejects garbage and pre-v3 blobs gracefully.
+	// ShardedStateTopo rejects garbage gracefully.
 	if _, err := ShardedStateTopo([]byte("garbage")); err == nil {
 		t.Fatal("garbage accepted by topo peek")
 	}

@@ -71,8 +71,7 @@ type LoadgenConfig struct {
 	MetricsOut string
 }
 
-// LoadgenResult is the measured outcome, serialised as
-// BENCH_loadgen.json by cmd/loadgen.
+// LoadgenResult is the measured outcome, serialised by cmd/loadgen -out.
 type LoadgenResult struct {
 	Bench        string `json:"bench"`
 	Participants int    `json:"participants"`

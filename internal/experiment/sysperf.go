@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"time"
 
+	"mixnn/internal/client"
 	"mixnn/internal/enclave"
 	"mixnn/internal/nn"
 	"mixnn/internal/proxy"
@@ -59,7 +60,7 @@ func RunSystemPerf(modelName string, arch nn.Arch, participants, k int, seed int
 	aggSrv := httptest.NewServer(agg.Handler())
 	defer aggSrv.Close()
 
-	px, err := proxy.New(proxy.Config{Upstream: aggSrv.URL, K: k, RoundSize: participants, Seed: seed}, encl, platform)
+	px, err := proxy.NewSharded(proxy.ShardedConfig{Upstream: aggSrv.URL, K: k, RoundSize: participants, Seed: seed}, encl, platform)
 	if err != nil {
 		return PerfResult{}, err
 	}
@@ -70,7 +71,10 @@ func RunSystemPerf(modelName string, arch nn.Arch, participants, k int, seed int
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 
-	part := proxy.NewParticipant(pxSrv.URL, aggSrv.URL, nil)
+	part, err := client.New(client.Config{Proxies: []string{pxSrv.URL}, Server: aggSrv.URL})
+	if err != nil {
+		return PerfResult{}, err
+	}
 	if err := part.Attest(ctx, platform.AttestationPublicKey(), encl.Measurement()); err != nil {
 		return PerfResult{}, err
 	}
@@ -93,7 +97,7 @@ func RunSystemPerf(modelName string, arch nn.Arch, participants, k int, seed int
 	return PerfResult{
 		Model:            modelName,
 		Participants:     participants,
-		K:                st.K,
+		K:                st.Shards[0].K,
 		UpdateBytes:      st.UpdateBytes,
 		DecryptMillis:    st.DecryptMillis,
 		StoreMillis:      st.StoreMillis,

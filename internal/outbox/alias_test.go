@@ -13,8 +13,8 @@ import (
 )
 
 // marshalV2 writes the version-2 entry format (count + items straight
-// after the destination), which no production code writes any more: it
-// stands in for entries an older binary left on disk.
+// after the destination), which no production code writes or reads any
+// more: it stands in for entries an older binary left on disk.
 func marshalV2(e Envelope) []byte {
 	var b bytes.Buffer
 	b.WriteString(envelopeMagic)
@@ -33,8 +33,8 @@ func marshalV2(e Envelope) []byte {
 }
 
 // referenceParse is the copying parser the aliasing ParseEnvelope is held
-// to: a bytes.Reader walk that copies every field out of data. It is the
-// pre-v3 production parser taught the v3 tail, kept as the oracle.
+// to: a bytes.Reader walk that copies every field out of data, kept as
+// the oracle.
 func referenceParse(data []byte) (*Envelope, error) {
 	r := bytes.NewReader(data)
 	var magic [4]byte
@@ -44,7 +44,7 @@ func referenceParse(data []byte) (*Envelope, error) {
 	var version, hop, count uint32
 	var destLen uint16
 	env := &Envelope{}
-	if err := binary.Read(r, binary.LittleEndian, &version); err != nil || (version != 2 && version != 3) {
+	if err := binary.Read(r, binary.LittleEndian, &version); err != nil || version != 3 {
 		return nil, fmt.Errorf("bad version")
 	}
 	for _, f := range []any{&env.Epoch, &env.TopoVersion, &hop, &destLen} {
@@ -60,11 +60,9 @@ func referenceParse(data []byte) (*Envelope, error) {
 	io.ReadFull(r, dest)
 	env.Dest = string(dest)
 	tail := len(data) - r.Len()
-	if version == 3 {
-		var bm [5]byte
-		if _, err := io.ReadFull(r, bm[:]); err != nil || string(bm[:4]) != "MXBE" || bm[4] != 1 {
-			return nil, fmt.Errorf("bad tail")
-		}
+	var bm [5]byte
+	if _, err := io.ReadFull(r, bm[:]); err != nil || string(bm[:4]) != "MXBE" || bm[4] != 1 {
+		return nil, fmt.Errorf("bad tail")
 	}
 	if err := binary.Read(r, binary.LittleEndian, &count); err != nil || count > maxEnvelopeUpdates {
 		return nil, fmt.Errorf("bad count")
@@ -84,7 +82,7 @@ func referenceParse(data []byte) (*Envelope, error) {
 	if r.Len() != 0 {
 		return nil, fmt.Errorf("trailing bytes")
 	}
-	if version == 3 && count > 0 {
+	if count > 0 {
 		env.Batch = append([]byte(nil), data[tail:]...)
 	}
 	return env, nil
@@ -138,7 +136,7 @@ func checkAlias(t *testing.T, data []byte) {
 	if got.Batch == nil {
 		return
 	}
-	// A v3 tail IS the batch body: the wire decoder must read the same
+	// The tail IS the batch body: the wire decoder must read the same
 	// items out of it that the entry parser did.
 	be, err := wire.DecodeBatchEnvelope(got.Batch)
 	if err != nil {
@@ -188,9 +186,9 @@ func FuzzEnvelopeAlias(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { checkAlias(t, data) })
 }
 
-// TestDeliveryEnvelopeVersions pins the formats read: v3 (written), v2
-// (left on disk by the previous release) and nothing else — v1 is
-// rejected by name, so an operator sees what to do with the entry.
+// TestDeliveryEnvelopeVersions pins the one format written and read (v3)
+// and that the retired ones are refused by name — the version found and
+// the version wanted — so an operator sees what to do with the entry.
 func TestDeliveryEnvelopeVersions(t *testing.T) {
 	env := Envelope{Epoch: 9, Hop: 2, Dest: "loop://relay", Updates: [][]byte{[]byte("hello")}}
 	v3, err := env.Marshal()
@@ -200,16 +198,6 @@ func TestDeliveryEnvelopeVersions(t *testing.T) {
 	if v := binary.LittleEndian.Uint32(v3[4:]); v != EnvelopeVersion || EnvelopeVersion != 3 {
 		t.Fatalf("Marshal wrote version %d", v)
 	}
-	got, err := ParseEnvelope(marshalV2(env))
-	if err != nil {
-		t.Fatalf("v2 entry rejected: %v", err)
-	}
-	if got.Epoch != 9 || got.Hop != 2 || got.Dest != env.Dest || string(got.Updates[0]) != "hello" || got.Batch != nil {
-		t.Fatalf("v2 parsed = %+v", got)
-	}
-	if LaneOf(marshalV2(env)) != env.Dest {
-		t.Fatal("v2 entry lost its lane")
-	}
 	var v1 bytes.Buffer
 	v1.WriteString("MXOB")
 	binary.Write(&v1, binary.LittleEndian, uint32(1)) // version 1
@@ -218,8 +206,19 @@ func TestDeliveryEnvelopeVersions(t *testing.T) {
 	binary.Write(&v1, binary.LittleEndian, uint32(1)) // count
 	binary.Write(&v1, binary.LittleEndian, uint32(5))
 	v1.WriteString("hello")
-	if _, err := ParseEnvelope(v1.Bytes()); err == nil || !strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("v1 entry: err = %v, want a version-1 rejection", err)
+	for version, old := range map[int][]byte{1: v1.Bytes(), 2: marshalV2(env)} {
+		_, err := ParseEnvelope(old)
+		if err == nil {
+			t.Fatalf("v%d entry accepted", version)
+		}
+		for _, want := range []string{fmt.Sprintf("entry version %d", version), "want 3", "release that wrote it"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("v%d entry: err = %v, want it to mention %q", version, err, want)
+			}
+		}
+		if LaneOf(old) != "" {
+			t.Fatalf("v%d entry was steered to a lane", version)
+		}
 	}
 }
 

@@ -68,7 +68,7 @@ func TestDeliveryLaneQueueOrderAndRebuild(t *testing.T) {
 			t.Fatalf("Lanes() = %v, want %v", gotLanes, wantLanes)
 		}
 	}
-	if n := q.LaneLen("peer-a"); n != 2 {
+	if n := q.LaneLens()["peer-a"]; n != 2 {
 		t.Fatalf("LaneLen(peer-a) = %d, want 2", n)
 	}
 	// NextIn must return peer-a's entries in Put order without consuming
@@ -111,10 +111,10 @@ func TestDeliveryLaneQueueOrderAndRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := q2.LaneLen("peer-a"); n != 0 {
+	if n := q2.LaneLens()["peer-a"]; n != 0 {
 		t.Fatalf("reopened LaneLen(peer-a) = %d, want 0", n)
 	}
-	if n := q2.LaneLen(""); n != 3 {
+	if n := q2.LaneLens()[""]; n != 3 {
 		t.Fatalf("reopened LaneLen(\"\") = %d, want 3", n)
 	}
 	if seq, _, err := q2.NextIn("peer-b"); err != nil || seq != seqs[3] {
@@ -198,7 +198,7 @@ func TestDeliveryDispatcherLaneIsolation(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if n := q.LaneLen("dead-peer"); n != 3 {
+	if n := q.LaneLens()["dead-peer"]; n != 3 {
 		t.Fatalf("dead lane holds %d entries, want 3", n)
 	}
 	var deadStat *LaneStat

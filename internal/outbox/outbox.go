@@ -43,14 +43,14 @@ type SealFunc func(plain []byte) ([]byte, error)
 // OpenFunc reverses SealFunc.
 type OpenFunc func(sealed []byte) ([]byte, error)
 
-// ErrEmpty is returned by Next when no deliverable entry remains.
+// ErrEmpty is returned by NextIn when the lane holds no deliverable entry.
 var ErrEmpty = errors.New("outbox: empty")
 
 // Queue is the delivery queue contract shared by the durable on-disk
-// outbox and the in-memory variant: per-destination-ordered Put/Next/Ack
-// with quarantine for undeliverable entries, partial-delivery progress
-// for per-update (NoBatch) forwarding, and a stable sender identity for
-// receiver-side redelivery detection.
+// outbox and the in-memory variant: per-destination-ordered Put/NextIn/Ack
+// with quarantine for undeliverable entries and a stable sender identity
+// for receiver-side redelivery detection. An entry is delivered whole —
+// one batch — or not at all; there is no partial-delivery state.
 //
 // Entries are partitioned into lanes keyed by the envelope destination
 // (LaneOf), so a dead peer's backlog never blocks deliveries bound for
@@ -62,25 +62,18 @@ type Queue interface {
 	// before Put returns. The entry joins the lane named by its envelope
 	// destination (LaneOf of the plaintext payload).
 	Put(payload []byte) (uint64, error)
-	// Next returns the oldest entry across all lanes, opened. Corrupt or
+	// NextIn returns the oldest entry of one lane, opened. Corrupt or
 	// unopenable entries are quarantined and skipped so one bad entry
-	// cannot wedge the queue. ErrEmpty when drained.
-	Next() (uint64, []byte, error)
-	// NextIn returns the oldest entry of one lane, with the same
-	// quarantine-and-skip behaviour as Next. ErrEmpty when the lane is
-	// drained.
+	// cannot wedge the lane. ErrEmpty when the lane is drained.
 	NextIn(lane string) (uint64, []byte, error)
 	// Lanes lists the lanes that currently hold pending entries, sorted.
 	Lanes() []string
-	// LaneLen counts entries awaiting delivery in one lane.
-	LaneLen(lane string) int
 	// LaneLens counts every lane's pending entries in ONE consistent
 	// snapshot (a single lock acquisition), so the per-lane depths sum
-	// to the queue's total at that instant. Status surfaces polled
-	// under load use it instead of Lanes+LaneLen, whose per-lane reads
-	// each race the dispatcher's acks.
+	// to the queue's total at that instant — per-lane reads would each
+	// race the dispatcher's acks.
 	LaneLens() map[string]int
-	// Ack consumes a delivered entry (and its progress marker).
+	// Ack consumes a delivered entry.
 	Ack(seq uint64) error
 	// Quarantine sets aside an entry the receiver permanently rejected.
 	Quarantine(seq uint64, reason error) error
@@ -91,12 +84,6 @@ type Queue interface {
 	// behind — the operator surface for material that left the delivery
 	// path.
 	Quarantined() int
-	// SetProgress durably records that the first done updates of entry
-	// seq are confirmed delivered, so per-update forwarding resumes
-	// after a crash instead of resending the round.
-	SetProgress(seq uint64, done int) error
-	// Progress returns the recorded progress of entry seq (0 if none).
-	Progress(seq uint64) int
 	// SenderID is a stable identity for this queue (persisted alongside
 	// the disk queue, ephemeral for the in-memory one). Receivers use it
 	// with the entry sequence number to recognise stale redeliveries
@@ -109,21 +96,19 @@ type Queue interface {
 // format can evolve:
 //
 //	magic   [4]byte "MXOB"
-//	version uint32 (currently 3)
+//	version uint32 (3 — the only version written or read)
 //	epoch   uint64  round number the material belongs to
 //	topoVer uint64  routing-plane topology version the round closed
 //	                under — the epoch+topology key delivery is tracked by
 //	hop     uint32  cascade depth to stamp on delivery (watermark + 1)
 //	destLen uint16, dest bytes: remote-shard address this entry is
 //	                addressed to; empty = the tier's upstream/next-hop
-//	v3 tail — a complete wire.BatchEnvelope body, so the /v1/batch request
+//	tail — a complete wire.BatchEnvelope body, so the /v1/batch request
 //	body is a sub-slice of the entry instead of a re-encoded copy:
 //	  magic   [4]byte "MXBE"
 //	  version uint8 (1)
 //	  count   uint32  updates in the round
 //	  per update: len uint32, bytes (an encoded nn.ParamSet — opaque here)
-//	v2 tail (entries an older binary left on disk; still read, never
-//	written): count uint32, then per update len uint32, bytes
 //
 // Ownership: an entry's bytes are IMMUTABLE from Put to Ack. The parsed
 // Updates and Batch alias the payload handed to ParseEnvelope, the
@@ -139,20 +124,19 @@ type Envelope struct {
 	// ordinary downstream (upstream server or cascade next hop).
 	Dest    string
 	Updates [][]byte
-	// Batch is the entry's tail when it already is the complete
-	// wire.BatchEnvelope body of Updates (v3 entries; it aliases the
-	// parsed payload). nil for a v2 entry, or for an empty one — a batch
-	// envelope cannot be empty — and the sender then encodes the body.
-	// Marshal ignores it.
+	// Batch is the entry's tail: the complete wire.BatchEnvelope body of
+	// Updates, aliasing the parsed payload — the /v1/batch request body as
+	// it stands. nil only for an entry without updates (a batch envelope
+	// cannot be empty; nothing is sent for one). Marshal ignores it.
 	Batch []byte
 }
 
 const (
 	envelopeMagic = "MXOB"
 
-	// EnvelopeVersion is the entry format Marshal and EntryBuilder write;
-	// ParseEnvelope also reads version 2 (entries a pre-v3 proxy left on
-	// disk). Version 1 (pre-routing-plane) is no longer read.
+	// EnvelopeVersion is the entry format Marshal and EntryBuilder write
+	// and the only one ParseEnvelope reads; versions 1 and 2 are refused
+	// by name (parseHeader).
 	EnvelopeVersion = 3
 
 	// maxEnvelopeUpdates bounds the updates one entry may claim (entries
@@ -167,7 +151,7 @@ const (
 	// destLen; the destination follows it.
 	envelopeFixedHeader = 4 + 4 + 8 + 8 + 4 + 2
 	// batchMagic/batchVersion/batchHeader restate wire.BatchEnvelope's
-	// framing (magic, version, count): the v3 tail must BE that body, and
+	// framing (magic, version, count): the entry tail must BE that body, and
 	// FuzzEnvelopeAlias holds the two packages to it.
 	batchMagic   = "MXBE"
 	batchVersion = 1
@@ -267,24 +251,24 @@ func (e *Envelope) Marshal() ([]byte, error) {
 }
 
 // parseHeader decodes an entry's header (magic through dest) by offset
-// arithmetic and returns it with the entry version and the offset the
-// tail starts at. dest aliases data.
-func parseHeader(data []byte) (env Envelope, dest []byte, version uint32, off int, err error) {
+// arithmetic and returns it with the offset the tail starts at. dest
+// aliases data.
+func parseHeader(data []byte) (env Envelope, dest []byte, off int, err error) {
 	if len(data) < 4 || string(data[:4]) != envelopeMagic {
-		return env, nil, 0, 0, fmt.Errorf("outbox: bad entry magic %q", data[:min(len(data), 4)])
+		return env, nil, 0, fmt.Errorf("outbox: bad entry magic %q", data[:min(len(data), 4)])
 	}
 	if len(data) < 8 {
-		return env, nil, 0, 0, fmt.Errorf("outbox: entry truncated before its version")
+		return env, nil, 0, fmt.Errorf("outbox: entry truncated before its version")
 	}
-	version = binary.LittleEndian.Uint32(data[4:])
-	if version == 1 {
-		return env, nil, 0, 0, fmt.Errorf("outbox: entry version 1 (written by a pre-topology proxy) is no longer supported; deliver it with the release that wrote it")
-	}
-	if version != 2 && version != EnvelopeVersion {
-		return env, nil, 0, 0, fmt.Errorf("outbox: entry version %d, want 2 or %d", version, EnvelopeVersion)
+	switch version := binary.LittleEndian.Uint32(data[4:]); version {
+	case EnvelopeVersion:
+	case 1, 2:
+		return env, nil, 0, fmt.Errorf("outbox: entry version %d is no longer supported, want %d; finish it with the release that wrote it", version, EnvelopeVersion)
+	default:
+		return env, nil, 0, fmt.Errorf("outbox: entry version %d, want %d", version, EnvelopeVersion)
 	}
 	if len(data) < envelopeFixedHeader {
-		return env, nil, 0, 0, fmt.Errorf("outbox: entry truncated inside its header")
+		return env, nil, 0, fmt.Errorf("outbox: entry truncated inside its header")
 	}
 	env.Epoch = binary.LittleEndian.Uint64(data[8:])
 	env.TopoVersion = binary.LittleEndian.Uint64(data[16:])
@@ -292,33 +276,29 @@ func parseHeader(data []byte) (env Envelope, dest []byte, version uint32, off in
 	destLen := int(binary.LittleEndian.Uint16(data[28:]))
 	off = envelopeFixedHeader
 	if destLen > maxEnvelopeDestBytes || destLen > len(data)-off {
-		return env, nil, 0, 0, fmt.Errorf("outbox: destination length %d out of range", destLen)
+		return env, nil, 0, fmt.Errorf("outbox: destination length %d out of range", destLen)
 	}
-	return env, data[off : off+destLen], version, off + destLen, nil
+	return env, data[off : off+destLen], off + destLen, nil
 }
 
-// ParseEnvelope decodes an entry payload of version 2 or 3, validating
+// ParseEnvelope decodes an entry payload (version 3 only), validating
 // structure before allocating. The result ALIASES data — Updates and
 // Batch are sub-slices of it, not copies — so data must stay unmodified
 // for as long as the envelope is in use (see Envelope). The only
 // allocations are the envelope, its destination string and one slice of
 // update headers.
 func ParseEnvelope(data []byte) (*Envelope, error) {
-	hdr, dest, version, off, err := parseHeader(data)
+	hdr, dest, off, err := parseHeader(data)
 	if err != nil {
 		return nil, err
 	}
 	env := &hdr
 	env.Dest = string(dest)
 	tail := off
-	if version >= 3 {
-		if len(data)-off < batchHeader || string(data[off:off+4]) != batchMagic || data[off+4] != batchVersion {
-			return nil, fmt.Errorf("outbox: entry tail is not a version-%d batch body", batchVersion)
-		}
-		off += 5
-	} else if len(data)-off < 4 {
-		return nil, fmt.Errorf("outbox: entry truncated before its update count")
+	if len(data)-off < batchHeader || string(data[off:off+4]) != batchMagic || data[off+4] != batchVersion {
+		return nil, fmt.Errorf("outbox: entry tail is not a version-%d batch body", batchVersion)
 	}
+	off += 5
 	count := binary.LittleEndian.Uint32(data[off:])
 	off += 4
 	// Each update needs at least its length prefix, so a count the entry
@@ -344,7 +324,7 @@ func ParseEnvelope(data []byte) (*Envelope, error) {
 	if off != len(data) {
 		return nil, fmt.Errorf("outbox: %d trailing bytes after entry", len(data)-off)
 	}
-	if version >= 3 && count > 0 {
+	if count > 0 {
 		env.Batch = data[tail:len(data):len(data)]
 	}
 	return env, nil
@@ -357,7 +337,7 @@ func ParseEnvelope(data []byte) (*Envelope, error) {
 // ordinary downstream — where delivery (not lane indexing) decides
 // whether to quarantine them.
 func LaneOf(payload []byte) string {
-	_, dest, _, _, err := parseHeader(payload)
+	_, dest, _, err := parseHeader(payload)
 	if err != nil {
 		return ""
 	}
@@ -372,8 +352,7 @@ type Disk struct {
 	sender string
 
 	mu   sync.Mutex
-	seqs []uint64 // pending sequence numbers, sorted ascending
-	next uint64   // next sequence number to assign
+	next uint64 // next sequence number to assign
 	// laneOf maps each pending seq to its delivery lane; lanes holds the
 	// per-lane pending seqs, sorted ascending. Both are derived from the
 	// envelope headers: recorded at Put, rebuilt at Open.
@@ -387,9 +366,6 @@ type Disk struct {
 	// quarantined counts entries set aside: .bad files found at Open
 	// plus quarantines since.
 	quarantined int
-	// progress maps entry seq → confirmed per-update delivery progress,
-	// mirrored to .prog sidecar files so it survives restarts.
-	progress map[uint64]int
 }
 
 // headCache is one lane's memoised head entry.
@@ -401,7 +377,6 @@ type headCache struct {
 const (
 	entrySuffix      = ".ent"
 	quarantineSuffix = ".bad"
-	progressSuffix   = ".prog"
 	senderFile       = "sender.id"
 	// seqFile persists the next sequence number. The sender identity is
 	// durable, and receivers key their stale-redelivery watermark on
@@ -418,6 +393,11 @@ func entryName(seq uint64) string { return fmt.Sprintf("ob-%016x%s", seq, entryS
 // round delivery survive a crash. Quarantined (.bad) leftovers are
 // counted and reported loudly: they are rounds that left the delivery
 // path and need an operator.
+//
+// A directory holding a per-update progress marker (.prog, written by a
+// release that still forwarded update by update) is refused: its entry
+// was partly delivered, and this release sends entries whole, which would
+// count the confirmed updates twice.
 func Open(dir string, seal SealFunc, open OpenFunc) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o700); err != nil {
 		return nil, fmt.Errorf("outbox: create dir: %w", err)
@@ -428,11 +408,11 @@ func Open(dir string, seal SealFunc, open OpenFunc) (*Disk, error) {
 	}
 	d := &Disk{
 		dir: dir, seal: seal, open: open,
-		progress: make(map[uint64]int),
-		laneOf:   make(map[uint64]string),
-		lanes:    make(map[string][]uint64),
-		heads:    make(map[string]headCache),
+		laneOf: make(map[uint64]string),
+		lanes:  make(map[string][]uint64),
+		heads:  make(map[string]headCache),
 	}
+	var seqs []uint64 // carried-over entries
 	for _, de := range names {
 		name := de.Name()
 		if strings.HasSuffix(name, quarantineSuffix) {
@@ -445,23 +425,8 @@ func Open(dir string, seal SealFunc, open OpenFunc) (*Disk, error) {
 			}
 			continue
 		}
-		if strings.HasSuffix(name, progressSuffix) {
-			var seq uint64
-			if _, err := fmt.Sscanf(name, "ob-%016x"+progressSuffix, &seq); err != nil || name != progressName(seq) {
-				continue
-			}
-			if seq >= d.next {
-				d.next = seq + 1
-			}
-			raw, err := os.ReadFile(filepath.Join(dir, name))
-			if err != nil {
-				continue
-			}
-			var done int
-			if _, err := fmt.Sscanf(string(raw), "%d", &done); err == nil && done > 0 {
-				d.progress[seq] = done
-			}
-			continue
+		if strings.HasSuffix(name, ".prog") {
+			return nil, fmt.Errorf("outbox: %s holds the per-update delivery marker %s: its entry was partly delivered update by update, and delivering it whole would count the confirmed updates twice; finish it with the release that wrote it", dir, name)
 		}
 		var seq uint64
 		// Sscanf ignores trailing input, so require an exact round-trip of
@@ -470,20 +435,12 @@ func Open(dir string, seal SealFunc, open OpenFunc) (*Disk, error) {
 		if _, err := fmt.Sscanf(name, "ob-%016x"+entrySuffix, &seq); err != nil || name != entryName(seq) {
 			continue // tmp files, foreign files
 		}
-		d.seqs = append(d.seqs, seq)
+		seqs = append(seqs, seq)
 		if seq >= d.next {
 			d.next = seq + 1
 		}
 	}
-	sort.Slice(d.seqs, func(i, j int) bool { return d.seqs[i] < d.seqs[j] })
-	// Orphaned progress markers (their entry was acked or quarantined
-	// mid-crash) must not survive to claim progress on a recycled seq.
-	for seq := range d.progress {
-		if !d.hasSeqLocked(seq) {
-			delete(d.progress, seq)
-			os.Remove(filepath.Join(dir, progressName(seq)))
-		}
-	}
+	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	// The persisted counter wins over anything derived from surviving
 	// files: acknowledged entries leave no .ent witness, but their
 	// sequence numbers are burned at the receivers.
@@ -499,7 +456,7 @@ func Open(dir string, seal SealFunc, open OpenFunc) (*Disk, error) {
 	// quarantined now instead of wedging a lane later; the opened payloads
 	// are NOT retained (a restart after a long outage could hold many
 	// rounds) — only the lane label is.
-	for _, seq := range append([]uint64(nil), d.seqs...) {
+	for _, seq := range seqs {
 		raw, rerr := os.ReadFile(filepath.Join(dir, entryName(seq)))
 		if rerr == nil && d.open != nil {
 			raw, rerr = d.open(raw)
@@ -519,13 +476,6 @@ func Open(dir string, seal SealFunc, open OpenFunc) (*Disk, error) {
 		log.Printf("outbox: WARNING: %d quarantined entries (%s files) in %s — rounds that left the delivery path; inspect and re-inject or discard", d.quarantined, quarantineSuffix, dir)
 	}
 	return d, nil
-}
-
-func progressName(seq uint64) string { return fmt.Sprintf("ob-%016x%s", seq, progressSuffix) }
-
-func (d *Disk) hasSeqLocked(seq uint64) bool {
-	i := sort.Search(len(d.seqs), func(i int) bool { return d.seqs[i] >= seq })
-	return i < len(d.seqs) && d.seqs[i] == seq
 }
 
 // loadSenderID reads (or mints) the queue's stable sender identity.
@@ -592,32 +542,14 @@ func (d *Disk) Put(payload []byte) (uint64, error) {
 		return 0, fmt.Errorf("outbox: commit entry: %w", err)
 	}
 	d.next = seq + 1
-	d.seqs = append(d.seqs, seq)
 	d.laneOf[seq] = lane
 	d.lanes[lane] = append(d.lanes[lane], seq)
 	return seq, nil
 }
 
-// Next returns the oldest entry across all lanes, opened. Entries that
-// fail to read or unseal are quarantined and skipped, so the queue drains
-// past garbage a corrupted disk (or an adversarial host) left in the
-// directory.
-func (d *Disk) Next() (uint64, []byte, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for len(d.seqs) > 0 {
-		// The globally-oldest entry is also the head of its own lane.
-		seq, payload, err := d.nextInLocked(d.laneOf[d.seqs[0]])
-		if errors.Is(err, ErrEmpty) {
-			continue
-		}
-		return seq, payload, err
-	}
-	return 0, nil, ErrEmpty
-}
-
-// NextIn returns the oldest entry of one lane, opened, with the same
-// quarantine-and-skip behaviour as Next.
+// NextIn returns the oldest entry of one lane, opened. Entries that fail
+// to read or unseal are quarantined and skipped, so the lane drains past
+// garbage a corrupted disk (or an adversarial host) left in the directory.
 func (d *Disk) NextIn(lane string) (uint64, []byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -658,13 +590,6 @@ func (d *Disk) Lanes() []string {
 	return out
 }
 
-// LaneLen counts entries awaiting delivery in one lane.
-func (d *Disk) LaneLen(lane string) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.lanes[lane])
-}
-
 // LaneLens snapshots every lane's depth under one lock acquisition.
 func (d *Disk) LaneLens() map[string]int {
 	d.mu.Lock()
@@ -678,7 +603,7 @@ func (d *Disk) LaneLens() map[string]int {
 	return out
 }
 
-// Ack consumes a delivered entry and its progress marker.
+// Ack consumes a delivered entry.
 func (d *Disk) Ack(seq uint64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -687,36 +612,6 @@ func (d *Disk) Ack(seq uint64) error {
 		return fmt.Errorf("outbox: ack entry %d: %w", seq, err)
 	}
 	return nil
-}
-
-// SetProgress durably records per-update delivery progress for entry seq
-// (tmp + rename, like entries, so a crash mid-write leaves the previous
-// marker intact). Progress is a plain counter, not round material, so it
-// is stored in plaintext.
-func (d *Disk) SetProgress(seq uint64, done int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if done <= 0 {
-		return nil
-	}
-	path := filepath.Join(d.dir, progressName(seq))
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(fmt.Sprintf("%d\n", done)), 0o600); err != nil {
-		return fmt.Errorf("outbox: write progress: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("outbox: commit progress: %w", err)
-	}
-	d.progress[seq] = done
-	return nil
-}
-
-// Progress returns the recorded delivery progress of entry seq.
-func (d *Disk) Progress(seq uint64) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.progress[seq]
 }
 
 // SenderID returns the queue's persisted sender identity.
@@ -751,30 +646,21 @@ func (d *Disk) quarantineLocked(seq uint64) {
 
 func (d *Disk) dropLocked(seq uint64) {
 	lane, tracked := d.laneOf[seq]
-	if tracked {
-		if h, ok := d.heads[lane]; ok && h.seq == seq {
-			delete(d.heads, lane)
-		}
-		delete(d.laneOf, seq)
-		for i, s := range d.lanes[lane] {
-			if s == seq {
-				d.lanes[lane] = append(d.lanes[lane][:i], d.lanes[lane][i+1:]...)
-				break
-			}
-		}
-		if len(d.lanes[lane]) == 0 {
-			delete(d.lanes, lane)
-		}
+	if !tracked {
+		return
 	}
-	if _, ok := d.progress[seq]; ok {
-		delete(d.progress, seq)
-		os.Remove(filepath.Join(d.dir, progressName(seq)))
+	if h, ok := d.heads[lane]; ok && h.seq == seq {
+		delete(d.heads, lane)
 	}
-	for i, s := range d.seqs {
+	delete(d.laneOf, seq)
+	for i, s := range d.lanes[lane] {
 		if s == seq {
-			d.seqs = append(d.seqs[:i], d.seqs[i+1:]...)
-			return
+			d.lanes[lane] = append(d.lanes[lane][:i], d.lanes[lane][i+1:]...)
+			break
 		}
+	}
+	if len(d.lanes[lane]) == 0 {
+		delete(d.lanes, lane)
 	}
 }
 
@@ -782,7 +668,7 @@ func (d *Disk) dropLocked(seq uint64) {
 func (d *Disk) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.seqs)
+	return len(d.laneOf)
 }
 
 // Memory is the in-memory queue used when no outbox directory is
@@ -793,12 +679,10 @@ type Memory struct {
 
 	mu          sync.Mutex
 	entries     map[uint64][]byte
-	seqs        []uint64
 	next        uint64
 	laneOf      map[uint64]string
 	lanes       map[string][]uint64
 	quarantined int
-	progress    map[uint64]int
 }
 
 // NewMemory builds an empty in-memory queue.
@@ -810,11 +694,10 @@ func NewMemory() *Memory {
 		id = ""
 	}
 	return &Memory{
-		entries:  make(map[uint64][]byte),
-		progress: make(map[uint64]int),
-		laneOf:   make(map[uint64]string),
-		lanes:    make(map[string][]uint64),
-		sender:   id,
+		entries: make(map[uint64][]byte),
+		laneOf:  make(map[uint64]string),
+		lanes:   make(map[string][]uint64),
+		sender:  id,
 	}
 }
 
@@ -826,21 +709,9 @@ func (m *Memory) Put(payload []byte) (uint64, error) {
 	seq := m.next
 	m.next++
 	m.entries[seq] = payload
-	m.seqs = append(m.seqs, seq)
 	m.laneOf[seq] = lane
 	m.lanes[lane] = append(m.lanes[lane], seq)
 	return seq, nil
-}
-
-// Next implements Queue.
-func (m *Memory) Next() (uint64, []byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.seqs) == 0 {
-		return 0, nil, ErrEmpty
-	}
-	seq := m.seqs[0]
-	return seq, m.entries[seq], nil
 }
 
 // NextIn implements Queue.
@@ -866,13 +737,6 @@ func (m *Memory) Lanes() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// LaneLen implements Queue.
-func (m *Memory) LaneLen(lane string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.lanes[lane])
 }
 
 // LaneLens implements Queue: every lane's depth under one lock
@@ -914,29 +778,11 @@ func (m *Memory) Quarantined() int {
 	return m.quarantined
 }
 
-// SetProgress implements Queue.
-func (m *Memory) SetProgress(seq uint64, done int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if done > 0 {
-		m.progress[seq] = done
-	}
-	return nil
-}
-
-// Progress implements Queue.
-func (m *Memory) Progress(seq uint64) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.progress[seq]
-}
-
 // SenderID implements Queue.
 func (m *Memory) SenderID() string { return m.sender }
 
 func (m *Memory) dropLocked(seq uint64) {
 	delete(m.entries, seq)
-	delete(m.progress, seq)
 	if lane, ok := m.laneOf[seq]; ok {
 		delete(m.laneOf, seq)
 		for i, s := range m.lanes[lane] {
@@ -949,17 +795,11 @@ func (m *Memory) dropLocked(seq uint64) {
 			delete(m.lanes, lane)
 		}
 	}
-	for i, s := range m.seqs {
-		if s == seq {
-			m.seqs = append(m.seqs[:i], m.seqs[i+1:]...)
-			return
-		}
-	}
 }
 
 // Len implements Queue.
 func (m *Memory) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.seqs)
+	return len(m.entries)
 }

@@ -109,7 +109,7 @@ func TestDeliveryDiskQueueOrderAndPersistence(t *testing.T) {
 	if q.Len() != 3 {
 		t.Fatalf("len = %d, want 3", q.Len())
 	}
-	seq, raw, err := q.Next()
+	seq, raw, err := q.NextIn("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,10 @@ func TestDeliveryDiskQueueOrderAndPersistence(t *testing.T) {
 	if q2.Len() != 2 {
 		t.Fatalf("reopened len = %d, want 2", q2.Len())
 	}
-	_, raw, err = q2.Next()
+	if id := q2.SenderID(); id == "" || id != q.SenderID() {
+		t.Fatalf("sender id changed across reopen: %q vs %q", id, q.SenderID())
+	}
+	_, raw, err = q2.NextIn("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +197,7 @@ func TestDeliveryDiskQueueGarbageRobustness(t *testing.T) {
 	}
 	var epochs []uint64
 	for {
-		seq, raw, err := q.Next()
+		seq, raw, err := q.NextIn("")
 		if errors.Is(err, ErrEmpty) {
 			break
 		}
@@ -332,63 +335,45 @@ func TestDeliveryEnvelopeDestTopoRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDeliveryProgressPersists pins the durable-progress contract:
-// SetProgress survives a queue reopen, and Ack/Quarantine clean it up.
-func TestDeliveryProgressPersists(t *testing.T) {
+// TestOpenRefusesProgressSidecar: a directory holding a per-update
+// delivery marker of a pre-batch release is refused — its entry was
+// partly delivered, and sending it whole would double-count — and opens
+// again once the marker is gone.
+func TestOpenRefusesProgressSidecar(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(dir, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq1, err := d.Put(testEnvelope(1, "a", "b", "c"))
+	seq, err := d.Put(testEnvelope(1, "a", "b", "c"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq2, err := d.Put(testEnvelope(2, "d"))
-	if err != nil {
+	marker := filepath.Join(dir, fmt.Sprintf("ob-%016x.prog", seq))
+	if err := os.WriteFile(marker, []byte("2\n"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.SetProgress(seq1, 2); err != nil {
+	_, err = Open(dir, nil, nil)
+	if err == nil {
+		t.Fatal("Open accepted a directory with a progress sidecar")
+	}
+	for _, want := range []string{filepath.Base(marker), "count the confirmed updates twice", "finish it with the release that wrote it"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("refusal %q does not mention %q", err, want)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, entryName(seq))); err != nil {
+		t.Fatalf("the refused open disturbed the entry: %v", err)
+	}
+	if err := os.Remove(marker); err != nil {
 		t.Fatal(err)
-	}
-	if got := d.Progress(seq1); got != 2 {
-		t.Fatalf("progress = %d, want 2", got)
-	}
-
-	// Reopen: the marker must come back; the sender id must be stable.
-	sender := d.SenderID()
-	if sender == "" {
-		t.Fatal("empty sender id")
 	}
 	d2, err := Open(dir, nil, nil)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("reopen without the marker: %v", err)
 	}
-	if got := d2.Progress(seq1); got != 2 {
-		t.Fatalf("progress after reopen = %d, want 2", got)
-	}
-	if d2.SenderID() != sender {
-		t.Fatalf("sender id changed across reopen: %q vs %q", d2.SenderID(), sender)
-	}
-	if err := d2.Ack(seq1); err != nil {
-		t.Fatal(err)
-	}
-	if got := d2.Progress(seq1); got != 0 {
-		t.Fatalf("progress survived ack: %d", got)
-	}
-	if err := d2.Quarantine(seq2, errors.New("nope")); err != nil {
-		t.Fatal(err)
-	}
-	// A third open must not resurrect markers for consumed entries.
-	d3, err := Open(dir, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d3.Progress(seq1); got != 0 {
-		t.Fatalf("orphaned progress resurrected: %d", got)
-	}
-	if d3.Quarantined() != 1 {
-		t.Fatalf("quarantined = %d, want 1 (the .bad leftover)", d3.Quarantined())
+	if d2.Len() != 1 {
+		t.Fatalf("reopened len = %d, want 1", d2.Len())
 	}
 }
 

@@ -85,7 +85,7 @@ func TestCascadeEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p := NewParticipant(frontSrv.URL, aggSrv.URL, nil)
+			p := newParticipant(t, frontSrv.URL, aggSrv.URL)
 			if err := p.Attest(ctx, platform.AttestationPublicKey(), frontEncl.Measurement()); err != nil {
 				errc <- err
 				return

@@ -46,6 +46,22 @@ func (p *ShardedProxy) initControlPlane() {
 	}
 }
 
+// timing accumulates a mean over observations.
+type timing struct {
+	total time.Duration
+	n     int
+}
+
+func (t *timing) add(d time.Duration) { t.total += d; t.n++ }
+
+// meanMillisExact returns the mean in milliseconds with sub-ms resolution.
+func (t *timing) meanMillisExact() float64 {
+	if t.n == 0 {
+		return 0
+	}
+	return t.total.Seconds() * 1000 / float64(t.n)
+}
+
 // observeDecrypt records one enclave decrypt into the metrics
 // histogram; a no-op with metrics disabled.
 func (p *ShardedProxy) observeDecrypt(d time.Duration) {

@@ -18,6 +18,7 @@ import (
 	"mixnn/internal/fl"
 	"mixnn/internal/nn"
 	"mixnn/internal/outbox"
+	"mixnn/internal/route"
 	"mixnn/internal/transport"
 	"mixnn/internal/wire"
 )
@@ -547,54 +548,6 @@ func TestDeliveryBatchRedeliveryDedup(t *testing.T) {
 	})
 }
 
-// TestDeliveryNoBatchCompat: the NoBatch mode drives the drained round
-// through the single-update endpoints — one POST per update — for
-// downstreams that predate /v1/batch.
-func TestDeliveryNoBatchCompat(t *testing.T) {
-	platform, encl := fixtures(t)
-	const clients = 4
-	initial := testArch().New(1).SnapshotParams()
-
-	agg, err := NewAggServer(initial, clients)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aggSrv := httptest.NewServer(agg.Handler())
-	t.Cleanup(aggSrv.Close)
-	px, err := NewSharded(ShardedConfig{
-		Upstream: aggSrv.URL, K: 1, RoundSize: clients, Shards: 2, Seed: 53, NoBatch: true,
-		RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
-	}, encl, platform)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(px.Close)
-	pxSrv := httptest.NewServer(px.Handler())
-	t.Cleanup(pxSrv.Close)
-
-	updates := perturbed(initial, clients, 0)
-	for i, u := range updates {
-		resp := sendRaw(t, encl, pxSrv.URL, "", u)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("send %d: %s", i, resp.Status)
-		}
-	}
-	flushTier(t, px)
-	waitServerRound(t, agg, 1)
-	st := px.Status()
-	if st.Forwarded != clients || st.BatchesSent != 0 {
-		t.Fatalf("forwarded/batches = %d/%d, want %d/0 (single-update compat path)", st.Forwarded, st.BatchesSent, clients)
-	}
-	want, err := nn.Average(updates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !agg.Global().ApproxEqual(want, 1e-9) {
-		t.Fatal("NoBatch delivery broke aggregation equivalence")
-	}
-}
-
 // TestDeliveryCountersSurviveSealRestore is the PR 2 follow-up: per-shard
 // mixer counters (received/emitted) restore with the tier instead of
 // resetting, exactly for an unchanged shard count and sum-preserving
@@ -706,73 +659,6 @@ func TestDeliveryCountersSurviveSealRestore(t *testing.T) {
 	}
 }
 
-// TestDeliveryNoBatchCascade: the compat path through a real cascade —
-// the front tier posts each update of the drained round individually to
-// the hop's /v1/hop (re-encrypted per update, watermark-stamped), and
-// the round still closes with exact equivalence.
-func TestDeliveryNoBatchCascade(t *testing.T) {
-	platform, frontEncl := fixtures(t)
-	hopEncl, err := enclave.New(enclave.Config{CodeIdentity: "mixnn-proxy-nobatch-hop"}, platform)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const clients = 4
-	initial := testArch().New(1).SnapshotParams()
-
-	agg, err := NewAggServer(initial, clients)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aggSrv := httptest.NewServer(agg.Handler())
-	t.Cleanup(aggSrv.Close)
-	hopPx, err := NewSharded(ShardedConfig{
-		Upstream: aggSrv.URL, K: 2, RoundSize: clients, Seed: 61, HopSecret: "nb-secret",
-	}, hopEncl, platform)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(hopPx.Close)
-	hopSrv := httptest.NewServer(hopPx.Handler())
-	t.Cleanup(hopSrv.Close)
-
-	frontPx, err := NewSharded(ShardedConfig{
-		NextHop: hopSrv.URL, NextHopKey: enclave.PinnedHop(hopEncl.PublicKey(), hopEncl.Measurement()),
-		NextHopSecret: "nb-secret", K: 1, RoundSize: clients, Shards: 2, Seed: 62, NoBatch: true,
-		RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
-	}, frontEncl, platform)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(frontPx.Close)
-	frontSrv := httptest.NewServer(frontPx.Handler())
-	t.Cleanup(frontSrv.Close)
-
-	updates := perturbed(initial, clients, 0)
-	for i, u := range updates {
-		resp := sendRaw(t, frontEncl, frontSrv.URL, "", u)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("send %d: %s", i, resp.Status)
-		}
-	}
-	flushTier(t, frontPx, hopPx)
-	waitServerRound(t, agg, 1)
-	frontSt, hopSt := frontPx.Status(), hopPx.Status()
-	if frontSt.Forwarded != clients || frontSt.BatchesSent != 0 {
-		t.Fatalf("front forwarded/batches = %d/%d, want %d/0", frontSt.Forwarded, frontSt.BatchesSent, clients)
-	}
-	if hopSt.HopReceived != clients {
-		t.Fatalf("hop received %d singles, want %d", hopSt.HopReceived, clients)
-	}
-	want, err := nn.Average(updates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !agg.Global().ApproxEqual(want, 1e-9) {
-		t.Fatal("NoBatch cascade broke aggregation equivalence")
-	}
-}
-
 // TestDeliveryPermanentRejectQuarantines: a downstream that definitively
 // rejects a batch (4xx) must not be retried forever — the entry is
 // quarantined and the queue keeps moving.
@@ -824,40 +710,171 @@ func TestDeliveryPermanentRejectQuarantines(t *testing.T) {
 	}
 }
 
-// TestDeliveryNoBatchPermanentReject: in single-update compat mode a
-// definitive downstream rejection also quarantines the entry (with its
-// resume marker cleaned up) instead of retrying forever.
-func TestDeliveryNoBatchPermanentReject(t *testing.T) {
+// TestOversizedShareSplits: a share whose batch body would exceed the
+// receiver's read bound is cut into several complete entries — own
+// sequence number, own batch id — instead of leaving the batch protocol.
+// With the bound lowered to two updates per entry, a downstream share and
+// a relay share of four updates each arrive as two batches; a piece whose
+// acknowledgement is lost is redelivered under its id and deduped; a
+// piece whose outbox commit fails is re-filed alone (its sibling already
+// travels) and rides the next round; every update counts exactly once.
+func TestOversizedShareSplits(t *testing.T) {
+	const c = 8
 	platform, encl := fixtures(t)
-	reject := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "nope", http.StatusBadRequest)
-	}))
-	t.Cleanup(reject.Close)
+	initial := testArch().New(1).SnapshotParams()
+	agg, err := NewAggServer(initial, 2*c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb := transport.NewLoopback()
+	t.Cleanup(lb.Close)
+	aggTap := &batchTap{Server: agg, loseAcks: 1}
+	lb.Register("loop://agg", aggTap)
+	shardPx, addr, rs := remoteShardFixtureOver(t, platform, lb, "loop://agg", c/2, 97)
+	relayTap := &batchTap{Server: shardPx}
+	lb.Register(addr, relayTap)
 	px, err := NewSharded(ShardedConfig{
-		Upstream: reject.URL, K: 1, RoundSize: 2, Shards: 1, Seed: 71, NoBatch: true,
-		RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
+		Upstream: "loop://agg", K: 1, RoundSize: c, Seed: 98,
+		Routing:      route.ModeHashQuota,
+		ShardSpecs:   []route.ShardSpec{{}, {Addr: addr}},
+		RemoteShards: map[string]RemoteShard{addr: rs},
+		Transport:    lb, RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
 	}, encl, platform)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(px.Close)
-	pxSrv := httptest.NewServer(px.Handler())
-	t.Cleanup(pxSrv.Close)
+	px.maxEntry = outbox.EntrySize(addr, 2, 2*nn.EncodedSize(initial))
+	// The relay share's first piece commits; its second is refused.
+	box := &failingBox{Queue: px.box, lane: addr, failing: true, skip: 1}
+	px.box = box
+	lb.Register("loop://front", px)
 
-	for i := 0; i < 2; i++ {
-		resp := sendRaw(t, encl, pxSrv.URL, "", testArch().New(int64(80+i)).SnapshotParams())
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("send %d: %s", i, resp.Status)
+	updates := perturbed(initial, 2*c, 300)
+	send := func(batch []nn.ParamSet, tag string) {
+		for i, u := range batch {
+			sendTyped(t, lb, encl, "loop://front", fmt.Sprintf("%s-%d", tag, i), u)
 		}
 	}
-	flushTier(t, px)
-	st := px.Status()
-	if st.OutboxPending != 0 || st.Forwarded != 0 {
-		t.Fatalf("pending/forwarded = %d/%d, want 0/0 (entry quarantined)", st.OutboxPending, st.Forwarded)
+	send(updates[:c], "a")
+	// Downstream share: piece 1 applied with its ack lost, redelivered
+	// and deduped, then piece 2 under an id of its own. (The remote shard
+	// sends the aggregator nothing yet: its round of four is half full.)
+	down := aggTap.waitCalls(t, 3)
+	sameID(t, down[:2])
+	if !down[0].applied || down[0].duplicate || !down[1].duplicate || down[2].duplicate {
+		t.Fatalf("downstream pieces: duplicate flags %v/%v/%v, want false/true/false", down[0].duplicate, down[1].duplicate, down[2].duplicate)
 	}
-	if got := px.box.Progress(0); got != 0 {
-		t.Fatalf("quarantined entry leaked a progress marker (%d)", got)
+	if down[2].req.ID == down[0].req.ID || down[2].req.Seq == down[0].req.Seq {
+		t.Fatalf("the two downstream pieces share an identity: %q/%d and %q/%d", down[0].req.ID, down[0].req.Seq, down[2].req.ID, down[2].req.Seq)
+	}
+	for i, call := range down {
+		env, err := wire.DecodeBatchEnvelope(call.req.Body)
+		if err != nil || len(env.Updates) != 2 {
+			t.Fatalf("downstream delivery %d: %v, %d updates, want a complete batch of 2", i, err, len(env.Updates))
+		}
+	}
+	// Relay share: only the committed piece travelled; the refused one —
+	// and nothing else — sits in the live relay shard again.
+	relayTap.waitCalls(t, 1)
+	st := px.Status()
+	if box.refused == 0 || st.Shards[1].Buffered != 2 || st.Rounds != 1 {
+		t.Fatalf("after the refused piece: %d refusals, relay buffers %d, %d rounds; want only the refused piece's 2 updates re-filed",
+			box.refused, st.Shards[1].Buffered, st.Rounds)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	if err := px.Flush(ctx); err == nil {
+		t.Fatal("Flush reported success with a share piece retained")
+	}
+	cancel()
+	if got := shardPx.Status().HopReceived; got != 2 {
+		t.Fatalf("remote shard ingested %d updates, want the committed piece's 2", got)
+	}
+
+	box.mu.Lock()
+	box.failing = false
+	box.mu.Unlock()
+	send(updates[c:], "b")
+	flushTier(t, px, shardPx)
+	waitServerRound(t, agg, 1)
+	// Round two's relay share is the re-filed piece plus four fresh
+	// updates: three more pieces, four relay batches in all, no id twice.
+	relayed := relayTap.snapshot()
+	ids := make(map[string]bool)
+	for _, call := range relayed {
+		if call.duplicate || ids[call.req.ID] {
+			t.Fatalf("relay batch %q delivered twice", call.req.ID)
+		}
+		ids[call.req.ID] = true
+	}
+	if len(relayed) != 4 {
+		t.Fatalf("front sent %d relay batches, want 4", len(relayed))
+	}
+	if got := shardPx.Status().HopReceived; got != c {
+		t.Fatalf("remote shard mixed %d updates, want all %d routed to it over both rounds", got, c)
+	}
+	st = px.Status()
+	if st.Forwarded != 2*c || st.OutboxPending != 0 || st.OutboxQuarantined != 0 {
+		t.Fatalf("forwarded/pending/quarantined = %d/%d/%d, want %d/0/0", st.Forwarded, st.OutboxPending, st.OutboxQuarantined, 2*c)
+	}
+	want, err := nn.Average(updates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !agg.Global().ApproxEqual(want, 1e-9) {
+		t.Fatal("aggregate diverged across split shares")
+	}
+}
+
+// TestRelayOnlyFrontCommitsNoEmptyEntry: a front whose shards are all
+// remote has no downstream material at round close, and commits no
+// downstream entry for it — the epoch chain still advances, so the next
+// round commits and Flush returns.
+func TestRelayOnlyFrontCommitsNoEmptyEntry(t *testing.T) {
+	const c, rounds = 4, 2
+	platform, encl := fixtures(t)
+	initial := testArch().New(1).SnapshotParams()
+	agg, err := NewAggServer(initial, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb := transport.NewLoopback()
+	t.Cleanup(lb.Close)
+	lb.Register("loop://agg", agg)
+	shardPx, addr, rs := remoteShardFixtureOver(t, platform, lb, "loop://agg", c, 99)
+	px, err := NewSharded(ShardedConfig{
+		Upstream: "loop://agg", K: 1, RoundSize: c, Seed: 100,
+		Routing:      route.ModeHashQuota,
+		ShardSpecs:   []route.ShardSpec{{Addr: addr}},
+		RemoteShards: map[string]RemoteShard{addr: rs},
+		Transport:    lb, RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
+	}, encl, platform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(px.Close)
+	box := &failingBox{Queue: px.box}
+	px.box = box
+	lb.Register("loop://front", px)
+
+	for r := 0; r < rounds; r++ {
+		for _, u := range perturbed(initial, c, float64(400+100*r)) {
+			sendTyped(t, lb, encl, "loop://front", "", u)
+		}
+	}
+	flushTier(t, px, shardPx)
+	waitServerRound(t, agg, rounds)
+	box.mu.Lock()
+	defer box.mu.Unlock()
+	if box.puts[""] != 0 || box.puts[addr] != rounds {
+		t.Fatalf("outbox commits per lane = %v, want %d on the relay lane and none downstream", box.puts, rounds)
+	}
+	st := px.Status()
+	if st.Rounds != rounds || st.Forwarded != rounds*c {
+		t.Fatalf("rounds/forwarded = %d/%d, want %d/%d", st.Rounds, st.Forwarded, rounds, rounds*c)
+	}
+	if lane, ok := laneStatus(st, ""); ok && lane.Delivered != 0 {
+		t.Fatalf("the downstream lane delivered %d entries, want none", lane.Delivered)
 	}
 }
 
@@ -1077,9 +1094,9 @@ func TestAggServerBatchRejectsGarbage(t *testing.T) {
 }
 
 // FuzzDeliveryEquivalence fuzzes the delivery pipeline's core invariant
-// over epochs × shard count × round size × batch mode × mixer storage
-// mode: every epoch's delivered round must average to exactly that
-// epoch's classic-FL mean.
+// over epochs × shard count × round size × queue kind × transport: every
+// epoch's delivered round must average to exactly that epoch's
+// classic-FL mean.
 func FuzzDeliveryEquivalence(f *testing.F) {
 	f.Add(uint8(1), uint8(1), uint8(3), true, false)
 	f.Add(uint8(2), uint8(2), uint8(4), true, false)
@@ -1104,15 +1121,19 @@ func FuzzDeliveryEquivalence(f *testing.F) {
 		// the in-process Loopback must deliver identical aggregates.
 		tn := newTestNet(t, loop)
 		aggEP := tn.serve("loop://agg", agg)
+		// Queue dimension (the signature is kept so the corpus stays
+		// valid): batch=false commits rounds to the sealed disk queue,
+		// batch=true to the in-memory one.
+		outboxDir := ""
+		if !batch {
+			outboxDir = t.TempDir()
+		}
 		px, err := NewSharded(ShardedConfig{
 			Upstream: aggEP, K: 1, RoundSize: clients, Shards: p,
-			Seed: int64(e*100 + p*10 + clients), NoBatch: !batch,
+			Seed:      int64(e*100 + p*10 + clients),
+			OutboxDir: outboxDir,
 			RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
 			Transport: tn.cfgTransport(),
-			// Storage-mode dimension, derived from an existing parameter so
-			// the corpus stays valid: slab-backed (the default) and legacy
-			// mixers must deliver identical aggregates.
-			LegacyMix: c&1 == 1,
 		}, encl, platform)
 		if err != nil {
 			t.Fatal(err)
@@ -1168,7 +1189,7 @@ func FuzzDeliveryEquivalence(f *testing.F) {
 				t.Fatal(err)
 			}
 			if !got.ApproxEqual(want, 1e-9) {
-				t.Fatalf("epoch %d (P=%d C=%d batch=%v): delivered mean != classic mean", epoch, p, clients, batch)
+				t.Fatalf("epoch %d (P=%d C=%d disk=%v): delivered mean != classic mean", epoch, p, clients, !batch)
 			}
 		}
 	})

@@ -470,22 +470,33 @@ func TestHopBatchPlaintextReleasedNeverRead(t *testing.T) {
 }
 
 // failingBox refuses to commit entries addressed to one lane while
-// failing is set.
+// failing is set — after letting the first skip of them through — and
+// counts what it committed per lane.
 type failingBox struct {
 	outbox.Queue
 	lane    string
 	mu      sync.Mutex
 	failing bool
+	skip    int
 	refused int
+	puts    map[string]int
 }
 
 func (b *failingBox) Put(payload []byte) (uint64, error) {
+	lane := outbox.LaneOf(payload)
 	b.mu.Lock()
-	if b.failing && outbox.LaneOf(payload) == b.lane {
-		b.refused++
-		b.mu.Unlock()
-		return 0, fmt.Errorf("disk full")
+	if b.failing && lane == b.lane {
+		if b.skip == 0 {
+			b.refused++
+			b.mu.Unlock()
+			return 0, fmt.Errorf("disk full")
+		}
+		b.skip--
 	}
+	if b.puts == nil {
+		b.puts = make(map[string]int)
+	}
+	b.puts[lane]++
 	b.mu.Unlock()
 	return b.Queue.Put(payload)
 }

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -182,12 +180,12 @@ func TestDeliveryLaneIsolationDeadPeer(t *testing.T) {
 	}
 }
 
-// TestDeliveryLaneCrashRestartProgress proves per-lane NoBatch progress
-// is exactly-once across a crash: a peer lane is interrupted mid-entry
-// (one of two singles delivered) while the agg lane completes; the proxy
-// crashes; the restarted proxy resumes the peer lane from its durable
-// .prog marker — never re-sending the confirmed single — and the round
-// closes with the classic mean.
+// TestDeliveryLaneCrashRestartProgress proves a relay lane is
+// exactly-once across a lost acknowledgement AND a crash: the peer
+// applies the lane's batch but the ack is lost, the agg lane completes,
+// the proxy crashes; the restarted proxy redelivers the entry left on
+// disk under the id the first attempt carried, the peer dedups it
+// instead of re-mixing, and the round closes with the classic mean.
 func TestDeliveryLaneCrashRestartProgress(t *testing.T) {
 	const c = 4
 	platform, encl := fixtures(t)
@@ -199,7 +197,8 @@ func TestDeliveryLaneCrashRestartProgress(t *testing.T) {
 	aggSrv := httptest.NewServer(agg.Handler())
 	t.Cleanup(aggSrv.Close)
 
-	// The peer accepts exactly one hop POST, then fails until reopened.
+	// The peer applies the first POST but its answer never reaches the
+	// sender; every later POST fails outright until the gate reopens.
 	peerEncl, err := enclave.New(enclave.Config{CodeIdentity: "shard-enclave-210", RSABits: 1024}, platform)
 	if err != nil {
 		t.Fatal(err)
@@ -214,18 +213,21 @@ func TestDeliveryLaneCrashRestartProgress(t *testing.T) {
 	t.Cleanup(peer.Close)
 	var (
 		mu       sync.Mutex
-		accepted int
+		applied  int
 		gateOpen bool
 	)
 	peerGate := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost {
 			mu.Lock()
-			ok := gateOpen || accepted < 1
-			if ok {
-				accepted++
+			open, first := gateOpen, applied == 0
+			if !open && first {
+				applied++
 			}
 			mu.Unlock()
-			if !ok {
+			if !open {
+				if first {
+					peer.Handler().ServeHTTP(httptest.NewRecorder(), r)
+				}
 				http.Error(w, "peer outage", http.StatusServiceUnavailable)
 				return
 			}
@@ -247,8 +249,8 @@ func TestDeliveryLaneCrashRestartProgress(t *testing.T) {
 		Routing:      route.ModeHashQuota,
 		ShardSpecs:   []route.ShardSpec{{}, {Addr: peerSrv.URL}},
 		RemoteShards: map[string]RemoteShard{peerSrv.URL: {Key: key}},
-		NoBatch:      true, OutboxDir: outboxDir,
-		RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
+		OutboxDir:    outboxDir,
+		RetryBase:    time.Millisecond, RetryMax: 5 * time.Millisecond,
 	}
 	px1, err := NewSharded(cfg, encl, platform)
 	if err != nil {
@@ -265,47 +267,38 @@ func TestDeliveryLaneCrashRestartProgress(t *testing.T) {
 	}
 
 	// Wait until the independent lanes reach the crash point: the agg
-	// lane fully delivered (2 singles straight to the server), the peer
-	// lane stuck at 1 of 2.
+	// lane fully delivered, the peer lane's batch applied by the peer but
+	// still pending at the sender.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		st := px1.Status()
 		aggLane, _ := laneStatus(st, "")
-		mu.Lock()
-		n := accepted
-		mu.Unlock()
-		if aggLane.Pending == 0 && aggLane.Delivered == 1 && n == 1 {
+		peerLane, _ := laneStatus(st, peerSrv.URL)
+		hr := peer.Status().HopReceived
+		if aggLane.Pending == 0 && aggLane.Delivered == 1 && peerLane.Pending == 1 && hr == 2 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("lanes did not reach the crash point: agg %+v, peer accepted %d", st.OutboxLanes, n)
+			t.Fatalf("lanes did not reach the crash point: %+v, peer ingested %d", st.OutboxLanes, hr)
 		}
 		time.Sleep(time.Millisecond)
 	}
 
-	// Crash. On disk: only the peer entry (.ent) remains — the agg lane's
-	// entry was acked and removed — alongside its .prog marker.
+	// Crash. On disk: only the peer entry remains — the agg lane's entry
+	// was acked and removed.
 	px1Srv.Close()
 	px1.Close()
-	var ents, progs int
-	names, err := os.ReadDir(outboxDir)
+	ents, err := filepath.Glob(filepath.Join(outboxDir, "*.ent"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, de := range names {
-		switch {
-		case strings.HasSuffix(de.Name(), ".ent"):
-			ents++
-		case strings.HasSuffix(de.Name(), ".prog"):
-			progs++
-		}
-	}
-	if ents != 1 || progs != 1 {
-		t.Fatalf("crash left %d entries and %d progress markers, want 1 and 1 (peer lane only)", ents, progs)
+	if len(ents) != 1 {
+		t.Fatalf("crash left entries %v, want exactly the peer lane's", ents)
 	}
 
-	// Restart over the same outbox; the peer recovers. The resumed lane
-	// must send exactly the one unconfirmed single.
+	// Restart over the same outbox; the peer recovers. The redelivered
+	// batch carries the first attempt's id, so the peer acknowledges it
+	// as a duplicate instead of mixing its two updates a second time.
 	mu.Lock()
 	gateOpen = true
 	mu.Unlock()
@@ -316,14 +309,11 @@ func TestDeliveryLaneCrashRestartProgress(t *testing.T) {
 	t.Cleanup(px2.Close)
 	flushTier(t, px2, peer)
 	waitServerRound(t, agg, 1)
-	mu.Lock()
-	total := accepted
-	mu.Unlock()
-	if total != 2 {
-		t.Fatalf("peer accepted %d POSTs, want exactly 2 (the .prog resume must not re-send)", total)
-	}
 	if hr := peer.Status().HopReceived; hr != 2 {
-		t.Fatalf("peer ingested %d hop updates, want 2", hr)
+		t.Fatalf("peer ingested %d hop updates, want 2 (the redelivery must dedup)", hr)
+	}
+	if st := px2.Status(); st.OutboxPending != 0 || st.OutboxQuarantined != 0 {
+		t.Fatalf("restarted proxy pending/quarantined = %d/%d, want 0/0", st.OutboxPending, st.OutboxQuarantined)
 	}
 	want, err := nn.Average(updates)
 	if err != nil {

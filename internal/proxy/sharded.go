@@ -40,9 +40,8 @@ type ShardedConfig struct {
 	// in plaintext when no NextHop is configured.
 	Upstream string
 	// NextHop, when non-empty, is the base URL of the next mixing proxy of
-	// the cascade. Mixed updates are re-encrypted with NextHopKey and
-	// posted to {NextHop}/v1/batch (or /v1/hop with NoBatch) instead of
-	// Upstream.
+	// the cascade. Mixed rounds are wrapped under NextHopKey's session and
+	// posted to {NextHop}/v1/batch instead of Upstream.
 	NextHop string
 	// NextHopKey is the attested (or pinned) key material for NextHop.
 	// Required when NextHop is set.
@@ -78,7 +77,7 @@ type ShardedConfig struct {
 	// sequence watermark instead of being silently re-absorbed.
 	DedupWindow int
 	// AdoptSealedTopology makes RestoreState adopt the topology sealed
-	// inside a v3 state blob (mode, weights, remote placement, quota
+	// inside the state blob (mode, weights, remote placement, quota
 	// loads) instead of resharding the material into this tier's
 	// configured topology. mixnn-proxy sets it unless the operator
 	// explicitly asked for a different shape on the restart command line.
@@ -94,13 +93,6 @@ type ShardedConfig struct {
 	RoundSize int
 	// MaxHops bounds cascade depth (default DefaultMaxHops).
 	MaxHops int
-	// LegacyMix switches the local shards back to the legacy per-tensor
-	// mixer storage. By default every local shard runs slab-backed (one
-	// contiguous float64 slab per round, recycled across epochs through a
-	// pool), which mixes bit-identically for the same seed but without
-	// the per-update decode allocations. The flag exists as an escape
-	// hatch while the slab path beds in.
-	LegacyMix bool
 	// Seed drives the mixing randomness (each shard derives its own
 	// stream from it, per epoch).
 	Seed int64
@@ -110,12 +102,6 @@ type ShardedConfig struct {
 	// crashes. Empty = an in-memory queue: delivery is still asynchronous
 	// and retried, but entries die with the process.
 	OutboxDir string
-	// NoBatch forwards each update of a drained round individually to the
-	// single-update endpoints (/v1/update, /v1/hop) instead of coalescing
-	// the round into one /v1/batch POST — compatibility with pre-batch
-	// downstreams, at C requests per round and without the batch
-	// idempotency id (delivery degrades to at-least-once across crashes).
-	NoBatch bool
 	// RetryBase and RetryMax bound each delivery lane's exponential
 	// backoff (defaults outbox.DefaultRetryBase/Max).
 	RetryBase time.Duration
@@ -128,15 +114,11 @@ type ShardedConfig struct {
 	// DeliveryTimeout bounds one delivery attempt (default
 	// outbox.DefaultAttemptTimeout; clamped to at least RetryMax).
 	DeliveryTimeout time.Duration
-	// Transport carries every outbound leg of this tier — batch/single
-	// delivery downstream, relay legs to remote shards, and the hop
-	// attestation handshakes admin directives trigger. nil = the HTTP
-	// transport (over HTTPClient when set); a transport.Loopback here
-	// runs the whole tier in-process.
+	// Transport carries every outbound leg of this tier — batch delivery
+	// downstream, relay legs to remote shards, and the hop attestation
+	// handshakes admin directives trigger. nil = the HTTP transport; a
+	// transport.Loopback here runs the whole tier in-process.
 	Transport transport.Transport
-	// HTTPClient overrides the HTTP forwarding client (tests); ignored
-	// when Transport is set.
-	HTTPClient *http.Client
 
 	// Endpoint is this proxy's own advertised base URL on /v1/discover
 	// (how participants should address it); empty = not advertised.
@@ -209,15 +191,19 @@ type ShardedProxy struct {
 	// plainPool recycles the plaintext buffers request bodies (single
 	// updates and whole batches) are decrypted into (*[]byte). A buffer
 	// returns to it as soon as the shards have filed what it holds,
-	// unless one retains it (core.Shard.RetainsWire: a relay shard or
-	// legacy mixer aliases the buffer until the round's entries commit).
+	// unless one retains it (core.Shard.RetainsWire: a relay shard
+	// aliases the buffer until the round's entries commit).
 	plainPool sync.Pool
 	// plainReleased, when set (tests), sees a plaintext buffer at the
 	// moment it is recycled — after which nothing may read it.
 	plainReleased func([]byte)
+	// maxEntry bounds one outbox entry so that its batch body, hop-wrapped,
+	// fits the receiver's read bound (wire.MaxBodyBytes less wrapMargin);
+	// packageRound cuts a larger share into several entries. Tests lower it.
+	maxEntry int
 
-	// dcache memoises each in-flight entry's parsed envelope and (batch
-	// mode) request body between retry attempts — entries are immutable,
+	// dcache memoises each in-flight entry's parsed envelope and request
+	// body between retry attempts — entries are immutable,
 	// and a long outage must not re-parse/re-encode a large round every
 	// backoff tick. Keyed by entry seq: delivery lanes run concurrently.
 	dcache deliverCache
@@ -303,6 +289,10 @@ type ShardedProxy struct {
 // outboxLabel domain-separates outbox entries from other sealed material.
 const outboxLabel = "mixnn/outbox/v1"
 
+// wrapMargin is the room a hop wrap (session header, nonce, tag) may add
+// to a batch body on its way to the receiver's read bound.
+const wrapMargin = 4096
+
 // RemoteShard is the attested key material of a remote shard: the hop
 // key pinned by the attestation handshake plus the bearer secret its hop
 // endpoints require (if any).
@@ -367,7 +357,7 @@ func NewSharded(cfg ShardedConfig, encl *enclave.Enclave, platform *enclave.Plat
 	}
 	tr := cfg.Transport
 	if tr == nil {
-		tr = transport.NewHTTP(cfg.HTTPClient)
+		tr = transport.NewHTTP(nil)
 	}
 	topo, err := initialTopology(cfg)
 	if err != nil {
@@ -408,6 +398,7 @@ func NewSharded(cfg ShardedConfig, encl *enclave.Enclave, platform *enclave.Plat
 		topo: topo, rst: topo.NewState(), remotes: remotes,
 		planner:   route.NewPlanner(topo),
 		slabPool:  pool,
+		maxEntry:  wire.MaxBodyBytes - wrapMargin,
 		shardRecv: make([]int, topo.P()),
 		shardEmit: make([]int, topo.P()),
 	}
@@ -501,13 +492,7 @@ func newShardSet(cfg ShardedConfig, topo *route.Topology, epoch int, pool *core.
 			k = quota
 		}
 		rng := shardStream(cfg.Seed, epoch, s) // its own: a rand.Rand shared across shards would race
-		var m *core.StreamMixer
-		var err error
-		if cfg.LegacyMix {
-			m, err = core.NewStreamMixer(k, rng)
-		} else {
-			m, err = core.NewStreamMixerSlab(k, rng, pool)
-		}
+		m, err := core.NewStreamMixerSlab(k, rng, pool)
 		if err != nil {
 			return nil, fmt.Errorf("proxy: shard %d: %w", s, err)
 		}
@@ -940,6 +925,40 @@ type destEntry struct {
 	shard int
 }
 
+// count is the number of updates in the share.
+func (de destEntry) count() int { return len(de.updates) + len(de.images) }
+
+// cut returns the end of the longest run of the share's updates from lo
+// whose entry stays within limit bytes, and the run's encoded size. A run
+// takes at least one update: one that alone exceeds the bound cannot be
+// made smaller here, and the receiver's refusal quarantines its entry
+// with the reason in the log.
+func (de destEntry) cut(lo, limit int) (hi, size int) {
+	for hi = lo; hi < de.count(); hi++ {
+		var n int
+		if len(de.updates) > 0 {
+			n = nn.EncodedSize(de.updates[hi])
+		} else {
+			n = len(de.images[hi])
+		}
+		if hi > lo && outbox.EntrySize(de.dest, hi-lo+1, size+n) > limit {
+			break
+		}
+		size += n
+	}
+	return hi, size
+}
+
+// piece is the share narrowed to updates [lo, hi).
+func (de destEntry) piece(lo, hi int) destEntry {
+	if len(de.updates) > 0 {
+		de.updates = de.updates[lo:hi]
+	} else {
+		de.images = de.images[lo:hi]
+	}
+	return de
+}
+
 // resizeLedger maps a cumulative per-shard ledger onto a new shard count:
 // unchanged when P stays, otherwise the total is preserved and spread
 // evenly (per-shard exactness is not meaningful across a membership
@@ -963,15 +982,18 @@ func resizeLedger(old []int, pPrime int) []int {
 }
 
 // packageRound drains a closed round's retired shard slots and commits
-// the round to the outbox in epoch order: ONE sealed entry for the
+// the round to the outbox in epoch order: one sealed entry for the
 // downstream (mid-round emissions plus every local shard's drain) and, in
 // a multi-process topology, one sealed entry per remote shard holding the
 // material routed to it (relayed to that shard's enclave by the delivery
-// dispatcher). It runs outside p.mu (and outside the enclave's
-// constant-time gate), so ingest of the next epoch proceeds concurrently.
-// On a commit failure the material is retained — downstream material in
-// p.pending, remote material back in the live relay shard for its address
-// when one exists — so nothing mixed (or relayed) is ever dropped.
+// dispatcher). A share with no material commits nothing, and a share too
+// large for one request body is cut into several entries (see maxEntry),
+// each a complete entry with its own sequence number and batch id. It
+// runs outside p.mu (and outside the enclave's constant-time gate), so
+// ingest of the next epoch proceeds concurrently. On a commit failure the
+// material is retained — downstream material in p.pending, remote
+// material back in the live relay shard for its address when one exists
+// — so nothing mixed (or relayed) is ever dropped.
 func (p *ShardedProxy) packageRound(rc *roundClose) error {
 	entries := []destEntry{{dest: "", updates: rc.pending, shard: -1}}
 	for s, m := range rc.mixers {
@@ -984,10 +1006,10 @@ func (p *ShardedProxy) packageRound(rc *roundClose) error {
 		entries[0].updates = append(entries[0].updates, m.Drain()...)
 	}
 	// Encode everything before taking the epoch's commit turn. Each
-	// update is append-encoded (a relayed image: copied) straight into its
-	// destination's one exactly-sized entry — the buffer the queue will
-	// hold (and, on the batch path, the request body the receiver will
-	// read) — so a round's bytes are written once on their way to the outbox.
+	// update is append-encoded (a relayed image: copied) straight into
+	// its exactly-sized entry — the buffer the queue will hold and the
+	// request body the receiver will read — so a round's bytes are
+	// written once on their way to the outbox.
 	type rawEntry struct {
 		destEntry
 		raw   []byte
@@ -995,31 +1017,30 @@ func (p *ShardedProxy) packageRound(rc *roundClose) error {
 	}
 	raws := make([]rawEntry, 0, len(entries))
 	var encErr error
-	for _, de := range entries {
-		size := 0
-		for _, ps := range de.updates {
-			size += nn.EncodedSize(ps)
+pack:
+	for _, share := range entries {
+		for lo := 0; lo < share.count(); {
+			hi, size := share.cut(lo, p.maxEntry)
+			de := share.piece(lo, hi)
+			lo = hi
+			b, err := outbox.NewEntryBuilder(outbox.Envelope{
+				Epoch:       uint64(rc.epoch),
+				TopoVersion: rc.topo.Version(),
+				Hop:         rc.hop,
+				Dest:        de.dest,
+			}, outbox.EntrySize(de.dest, de.count(), size))
+			for i := 0; err == nil && i < len(de.updates); i++ {
+				err = b.Append(func(buf []byte) ([]byte, error) { return nn.AppendParamSet(buf, de.updates[i]) })
+			}
+			for i := 0; err == nil && i < len(de.images); i++ {
+				err = b.Append(func(buf []byte) ([]byte, error) { return append(buf, de.images[i]...), nil })
+			}
+			if err != nil {
+				encErr = err
+				break pack
+			}
+			raws = append(raws, rawEntry{destEntry: de, raw: b.Bytes(), bytes: size})
 		}
-		for _, img := range de.images {
-			size += len(img)
-		}
-		b, err := outbox.NewEntryBuilder(outbox.Envelope{
-			Epoch:       uint64(rc.epoch),
-			TopoVersion: rc.topo.Version(),
-			Hop:         rc.hop,
-			Dest:        de.dest,
-		}, outbox.EntrySize(de.dest, len(de.updates)+len(de.images), size))
-		for i := 0; err == nil && i < len(de.updates); i++ {
-			err = b.Append(func(buf []byte) ([]byte, error) { return nn.AppendParamSet(buf, de.updates[i]) })
-		}
-		for i := 0; err == nil && i < len(de.images); i++ {
-			err = b.Append(func(buf []byte) ([]byte, error) { return append(buf, de.images[i]...), nil })
-		}
-		if err != nil {
-			encErr = err
-			break
-		}
-		raws = append(raws, rawEntry{destEntry: de, raw: b.Bytes(), bytes: size})
 	}
 	// Ordered commit: take this epoch's turn even when there is nothing
 	// to Put — the epoch chain must advance by exactly one per close or
@@ -1133,6 +1154,9 @@ func (p *ShardedProxy) packageRound(rc *roundClose) error {
 				sm.ReleaseSlab()
 			}
 		}
+	}
+	// What did commit travels now, whatever failed beside it.
+	if committed > 0 {
 		p.disp.Wake()
 		if committed >= handOffBytes {
 			runtime.Gosched()
@@ -1179,9 +1203,8 @@ type deliverMemo struct {
 	// body is the /v1/batch request body: the entry's own batch tail on
 	// the plaintext server leg (a sub-slice of the payload, no copy), its
 	// one hop wrap when cascading or relaying.
-	body    []byte
-	id      string // idempotency id for body
-	singles bool   // round too large to batch; use the singles path
+	body []byte
+	id   string // idempotency id for body
 	// sess is the crypto session that wrapped body (nil on the
 	// plaintext server leg): a typed session rejection invalidates
 	// exactly this session plus the memoized body, and the retry
@@ -1363,31 +1386,10 @@ func (p *ShardedProxy) deliverPayload(ctx context.Context, seq uint64, payload [
 	if err != nil {
 		return err
 	}
-	if p.cfg.NoBatch || c.singles {
-		return p.deliverSingles(ctx, seq, env, tgt)
-	}
 	if c.body == nil {
-		// A v3 entry's tail already is the batch body; only an entry an
-		// older binary left on disk is encoded here.
+		// The entry's tail is the batch body (packageRound sized it to the
+		// receiver's read bound).
 		enc := env.Batch
-		if enc == nil {
-			if enc, err = (wire.BatchEnvelope{Updates: env.Updates}).Encode(); err != nil {
-				return outbox.Permanent(err)
-			}
-		}
-		// The batch body must fit the receiver's read bound (plus
-		// hop-wrap overhead); a round too large to batch — huge models ×
-		// large C — falls back to per-update delivery instead of being
-		// permanently rejected downstream and quarantined.
-		const wrapMargin = 4096
-		if len(enc)+wrapMargin > wire.MaxBodyBytes {
-			// No silent caps: the fallback loses the batch idempotency id
-			// (per-update POSTs are at-least-once across a crash), so the
-			// downgrade must be visible.
-			log.Printf("proxy: entry %d (%d bytes) exceeds the batch body bound; delivering per update", seq, len(enc))
-			c.singles = true
-			return p.deliverSingles(ctx, seq, env, tgt)
-		}
 		if tgt.key != nil {
 			if enc, c.sess, err = p.wrapForHop(tgt, enc); err != nil {
 				return err
@@ -1421,55 +1423,6 @@ func (p *ShardedProxy) deliverPayload(ctx context.Context, seq uint64, payload [
 	p.forwarded += len(env.Updates)
 	p.batches++
 	p.mu.Unlock()
-	return nil
-}
-
-// deliverSingles is the NoBatch compatibility path: one POST per update
-// to the single-update endpoints. Progress is persisted into the outbox
-// on every confirmed send, so a mid-round outage — or a proxy crash —
-// resumes where delivery stopped instead of resending the round:
-// per-update delivery is exactly-once across crashes too, not just
-// within one process lifetime.
-func (p *ShardedProxy) deliverSingles(ctx context.Context, seq uint64, env *outbox.Envelope, tgt hopTarget) error {
-	for i := p.box.Progress(seq); i < len(env.Updates); i++ {
-		if err := p.forwardOne(ctx, env.Updates[i], env.Hop, tgt); err != nil {
-			return err
-		}
-		if perr := p.box.SetProgress(seq, i+1); perr != nil {
-			// Progress is an optimisation for crash recovery; failing to
-			// record it must not fail the delivery — but it must be loud,
-			// because a crash now would re-send from the last marker.
-			log.Printf("proxy: entry %d: record delivery progress %d: %v", seq, i+1, perr)
-		}
-		p.mu.Lock()
-		p.forwarded++
-		p.mu.Unlock()
-	}
-	return nil
-}
-
-// forwardOne sends one mixed update onward: re-encrypted for the
-// target's enclave when it has a hop key (cascade next hop or remote
-// shard), in plaintext to the aggregation server otherwise.
-func (p *ShardedProxy) forwardOne(ctx context.Context, raw []byte, fwdHop int, tgt hopTarget) error {
-	var err error
-	if tgt.key != nil {
-		ct, sess, werr := p.wrapForHop(tgt, raw)
-		if werr != nil {
-			return werr
-		}
-		_, err = p.tr.Hop(ctx, tgt.base, transport.HopRequest{Body: ct, Hop: fwdHop, Secret: tgt.secret})
-		if err != nil && transport.SessionRejected(err) {
-			// Singles wrap fresh per attempt, so dropping the session is
-			// all the recovery the retry needs.
-			p.dropHopSession(tgt.base, sess)
-		}
-	} else {
-		_, err = p.tr.SendUpdate(ctx, tgt.base, transport.UpdateRequest{Body: raw})
-	}
-	if err != nil {
-		return classifyDelivery(err)
-	}
 	return nil
 }
 
@@ -1632,7 +1585,7 @@ func (p *ShardedProxy) SealState() ([]byte, error) {
 // RestoreState loads a SealState blob into a freshly-constructed tier
 // (same enclave identity and platform).
 //
-// With AdoptSealedTopology set and a v3 blob, the tier comes back under
+// With AdoptSealedTopology set, the tier comes back under
 // EXACTLY the topology it was sealed under — routing mode, shard
 // weights, remote placement, quota loads and topology version — so a
 // crash-restart lands mid-round with the routing plane intact, whatever
@@ -1688,8 +1641,8 @@ func (p *ShardedProxy) RestoreState(blob []byte) error {
 		return fmt.Errorf("proxy: restore tier state: %w", err)
 	}
 	// Every remote shard of the adopted topology needs either an
-	// already-registered key or sealed trust material to re-attest from
-	// (v4 blobs carry it); with neither the relay leg could never
+	// already-registered key or sealed trust material to re-attest from;
+	// with neither the relay leg could never
 	// deliver, so refuse the restore up front.
 	sealedTrust := make(map[string]RemoteTrust)
 	if meta.RemoteTrust != nil {
@@ -1807,10 +1760,6 @@ func restoredLedgers(meta core.ShardedStateMeta, mixers []core.Shard) (recv, emi
 	pPrime := len(mixers)
 	recv = make([]int, pPrime)
 	emit = make([]int, pPrime)
-	if meta.ShardReceived == nil {
-		// A v1 blob carries no per-shard ledgers; they start over.
-		return recv, emit
-	}
 	if pPrime == meta.SealedShards {
 		for s := range mixers {
 			if recv[s] = meta.ShardReceived[s] - mixers[s].Received(); recv[s] < 0 {

@@ -80,7 +80,7 @@ func TestShardedProxyRoundClosure(t *testing.T) {
 
 	updates := make([]nn.ParamSet, clients)
 	for i := 0; i < clients; i++ {
-		p := NewParticipant(proxyURL, serverURL, nil)
+		p := newParticipant(t, proxyURL, serverURL)
 		if err := p.Attest(ctx, platform.AttestationPublicKey(), encl.Measurement()); err != nil {
 			t.Fatalf("participant %d attest: %v", i, err)
 		}

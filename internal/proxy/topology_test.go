@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
@@ -693,116 +692,6 @@ func TestDedupWindowAgedOutStale(t *testing.T) {
 	sresp.Body.Close()
 	if sst.UpdatesInRound != 3 {
 		t.Fatalf("server absorbed %d updates, want exactly 3", sst.UpdatesInRound)
-	}
-}
-
-// TestDeliveryNoBatchProgressAcrossRestart pins the durable-progress
-// satellite: per-update (NoBatch) delivery interrupted by an outage AND
-// a proxy crash resumes from the persisted marker — every update reaches
-// the server exactly once.
-func TestDeliveryNoBatchProgressAcrossRestart(t *testing.T) {
-	const c = 4
-	platform, encl := fixtures(t)
-	agg, err := NewAggServer(testArch().New(1).SnapshotParams(), c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var (
-		mu       sync.Mutex
-		accepted int
-		gateOpen bool
-	)
-	gate := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost {
-			mu.Lock()
-			ok := gateOpen || accepted < 2
-			if ok {
-				accepted++
-			}
-			mu.Unlock()
-			if !ok {
-				http.Error(w, "outage", http.StatusServiceUnavailable)
-				return
-			}
-		}
-		agg.Handler().ServeHTTP(w, r)
-	})
-	aggSrv := httptest.NewServer(gate)
-	t.Cleanup(aggSrv.Close)
-
-	dir := t.TempDir()
-	outboxDir := filepath.Join(dir, "outbox")
-	cfg := ShardedConfig{
-		Upstream: aggSrv.URL, K: 1, RoundSize: c, Shards: 1, Seed: 61,
-		NoBatch: true, OutboxDir: outboxDir,
-		RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
-	}
-	px1, err := NewSharded(cfg, encl, platform)
-	if err != nil {
-		t.Fatal(err)
-	}
-	px1Srv := httptest.NewServer(px1.Handler())
-	updates := perturbed(testArch().New(1).SnapshotParams(), c, 170)
-	for i, u := range updates {
-		resp := sendRaw(t, encl, px1Srv.URL, "", u)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("send %d: %s", i, resp.Status)
-		}
-	}
-	// Two singles land, the third hits the outage.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		mu.Lock()
-		n := accepted
-		mu.Unlock()
-		if n >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d singles accepted before the outage", n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Crash the proxy. The progress marker must be on disk.
-	px1Srv.Close()
-	px1.Close()
-	names, err := os.ReadDir(outboxDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	foundProg := false
-	for _, de := range names {
-		if filepath.Ext(de.Name()) == ".prog" {
-			foundProg = true
-		}
-	}
-	if !foundProg {
-		t.Fatal("no .prog marker persisted before the crash")
-	}
-
-	mu.Lock()
-	gateOpen = true
-	mu.Unlock()
-	px2, err := NewSharded(cfg, encl, platform)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(px2.Close)
-	flushTier(t, px2)
-	waitServerRound(t, agg, 1)
-	mu.Lock()
-	total := accepted
-	mu.Unlock()
-	if total != c {
-		t.Fatalf("server accepted %d POSTs, want exactly %d (resume must not re-send)", total, c)
-	}
-	want, err := nn.Average(updates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !agg.Global().ApproxEqual(want, 1e-9) {
-		t.Fatal("aggregate diverged across the NoBatch crash-resume")
 	}
 }
 

@@ -5,15 +5,17 @@
 // Endpoints (all bodies are binary unless noted):
 //
 //	POST {proxy}/v1/update        encrypted update (enclave hybrid ciphertext)
-//	POST {proxy}/v1/hop           re-encrypted mixed update from an upstream
-//	                              proxy (cascade mode); X-Mixnn-Hop header
-//	                              carries the hop depth
+//	POST {proxy}/v1/hop           one re-encrypted mixed update; X-Mixnn-Hop
+//	                              carries the hop depth (served, but no
+//	                              proxy sends on it: rounds travel on
+//	                              /v1/batch)
 //	POST {proxy}/v1/batch         a whole drained round from an upstream
 //	                              proxy: a BatchEnvelope re-encrypted for
 //	                              this hop's enclave; X-Mixnn-Hop carries
 //	                              the depth, X-Mixnn-Batch the idempotency
 //	                              id the receiver dedups on
-//	POST {server}/v1/update       plaintext encoded ParamSet (from the proxy)
+//	POST {server}/v1/update       one plaintext encoded ParamSet (served;
+//	                              proxies deliver whole rounds on /v1/batch)
 //	POST {server}/v1/batch        plaintext BatchEnvelope (one drained
 //	                              round); X-Mixnn-Batch idempotency id
 //	GET  {server}/v1/model        current global model; X-Mixnn-Round header
@@ -250,25 +252,6 @@ type ServerStatus struct {
 	Round          int `json:"round"`
 	UpdatesInRound int `json:"updates_in_round"`
 	ExpectPerRound int `json:"expect_per_round"`
-}
-
-// ProxyStatus is the single-proxy (§6.5) view of a tier's status, kept
-// for the paper-shaped `proxy.Proxy` API; over HTTP every proxy now
-// reports ShardedProxyStatus.
-type ProxyStatus struct {
-	Buffered      int     `json:"buffered"`
-	Received      int     `json:"received"`
-	Forwarded     int     `json:"forwarded"`
-	RoundSize     int     `json:"round_size"`
-	K             int     `json:"k"`
-	UpdateBytes   int     `json:"update_bytes"`
-	EnclaveUsed   int     `json:"enclave_used_bytes"`
-	EnclavePeak   int     `json:"enclave_peak_bytes"`
-	EnclavePaging int     `json:"enclave_page_events"`
-	DecryptMillis float64 `json:"decrypt_ms_mean"`
-	StoreMillis   float64 `json:"store_ms_mean"`
-	MixMillis     float64 `json:"mix_ms_mean"`
-	ProcessMillis float64 `json:"process_ms_mean"`
 }
 
 // ShardStatus reports one mixing shard inside a sharded proxy.

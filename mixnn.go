@@ -109,8 +109,6 @@ type (
 	Enclave = enclave.Enclave
 	// Platform is the simulated host (fuse secret + attestation).
 	Platform = enclave.Platform
-	// Proxy is the HTTP MixNN proxy (single mixer).
-	Proxy = proxy.Proxy
 	// ShardedProxy is the horizontally-scaled mixing tier: P independent
 	// mixer shards behind one endpoint, optionally cascaded to a next-hop
 	// proxy with per-hop re-encryption.
