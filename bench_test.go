@@ -4,7 +4,7 @@
 // Figure benches run one miniature experiment per iteration and attach the
 // headline quantity (accuracy, inference accuracy, neighbour count) via
 // b.ReportMetric, so `go test -bench` both times the pipeline and shows
-// the reproduced result. See EXPERIMENTS.md for paper-vs-measured numbers.
+// the reproduced result. See README.md for paper-vs-measured numbers.
 package mixnn
 
 import (
@@ -14,15 +14,11 @@ import (
 	"crypto/cipher"
 	crand "crypto/rand"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"runtime"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -186,79 +182,12 @@ func BenchmarkProxyDecrypt(b *testing.B) {
 	}
 }
 
-// cryptoBenchArm is one measured arm of the ingress-crypto benchmark,
-// persisted in BENCH_crypto.json (see writeCryptoBench).
-type cryptoBenchArm struct {
-	Name          string  `json:"name"`
-	NsPerUpdate   float64 `json:"ns_per_update"`
-	UpdatesPerSec float64 `json:"updates_per_sec"`
-	Updates       int     `json:"updates"`
-}
-
-var cryptoBench struct {
-	sync.Mutex
-	Model       string
-	UpdateBytes int
-	Arms        []cryptoBenchArm
-}
-
-func recordCryptoArm(b *testing.B, model string, updateBytes, updates int, elapsed time.Duration) {
+// recordCryptoArm reports one ingress-crypto arm's steady-state cost; CI
+// gates on the ns/update column.
+func recordCryptoArm(b *testing.B, elapsed time.Duration) {
 	b.Helper()
-	arm := cryptoBenchArm{
-		Name:          b.Name(),
-		NsPerUpdate:   float64(elapsed.Nanoseconds()) / float64(updates),
-		UpdatesPerSec: float64(updates) / elapsed.Seconds(),
-		Updates:       updates,
-	}
-	b.ReportMetric(arm.NsPerUpdate, "ns/update")
-	b.ReportMetric(arm.UpdatesPerSec, "updates/sec")
-	cryptoBench.Lock()
-	defer cryptoBench.Unlock()
-	cryptoBench.Model = model
-	cryptoBench.UpdateBytes = updateBytes
-	for i := range cryptoBench.Arms {
-		if cryptoBench.Arms[i].Name == arm.Name {
-			cryptoBench.Arms[i] = arm
-			arm.Name = ""
-		}
-	}
-	if arm.Name != "" {
-		cryptoBench.Arms = append(cryptoBench.Arms, arm)
-	}
-}
-
-func writeCryptoBench(b *testing.B) {
-	b.Helper()
-	cryptoBench.Lock()
-	defer cryptoBench.Unlock()
-	if len(cryptoBench.Arms) == 0 {
-		return
-	}
-	var legacy, session float64
-	for _, arm := range cryptoBench.Arms {
-		switch {
-		case strings.HasSuffix(arm.Name, "/legacy"):
-			legacy = arm.NsPerUpdate
-		case strings.HasSuffix(arm.Name, "/session"):
-			session = arm.NsPerUpdate
-		}
-	}
-	snap := struct {
-		Model                  string          `json:"model"`
-		UpdateBytes            int             `json:"update_bytes"`
-		Arms                   []cryptoBenchArm `json:"arms"`
-		SpeedupSessionVsLegacy float64         `json:"speedup_session_vs_legacy,omitempty"`
-	}{cryptoBench.Model, cryptoBench.UpdateBytes, cryptoBench.Arms, 0}
-	if legacy > 0 && session > 0 {
-		snap.SpeedupSessionVsLegacy = legacy / session
-	}
-	enc, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_crypto.json", append(enc, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N), "ns/update")
+	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "updates/sec")
 }
 
 // BenchmarkProxyCrypto measures the full per-update crypto round trip —
@@ -267,8 +196,7 @@ func writeCryptoBench(b *testing.B) {
 // (RSA amortised into the establish handshake, steady state is one
 // AES-GCM pass each side). The gcm-floor arm is the raw seal+open of the
 // same payload with no framing: the theoretical lower bound the session
-// path should sit within a small constant factor of. Writes
-// BENCH_crypto.json so CI can gate on the steady-state cost.
+// path should sit within a small constant factor of.
 func BenchmarkProxyCrypto(b *testing.B) {
 	platform, err := enclave.NewPlatform()
 	if err != nil {
@@ -298,7 +226,7 @@ func BenchmarkProxyCrypto(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		recordCryptoArm(b, model.Name, len(raw), b.N, time.Since(start))
+		recordCryptoArm(b, time.Since(start))
 	})
 
 	b.Run("session", func(b *testing.B) {
@@ -326,7 +254,7 @@ func BenchmarkProxyCrypto(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		recordCryptoArm(b, model.Name, len(raw), b.N, time.Since(start))
+		recordCryptoArm(b, time.Since(start))
 	})
 
 	b.Run("gcm-floor", func(b *testing.B) {
@@ -356,10 +284,8 @@ func BenchmarkProxyCrypto(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		recordCryptoArm(b, model.Name, len(raw), b.N, time.Since(start))
+		recordCryptoArm(b, time.Since(start))
 	})
-
-	writeCryptoBench(b)
 }
 
 // BenchmarkProxyStore isolates decode-and-buffer (the §6.5 "storage" step).
@@ -417,134 +343,6 @@ func BenchmarkProxyMixSharded(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkProxyMixShardedHTTP drives the full networked sharded tier —
-// concurrent encrypted participants through P shards into a real
-// aggregation server — and reports round throughput per shard count.
-// The rounds=4 arms exercise cross-round pipelining: ingest of round N+1
-// overlaps batched delivery of round N, so per-round time should drop
-// relative to rounds=1. Each iteration stands up a fresh deployment (key
-// generation, attestation), so ns/op is setup-dominated; the
-// authoritative numbers are the reported round-ms / updates-per-sec
-// means, which time only the rounds themselves inside RunShardedPerf.
-func BenchmarkProxyMixShardedHTTP(b *testing.B) {
-	m := experiment.PerfModels(experiment.ScaleQuick)[0]
-	for _, p := range []int{1, 2, 4} {
-		for _, rounds := range []int{1, 4} {
-			b.Run(fmt.Sprintf("shards=%d/rounds=%d", p, rounds), func(b *testing.B) {
-				var roundMs, upsPerSec float64
-				for i := 0; i < b.N; i++ {
-					res, err := experiment.RunShardedPerf(m.Name, m.Arch, 8, 2, p, false, rounds, int64(i)+1)
-					if err != nil {
-						b.Fatal(err)
-					}
-					roundMs += res.RoundMillis
-					upsPerSec += res.UpdatesPerSec
-				}
-				b.ReportMetric(upsPerSec/float64(b.N), "updates/sec")
-				b.ReportMetric(roundMs/float64(b.N), "round-ms")
-			})
-		}
-	}
-}
-
-// BenchmarkProxyMixShardedTransport runs the identical sharded §6.5
-// pipeline under both transports — "http" over real loopback sockets,
-// "loopback" over the in-process typed transport — so the delta is
-// exactly the serialization tax (HTTP framing, header encode/parse,
-// socket copies): the mixer, enclave crypto and outbox delivery are the
-// same code on both arms. Loopback's updates/sec should beat HTTP's.
-func BenchmarkProxyMixShardedTransport(b *testing.B) {
-	m := experiment.PerfModels(experiment.ScaleQuick)[0]
-	for _, kind := range []string{"http", "loopback"} {
-		b.Run(kind, func(b *testing.B) {
-			var roundMs, upsPerSec float64
-			for i := 0; i < b.N; i++ {
-				res, err := experiment.RunShardedPerfTransport(m.Name, m.Arch, 8, 2, 2, false, 4, "", kind, int64(i)+1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				roundMs += res.RoundMillis
-				upsPerSec += res.UpdatesPerSec
-			}
-			b.ReportMetric(upsPerSec/float64(b.N), "updates/sec")
-			b.ReportMetric(roundMs/float64(b.N), "round-ms")
-		})
-	}
-}
-
-// BenchmarkOutboxLaneDeadPeer measures the per-destination outbox lanes
-// under the failure they exist for: one remote peer of a three-destination
-// tier is unreachable for the whole run, and the reported updates/sec is
-// the delivery throughput of the HEALTHY lanes during the outage. Before
-// the lane split this number was ~0 — the single ordered queue wedged
-// behind the dead peer's first entry. The dead-lane-depth metric is the
-// parked backlog (one sealed entry per round: degradation, not loss).
-//
-// The run also writes BENCH_outbox.json next to the test binary's working
-// directory so CI can persist the numbers as a comparable artifact.
-func BenchmarkOutboxLaneDeadPeer(b *testing.B) {
-	m := experiment.PerfModels(experiment.ScaleQuick)[0]
-	var (
-		ups, drainMs, depth float64
-		last                experiment.LanePerfResult
-	)
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunLanePerf(m.Name, m.Arch, 6, 2, 3, int64(i)+1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ups += res.UpdatesPerSec
-		drainMs += res.DrainMillis
-		depth += float64(res.DeadLaneDepth)
-		last = res
-	}
-	n := float64(b.N)
-	b.ReportMetric(ups/n, "updates/sec")
-	b.ReportMetric(drainMs/n, "healthy-drain-ms")
-	b.ReportMetric(depth/n, "dead-lane-depth")
-	writeOutboxBench(b, outboxBenchSnapshot{
-		Bench:            "BenchmarkOutboxLaneDeadPeer",
-		Model:            last.Model,
-		Participants:     last.Participants,
-		Shards:           last.Shards,
-		Rounds:           last.Rounds,
-		HealthyUpdates:   last.HealthyUpdates,
-		UpdatesPerSec:    ups / n,
-		HealthyDrainMs:   drainMs / n,
-		DeadLaneDepth:    depth / n,
-		DeadLaneFailures: last.DeadLaneFailures,
-		Iterations:       b.N,
-	})
-}
-
-// outboxBenchSnapshot is the persisted shape of BENCH_outbox.json — the
-// repo's first committed perf baseline. Keep fields append-only so old
-// baselines stay comparable.
-type outboxBenchSnapshot struct {
-	Bench            string  `json:"bench"`
-	Model            string  `json:"model"`
-	Participants     int     `json:"participants"`
-	Shards           int     `json:"shards"`
-	Rounds           int     `json:"rounds"`
-	HealthyUpdates   int     `json:"healthy_updates"`
-	UpdatesPerSec    float64 `json:"updates_per_sec"`
-	HealthyDrainMs   float64 `json:"healthy_drain_ms"`
-	DeadLaneDepth    float64 `json:"dead_lane_depth"`
-	DeadLaneFailures uint64  `json:"dead_lane_failures"`
-	Iterations       int     `json:"iterations"`
-}
-
-func writeOutboxBench(b *testing.B, snap outboxBenchSnapshot) {
-	b.Helper()
-	enc, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_outbox.json", append(enc, '\n'), 0o644); err != nil {
-		b.Fatal(err)
 	}
 }
 
@@ -657,77 +455,12 @@ func BenchmarkAblationNoiseScale(b *testing.B) {
 
 // --- Micro-benchmarks of the core pipeline stages --------------------------
 
-// mixBenchArm is one measured arm of the slab-vs-legacy hot-path
-// benchmarks, persisted in BENCH_mix.json (see writeMixBench).
-type mixBenchArm struct {
-	Name            string  `json:"name"`
-	NsPerUpdate     float64 `json:"ns_per_update"`
-	AllocsPerUpdate float64 `json:"allocs_per_update"`
-	BytesPerUpdate  float64 `json:"bytes_per_update"`
-	UpdatesPerSec   float64 `json:"updates_per_sec"`
-	Updates         int     `json:"updates"`
-}
-
-// mixBench collects arms across the mixer benchmarks of one `go test
-// -bench` run; each parent benchmark rewrites BENCH_mix.json with
-// everything collected so far, so a run covering both parents leaves the
-// complete before/after picture.
-var mixBench struct {
-	sync.Mutex
-	Model       string       `json:"model"`
-	UpdateBytes int          `json:"update_bytes"`
-	RoundSize   int          `json:"round_size"`
-	Arms        []mixBenchArm `json:"arms"`
-}
-
-func recordMixArm(b *testing.B, model string, updateBytes, roundSize, updates int, elapsed time.Duration, mallocs, bytes uint64) {
+// recordMixArm reports one hot-path arm's steady-state cost; CI gates on
+// the allocs/update column.
+func recordMixArm(b *testing.B, elapsed time.Duration, mallocs uint64) {
 	b.Helper()
-	arm := mixBenchArm{
-		Name:            b.Name(),
-		NsPerUpdate:     float64(elapsed.Nanoseconds()) / float64(updates),
-		AllocsPerUpdate: float64(mallocs) / float64(updates),
-		BytesPerUpdate:  float64(bytes) / float64(updates),
-		UpdatesPerSec:   float64(updates) / elapsed.Seconds(),
-		Updates:         updates,
-	}
-	b.ReportMetric(arm.AllocsPerUpdate, "allocs/update")
-	b.ReportMetric(arm.UpdatesPerSec, "updates/sec")
-	mixBench.Lock()
-	defer mixBench.Unlock()
-	mixBench.Model = model
-	mixBench.UpdateBytes = updateBytes
-	mixBench.RoundSize = roundSize
-	for i := range mixBench.Arms {
-		if mixBench.Arms[i].Name == arm.Name {
-			mixBench.Arms[i] = arm
-			arm.Name = ""
-		}
-	}
-	if arm.Name != "" {
-		mixBench.Arms = append(mixBench.Arms, arm)
-	}
-}
-
-func writeMixBench(b *testing.B) {
-	b.Helper()
-	mixBench.Lock()
-	defer mixBench.Unlock()
-	if len(mixBench.Arms) == 0 {
-		return
-	}
-	snap := struct {
-		Model       string        `json:"model"`
-		UpdateBytes int           `json:"update_bytes"`
-		RoundSize   int           `json:"round_size"`
-		Arms        []mixBenchArm `json:"arms"`
-	}{mixBench.Model, mixBench.UpdateBytes, mixBench.RoundSize, mixBench.Arms}
-	enc, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_mix.json", append(enc, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	b.ReportMetric(float64(mallocs)/float64(b.N), "allocs/update")
+	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "updates/sec")
 }
 
 // mixRoundSize is the per-mixer round the hot-path benchmarks cycle:
@@ -817,11 +550,9 @@ func BenchmarkStreamMixerAdd(b *testing.B) {
 			b.StopTimer()
 			elapsed := time.Since(start)
 			runtime.ReadMemStats(&ms1)
-			recordMixArm(b, model.Name, len(wire), mixRoundSize, b.N, elapsed,
-				ms1.Mallocs-ms0.Mallocs, ms1.TotalAlloc-ms0.TotalAlloc)
+			recordMixArm(b, elapsed, ms1.Mallocs-ms0.Mallocs)
 		})
 	}
-	writeMixBench(b)
 }
 
 // BenchmarkProxyMixWire is the sharded wire-ingress benchmark: one round
@@ -889,11 +620,9 @@ func BenchmarkProxyMixWire(b *testing.B) {
 			b.StopTimer()
 			elapsed := time.Since(start)
 			runtime.ReadMemStats(&ms1)
-			recordMixArm(b, model.Name, len(wire), mixRoundSize, b.N, elapsed,
-				ms1.Mallocs-ms0.Mallocs, ms1.TotalAlloc-ms0.TotalAlloc)
+			recordMixArm(b, elapsed, ms1.Mallocs-ms0.Mallocs)
 		})
 	}
-	writeMixBench(b)
 }
 
 // BenchmarkDeliveryLeg measures what one update costs in memory between

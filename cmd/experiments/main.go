@@ -1,6 +1,8 @@
 // Command experiments regenerates every table and figure of the MixNN
 // paper's evaluation (§6). See DESIGN.md §4 for the experiment index and
-// EXPERIMENTS.md for paper-vs-measured results.
+// README.md for paper-vs-measured results. Tier throughput under a stated
+// load model is the bench module's job (bench/README.md), not this
+// command's.
 //
 // Usage:
 //
@@ -8,14 +10,7 @@
 //	experiments -fig 5    -dataset cifar10      # one figure, one dataset
 //	experiments -fig 7    -scale full           # paper-sized inference run
 //	experiments -perf                           # §6.5 system performance
-//	experiments -shard-perf -shards 1,2,4       # sharded mixing-tier throughput
-//	experiments -shard-perf -cascade            # same, through a second mixing hop
-//	experiments -shard-perf -rounds 4           # pipelined: overlap ingest of
-//	                                            # round N+1 with delivery of N
-//	experiments -shard-perf -topology hash-quota  # quota routing arm
-//	experiments -shard-perf -topology remote    # one proxy+enclave per shard
-//	experiments -shard-perf -transport loopback # same pipeline over the
-//	                                            # in-process typed transport
+//	experiments -ablation                       # DESIGN.md §9 design-choice studies
 package main
 
 import (
@@ -41,23 +36,17 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		fig        = fs.String("fig", "all", "figure to regenerate: 5, 6, 7, 8, 9 or all")
-		perf       = fs.Bool("perf", false, "run the §6.5 system-performance experiment")
-		shardPerf  = fs.Bool("shard-perf", false, "run the sharded mixing-tier throughput experiment")
-		shardsS    = fs.String("shards", "1,2,4", "shard counts P to sweep in -shard-perf")
-		cascade    = fs.Bool("cascade", false, "cascade the sharded tier through a second mixing hop in -shard-perf")
-		topology   = fs.String("topology", "", "routing-plane arm for -shard-perf: sticky, round-robin, hash-quota, or remote (one proxy+enclave per shard)")
-		rounds     = fs.Int("rounds", 1, "back-to-back rounds per -shard-perf run (>1 exercises cross-round pipelining)")
-		transportK = fs.String("transport", "http", "transport arm for -shard-perf: http (real sockets) or loopback (in-process typed transport)")
-		ablate     = fs.Bool("ablation", false, "run the DESIGN.md §9 ablation studies instead of figures")
-		dataset    = fs.String("dataset", "all", "dataset: cifar10, motionsense, mobiact, lfw or all")
-		scaleS     = fs.String("scale", "quick", "experiment scale: quick or full")
-		seed       = fs.Int64("seed", 1, "base random seed")
-		passive    = fs.Bool("passive", false, "use the passive (honest-server) ∇Sim variant for figures 7/8")
-		ratioS     = fs.String("ratios", "0.2,0.4,0.6,0.8,1.0", "background-knowledge ratios for figure 8")
-		radius     = fs.Float64("radius", experiment.DefaultNeighbourRadius, "neighbour radius for figure 9 (on unit-normalised directions)")
-		cdfAt      = fs.Int("cdf-round", 6, "round at which figure 6 snapshots per-participant accuracy")
-		csvDir     = fs.String("csv", "", "directory to also write CSV result files into (created if missing)")
+		fig     = fs.String("fig", "all", "figure to regenerate: 5, 6, 7, 8, 9 or all")
+		perf    = fs.Bool("perf", false, "run the §6.5 system-performance experiment")
+		ablate  = fs.Bool("ablation", false, "run the DESIGN.md §9 ablation studies instead of figures")
+		dataset = fs.String("dataset", "all", "dataset: cifar10, motionsense, mobiact, lfw or all")
+		scaleS  = fs.String("scale", "quick", "experiment scale: quick or full")
+		seed    = fs.Int64("seed", 1, "base random seed")
+		passive = fs.Bool("passive", false, "use the passive (honest-server) ∇Sim variant for figures 7/8")
+		ratioS  = fs.String("ratios", "0.2,0.4,0.6,0.8,1.0", "background-knowledge ratios for figure 8")
+		radius  = fs.Float64("radius", experiment.DefaultNeighbourRadius, "neighbour radius for figure 9 (on unit-normalised directions)")
+		cdfAt   = fs.Int("cdf-round", 6, "round at which figure 6 snapshots per-participant accuracy")
+		csvDir  = fs.String("csv", "", "directory to also write CSV result files into (created if missing)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -82,13 +71,6 @@ func run(args []string) error {
 
 	if *perf {
 		return runPerf(scale, *seed, *csvDir)
-	}
-	if *shardPerf {
-		shardCounts, err := parseShards(*shardsS)
-		if err != nil {
-			return err
-		}
-		return runShardPerf(scale, *seed, shardCounts, *cascade, *rounds, *topology, *transportK, *csvDir)
 	}
 	if *ablate {
 		return runAblations(specs, *seed)
@@ -145,18 +127,6 @@ func selectDatasets(key string, scale experiment.Scale, seed int64) ([]experimen
 		return nil, err
 	}
 	return []experiment.DatasetSpec{spec}, nil
-}
-
-func parseShards(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad shard count %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func parseRatios(s string) ([]float64, error) {
@@ -330,47 +300,6 @@ func runPerf(scale experiment.Scale, seed int64, csvDir string) error {
 	}
 	return writeCSV(csvDir, "sysperf.csv", func(w io.Writer) error {
 		return experiment.WritePerfCSV(w, all)
-	})
-}
-
-// runShardPerf prints the sharded mixing-tier throughput table: one full
-// round of concurrent participants through P shards (optionally cascaded
-// through a second mixing hop), for each requested P.
-func runShardPerf(scale experiment.Scale, seed int64, shardCounts []int, cascade bool, rounds int, topology, transportKind, csvDir string) error {
-	mode := "direct"
-	if cascade {
-		mode = "cascade (2 mixing hops)"
-	}
-	if topology != "" {
-		mode += ", topology " + topology
-	}
-	if rounds > 1 {
-		mode += fmt.Sprintf(", %d pipelined rounds", rounds)
-	}
-	if transportKind != "" && transportKind != "http" {
-		mode += ", transport " + transportKind
-	}
-	fmt.Printf("=== Sharded mixing tier throughput, %s ===\n", mode)
-	fmt.Printf("%-12s %7s %5s %12s %12s %14s %12s %8s\n",
-		"model", "shards", "k", "update(KB)", "round(ms)", "updates/sec", "proc(ms)", "batches")
-	participants, k := 8, 2
-	if scale == experiment.ScaleFull {
-		participants, k = 32, 4
-	}
-	m := experiment.PerfModels(scale)[0]
-	var all []experiment.ShardedPerfResult
-	for _, p := range shardCounts {
-		res, err := experiment.RunShardedPerfTransport(m.Name, m.Arch, participants, k, p, cascade, rounds, topology, transportKind, seed)
-		if err != nil {
-			return err
-		}
-		all = append(all, res)
-		fmt.Printf("%-12s %7d %5d %12.1f %12.3f %14.1f %12.3f %8d\n",
-			res.Model, res.Shards, res.K, float64(res.UpdateBytes)/1024,
-			res.RoundMillis, res.UpdatesPerSec, res.ProcessMillis, res.BatchesSent)
-	}
-	return writeCSV(csvDir, "shardperf.csv", func(w io.Writer) error {
-		return experiment.WriteShardedPerfCSV(w, all)
 	})
 }
 

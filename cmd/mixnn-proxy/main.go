@@ -42,7 +42,6 @@ package main
 
 import (
 	"context"
-	"crypto/ecdsa"
 	"crypto/rand"
 	"crypto/sha256"
 	"crypto/x509"
@@ -63,6 +62,7 @@ import (
 	"mixnn/internal/outbox"
 	"mixnn/internal/proxy"
 	"mixnn/internal/route"
+	"mixnn/internal/transport"
 	"mixnn/internal/wire"
 )
 
@@ -86,7 +86,7 @@ func run(args []string) error {
 		nextHop      = fs.String("next-hop", "", "next mixing proxy base URL (cascade mode; overrides -upstream)")
 		nextHopTrust = fs.String("next-hop-trust", "", "trust bundle file of the next hop (required with -next-hop)")
 		nextHopSec   = fs.String("next-hop-secret", "", "inter-proxy secret sent with forwarded hop traffic")
-		hopSecret    = fs.String("hop-secret", "", "inter-proxy secret required on this proxy's /v1/hop endpoint")
+		hopSecret    = fs.String("hop-secret", "", "inter-proxy secret required on this proxy's /v1/hop and /v1/batch endpoints and its topology admin plane")
 		shards       = fs.Int("shards", 1, "number of independent mixing shards (P)")
 		routing      = fs.String("routing", "sticky", "shard routing mode: sticky, round-robin or hash-quota")
 		shardsFile   = fs.String("shards-file", "", "topology file (JSON TopologyDirective: mode, weighted shards, remote shards with trust_file); overrides -shards/-routing and hot-reloads on change at round boundaries")
@@ -391,7 +391,7 @@ func applyDirectiveToConfig(cfg *proxy.ShardedConfig, d wire.TopologyDirective) 
 		if s.Addr == "" {
 			continue
 		}
-		rs, err := proxy.ResolveRemoteShard(ctx, s, nil)
+		rs, err := proxy.ResolveRemoteShardOver(ctx, s, transport.NewHTTP(nil))
 		if err != nil {
 			return err
 		}
@@ -475,32 +475,14 @@ func loadPlatform(fuseFile string) (*enclave.Platform, error) {
 }
 
 // pinNextHop loads the next hop's trust bundle and runs the proxy-to-proxy
-// attestation handshake against its /v1/attestation endpoint.
+// attestation handshake against its /v1/attestation endpoint — the same
+// resolution a -shards-file remote shard gets.
 func pinNextHop(nextHopURL, bundlePath string) (*enclave.HopKey, error) {
-	raw, err := os.ReadFile(bundlePath)
-	if err != nil {
-		return nil, fmt.Errorf("read next-hop trust bundle: %w", err)
-	}
-	var bundle TrustBundle
-	if err := json.Unmarshal(raw, &bundle); err != nil {
-		return nil, fmt.Errorf("parse next-hop trust bundle: %w", err)
-	}
-	pub, err := x509.ParsePKIXPublicKey(bundle.AuthorityPubDER)
-	if err != nil {
-		return nil, fmt.Errorf("parse next-hop authority key: %w", err)
-	}
-	authority, ok := pub.(*ecdsa.PublicKey)
-	if !ok {
-		return nil, fmt.Errorf("next-hop authority key is %T, want ECDSA", pub)
-	}
-	measBytes, err := hex.DecodeString(bundle.MeasurementHex)
-	if err != nil || len(measBytes) != 32 {
-		return nil, fmt.Errorf("malformed next-hop measurement")
-	}
-	var meas [32]byte
-	copy(meas[:], measBytes)
-
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	return proxy.AttestHop(ctx, nextHopURL, nil, authority, meas)
+	rs, err := proxy.ResolveRemoteShardOver(ctx, wire.TopologyShardSpec{Addr: nextHopURL, TrustFile: bundlePath}, transport.NewHTTP(nil))
+	if err != nil {
+		return nil, fmt.Errorf("next hop: %w", err)
+	}
+	return rs.Key, nil
 }

@@ -24,6 +24,7 @@ import (
 	"mixnn/internal/nn"
 	"mixnn/internal/proxy"
 	"mixnn/internal/route"
+	"mixnn/internal/transport"
 )
 
 func main() {
@@ -85,7 +86,7 @@ func run() error {
 		defer px.Close()
 		srv := httptest.NewServer(px.Handler())
 		defer srv.Close()
-		key, err := proxy.AttestHop(ctx, srv.URL, nil, platform.AttestationPublicKey(), encl.Measurement())
+		key, err := proxy.AttestHopOver(ctx, transport.NewHTTP(nil), srv.URL, platform.AttestationPublicKey(), encl.Measurement())
 		if err != nil {
 			return err
 		}

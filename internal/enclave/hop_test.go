@@ -27,7 +27,11 @@ func TestTrustHopWrapRoundTrip(t *testing.T) {
 		t.Fatal("hop key bound to wrong measurement")
 	}
 	plain := []byte("mixed update payload")
-	ct, err := hop.Wrap(plain)
+	sess, err := hop.NewSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := sess.Wrap(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +72,7 @@ func TestTrustHopRejectsWrongMeasurement(t *testing.T) {
 
 func TestWrapWithoutKeyFails(t *testing.T) {
 	var hop *HopKey
-	if _, err := hop.Wrap([]byte("x")); err == nil {
-		t.Fatal("nil hop key wrapped")
+	if _, err := hop.NewSession(); err == nil {
+		t.Fatal("nil hop key started a session")
 	}
 }

@@ -257,7 +257,12 @@ func TestDecryptToReusesCallerBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, ct := range map[string][]byte{"establish": wrap(), "data": wrap(), "legacy": legacy} {
+	// In order: the data frame only opens after its establish frame.
+	for _, c := range []struct {
+		name string
+		ct   []byte
+	}{{"establish", wrap()}, {"data", wrap()}, {"legacy", legacy}} {
+		name, ct := c.name, c.ct
 		sent := append([]byte(nil), ct...)
 		buf := make([]byte, 7, len(ct)) // stale contents are overwritten from index 0
 		got, err := e.DecryptTo(buf, ct)

@@ -106,27 +106,4 @@ func WritePerfCSV(w io.Writer, results []PerfResult) error {
 	return cw.Error()
 }
 
-// WriteShardedPerfCSV emits one row per sharded-tier throughput run.
-func WriteShardedPerfCSV(w io.Writer, results []ShardedPerfResult) error {
-	cw := csv.NewWriter(w)
-	header := []string{"model", "participants", "shards", "k", "cascade", "rounds", "topology", "transport",
-		"update_bytes", "round_ms", "updates_per_sec", "process_ms", "batches_sent"}
-	if err := cw.Write(header); err != nil {
-		return fmt.Errorf("experiment: write csv header: %w", err)
-	}
-	for _, r := range results {
-		row := []string{
-			r.Model, strconv.Itoa(r.Participants), strconv.Itoa(r.Shards), strconv.Itoa(r.K),
-			strconv.FormatBool(r.Cascade), strconv.Itoa(r.Rounds), r.Topology, r.Transport, strconv.Itoa(r.UpdateBytes),
-			formatFloat(r.RoundMillis), formatFloat(r.UpdatesPerSec), formatFloat(r.ProcessMillis),
-			strconv.Itoa(r.BatchesSent),
-		}
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("experiment: write csv row: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }

@@ -216,32 +216,6 @@ func TestFig9Neighbours(t *testing.T) {
 	}
 }
 
-// TestShardedPerfPipelined drives the pipelined shard-perf arm: several
-// back-to-back rounds through the async delivery tier must all close,
-// with the whole tier's ingest split across shards and one batch
-// delivered per round.
-func TestShardedPerfPipelined(t *testing.T) {
-	m := PerfModels(ScaleQuick)[0]
-	const participants, shards, rounds = 4, 2, 3
-	res, err := RunShardedPerf(m.Name, m.Arch, participants, 2, shards, false, rounds, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds != rounds || res.BatchesSent != rounds {
-		t.Fatalf("rounds/batches = %d/%d, want %d/%d", res.Rounds, res.BatchesSent, rounds, rounds)
-	}
-	total := 0
-	for _, n := range res.ShardReceived {
-		total += n
-	}
-	if total != participants*rounds {
-		t.Fatalf("shards ingested %d updates, want %d", total, participants*rounds)
-	}
-	if res.UpdatesPerSec <= 0 || res.RoundMillis <= 0 {
-		t.Fatalf("degenerate throughput numbers: %+v", res)
-	}
-}
-
 func TestSystemPerf(t *testing.T) {
 	models := PerfModels(ScaleQuick)
 	if len(models) != 2 {

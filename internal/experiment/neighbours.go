@@ -35,7 +35,7 @@ type NeighbourResult struct {
 // round, then pairwise distances between the participants' update
 // directions. Directions are normalised to unit L2 norm so the radius is
 // scale-free (the paper's absolute 0.5 presumes its fixed model scale; see
-// EXPERIMENTS.md).
+// DefaultNeighbourRadius).
 func RunNeighbours(spec DatasetSpec, radius float64, seed int64) (NeighbourResult, error) {
 	if radius <= 0 {
 		radius = DefaultNeighbourRadius

@@ -1,6 +1,6 @@
 // Package experiment contains one runner per table/figure of the paper's
 // evaluation (§6), wired from the substrate packages. DESIGN.md §4 maps
-// each experiment to its runner; EXPERIMENTS.md records paper-vs-measured.
+// each experiment to its runner; README.md records paper-vs-measured.
 package experiment
 
 import (

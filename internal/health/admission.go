@@ -18,20 +18,19 @@ type Signals struct {
 }
 
 // AdmissionConfig tunes the gate. The zero value admits everything:
-// RatePerSec 0 disables rate limiting, and each shed threshold at 0
-// disables that signal — so existing deployments are unchanged until
-// an operator opts in.
+// RatePerSec 0 disables rate limiting and ShedQueueDepth 0 disables
+// load shedding — so existing deployments are unchanged until an
+// operator opts in.
 type AdmissionConfig struct {
 	// RatePerSec is the sustained per-sender update rate; Burst is the
 	// bucket capacity (defaults to max(1, RatePerSec) when unset).
 	RatePerSec float64
 	Burst      float64
 
-	// Shed thresholds: ingress is refused (for everyone, regardless of
-	// per-sender budget) while any enabled signal exceeds its threshold.
-	ShedQueueDepth    int
-	ShedLaneBacklog   int
-	ShedDecryptMicros float64
+	// ShedQueueDepth is the shed threshold: ingress is refused (for
+	// everyone, regardless of per-sender budget) while the ingress queue
+	// depth signal is at or above it.
+	ShedQueueDepth int
 
 	// MaxSenders bounds the per-sender bucket map; at the bound the
 	// stalest bucket is evicted. Defaults to DefaultMaxSenders.
@@ -80,28 +79,12 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 // Enabled reports whether any admission mechanism is configured; a
 // fully-disabled gate lets callers skip signal snapshotting entirely.
 func (a *Admission) Enabled() bool {
-	return a != nil && (a.cfg.RatePerSec > 0 || a.shedEnabled())
-}
-
-func (a *Admission) shedEnabled() bool {
-	return a.cfg.ShedQueueDepth > 0 || a.cfg.ShedLaneBacklog > 0 || a.cfg.ShedDecryptMicros > 0
+	return a != nil && (a.cfg.RatePerSec > 0 || a.cfg.ShedQueueDepth > 0)
 }
 
 // Shedding reports whether the gate is refusing all ingress under sig.
 func (a *Admission) Shedding(sig Signals) bool {
-	if a == nil {
-		return false
-	}
-	if a.cfg.ShedQueueDepth > 0 && sig.QueueDepth >= a.cfg.ShedQueueDepth {
-		return true
-	}
-	if a.cfg.ShedLaneBacklog > 0 && sig.LaneBacklog >= a.cfg.ShedLaneBacklog {
-		return true
-	}
-	if a.cfg.ShedDecryptMicros > 0 && sig.DecryptMicros >= a.cfg.ShedDecryptMicros {
-		return true
-	}
-	return false
+	return a != nil && a.cfg.ShedQueueDepth > 0 && sig.QueueDepth >= a.cfg.ShedQueueDepth
 }
 
 // Allow decides one ingress attempt by sender under the signal

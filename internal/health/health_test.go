@@ -183,7 +183,7 @@ func TestAdmissionTokenBucket(t *testing.T) {
 }
 
 func TestAdmissionShedGate(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{ShedQueueDepth: 100, ShedDecryptMicros: 5000})
+	a := NewAdmission(AdmissionConfig{ShedQueueDepth: 100})
 	if !a.Enabled() {
 		t.Fatal("shed-only config reports disabled")
 	}
@@ -194,12 +194,9 @@ func TestAdmissionShedGate(t *testing.T) {
 	if ok || !shed || ra <= 0 {
 		t.Fatalf("at-threshold: ok=%v shed=%v ra=%v, want shed refusal with hint", ok, shed, ra)
 	}
-	if ok, shed, _ := a.Allow("s", Signals{DecryptMicros: 6000}); ok || !shed {
-		t.Fatal("decrypt-latency signal did not shed")
-	}
-	// LaneBacklog threshold unset: that signal alone never sheds.
-	if ok, _, _ := a.Allow("s", Signals{LaneBacklog: 1 << 20}); !ok {
-		t.Fatal("disabled signal caused shedding")
+	// The other signals feed Score and /v1/discover, never the gate.
+	if ok, _, _ := a.Allow("s", Signals{LaneBacklog: 1 << 20, DecryptMicros: 6000}); !ok {
+		t.Fatal("a signal without a threshold caused shedding")
 	}
 }
 

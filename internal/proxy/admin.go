@@ -11,6 +11,7 @@ package proxy
 import (
 	"context"
 	"crypto/ecdsa"
+	"crypto/subtle"
 	"crypto/x509"
 	"encoding/hex"
 	"encoding/json"
@@ -18,7 +19,6 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"time"
 
 	"mixnn/internal/route"
 	"mixnn/internal/transport"
@@ -54,20 +54,6 @@ func (p *ShardedProxy) Topology() *route.Topology {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.topo
-}
-
-// RegisterRemote records attested key material for a remote shard
-// address, making it usable in topology directives (and letting queued
-// entries addressed to it deliver).
-func (p *ShardedProxy) RegisterRemote(addr string, rs RemoteShard) error {
-	if addr == "" || rs.Key == nil {
-		return fmt.Errorf("proxy: RegisterRemote needs an address and a hop key")
-	}
-	p.mu.Lock()
-	p.remotes[addr] = rs
-	p.mu.Unlock()
-	p.disp.Wake() // entries may have been waiting on this key
-	return nil
 }
 
 // StageTopology validates a directive, attests any new remote shards
@@ -110,7 +96,7 @@ func (p *ShardedProxy) StageTopology(ctx context.Context, d wire.TopologyDirecti
 			if s.Addr == "" {
 				continue
 			}
-			if err := p.ensureRemote(ctx, s); err != nil {
+			if err := p.dlv.ensureRemote(ctx, s); err != nil {
 				return nil, fmt.Errorf("proxy: remote shard %s: %w", s.Addr, err)
 			}
 		}
@@ -147,7 +133,7 @@ func (p *ShardedProxy) requireQuiesced() error {
 	if inRound != 0 || closing != 0 || retained != 0 {
 		return fmt.Errorf("tier is mid-round (%d updates in, %d closes in flight); retry between rounds", inRound, closing)
 	}
-	if n := p.box.Len(); n != 0 {
+	if n := p.dlv.box.Len(); n != 0 {
 		return fmt.Errorf("delivery outbox still holds %d entries routed under the current quotas; retry after it drains", n)
 	}
 	return nil
@@ -175,17 +161,15 @@ func (p *ShardedProxy) syncPeerRoundSizes(ctx context.Context, next *route.Topol
 			continue
 		}
 		addr := next.Spec(s).Addr
-		p.mu.Lock()
-		secret := p.remotes[addr].Secret
-		p.mu.Unlock()
-		st, err := p.tr.Topology(ctx, addr, transport.TopologyRequest{Secret: secret})
+		rs, _ := p.dlv.remote(addr)
+		st, err := p.dlv.tr.Topology(ctx, addr, transport.TopologyRequest{Secret: rs.Secret})
 		if err != nil {
 			return fmt.Errorf("proxy: probe peer %s admin plane before resizing any peer: %w", addr, err)
 		}
-		peers = append(peers, peerSync{addr: addr, secret: secret, quota: next.Quota(s), oldRS: st.RoundSize})
+		peers = append(peers, peerSync{addr: addr, secret: rs.Secret, quota: next.Quota(s), oldRS: st.RoundSize})
 	}
 	for i, ps := range peers {
-		_, err := p.tr.Topology(ctx, ps.addr, transport.TopologyRequest{
+		_, err := p.dlv.tr.Topology(ctx, ps.addr, transport.TopologyRequest{
 			Directive: &wire.TopologyDirective{RoundSize: ps.quota},
 			Secret:    ps.secret,
 		})
@@ -196,7 +180,7 @@ func (p *ShardedProxy) syncPeerRoundSizes(ctx context.Context, next *route.Topol
 		// sizes; a rollback that itself fails needs the operator (the
 		// caller also unstages, so nothing promotes meanwhile).
 		for _, done := range peers[:i] {
-			if _, rerr := p.tr.Topology(ctx, done.addr, transport.TopologyRequest{
+			if _, rerr := p.dlv.tr.Topology(ctx, done.addr, transport.TopologyRequest{
 				Directive: &wire.TopologyDirective{RoundSize: done.oldRS},
 				Secret:    done.secret,
 			}); rerr != nil {
@@ -233,56 +217,13 @@ func (p *ShardedProxy) applyStagedIfIdle() {
 		// already consumed, so fall back to keeping the current shards.
 		return
 	}
-	p.shardRecv = resizeLedger(p.shardRecv, nextTopo.P())
-	p.shardEmit = resizeLedger(p.shardEmit, nextTopo.P())
-	p.topo = nextTopo
-	rr := p.rst.RR % nextTopo.P() // the cursor carries across swaps
-	p.rst = nextTopo.NewState()
-	p.rst.RR = rr
-	p.shards = fresh
+	p.installEpochLocked(nextTopo, fresh, p.rst.RR)
 }
 
-// ensureRemote makes sure attested key material exists for a remote
-// shard spec: already-registered addresses pass through (the secret may
-// be refreshed); new ones must carry trust material (inline DER +
-// measurement, or a trust-bundle file) and are attested now, so a bad
-// directive fails at the admin call, not at delivery time.
-func (p *ShardedProxy) ensureRemote(ctx context.Context, s wire.TopologyShardSpec) error {
-	p.mu.Lock()
-	existing, known := p.remotes[s.Addr]
-	p.mu.Unlock()
-	if known && s.AuthorityPubDER == nil && s.TrustFile == "" {
-		if s.Secret != "" && s.Secret != existing.Secret {
-			p.mu.Lock()
-			existing.Secret = s.Secret
-			if existing.Trust != nil {
-				existing.Trust.Secret = s.Secret
-			}
-			p.remotes[s.Addr] = existing
-			p.mu.Unlock()
-		}
-		return nil
-	}
-	actx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	defer cancel()
-	rs, err := resolveRemoteShard(actx, s, p.tr)
-	if err != nil {
-		return err
-	}
-	return p.RegisterRemote(s.Addr, rs)
-}
-
-// ResolveRemoteShard resolves a remote shard spec's trust material and
-// runs the hop-attestation handshake against it, returning the key
-// material a ShardedConfig (or RegisterRemote) needs. mixnn-proxy uses
-// it to bring up a -shards-file topology before serving. httpc may be
-// nil for a default client.
-func ResolveRemoteShard(ctx context.Context, s wire.TopologyShardSpec, httpc *http.Client) (RemoteShard, error) {
-	return ResolveRemoteShardOver(ctx, s, transport.NewHTTP(httpc))
-}
-
-// ResolveRemoteShardOver is ResolveRemoteShard over an arbitrary
-// transport.
+// ResolveRemoteShardOver resolves a remote shard spec's trust material
+// and runs the hop-attestation handshake against it over tr, returning
+// the key material a ShardedConfig (or RegisterRemote) needs. mixnn-proxy
+// uses it to bring up a -shards-file topology before serving.
 func ResolveRemoteShardOver(ctx context.Context, s wire.TopologyShardSpec, tr transport.Transport) (RemoteShard, error) {
 	if s.Addr == "" {
 		return RemoteShard{}, fmt.Errorf("proxy: remote shard spec without an address")
@@ -378,4 +319,29 @@ func topoShards(t *route.Topology, load []int) []wire.TopologyShard {
 		}
 	}
 	return out
+}
+
+// HandleTopology implements transport.Server: the admin plane. A nil
+// directive reads the routing plane; a non-nil one stages it for the
+// next round close. Both sides are gated on the inter-proxy secret —
+// and staging over the network requires the proxy to HAVE one:
+// reshaping the tier is privacy-critical either way (a forged directive
+// could shrink the anonymity set to one shard, or attach an
+// attacker-attested "remote shard" that receives raw pre-mix updates).
+// Operators without a secret still have -shards-file and the Go API.
+func (p *ShardedProxy) HandleTopology(ctx context.Context, req transport.TopologyRequest) (wire.TopologyStatus, error) {
+	if req.Directive != nil && p.cfg.HopSecret == "" {
+		return wire.TopologyStatus{}, transport.Errorf(http.StatusForbidden,
+			"topology admin POST requires the proxy to be started with an inter-proxy secret (-hop-secret)")
+	}
+	if p.cfg.HopSecret != "" &&
+		subtle.ConstantTimeCompare([]byte(req.Secret), []byte(p.cfg.HopSecret)) != 1 {
+		return wire.TopologyStatus{}, transport.Errorf(http.StatusUnauthorized, "topology admin requires the inter-proxy secret")
+	}
+	if req.Directive != nil {
+		if _, err := p.StageTopology(ctx, *req.Directive); err != nil {
+			return wire.TopologyStatus{}, transport.Errorf(http.StatusUnprocessableEntity, "%s", err.Error())
+		}
+	}
+	return p.TopologyStatus(), nil
 }

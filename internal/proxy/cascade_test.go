@@ -12,6 +12,7 @@ import (
 	"mixnn/internal/enclave"
 	"mixnn/internal/fl"
 	"mixnn/internal/nn"
+	"mixnn/internal/transport"
 )
 
 // TestCascadeEndToEnd is the full-topology integration test: participants
@@ -55,7 +56,7 @@ func TestCascadeEndToEnd(t *testing.T) {
 	defer cancel()
 
 	// Front tier pins the hop enclave via the real attestation handshake.
-	hopKey, err := AttestHop(ctx, hopSrv.URL, nil, platform.AttestationPublicKey(), hopEncl.Measurement())
+	hopKey, err := AttestHopOver(ctx, transport.NewHTTP(nil), hopSrv.URL, platform.AttestationPublicKey(), hopEncl.Measurement())
 	if err != nil {
 		t.Fatal(err)
 	}

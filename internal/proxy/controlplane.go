@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"context"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,8 +16,9 @@ import (
 // This file is the sharded proxy's control plane: the admission gate in
 // front of participant ingress (token-bucket per sender plus load
 // shedding over live tier signals), the /v1/discover advertisement
-// participant SDKs bootstrap their failover lists from, and the
-// /v1/metrics operator registry. The data plane stays in sharded.go.
+// participant SDKs bootstrap their failover lists from, the
+// /v1/metrics operator registry, and the status, attest and model
+// handlers. The data plane is ingress.go, round.go and delivery.go.
 
 // signalCacheTTL bounds how stale the admission gate's Signals snapshot
 // may be. Snapshotting per update would put two extra lock domains
@@ -28,11 +30,9 @@ const signalCacheTTL = 2 * time.Millisecond
 // the config. Called once from NewSharded, before the tier serves.
 func (p *ShardedProxy) initControlPlane() {
 	p.admission = health.NewAdmission(health.AdmissionConfig{
-		RatePerSec:        p.cfg.RatePerSec,
-		Burst:             p.cfg.RateBurst,
-		ShedQueueDepth:    p.cfg.ShedQueueDepth,
-		ShedLaneBacklog:   p.cfg.ShedLaneBacklog,
-		ShedDecryptMicros: p.cfg.ShedDecryptMicros,
+		RatePerSec:     p.cfg.RatePerSec,
+		Burst:          p.cfg.RateBurst,
+		ShedQueueDepth: p.cfg.ShedQueueDepth,
 	})
 	if !p.cfg.DisableMetrics {
 		p.metrics = health.NewRegistry()
@@ -81,7 +81,7 @@ func (p *ShardedProxy) signals() health.Signals {
 		return p.sig
 	}
 	var sig health.Signals
-	pending, maxLane := p.disp.Backlog()
+	pending, maxLane := p.dlv.disp.Backlog()
 	sig.LaneBacklog = maxLane
 	if p.cfg.IngressDepth != nil {
 		sig.QueueDepth = p.cfg.IngressDepth()
@@ -131,7 +131,7 @@ func (p *ShardedProxy) admit(sender string) error {
 // a client probes each peer's own Discover for its health, and every
 // learned peer still gates on attestation before material flows.
 func (p *ShardedProxy) HandleDiscover(ctx context.Context) (wire.DiscoverResponse, error) {
-	pending, maxLane := p.disp.Backlog()
+	pending, maxLane := p.dlv.disp.Backlog()
 	sig := p.signals()
 	shedding := p.admission.Shedding(sig)
 
@@ -244,4 +244,125 @@ func (p *ShardedProxy) WriteMetrics(w io.Writer) error {
 		"Ciphertexts rejected as counter replays.").Set(float64(st.SessionReplays))
 
 	return m.WritePrometheus(w)
+}
+
+// HandleAttest serves a signed enclave report bound to the caller's
+// nonce so participants (and upstream cascade proxies) can verify this
+// enclave before trusting its key. It implements transport.Server.
+func (p *ShardedProxy) HandleAttest(ctx context.Context, nonce []byte) (wire.AttestationResponse, error) {
+	if len(nonce) == 0 {
+		return wire.AttestationResponse{}, transport.Errorf(http.StatusBadRequest, "missing or invalid nonce")
+	}
+	rep, err := p.platform.Attest(p.enclave, nonce)
+	if err != nil {
+		return wire.AttestationResponse{}, err
+	}
+	return wire.AttestationResponse{
+		MeasurementHex: hex.EncodeToString(rep.Measurement[:]),
+		NonceHex:       hex.EncodeToString(rep.Nonce),
+		PubKeyDER:      rep.PubKeyDER,
+		Signature:      rep.Signature,
+	}, nil
+}
+
+// HandleModel implements transport.Server: proxies serve no model.
+func (p *ShardedProxy) HandleModel(ctx context.Context) (transport.ModelResponse, error) {
+	return transport.ModelResponse{}, transport.ErrNotSupported
+}
+
+// HandleStatus implements transport.Server.
+func (p *ShardedProxy) HandleStatus(ctx context.Context) (transport.StatusResponse, error) {
+	st := p.Status()
+	return transport.StatusResponse{Proxy: &st}, nil
+}
+
+// Status snapshots the tier: global round progress plus per-shard mixers
+// (cumulative across epoch swaps and restores) and the delivery
+// pipeline's epoch/backlog. p.mu is held across the whole snapshot (lock
+// order p.mu → mixer.mu, as in ingest) so the per-shard counters are
+// consistent with the global round state — a concurrent round close
+// cannot appear half-applied.
+func (p *ShardedProxy) Status() wire.ShardedProxyStatus {
+	// Lane stats are snapshotted before p.mu: the dispatcher runs its own
+	// lock domain, and holding p.mu across it would nest p.mu outside the
+	// delivery locks for no consistency gain. OutboxPending is the SUM of
+	// this one snapshot, not a separate p.box.Len() read — two reads at
+	// different instants race the dispatcher's acks, and a status poller
+	// under load would see a total no set of lanes ever added up to.
+	var lanes []wire.OutboxLaneStatus
+	pending := 0
+	for _, ls := range p.dlv.disp.LaneStats() {
+		pending += ls.Pending
+		lanes = append(lanes, wire.OutboxLaneStatus{
+			Dest:        ls.Lane,
+			Pending:     ls.Pending,
+			InFlight:    ls.InFlight,
+			BackoffMs:   float64(ls.Backoff) / float64(time.Millisecond),
+			NextRetryMs: float64(ls.NextRetry) / float64(time.Millisecond),
+			Delivered:   ls.Delivered,
+			Failures:    ls.Failures,
+		})
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	shards := make([]wire.ShardStatus, len(p.shards))
+	for s, m := range p.shards {
+		spec := p.topo.Spec(s)
+		shards[s] = wire.ShardStatus{
+			Shard:    s,
+			K:        m.K(),
+			Buffered: m.Buffered(),
+			Received: p.shardRecv[s] + m.Received(),
+			Emitted:  p.shardEmit[s] + m.Emitted(),
+			Quota:    p.topo.Quota(s),
+			Load:     p.rst.Load[s],
+			Addr:     spec.Addr,
+			Weight:   spec.Weight,
+		}
+	}
+	var stagedVer uint64
+	if staged := p.planner.Staged(); staged != nil {
+		stagedVer = staged.Version()
+	}
+	st := p.enclave.Stats()
+	forwarded, batches := p.dlv.counters()
+	return wire.ShardedProxyStatus{
+		Shards:            shards,
+		Received:          p.received,
+		HopReceived:       p.hopReceived,
+		Forwarded:         forwarded,
+		Rounds:            p.rounds,
+		InRound:           p.inRound,
+		RoundSize:         p.topo.RoundSize(),
+		Epoch:             p.rounds,
+		OutboxPending:     pending,
+		OutboxLanes:       lanes,
+		BatchesSent:       batches,
+		NextHop:           p.cfg.NextHop,
+		MaxHops:           p.cfg.MaxHops,
+		TopoVersion:       p.topo.Version(),
+		RoutingMode:       p.topo.Mode().String(),
+		StagedTopoVersion: stagedVer,
+		OutboxQuarantined: p.dlv.box.Quarantined(),
+		RestoredFrom:      p.restoredFrom,
+		UpdateBytes:       p.updateBytes,
+		EnclaveUsed:       st.MemoryUsedBytes,
+		EnclavePeak:       st.MemoryPeakBytes,
+		EnclavePaging:     st.PageEvents,
+		DecryptMillis:     p.decryptT.meanMillisExact(),
+		DecryptMicros:     p.decryptT.meanMillisExact() * 1000,
+		StoreMillis:       p.storeT.meanMillisExact(),
+		MixMillis:         p.mixT.meanMillisExact(),
+		ProcessMillis:     p.processT.meanMillisExact(),
+
+		SessionsActive:      st.SessionsActive,
+		SessionsEstablished: st.SessionsEstablished,
+		SessionHits:         st.SessionHits,
+		SessionMisses:       st.SessionMisses,
+		SessionEvictions:    st.SessionEvictions,
+		SessionReplays:      st.SessionReplays,
+
+		AdmissionRateLimited: p.admRate.Load(),
+		AdmissionShed:        p.admShed.Load(),
+	}
 }

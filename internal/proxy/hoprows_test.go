@@ -329,7 +329,7 @@ func hopFixture(t *testing.T, platform *enclave.Platform, identity string, cfg S
 	t.Cleanup(srv.Close)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	key, err := AttestHop(ctx, srv.URL, nil, platform.AttestationPublicKey(), encl.Measurement())
+	key, err := AttestHopOver(ctx, transport.NewHTTP(nil), srv.URL, platform.AttestationPublicKey(), encl.Measurement())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,8 +527,8 @@ func TestRelayRefileMixesBeforeItTravels(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(px.Close)
-	box := &failingBox{Queue: px.box, lane: addr, failing: true}
-	px.box = box
+	box := &failingBox{Queue: px.dlv.box, lane: addr, failing: true}
+	px.dlv.box = box
 	pxSrv := httptest.NewServer(px.Handler())
 	t.Cleanup(pxSrv.Close)
 

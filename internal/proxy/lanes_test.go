@@ -323,3 +323,69 @@ func TestDeliveryLaneCrashRestartProgress(t *testing.T) {
 		t.Fatal("aggregate diverged across the per-lane crash-resume")
 	}
 }
+
+// TestDeliveryNeverTakesRoundLock pins the delivery lock domain: with the
+// round lock (px.mu) held by the test, both queued lanes — the downstream
+// entry and a relay entry — must still resolve their targets, deliver and
+// account for the acknowledgement. A delivery worker that touched px.mu
+// anywhere on that path would sit behind the test until the deadline.
+func TestDeliveryNeverTakesRoundLock(t *testing.T) {
+	const c = 4
+	platform, encl := fixtures(t)
+	initial := testArch().New(1).SnapshotParams()
+	agg, err := NewAggServer(initial, c/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb := transport.NewLoopback()
+	t.Cleanup(lb.Close)
+	const aggEP, frontEP = "loop://agg", "loop://front"
+	lb.Register(aggEP, agg)
+	peer, addr, rs := remoteShardFixtureOver(t, platform, lb, aggEP, c/2, 211)
+
+	// One local and one remote shard, quota 2 each.
+	px, err := NewSharded(ShardedConfig{
+		Upstream: aggEP, K: 1, RoundSize: c, Seed: 212,
+		Routing:      route.ModeHashQuota,
+		ShardSpecs:   []route.ShardSpec{{}, {Addr: addr}},
+		RemoteShards: map[string]RemoteShard{addr: rs},
+		RetryBase:    time.Millisecond, RetryMax: 5 * time.Millisecond,
+		Transport: lb,
+	}, encl, platform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(px.Close)
+	lb.Register(frontEP, px)
+
+	// Close a round while both destinations are down: one entry per lane
+	// sits queued, retrying.
+	lb.Unregister(aggEP)
+	lb.Unregister(addr)
+	for i, u := range perturbed(initial, c, 500) {
+		sendTyped(t, lb, encl, frontEP, fmt.Sprintf("rl-%d", i), u)
+	}
+	if st := px.Status(); st.OutboxPending != 2 {
+		t.Fatalf("outbox holds %d entries with both destinations down, want 2", st.OutboxPending)
+	}
+
+	px.mu.Lock()
+	defer px.mu.Unlock()
+	lb.Register(aggEP, agg)
+	lb.Register(addr, peer)
+	px.dlv.disp.Wake()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := px.dlv.disp.Flush(ctx); err != nil {
+		t.Fatalf("delivery did not drain while the round lock was held: %v", err)
+	}
+	if agg.Round() < 1 {
+		t.Fatal("the downstream lane drained but the server has no round")
+	}
+	if hr := peer.Status().HopReceived; hr != c/2 {
+		t.Fatalf("peer ingested %d relayed updates, want %d", hr, c/2)
+	}
+	if forwarded, batches := px.dlv.counters(); forwarded != c || batches != 2 {
+		t.Fatalf("delivery acknowledged %d updates in %d batches, want %d in 2", forwarded, batches, c)
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"mixnn/internal/enclave"
 	"mixnn/internal/fl"
 	"mixnn/internal/nn"
+	"mixnn/internal/transport"
 	"mixnn/internal/wire"
 )
 
@@ -174,7 +175,7 @@ func TestShardedCrashRestartReshardE2E(t *testing.T) {
 	t.Cleanup(hopSrv.Close)
 
 	ctx := context.Background()
-	hopKey, err := AttestHop(ctx, hopSrv.URL, nil, platform.AttestationPublicKey(), hopEncl.Measurement())
+	hopKey, err := AttestHopOver(ctx, transport.NewHTTP(nil), hopSrv.URL, platform.AttestationPublicKey(), hopEncl.Measurement())
 	if err != nil {
 		t.Fatal(err)
 	}

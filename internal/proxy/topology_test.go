@@ -580,9 +580,9 @@ func TestTopologyRemoteKeyMissingStallsNotLoses(t *testing.T) {
 
 	// Sabotage: drop the key before any traffic, so the relay entry has
 	// no target material.
-	px.mu.Lock()
-	delete(px.remotes, addr)
-	px.mu.Unlock()
+	px.dlv.mu.Lock()
+	delete(px.dlv.remotes, addr)
+	px.dlv.mu.Unlock()
 
 	updates := perturbed(testArch().New(1).SnapshotParams(), c, 130)
 	for i, u := range updates {

@@ -23,9 +23,8 @@ import (
 )
 
 // testNet serves typed servers over one shared Loopback (loop=true) or
-// over httptest listeners (loop=false) inside one test case — the test
-// twin of the experiment harness's perfNet, shared by the fuzz
-// batteries' transport dimension.
+// over httptest listeners (loop=false) inside one test case, shared by
+// the fuzz batteries' transport dimension.
 type testNet struct {
 	t  *testing.T
 	lb *transport.Loopback

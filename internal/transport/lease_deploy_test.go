@@ -85,7 +85,7 @@ func TestHandlerLeaseReleasedBodyNeverRead(t *testing.T) {
 		return p, host(p)
 	}
 	attest := func(url string, e *enclave.Enclave) *enclave.HopKey {
-		key, err := proxy.AttestHop(ctx, url, nil, platform.AttestationPublicKey(), e.Measurement())
+		key, err := proxy.AttestHopOver(ctx, transport.NewHTTP(nil), url, platform.AttestationPublicKey(), e.Measurement())
 		if err != nil {
 			t.Fatal(err)
 		}
