@@ -191,10 +191,10 @@ func recordCryptoArm(b *testing.B, elapsed time.Duration) {
 }
 
 // BenchmarkProxyCrypto measures the full per-update crypto round trip —
-// sender wrap plus enclave decrypt, both in-loop — for the legacy hybrid
-// format (RSA-OAEP unwrap every update) against the session-keyed format
-// (RSA amortised into the establish handshake, steady state is one
-// AES-GCM pass each side). The gcm-floor arm is the raw seal+open of the
+// sender wrap plus enclave decrypt, both in-loop — for a one-shot
+// establish frame per update (the legacy arm: enclave.Encrypt, an RSA-OAEP
+// unwrap every update) against a kept session (RSA amortised into the
+// establish handshake, steady state is one AES-GCM pass each side). The gcm-floor arm is the raw seal+open of the
 // same payload with no framing: the theoretical lower bound the session
 // path should sit within a small constant factor of.
 func BenchmarkProxyCrypto(b *testing.B) {

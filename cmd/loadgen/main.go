@@ -92,15 +92,11 @@ func run(args []string) error {
 		return err
 	}
 
-	fmt.Printf("loadgen: %d participants x %d waves = %d updates (%d fillers) in %.1fms\n",
-		res.Participants, res.Waves, res.TotalUpdates, res.Fillers, res.DurationMillis)
-	fmt.Printf("  throughput   %.0f updates/sec over %d agg rounds of %d\n", res.UpdatesPerSec, res.AggRounds, res.Quota)
-	fmt.Printf("  send latency p50 %.2fms  p95 %.2fms  p99 %.2fms\n", res.SendMsP50, res.SendMsP95, res.SendMsP99)
-	fmt.Printf("  round gaps   p50 %.2fms  p95 %.2fms  p99 %.2fms\n", res.RoundGapMsP50, res.RoundGapMsP95, res.RoundGapMsP99)
+	fmt.Printf("loadgen: %d participants x %d waves = %d updates (%d fillers) in %d agg rounds of %d, %.1fms\n",
+		res.Participants, res.Waves, res.TotalUpdates, res.Fillers, res.AggRounds, res.Quota, res.DurationMillis)
 	fmt.Printf("  backpressure peak queue %d, %d busy rejections, %d send retries\n", res.PeakIngressQueue, res.BusyRejections, res.SendRetries)
 	fmt.Printf("  churn        %d sessions replaced, %d stragglers, peak outbox lane %d\n", res.Replaced, res.Stragglers, res.PeakLaneDepth)
 	fmt.Printf("  admission    %d overload sends, %d rate-limited 429s, %d shed\n", res.OverloadSends, res.RateLimited429, res.AdmissionShed)
-	fmt.Printf("  allocs/op    %.0f\n", res.AllocsPerUpdate)
 	fmt.Printf("  conservation %v (every acked update accounted for at 1e-9)\n", res.ConservationOK)
 
 	if *metricsOut != "" {

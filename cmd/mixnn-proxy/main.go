@@ -30,10 +30,13 @@
 // Crash/restart durability: with -state-file the proxy seals its whole
 // tier (every shard's buffered layers, pending emissions + the round
 // ledger) on SIGINT or SIGTERM and restores it at the next start, so a
-// mid-round restart loses no participant material. The sealed blob is
-// shard-aware: the restarted proxy may run a different -shards count and
-// the buffered round is resharded on restore. Sealing keys derive from
-// the platform fuse secret, so -state-file (and -outbox-dir) require
+// mid-round restart loses no participant material. The restarted proxy
+// comes back under the topology the blob was sealed under, so the open
+// round finishes under the plan it opened under; a different -shards,
+// -routing, -round-size or -shards-file on the restart command line is
+// staged like any other directive and takes effect at the next round
+// close (at once when the restored tier is idle). Sealing keys derive
+// from the platform fuse secret, so -state-file (and -outbox-dir) require
 // -fuse-file (and restoring needs the same -identity):
 //
 //	mixnn-proxy -listen :8441 -round-size 8 -k 4 -shards 2 \
@@ -88,8 +91,8 @@ func run(args []string) error {
 		nextHopSec   = fs.String("next-hop-secret", "", "inter-proxy secret sent with forwarded hop traffic")
 		hopSecret    = fs.String("hop-secret", "", "inter-proxy secret required on this proxy's /v1/hop and /v1/batch endpoints and its topology admin plane")
 		shards       = fs.Int("shards", 1, "number of independent mixing shards (P)")
-		routing      = fs.String("routing", "sticky", "shard routing mode: sticky, round-robin or hash-quota")
-		shardsFile   = fs.String("shards-file", "", "topology file (JSON TopologyDirective: mode, weighted shards, remote shards with trust_file); overrides -shards/-routing and hot-reloads on change at round boundaries")
+		routing      = fs.String("routing", "sticky", "shard routing mode: sticky or hash-quota")
+		shardsFile   = fs.String("shards-file", "", "topology file (JSON TopologyDirective: mode, weighted shards, remote shards with trust_file); staged over -shards/-routing at start-up and hot-reloaded on change, at round boundaries")
 		dedupWindow  = fs.Int("dedup-window", proxy.DefaultDedupWindow, "batch-dedup FIFO window; aged-out redeliveries are rejected with 409 via the sender sequence watermark")
 		roundSize    = fs.Int("round-size", 8, "total updates per round (C) across all shards")
 		k            = fs.Int("k", 4, "per-shard mixing list capacity (<= shard round share)")
@@ -97,12 +100,11 @@ func run(args []string) error {
 		constMs      = fs.Int("const-ms", 0, "constant per-update processing time in ms (side-channel hardening; 0 = off)")
 		identity     = fs.String("identity", "mixnn-proxy-v1", "enclave code identity (measured)")
 		trustOut     = fs.String("trust-out", "trust.json", "file to write the participant trust bundle to")
-		stateFile    = fs.String("state-file", "", "sealed tier state: restored at startup if present, written on SIGINT/SIGTERM")
+		stateFile    = fs.String("state-file", "", "sealed tier state: restored at startup if present (under its sealed topology; a different shape on this command line applies at the next round close), written on SIGINT/SIGTERM")
 		fuseFile     = fs.String("fuse-file", "", "platform fuse-secret file (created if missing); required for -state-file/-outbox-dir restores across process restarts")
 		outboxDir    = fs.String("outbox-dir", "", "sealed delivery outbox directory: drained rounds are committed here before forwarding and survive restarts (requires -fuse-file); empty = in-memory queue")
 		retry        = fs.Duration("retry", 5*time.Second, "maximum delivery retry backoff per destination lane (jittered)")
 		workers      = fs.Int("delivery-workers", outbox.DefaultWorkers, "destination lanes delivered concurrently; a dead peer stalls only its own lane")
-		deliveryTO   = fs.Duration("delivery-timeout", outbox.DefaultAttemptTimeout, "per-attempt delivery timeout (raised to -retry if set lower)")
 		seed         = fs.Int64("seed", time.Now().UnixNano(), "mixing randomness seed")
 		endpoint     = fs.String("endpoint", "", "this proxy's advertised base URL in /v1/discover (empty = not advertised)")
 		peers        = fs.String("peers", "", "comma-separated peer front endpoints advertised via /v1/discover for SDK bootstrap")
@@ -156,7 +158,6 @@ func run(args []string) error {
 		OutboxDir:       *outboxDir,
 		RetryMax:        *retry,
 		DeliveryWorkers: *workers,
-		DeliveryTimeout: *deliveryTO,
 		Endpoint:        *endpoint,
 		Peers:           splitPeers(*peers),
 		RatePerSec:      *rateLimit,
@@ -164,25 +165,28 @@ func run(args []string) error {
 		ShedQueueDepth:  *shedDepth,
 		DisableMetrics:  !*metrics,
 	}
-	// A restored tier comes back under the topology it was sealed under,
-	// UNLESS the operator explicitly asked for a different shape on this
-	// command line — then the sealed material is resharded into it.
-	cfg.AdoptSealedTopology = true
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "shards", "routing", "round-size":
-			cfg.AdoptSealedTopology = false
-		}
-	})
+	// The shape this command line asks for, as a directive: the shards
+	// file when there is one, else whichever of -shards, -routing and
+	// -round-size were typed — a flag left at its default keeps what the
+	// tier has, as a directive's zero field does.
+	var plan wire.TopologyDirective
+	planSource := "the command line"
 	if *shardsFile != "" {
-		d, err := loadShardsFile(*shardsFile)
-		if err != nil {
+		if plan, err = loadShardsFile(*shardsFile); err != nil {
 			return err
 		}
-		if err := applyDirectiveToConfig(&cfg, d); err != nil {
-			return err
-		}
-		cfg.AdoptSealedTopology = false
+		planSource = *shardsFile
+	} else {
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "shards":
+				plan.Shards = make([]wire.TopologyShardSpec, *shards)
+			case "routing":
+				plan.Mode = *routing
+			case "round-size":
+				plan.RoundSize = *roundSize
+			}
+		})
 	}
 	if *nextHop != "" {
 		if *nextHopTrust == "" {
@@ -202,6 +206,7 @@ func run(args []string) error {
 		return err
 	}
 
+	restored := false
 	if *stateFile != "" {
 		blob, err := os.ReadFile(*stateFile)
 		switch {
@@ -213,32 +218,44 @@ func run(args []string) error {
 			if err := px.RestoreState(blob); err != nil {
 				return fmt.Errorf("restore sealed state: %w", err)
 			}
-			// Consume the blob: once restored, its material flows onward,
-			// and replaying it after a later hard crash (no fresh seal)
-			// would double-count already-forwarded updates upstream.
-			// Rename rather than delete so a startup failure between here
-			// and serving (port in use, trust-bundle write) doesn't lose
-			// the round — the operator can move the .restored file back.
-			if err := os.Rename(*stateFile, *stateFile+".restored"); err != nil {
-				return fmt.Errorf("consume state file: %w", err)
-			}
+			restored = true
 			st := px.Status()
-			log.Printf("mixnn-proxy: restored sealed state (sealed at %d shards, now %d, %s routing; %d updates into the round)",
-				st.RestoredFrom, len(st.Shards), st.RoutingMode, st.InRound)
-			// Re-attest remote shards from the sealed trust material so
-			// the tier's relay legs deliver without waiting for an admin
-			// directive or a shards-file reload. Best-effort AND
-			// asynchronous: a still-down peer keeps its queued material
-			// stalled (never lost), and blocking startup on it would
-			// take participant ingress down with it.
-			go func() {
-				rctx, rcancel := context.WithTimeout(context.Background(), 60*time.Second)
-				defer rcancel()
-				if err := px.ReattestRemotes(rctx); err != nil {
-					log.Printf("mixnn-proxy: re-attest remote shards: %v", err)
-				}
-			}()
+			log.Printf("mixnn-proxy: restored sealed state under its sealed plan (topology v%d: %d shards, %s routing; %d updates into the round)",
+				st.TopoVersion, len(st.Shards), st.RoutingMode, st.InRound)
 		}
+	}
+	// Start-up, restart and hot reload reshape the tier one way: a staged
+	// directive. On a fresh tier (idle) it applies at once; on a restored
+	// one the open round finishes under its sealed plan first. A plan the
+	// restored blob cannot take fails start-up with the blob unconsumed.
+	if !sameShape(px.Topology(), plan) {
+		if err := stagePlan(px, plan, planSource); err != nil {
+			return err
+		}
+	}
+	if restored {
+		// Consume the blob: once restored, its material flows onward,
+		// and replaying it after a later hard crash (no fresh seal)
+		// would double-count already-forwarded updates upstream.
+		// Rename rather than delete so a startup failure between here
+		// and serving (port in use, trust-bundle write) doesn't lose
+		// the round — the operator can move the .restored file back.
+		if err := os.Rename(*stateFile, *stateFile+".restored"); err != nil {
+			return fmt.Errorf("consume state file: %w", err)
+		}
+		// Re-attest remote shards from the sealed trust material so
+		// the tier's relay legs deliver without waiting for an admin
+		// directive or a shards-file reload. Best-effort AND
+		// asynchronous: a still-down peer keeps its queued material
+		// stalled (never lost), and blocking startup on it would
+		// take participant ingress down with it.
+		go func() {
+			rctx, rcancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer rcancel()
+			if err := px.ReattestRemotes(rctx); err != nil {
+				log.Printf("mixnn-proxy: re-attest remote shards: %v", err)
+			}
+		}()
 	}
 
 	authDER, err := x509.MarshalPKIXPublicKey(platform.AttestationPublicKey())
@@ -368,37 +385,48 @@ func loadShardsFile(path string) (wire.TopologyDirective, error) {
 	return d, nil
 }
 
-// applyDirectiveToConfig turns a topology directive into the initial
-// ShardedConfig topology, attesting remote shards now (they must be up
-// before this proxy starts routing to them).
-func applyDirectiveToConfig(cfg *proxy.ShardedConfig, d wire.TopologyDirective) error {
+// sameShape reports whether the directive asks for nothing the topology
+// does not already have (the zero directive asks for nothing), so a
+// restart that repeats its command line stages no plan.
+func sameShape(t *route.Topology, d wire.TopologyDirective) bool {
 	if d.Mode != "" {
-		mode, err := route.ParseMode(d.Mode)
-		if err != nil {
-			return err
+		if mode, err := route.ParseMode(d.Mode); err != nil || mode != t.Mode() {
+			return false
 		}
-		cfg.Routing = mode
 	}
-	if d.RoundSize > 0 {
-		cfg.RoundSize = d.RoundSize
+	if d.RoundSize != 0 && d.RoundSize != t.RoundSize() {
+		return false
 	}
-	cfg.ShardSpecs = make([]route.ShardSpec, len(d.Shards))
-	cfg.RemoteShards = make(map[string]proxy.RemoteShard)
+	if d.Shards != nil && len(d.Shards) != t.P() {
+		return false
+	}
+	for i, s := range d.Shards {
+		if s.Weight == 0 {
+			s.Weight = 1 // as route.New reads it
+		}
+		if (route.ShardSpec{Addr: s.Addr, Weight: s.Weight}) != t.Spec(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// stagePlan stages a directive through the tier's routing plane — the one
+// way its shape changes after construction — attesting any new remote
+// shard first (it must be up), and logs where the plan stands.
+func stagePlan(px *proxy.ShardedProxy, d wire.TopologyDirective, source string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	for i, s := range d.Shards {
-		cfg.ShardSpecs[i] = route.ShardSpec{Addr: s.Addr, Weight: s.Weight}
-		if s.Addr == "" {
-			continue
-		}
-		rs, err := proxy.ResolveRemoteShardOver(ctx, s, transport.NewHTTP(nil))
-		if err != nil {
-			return err
-		}
-		cfg.RemoteShards[s.Addr] = rs
-		hopMeas := rs.Key.Measurement()
-		log.Printf("mixnn-proxy: remote shard %s attested, measurement %s", s.Addr, hex.EncodeToString(hopMeas[:]))
+	next, err := px.StageTopology(ctx, d)
+	if err != nil {
+		return fmt.Errorf("stage topology from %s: %w", source, err)
 	}
+	when := "applies at the next round close"
+	if px.Topology().Version() == next.Version() {
+		when = "applied (the tier was idle)"
+	}
+	log.Printf("mixnn-proxy: staged topology v%d (mode=%s, %d shards, %d remote, round-size=%d) from %s; %s",
+		next.Version(), next.Mode(), next.P(), len(next.Remotes()), next.RoundSize(), source, when)
 	return nil
 }
 
@@ -429,19 +457,12 @@ func watchShardsFile(path string, px *proxy.ShardedProxy) {
 		}
 		last = sum
 		d, err := loadShardsFile(path)
+		if err == nil {
+			err = stagePlan(px, d, path)
+		}
 		if err != nil {
 			log.Printf("mixnn-proxy: shards file reload: %v", err)
-			continue
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		next, err := px.StageTopology(ctx, d)
-		cancel()
-		if err != nil {
-			log.Printf("mixnn-proxy: shards file reload: %v", err)
-			continue
-		}
-		log.Printf("mixnn-proxy: staged topology v%d (mode=%s, %d shards) from %s; applies at the next round boundary",
-			next.Version(), next.Mode(), next.P(), path)
 	}
 }
 

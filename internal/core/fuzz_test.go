@@ -35,7 +35,7 @@ func FuzzShardedStateRestore(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	blob, err := SealShardedState(asShards(mixers), ShardedStateMeta{Routing: RoutingHashRR, InRound: 3}, nil)
+	blob, err := SealShardedState(asShards(mixers), ShardedStateMeta{Routing: 1, InRound: 3}, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -137,29 +137,33 @@ func FuzzShardedAggregationEquivalence(f *testing.F) {
 	})
 }
 
-// shardChoices is the P/P′ grid both shard-aware fuzz targets sweep.
+// shardChoices is the P grid both shard-aware fuzz targets sweep.
 var shardChoices = []int{1, 2, 4}
 
 // FuzzSealRestoreRoundtrip is the crash-restart property test, the
 // durable-state sibling of FuzzShardedAggregationEquivalence: for every
-// buffer granularity k, shard count P and restore shard count P′ over
-// {1, 2, 4}, sealing a P-shard tier after an arbitrary prefix of the
-// round and restoring into a fresh P′-shard tier must leave the finished
-// round's layer-wise mean equal to the mean of all C inputs within 1e-9
-// — material is neither lost nor double-counted across the crash, even
-// when the blob reshards on restore.
+// shard count P over {1, 2, 4}, sealed list capacity k and restored list
+// capacity k′ over [1, 4], sealing a P-shard tier after an arbitrary
+// prefix of the round and restoring into a fresh P-shard tier of k′-wide
+// mixers must leave the finished round's layer-wise mean equal to the
+// mean of all C inputs within 1e-9 — material is neither lost nor
+// double-counted across the crash, even when the restored lists are
+// narrower than what they receive (the over-full case RestoreEntry's
+// "past k" clause exists for) or wider.
 func FuzzSealRestoreRoundtrip(f *testing.F) {
 	f.Add(uint8(8), uint8(4), uint8(1), uint8(2), uint8(2), int64(1))
 	f.Add(uint8(13), uint8(6), uint8(2), uint8(0), uint8(1), int64(2))
 	f.Add(uint8(64), uint8(33), uint8(2), uint8(1), uint8(3), int64(3))
 	f.Add(uint8(6), uint8(5), uint8(0), uint8(2), uint8(0), int64(4))
 
-	f.Fuzz(func(t *testing.T, cRaw, splitRaw, pRaw, pPrimeRaw, kRaw uint8, seed int64) {
+	f.Fuzz(func(t *testing.T, cRaw, splitRaw, pRaw, kPrimeRaw, kRaw uint8, seed int64) {
 		c := int(cRaw)%64 + 1
 		split := int(splitRaw) % (c + 1) // seal after split ∈ [0, c] updates
 		p := shardChoices[int(pRaw)%len(shardChoices)]
-		pPrime := shardChoices[int(pPrimeRaw)%len(shardChoices)]
 		k := int(kRaw)%4 + 1
+		// The byte that once chose a restore shard count P′ (restore no
+		// longer reshards) chooses the restored mixers' capacity instead.
+		kPrime := int(kPrimeRaw)%4 + 1
 
 		// The storage-mode dimension rides the seed instead of a new fuzz
 		// parameter (which would orphan the existing corpus): both the
@@ -199,20 +203,20 @@ func FuzzSealRestoreRoundtrip(f *testing.F) {
 		}
 
 		blob, err := SealShardedState(asShards(tier), ShardedStateMeta{
-			Routing: RoutingHashRR, RRCursor: split, InRound: split, Received: split,
+			Routing: 1, RRCursor: split, InRound: split, Received: split,
 		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		restored := make([]*StreamMixer, pPrime)
+		restored := make([]*StreamMixer, p)
 		for s := range restored {
-			if restored[s], err = newMixer(slabRestored, k, seed+100+int64(s)); err != nil {
+			if restored[s], err = newMixer(slabRestored, kPrime, seed+100+int64(s)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		meta, err := RestoreShardedState(blob, asShards(restored), nil)
 		if err != nil {
-			t.Fatalf("C=%d split=%d P=%d P'=%d k=%d: restore: %v", c, split, p, pPrime, k, err)
+			t.Fatalf("C=%d split=%d P=%d k=%d k'=%d: restore: %v", c, split, p, k, kPrime, err)
 		}
 		if meta.SealedShards != p || meta.InRound != split {
 			t.Fatalf("meta = %+v, want SealedShards=%d InRound=%d", meta, p, split)
@@ -220,7 +224,7 @@ func FuzzSealRestoreRoundtrip(f *testing.F) {
 
 		// The remaining clients finish the round on the restored tier.
 		for i, u := range updates[split:] {
-			out, err := restored[i%pPrime].Add(u)
+			out, err := restored[i%p].Add(u)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -232,14 +236,14 @@ func FuzzSealRestoreRoundtrip(f *testing.F) {
 			emitted = append(emitted, m.Drain()...)
 		}
 		if len(emitted) != c {
-			t.Fatalf("C=%d split=%d P=%d P'=%d k=%d: round emitted %d updates", c, split, p, pPrime, k, len(emitted))
+			t.Fatalf("C=%d split=%d P=%d k=%d k'=%d: round emitted %d updates", c, split, p, k, kPrime, len(emitted))
 		}
 		after, err := nn.Average(emitted)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !before.ApproxEqual(after, 1e-9) {
-			t.Fatalf("C=%d split=%d P=%d P'=%d k=%d: seal/restore changed the aggregate", c, split, p, pPrime, k)
+			t.Fatalf("C=%d split=%d P=%d k=%d k'=%d: seal/restore changed the aggregate", c, split, p, k, kPrime)
 		}
 	})
 }

@@ -12,15 +12,15 @@ import (
 // Shard-aware durable state for a whole mixing tier. Where state.go
 // snapshots ONE StreamMixer, this file snapshots every shard of a tier
 // plus the routing metadata and round ledger that make the snapshot
-// restorable — including into a tier with a DIFFERENT shard count
-// (resharding on restore).
+// restorable into a tier of the same shape.
 //
 // Binary layout (little-endian), versioned so the format can evolve:
 //
 //	magic    [4]byte "MXSH"
 //	version  uint32 (currently 4)
 //	shards   uint32 P at seal time
-//	routing  uint8  RoutingMode tag
+//	routing  uint8  routing mode tag (internal/route's; informational —
+//	  the topology section is what a restore parses)
 //	rr       uint32 round-robin routing cursor
 //	inRound  uint32 updates received in the open round
 //	rounds   uint32 completed rounds (the tier's delivery epoch)
@@ -41,10 +41,10 @@ import (
 // Each shard section holds that shard's buffered material as complete
 // pseudo-updates (one ParamSet assembled from slot j of every per-layer
 // list). Because a mixer's lists always have equal length, slot-major
-// regrouping is lossless, and because the §4.2 equivalence theorem only
-// depends on the multiset of buffered layers, the pseudo-updates can be
-// redistributed over any number of fresh mixers without changing the
-// layer-wise aggregate — that is what makes restore reshard-safe.
+// regrouping is lossless. Each section restores into the shard it was
+// sealed from: an open round's shard membership fixes its anonymity sets
+// and quotas, so a restore never redraws it (a new shape is staged through
+// the routing plane and applies at the next round close).
 //
 // Sections pass through SealSectionFunc/OpenSectionFunc so the proxy can
 // encrypt each shard's material under a per-shard derived sealing key
@@ -68,25 +68,6 @@ const (
 	maxSectionBytes = 512 << 20
 	// maxSectionEntries bounds the buffered pseudo-updates per section.
 	maxSectionEntries = 1 << 20
-)
-
-// RoutingMode tags how a tier routed updates to shards when it was
-// sealed. It travels in the blob so a restoring tier can refuse state it
-// would route differently.
-type RoutingMode uint8
-
-// The routing modes a blob may be sealed under. The values mirror
-// internal/route's Mode tags (core stays free of the route dependency;
-// the proxy maps between them).
-const (
-	// RoutingHashRR is sticky routing: stable FNV client-hash with a
-	// round-robin fallback for anonymous participants.
-	RoutingHashRR RoutingMode = 1
-	// RoutingRoundRobin is quota-aware round-robin.
-	RoutingRoundRobin RoutingMode = 2
-	// RoutingHashQuota is consistent hashing with per-shard round quotas
-	// and spillover.
-	RoutingHashQuota RoutingMode = 3
 )
 
 // PendingSection is the shard index SealSectionFunc/OpenSectionFunc see
@@ -116,10 +97,11 @@ type ShardedStateMeta struct {
 	// blob. It is an output of RestoreShardedState (ignored on seal,
 	// where it is taken from the mixer slice).
 	SealedShards int
-	// Routing is the tier's shard-routing mode.
-	Routing RoutingMode
-	// RRCursor is the round-robin routing cursor; a restoring tier
-	// reduces it modulo its own shard count.
+	// Routing is the tier's routing mode tag as internal/route numbers
+	// it, written for the record only: core never interprets it, and a
+	// restore takes the mode from the Topo section.
+	Routing uint8
+	// RRCursor is the sticky mode's anonymous-traffic cursor.
 	RRCursor int
 	// InRound counts updates received in the open round.
 	InRound int
@@ -133,8 +115,7 @@ type ShardedStateMeta struct {
 	HopReceived int
 	Forwarded   int
 	// ShardReceived and ShardEmitted are the per-shard mixer ledgers
-	// (cumulative across epochs), len P at seal time. A restoring tier
-	// redistributes them when its shard count differs.
+	// (cumulative across epochs), len P at seal time.
 	ShardReceived []int
 	ShardEmitted  []int
 	// Pending holds updates the mixers emitted mid-round that were not
@@ -174,12 +155,12 @@ func (m *StreamMixer) SnapshotEntries() []nn.ParamSet {
 
 // RestoreEntry files one restored pseudo-update into the mixer. Unlike
 // Add it never emits, and it may push the buffer PAST k: a blob sealed
-// from a tier with more total capacity legitimately restores into fewer
-// (or smaller) mixers. An over-full mixer stays conservative — every
-// subsequent Add swap-emits exactly one update and the round-close Drain
-// empties whatever remains — so aggregation equivalence is unaffected;
-// the extra occupancy only widens that shard's anonymity set. It
-// implements Shard.
+// from mixers with more capacity legitimately restores into smaller ones,
+// and a failed relay commit re-files into a live mixer (packageRound). An
+// over-full mixer stays conservative — every subsequent Add swap-emits
+// exactly one update and the round-close Drain empties whatever remains —
+// so aggregation equivalence is unaffected; the extra occupancy only
+// widens that shard's anonymity set. It implements Shard.
 func (m *StreamMixer) RestoreEntry(u nn.ParamSet) error {
 	if len(u.Layers) == 0 {
 		return fmt.Errorf("core: restore of empty update")
@@ -216,18 +197,21 @@ func (m *StreamMixer) RestoreEntry(u nn.ParamSet) error {
 	return nil
 }
 
-// marshalSection encodes one shard's buffered pseudo-updates.
+// marshalSection encodes one shard's buffered pseudo-updates into one
+// exactly-sized allocation.
 func marshalSection(entries []nn.ParamSet) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := binary.Write(&buf, binary.LittleEndian, uint32(len(entries))); err != nil {
-		return nil, err
+	size := 4
+	for _, e := range entries {
+		size += nn.EncodedSize(e)
 	}
+	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(entries)))
 	for i, e := range entries {
-		if err := nn.WriteParamSet(&buf, e); err != nil {
+		var err error
+		if buf, err = nn.AppendParamSet(buf, e); err != nil {
 			return nil, fmt.Errorf("core: marshal shard entry %d: %w", i, err)
 		}
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
 // unmarshalSection decodes one shard section back into pseudo-updates.
@@ -285,7 +269,7 @@ func SealShardedState(shards []Shard, meta ShardedStateMeta, seal SealSectionFun
 			return nil, fmt.Errorf("core: marshal sharded state: %w", err)
 		}
 	}
-	buf.WriteByte(byte(meta.Routing))
+	buf.WriteByte(meta.Routing)
 	for _, v := range []int{meta.RRCursor, meta.InRound, meta.Rounds, meta.HopMark} {
 		if v < 0 {
 			return nil, fmt.Errorf("core: negative ledger field %d", v)
@@ -460,14 +444,14 @@ func ShardedStateTopo(blob []byte) ([]byte, error) {
 }
 
 // RestoreShardedState loads a SealShardedState blob into a tier of fresh
-// mixers. With an unchanged shard count each shard's buffered material
-// returns to its own mixer; otherwise the pseudo-updates are
-// redistributed round-robin across the new shards, so a P-shard blob
-// restores into a P′-shard tier with the layer-wise aggregate of the
-// eventual round unchanged. open must reverse the SealSectionFunc used at
-// seal time (nil for plaintext sections). The returned meta carries the
-// sealed tier's ledger (tier-wide and per-shard), the pending emissions,
-// and the original shard count in SealedShards.
+// mixers of the sealed shape: len(shards) must equal the sealed shard
+// count, and each shard's buffered material returns to its own mixer. A
+// mismatch is refused before any target shard is touched — the caller
+// builds the shard set from the sealed topology (ShardedStateTopo). open
+// must reverse the SealSectionFunc used at seal time (nil for plaintext
+// sections). The returned meta carries the sealed tier's ledger (tier-wide
+// and per-shard), the pending emissions, and the shard count in
+// SealedShards.
 func RestoreShardedState(blob []byte, shards []Shard, open OpenSectionFunc) (ShardedStateMeta, error) {
 	var meta ShardedStateMeta
 	if len(shards) == 0 {
@@ -500,11 +484,13 @@ func RestoreShardedState(blob []byte, shards []Shard, open OpenSectionFunc) (Sha
 		return meta, fmt.Errorf("core: sealed shard count %d out of range", sealedShards)
 	}
 	meta.SealedShards = int(sealedShards)
-	routing, err := r.ReadByte()
-	if err != nil {
+	if len(shards) != meta.SealedShards {
+		return meta, fmt.Errorf("core: restore of a %d-shard blob into %d shards: an open round keeps the shard set it was sealed under", meta.SealedShards, len(shards))
+	}
+	var err error
+	if meta.Routing, err = r.ReadByte(); err != nil {
 		return meta, fmt.Errorf("core: read routing mode: %w", err)
 	}
-	meta.Routing = RoutingMode(routing)
 	for _, dst := range []*int{&meta.RRCursor, &meta.InRound, &meta.Rounds, &meta.HopMark} {
 		var v uint32
 		if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
@@ -595,34 +581,20 @@ func RestoreShardedState(blob []byte, shards []Shard, open OpenSectionFunc) (Sha
 	if meta.Pending, err = readSection(PendingSection); err != nil {
 		return meta, fmt.Errorf("core: pending section: %w", err)
 	}
-	// Collect every sealed shard's pseudo-updates. With an unchanged
-	// shard count each section restores into its own mixer (exact
-	// restore); otherwise the entries are dealt round-robin over the
-	// target tier (resharding).
-	sameShape := len(shards) == meta.SealedShards
-	var entries []nn.ParamSet
-	for s := 0; s < meta.SealedShards; s++ {
+	// Each section restores into the mixer it was sealed from.
+	for s := range shards {
 		got, err := readSection(s)
 		if err != nil {
 			return meta, fmt.Errorf("core: shard %d: %w", s, err)
 		}
-		if sameShape {
-			for i, e := range got {
-				if err := shards[s].RestoreEntry(e); err != nil {
-					return meta, fmt.Errorf("core: restore shard %d entry %d: %w", s, i, err)
-				}
+		for i, e := range got {
+			if err := shards[s].RestoreEntry(e); err != nil {
+				return meta, fmt.Errorf("core: restore shard %d entry %d: %w", s, i, err)
 			}
-		} else {
-			entries = append(entries, got...)
 		}
 	}
 	if r.Len() != 0 {
 		return meta, fmt.Errorf("core: %d trailing bytes after sharded state", r.Len())
-	}
-	for i, e := range entries {
-		if err := shards[i%len(shards)].RestoreEntry(e); err != nil {
-			return meta, fmt.Errorf("core: restore entry %d: %w", i, err)
-		}
 	}
 	return meta, nil
 }

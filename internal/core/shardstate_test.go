@@ -53,76 +53,6 @@ func drainTier(tier []Shard) []nn.ParamSet {
 	return out
 }
 
-// TestShardedStateReshardRoundTrip is the tentpole property as a table
-// test: a tier sealed at P shards mid-round restores into P′ shards
-// (including P′ > total buffered and P′ small enough to over-fill k) and
-// the finished round's layer-wise mean equals the mean of all inputs.
-func TestShardedStateReshardRoundTrip(t *testing.T) {
-	cases := []struct {
-		c, split, p, pPrime, k int
-	}{
-		{6, 3, 2, 2, 2},  // same shape
-		{6, 3, 2, 3, 2},  // reshard up
-		{8, 5, 4, 1, 2},  // reshard down: 5 buffered into one k=2 mixer (over-full)
-		{12, 7, 3, 4, 2}, // reshard up mid-emission
-		{5, 1, 1, 4, 5},  // single buffered entry over a wide tier
-	}
-	for _, tc := range cases {
-		t.Run(fmt.Sprintf("C%d_seal%d_P%d_to_P%d_k%d", tc.c, tc.split, tc.p, tc.pPrime, tc.k), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(7))
-			updates := makeUpdates(tc.c, 3, rng)
-
-			tier := newTier(t, tc.p, tc.k)
-			emitted := feedTier(t, tier, updates[:tc.split])
-
-			blob, err := SealShardedState(tier, ShardedStateMeta{
-				Routing: RoutingHashRR, RRCursor: tc.split, InRound: tc.split,
-				Received: tc.split, Forwarded: len(emitted),
-			}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			fresh := newTier(t, tc.pPrime, tc.k)
-			meta, err := RestoreShardedState(blob, fresh, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if meta.SealedShards != tc.p {
-				t.Fatalf("SealedShards = %d, want %d", meta.SealedShards, tc.p)
-			}
-			if meta.InRound != tc.split || meta.Received != tc.split || meta.Forwarded != len(emitted) {
-				t.Fatalf("ledger = %+v", meta)
-			}
-			buffered := 0
-			for _, m := range fresh {
-				buffered += m.Buffered()
-			}
-			if buffered != tc.split-len(emitted) {
-				t.Fatalf("restored buffered = %d, want %d", buffered, tc.split-len(emitted))
-			}
-
-			// Finish the round on the restored tier.
-			emitted = append(emitted, feedTier(t, fresh, updates[tc.split:])...)
-			emitted = append(emitted, drainTier(fresh)...)
-			if len(emitted) != tc.c {
-				t.Fatalf("round emitted %d updates, want %d", len(emitted), tc.c)
-			}
-			want, err := nn.Average(updates)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := nn.Average(emitted)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !want.ApproxEqual(got, 1e-9) {
-				t.Fatal("resharded restore changed the layer-wise aggregate")
-			}
-		})
-	}
-}
-
 // TestShardedStateSealedSections drives the per-shard seal/open hooks: the
 // open func must be called with the seal-time shard indices, and a
 // mismatched open must surface as an error, not silent corruption.
@@ -139,7 +69,7 @@ func TestShardedStateSealedSections(t *testing.T) {
 		return out
 	}
 	var sealed []int
-	blob, err := SealShardedState(tier, ShardedStateMeta{Routing: RoutingHashRR}, func(s int, plain []byte) ([]byte, error) {
+	blob, err := SealShardedState(tier, ShardedStateMeta{Routing: 1}, func(s int, plain []byte) ([]byte, error) {
 		sealed = append(sealed, s)
 		return xor(s, plain), nil
 	})
@@ -153,7 +83,7 @@ func TestShardedStateSealedSections(t *testing.T) {
 	}
 
 	var opened []int
-	if _, err := RestoreShardedState(blob, newTier(t, 2, 2), func(s int, sec []byte) ([]byte, error) {
+	if _, err := RestoreShardedState(blob, newTier(t, 3, 2), func(s int, sec []byte) ([]byte, error) {
 		opened = append(opened, s)
 		return xor(s, sec), nil
 	}); err != nil {
@@ -164,13 +94,13 @@ func TestShardedStateSealedSections(t *testing.T) {
 	}
 
 	// Opening with the wrong per-shard key material must fail loudly.
-	if _, err := RestoreShardedState(blob, newTier(t, 2, 2), func(s int, sec []byte) ([]byte, error) {
+	if _, err := RestoreShardedState(blob, newTier(t, 3, 2), func(s int, sec []byte) ([]byte, error) {
 		return xor(s+1, sec), nil
 	}); err == nil {
 		t.Fatal("mismatched section opener accepted")
 	}
 	// As must skipping the opener entirely.
-	if _, err := RestoreShardedState(blob, newTier(t, 2, 2), nil); err == nil {
+	if _, err := RestoreShardedState(blob, newTier(t, 3, 2), nil); err == nil {
 		t.Fatal("sealed sections restored without an opener")
 	}
 }
@@ -189,7 +119,7 @@ func TestShardedStateLedgersAndPendingRoundTrip(t *testing.T) {
 		t.Fatal("tier emitted nothing; test setup broken")
 	}
 	blob, err := SealShardedState(tier, ShardedStateMeta{
-		Routing: RoutingHashRR, InRound: 6, Received: 6,
+		Routing: 1, InRound: 6, Received: 6,
 		ShardReceived: []int{13, 7}, ShardEmitted: []int{9, 4},
 		Pending: emitted,
 	}, nil)
@@ -242,7 +172,7 @@ func TestRestoreShardedStateRejects(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	tier := newTier(t, 2, 2)
 	feedTier(t, tier, makeUpdates(3, 2, rng))
-	blob, err := SealShardedState(tier, ShardedStateMeta{Routing: RoutingHashRR, InRound: 3}, nil)
+	blob, err := SealShardedState(tier, ShardedStateMeta{Routing: 1, InRound: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,6 +235,22 @@ func TestRestoreShardedStateRejects(t *testing.T) {
 			t.Fatal("restore into used tier accepted")
 		}
 	})
+	t.Run("different shard count", func(t *testing.T) {
+		// An open round keeps the shard set it was sealed under: P′ ≠ P is
+		// refused, wider or narrower, before any target shard is touched.
+		for _, pPrime := range []int{1, 3} {
+			target := newTier(t, pPrime, 2)
+			_, err := RestoreShardedState(blob, target, nil)
+			if err == nil || !strings.Contains(err.Error(), "2-shard blob") {
+				t.Fatalf("restore of a 2-shard blob into %d shards: err = %v", pPrime, err)
+			}
+			for s, m := range target {
+				if m.Received() != 0 || m.Buffered() != 0 {
+					t.Fatalf("refused restore touched target shard %d (received %d, buffered %d)", s, m.Received(), m.Buffered())
+				}
+			}
+		}
+	})
 	t.Run("zero target shards", func(t *testing.T) {
 		if _, err := RestoreShardedState(blob, nil, nil); err == nil {
 			t.Fatal("restore into empty tier accepted")
@@ -318,7 +264,7 @@ func TestRestoreShardedStateRejects(t *testing.T) {
 		for _, v := range []uint32{ShardedStateVersion, 1} {
 			binary.Write(&forged, binary.LittleEndian, v)
 		}
-		forged.WriteByte(byte(RoutingHashRR))
+		forged.WriteByte(1)
 		for i := 0; i < 4; i++ {
 			binary.Write(&forged, binary.LittleEndian, uint32(0))
 		}
@@ -356,16 +302,16 @@ func TestRestoredOverfullMixerStaysConservative(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	updates := makeUpdates(6, 2, rng)
 
-	tier := newTier(t, 4, 2)
+	tier := newTier(t, 1, 4)
 	if got := feedTier(t, tier, updates[:4]); len(got) != 0 {
 		t.Fatalf("tier emitted %d during fill", len(got))
 	}
-	blob, err := SealShardedState(tier, ShardedStateMeta{Routing: RoutingHashRR, InRound: 4}, nil)
+	blob, err := SealShardedState(tier, ShardedStateMeta{Routing: 1, InRound: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// 4 buffered entries land in ONE k=2 mixer: over-full by 2.
+	// The k=4 mixer's 4 buffered entries land in a k=2 mixer: over-full by 2.
 	narrow := newTier(t, 1, 2)
 	if _, err := RestoreShardedState(blob, narrow, nil); err != nil {
 		t.Fatal(err)
@@ -419,12 +365,12 @@ func TestSealShardedStateConcurrentWithAdd(t *testing.T) {
 	go func() {
 		defer close(sealDone)
 		for j := 0; j < 50; j++ {
-			blob, err := SealShardedState(tier, ShardedStateMeta{Routing: RoutingHashRR}, nil)
+			blob, err := SealShardedState(tier, ShardedStateMeta{Routing: 1}, nil)
 			if err != nil {
 				t.Errorf("concurrent seal: %v", err)
 				return
 			}
-			if _, err := RestoreShardedState(blob, newTier(t, 2, 2), nil); err != nil {
+			if _, err := RestoreShardedState(blob, newTier(t, p, 2), nil); err != nil {
 				t.Errorf("concurrent seal produced unrestorable blob: %v", err)
 				return
 			}
@@ -443,7 +389,7 @@ func TestShardedStateV3TopoAndLoads(t *testing.T) {
 	feedTier(t, tier, makeUpdates(3, 2, rng))
 	topoBlob := []byte("opaque-topology-bytes")
 	blob, err := SealShardedState(tier, ShardedStateMeta{
-		Routing:   RoutingHashQuota,
+		Routing:   3,
 		InRound:   3,
 		ShardLoad: []int{2, 1},
 		Topo:      topoBlob,
@@ -462,8 +408,8 @@ func TestShardedStateV3TopoAndLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Routing != RoutingHashQuota {
-		t.Fatalf("routing = %d, want hash-quota", meta.Routing)
+	if meta.Routing != 3 {
+		t.Fatalf("routing tag = %d, want the sealed 3", meta.Routing)
 	}
 	if len(meta.ShardLoad) != 2 || meta.ShardLoad[0] != 2 || meta.ShardLoad[1] != 1 {
 		t.Fatalf("ShardLoad = %v, want [2 1]", meta.ShardLoad)
@@ -546,7 +492,7 @@ func TestShardedStateRelayInTier(t *testing.T) {
 	}
 	tier := []Shard{m, NewRelayShard(3, nil)}
 	emitted := feedTier(t, tier, updates)
-	blob, err := SealShardedState(tier, ShardedStateMeta{Routing: RoutingHashQuota, InRound: 6}, nil)
+	blob, err := SealShardedState(tier, ShardedStateMeta{Routing: 3, InRound: 6}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

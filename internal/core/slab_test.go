@@ -274,7 +274,7 @@ func TestSlabSealRestoreV4Unchanged(t *testing.T) {
 		}
 		return tier
 	}
-	meta := ShardedStateMeta{Routing: RoutingHashRR, InRound: len(updates), Received: len(updates)}
+	meta := ShardedStateMeta{Routing: 1, InRound: len(updates), Received: len(updates)}
 	legacyBlob, err := SealShardedState(asShards(build(false)), meta, nil)
 	if err != nil {
 		t.Fatal(err)

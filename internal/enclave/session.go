@@ -1,16 +1,11 @@
-// Session-keyed enclave crypto: the versioned ciphertext family that
-// amortizes the per-update RSA-OAEP key unwrap into a one-time
-// handshake. The legacy hybrid format wraps a FRESH AES-256 key for
-// every update (~1ms of RSA per ingest); a session wraps one key once,
-// tags it with a random session id, and every subsequent update is a
-// pure AES-GCM open under that key (tens of µs). The trust boundary is
-// unchanged: the session key is wrapped with the same RSA-OAEP for the
-// same attested enclave key, so only the enclave ever sees it.
+// Session-keyed enclave crypto: the one ciphertext family the enclave
+// opens. A session wraps one AES-256 key once with RSA-OAEP (~1ms), tags
+// it with a random session id, and every subsequent update is a pure
+// AES-GCM open under that key (tens of µs). Only the enclave ever sees
+// the session key: it is wrapped for the attested enclave key.
 //
-// Two wire formats, disambiguated from the legacy hybrid layout by a
-// 4-byte magic (a legacy ciphertext starts with its u16 wrapped-key
-// length; "MX" read as a little-endian u16 is 22605 bytes — a ~180000
-// bit RSA key — so the magic is unambiguous in practice):
+// Two frame layouts, told apart by a 4-byte magic; a body that starts
+// with neither is refused with ErrCiphertext:
 //
 //	establish "MXSE" | ver u8 | sid [16]byte | wlen u16 | wrappedKey | AES-GCM ct
 //	data      "MXSD" | ver u8 | sid [16]byte | counter u64 | AES-GCM ct

@@ -3,6 +3,8 @@ package enclave
 import (
 	"bytes"
 	"crypto/rand"
+	"crypto/rsa"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"sync"
@@ -30,6 +32,32 @@ func sessionFixture(t testing.TB) *Enclave {
 	return sessFixEncl
 }
 
+// hybridCiphertext builds the one-shot layout the enclave used to open
+// and no sender produces any more — u16 wrappedKeyLen | RSA-OAEP wrapped
+// AES-256 key | 12-byte nonce | AES-GCM ciphertext — so the tests can
+// show a well-formed one is refused.
+func hybridCiphertext(t testing.TB, pub *rsa.PublicKey, plaintext []byte) []byte {
+	t.Helper()
+	key := make([]byte, 32)
+	nonce := make([]byte, gcmNonceSize)
+	for _, b := range [][]byte{key, nonce} {
+		if _, err := rand.Read(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wrapped, err := rsa.EncryptOAEP(sha256.New(), rand.Reader, pub, key, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aead, err := newSessionAEAD(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := binary.LittleEndian.AppendUint16(nil, uint16(len(wrapped)))
+	out = append(append(out, wrapped...), nonce...)
+	return aead.Seal(out, nonce, plaintext, nil)
+}
+
 func TestSessionRoundTripAndLegacyInterleave(t *testing.T) {
 	e := sessionFixture(t)
 	e.ResetSessions()
@@ -44,19 +72,12 @@ func TestSessionRoundTripAndLegacyInterleave(t *testing.T) {
 		if err != nil {
 			t.Fatalf("wrap %d: %v", i, err)
 		}
-		// Legacy traffic interleaves freely with session traffic.
-		legacy, err := Encrypt(e.PublicKey(), msg)
+		plain, err := e.Decrypt(ct)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("decrypt %d: %v", i, err)
 		}
-		for _, body := range [][]byte{ct, legacy} {
-			plain, err := e.Decrypt(body)
-			if err != nil {
-				t.Fatalf("decrypt %d: %v", i, err)
-			}
-			if !bytes.Equal(plain, msg) {
-				t.Fatalf("decrypt %d: plaintext mismatch", i)
-			}
+		if !bytes.Equal(plain, msg) {
+			t.Fatalf("decrypt %d: plaintext mismatch", i)
 		}
 	}
 	st := e.Stats()
@@ -65,6 +86,14 @@ func TestSessionRoundTripAndLegacyInterleave(t *testing.T) {
 	}
 	if hits := st.SessionHits - before.SessionHits; hits != 2 {
 		t.Fatalf("hits = %d, want 2", hits)
+	}
+	// The retired one-shot layout, well-formed and wrapped for this very
+	// enclave, is not opened: no RSA unwrap, no session, nothing counted.
+	if _, err := e.Decrypt(hybridCiphertext(t, e.PublicKey(), msgs[0])); !errors.Is(err, ErrCiphertext) {
+		t.Fatalf("hybrid ciphertext: got %v, want ErrCiphertext", err)
+	}
+	if after := e.Stats(); after != st {
+		t.Fatalf("refused hybrid ciphertext moved the enclave stats: %+v -> %+v", st, after)
 	}
 }
 
@@ -253,7 +282,7 @@ func TestDecryptToReusesCallerBuffer(t *testing.T) {
 		}
 		return ct
 	}
-	legacy, err := Encrypt(e.PublicKey(), payload)
+	oneShot, err := Encrypt(e.PublicKey(), payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +290,7 @@ func TestDecryptToReusesCallerBuffer(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		ct   []byte
-	}{{"establish", wrap()}, {"data", wrap()}, {"legacy", legacy}} {
+	}{{"establish", wrap()}, {"data", wrap()}, {"one-shot", oneShot}} {
 		name, ct := c.name, c.ct
 		sent := append([]byte(nil), ct...)
 		buf := make([]byte, 7, len(ct)) // stale contents are overwritten from index 0
@@ -341,6 +370,7 @@ func FuzzSessionCiphertext(f *testing.F) {
 	zeroCtr := append([]byte(nil), consumed...)
 	binary.LittleEndian.PutUint64(zeroCtr[dataHeaderSize-8:], 0)
 	f.Add(zeroCtr)
+	f.Add(hybridCiphertext(f, e.PublicKey(), []byte("retired one-shot layout")))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		// Re-arm: session installed, counter 1 consumed. Every valid

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,7 +20,6 @@ import (
 	"mixnn/internal/nn"
 	"mixnn/internal/proxy"
 	"mixnn/internal/route"
-	"mixnn/internal/stats"
 	"mixnn/internal/transport"
 	"mixnn/internal/wire"
 )
@@ -91,18 +89,6 @@ type LoadgenResult struct {
 	Replaced       int     `json:"replaced"`
 	Stragglers     int     `json:"stragglers"`
 	DurationMillis float64 `json:"duration_ms"`
-	UpdatesPerSec  float64 `json:"updates_per_sec"`
-	// SendMs* are client-observed SendUpdate latencies (first attempt to
-	// ack, retries and failover included).
-	SendMsP50 float64 `json:"send_ms_p50"`
-	SendMsP95 float64 `json:"send_ms_p95"`
-	SendMsP99 float64 `json:"send_ms_p99"`
-	// RoundGapMs* are the gaps between consecutive aggregation-server
-	// round closes — the tail carries the churn stalls (dead relay,
-	// failover storm).
-	RoundGapMsP50 float64 `json:"round_gap_ms_p50"`
-	RoundGapMsP95 float64 `json:"round_gap_ms_p95"`
-	RoundGapMsP99 float64 `json:"round_gap_ms_p99"`
 	// PeakLaneDepth is the deepest outbox delivery lane observed on
 	// either front (the dead relay's parked backlog, usually).
 	PeakLaneDepth int `json:"peak_lane_depth"`
@@ -110,10 +96,9 @@ type LoadgenResult struct {
 	// reached; BusyRejections counts sends turned away with ErrBusy;
 	// SendRetries counts harness-level retries after every endpoint
 	// answered a transient error.
-	PeakIngressQueue int     `json:"peak_ingress_queue"`
-	BusyRejections   uint64  `json:"busy_rejections"`
-	SendRetries      uint64  `json:"send_retries"`
-	AllocsPerUpdate  float64 `json:"allocs_per_update"`
+	PeakIngressQueue int    `json:"peak_ingress_queue"`
+	BusyRejections   uint64 `json:"busy_rejections"`
+	SendRetries      uint64 `json:"send_retries"`
 	// ConservationOK reports the zero-loss/zero-duplication check: the
 	// layer-wise mean of every slot observed at the aggregation server
 	// equals the mean of every acked update at 1e-9.
@@ -129,13 +114,12 @@ type LoadgenResult struct {
 }
 
 // loadgenObserver accumulates every update slot the aggregation server
-// absorbs, plus round-close timestamps for the latency tail.
+// absorbs.
 type loadgenObserver struct {
 	mu     sync.Mutex
 	sum    nn.ParamSet
 	slots  int
 	rounds int
-	closes []time.Time
 }
 
 func (o *loadgenObserver) ObserveRound(rec fl.RoundRecord) {
@@ -150,13 +134,12 @@ func (o *loadgenObserver) ObserveRound(rec fl.RoundRecord) {
 		o.slots++
 	}
 	o.rounds++
-	o.closes = append(o.closes, time.Now())
 }
 
-func (o *loadgenObserver) snapshot() (nn.ParamSet, int, int, []time.Time) {
+func (o *loadgenObserver) snapshot() (nn.ParamSet, int, int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.sum, o.slots, o.rounds, append([]time.Time(nil), o.closes...)
+	return o.sum, o.slots, o.rounds
 }
 
 // loadgenHarness is the assembled deployment plus run-wide accounting.
@@ -183,9 +166,6 @@ type loadgenHarness struct {
 	expMu    sync.Mutex
 	expSum   nn.ParamSet
 	expCount int
-
-	latMu sync.Mutex
-	lats  []float64 // milliseconds
 
 	retries    atomic.Uint64
 	replaced   atomic.Uint64
@@ -238,9 +218,6 @@ func RunLoadgen(cfg LoadgenConfig) (LoadgenResult, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
 	defer cancel()
 
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
-
 	h := &loadgenHarness{
 		cfg:  cfg,
 		arch: nn.NewMLP("loadgen", 4, []int{6}, 2),
@@ -292,10 +269,7 @@ func RunLoadgen(cfg LoadgenConfig) (LoadgenResult, error) {
 		}
 	}
 
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-
-	return h.results(dur, before, after)
+	return h.results(dur)
 }
 
 // deploy builds agg ← cascade ← {front local lanes, relay-a, relay-b} ←
@@ -513,15 +487,10 @@ func (h *loadgenHarness) runWave(ctx context.Context, wave int, opts waveOpts) e
 				case <-ctx.Done():
 				}
 			}
-			t0 := time.Now()
 			errs[i] = h.sendWithRetry(ctx, h.parts[i], updates[i])
 			if errs[i] != nil {
 				return
 			}
-			ms := float64(time.Since(t0).Microseconds()) / 1000
-			h.latMu.Lock()
-			h.lats = append(h.lats, ms)
-			h.latMu.Unlock()
 			if n := acked.Add(1); opts.hook != nil && int(n) >= opts.threshold {
 				hookOnce.Do(opts.hook)
 			}
@@ -818,9 +787,9 @@ func (h *loadgenHarness) overloadPhase(ctx context.Context) error {
 	return nil
 }
 
-func (h *loadgenHarness) results(dur time.Duration, before, after runtime.MemStats) (LoadgenResult, error) {
+func (h *loadgenHarness) results(dur time.Duration) (LoadgenResult, error) {
 	quota := h.cfg.FrontRound / 3
-	obsSum, slots, rounds, closes := h.obs.snapshot()
+	obsSum, slots, rounds := h.obs.snapshot()
 	h.expMu.Lock()
 	expSum, expCount := h.expSum, h.expCount
 	h.expMu.Unlock()
@@ -837,13 +806,6 @@ func (h *loadgenHarness) results(dur time.Duration, before, after runtime.MemSta
 		return LoadgenResult{}, fmt.Errorf("experiment: loadgen conservation: layer-wise mean of %d observed slots diverged from the acked mean", slots)
 	}
 
-	h.latMu.Lock()
-	lats := append([]float64(nil), h.lats...)
-	h.latMu.Unlock()
-	gaps := make([]float64, 0, len(closes))
-	for i := 1; i < len(closes); i++ {
-		gaps = append(gaps, closes[i].Sub(closes[i-1]).Seconds()*1000)
-	}
 	var peakQueue int
 	var busy uint64
 	for _, s := range h.lb.Stats() {
@@ -876,18 +838,10 @@ func (h *loadgenHarness) results(dur time.Duration, before, after runtime.MemSta
 		Replaced:         int(h.replaced.Load()),
 		Stragglers:       int(h.stragglers.Load()),
 		DurationMillis:   dur.Seconds() * 1000,
-		UpdatesPerSec:    float64(expCount) / dur.Seconds(),
-		SendMsP50:        stats.Percentile(lats, 50),
-		SendMsP95:        stats.Percentile(lats, 95),
-		SendMsP99:        stats.Percentile(lats, 99),
-		RoundGapMsP50:    stats.Percentile(gaps, 50),
-		RoundGapMsP95:    stats.Percentile(gaps, 95),
-		RoundGapMsP99:    stats.Percentile(gaps, 99),
 		PeakLaneDepth:    int(h.peakLane.Load()),
 		PeakIngressQueue: peakQueue,
 		BusyRejections:   busy,
 		SendRetries:      h.retries.Load(),
-		AllocsPerUpdate:  float64(after.Mallocs-before.Mallocs) / float64(expCount),
 		ConservationOK:   conserved,
 		OverloadSends:    h.overload.Load(),
 		RateLimited429:   rateLimited,

@@ -30,7 +30,4 @@ func TestLoadgenSmoke(t *testing.T) {
 	if res.AggRounds*res.Quota != res.TotalUpdates {
 		t.Fatalf("agg closed %d rounds of %d, want exactly %d updates", res.AggRounds, res.Quota, res.TotalUpdates)
 	}
-	if res.UpdatesPerSec <= 0 || res.SendMsP50 <= 0 {
-		t.Fatalf("degenerate metrics: %+v", res)
-	}
 }

@@ -99,61 +99,6 @@ func appendU32(buf []byte, v uint32) []byte {
 	return append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
 
-// WriteParamSet streams the encoding of ps to w.
-func WriteParamSet(w io.Writer, ps ParamSet) error {
-	if _, err := w.Write([]byte(codecMagic)); err != nil {
-		return fmt.Errorf("nn: write magic: %w", err)
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint8(codecVersion)); err != nil {
-		return fmt.Errorf("nn: write version: %w", err)
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(ps.Layers))); err != nil {
-		return fmt.Errorf("nn: write layer count: %w", err)
-	}
-	for _, lp := range ps.Layers {
-		if len(lp.Name) > math.MaxUint16 {
-			return fmt.Errorf("nn: layer name %q too long", lp.Name[:32])
-		}
-		if err := binary.Write(w, binary.LittleEndian, uint16(len(lp.Name))); err != nil {
-			return fmt.Errorf("nn: write name length: %w", err)
-		}
-		if _, err := w.Write([]byte(lp.Name)); err != nil {
-			return fmt.Errorf("nn: write name: %w", err)
-		}
-		if err := binary.Write(w, binary.LittleEndian, uint32(len(lp.Tensors))); err != nil {
-			return fmt.Errorf("nn: write tensor count: %w", err)
-		}
-		for _, t := range lp.Tensors {
-			if err := writeTensor(w, t); err != nil {
-				return fmt.Errorf("nn: layer %q: %w", lp.Name, err)
-			}
-		}
-	}
-	return nil
-}
-
-func writeTensor(w io.Writer, t *tensor.Tensor) error {
-	shape := t.Shape()
-	if err := binary.Write(w, binary.LittleEndian, uint8(len(shape))); err != nil {
-		return fmt.Errorf("write rank: %w", err)
-	}
-	for _, d := range shape {
-		if err := binary.Write(w, binary.LittleEndian, uint32(d)); err != nil {
-			return fmt.Errorf("write dim: %w", err)
-		}
-	}
-	// Bulk-encode the float64 payload.
-	data := t.Data()
-	raw := make([]byte, 8*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
-	}
-	if _, err := w.Write(raw); err != nil {
-		return fmt.Errorf("write data: %w", err)
-	}
-	return nil
-}
-
 // DecodeParamSet parses the binary wire format produced by EncodeParamSet.
 func DecodeParamSet(data []byte) (ParamSet, error) {
 	return ReadParamSet(bytes.NewReader(data))

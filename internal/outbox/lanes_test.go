@@ -201,17 +201,20 @@ func TestDeliveryDispatcherLaneIsolation(t *testing.T) {
 	if n := q.LaneLens()["dead-peer"]; n != 3 {
 		t.Fatalf("dead lane holds %d entries, want 3", n)
 	}
-	var deadStat *LaneStat
-	for _, ls := range d.LaneStats() {
-		if ls.Lane == "dead-peer" {
-			cp := ls
-			deadStat = &cp
-		} else if ls.Backoff != 0 {
-			t.Fatalf("healthy lane %q reports backoff %v, want 0", ls.Lane, ls.Backoff)
+	// The coordinator records a failure in settle, after the worker's
+	// result crossed a channel, so the healthy lanes can finish before the
+	// dead lane's first failure is on the books: poll, same deadline.
+	for failures := uint64(0); failures == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("dead lane recorded no failure: %+v", d.LaneStats())
 		}
-	}
-	if deadStat == nil || deadStat.Failures == 0 {
-		t.Fatalf("dead lane stat = %+v, want recorded failures", deadStat)
+		for _, ls := range d.LaneStats() {
+			if ls.Lane == "dead-peer" {
+				failures = ls.Failures
+			} else if ls.Backoff != 0 {
+				t.Fatalf("healthy lane %q reports backoff %v, want 0", ls.Lane, ls.Backoff)
+			}
+		}
 	}
 
 	// Recovery: the parked backlog drains, in per-lane order.

@@ -344,6 +344,73 @@ func LaneOf(payload []byte) string {
 	return string(dest)
 }
 
+// laneIndex is the pending-entry index both queues keep: each pending
+// seq's delivery lane, and every lane's pending seqs in ascending order.
+// Both are derived from the envelope headers. It has no lock of its own —
+// the queue embedding it guards it with the queue's mutex.
+type laneIndex struct {
+	laneOf map[uint64]string
+	lanes  map[string][]uint64
+}
+
+func newLaneIndex() laneIndex {
+	return laneIndex{laneOf: make(map[uint64]string), lanes: make(map[string][]uint64)}
+}
+
+// add files seq at the tail of lane (seqs are assigned ascending).
+func (x *laneIndex) add(seq uint64, lane string) {
+	x.laneOf[seq] = lane
+	x.lanes[lane] = append(x.lanes[lane], seq)
+}
+
+// drop forgets seq and reports the lane it was pending in.
+func (x *laneIndex) drop(seq uint64) (lane string, tracked bool) {
+	if lane, tracked = x.laneOf[seq]; !tracked {
+		return "", false
+	}
+	delete(x.laneOf, seq)
+	for i, s := range x.lanes[lane] {
+		if s == seq {
+			x.lanes[lane] = append(x.lanes[lane][:i], x.lanes[lane][i+1:]...)
+			break
+		}
+	}
+	if len(x.lanes[lane]) == 0 {
+		delete(x.lanes, lane)
+	}
+	return lane, true
+}
+
+// head returns the oldest pending seq of lane.
+func (x *laneIndex) head(lane string) (seq uint64, ok bool) {
+	if len(x.lanes[lane]) == 0 {
+		return 0, false
+	}
+	return x.lanes[lane][0], true
+}
+
+// names lists the lanes holding pending entries, sorted.
+func (x *laneIndex) names() []string {
+	out := make([]string, 0, len(x.lanes))
+	for lane := range x.lanes {
+		out = append(out, lane)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// lens counts every lane's pending entries.
+func (x *laneIndex) lens() map[string]int {
+	out := make(map[string]int, len(x.lanes))
+	for lane, seqs := range x.lanes {
+		out[lane] = len(seqs)
+	}
+	return out
+}
+
+// len counts the pending entries of all lanes.
+func (x *laneIndex) len() int { return len(x.laneOf) }
+
 // Disk is the durable on-disk queue.
 type Disk struct {
 	dir    string
@@ -353,11 +420,8 @@ type Disk struct {
 
 	mu   sync.Mutex
 	next uint64 // next sequence number to assign
-	// laneOf maps each pending seq to its delivery lane; lanes holds the
-	// per-lane pending seqs, sorted ascending. Both are derived from the
-	// envelope headers: recorded at Put, rebuilt at Open.
-	laneOf map[uint64]string
-	lanes  map[string][]uint64
+	// The lane index is recorded at Put and rebuilt at Open.
+	laneIndex
 	// heads caches the opened payload at the head of each lane between
 	// retry attempts (entries are immutable once written), so a long
 	// outage does not re-read and re-decrypt the same round every backoff
@@ -408,9 +472,8 @@ func Open(dir string, seal SealFunc, open OpenFunc) (*Disk, error) {
 	}
 	d := &Disk{
 		dir: dir, seal: seal, open: open,
-		laneOf: make(map[uint64]string),
-		lanes:  make(map[string][]uint64),
-		heads:  make(map[string]headCache),
+		laneIndex: newLaneIndex(),
+		heads:     make(map[string]headCache),
 	}
 	var seqs []uint64 // carried-over entries
 	for _, de := range names {
@@ -465,9 +528,7 @@ func Open(dir string, seal SealFunc, open OpenFunc) (*Disk, error) {
 			d.quarantineLocked(seq)
 			continue
 		}
-		lane := LaneOf(raw)
-		d.laneOf[seq] = lane
-		d.lanes[lane] = append(d.lanes[lane], seq)
+		d.add(seq, LaneOf(raw))
 	}
 	if d.sender, err = loadSenderID(dir); err != nil {
 		return nil, err
@@ -542,8 +603,7 @@ func (d *Disk) Put(payload []byte) (uint64, error) {
 		return 0, fmt.Errorf("outbox: commit entry: %w", err)
 	}
 	d.next = seq + 1
-	d.laneOf[seq] = lane
-	d.lanes[lane] = append(d.lanes[lane], seq)
+	d.add(seq, lane)
 	return seq, nil
 }
 
@@ -557,8 +617,11 @@ func (d *Disk) NextIn(lane string) (uint64, []byte, error) {
 }
 
 func (d *Disk) nextInLocked(lane string) (uint64, []byte, error) {
-	for len(d.lanes[lane]) > 0 {
-		seq := d.lanes[lane][0]
+	for {
+		seq, ok := d.head(lane)
+		if !ok {
+			return 0, nil, ErrEmpty
+		}
 		if h, ok := d.heads[lane]; ok && h.seq == seq {
 			return seq, h.payload, nil
 		}
@@ -573,34 +636,20 @@ func (d *Disk) nextInLocked(lane string) (uint64, []byte, error) {
 		d.heads[lane] = headCache{seq: seq, payload: raw}
 		return seq, raw, nil
 	}
-	return 0, nil, ErrEmpty
 }
 
 // Lanes lists the lanes that currently hold pending entries, sorted.
 func (d *Disk) Lanes() []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]string, 0, len(d.lanes))
-	for lane, seqs := range d.lanes {
-		if len(seqs) > 0 {
-			out = append(out, lane)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return d.names()
 }
 
 // LaneLens snapshots every lane's depth under one lock acquisition.
 func (d *Disk) LaneLens() map[string]int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make(map[string]int, len(d.lanes))
-	for lane, seqs := range d.lanes {
-		if len(seqs) > 0 {
-			out[lane] = len(seqs)
-		}
-	}
-	return out
+	return d.lens()
 }
 
 // Ack consumes a delivered entry.
@@ -645,22 +694,8 @@ func (d *Disk) quarantineLocked(seq uint64) {
 }
 
 func (d *Disk) dropLocked(seq uint64) {
-	lane, tracked := d.laneOf[seq]
-	if !tracked {
-		return
-	}
-	if h, ok := d.heads[lane]; ok && h.seq == seq {
+	if lane, tracked := d.drop(seq); tracked && d.heads[lane].seq == seq {
 		delete(d.heads, lane)
-	}
-	delete(d.laneOf, seq)
-	for i, s := range d.lanes[lane] {
-		if s == seq {
-			d.lanes[lane] = append(d.lanes[lane][:i], d.lanes[lane][i+1:]...)
-			break
-		}
-	}
-	if len(d.lanes[lane]) == 0 {
-		delete(d.lanes, lane)
 	}
 }
 
@@ -668,7 +703,7 @@ func (d *Disk) dropLocked(seq uint64) {
 func (d *Disk) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.laneOf)
+	return d.len()
 }
 
 // Memory is the in-memory queue used when no outbox directory is
@@ -680,9 +715,8 @@ type Memory struct {
 	mu          sync.Mutex
 	entries     map[uint64][]byte
 	next        uint64
-	laneOf      map[uint64]string
-	lanes       map[string][]uint64
 	quarantined int
+	laneIndex
 }
 
 // NewMemory builds an empty in-memory queue.
@@ -693,12 +727,7 @@ func NewMemory() *Memory {
 		// disables receiver-side aged-redelivery detection.
 		id = ""
 	}
-	return &Memory{
-		entries: make(map[uint64][]byte),
-		laneOf:  make(map[uint64]string),
-		lanes:   make(map[string][]uint64),
-		sender:  id,
-	}
+	return &Memory{entries: make(map[uint64][]byte), laneIndex: newLaneIndex(), sender: id}
 }
 
 // Put implements Queue.
@@ -709,8 +738,7 @@ func (m *Memory) Put(payload []byte) (uint64, error) {
 	seq := m.next
 	m.next++
 	m.entries[seq] = payload
-	m.laneOf[seq] = lane
-	m.lanes[lane] = append(m.lanes[lane], seq)
+	m.add(seq, lane)
 	return seq, nil
 }
 
@@ -718,10 +746,10 @@ func (m *Memory) Put(payload []byte) (uint64, error) {
 func (m *Memory) NextIn(lane string) (uint64, []byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.lanes[lane]) == 0 {
+	seq, ok := m.head(lane)
+	if !ok {
 		return 0, nil, ErrEmpty
 	}
-	seq := m.lanes[lane][0]
 	return seq, m.entries[seq], nil
 }
 
@@ -729,14 +757,7 @@ func (m *Memory) NextIn(lane string) (uint64, []byte, error) {
 func (m *Memory) Lanes() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.lanes))
-	for lane, seqs := range m.lanes {
-		if len(seqs) > 0 {
-			out = append(out, lane)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return m.names()
 }
 
 // LaneLens implements Queue: every lane's depth under one lock
@@ -744,13 +765,7 @@ func (m *Memory) Lanes() []string {
 func (m *Memory) LaneLens() map[string]int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make(map[string]int, len(m.lanes))
-	for lane, seqs := range m.lanes {
-		if len(seqs) > 0 {
-			out[lane] = len(seqs)
-		}
-	}
-	return out
+	return m.lens()
 }
 
 // Ack implements Queue.
@@ -783,18 +798,7 @@ func (m *Memory) SenderID() string { return m.sender }
 
 func (m *Memory) dropLocked(seq uint64) {
 	delete(m.entries, seq)
-	if lane, ok := m.laneOf[seq]; ok {
-		delete(m.laneOf, seq)
-		for i, s := range m.lanes[lane] {
-			if s == seq {
-				m.lanes[lane] = append(m.lanes[lane][:i], m.lanes[lane][i+1:]...)
-				break
-			}
-		}
-		if len(m.lanes[lane]) == 0 {
-			delete(m.lanes, lane)
-		}
-	}
+	m.drop(seq)
 }
 
 // Len implements Queue.

@@ -84,10 +84,9 @@ func newDelivery(cfg ShardedConfig, tr transport.Transport, box outbox.Queue, re
 		d.downstream = hopTarget{base: cfg.NextHop, key: cfg.NextHopKey, secret: cfg.NextHopSecret}
 	}
 	d.disp = outbox.NewDispatcher(box, d.deliver, outbox.Options{
-		RetryBase:      cfg.RetryBase,
-		RetryMax:       cfg.RetryMax,
-		Workers:        cfg.DeliveryWorkers,
-		AttemptTimeout: cfg.DeliveryTimeout,
+		RetryBase: cfg.RetryBase,
+		RetryMax:  cfg.RetryMax,
+		Workers:   cfg.DeliveryWorkers,
 	})
 	d.disp.Start()
 	return d

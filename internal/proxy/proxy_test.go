@@ -3,9 +3,9 @@ package proxy
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +14,7 @@ import (
 	"mixnn/internal/enclave"
 	"mixnn/internal/fl"
 	"mixnn/internal/nn"
+	"mixnn/internal/transport"
 	"mixnn/internal/wire"
 )
 
@@ -162,15 +163,32 @@ func TestProxyStatusCounters(t *testing.T) {
 	}
 }
 
+// TestProxyRejectsGarbage: a body that is not a session frame — plain
+// garbage, or the retired one-shot hybrid layout (u16 wrapped-key length,
+// wrapped key, nonce, GCM payload) — is a 400 over either transport, with
+// nothing ingested.
 func TestProxyRejectsGarbage(t *testing.T) {
-	_, _, proxyURL, _ := testDeployment(t, 2, 2)
-	resp, err := http.Post(proxyURL+"/v1/update", wire.ContentTypeUpdate, strings.NewReader("not a ciphertext"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", resp.StatusCode)
+	hybrid := binary.LittleEndian.AppendUint16(nil, 128)
+	hybrid = append(hybrid, bytes.Repeat([]byte{0x5a}, 128+12+48)...)
+	for _, loop := range []bool{false, true} {
+		platform, encl := fixtures(t)
+		tn := newTestNet(t, loop)
+		px, err := NewSharded(ShardedConfig{Upstream: "http://unused", K: 2, RoundSize: 2, Seed: 3, Transport: tn.cfgTransport()}, encl, platform)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(px.Close)
+		ep := tn.serve("loop://garbage", px)
+		before := encl.Stats()
+		for _, body := range [][]byte{[]byte("not a ciphertext"), hybrid} {
+			_, err := tn.tr().SendUpdate(context.Background(), ep, transport.UpdateRequest{Body: body})
+			if st := transport.AsStatus(err); st == nil || st.Code != http.StatusBadRequest {
+				t.Fatalf("loopback=%v %d-byte body: err = %v, want a 400", loop, len(body), err)
+			}
+		}
+		if px.Status().Received != 0 || encl.Stats() != before {
+			t.Fatalf("loopback=%v: refused bodies moved the tier's or the enclave's counters", loop)
+		}
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"mixnn/internal/enclave"
-	"mixnn/internal/fl"
 	"mixnn/internal/nn"
 	"mixnn/internal/transport"
 	"mixnn/internal/wire"
@@ -141,12 +140,13 @@ func TestRestoreStateRejectsForeignBlob(t *testing.T) {
 
 // TestShardedCrashRestartReshardE2E is the crash-restart battery's
 // centrepiece over the real wire protocol: a cascade tier (participants →
-// sharded front proxy → hop proxy → aggregation server) loses its front
-// proxy after half the round; the sealed state restores into a
-// replacement with a DIFFERENT shard count, the remaining participants
-// finish the round through it, and the server-side aggregate must equal
-// the classic-FL mean — nothing lost, nothing double-counted, across both
-// the crash and the reshard.
+// sharded front proxy → hop proxy → aggregation server) loses its 2-shard
+// front proxy after half the round. The replacement is configured for
+// THREE shards: it restores under the sealed plan and stages its own, so
+// the open round finishes on the two shards it opened on — the server-side
+// aggregate equals the classic-FL mean, nothing lost, nothing
+// double-counted — and the 3-shard plan is live one round close later,
+// for a second round that aggregates exactly too.
 func TestShardedCrashRestartReshardE2E(t *testing.T) {
 	platform, frontEncl := fixtures(t)
 	hopEncl, err := enclave.New(enclave.Config{CodeIdentity: "mixnn-proxy-restart-hop"}, platform)
@@ -160,6 +160,8 @@ func TestShardedCrashRestartReshardE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	obs := &roundObserver{}
+	agg.SetObserver(obs)
 	aggSrv := httptest.NewServer(agg.Handler())
 	t.Cleanup(aggSrv.Close)
 
@@ -188,38 +190,40 @@ func TestShardedCrashRestartReshardE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(front1.Close)
+	// An idle directive first, so the sealed plan is not the one either
+	// tier's config describes: version 1, hash-quota.
+	if _, err := front1.StageTopology(ctx, wire.TopologyDirective{Mode: "hash-quota"}); err != nil {
+		t.Fatal(err)
+	}
 	front1Srv := httptest.NewServer(front1.Handler())
 
-	updates := make([]nn.ParamSet, clients)
-	for i := range updates {
-		u := initial.Clone()
-		u.Layers[0].Tensors[0].AddScalar(float64(i + 1))
-		u.Layers[len(u.Layers)-1].Tensors[0].AddScalar(-2 * float64(i+1))
-		updates[i] = u
-	}
-	send := func(url string, u nn.ParamSet) error {
+	rounds := [][]nn.ParamSet{perturbed(initial, clients, 0), perturbed(initial, clients, 500)}
+	send := func(url string, u nn.ParamSet) {
+		t.Helper()
 		p := newParticipant(t, url, aggSrv.URL)
 		if err := p.Attest(ctx, platform.AttestationPublicKey(), frontEncl.Measurement()); err != nil {
-			return err
+			t.Fatal(err)
 		}
-		return p.SendUpdate(ctx, u)
+		if err := p.SendUpdate(ctx, u); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// First half of the round through the 2-shard front.
-	for i := 0; i < clients/2; i++ {
-		if err := send(front1Srv.URL, updates[i]); err != nil {
-			t.Fatalf("send %d: %v", i, err)
-		}
+	for _, u := range rounds[0][:clients/2] {
+		send(front1Srv.URL, u)
 	}
 
 	// Crash: seal the tier, kill the proxy.
+	sealed := front1.Status()
 	blob, err := front1.SealState()
 	if err != nil {
 		t.Fatal(err)
 	}
 	front1Srv.Close()
 
-	// The replacement tier runs THREE shards instead of two.
+	// The replacement is configured for THREE sticky shards. It restores,
+	// then asks for its own shape the way every reshape is asked for.
 	reshardCfg := frontCfg
 	reshardCfg.Shards = 3
 	front2, err := NewSharded(reshardCfg, frontEncl, platform)
@@ -230,43 +234,57 @@ func TestShardedCrashRestartReshardE2E(t *testing.T) {
 	if err := front2.RestoreState(blob); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := front2.StageTopology(ctx, wire.TopologyDirective{
+		Mode: "sticky", Shards: make([]wire.TopologyShardSpec, 3),
+	}); err != nil {
+		t.Fatal(err)
+	}
 	st := front2.Status()
-	if st.RestoredFrom != 2 || len(st.Shards) != 3 {
-		t.Fatalf("restored_from=%d shards=%d, want 2 and 3", st.RestoredFrom, len(st.Shards))
+	if st.RestoredFrom != 2 || len(st.Shards) != 2 || st.RoutingMode != "hash-quota" {
+		t.Fatalf("restored_from=%d shards=%d mode=%s, want the sealed 2-shard hash-quota plan", st.RestoredFrom, len(st.Shards), st.RoutingMode)
+	}
+	if st.TopoVersion != sealed.TopoVersion || st.StagedTopoVersion != sealed.TopoVersion+1 {
+		t.Fatalf("topo_version=%d staged=%d, want the sealed %d with %d staged behind the open round",
+			st.TopoVersion, st.StagedTopoVersion, sealed.TopoVersion, sealed.TopoVersion+1)
 	}
 	if st.InRound != clients/2 {
 		t.Fatalf("restored in_round = %d, want %d", st.InRound, clients/2)
 	}
-	buffered := 0
-	for _, sh := range st.Shards {
-		buffered += sh.Buffered
-	}
-	if got := st.Received + st.HopReceived - st.Forwarded; buffered != got {
-		t.Fatalf("restored buffer %d inconsistent with ledger (in %d, out %d)", buffered, st.Received+st.HopReceived, st.Forwarded)
+	for s, sh := range st.Shards {
+		if sh.Buffered != sealed.Shards[s].Buffered || sh.Load != sealed.Shards[s].Load {
+			t.Fatalf("shard %d restored buffered/load %d/%d, sealed %d/%d", s, sh.Buffered, sh.Load, sealed.Shards[s].Buffered, sealed.Shards[s].Load)
+		}
 	}
 	front2Srv := httptest.NewServer(front2.Handler())
 	t.Cleanup(front2Srv.Close)
 
-	// Second half through the resharded replacement.
-	for i := clients / 2; i < clients; i++ {
-		if err := send(front2Srv.URL, updates[i]); err != nil {
-			t.Fatalf("send %d: %v", i, err)
-		}
+	// Second half through the replacement: the round closes under the
+	// plan it opened under.
+	for _, u := range rounds[0][clients/2:] {
+		send(front2Srv.URL, u)
 	}
-
 	flushTier(t, front2, hopPx)
-	if agg.Round() != 1 {
-		t.Fatalf("server round = %d, want 1 (round incomplete after reshard restart)", agg.Round())
+	waitServerRound(t, agg, 1)
+	assertRoundMean(t, obs, 0, rounds[0])
+
+	// One round close later the replacement's own plan is live.
+	st = front2.Status()
+	if len(st.Shards) != 3 || st.RoutingMode != "sticky" || st.TopoVersion != sealed.TopoVersion+1 || st.StagedTopoVersion != 0 {
+		t.Fatalf("after the round close: shards=%d mode=%s topo_version=%d staged=%d, want 3 sticky shards at version %d, nothing staged",
+			len(st.Shards), st.RoutingMode, st.TopoVersion, st.StagedTopoVersion, sealed.TopoVersion+1)
 	}
-	classic := fl.NewServer(initial)
-	if err := classic.Aggregate(updates); err != nil {
-		t.Fatal(err)
+	if st.RestoredFrom != 2 {
+		t.Fatalf("restored_from = %d after the reshape, want 2", st.RestoredFrom)
 	}
-	if !agg.Global().ApproxEqual(classic.Global(), 1e-9) {
-		t.Fatal("aggregate != classic FL mean after crash-restart reshard")
+	for _, u := range rounds[1] {
+		send(front2Srv.URL, u)
 	}
-	if hopSt := hopPx.Status(); hopSt.HopReceived != clients {
-		t.Fatalf("hop received %d cascade updates, want %d", hopSt.HopReceived, clients)
+	flushTier(t, front2, hopPx)
+	waitServerRound(t, agg, 2)
+	assertRoundMean(t, obs, 1, rounds[1])
+
+	if hopSt := hopPx.Status(); hopSt.HopReceived != 2*clients {
+		t.Fatalf("hop received %d cascade updates, want %d", hopSt.HopReceived, 2*clients)
 	}
 	for _, sh := range front2.Status().Shards {
 		if sh.Buffered != 0 {

@@ -69,12 +69,6 @@ type ShardedConfig struct {
 	// aged out of the window are rejected with 409 via the sender
 	// sequence watermark instead of being silently re-absorbed.
 	DedupWindow int
-	// AdoptSealedTopology makes RestoreState adopt the topology sealed
-	// inside the state blob (mode, weights, remote placement, quota
-	// loads) instead of resharding the material into this tier's
-	// configured topology. mixnn-proxy sets it unless the operator
-	// explicitly asked for a different shape on the restart command line.
-	AdoptSealedTopology bool
 	// K is the per-shard list capacity of each stream mixer; it is clamped
 	// to the shard's round-robin share of RoundSize so every shard's
 	// buffer fills and drains within a round.
@@ -104,9 +98,6 @@ type ShardedConfig struct {
 	// at most one worker at a time, so per-destination ordering is
 	// unaffected by the worker count.
 	DeliveryWorkers int
-	// DeliveryTimeout bounds one delivery attempt (default
-	// outbox.DefaultAttemptTimeout; clamped to at least RetryMax).
-	DeliveryTimeout time.Duration
 	// Transport carries every outbound leg of this tier — batch delivery
 	// downstream, relay legs to remote shards, and the hop attestation
 	// handshakes admin directives trigger. nil = the HTTP transport; a

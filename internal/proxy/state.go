@@ -1,6 +1,6 @@
 // Durable state: sealing the tier's open round under the enclave's
-// identity-bound keys and restoring it into a replacement, under the
-// sealed topology or resharded into the replacement's own.
+// identity-bound keys and restoring it into a replacement under the
+// topology it was sealed under.
 package proxy
 
 import (
@@ -63,7 +63,7 @@ func (p *ShardedProxy) SealState() ([]byte, error) {
 	}
 	forwarded, _ := p.dlv.counters()
 	raw, err := core.SealShardedState(p.shards, core.ShardedStateMeta{
-		Routing:       core.RoutingMode(p.topo.Mode()),
+		Routing:       uint8(p.topo.Mode()),
 		RRCursor:      p.rst.RR,
 		InRound:       p.inRound,
 		Rounds:        p.rounds,
@@ -91,22 +91,16 @@ func (p *ShardedProxy) SealState() ([]byte, error) {
 }
 
 // RestoreState loads a SealState blob into a freshly-constructed tier
-// (same enclave identity and platform).
-//
-// With AdoptSealedTopology set, the tier comes back under
-// EXACTLY the topology it was sealed under — routing mode, shard
-// weights, remote placement, quota loads and topology version — so a
-// crash-restart lands mid-round with the routing plane intact, whatever
-// the replacement's static flags said.
-//
-// Otherwise the blob's material is resharded into THIS tier's configured
-// topology: buffered material is redistributed across the new shards
-// with the round's layer-wise aggregate unchanged, so an operator can
-// crash a P-shard proxy and bring up a P′-shard replacement mid-round.
-// Per-shard mixer ledgers restore exactly for an unchanged shard count
-// and as a sum-preserving redistribution otherwise; pending emissions
-// restore into the pending buffer and ride the next round's outbox
-// entry.
+// (same enclave identity and platform). The tier comes back under EXACTLY
+// the topology it was sealed under — routing mode, shard weights, remote
+// placement, quota loads and topology version — whatever shape this tier
+// was constructed with: an open round's shard membership fixes its
+// anonymity sets and quotas, so the round finishes under the plan it
+// opened under. A different shape is a directive like any other
+// (StageTopology after the restore): promoted at once when the restored
+// tier is idle, at the next round close otherwise. Per-shard mixer ledgers
+// restore exactly; pending emissions restore into the pending buffer and
+// ride the next round's outbox entry.
 func (p *ShardedProxy) RestoreState(blob []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -124,19 +118,16 @@ func (p *ShardedProxy) RestoreState(blob []byte) error {
 	if err != nil {
 		return fmt.Errorf("proxy: restore tier state: %w", err)
 	}
-	topo := p.topo
-	adopted := false
-	if p.cfg.AdoptSealedTopology {
-		topoBlob, err := core.ShardedStateTopo(raw)
-		if err != nil {
-			return fmt.Errorf("proxy: restore tier state: %w", err)
-		}
-		if topoBlob != nil {
-			if topo, err = route.Parse(topoBlob); err != nil {
-				return fmt.Errorf("proxy: sealed topology: %w", err)
-			}
-			adopted = true
-		}
+	topoBlob, err := core.ShardedStateTopo(raw)
+	if err != nil {
+		return fmt.Errorf("proxy: restore tier state: %w", err)
+	}
+	if topoBlob == nil {
+		return fmt.Errorf("proxy: restore tier state: the blob carries no topology section to restore under")
+	}
+	topo, err := route.Parse(topoBlob)
+	if err != nil {
+		return fmt.Errorf("proxy: sealed topology: %w", err)
 	}
 	fresh, err := newShardSet(p.cfg, topo, epoch, p.slabPool)
 	if err != nil {
@@ -148,45 +139,30 @@ func (p *ShardedProxy) RestoreState(blob []byte) error {
 	if err != nil {
 		return fmt.Errorf("proxy: restore tier state: %w", err)
 	}
-	// Every remote shard of the adopted topology needs either an
+	// Every remote shard of the sealed topology needs either an
 	// already-registered key or sealed trust material to re-attest from;
-	// with neither the relay leg could never
-	// deliver, so refuse the restore up front.
+	// with neither the relay leg could never deliver, so refuse the
+	// restore up front.
 	sealedTrust := make(map[string]RemoteTrust)
 	if meta.RemoteTrust != nil {
 		if err := json.Unmarshal(meta.RemoteTrust, &sealedTrust); err != nil {
 			return fmt.Errorf("proxy: sealed remote trust: %w", err)
 		}
 	}
-	if adopted {
-		for _, addr := range topo.Remotes() {
-			if _, ok := p.dlv.remote(addr); ok {
-				continue
-			}
-			if _, ok := sealedTrust[addr]; !ok {
-				return fmt.Errorf("proxy: sealed topology names remote shard %q but no attested key is registered (RemoteShards) and the blob carries no trust material for it", addr)
-			}
+	for _, addr := range topo.Remotes() {
+		if _, ok := p.dlv.remote(addr); ok {
+			continue
 		}
-	}
-	if meta.Routing < core.RoutingHashRR || meta.Routing > core.RoutingHashQuota {
-		return fmt.Errorf("proxy: sealed state uses unknown routing mode %d", meta.Routing)
+		if _, ok := sealedTrust[addr]; !ok {
+			return fmt.Errorf("proxy: sealed topology names remote shard %q but no attested key is registered (RemoteShards) and the blob carries no trust material for it", addr)
+		}
 	}
 	if meta.InRound >= topo.RoundSize() {
 		return fmt.Errorf("proxy: sealed in-round progress %d does not fit round size %d", meta.InRound, topo.RoundSize())
 	}
 	p.installEpochLocked(topo, fresh, meta.RRCursor)
 	p.planner.Reset(topo)
-	if adopted && meta.ShardLoad != nil && len(meta.ShardLoad) == topo.P() {
-		copy(p.rst.Load, meta.ShardLoad)
-	} else {
-		// Resharded restore: the sealed per-shard loads describe shards
-		// that no longer exist. Spread the open round's routed count
-		// round-robin — approximate, but quota enforcement only needs the
-		// totals to add up.
-		for i := 0; i < meta.InRound; i++ {
-			p.rst.Load[i%topo.P()]++
-		}
-	}
+	copy(p.rst.Load, meta.ShardLoad)
 	p.inRound = meta.InRound
 	p.rounds = meta.Rounds
 	p.putEpoch = meta.Rounds
@@ -195,53 +171,12 @@ func (p *ShardedProxy) RestoreState(blob []byte) error {
 	p.hopReceived = meta.HopReceived
 	p.pending = meta.Pending
 	p.restoredFrom = meta.SealedShards
-	p.shardRecv, p.shardEmit = restoredLedgers(meta, fresh)
+	// Each mixer already re-counted its restored entries; the carry is the
+	// history beyond them.
+	for s, m := range fresh {
+		p.shardRecv[s] = max(meta.ShardReceived[s]-m.Received(), 0)
+		p.shardEmit[s] = meta.ShardEmitted[s]
+	}
 	p.dlv.restore(meta.Forwarded, sealedTrust)
 	return nil
-}
-
-// restoredLedgers maps the sealed per-shard mixer ledgers onto the
-// restoring tier. With an unchanged shard count the mapping is exact
-// (each mixer already re-counted its restored entries; the carry is the
-// history beyond them). Across a reshard the totals are preserved and
-// spread evenly — per-shard exactness is not meaningful when the shards
-// themselves changed.
-func restoredLedgers(meta core.ShardedStateMeta, mixers []core.Shard) (recv, emit []int) {
-	pPrime := len(mixers)
-	recv = make([]int, pPrime)
-	emit = make([]int, pPrime)
-	if pPrime == meta.SealedShards {
-		for s := range mixers {
-			if recv[s] = meta.ShardReceived[s] - mixers[s].Received(); recv[s] < 0 {
-				recv[s] = 0
-			}
-			emit[s] = meta.ShardEmitted[s]
-		}
-		return recv, emit
-	}
-	totalRecv, totalEmit, restored := 0, 0, 0
-	for _, v := range meta.ShardReceived {
-		totalRecv += v
-	}
-	for _, v := range meta.ShardEmitted {
-		totalEmit += v
-	}
-	for _, m := range mixers {
-		restored += m.Received()
-	}
-	carry := totalRecv - restored
-	if carry < 0 {
-		carry = 0
-	}
-	for s := 0; s < pPrime; s++ {
-		recv[s] = carry / pPrime
-		if s < carry%pPrime {
-			recv[s]++
-		}
-		emit[s] = totalEmit / pPrime
-		if s < totalEmit%pPrime {
-			emit[s]++
-		}
-	}
-	return recv, emit
 }

@@ -210,7 +210,7 @@ func TestTopologyAdminGatedBySecret(t *testing.T) {
 func TestTopologyAdminPostRequiresConfiguredSecret(t *testing.T) {
 	f := newTopoFixture(t, ShardedConfig{RoundSize: 4, Shards: 2, Seed: 35})
 	resp, err := http.Post(f.pxSrv.URL+"/v1/admin/topology", "application/json",
-		bytes.NewReader([]byte(`{"mode":"round-robin","shards":[{}]}`)))
+		bytes.NewReader([]byte(`{"mode":"hash-quota","shards":[{}]}`)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,14 +229,14 @@ func TestTopologyAdminPostRequiresConfiguredSecret(t *testing.T) {
 func TestTopologyAppliesAtRoundBoundary(t *testing.T) {
 	f := newTopoFixture(t, ShardedConfig{RoundSize: 6, Shards: 2, Seed: 33})
 
-	// Half a round in, then stage P=3 round-robin.
+	// Half a round in, then stage P=3 hash-quota.
 	updates := perturbed(testArch().New(1).SnapshotParams(), 12, 0)
 	for i := 0; i < 3; i++ {
 		resp := sendRaw(t, f.encl, f.pxSrv.URL, fmt.Sprintf("client-%d", i), updates[i])
 		resp.Body.Close()
 	}
 	if _, err := f.px.StageTopology(context.Background(), wire.TopologyDirective{
-		Mode:   "round-robin",
+		Mode:   "hash-quota",
 		Shards: []wire.TopologyShardSpec{{}, {}, {}},
 	}); err != nil {
 		t.Fatal(err)
@@ -254,7 +254,7 @@ func TestTopologyAppliesAtRoundBoundary(t *testing.T) {
 	flushTier(t, f.px)
 	waitServerRound(t, f.agg, 1)
 	topo := f.px.Topology()
-	if topo.Version() != 1 || topo.P() != 3 || topo.Mode() != route.ModeRoundRobin {
+	if topo.Version() != 1 || topo.P() != 3 || topo.Mode() != route.ModeHashQuota {
 		t.Fatalf("post-close topology = v%d P=%d %s", topo.Version(), topo.P(), topo.Mode())
 	}
 	assertRoundMean(t, f.obs, 0, updates[:6])
@@ -273,90 +273,10 @@ func TestTopologyAppliesAtRoundBoundary(t *testing.T) {
 	}
 }
 
-// TestTopologyStickyReshardTable pins the sticky-across-reshard contract
-// (ROADMAP follow-up): a tier sealed at P restores at P′; sticky clients
-// MAY land on a different shard afterwards (mixing breadth, not
-// correctness), and the finished round's aggregate is unchanged.
-func TestTopologyStickyReshardTable(t *testing.T) {
-	cases := []struct{ p, pPrime int }{{2, 3}, {4, 2}, {1, 4}}
-	for _, tc := range cases {
-		t.Run(fmt.Sprintf("%dto%d", tc.p, tc.pPrime), func(t *testing.T) {
-			const c = 8
-			platform, encl := fixtures(t)
-			agg, err := NewAggServer(testArch().New(1).SnapshotParams(), c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			aggSrv := httptest.NewServer(agg.Handler())
-			t.Cleanup(aggSrv.Close)
-			mk := func(p int) *ShardedProxy {
-				px, err := NewSharded(ShardedConfig{
-					Upstream: aggSrv.URL, K: 2, RoundSize: c, Shards: p, Seed: 41,
-					RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
-				}, encl, platform)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(px.Close)
-				return px
-			}
-			px1 := mk(tc.p)
-			srv1 := httptest.NewServer(px1.Handler())
-			updates := perturbed(testArch().New(1).SnapshotParams(), c, 50)
-			route1 := make(map[string]string)
-			for i := 0; i < c/2; i++ {
-				id := fmt.Sprintf("sticky-%d", i)
-				resp := sendRaw(t, encl, srv1.URL, id, updates[i])
-				route1[id] = resp.Header.Get(wire.HeaderShard)
-				resp.Body.Close()
-			}
-			blob, err := px1.SealState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv1.Close()
-
-			px2 := mk(tc.pPrime)
-			if err := px2.RestoreState(blob); err != nil {
-				t.Fatal(err)
-			}
-			if got := px2.Topology().P(); got != tc.pPrime {
-				t.Fatalf("restored tier has P=%d, want the configured %d (no topology adoption requested)", got, tc.pPrime)
-			}
-			srv2 := httptest.NewServer(px2.Handler())
-			t.Cleanup(srv2.Close)
-			moved := 0
-			for i := c / 2; i < c; i++ {
-				// Re-send under ids used before the reshard to observe
-				// placement, plus fresh material to finish the round.
-				id := fmt.Sprintf("sticky-%d", i-c/2)
-				resp := sendRaw(t, encl, srv2.URL, id, updates[i])
-				if route1[id] != "" && resp.Header.Get(wire.HeaderShard) != route1[id] {
-					moved++
-				}
-				resp.Body.Close()
-			}
-			// Pinned behaviour: clients MAY move shards (no assertion that
-			// moved == 0); what must hold is aggregation equivalence.
-			t.Logf("P %d→%d: %d of %d sticky clients changed shard", tc.p, tc.pPrime, moved, c/2)
-			flushTier(t, px2)
-			waitServerRound(t, agg, 1)
-			want, err := nn.Average(updates)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !agg.Global().ApproxEqual(want, 1e-9) {
-				t.Fatalf("P %d→%d: aggregate diverged across the reshard", tc.p, tc.pPrime)
-			}
-		})
-	}
-}
-
 // TestTopologyCrashRestartAdoptsSealedPlan is the v3 crash-restart e2e:
 // a hash-quota tier with weighted shards is sealed mid-round; the
 // replacement proxy is configured with a completely different static
-// shape but AdoptSealedTopology, and must come back under EXACTLY the
-// sealed plan — mode, shard count, quotas, loads — then finish the round
+// shape, and must come back under EXACTLY the sealed plan — mode, shard count, quotas, loads — then finish the round
 // with the aggregate unchanged.
 func TestTopologyCrashRestartAdoptsSealedPlan(t *testing.T) {
 	const c = 8
@@ -401,8 +321,7 @@ func TestTopologyCrashRestartAdoptsSealedPlan(t *testing.T) {
 	// sealed plan.
 	px2, err := NewSharded(ShardedConfig{
 		Upstream: aggSrv.URL, K: 2, RoundSize: c, Shards: 4, Seed: 44,
-		AdoptSealedTopology: true,
-		RetryBase:           time.Millisecond, RetryMax: 5 * time.Millisecond,
+		RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
 	}, encl, platform)
 	if err != nil {
 		t.Fatal(err)
@@ -719,7 +638,7 @@ func TestOutboxQuarantinedSurfaced(t *testing.T) {
 
 // FuzzTopologyEquivalence is the routing plane's acceptance property:
 // for arbitrary shard counts P→P′ across an epoch-boundary reshard,
-// hash-quota vs round-robin vs sticky routing, and local vs remote shard
+// hash-quota vs sticky routing, and local vs remote shard
 // placement, every round's delivered mean equals the classic FedAvg mean
 // of its inputs at 1e-9.
 func FuzzTopologyEquivalence(f *testing.F) {
@@ -730,7 +649,7 @@ func FuzzTopologyEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, pRaw, pPrimeRaw, modeRaw, cRaw uint8, remote bool, seed int64, loop bool) {
 		p := int(pRaw)%4 + 1
 		pPrime := int(pPrimeRaw)%4 + 1
-		modes := []route.Mode{route.ModeSticky, route.ModeRoundRobin, route.ModeHashQuota}
+		modes := []route.Mode{route.ModeSticky, route.ModeHashQuota}
 		mode := modes[int(modeRaw)%len(modes)]
 		if remote && mode == route.ModeSticky {
 			// Remote placement requires a quota-enforcing mode (the

@@ -427,7 +427,7 @@ func TestReattestRemotesFromSealBlob(t *testing.T) {
 	front1.Close()
 	front2, err := NewSharded(ShardedConfig{
 		Upstream: "loop://agg", K: 1, RoundSize: clients, Shards: 1, Seed: 13,
-		AdoptSealedTopology: true, Transport: lb,
+		Transport: lb,
 	}, frontEncl, platform)
 	if err != nil {
 		t.Fatal(err)
@@ -449,7 +449,7 @@ func TestReattestRemotesFromSealBlob(t *testing.T) {
 	}
 	front2b, err := NewSharded(ShardedConfig{
 		Upstream: "loop://agg", K: 1, RoundSize: clients, Shards: 1, Seed: 14,
-		AdoptSealedTopology: true, Transport: lb,
+		Transport: lb,
 	}, frontEncl, platform)
 	if err != nil {
 		t.Fatal(err)

@@ -15,6 +15,7 @@ package route
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -31,10 +32,11 @@ const (
 	// advisory only — sticky placement wins, matching the pre-topology
 	// tier exactly.
 	ModeSticky Mode = 1
-	// ModeRoundRobin deals updates over the shards in arrival order,
-	// skipping shards whose round quota is exhausted, so weighted shards
-	// fill proportionally.
-	ModeRoundRobin Mode = 2
+	// modeRetired is the tag round-robin dealing had until it was removed
+	// (no deployment selected it). It is not reassigned, so a sealed
+	// topology or directive that still carries it is refused by name
+	// (New, ParseMode) instead of being read as another mode.
+	modeRetired Mode = 2
 	// ModeHashQuota routes identified clients by consistent hashing over a
 	// virtual-node ring (weighted by shard capacity) and enforces the
 	// per-shard round quota: when the hashed shard is full the update
@@ -48,8 +50,6 @@ func (m Mode) String() string {
 	switch m {
 	case ModeSticky:
 		return "sticky"
-	case ModeRoundRobin:
-		return "round-robin"
 	case ModeHashQuota:
 		return "hash-quota"
 	default:
@@ -57,17 +57,21 @@ func (m Mode) String() string {
 	}
 }
 
+// errRoundRobinRemoved answers modeRetired and its spellings wherever a
+// flag, directive or sealed topology still carries them.
+var errRoundRobinRemoved = errors.New("route: the round-robin routing mode was removed; use hash-quota (quota-enforcing) or sticky")
+
 // ParseMode maps a flag/JSON spelling onto a Mode.
 func ParseMode(s string) (Mode, error) {
 	switch s {
 	case "", "sticky":
 		return ModeSticky, nil
-	case "round-robin", "rr":
-		return ModeRoundRobin, nil
 	case "hash-quota", "hash":
 		return ModeHashQuota, nil
+	case "round-robin", "rr":
+		return 0, errRoundRobinRemoved
 	default:
-		return 0, fmt.Errorf("route: unknown routing mode %q (want sticky, round-robin or hash-quota)", s)
+		return 0, fmt.Errorf("route: unknown routing mode %q (want sticky or hash-quota)", s)
 	}
 }
 
@@ -131,7 +135,10 @@ func New(version uint64, mode Mode, roundSize int, specs []ShardSpec) (*Topology
 	if mode == 0 {
 		mode = ModeSticky
 	}
-	if mode != ModeSticky && mode != ModeRoundRobin && mode != ModeHashQuota {
+	if mode == modeRetired {
+		return nil, errRoundRobinRemoved
+	}
+	if mode != ModeSticky && mode != ModeHashQuota {
 		return nil, fmt.Errorf("route: unknown routing mode %d", mode)
 	}
 	if roundSize <= 0 {
@@ -166,10 +173,10 @@ func New(version uint64, mode Mode, roundSize int, specs []ShardSpec) (*Topology
 		// A remote shard's peer proxy is provisioned for exactly its
 		// quota per round; sticky routing ignores quotas (placement wins),
 		// so it could starve the peer of a round — or flood it — and
-		// stall the tier. Remote placement therefore requires a
+		// stall the tier. Remote placement therefore requires the
 		// quota-enforcing mode.
 		if mode == ModeSticky {
-			return nil, fmt.Errorf("route: shard %d is remote (%s) but the sticky mode cannot honour remote quotas; use round-robin or hash-quota", i, s.Addr)
+			return nil, fmt.Errorf("route: shard %d is remote (%s) but the sticky mode cannot honour remote quotas; use hash-quota", i, s.Addr)
 		}
 		for j := 0; j < i; j++ {
 			if norm[j].Addr == s.Addr {
@@ -188,12 +195,6 @@ func New(version uint64, mode Mode, roundSize int, specs []ShardSpec) (*Topology
 		t.ring = buildRing(norm)
 	}
 	return t, nil
-}
-
-// Uniform builds the legacy topology: p local shards of weight 1 — the
-// exact shape the pre-routing-plane tier hard-coded.
-func Uniform(version uint64, mode Mode, roundSize, p int) (*Topology, error) {
-	return New(version, mode, roundSize, make([]ShardSpec, p))
 }
 
 // apportion splits roundSize over the shards proportionally to weight
@@ -340,8 +341,6 @@ func (t *Topology) NewState() *State {
 func (t *Topology) Route(clientID string, st *State) int {
 	var s int
 	switch t.mode {
-	case ModeRoundRobin:
-		s = t.nextRR(st)
 	case ModeHashQuota:
 		if clientID != "" {
 			s = t.ringShard(clientID)
@@ -362,23 +361,6 @@ func (t *Topology) Route(clientID string, st *State) int {
 		}
 	}
 	st.Load[s]++
-	return s
-}
-
-// nextRR advances the cursor to the next shard with remaining quota;
-// when every quota is exhausted (overflow traffic past the round size)
-// it degrades to plain round-robin so routing never fails.
-func (t *Topology) nextRR(st *State) int {
-	p := len(t.specs)
-	for off := 0; off < p; off++ {
-		s := (st.RR + off) % p
-		if st.Load[s] < t.quotas[s] {
-			st.RR = (s + 1) % p
-			return s
-		}
-	}
-	s := st.RR % p
-	st.RR = (s + 1) % p
 	return s
 }
 

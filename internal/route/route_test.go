@@ -2,6 +2,7 @@ package route
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -108,17 +109,6 @@ func TestHashQuotaAnonymousBalances(t *testing.T) {
 	}
 	if st.Load[0] != 2 || st.Load[1] != 6 {
 		t.Fatalf("anonymous hash-quota load = %v, want [2 6]", st.Load)
-	}
-}
-
-func TestRoundRobinHonoursWeights(t *testing.T) {
-	topo := mustNew(t, 1, ModeRoundRobin, 9, []ShardSpec{{Weight: 2}, {Weight: 1}})
-	st := topo.NewState()
-	for i := 0; i < 9; i++ {
-		topo.Route(fmt.Sprintf("c%d", i), st)
-	}
-	if st.Load[0] != 6 || st.Load[1] != 3 {
-		t.Fatalf("round-robin load = %v, want [6 3]", st.Load)
 	}
 }
 
@@ -272,7 +262,7 @@ func TestPlannerLatestStageWins(t *testing.T) {
 }
 
 func TestModeParseString(t *testing.T) {
-	for _, m := range []Mode{ModeSticky, ModeRoundRobin, ModeHashQuota} {
+	for _, m := range []Mode{ModeSticky, ModeHashQuota} {
 		got, err := ParseMode(m.String())
 		if err != nil || got != m {
 			t.Fatalf("ParseMode(%q) = %v, %v", m.String(), got, err)
@@ -280,6 +270,16 @@ func TestModeParseString(t *testing.T) {
 	}
 	if _, err := ParseMode("bogus"); err == nil {
 		t.Fatal("bogus mode parsed")
+	}
+	// The removed mode is refused by name — as a spelling, and as the tag
+	// an older sealed topology carries.
+	for _, spelling := range []string{"round-robin", "rr"} {
+		if _, err := ParseMode(spelling); err == nil || !strings.Contains(err.Error(), "round-robin routing mode was removed") {
+			t.Fatalf("ParseMode(%q) = %v, want the removal named", spelling, err)
+		}
+	}
+	if _, err := New(0, Mode(2), 4, make([]ShardSpec, 2)); err == nil || !strings.Contains(err.Error(), "round-robin routing mode was removed") {
+		t.Fatalf("New with mode tag 2 = %v, want the removal named", err)
 	}
 	if got, err := ParseMode(""); err != nil || got != ModeSticky {
 		t.Fatalf("empty mode = %v, %v, want sticky default", got, err)

@@ -322,7 +322,7 @@ type ShardedProxyStatus struct {
 	NextHop     string `json:"next_hop,omitempty"`
 	MaxHops     int    `json:"max_hops"`
 	// TopoVersion is the routing plane's current topology version and
-	// RoutingMode its policy ("sticky", "round-robin", "hash-quota").
+	// RoutingMode its policy ("sticky" or "hash-quota").
 	TopoVersion uint64 `json:"topo_version"`
 	RoutingMode string `json:"routing_mode"`
 	// StagedTopoVersion is set when a topology directive awaits the next
@@ -334,7 +334,7 @@ type ShardedProxyStatus struct {
 	OutboxQuarantined int `json:"outbox_quarantined"`
 	// RestoredFrom is the shard count of the sealed blob this tier was
 	// restored from, 0 if it started fresh; it differs from len(Shards)
-	// when the restore resharded.
+	// once a later directive has changed the shard set.
 	RestoredFrom  int     `json:"restored_from,omitempty"`
 	UpdateBytes   int     `json:"update_bytes"`
 	EnclaveUsed   int     `json:"enclave_used_bytes"`
@@ -434,7 +434,7 @@ type TopologyShardSpec struct {
 // TopologyDirective asks the proxy to reshape its routing plane at the
 // next round close. Empty fields keep their current values.
 type TopologyDirective struct {
-	// Mode is "sticky", "round-robin" or "hash-quota" ("" = keep).
+	// Mode is "sticky" or "hash-quota" ("" = keep).
 	Mode string `json:"mode,omitempty"`
 	// RoundSize changes the round size C (0 = keep).
 	RoundSize int `json:"round_size,omitempty"`
