@@ -17,9 +17,7 @@ package main
 import (
 	"context"
 	"crypto/ecdsa"
-	"crypto/x509"
 	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -28,15 +26,10 @@ import (
 	"time"
 
 	"mixnn/internal/client"
+	"mixnn/internal/enclave"
 	"mixnn/internal/experiment"
 	"mixnn/internal/fl"
 )
-
-// trustBundle mirrors the file written by mixnn-proxy -trust-out.
-type trustBundle struct {
-	AuthorityPubDER []byte `json:"authority_pub_der"`
-	MeasurementHex  string `json:"measurement"`
-}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -129,28 +122,11 @@ func run(args []string) error {
 	return nil
 }
 
+// loadTrust reads and parses the trust bundle mixnn-proxy -trust-out wrote.
 func loadTrust(path string) (*ecdsa.PublicKey, [32]byte, error) {
-	var meas [32]byte
-	raw, err := os.ReadFile(path)
+	bundle, err := enclave.ReadTrustBundle(path)
 	if err != nil {
-		return nil, meas, fmt.Errorf("read trust bundle: %w", err)
+		return nil, [32]byte{}, err
 	}
-	var tb trustBundle
-	if err := json.Unmarshal(raw, &tb); err != nil {
-		return nil, meas, fmt.Errorf("parse trust bundle: %w", err)
-	}
-	pub, err := x509.ParsePKIXPublicKey(tb.AuthorityPubDER)
-	if err != nil {
-		return nil, meas, fmt.Errorf("parse authority key: %w", err)
-	}
-	ecPub, ok := pub.(*ecdsa.PublicKey)
-	if !ok {
-		return nil, meas, fmt.Errorf("authority key is %T, want ECDSA", pub)
-	}
-	mb, err := hex.DecodeString(tb.MeasurementHex)
-	if err != nil || len(mb) != 32 {
-		return nil, meas, fmt.Errorf("malformed measurement in trust bundle")
-	}
-	copy(meas[:], mb)
-	return ecPub, meas, nil
+	return bundle.Parse()
 }

@@ -14,7 +14,7 @@ import (
 func writeBundle(t *testing.T, authorityDER []byte, measurement string) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "trust.json")
-	raw, err := json.Marshal(trustBundle{AuthorityPubDER: authorityDER, MeasurementHex: measurement})
+	raw, err := json.Marshal(enclave.TrustBundle{AuthorityPubDER: authorityDER, MeasurementHex: measurement})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,11 +69,6 @@ import (
 	"mixnn/internal/wire"
 )
 
-// TrustBundle is the out-of-band material a participant (or an upstream
-// proxy of a cascade) pins: the (simulated) attestation authority key and
-// the expected enclave measurement.
-type TrustBundle = proxy.TrustBundle
-
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "mixnn-proxy:", err)
@@ -254,6 +249,8 @@ func run(args []string) error {
 			defer rcancel()
 			if err := px.ReattestRemotes(rctx); err != nil {
 				log.Printf("mixnn-proxy: re-attest remote shards: %v", err)
+			} else if n := len(px.Topology().Remotes()); n > 0 {
+				log.Printf("mixnn-proxy: re-attested the sealed plan's %d remote shard(s) from the blob's trust material", n)
 			}
 		}()
 	}
@@ -263,7 +260,7 @@ func run(args []string) error {
 		return fmt.Errorf("marshal authority key: %w", err)
 	}
 	meas := encl.Measurement()
-	bundle, err := json.MarshalIndent(TrustBundle{
+	bundle, err := json.MarshalIndent(enclave.TrustBundle{
 		AuthorityPubDER: authDER,
 		MeasurementHex:  hex.EncodeToString(meas[:]),
 	}, "", "  ")

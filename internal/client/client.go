@@ -72,15 +72,13 @@ type Participant struct {
 	clientID    string
 	authority   *ecdsa.PublicKey
 	measurement [32]byte
-	// keys holds the attested (or pinned) enclave encryption key per
-	// proxy endpoint; failover re-encrypts for the endpoint it lands on.
-	keys map[string]*rsa.PublicKey
-	// sessions holds the established crypto session per proxy endpoint,
-	// next to the key it was built for: steady-state sends are GCM-only
-	// under the session key, and the one-time RSA wrap rides the
-	// session's first update (see enclave.Session). A session built for
-	// a superseded key (the endpoint re-attested) is replaced lazily.
-	sessions map[string]*clientSession
+	// senders holds, per proxy endpoint, the attested (or pinned) enclave
+	// key and the current crypto session toward it (enclave.Sender):
+	// failover re-encrypts for the endpoint it lands on, steady-state
+	// sends are GCM-only under the session key, and the one-time RSA wrap
+	// rides the session's first update. Re-pinning an endpoint replaces
+	// its Sender, and the session built for the superseded key with it.
+	senders map[string]*enclave.Sender
 	// flights single-flights the lazy failover attestation per endpoint:
 	// when many goroutines share one client and fail over simultaneously
 	// (a primary dying under load), exactly one runs the handshake and
@@ -90,20 +88,11 @@ type Participant struct {
 }
 
 // attestFlight is one in-progress lazy attestation; waiters block on
-// done and read key/err after it closes.
+// done and read snd/err after it closes.
 type attestFlight struct {
 	done chan struct{}
-	key  *rsa.PublicKey
+	snd  *enclave.Sender
 	err  error
-}
-
-// clientSession pairs an endpoint's crypto session with the enclave
-// key it was established against, so a re-attested endpoint (fresh
-// enclave key) invalidates the session instead of sending undecryptable
-// traffic.
-type clientSession struct {
-	pub  *rsa.PublicKey
-	sess *enclave.Session
 }
 
 // New builds a participant session. The trust material may arrive later
@@ -123,8 +112,7 @@ func New(cfg Config) (*Participant, error) {
 		clientID:    cfg.ClientID,
 		authority:   cfg.Authority,
 		measurement: cfg.Measurement,
-		keys:        make(map[string]*rsa.PublicKey),
-		sessions:    make(map[string]*clientSession),
+		senders:     make(map[string]*enclave.Sender),
 		flights:     make(map[string]*attestFlight),
 	}, nil
 }
@@ -142,7 +130,7 @@ func (c *Participant) SetClientID(id string) {
 func (c *Participant) SetEnclaveKey(pub *rsa.PublicKey) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.keys[c.proxies[0]] = pub
+	c.senders[c.proxies[0]] = enclave.NewSender(enclave.PinnedHop(pub, c.measurement))
 }
 
 // Proxies returns the session's current failover list (a copy).
@@ -311,25 +299,25 @@ func (c *Participant) Attest(ctx context.Context, authority *ecdsa.PublicKey, me
 	return fmt.Errorf("client: no proxy attested: %w", errors.Join(errs...))
 }
 
-// attestedKey returns ep's pinned enclave key, running the lazy
-// failover attestation at most ONCE per endpoint no matter how many
-// goroutines ask concurrently. The first caller owns the handshake;
-// the rest wait for its outcome (or their own ctx) — without this,
-// every sender failing over in the same instant ran a full handshake
-// against the fallback proxy, and the loser of each race overwrote the
-// winner's pinned key mid-send. Failures are not cached: the flight is
-// cleared before its waiters wake, so the next send retries afresh.
-func (c *Participant) attestedKey(ctx context.Context, ep string) (*rsa.PublicKey, error) {
+// attested returns ep's Sender, running the lazy failover attestation
+// at most ONCE per endpoint no matter how many goroutines ask
+// concurrently. The first caller owns the handshake; the rest wait for
+// its outcome (or their own ctx) — without this, every sender failing
+// over in the same instant ran a full handshake against the fallback
+// proxy, and the loser of each race overwrote the winner's pinned key
+// mid-send. Failures are not cached: the flight is cleared before its
+// waiters wake, so the next send retries afresh.
+func (c *Participant) attested(ctx context.Context, ep string) (*enclave.Sender, error) {
 	c.mu.Lock()
-	if key := c.keys[ep]; key != nil {
+	if snd := c.senders[ep]; snd != nil {
 		c.mu.Unlock()
-		return key, nil
+		return snd, nil
 	}
 	if f := c.flights[ep]; f != nil {
 		c.mu.Unlock()
 		select {
 		case <-f.done:
-			return f.key, f.err
+			return f.snd, f.err
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -337,16 +325,17 @@ func (c *Participant) attestedKey(ctx context.Context, ep string) (*rsa.PublicKe
 	f := &attestFlight{done: make(chan struct{})}
 	c.flights[ep] = f
 	c.mu.Unlock()
-	f.key, f.err = c.attestOne(ctx, ep)
+	f.snd, f.err = c.attestOne(ctx, ep)
 	c.mu.Lock()
 	delete(c.flights, ep)
 	c.mu.Unlock()
 	close(f.done)
-	return f.key, f.err
+	return f.snd, f.err
 }
 
-// attestOne runs the handshake against one endpoint and pins its key.
-func (c *Participant) attestOne(ctx context.Context, ep string) (*rsa.PublicKey, error) {
+// attestOne runs the handshake every proxy leg runs (fetch the report,
+// enclave.TrustHop) against one endpoint and pins the key it yields.
+func (c *Participant) attestOne(ctx context.Context, ep string) (*enclave.Sender, error) {
 	c.mu.Lock()
 	authority := c.authority
 	measurement := c.measurement
@@ -358,103 +347,15 @@ func (c *Participant) attestOne(ctx context.Context, ep string) (*rsa.PublicKey,
 	if err != nil {
 		return nil, err
 	}
-	pub, err := rep.Verify(authority, measurement, nonce)
+	key, err := enclave.TrustHop(rep, authority, measurement, nonce)
 	if err != nil {
 		return nil, err
 	}
-	rsaPub, ok := pub.(*rsa.PublicKey)
-	if !ok {
-		return nil, fmt.Errorf("client: attested key is %T, want RSA", pub)
-	}
+	snd := enclave.NewSender(key)
 	c.mu.Lock()
-	c.keys[ep] = rsaPub
+	c.senders[ep] = snd
 	c.mu.Unlock()
-	return rsaPub, nil
-}
-
-// sessionFor returns ep's crypto session, establishing one bound to
-// the endpoint's currently-pinned enclave key when none exists (or the
-// cached one was built for a superseded key). The RSA wrap runs outside
-// the lock; a racing establisher's session wins and the loser's wrap is
-// discarded.
-func (c *Participant) sessionFor(ep string, key *rsa.PublicKey) (*enclave.Session, error) {
-	c.mu.Lock()
-	if s := c.sessions[ep]; s != nil && s.pub == key {
-		c.mu.Unlock()
-		return s.sess, nil
-	}
-	c.mu.Unlock()
-	sess, err := enclave.NewSession(key)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if s := c.sessions[ep]; s != nil && s.pub == key {
-		return s.sess, nil
-	}
-	c.sessions[ep] = &clientSession{pub: key, sess: sess}
-	return sess, nil
-}
-
-// dropSession invalidates ep's session — but only if sess is still the
-// pinned one, so a loser of a concurrent re-establish race cannot tear
-// down the winner's fresh session.
-func (c *Participant) dropSession(ep string, sess *enclave.Session) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if s := c.sessions[ep]; s != nil && s.sess == sess {
-		delete(c.sessions, ep)
-	}
-}
-
-// wrapFor seals raw for ep's enclave under the endpoint's crypto
-// session (the first wrap of a session is the establish message
-// carrying the RSA-wrapped key; every later wrap is GCM-only). It
-// returns the session that produced the ciphertext so the caller can
-// invalidate precisely that session on a typed session rejection. A
-// session whose counter space is exhausted is rotated once,
-// transparently.
-func (c *Participant) wrapFor(ep string, key *rsa.PublicKey, raw []byte) ([]byte, *enclave.Session, error) {
-	for attempt := 0; ; attempt++ {
-		sess, err := c.sessionFor(ep, key)
-		if err != nil {
-			return nil, nil, err
-		}
-		ct, err := sess.Wrap(raw)
-		if err == nil {
-			return ct, sess, nil
-		}
-		c.dropSession(ep, sess)
-		if attempt > 0 {
-			return nil, nil, err
-		}
-	}
-}
-
-// rewrapFresh wraps raw under a brand-new session, so the ciphertext
-// is the self-contained establish frame the enclave can always open.
-// It is the retry path after a typed session rejection: re-wrapping
-// through the cache (wrapFor) is not enough there, because a
-// concurrent sender may have re-established already and cached a
-// session whose OWN establish frame is still in flight — wrapping
-// under it emits a data frame that can race ahead of that establish
-// and be rejected all over again. The fresh session is cached
-// (last-establisher-wins, same policy as sessionFor) so subsequent
-// sends ride it.
-func (c *Participant) rewrapFresh(ep string, key *rsa.PublicKey, raw []byte) ([]byte, *enclave.Session, error) {
-	sess, err := enclave.NewSession(key)
-	if err != nil {
-		return nil, nil, err
-	}
-	ct, err := sess.Wrap(raw) // first wrap of a session = establish
-	if err != nil {
-		return nil, nil, err
-	}
-	c.mu.Lock()
-	c.sessions[ep] = &clientSession{pub: key, sess: sess}
-	c.mu.Unlock()
-	return ct, sess, nil
+	return snd, nil
 }
 
 // encodeBufs recycles SendUpdate's plaintext encode buffers (*[]byte)
@@ -515,7 +416,7 @@ func (c *Participant) SendUpdate(ctx context.Context, ps nn.ParamSet) error {
 	*bp = raw
 	c.mu.Lock()
 	clientID := c.clientID
-	haveAny := c.authority != nil || len(c.keys) > 0
+	haveAny := c.authority != nil || len(c.senders) > 0
 	c.mu.Unlock()
 	if !haveAny {
 		return fmt.Errorf("client: no enclave key pinned; call Attest first")
@@ -597,19 +498,19 @@ func (c *Participant) sendWalk(ctx context.Context, raw []byte, clientID string)
 	var err error
 	for _, ep := range c.proxySnapshot() {
 		c.mu.Lock()
-		key := c.keys[ep]
+		snd := c.senders[ep]
 		c.mu.Unlock()
-		if key == nil {
+		if snd == nil {
 			// Lazy failover attestation: this proxy was down (or not yet
 			// attested) when the session started. Single-flighted — a
 			// failover storm attests the fallback once, not once per
 			// in-flight send.
-			if key, err = c.attestedKey(ctx, ep); err != nil {
+			if snd, err = c.attested(ctx, ep); err != nil {
 				errs = append(errs, fmt.Errorf("%s: attest: %w", ep, err))
 				continue
 			}
 		}
-		ct, sess, err := c.wrapFor(ep, key, raw)
+		ct, sess, err := snd.Wrap(raw)
 		if err != nil {
 			return err
 		}
@@ -621,13 +522,13 @@ func (c *Participant) sendWalk(ctx context.Context, raw []byte, clientID string)
 			// and provably ingested nothing. Re-establish with a full
 			// wrap and resend to the SAME endpoint once — transparent
 			// to the failover walk. The rewrap deliberately bypasses
-			// the session cache: the resent ciphertext must be a
+			// the current session: the resent ciphertext must be a
 			// self-contained establish frame, which the enclave can
-			// never reject as unknown (see rewrapFresh), so one retry
-			// suffices. A rejection of the fresh establish itself falls
-			// through to the ordinary classification below.
-			c.dropSession(ep, sess)
-			if ct, sess, err = c.rewrapFresh(ep, key, raw); err != nil {
+			// never reject as unknown (see enclave.Sender.WrapFresh), so
+			// one retry suffices. A rejection of the fresh establish
+			// itself falls through to the ordinary classification below.
+			snd.Drop(sess)
+			if ct, _, err = snd.WrapFresh(raw); err != nil {
 				return err
 			}
 			_, err = c.tr.SendUpdate(ctx, ep, transport.UpdateRequest{Body: ct, ClientID: clientID})

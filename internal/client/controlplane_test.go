@@ -65,11 +65,10 @@ func (s *ctrlServer) HandleDiscover(ctx context.Context) (wire.DiscoverResponse,
 
 // setHealth rescripts the endpoint's advertisement, as a live proxy
 // would when its load changes.
-func (s *ctrlServer) setHealth(h float64, shedding bool) {
+func (s *ctrlServer) setHealth(h float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.discover.Health = h
-	s.discover.Shedding = shedding
 }
 
 func (s *ctrlServer) counts() (updates, attempts int) {
@@ -237,9 +236,9 @@ func TestDiscoverBootstrapsFromSeed(t *testing.T) {
 			Peers:    peers,
 		}
 	}
-	servers[0].setHealth(0.5, false)
-	servers[1].setHealth(0.9, false)
-	servers[2].setHealth(0.7, false)
+	servers[0].setHealth(0.5)
+	servers[1].setHealth(0.9)
+	servers[2].setHealth(0.7)
 
 	p, err := client.New(client.Config{Proxies: []string{frontEP(0)}, Transport: lb})
 	if err != nil {
@@ -257,7 +256,7 @@ func TestDiscoverBootstrapsFromSeed(t *testing.T) {
 	// front-1 starts shedding: its advertised health collapses below
 	// every non-shedding front's, and the next sweep demotes it to the
 	// tail of the failover list.
-	servers[1].setHealth(0.08, true)
+	servers[1].setHealth(0.08)
 	if err := p.Discover(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +333,7 @@ func TestDiscoveryConcurrentWithSends(t *testing.T) {
 					t.Errorf("sender %d: %v", g, err)
 					return
 				}
-				servers[g%2].setHealth(float64(i)/10, i%2 == 0)
+				servers[g%2].setHealth(float64(i) / 10)
 			}
 		}(g)
 	}

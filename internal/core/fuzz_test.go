@@ -42,6 +42,7 @@ func FuzzShardedStateRestore(f *testing.F) {
 	f.Add(blob)
 	f.Add([]byte("MXSH"))
 	f.Add([]byte{})
+	f.Add(forgedEntryCountBlob())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fresh := make([]*StreamMixer, 2)

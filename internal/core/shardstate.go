@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"mixnn/internal/nn"
 )
@@ -216,13 +215,16 @@ func marshalSection(entries []nn.ParamSet) ([]byte, error) {
 
 // unmarshalSection decodes one shard section back into pseudo-updates.
 func unmarshalSection(data []byte) ([]nn.ParamSet, error) {
-	r := bytes.NewReader(data)
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, fmt.Errorf("core: read section entry count: %w", err)
+	if len(data) < 4 {
+		return nil, fmt.Errorf("core: section of %d bytes holds no entry count", len(data))
 	}
-	if n > maxSectionEntries {
-		return nil, fmt.Errorf("core: section entry count %d exceeds limit", n)
+	n := binary.LittleEndian.Uint32(data)
+	r := bytes.NewReader(data[4:])
+	// Bound the count by what the bytes present can hold — no entry is
+	// smaller than the codec's fixed header — before allocating: a forged
+	// count must not buy 24 MiB of slice against a 4-byte section.
+	if n > maxSectionEntries || int(n) > r.Len()/nn.EncodedSize(nn.ParamSet{}) {
+		return nil, fmt.Errorf("core: section entry count %d exceeds what its %d bytes can hold", n, r.Len())
 	}
 	entries := make([]nn.ParamSet, 0, n)
 	for i := uint32(0); i < n; i++ {
@@ -238,6 +240,148 @@ func unmarshalSection(data []byte) ([]nn.ParamSet, error) {
 	return entries, nil
 }
 
+// leCursor moves little-endian values between a byte slice and the
+// variables its methods are handed: appending them when writing is set,
+// consuming them otherwise. Because every method takes a pointer and
+// works in the cursor's direction, ONE walk over the fields
+// (stateImage.layout) is both the blob's writer and its reader. The error
+// is sticky: after the first failure every method is a no-op, so the walk
+// reads straight through and its caller checks err once.
+type leCursor struct {
+	buf     []byte
+	off     int // next unread byte (reading only)
+	writing bool
+	err     error
+}
+
+func (c *leCursor) failf(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf(format, args...)
+	}
+}
+
+// take consumes n bytes, bounded by the bytes actually present.
+func (c *leCursor) take(n int, what string) []byte {
+	if c.err != nil {
+		return nil
+	}
+	if n < 0 || n > len(c.buf)-c.off {
+		c.failf("core: sharded state truncated at %s (offset %d): need %d bytes, have %d", what, c.off, n, len(c.buf)-c.off)
+		return nil
+	}
+	b := c.buf[c.off : c.off+n : c.off+n]
+	c.off += n
+	return b
+}
+
+// count moves a non-negative int as a width-byte (4 or 8) unsigned word.
+func (c *leCursor) count(v *int, width int, what string) {
+	switch {
+	case c.err != nil:
+	case c.writing && *v < 0:
+		c.failf("core: negative %s %d", what, *v)
+	case c.writing && width == 4:
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(*v))
+	case c.writing:
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(*v))
+	default:
+		if b := c.take(width, what); len(b) == 4 {
+			*v = int(binary.LittleEndian.Uint32(b))
+		} else if len(b) == 8 {
+			*v = int(binary.LittleEndian.Uint64(b))
+		}
+	}
+}
+
+// section moves one length-prefixed byte string. Reading, the length is
+// bounded by maxSectionBytes and by the bytes actually present before
+// anything is touched — a forged header must not buy a 512 MiB allocation
+// against a tiny blob — and *b comes back aliasing the blob, nil when the
+// section is empty.
+func (c *leCursor) section(b *[]byte, what string) {
+	n := len(*b)
+	c.count(&n, 4, what)
+	if c.err != nil {
+		return
+	}
+	if n > maxSectionBytes {
+		c.failf("core: %s length %d exceeds limit %d", what, n, maxSectionBytes)
+		return
+	}
+	if c.writing {
+		c.buf = append(c.buf, *b...)
+		return
+	}
+	*b = nil
+	if n > 0 {
+		*b = c.take(n, what)
+	}
+}
+
+// stateImage is a seal blob's content in blob order, every section still
+// in its stored (sealed) form: what layout reads or writes.
+type stateImage struct {
+	meta           *ShardedStateMeta
+	trust, pending []byte
+	shards         [][]byte
+}
+
+// layout walks the blob — the binary layout at the top of this file — in
+// the cursor's direction. It is the only code that knows that layout.
+func (im *stateImage) layout(c *leCursor) {
+	m := im.meta
+	if c.writing {
+		c.buf = append(c.buf, shardedStateMagic...)
+	} else if magic := c.take(4, "magic"); c.err == nil && string(magic) != shardedStateMagic {
+		c.failf("core: bad sharded state magic %q", magic)
+	}
+	version := ShardedStateVersion
+	c.count(&version, 4, "version")
+	if c.err == nil {
+		c.err = checkStateVersion(version)
+	}
+	c.count(&m.SealedShards, 4, "shard count")
+	if c.err == nil && (m.SealedShards == 0 || m.SealedShards > maxSealedShards) {
+		c.failf("core: sealed shard count %d out of range [1,%d]", m.SealedShards, maxSealedShards)
+	}
+	if c.err != nil {
+		return
+	}
+	if c.writing {
+		c.buf = append(c.buf, m.Routing)
+	} else if b := c.take(1, "routing mode"); b != nil {
+		m.Routing = b[0]
+	}
+	for _, v := range []*int{&m.RRCursor, &m.InRound, &m.Rounds, &m.HopMark} {
+		c.count(v, 4, "ledger field")
+	}
+	for _, v := range []*int{&m.Received, &m.HopReceived, &m.Forwarded} {
+		c.count(v, 8, "ledger field")
+	}
+	if !c.writing {
+		m.ShardReceived = make([]int, m.SealedShards)
+		m.ShardEmitted = make([]int, m.SealedShards)
+		m.ShardLoad = make([]int, m.SealedShards)
+		im.shards = make([][]byte, m.SealedShards)
+	}
+	for s := range im.shards {
+		c.count(&m.ShardReceived[s], 8, "shard received count")
+		c.count(&m.ShardEmitted[s], 8, "shard emitted count")
+	}
+	for s := range im.shards {
+		c.count(&m.ShardLoad[s], 4, "shard load")
+	}
+	c.section(&m.Topo, "topology")
+	c.section(&im.trust, "trust section")
+	c.section(&im.pending, "pending section")
+	for s := range im.shards {
+		c.section(&im.shards[s], "shard section")
+	}
+	if !c.writing && c.err == nil && c.off != len(c.buf) {
+		c.failf("core: %d trailing bytes after sharded state", len(c.buf)-c.off)
+	}
+}
+
 // SealShardedState exports a whole tier — every shard's buffered layers
 // plus routing metadata and the round ledger — as one versioned blob.
 // The name mirrors the proxy operation the blob exists for: the caller
@@ -246,9 +390,6 @@ func unmarshalSection(data []byte) ([]nn.ParamSet, error) {
 func SealShardedState(shards []Shard, meta ShardedStateMeta, seal SealSectionFunc) ([]byte, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("core: seal of zero shards")
-	}
-	if len(shards) > maxSealedShards {
-		return nil, fmt.Errorf("core: seal of %d shards exceeds limit %d", len(shards), maxSealedShards)
 	}
 	if meta.ShardReceived != nil && len(meta.ShardReceived) != len(shards) {
 		return nil, fmt.Errorf("core: %d shard-received entries for %d shards", len(meta.ShardReceived), len(shards))
@@ -259,122 +400,56 @@ func SealShardedState(shards []Shard, meta ShardedStateMeta, seal SealSectionFun
 	if meta.ShardLoad != nil && len(meta.ShardLoad) != len(shards) {
 		return nil, fmt.Errorf("core: %d shard-load entries for %d shards", len(meta.ShardLoad), len(shards))
 	}
-	if len(meta.Topo) > maxSectionBytes {
-		return nil, fmt.Errorf("core: topology blob exceeds %d bytes", maxSectionBytes)
-	}
-	var buf bytes.Buffer
-	buf.WriteString(shardedStateMagic)
-	for _, v := range []uint32{ShardedStateVersion, uint32(len(shards))} {
-		if err := binary.Write(&buf, binary.LittleEndian, v); err != nil {
-			return nil, fmt.Errorf("core: marshal sharded state: %w", err)
+	// Per-shard ledgers the caller does not supply: the mixers' own
+	// counters stand in (a tier that never swapped mixers), loads are zero.
+	meta.SealedShards = len(shards)
+	if meta.ShardReceived == nil {
+		meta.ShardReceived = make([]int, len(shards))
+		for s, m := range shards {
+			meta.ShardReceived[s] = m.Received()
 		}
 	}
-	buf.WriteByte(meta.Routing)
-	for _, v := range []int{meta.RRCursor, meta.InRound, meta.Rounds, meta.HopMark} {
-		if v < 0 {
-			return nil, fmt.Errorf("core: negative ledger field %d", v)
-		}
-		if err := binary.Write(&buf, binary.LittleEndian, uint32(v)); err != nil {
-			return nil, fmt.Errorf("core: marshal sharded state: %w", err)
+	if meta.ShardEmitted == nil {
+		meta.ShardEmitted = make([]int, len(shards))
+		for s, m := range shards {
+			meta.ShardEmitted[s] = m.Emitted()
 		}
 	}
-	for _, v := range []int{meta.Received, meta.HopReceived, meta.Forwarded} {
-		if v < 0 {
-			return nil, fmt.Errorf("core: negative ledger field %d", v)
-		}
-		if err := binary.Write(&buf, binary.LittleEndian, uint64(v)); err != nil {
-			return nil, fmt.Errorf("core: marshal sharded state: %w", err)
-		}
+	if meta.ShardLoad == nil {
+		meta.ShardLoad = make([]int, len(shards))
 	}
-	// Per-shard mixer ledgers. When the caller does not supply them, the
-	// mixers' own counters stand in (a tier that never swapped mixers).
-	for s, m := range shards {
-		recv, emit := m.Received(), m.Emitted()
-		if meta.ShardReceived != nil {
-			recv = meta.ShardReceived[s]
+	sealed := func(idx int, plain []byte) ([]byte, error) {
+		if seal == nil {
+			return plain, nil
 		}
-		if meta.ShardEmitted != nil {
-			emit = meta.ShardEmitted[s]
-		}
-		if recv < 0 || emit < 0 {
-			return nil, fmt.Errorf("core: negative shard %d ledger (%d, %d)", s, recv, emit)
-		}
-		for _, v := range []int{recv, emit} {
-			if err := binary.Write(&buf, binary.LittleEndian, uint64(v)); err != nil {
-				return nil, fmt.Errorf("core: marshal sharded state: %w", err)
-			}
-		}
+		return seal(idx, plain)
 	}
-	// The open round's per-shard quota loads and the topology blob.
-	for s := range shards {
-		load := 0
-		if meta.ShardLoad != nil {
-			load = meta.ShardLoad[s]
-		}
-		if load < 0 {
-			return nil, fmt.Errorf("core: negative shard %d load %d", s, load)
-		}
-		if err := binary.Write(&buf, binary.LittleEndian, uint32(load)); err != nil {
-			return nil, fmt.Errorf("core: marshal sharded state: %w", err)
-		}
-	}
-	if err := binary.Write(&buf, binary.LittleEndian, uint32(len(meta.Topo))); err != nil {
-		return nil, fmt.Errorf("core: marshal sharded state: %w", err)
-	}
-	buf.Write(meta.Topo)
-	// The remote-trust section, sealed under the TrustSection index
-	// (it carries inter-proxy secrets).
-	trustSec := meta.RemoteTrust
-	if len(trustSec) > 0 && seal != nil {
-		var err error
-		if trustSec, err = seal(TrustSection, trustSec); err != nil {
+	im := stateImage{meta: &meta, shards: make([][]byte, len(shards))}
+	var err error
+	// The trust section carries inter-proxy secrets, so it is sealed like
+	// buffered participant material; an absent one stays zero-length.
+	if len(meta.RemoteTrust) > 0 {
+		if im.trust, err = sealed(TrustSection, meta.RemoteTrust); err != nil {
 			return nil, fmt.Errorf("core: seal trust section: %w", err)
 		}
 	}
-	if len(trustSec) > maxSectionBytes {
-		return nil, fmt.Errorf("core: trust section exceeds %d bytes", maxSectionBytes)
-	}
-	if err := binary.Write(&buf, binary.LittleEndian, uint32(len(trustSec))); err != nil {
-		return nil, fmt.Errorf("core: marshal sharded state: %w", err)
-	}
-	buf.Write(trustSec)
-	// Pending-emission section, sealed like a shard section but under the
-	// PendingSection index.
-	pendingSec, err := marshalSection(meta.Pending)
-	if err != nil {
+	if im.pending, err = marshalSection(meta.Pending); err != nil {
 		return nil, fmt.Errorf("core: pending section: %w", err)
 	}
-	if seal != nil {
-		if pendingSec, err = seal(PendingSection, pendingSec); err != nil {
-			return nil, fmt.Errorf("core: seal pending section: %w", err)
-		}
+	if im.pending, err = sealed(PendingSection, im.pending); err != nil {
+		return nil, fmt.Errorf("core: seal pending section: %w", err)
 	}
-	if len(pendingSec) > maxSectionBytes {
-		return nil, fmt.Errorf("core: pending section exceeds %d bytes", maxSectionBytes)
-	}
-	if err := binary.Write(&buf, binary.LittleEndian, uint32(len(pendingSec))); err != nil {
-		return nil, fmt.Errorf("core: marshal sharded state: %w", err)
-	}
-	buf.Write(pendingSec)
 	for s, m := range shards {
-		section, err := marshalSection(m.SnapshotEntries())
-		if err != nil {
+		if im.shards[s], err = marshalSection(m.SnapshotEntries()); err != nil {
 			return nil, fmt.Errorf("core: shard %d: %w", s, err)
 		}
-		if seal != nil {
-			if section, err = seal(s, section); err != nil {
-				return nil, fmt.Errorf("core: seal shard %d section: %w", s, err)
-			}
+		if im.shards[s], err = sealed(s, im.shards[s]); err != nil {
+			return nil, fmt.Errorf("core: seal shard %d section: %w", s, err)
 		}
-		if len(section) > maxSectionBytes {
-			return nil, fmt.Errorf("core: shard %d section exceeds %d bytes", s, maxSectionBytes)
-		}
-		if err := binary.Write(&buf, binary.LittleEndian, uint32(len(section))); err != nil {
-			return nil, fmt.Errorf("core: marshal sharded state: %w", err)
-		}
-		buf.Write(section)
 	}
-	return buf.Bytes(), nil
+	c := leCursor{writing: true}
+	im.layout(&c)
+	return c.buf, c.err
 }
 
 // checkStateVersion refuses every seal-blob version but the current one,
@@ -382,7 +457,7 @@ func SealShardedState(shards []Shard, meta ShardedStateMeta, seal SealSectionFun
 // fields a restore depends on (ledgers, topology, remote trust), so a
 // blob an older release sealed is finished by that release, not guessed
 // at by this one.
-func checkStateVersion(v uint32) error {
+func checkStateVersion(v int) error {
 	if v >= 1 && v < ShardedStateVersion {
 		return fmt.Errorf("core: sharded state version %d is no longer supported, want %d; restore and drain it with the release that sealed it", v, ShardedStateVersion)
 	}
@@ -392,209 +467,94 @@ func checkStateVersion(v uint32) error {
 	return nil
 }
 
-// ShardedStateRounds peeks the completed-round counter (the delivery
-// epoch) out of an unsealed blob's fixed-offset header without parsing
-// the sections. A restoring proxy needs it BEFORE building the fresh
-// mixers it restores into: per-epoch rand-stream seeding must continue
-// from the sealed epoch, not restart at zero.
-func ShardedStateRounds(blob []byte) (int, error) {
-	// magic(4) version(4) shards(4) routing(1) rr(4) inRound(4) rounds(4)
-	const roundsOff = 4 + 4 + 4 + 1 + 4 + 4
-	if len(blob) < roundsOff+4 || string(blob[:4]) != shardedStateMagic {
-		return 0, fmt.Errorf("core: not a sharded state blob")
-	}
-	if err := checkStateVersion(binary.LittleEndian.Uint32(blob[4:])); err != nil {
-		return 0, err
-	}
-	return int(binary.LittleEndian.Uint32(blob[roundsOff:])), nil
+// OpenedState is a seal blob parsed once, before any shard exists to
+// restore into: Meta says under which epoch and topology to build the
+// shard set (a restoring proxy seeds its mixers' rand streams from
+// Meta.Rounds and shapes them after Meta.Topo), FileInto then files the
+// held per-shard sections into it.
+type OpenedState struct {
+	// Meta carries the sealed tier's ledger (tier-wide and per-shard), the
+	// pending emissions, and the shard count in SealedShards. Topo aliases
+	// the blob, and so does RemoteTrust when no opener was given.
+	Meta     ShardedStateMeta
+	sections [][]nn.ParamSet
 }
 
-// ShardedStateTopo peeks the routing-plane topology blob out of an
-// unsealed state blob without parsing the sections (nil when the tier
-// sealed none). A restoring proxy needs it BEFORE
-// building the shard set it restores into: the topology dictates which
-// shards are mixers and which are relays.
-func ShardedStateTopo(blob []byte) ([]byte, error) {
-	// magic(4) version(4) shards(4) routing(1) rr(4) inRound(4) rounds(4)
-	// hopMark(4) tierLedger(3×8) = 53 bytes of fixed header.
-	const headOff = 4 + 4 + 4 + 1 + 4 + 4 + 4 + 4 + 24
-	if len(blob) < headOff || string(blob[:4]) != shardedStateMagic {
-		return nil, fmt.Errorf("core: not a sharded state blob")
+// OpenShardedState parses a SealShardedState blob: header, ledgers, loads,
+// topology, trust and pending sections into Meta, the shard sections
+// decoded and held. open must reverse the SealSectionFunc used at seal
+// time (nil for plaintext sections). No shard is involved yet, so a blob
+// that fails to parse cannot leave a tier half-populated.
+func OpenShardedState(blob []byte, open OpenSectionFunc) (*OpenedState, error) {
+	st := &OpenedState{}
+	im := stateImage{meta: &st.Meta}
+	c := leCursor{buf: blob}
+	if im.layout(&c); c.err != nil {
+		return nil, c.err
 	}
-	if err := checkStateVersion(binary.LittleEndian.Uint32(blob[4:])); err != nil {
-		return nil, err
+	opened := func(idx int, section []byte) ([]byte, error) {
+		if len(section) == 0 || open == nil {
+			return section, nil
+		}
+		plain, err := open(idx, section)
+		if err != nil {
+			return nil, fmt.Errorf("core: open section: %w", err)
+		}
+		return plain, nil
 	}
-	p := binary.LittleEndian.Uint32(blob[8:])
-	if p == 0 || p > maxSealedShards {
-		return nil, fmt.Errorf("core: sealed shard count %d out of range", p)
+	var err error
+	if st.Meta.RemoteTrust, err = opened(TrustSection, im.trust); err != nil {
+		return nil, fmt.Errorf("core: trust section: %w", err)
 	}
-	// Per-shard ledgers (16 bytes each) + per-shard loads (4 each).
-	off := uint64(headOff) + uint64(p)*20
-	if uint64(len(blob)) < off+4 {
-		return nil, fmt.Errorf("core: sharded state truncated before topology")
+	if im.pending, err = opened(PendingSection, im.pending); err == nil {
+		st.Meta.Pending, err = unmarshalSection(im.pending)
 	}
-	topoLen := binary.LittleEndian.Uint32(blob[off:])
-	if topoLen == 0 {
-		return nil, nil
+	if err != nil {
+		return nil, fmt.Errorf("core: pending section: %w", err)
 	}
-	if uint64(topoLen) > uint64(len(blob))-off-4 {
-		return nil, fmt.Errorf("core: topology length %d exceeds blob", topoLen)
+	st.sections = make([][]nn.ParamSet, len(im.shards))
+	for s, section := range im.shards {
+		if section, err = opened(s, section); err == nil {
+			st.sections[s], err = unmarshalSection(section)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: shard %d: %w", s, err)
+		}
 	}
-	return blob[off+4 : off+4+uint64(topoLen) : off+4+uint64(topoLen)], nil
+	return st, nil
 }
 
-// RestoreShardedState loads a SealShardedState blob into a tier of fresh
-// mixers of the sealed shape: len(shards) must equal the sealed shard
-// count, and each shard's buffered material returns to its own mixer. A
-// mismatch is refused before any target shard is touched — the caller
-// builds the shard set from the sealed topology (ShardedStateTopo). open
-// must reverse the SealSectionFunc used at seal time (nil for plaintext
-// sections). The returned meta carries the sealed tier's ledger (tier-wide
-// and per-shard), the pending emissions, and the shard count in
-// SealedShards.
-func RestoreShardedState(blob []byte, shards []Shard, open OpenSectionFunc) (ShardedStateMeta, error) {
-	var meta ShardedStateMeta
-	if len(shards) == 0 {
-		return meta, fmt.Errorf("core: restore into zero shards")
+// FileInto files the held shard sections into a tier of fresh shards of
+// the sealed shape, each section into the shard it was sealed from. A
+// shard-count mismatch or a used shard is refused before any target shard
+// is touched.
+func (st *OpenedState) FileInto(shards []Shard) error {
+	if len(shards) != st.Meta.SealedShards {
+		return fmt.Errorf("core: restore of a %d-shard blob into %d shards: an open round keeps the shard set it was sealed under", st.Meta.SealedShards, len(shards))
 	}
 	for s, m := range shards {
 		if m.Received() != 0 || m.Buffered() != 0 {
-			return meta, fmt.Errorf("core: restore into non-fresh mixer (shard %d)", s)
+			return fmt.Errorf("core: restore into non-fresh mixer (shard %d)", s)
 		}
 	}
-	r := bytes.NewReader(blob)
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return meta, fmt.Errorf("core: read sharded state magic: %w", err)
-	}
-	if string(magic[:]) != shardedStateMagic {
-		return meta, fmt.Errorf("core: bad sharded state magic %q", magic)
-	}
-	var version, sealedShards uint32
-	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
-		return meta, fmt.Errorf("core: read version: %w", err)
-	}
-	if err := checkStateVersion(version); err != nil {
-		return meta, err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &sealedShards); err != nil {
-		return meta, fmt.Errorf("core: read shard count: %w", err)
-	}
-	if sealedShards == 0 || sealedShards > maxSealedShards {
-		return meta, fmt.Errorf("core: sealed shard count %d out of range", sealedShards)
-	}
-	meta.SealedShards = int(sealedShards)
-	if len(shards) != meta.SealedShards {
-		return meta, fmt.Errorf("core: restore of a %d-shard blob into %d shards: an open round keeps the shard set it was sealed under", meta.SealedShards, len(shards))
-	}
-	var err error
-	if meta.Routing, err = r.ReadByte(); err != nil {
-		return meta, fmt.Errorf("core: read routing mode: %w", err)
-	}
-	for _, dst := range []*int{&meta.RRCursor, &meta.InRound, &meta.Rounds, &meta.HopMark} {
-		var v uint32
-		if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-			return meta, fmt.Errorf("core: read ledger: %w", err)
-		}
-		*dst = int(v)
-	}
-	for _, dst := range []*int{&meta.Received, &meta.HopReceived, &meta.Forwarded} {
-		var v uint64
-		if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-			return meta, fmt.Errorf("core: read ledger: %w", err)
-		}
-		*dst = int(v)
-	}
-	// Per-shard mixer ledgers.
-	meta.ShardReceived = make([]int, meta.SealedShards)
-	meta.ShardEmitted = make([]int, meta.SealedShards)
-	for s := 0; s < meta.SealedShards; s++ {
-		for _, dst := range []*int{&meta.ShardReceived[s], &meta.ShardEmitted[s]} {
-			var v uint64
-			if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-				return meta, fmt.Errorf("core: read shard %d ledger: %w", s, err)
-			}
-			*dst = int(v)
-		}
-	}
-	// Per-shard quota loads of the open round + the topology blob.
-	meta.ShardLoad = make([]int, meta.SealedShards)
-	for s := 0; s < meta.SealedShards; s++ {
-		var v uint32
-		if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-			return meta, fmt.Errorf("core: read shard %d load: %w", s, err)
-		}
-		meta.ShardLoad[s] = int(v)
-	}
-	var topoLen uint32
-	if err := binary.Read(r, binary.LittleEndian, &topoLen); err != nil {
-		return meta, fmt.Errorf("core: read topology length: %w", err)
-	}
-	if topoLen > maxSectionBytes || int(topoLen) > r.Len() {
-		return meta, fmt.Errorf("core: topology length %d out of range", topoLen)
-	}
-	if topoLen > 0 {
-		meta.Topo = make([]byte, topoLen)
-		if _, err := io.ReadFull(r, meta.Topo); err != nil {
-			return meta, fmt.Errorf("core: read topology: %w", err)
-		}
-	}
-	// readRaw pulls one length-prefixed section, bounding by the bytes
-	// actually present before allocating: a forged header must not buy a
-	// 512 MiB allocation against a tiny blob.
-	readRaw := func(shard int) ([]byte, error) {
-		var n uint32
-		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-			return nil, fmt.Errorf("core: read section length: %w", err)
-		}
-		if n > maxSectionBytes {
-			return nil, fmt.Errorf("core: section length %d exceeds limit", n)
-		}
-		if int(n) > r.Len() {
-			return nil, fmt.Errorf("core: section length %d exceeds %d remaining bytes", n, r.Len())
-		}
-		section := make([]byte, n)
-		if _, err := io.ReadFull(r, section); err != nil {
-			return nil, fmt.Errorf("core: read section: %w", err)
-		}
-		if len(section) > 0 && open != nil {
-			var err error
-			if section, err = open(shard, section); err != nil {
-				return nil, fmt.Errorf("core: open section: %w", err)
-			}
-		}
-		return section, nil
-	}
-	readSection := func(shard int) ([]nn.ParamSet, error) {
-		section, err := readRaw(shard)
-		if err != nil {
-			return nil, err
-		}
-		return unmarshalSection(section)
-	}
-	if meta.RemoteTrust, err = readRaw(TrustSection); err != nil {
-		return meta, fmt.Errorf("core: trust section: %w", err)
-	}
-	if len(meta.RemoteTrust) == 0 {
-		meta.RemoteTrust = nil
-	}
-	if meta.Pending, err = readSection(PendingSection); err != nil {
-		return meta, fmt.Errorf("core: pending section: %w", err)
-	}
-	// Each section restores into the mixer it was sealed from.
-	for s := range shards {
-		got, err := readSection(s)
-		if err != nil {
-			return meta, fmt.Errorf("core: shard %d: %w", s, err)
-		}
-		for i, e := range got {
+	for s, entries := range st.sections {
+		for i, e := range entries {
 			if err := shards[s].RestoreEntry(e); err != nil {
-				return meta, fmt.Errorf("core: restore shard %d entry %d: %w", s, i, err)
+				return fmt.Errorf("core: restore shard %d entry %d: %w", s, i, err)
 			}
 		}
 	}
-	if r.Len() != 0 {
-		return meta, fmt.Errorf("core: %d trailing bytes after sharded state", r.Len())
+	return nil
+}
+
+// RestoreShardedState is OpenShardedState and FileInto composed, for a
+// caller that already holds the shard set: len(shards) must equal the
+// sealed shard count, and each shard's buffered material returns to its
+// own mixer.
+func RestoreShardedState(blob []byte, shards []Shard, open OpenSectionFunc) (ShardedStateMeta, error) {
+	st, err := OpenShardedState(blob, open)
+	if err != nil {
+		return ShardedStateMeta{}, err
 	}
-	return meta, nil
+	return st.Meta, st.FileInto(shards)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -199,14 +200,13 @@ func TestRestoreShardedStateRejects(t *testing.T) {
 	})
 	t.Run("retired versions", func(t *testing.T) {
 		// Versions 1–3 are answered by name — the version found and the
-		// version wanted — by the restore and by both header peeks.
+		// version wanted — by the open step and so by the restore.
 		for v := byte(1); v <= 3; v++ {
 			old := append([]byte(nil), blob...)
 			old[4] = v
 			_, rerr := RestoreShardedState(old, fresh(), nil)
-			_, perr := ShardedStateRounds(old)
-			_, terr := ShardedStateTopo(old)
-			for _, err := range []error{rerr, perr, terr} {
+			_, oerr := OpenShardedState(old, nil)
+			for _, err := range []error{rerr, oerr} {
 				if err == nil {
 					t.Fatalf("version %d accepted", v)
 				}
@@ -283,6 +283,36 @@ func TestRestoreShardedStateRejects(t *testing.T) {
 			t.Fatal("forged oversized section length accepted")
 		}
 	})
+	t.Run("forged entry count", func(t *testing.T) {
+		// A 4-byte pending section claiming 1<<20 entries passes the count
+		// limit; it must be refused on the bytes present, before the
+		// 24 MiB slice its count asks for is allocated.
+		forged := forgedEntryCountBlob()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := RestoreShardedState(forged, newTier(t, 1, 2), nil)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatal("forged section entry count accepted")
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("refusing a 4-byte section claiming 1<<20 entries allocated %d bytes", grew)
+		}
+	})
+}
+
+// forgedEntryCountBlob is a one-shard blob, valid up to its pending
+// section: 4 bytes that claim maxSectionEntries entries.
+func forgedEntryCountBlob() []byte {
+	blob := []byte("MXSH")
+	blob = binary.LittleEndian.AppendUint32(blob, ShardedStateVersion)
+	blob = binary.LittleEndian.AppendUint32(blob, 1) // shards
+	blob = append(blob, 1)                           // routing
+	blob = append(blob, make([]byte, 4*4+3*8)...)    // rr, inRound, rounds, hopMark; tier ledger
+	blob = append(blob, make([]byte, 2*8+4)...)      // shard 0 ledger and load
+	blob = append(blob, make([]byte, 4+4)...)        // no topology, no trust
+	blob = binary.LittleEndian.AppendUint32(blob, 4) // pending section: 4 bytes...
+	return binary.LittleEndian.AppendUint32(blob, maxSectionEntries)
 }
 
 func TestSealShardedStateRejects(t *testing.T) {
@@ -381,8 +411,8 @@ func TestSealShardedStateConcurrentWithAdd(t *testing.T) {
 }
 
 // TestShardedStateV3TopoAndLoads pins the v3 additions: the opaque
-// topology blob and per-shard quota loads round-trip, and the topology
-// is peekable without a full parse.
+// topology blob and per-shard quota loads round-trip, and the open step
+// yields the topology before any shard exists to restore into.
 func TestShardedStateV3TopoAndLoads(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	tier := newTier(t, 2, 2)
@@ -397,12 +427,12 @@ func TestShardedStateV3TopoAndLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	peeked, err := ShardedStateTopo(blob)
+	opened, err := OpenShardedState(blob, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(peeked) != string(topoBlob) {
-		t.Fatalf("peeked topo = %q, want %q", peeked, topoBlob)
+	if string(opened.Meta.Topo) != string(topoBlob) {
+		t.Fatalf("opened topo = %q, want %q", opened.Meta.Topo, topoBlob)
 	}
 	meta, err := RestoreShardedState(blob, newTier(t, 2, 2), nil)
 	if err != nil {
@@ -421,9 +451,9 @@ func TestShardedStateV3TopoAndLoads(t *testing.T) {
 	if _, err := SealShardedState(tier, ShardedStateMeta{ShardLoad: []int{1}}, nil); err == nil {
 		t.Fatal("mismatched shard-load length accepted")
 	}
-	// ShardedStateTopo rejects garbage gracefully.
-	if _, err := ShardedStateTopo([]byte("garbage")); err == nil {
-		t.Fatal("garbage accepted by topo peek")
+	// The open step rejects garbage gracefully.
+	if _, err := OpenShardedState([]byte("garbage"), nil); err == nil {
+		t.Fatal("garbage accepted by the open step")
 	}
 }
 

@@ -1,12 +1,17 @@
 package enclave
 
 import (
+	"crypto/ecdh"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
 	"crypto/sha256"
 	"crypto/x509"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"math/big"
+	"os"
 )
 
 // Platform models the physical host: it owns the CPU fuse secret that
@@ -31,15 +36,33 @@ func NewPlatform() (*Platform, error) {
 // modelling a process restart on the same physical host: real CPU fuses
 // are permanent, so an enclave relaunched on the same hardware derives
 // the same sealing key and can unseal state a previous incarnation
-// sealed. The attestation key is still freshly generated (participants
-// re-pin the trust bundle after a restart anyway).
+// sealed. The attestation key derives from the fuse secret too: the
+// authority that vouches for a platform does not change when a process
+// on it restarts, so a trust bundle pinned before the restart — a
+// participant's file, or the trust a peer tier sealed to re-attest this
+// one from (proxy.RemoteTrust) — still verifies the relaunched enclave's
+// reports. (The enclave's encryption key does not survive: every
+// relaunch is attested afresh.)
 func NewPlatformWithFuse(fuse [32]byte) (*Platform, error) {
 	p := &Platform{fuseSecret: fuse}
-	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
-	if err != nil {
-		return nil, fmt.Errorf("enclave: attestation key: %w", err)
+	// A P-256 scalar is a 32-byte value in [1, n-1]; a hash outside it
+	// (one in 2^32) is refused by NewPrivateKey and the counter moves on.
+	for ctr := byte(0); p.iasKey == nil; ctr++ {
+		d := sha256.Sum256(append(append([]byte("mixnn/attestation-key/v1\x00"), fuse[:]...), ctr))
+		priv, err := ecdh.P256().NewPrivateKey(d[:])
+		if err != nil {
+			continue
+		}
+		pub := priv.PublicKey().Bytes() // 0x04 || X || Y
+		p.iasKey = &ecdsa.PrivateKey{
+			D: new(big.Int).SetBytes(d[:]),
+			PublicKey: ecdsa.PublicKey{
+				Curve: elliptic.P256(),
+				X:     new(big.Int).SetBytes(pub[1:33]),
+				Y:     new(big.Int).SetBytes(pub[33:]),
+			},
+		}
 	}
-	p.iasKey = key
 	return p, nil
 }
 
@@ -103,4 +126,48 @@ func (r Report) Verify(authority *ecdsa.PublicKey, expectedMeasurement [32]byte,
 		return nil, fmt.Errorf("enclave: parse attested key: %w", err)
 	}
 	return pub, nil
+}
+
+// TrustBundle is the out-of-band material a verifier pins before trusting
+// an enclave — a participant its proxies, a proxy its next hop and its
+// remote shards: the (simulated) attestation authority key and the
+// expected enclave measurement. mixnn-proxy writes one at startup
+// (-trust-out); fl-client, -next-hop-trust and topology directives read
+// them; a tier seals the ones its remote shards were pinned under.
+type TrustBundle struct {
+	AuthorityPubDER []byte `json:"authority_pub_der"`
+	MeasurementHex  string `json:"measurement"`
+}
+
+// ReadTrustBundle loads a trust bundle file.
+func ReadTrustBundle(path string) (TrustBundle, error) {
+	var bundle TrustBundle
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return bundle, fmt.Errorf("read trust bundle: %w", err)
+	}
+	if err := json.Unmarshal(raw, &bundle); err != nil {
+		return bundle, fmt.Errorf("parse trust bundle %s: %w", path, err)
+	}
+	return bundle, nil
+}
+
+// Parse turns the bundle into what Report.Verify takes: the authority's
+// ECDSA key and the 32-byte measurement.
+func (b TrustBundle) Parse() (*ecdsa.PublicKey, [32]byte, error) {
+	var meas [32]byte
+	pub, err := x509.ParsePKIXPublicKey(b.AuthorityPubDER)
+	if err != nil {
+		return nil, meas, fmt.Errorf("parse authority key: %w", err)
+	}
+	authority, ok := pub.(*ecdsa.PublicKey)
+	if !ok {
+		return nil, meas, fmt.Errorf("authority key is %T, want ECDSA", pub)
+	}
+	raw, err := hex.DecodeString(b.MeasurementHex)
+	if err != nil || len(raw) != len(meas) {
+		return nil, meas, fmt.Errorf("malformed measurement in trust bundle")
+	}
+	copy(meas[:], raw)
+	return authority, meas, nil
 }

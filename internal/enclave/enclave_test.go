@@ -395,6 +395,26 @@ func TestSealSurvivesPlatformRestart(t *testing.T) {
 	if !bytes.Equal(got, []byte("round in flight")) {
 		t.Fatal("restart round trip mismatch")
 	}
+	// The platform's attestation authority survives the restart too: a
+	// trust bundle pinned (or sealed by a peer tier) before it verifies
+	// the relaunched enclave's report, under its fresh encryption key.
+	rep, err := p2.Attest(e2, []byte("after-restart"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := TrustHop(rep, p1.AttestationPublicKey(), e1.Measurement(), []byte("after-restart")); err != nil {
+		t.Fatalf("report of the relaunched enclave does not verify against the authority pinned before the restart: %v", err)
+	}
+	if e1.PublicKey().Equal(e2.PublicKey()) {
+		t.Fatal("enclave encryption key survived the restart")
+	}
+	stranger, err := NewPlatform()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p1.AttestationPublicKey().Equal(stranger.AttestationPublicKey()) {
+		t.Fatal("platforms with different fuse secrets share an attestation authority")
+	}
 
 	other, err := New(Config{CodeIdentity: "different-build", RSABits: 1024}, p2)
 	if err != nil {

@@ -2,6 +2,7 @@ package enclave
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 )
 
@@ -74,5 +75,94 @@ func TestWrapWithoutKeyFails(t *testing.T) {
 	var hop *HopKey
 	if _, err := hop.NewSession(); err == nil {
 		t.Fatal("nil hop key started a session")
+	}
+}
+
+// TestSenderConcurrentWrapDropFresh is the SDK's concurrent
+// session-establish race without a tier: many goroutines wrap through one
+// Sender while one keeps dropping the session it sees and one keeps
+// wrapping fresh (run under -race). Every session the Sender hands out
+// emits exactly one establish frame — the mutex is held across an
+// establish and WrapFresh installs only after taking counter 0 — and
+// every ciphertext opens at the enclave once its session's establish has.
+func TestSenderConcurrentWrapDropFresh(t *testing.T) {
+	encl := sessionFixture(t)
+	snd := NewSender(PinnedHop(encl.PublicKey(), encl.Measurement()))
+	before := encl.Stats().SessionsEstablished // the fixture enclave is shared
+
+	// wrappers*perWrapper stays under the enclave's 64-counter reorder
+	// window, so the data frames may be opened in any order.
+	const wrappers, perWrapper, churn = 6, 8, 6
+	type frame struct {
+		ct   []byte
+		sess *Session
+	}
+	var mu sync.Mutex
+	var frames []frame
+	record := func(ct []byte, sess *Session, err error) {
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		mu.Lock()
+		frames = append(frames, frame{ct, sess})
+		mu.Unlock()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < wrappers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWrapper; i++ {
+				record(snd.Wrap([]byte("payload")))
+			}
+		}()
+	}
+	wg.Add(2)
+	go func() { // a sender answering typed rejections of whatever it wrapped under
+		defer wg.Done()
+		for i := 0; i < churn; i++ {
+			ct, sess, err := snd.Wrap([]byte("payload"))
+			record(ct, sess, err)
+			snd.Drop(sess)
+		}
+	}()
+	go func() { // a sender resending under self-contained establish frames
+		defer wg.Done()
+		for i := 0; i < churn; i++ {
+			record(snd.WrapFresh([]byte("payload")))
+		}
+	}()
+	wg.Wait()
+
+	establishes := make(map[*Session]int)
+	for _, f := range frames {
+		n := 0
+		if bytes.HasPrefix(f.ct, []byte(sessionMagicEstablish)) {
+			n = 1
+		}
+		establishes[f.sess] += n
+	}
+	for sess, n := range establishes {
+		if n != 1 {
+			t.Fatalf("session %p emitted %d establish frames, want exactly 1", sess, n)
+		}
+	}
+	if len(establishes) < churn {
+		t.Fatalf("%d sessions installed, want at least the %d fresh ones", len(establishes), churn)
+	}
+	// Establish frames first (the order a receiver needs), then the data.
+	for _, establish := range []bool{true, false} {
+		for i, f := range frames {
+			if bytes.HasPrefix(f.ct, []byte(sessionMagicEstablish)) != establish {
+				continue
+			}
+			if got, err := encl.Decrypt(f.ct); err != nil || string(got) != "payload" {
+				t.Fatalf("ciphertext %d (establish=%v) did not open: %q, %v", i, establish, got, err)
+			}
+		}
+	}
+	if got := encl.Stats().SessionsEstablished - before; got != uint64(len(establishes)) {
+		t.Fatalf("enclave established %d sessions for %d installed", got, len(establishes))
 	}
 }

@@ -10,43 +10,16 @@ package proxy
 
 import (
 	"context"
-	"crypto/ecdsa"
 	"crypto/subtle"
-	"crypto/x509"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"log"
 	"net/http"
-	"os"
 
+	"mixnn/internal/enclave"
 	"mixnn/internal/route"
 	"mixnn/internal/transport"
 	"mixnn/internal/wire"
 )
-
-// TrustBundle is the out-of-band material a participant (or a peer proxy)
-// pins before trusting an enclave: the (simulated) attestation authority
-// key and the expected enclave measurement. mixnn-proxy writes one at
-// startup (-trust-out); topology directives reference them to attest
-// remote shards.
-type TrustBundle struct {
-	AuthorityPubDER []byte `json:"authority_pub_der"`
-	MeasurementHex  string `json:"measurement"`
-}
-
-// ReadTrustBundle loads a trust bundle file.
-func ReadTrustBundle(path string) (TrustBundle, error) {
-	var bundle TrustBundle
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return bundle, fmt.Errorf("read trust bundle: %w", err)
-	}
-	if err := json.Unmarshal(raw, &bundle); err != nil {
-		return bundle, fmt.Errorf("parse trust bundle %s: %w", path, err)
-	}
-	return bundle, nil
-}
 
 // Topology returns the routing plan of the epoch currently being
 // ingested.
@@ -235,56 +208,37 @@ func ResolveRemoteShardOver(ctx context.Context, s wire.TopologyShardSpec, tr tr
 	return rs, nil
 }
 
-// resolveRemoteShard resolves trust material and attests, recording the
-// trust bundle inside the RemoteShard so the tier can seal it (a
+// resolveRemoteShard resolves a shard spec's trust material — inline
+// material wins; a trust file (the bundle mixnn-proxy writes at startup)
+// is the file-based alternative used by -shards-file — and attests,
+// recording the bundle inside the RemoteShard so the tier can seal it (a
 // restarted replacement re-attests the peer from the blob alone).
 func resolveRemoteShard(ctx context.Context, s wire.TopologyShardSpec, tr transport.Transport) (RemoteShard, error) {
-	authority, measurement, bundle, err := resolveTrust(s)
-	if err != nil {
-		return RemoteShard{}, err
-	}
-	key, err := AttestHopOver(ctx, tr, s.Addr, authority, measurement)
-	if err != nil {
-		return RemoteShard{}, fmt.Errorf("attest: %w", err)
-	}
-	return RemoteShard{
-		Key:    key,
-		Secret: s.Secret,
-		Trust:  &RemoteTrust{AuthorityPubDER: bundle.AuthorityPubDER, MeasurementHex: bundle.MeasurementHex, Secret: s.Secret},
-	}, nil
-}
-
-// resolveTrust extracts the attestation trust of a shard spec: inline
-// material wins; a trust file (the bundle mixnn-proxy writes at
-// startup) is the file-based alternative used by -shards-file. It
-// returns both the parsed forms (for the handshake) and the raw bundle
-// (for sealing).
-func resolveTrust(s wire.TopologyShardSpec) (*ecdsa.PublicKey, [32]byte, TrustBundle, error) {
-	var meas [32]byte
-	bundle := TrustBundle{AuthorityPubDER: s.AuthorityPubDER, MeasurementHex: s.MeasurementHex}
+	bundle := enclave.TrustBundle{AuthorityPubDER: s.AuthorityPubDER, MeasurementHex: s.MeasurementHex}
 	if bundle.AuthorityPubDER == nil && s.TrustFile != "" {
 		var err error
-		if bundle, err = ReadTrustBundle(s.TrustFile); err != nil {
-			return nil, meas, bundle, err
+		if bundle, err = enclave.ReadTrustBundle(s.TrustFile); err != nil {
+			return RemoteShard{}, err
 		}
 	}
 	if bundle.AuthorityPubDER == nil {
-		return nil, meas, bundle, fmt.Errorf("no trust material (authority_pub_der+measurement or trust_file) for a new remote shard")
+		return RemoteShard{}, fmt.Errorf("no trust material (authority_pub_der+measurement or trust_file) for a new remote shard")
 	}
-	pub, err := x509.ParsePKIXPublicKey(bundle.AuthorityPubDER)
+	return attestRemote(ctx, tr, s.Addr, RemoteTrust{TrustBundle: bundle, Secret: s.Secret})
+}
+
+// attestRemote runs the hop attestation handshake against addr under rt
+// and returns the pinned key with the trust it was pinned under.
+func attestRemote(ctx context.Context, tr transport.Transport, addr string, rt RemoteTrust) (RemoteShard, error) {
+	authority, measurement, err := rt.Parse()
 	if err != nil {
-		return nil, meas, bundle, fmt.Errorf("parse authority key: %w", err)
+		return RemoteShard{}, err
 	}
-	authority, ok := pub.(*ecdsa.PublicKey)
-	if !ok {
-		return nil, meas, bundle, fmt.Errorf("authority key is %T, want ECDSA", pub)
+	key, err := AttestHopOver(ctx, tr, addr, authority, measurement)
+	if err != nil {
+		return RemoteShard{}, fmt.Errorf("attest: %w", err)
 	}
-	raw, err := hex.DecodeString(bundle.MeasurementHex)
-	if err != nil || len(raw) != 32 {
-		return nil, meas, bundle, fmt.Errorf("malformed measurement")
-	}
-	copy(meas[:], raw)
-	return authority, meas, bundle, nil
+	return RemoteShard{Key: key, Secret: rt.Secret, Trust: &rt}, nil
 }
 
 // TopologyStatus snapshots the routing plane for the admin endpoint.

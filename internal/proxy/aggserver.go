@@ -211,7 +211,6 @@ func (s *AggServer) HandleBatch(ctx context.Context, req transport.BatchRequest)
 	if err := transport.CheckBody(req.Body); err != nil {
 		return transport.Receipt{Shard: -1}, err
 	}
-	batchID := req.ID
 	env, err := wire.DecodeBatchEnvelope(req.Body)
 	if err != nil {
 		return transport.Receipt{Shard: -1}, transport.Errorf(http.StatusBadRequest, "%s", err.Error())
@@ -227,27 +226,9 @@ func (s *AggServer) HandleBatch(ctx context.Context, req transport.BatchRequest)
 			return transport.Receipt{Shard: -1}, se
 		}
 	}
-	// Claim the id BEFORE absorbing: a retry overlapping a slow first
-	// attempt must dedup, not re-apply — and an attempt still in flight
-	// must not be acked as applied (the sender would consume its outbox
-	// entry while this attempt can still fail).
-	sender, senderSeq, hasSeq := req.Sender, req.Seq, req.HasSeq && req.Sender != ""
-	if batchID != "" {
-		switch s.seen.Begin(batchID, sender, senderSeq, hasSeq) {
-		case dedupApplied:
-			return transport.Receipt{Shard: -1, Duplicate: true}, nil
-		case dedupInFlight:
-			return transport.Receipt{Shard: -1}, transport.Errorf(http.StatusConflict, "batch application in flight")
-		case dedupStale:
-			// Aged out of the window but provably superseded by the
-			// sender's sequence watermark: re-absorbing would double-count
-			// a round. The stale marker makes the sender quarantine
-			// instead of retrying.
-			return transport.Receipt{Shard: -1}, &transport.StatusError{
-				Code: http.StatusConflict, Stale: true,
-				Msg: "stale batch redelivery (sequence below the sender's applied watermark)",
-			}
-		}
+	duplicate, err := s.seen.Claim(req)
+	if duplicate || err != nil {
+		return transport.Receipt{Shard: -1, Duplicate: duplicate}, err
 	}
 	closed, err := s.absorb(env.Updates)
 	if err != nil {
@@ -259,18 +240,10 @@ func (s *AggServer) HandleBatch(ctx context.Context, req transport.BatchRequest)
 		// upstream, and should the operator ever re-inject the .bad
 		// file, the dedup must stop the applied rounds from
 		// double-counting.
-		if batchID != "" {
-			if closed == 0 {
-				s.seen.Forget(batchID)
-			} else {
-				s.seen.Done(batchID, sender, senderSeq, hasSeq)
-			}
-		}
+		s.seen.Finish(req, closed > 0)
 		return transport.Receipt{Shard: -1}, transport.Errorf(http.StatusUnprocessableEntity, "%s", err.Error())
 	}
-	if batchID != "" {
-		s.seen.Done(batchID, sender, senderSeq, hasSeq)
-	}
+	s.seen.Finish(req, true)
 	return transport.Receipt{Shard: -1}, nil
 }
 

@@ -131,36 +131,12 @@ func (p *ShardedProxy) admit(sender string) error {
 // a client probes each peer's own Discover for its health, and every
 // learned peer still gates on attestation before material flows.
 func (p *ShardedProxy) HandleDiscover(ctx context.Context) (wire.DiscoverResponse, error) {
-	pending, maxLane := p.dlv.disp.Backlog()
 	sig := p.signals()
-	shedding := p.admission.Shedding(sig)
-
-	p.mu.Lock()
-	dr := wire.DiscoverResponse{
-		Endpoint:    p.cfg.Endpoint,
-		Peers:       append([]string(nil), p.cfg.Peers...),
-		Epoch:       p.rounds,
-		TopoVersion: p.topo.Version(),
-		RoundSize:   p.topo.RoundSize(),
-		InRound:     p.inRound,
-	}
-	for s := 0; s < p.topo.P(); s++ {
-		dr.Shards = append(dr.Shards, wire.DiscoverShard{
-			Shard: s,
-			Quota: p.topo.Quota(s),
-			Load:  p.rst.Load[s],
-			Addr:  p.topo.Spec(s).Addr,
-		})
-	}
-	p.mu.Unlock()
-
-	dr.QueueDepth = sig.QueueDepth
-	dr.OutboxPending = pending
-	dr.LaneBacklogMax = maxLane
-	dr.DecryptMicros = sig.DecryptMicros
-	dr.Shedding = shedding
-	dr.Health = health.Score(sig, shedding)
-	return dr, nil
+	return wire.DiscoverResponse{
+		Endpoint: p.cfg.Endpoint,
+		Peers:    append([]string(nil), p.cfg.Peers...),
+		Health:   health.Score(sig, p.admission.Shedding(sig)),
+	}, nil
 }
 
 // WriteMetrics implements transport.MetricsSource: it syncs the

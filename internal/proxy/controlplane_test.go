@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -182,7 +183,8 @@ func TestMetricsDisabled404(t *testing.T) {
 }
 
 // TestHandleDiscover: the advertisement names the proxy's endpoint and
-// peers, reports the shard map, and carries a health score in (0, 1].
+// peers and carries a health score in (0, 1] — and nothing else: the
+// unauthenticated endpoint exports no round fill, shard map or epoch.
 func TestHandleDiscover(t *testing.T) {
 	px, _ := admissionDeployment(t, ShardedConfig{
 		Seed: 7, Shards: 2,
@@ -198,16 +200,18 @@ func TestHandleDiscover(t *testing.T) {
 	if len(dr.Peers) != 2 || dr.Peers[1] != "http://front-1" {
 		t.Fatalf("Peers %v, want the configured peer list", dr.Peers)
 	}
-	if len(dr.Shards) != 2 {
-		t.Fatalf("advertised %d shards, want 2", len(dr.Shards))
-	}
-	if dr.Shedding {
-		t.Fatal("an idle proxy must not advertise shedding")
-	}
 	if dr.Health <= 0.1 || dr.Health > 1 {
 		t.Fatalf("idle health %v, want in the non-shedding band (0.1, 1]", dr.Health)
 	}
-	if dr.RoundSize != 4 {
-		t.Fatalf("RoundSize %d, want the configured 4", dr.RoundSize)
+	raw, err := json.Marshal(dr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 3 {
+		t.Fatalf("/v1/discover exports %d fields (%s), want endpoint, peers and health only", len(keys), raw)
 	}
 }

@@ -1,7 +1,10 @@
 package proxy
 
 import (
+	"net/http"
 	"sync"
+
+	"mixnn/internal/transport"
 )
 
 // DefaultDedupWindow is the batch-dedup FIFO capacity when the operator
@@ -157,5 +160,45 @@ func (d *batchDedup) Forget(id string) {
 			d.order = append(d.order[:i], d.order[i+1:]...)
 			return
 		}
+	}
+}
+
+// Claim is the one switch from Begin's verdict to what a /v1/batch
+// handler does next, taken BEFORE the handler applies anything (a retry
+// overlapping a slow first attempt must dedup, not re-apply). Neither
+// duplicate nor err: proceed — the caller owns the application and ends
+// it with Finish. duplicate: acknowledge without reprocessing. err: the
+// answer — the retryable 409 while another attempt is in flight, or the
+// permanent 409 whose stale marker makes the sender quarantine instead
+// of retrying (see the verdicts above). A batch without an id proceeds
+// unclaimed.
+func (d *batchDedup) Claim(req transport.BatchRequest) (duplicate bool, err error) {
+	if req.ID == "" {
+		return false, nil
+	}
+	switch d.Begin(req.ID, req.Sender, req.Seq, req.HasSeq && req.Sender != "") {
+	case dedupApplied:
+		return true, nil
+	case dedupInFlight:
+		return false, transport.Errorf(http.StatusConflict, "batch application in flight")
+	case dedupStale:
+		return false, &transport.StatusError{
+			Code: http.StatusConflict, Stale: true,
+			Msg: "stale batch redelivery (sequence below the sender's applied watermark)",
+		}
+	}
+	return false, nil
+}
+
+// Finish ends the application Claim let proceed: applied records the id
+// (and advances the sender's watermark) so a redelivery acks; otherwise
+// the id is released and a redelivery gets a fresh attempt.
+func (d *batchDedup) Finish(req transport.BatchRequest, applied bool) {
+	switch {
+	case req.ID == "":
+	case applied:
+		d.Done(req.ID, req.Sender, req.Seq, req.HasSeq && req.Sender != "")
+	default:
+		d.Forget(req.ID)
 	}
 }

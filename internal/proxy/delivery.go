@@ -45,19 +45,11 @@ type delivery struct {
 	// remotes maps remote shard addresses to attested key material. It
 	// only grows: an address removed from the topology keeps its key so
 	// outbox entries addressed to it under an earlier topology version
-	// still deliver.
+	// still deliver. An entry WITHOUT a key is a remote awaiting
+	// re-attestation — restored from a seal blob with its trust material
+	// only; target refuses it (its entries stall, never lost) until
+	// reattest or a registration pins a key.
 	remotes map[string]RemoteShard
-	// sealedTrust is the remote-trust material restored from a seal
-	// blob for addresses whose hop keys are not yet re-attested;
-	// reattest drains it.
-	sealedTrust map[string]RemoteTrust
-	// hopSessions holds one sender-side crypto session per delivery
-	// destination, so cascade and relay legs pay the RSA wrap once per
-	// session instead of once per round. Keyed by destination base; each
-	// entry remembers the hop key it was built for, so a re-registered
-	// remote (fresh attested key after a peer restart) rotates the
-	// session instead of sending undecryptable traffic.
-	hopSessions map[string]*hopSession
 	// memos caches each in-flight entry's parsed envelope and request
 	// body between retry attempts — entries are immutable, and a long
 	// outage must not re-parse/re-encode a large round every backoff
@@ -74,14 +66,12 @@ type delivery struct {
 func newDelivery(cfg ShardedConfig, tr transport.Transport, box outbox.Queue, remotes map[string]RemoteShard) *delivery {
 	d := &delivery{
 		tr: tr, box: box,
-		downstream:  hopTarget{base: cfg.Upstream},
-		remotes:     remotes,
-		sealedTrust: make(map[string]RemoteTrust),
-		hopSessions: make(map[string]*hopSession),
-		memos:       make(map[uint64]*deliverMemo),
+		downstream: hopTarget{base: cfg.Upstream},
+		remotes:    remotes,
+		memos:      make(map[uint64]*deliverMemo),
 	}
 	if cfg.NextHop != "" {
-		d.downstream = hopTarget{base: cfg.NextHop, key: cfg.NextHopKey, secret: cfg.NextHopSecret}
+		d.downstream = hopTarget{base: cfg.NextHop, sender: enclave.NewSender(cfg.NextHopKey), secret: cfg.NextHopSecret}
 	}
 	d.disp = outbox.NewDispatcher(box, d.deliver, outbox.Options{
 		RetryBase: cfg.RetryBase,
@@ -96,6 +86,8 @@ func newDelivery(cfg ShardedConfig, tr transport.Transport, box outbox.Queue, re
 // key pinned by the attestation handshake plus the bearer secret its hop
 // endpoints require (if any).
 type RemoteShard struct {
+	// Key is nil only inside the tier, for a remote restored from a seal
+	// blob and not yet re-attested.
 	Key    *enclave.HopKey
 	Secret string
 	// Trust is the attestation trust bundle the key was pinned under,
@@ -105,15 +97,30 @@ type RemoteShard struct {
 	// peer's enclave key does not survive the peer's own restarts, so
 	// sealing the pinned key would not be enough.
 	Trust *RemoteTrust
+	// sender holds the delivery session toward Key (see enclave.Sender);
+	// pinned sets it, so re-registering an address — a fresh attested key
+	// after the peer restarted — starts a fresh session with it.
+	sender *enclave.Sender
+}
+
+// pinned returns rs ready for the delivery map: with a Sender of its own
+// for the key it carries (a shared *HopKey still gets one session per
+// tier), none for a keyless entry.
+func (rs RemoteShard) pinned() RemoteShard {
+	rs.sender = nil
+	if rs.Key != nil {
+		rs.sender = enclave.NewSender(rs.Key)
+	}
+	return rs
 }
 
 // RemoteTrust is the sealable trust material of one remote shard: what
 // a proxy needs to re-run the hop attestation handshake after a
-// restart, without an admin directive or a shards-file reload.
+// restart, without an admin directive or a shards-file reload — the
+// trust bundle the shard was pinned under plus its bearer secret.
 type RemoteTrust struct {
-	AuthorityPubDER []byte `json:"authority_pub_der"`
-	MeasurementHex  string `json:"measurement"`
-	Secret          string `json:"secret,omitempty"`
+	enclave.TrustBundle
+	Secret string `json:"secret,omitempty"`
 }
 
 // deliverMemo caches one outbox entry's delivery artefacts across retry
@@ -160,68 +167,13 @@ func batchIDFor(sender string, seq uint64, env *outbox.Envelope, payload []byte)
 	return hex.EncodeToString(sum[:16])
 }
 
-// hopSession pairs a destination's crypto session with the hop key it
-// was established against (see delivery.hopSessions).
-type hopSession struct {
-	key  *enclave.HopKey
-	sess *enclave.Session
-}
-
-// hopSessionFor returns the crypto session for a delivery destination,
-// establishing one against its current hop key when none exists or the
-// cached one was built for a superseded key.
-func (d *delivery) hopSessionFor(base string, key *enclave.HopKey) (*enclave.Session, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if hs := d.hopSessions[base]; hs != nil && hs.key == key {
-		return hs.sess, nil
-	}
-	sess, err := key.NewSession()
-	if err != nil {
-		return nil, err
-	}
-	d.hopSessions[base] = &hopSession{key: key, sess: sess}
-	return sess, nil
-}
-
-// dropHopSession invalidates a destination's session — only if sess is
-// still the pinned one, so a stale rejection cannot tear down a fresher
-// session.
-func (d *delivery) dropHopSession(base string, sess *enclave.Session) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if hs := d.hopSessions[base]; hs != nil && hs.sess == sess {
-		delete(d.hopSessions, base)
-	}
-}
-
-// wrapForHop seals payload for tgt's enclave under the destination's
-// crypto session, rotating the session once if its counter space is
-// exhausted. It returns the session that produced the ciphertext so the
-// caller can invalidate precisely it on a typed session rejection.
-func (d *delivery) wrapForHop(tgt hopTarget, payload []byte) ([]byte, *enclave.Session, error) {
-	for attempt := 0; ; attempt++ {
-		sess, err := d.hopSessionFor(tgt.base, tgt.key)
-		if err != nil {
-			return nil, nil, fmt.Errorf("proxy: session for %s: %w", tgt.base, err)
-		}
-		ct, err := sess.Wrap(payload)
-		if err == nil {
-			return ct, sess, nil
-		}
-		d.dropHopSession(tgt.base, sess)
-		if attempt > 0 {
-			return nil, nil, fmt.Errorf("proxy: wrap for %s: %w", tgt.base, err)
-		}
-	}
-}
-
 // hopTarget is the resolved destination of one outbox entry: where to
-// POST, and the hop-key material to wrap with (nil key = plaintext to the
-// aggregation server).
+// POST, and the session holder to wrap through, so cascade and relay legs
+// pay the RSA wrap once per session instead of once per round (nil sender
+// = plaintext to the aggregation server).
 type hopTarget struct {
 	base   string
-	key    *enclave.HopKey
+	sender *enclave.Sender
 	secret string
 }
 
@@ -233,11 +185,11 @@ type hopTarget struct {
 // would be strictly worse than stalling the queue).
 func (d *delivery) target(env *outbox.Envelope) (hopTarget, error) {
 	if env.Dest != "" {
-		rs, ok := d.remote(env.Dest)
-		if !ok {
+		rs, _ := d.remote(env.Dest)
+		if rs.sender == nil {
 			return hopTarget{}, fmt.Errorf("proxy: no attested key for remote shard %s (topology v%d); re-register it via the topology admin endpoint", env.Dest, env.TopoVersion)
 		}
-		return hopTarget{base: env.Dest, key: rs.Key, secret: rs.Secret}, nil
+		return hopTarget{base: env.Dest, sender: rs.sender, secret: rs.Secret}, nil
 	}
 	return d.downstream, nil
 }
@@ -287,15 +239,15 @@ func (d *delivery) deliverPayload(ctx context.Context, seq uint64, payload []byt
 		// The entry's tail is the batch body (packageRound sized it to the
 		// receiver's read bound).
 		enc := env.Batch
-		if tgt.key != nil {
-			if enc, c.sess, err = d.wrapForHop(tgt, enc); err != nil {
-				return err
+		if tgt.sender != nil {
+			if enc, c.sess, err = tgt.sender.Wrap(enc); err != nil {
+				return fmt.Errorf("proxy: wrap for %s: %w", tgt.base, err)
 			}
 		}
 		c.body, c.id = enc, batchIDFor(d.box.SenderID(), seq, env, payload)
 	}
 	req := transport.BatchRequest{Body: c.body, ID: c.id}
-	if tgt.key != nil {
+	if tgt.sender != nil {
 		req.Hop, req.Secret = env.Hop, tgt.secret
 	}
 	// Sender identity + entry sequence let the receiver detect a stale
@@ -306,12 +258,13 @@ func (d *delivery) deliverPayload(ctx context.Context, seq uint64, payload []byt
 	if _, err := d.tr.SendBatch(ctx, tgt.base, req); err != nil {
 		if transport.SessionRejected(err) {
 			// The downstream enclave lost our session and provably
-			// ingested nothing: invalidate the memoized body so the next
-			// attempt re-wraps under a fresh establish (the idempotency
-			// id derives from the entry's identity and comes out the
-			// same, so a downstream that DID apply an earlier attempt
-			// still dedups it).
-			d.dropHopSession(tgt.base, c.sess)
+			// ingested nothing: drop the session and the body memoized
+			// under it, so the lane's retry wraps again — a lane has one
+			// worker, so that wrap establishes (the idempotency id derives
+			// from the entry's identity and comes out the same, so a
+			// downstream that DID apply an earlier attempt still dedups
+			// it).
+			tgt.sender.Drop(c.sess)
 			c.body, c.id, c.sess = nil, "", nil
 		}
 		return classifyDelivery(err)
@@ -404,21 +357,22 @@ func (d *delivery) register(addr string, rs RemoteShard) error {
 		return fmt.Errorf("proxy: RegisterRemote needs an address and a hop key")
 	}
 	d.mu.Lock()
-	d.remotes[addr] = rs
+	d.remotes[addr] = rs.pinned()
 	d.mu.Unlock()
 	d.disp.Wake() // entries may have been waiting on this key
 	return nil
 }
 
 // ensureRemote makes sure attested key material exists for a remote
-// shard spec: already-registered addresses pass through (the secret may
-// be refreshed); new ones must carry trust material (inline DER +
-// measurement, or a trust-bundle file) and are attested now, so a bad
-// directive fails at the admin call, not at delivery time.
+// shard spec: addresses that hold a key pass through (the secret may be
+// refreshed); new ones — and ones still awaiting re-attestation — must
+// carry trust material (inline DER + measurement, or a trust-bundle file)
+// and are attested now, so a bad directive fails at the admin call, not
+// at delivery time.
 func (d *delivery) ensureRemote(ctx context.Context, s wire.TopologyShardSpec) error {
 	d.mu.Lock()
-	existing, known := d.remotes[s.Addr]
-	if known && s.AuthorityPubDER == nil && s.TrustFile == "" {
+	existing := d.remotes[s.Addr]
+	if existing.Key != nil && s.AuthorityPubDER == nil && s.TrustFile == "" {
 		if s.Secret != "" && s.Secret != existing.Secret {
 			existing.Secret = s.Secret
 			if existing.Trust != nil {
@@ -439,17 +393,14 @@ func (d *delivery) ensureRemote(ctx context.Context, s wire.TopologyShardSpec) e
 	return d.register(s.Addr, rs)
 }
 
-// trust snapshots the sealable trust material of every remote shard.
-// Restored-but-not-yet-reattested trust is included too: a tier sealed
-// while a peer was still down must not lose that peer's trust, or its
-// own blob would become unrestorable.
+// trust snapshots the sealable trust material of every remote shard,
+// those still awaiting re-attestation included: a tier sealed while a
+// peer was still down must not lose that peer's trust, or its own blob
+// would become unrestorable.
 func (d *delivery) trust() map[string]RemoteTrust {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	trust := make(map[string]RemoteTrust)
-	for addr, rt := range d.sealedTrust {
-		trust[addr] = rt
-	}
 	for addr, rs := range d.remotes {
 		if rs.Trust != nil {
 			trust[addr] = *rs.Trust
@@ -466,63 +417,51 @@ func (d *delivery) counters() (forwarded, batches int) {
 }
 
 // restore carries a sealed tier's delivery state into this one: its
-// forwarded count, and the sealed trust of every address still lacking a
-// key — reattest (or an explicit RegisterRemote) turns those into
-// deliverable relay legs.
-func (d *delivery) restore(forwarded int, sealedTrust map[string]RemoteTrust) {
+// forwarded count, and a keyless entry holding the sealed trust of every
+// address not registered here — reattest (or an explicit RegisterRemote)
+// turns those into deliverable relay legs.
+func (d *delivery) restore(forwarded int, trust map[string]RemoteTrust) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.forwarded = forwarded
-	for addr, rt := range sealedTrust {
+	for addr, rt := range trust {
 		if _, ok := d.remotes[addr]; !ok {
-			d.sealedTrust[addr] = rt
+			d.remotes[addr] = RemoteShard{Secret: rt.Secret, Trust: &rt}
 		}
 	}
 }
 
 // ReattestRemotes re-runs the hop attestation handshake for every
-// remote shard whose trust material was restored from a seal blob but
-// whose key has not been re-attested yet, registering the fresh keys it
+// remote shard restored from a seal blob with its trust material only
+// (no key re-attested or registered since), registering the fresh keys it
 // pins (which also wakes the delivery dispatcher: queued relay entries
 // for those shards become deliverable). The sealed PINNED key would not
 // have been enough — a peer's enclave key does not survive the peer's
 // own restart — which is why the blob carries trust material instead.
-// A peer that is down stays in the pending set (its queued material
-// stalls, it is never lost) and the returned error reports it; calling
-// again retries.
+// A peer that is down stays keyless (its queued material stalls, it is
+// never lost) and the returned error reports it; calling again retries.
 func (p *ShardedProxy) ReattestRemotes(ctx context.Context) error {
 	return p.dlv.reattest(ctx)
 }
 
 func (d *delivery) reattest(ctx context.Context) error {
 	d.mu.Lock()
-	pending := make(map[string]RemoteTrust, len(d.sealedTrust))
-	for addr, rt := range d.sealedTrust {
-		if _, ok := d.remotes[addr]; ok {
-			continue // registered out of band since the restore
+	pending := make(map[string]RemoteTrust)
+	for addr, rs := range d.remotes {
+		if rs.Key == nil && rs.Trust != nil {
+			pending[addr] = *rs.Trust
 		}
-		pending[addr] = rt
 	}
 	d.mu.Unlock()
 	var errs []error
 	for addr, rt := range pending {
-		rs, err := resolveRemoteShard(ctx, wire.TopologyShardSpec{
-			Addr:            addr,
-			AuthorityPubDER: rt.AuthorityPubDER,
-			MeasurementHex:  rt.MeasurementHex,
-			Secret:          rt.Secret,
-		}, d.tr)
+		rs, err := attestRemote(ctx, d.tr, addr, rt)
+		if err == nil {
+			err = d.register(addr, rs)
+		}
 		if err != nil {
 			errs = append(errs, fmt.Errorf("proxy: re-attest remote shard %s: %w", addr, err))
-			continue
 		}
-		if err := d.register(addr, rs); err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		d.mu.Lock()
-		delete(d.sealedTrust, addr)
-		d.mu.Unlock()
 	}
 	return errors.Join(errs...)
 }

@@ -174,30 +174,9 @@ func (p *ShardedProxy) HandleBatch(ctx context.Context, req transport.BatchReque
 	if err := transport.CheckBody(req.Body); err != nil {
 		return transport.Receipt{Shard: -1}, err
 	}
-	// Claim the id atomically BEFORE ingesting: a retry overlapping a
-	// slow first attempt must dedup, not re-mix the round — and an
-	// attempt still in flight must NOT be acked as applied (the sender
-	// would consume the entry while this attempt can still fail).
-	batchID := req.ID
-	sender, senderSeq, hasSeq := req.Sender, req.Seq, req.HasSeq && req.Sender != ""
-	if batchID != "" {
-		switch p.seen.Begin(batchID, sender, senderSeq, hasSeq) {
-		case dedupApplied:
-			return transport.Receipt{Shard: -1, Duplicate: true}, nil // already applied; ack the duplicate
-		case dedupInFlight:
-			return transport.Receipt{Shard: -1}, transport.Errorf(http.StatusConflict, "batch application in flight")
-		case dedupStale:
-			// The id aged out of the dedup window but the sender's
-			// sequence watermark proves this entry was superseded:
-			// re-absorbing it would double-count a round that already
-			// reached the aggregate. The stale marker tells the sender
-			// this 409 is permanent (quarantine), unlike the retryable
-			// in-flight 409.
-			return transport.Receipt{Shard: -1}, &transport.StatusError{
-				Code: http.StatusConflict, Stale: true,
-				Msg: "stale batch redelivery (sequence below the sender's applied watermark)",
-			}
-		}
+	duplicate, err := p.seen.Claim(req)
+	if duplicate || err != nil {
+		return transport.Receipt{Shard: -1, Duplicate: duplicate}, err
 	}
 	var closes []*roundClose
 	start := time.Now()
@@ -279,14 +258,10 @@ func (p *ShardedProxy) HandleBatch(ctx context.Context, req transport.BatchReque
 		// Nothing was applied (structure check failures precede any ingest,
 		// and the all-items-failed path mixes nothing), so release the id
 		// for a future redelivery.
-		if batchID != "" {
-			p.seen.Forget(batchID)
-		}
+		p.seen.Finish(req, false)
 		return transport.Receipt{Shard: -1}, ingressError(procErr)
 	}
-	if batchID != "" {
-		p.seen.Done(batchID, sender, senderSeq, hasSeq)
-	}
+	p.seen.Finish(req, true)
 	return transport.Receipt{Shard: -1}, nil
 }
 

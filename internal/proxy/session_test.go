@@ -277,3 +277,63 @@ func TestSessionEvictionReestablishE2E(t *testing.T) {
 		t.Fatal("global model != classic FL mean under session cache pressure")
 	}
 }
+
+// TestSharedHopKeyOneSessionPerTier: the session toward a pinned key
+// belongs to the sender, not to the key. Two fronts of one process handed
+// the SAME *HopKey (bench and loadgen deploy exactly so) each establish a
+// session of their own at the hop — a shared one would interleave two
+// counter streams inside one replay window.
+func TestSharedHopKeyOneSessionPerTier(t *testing.T) {
+	hopPlat, hopEncl := sessionEnclave(t, enclave.Config{CodeIdentity: "shared-hop"})
+	const clients = 2
+	initial := testArch().New(1).SnapshotParams()
+
+	agg, err := NewAggServer(initial, 2*clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb := transport.NewLoopback()
+	lb.Register("loop://agg", agg)
+	hop, err := NewSharded(ShardedConfig{
+		Upstream: "loop://agg", K: 1, RoundSize: 2 * clients, Shards: 1, Seed: 11, Transport: lb,
+	}, hopEncl, hopPlat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(hop.Close)
+	lb.Register("loop://hop", hop)
+
+	key := enclave.PinnedHop(hopEncl.PublicKey(), hopEncl.Measurement())
+	round := perturbed(initial, 2*clients, 0)
+	for f := 0; f < 2; f++ {
+		plat, encl := sessionEnclave(t, enclave.Config{CodeIdentity: "shared-front"})
+		front, err := NewSharded(ShardedConfig{
+			NextHop: "loop://hop", NextHopKey: key,
+			K: 1, RoundSize: clients, Shards: 1, Seed: int64(13 + f), Transport: lb,
+		}, encl, plat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(front.Close)
+		ep := "loop://front-" + string(rune('0'+f))
+		lb.Register(ep, front)
+		for _, u := range round[f*clients : (f+1)*clients] {
+			sendTyped(t, lb, encl, ep, "", u)
+		}
+		flushTier(t, front)
+	}
+	flushTier(t, hop)
+	waitServerRound(t, agg, 1)
+
+	if st := hopEncl.Stats(); st.SessionsEstablished != 2 || st.SessionMisses != 0 || st.SessionReplays != 0 {
+		t.Fatalf("hop established/misses/replays = %d/%d/%d, want one session per front (2/0/0)",
+			st.SessionsEstablished, st.SessionMisses, st.SessionReplays)
+	}
+	classic, err := nn.Average(round)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !agg.Global().ApproxEqual(classic, 1e-9) {
+		t.Fatal("global model != classic FL mean over two fronts sharing one hop key")
+	}
+}

@@ -301,7 +301,7 @@ func NewSharded(cfg ShardedConfig, encl *enclave.Enclave, platform *enclave.Plat
 		if rs.Key == nil {
 			return nil, fmt.Errorf("proxy: remote shard %q configured without a hop key", addr)
 		}
-		remotes[addr] = rs
+		remotes[addr] = rs.pinned()
 	}
 	for _, addr := range topo.Remotes() {
 		if _, ok := remotes[addr]; !ok {

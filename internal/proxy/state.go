@@ -111,41 +111,37 @@ func (p *ShardedProxy) RestoreState(blob []byte) error {
 	if err != nil {
 		return fmt.Errorf("proxy: unseal tier state: %w", err)
 	}
-	// Restore into fresh mixers so a failed restore cannot leave the
-	// serving tier half-populated. The mixers continue the sealed tier's
-	// epoch, so their rand streams don't replay an earlier epoch's.
-	epoch, err := core.ShardedStateRounds(raw)
-	if err != nil {
-		return fmt.Errorf("proxy: restore tier state: %w", err)
-	}
-	topoBlob, err := core.ShardedStateTopo(raw)
-	if err != nil {
-		return fmt.Errorf("proxy: restore tier state: %w", err)
-	}
-	if topoBlob == nil {
-		return fmt.Errorf("proxy: restore tier state: the blob carries no topology section to restore under")
-	}
-	topo, err := route.Parse(topoBlob)
-	if err != nil {
-		return fmt.Errorf("proxy: sealed topology: %w", err)
-	}
-	fresh, err := newShardSet(p.cfg, topo, epoch, p.slabPool)
-	if err != nil {
-		return err
-	}
-	meta, err := core.RestoreShardedState(raw, fresh, func(s int, sealed []byte) ([]byte, error) {
+	// Parse the blob once. What the fresh shard set needs comes first — the
+	// sealed epoch, so the mixers' rand streams continue it instead of
+	// replaying an earlier one, and the topology, which says which shards
+	// are mixers and which relays — and the held sections are filed once
+	// it exists. Filing into fresh shards means a failed restore cannot
+	// leave the serving tier half-populated.
+	opened, err := core.OpenShardedState(raw, func(s int, sealed []byte) ([]byte, error) {
 		return p.enclave.UnsealLabeled(sectionLabel(s), sealed)
 	})
 	if err != nil {
 		return fmt.Errorf("proxy: restore tier state: %w", err)
 	}
+	meta := opened.Meta
+	if meta.Topo == nil {
+		return fmt.Errorf("proxy: restore tier state: the blob carries no topology section to restore under")
+	}
+	topo, err := route.Parse(meta.Topo)
+	if err != nil {
+		return fmt.Errorf("proxy: sealed topology: %w", err)
+	}
+	fresh, err := newShardSet(p.cfg, topo, meta.Rounds, p.slabPool)
+	if err != nil {
+		return err
+	}
 	// Every remote shard of the sealed topology needs either an
 	// already-registered key or sealed trust material to re-attest from;
 	// with neither the relay leg could never deliver, so refuse the
 	// restore up front.
-	sealedTrust := make(map[string]RemoteTrust)
+	trust := make(map[string]RemoteTrust)
 	if meta.RemoteTrust != nil {
-		if err := json.Unmarshal(meta.RemoteTrust, &sealedTrust); err != nil {
+		if err := json.Unmarshal(meta.RemoteTrust, &trust); err != nil {
 			return fmt.Errorf("proxy: sealed remote trust: %w", err)
 		}
 	}
@@ -153,12 +149,15 @@ func (p *ShardedProxy) RestoreState(blob []byte) error {
 		if _, ok := p.dlv.remote(addr); ok {
 			continue
 		}
-		if _, ok := sealedTrust[addr]; !ok {
+		if _, ok := trust[addr]; !ok {
 			return fmt.Errorf("proxy: sealed topology names remote shard %q but no attested key is registered (RemoteShards) and the blob carries no trust material for it", addr)
 		}
 	}
 	if meta.InRound >= topo.RoundSize() {
 		return fmt.Errorf("proxy: sealed in-round progress %d does not fit round size %d", meta.InRound, topo.RoundSize())
+	}
+	if err := opened.FileInto(fresh); err != nil {
+		return fmt.Errorf("proxy: restore tier state: %w", err)
 	}
 	p.installEpochLocked(topo, fresh, meta.RRCursor)
 	p.planner.Reset(topo)
@@ -177,6 +176,6 @@ func (p *ShardedProxy) RestoreState(blob []byte) error {
 		p.shardRecv[s] = max(meta.ShardReceived[s]-m.Received(), 0)
 		p.shardEmit[s] = meta.ShardEmitted[s]
 	}
-	p.dlv.restore(meta.Forwarded, sealedTrust)
+	p.dlv.restore(meta.Forwarded, trust)
 	return nil
 }

@@ -331,12 +331,19 @@ func trustSpecFor(t *testing.T, platform *enclave.Platform, encl *enclave.Enclav
 	}
 }
 
-// TestReattestRemotesFromSealBlob: a front tier with a remote shard is
-// sealed and restored into a REPLACEMENT that was handed no RemoteShards
-// key material at all. The v4 blob carries the remote's trust bundle;
-// ReattestRemotes re-runs the hop handshake from it, and the restored
-// tier's relay leg delivers a full round — no admin directive, no
-// shards-file reload.
+// TestReattestRemotesFromSealBlob is the one restart that needs every
+// recovery a tier has. A front with a remote shard is sealed MID-ROUND
+// and replaced by a tier handed no RemoteShards key material at all,
+// while SDK participants still hold their pre-crash sessions and the
+// relay peer has itself been restarted (fresh enclave key). The
+// replacement restores the blob under its sealed plan, re-attests the
+// peer from the sealed trust — ReattestRemotes, no admin directive, no
+// shards-file reload — and every participant's next send is rejected 428
+// and re-established on the same endpoint without surfacing. A
+// replacement's first relay delivery is necessarily an establish frame,
+// so the relay leg's 428 is provoked by the peer losing its sessions once
+// more after that leg delivered: the lane's retry re-establishes. Every
+// round's aggregate equals the classic mean; nothing is quarantined.
 func TestReattestRemotesFromSealBlob(t *testing.T) {
 	platform, _ := fixtures(t)
 	const clients = 4
@@ -349,27 +356,35 @@ func TestReattestRemotesFromSealBlob(t *testing.T) {
 	}
 	lb.Register("loop://agg", agg)
 
-	peerEncl, err := enclave.New(enclave.Config{CodeIdentity: "reattest-peer"}, platform)
-	if err != nil {
-		t.Fatal(err)
+	newPeer := func(seed int64) (*enclave.Enclave, *ShardedProxy) {
+		t.Helper()
+		encl, err := enclave.New(enclave.Config{CodeIdentity: "reattest-peer"}, platform)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peer, err := NewSharded(ShardedConfig{
+			Upstream: "loop://agg", K: 1, RoundSize: 2, Shards: 1, Seed: seed, Transport: lb,
+		}, encl, platform)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(peer.Close)
+		lb.Register("loop://peer", peer)
+		return encl, peer
 	}
-	peer, err := NewSharded(ShardedConfig{
-		Upstream: "loop://agg", K: 1, RoundSize: 2, Shards: 1, Seed: 11, Transport: lb,
-	}, peerEncl, platform)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(peer.Close)
-	lb.Register("loop://peer", peer)
+	peerEncl, peer := newPeer(11)
 
 	frontEncl, err := enclave.New(enclave.Config{CodeIdentity: "reattest-front"}, platform)
 	if err != nil {
 		t.Fatal(err)
 	}
-	front1, err := NewSharded(ShardedConfig{
+	frontCfg := ShardedConfig{
 		Upstream: "loop://agg", K: 1, RoundSize: clients, Shards: 1, Seed: 12,
-		Routing: route.ModeHashQuota, Transport: lb,
-	}, frontEncl, platform)
+		Transport: lb, RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
+	}
+	front1Cfg := frontCfg
+	front1Cfg.Routing = route.ModeHashQuota
+	front1, err := NewSharded(front1Cfg, frontEncl, platform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,45 +405,73 @@ func TestReattestRemotesFromSealBlob(t *testing.T) {
 	}
 	lb.Register("loop://front", front1)
 
-	sendRound := func(epoch int) []nn.ParamSet {
+	// One SDK session per participant for the whole test: what they pin
+	// and establish before the crash is what they hold after it.
+	parts := make([]*client.Participant, clients)
+	for i := range parts {
+		if parts[i], err = client.New(client.Config{
+			Proxies: []string{"loop://front"}, Server: "loop://agg", Transport: lb,
+			ClientID: fmt.Sprintf("c%d", i),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := parts[i].Attest(ctx, platform.AttestationPublicKey(), frontEncl.Measurement()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rounds := make([][]nn.ParamSet, 3)
+	for e := range rounds {
+		rounds[e] = perturbed(initial, clients, float64(100*e))
+	}
+	send := func(epoch, from, to int) {
 		t.Helper()
-		round := make([]nn.ParamSet, clients)
-		for i := range round {
-			u := initial.Clone()
-			u.Layers[0].Tensors[0].AddScalar(float64(epoch*100 + i + 1))
-			round[i] = u
-			part, err := client.New(client.Config{
-				Proxies: []string{"loop://front"}, Server: "loop://agg", Transport: lb,
-				ClientID: fmt.Sprintf("c%d", i),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := part.Attest(ctx, platform.AttestationPublicKey(), frontEncl.Measurement()); err != nil {
-				t.Fatal(err)
-			}
-			if err := part.SendUpdate(ctx, u); err != nil {
-				t.Fatal(err)
+		for i := from; i < to; i++ {
+			if err := parts[i].SendUpdate(ctx, rounds[epoch][i]); err != nil {
+				t.Fatalf("round %d participant %d: %v", epoch, i, err)
 			}
 		}
-		return round
 	}
-	sendRound(0)
-	flushTier(t, front1, peer)
-	waitServerRound(t, agg, 1)
+	closed := func(epoch int, tiers ...*ShardedProxy) {
+		t.Helper()
+		for _, px := range tiers {
+			flushTier(t, px)
+		}
+		waitServerRound(t, agg, epoch+1)
+		classic, err := nn.Average(rounds[epoch])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !agg.Global().ApproxEqual(classic, 1e-9) {
+			t.Fatalf("round %d's aggregate diverged from classic FedAvg", epoch)
+		}
+		for _, px := range tiers {
+			if st := px.Status(); st.OutboxQuarantined != 0 {
+				t.Fatalf("round %d: a tier quarantined %d entries", epoch, st.OutboxQuarantined)
+			}
+		}
+	}
+	send(0, 0, clients)
+	closed(0, front1, peer)
 
-	// Crash/replace the front. The replacement gets NO RemoteShards —
-	// everything it knows about loop://peer must come from the blob.
+	// Crash the front half-way into round 1 and lose what a restart
+	// loses: the enclave's volatile session cache (the Enclave object's key
+	// pair stands in for the sealed identity that survives).
+	send(1, 0, clients/2)
 	blob, err := front1.SealState()
 	if err != nil {
 		t.Fatal(err)
 	}
 	lb.Unregister("loop://front")
 	front1.Close()
-	front2, err := NewSharded(ShardedConfig{
-		Upstream: "loop://agg", K: 1, RoundSize: clients, Shards: 1, Seed: 13,
-		Transport: lb,
-	}, frontEncl, platform)
+	frontEncl.ResetSessions()
+	// The peer restarts too — idle, between its rounds — and comes back
+	// with a fresh enclave key: the key front1 pinned is worthless now.
+	peer.Close()
+	peerEncl, peer = newPeer(15)
+
+	// The replacement gets NO RemoteShards — everything it knows about
+	// loop://peer must come from the blob.
+	front2, err := NewSharded(frontCfg, frontEncl, platform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,6 +482,9 @@ func TestReattestRemotesFromSealBlob(t *testing.T) {
 	if got := front2.Topology().Remotes(); len(got) != 1 || got[0] != "loop://peer" {
 		t.Fatalf("restored topology remotes = %v", got)
 	}
+	if st := front2.Status(); st.InRound != clients/2 {
+		t.Fatalf("restored in_round = %d, want %d", st.InRound, clients/2)
+	}
 	// A tier sealed BEFORE re-attestation (the peer could still be down)
 	// must carry the restored trust forward: its own blob has to remain
 	// restorable, or one restart during a peer outage would strand the
@@ -447,10 +493,7 @@ func TestReattestRemotesFromSealBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	front2b, err := NewSharded(ShardedConfig{
-		Upstream: "loop://agg", K: 1, RoundSize: clients, Shards: 1, Seed: 14,
-		Transport: lb,
-	}, frontEncl, platform)
+	front2b, err := NewSharded(frontCfg, frontEncl, platform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,16 +506,26 @@ func TestReattestRemotesFromSealBlob(t *testing.T) {
 	}
 	lb.Register("loop://front", front2)
 
-	// The restored tier's relay leg must work end to end.
-	round2 := sendRound(1)
-	flushTier(t, front2, peer)
-	waitServerRound(t, agg, 2)
-	classic, err := nn.Average(round2)
-	if err != nil {
-		t.Fatal(err)
+	// The rest of round 1: pre-crash SDK sessions meet an enclave that no
+	// longer holds them, and the restored relay leg delivers under the
+	// peer's new key.
+	send(1, clients/2, clients)
+	closed(1, front2, peer)
+	if st := frontEncl.Stats(); st.SessionMisses < clients/2 {
+		t.Fatalf("front saw %d session misses, want one per pre-crash SDK session used (%d)", st.SessionMisses, clients/2)
 	}
-	if !agg.Global().ApproxEqual(classic, 1e-9) {
-		t.Fatal("restored tier's relayed round diverged from classic FedAvg")
+	if st := peerEncl.Stats(); st.SessionsEstablished != 1 || st.SessionMisses != 0 {
+		t.Fatalf("restarted peer established/misses = %d/%d, want the re-attested leg's one establish", st.SessionsEstablished, st.SessionMisses)
+	}
+
+	// The peer loses its sessions once more (a restart that kept its
+	// sealed identity): the relay leg's next delivery is a data frame for
+	// a session the peer no longer holds.
+	peerEncl.ResetSessions()
+	send(2, 0, clients)
+	closed(2, front2, peer)
+	if st := peerEncl.Stats(); st.SessionMisses < 1 || st.SessionsEstablished < 2 {
+		t.Fatalf("peer misses/established = %d/%d, want the relay lane's retry to re-establish (>=1/>=2)", st.SessionMisses, st.SessionsEstablished)
 	}
 }
 

@@ -62,8 +62,8 @@ type Transport interface {
 	// Status fetches the peer's status report (proxy or server form).
 	Status(ctx context.Context, ep string) (StatusResponse, error)
 	// Discover fetches the peer's control-plane advertisement: its peer
-	// list, topology epoch, load signals and health score. SDKs
-	// bootstrap and re-rank their failover lists from it.
+	// list and health score. SDKs bootstrap and re-rank their failover
+	// lists from it.
 	Discover(ctx context.Context, ep string) (wire.DiscoverResponse, error)
 }
 

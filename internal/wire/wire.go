@@ -26,9 +26,9 @@
 //	GET  {proxy}/v1/admin/topology  JSON TopologyStatus: the routing plane's
 //	                              current (and staged) topology
 //	GET  {proxy}/v1/discover      JSON DiscoverResponse: the proxy's peer
-//	                              list, topology epoch, load signals and
-//	                              health score (control plane; SDKs
-//	                              bootstrap their failover list from it)
+//	                              list and health score (control plane;
+//	                              SDKs bootstrap and rank their failover
+//	                              list from it)
 //	GET  {proxy}/v1/metrics       Prometheus text exposition (operator
 //	                              metrics; 404 when the proxy runs with
 //	                              metrics disabled)
@@ -368,21 +368,17 @@ type ShardedProxyStatus struct {
 	AdmissionShed        uint64 `json:"admission_shed,omitempty"`
 }
 
-// DiscoverShard is one shard's load view inside a DiscoverResponse.
-type DiscoverShard struct {
-	Shard int    `json:"shard"`
-	Quota int    `json:"quota"`
-	Load  int    `json:"load"`
-	Addr  string `json:"addr,omitempty"`
-}
-
-// DiscoverResponse is the control-plane view a proxy advertises on
-// /v1/discover: who its peers are, where its topology stands, and how
-// loaded it is — condensed into a health score in (0, 1] that SDKs sort
-// their failover lists by. Peers are endpoint strings only; a client
-// probes each peer's own /v1/discover for its health, and every learned
-// peer still gates on attestation before receiving material, so a
-// malicious peer list cannot redirect updates to an unattested enclave.
+// DiscoverResponse is what a proxy advertises on /v1/discover, and no
+// more than its one reader (the SDK's failover ranking) reads: who its
+// peers are, and how loaded it is condensed into a health score in (0, 1]
+// that SDKs sort their failover lists by. The endpoint is served
+// unauthenticated, and topology or mixing-rate knowledge sharpens
+// membership inference, so round fill, shard loads, epoch and the raw
+// pressure signals are not here; operators read them from /v1/status and
+// /v1/metrics. Peers are endpoint strings only; a client probes each
+// peer's own /v1/discover for its health, and every learned peer still
+// gates on attestation before receiving material, so a malicious peer
+// list cannot redirect updates to an unattested enclave.
 type DiscoverResponse struct {
 	// Endpoint is the advertising proxy's own base URL as it wants to be
 	// addressed (may be empty when the proxy does not know it).
@@ -390,20 +386,6 @@ type DiscoverResponse struct {
 	// Peers lists sibling front endpoints a participant could fail over
 	// to (operator-configured; never includes the proxy itself).
 	Peers []string `json:"peers,omitempty"`
-	// Epoch/TopoVersion locate the proxy in the tier's reshard history.
-	Epoch       int    `json:"epoch"`
-	TopoVersion uint64 `json:"topo_version"`
-	RoundSize   int    `json:"round_size"`
-	InRound     int    `json:"in_round"`
-	// Shards is the per-shard quota/load breakdown of the open round.
-	Shards []DiscoverShard `json:"shards,omitempty"`
-	// Raw pressure signals behind the score (operator diagnostics).
-	QueueDepth     int     `json:"queue_depth"`
-	OutboxPending  int     `json:"outbox_pending"`
-	LaneBacklogMax int     `json:"lane_backlog_max"`
-	DecryptMicros  float64 `json:"decrypt_us_mean"`
-	// Shedding reports the admission gate actively refusing all ingress.
-	Shedding bool `json:"shedding,omitempty"`
 	// Health is the computed score in (0, 1]; higher is healthier, and a
 	// shedding proxy always scores below any non-shedding one.
 	Health float64 `json:"health"`
