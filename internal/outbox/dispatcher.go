@@ -6,7 +6,8 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -14,8 +15,9 @@ import (
 // DeliverFunc attempts delivery of one opened entry. Returning nil
 // acknowledges (consumes) the entry. A PermanentError quarantines it —
 // the downstream rejected the entry and retrying cannot help. Any other
-// error is transient: the entry stays queued and is retried with backoff.
-type DeliverFunc func(ctx context.Context, seq uint64, payload []byte) error
+// error is transient: the entry stays at its lane's head, Memo and all,
+// and is retried with backoff.
+type DeliverFunc func(ctx context.Context, e *Entry) error
 
 // PermanentError marks a delivery failure retrying cannot fix (e.g. the
 // downstream returned 4xx). The dispatcher quarantines the entry instead
@@ -31,9 +33,13 @@ func Permanent(err error) error { return &PermanentError{Err: err} }
 // Default bounds for the dispatcher's knobs when the caller does not
 // override them.
 const (
-	DefaultRetryBase      = 50 * time.Millisecond
-	DefaultRetryMax       = 5 * time.Second
-	DefaultWorkers        = 4
+	DefaultRetryBase = 50 * time.Millisecond
+	DefaultRetryMax  = 5 * time.Second
+	DefaultWorkers   = 4
+	// DefaultAttemptTimeout bounds one delivery attempt. A RetryMax above
+	// it raises the bound to RetryMax: an attempt ceiling shorter than the
+	// backoff ceiling would cancel slow-but-succeeding sends only to wait
+	// even longer before retrying them.
 	DefaultAttemptTimeout = 60 * time.Second
 )
 
@@ -47,20 +53,6 @@ type Options struct {
 	// only ever drained by one worker at a time, so per-lane ordering
 	// holds for any worker count.
 	Workers int
-	// AttemptTimeout bounds one delivery attempt. It is clamped to at
-	// least RetryMax: an attempt ceiling shorter than the backoff ceiling
-	// would cancel slow-but-succeeding sends only to wait even longer
-	// before retrying them.
-	AttemptTimeout time.Duration
-}
-
-// laneState is the dispatcher's retry book-keeping for one lane.
-type laneState struct {
-	busy      bool          // a worker currently owns this lane
-	backoff   time.Duration // delay the last failure scheduled (0 = healthy)
-	notBefore time.Time     // next attempt is gated until this instant
-	delivered uint64        // entries acknowledged on this lane
-	failures  uint64        // transient delivery failures on this lane
 }
 
 // LaneStat is a point-in-time snapshot of one lane, for status surfaces.
@@ -71,8 +63,8 @@ type LaneStat struct {
 	InFlight  bool          // a worker is draining the lane right now
 	Backoff   time.Duration // current retry delay (0 when healthy)
 	NextRetry time.Duration // time until the next gated attempt (0 = none)
-	Delivered uint64        // entries acknowledged since Start
-	Failures  uint64        // transient failures since Start
+	Delivered uint64        // entries acknowledged since the queue opened
+	Failures  uint64        // transient failures since the queue opened
 }
 
 // Dispatcher drains a Queue through a DeliverFunc using a pool of
@@ -82,8 +74,11 @@ type LaneStat struct {
 // Each lane keeps its own jittered exponential backoff, so a dead peer's
 // lane parks itself between retries while every other lane keeps
 // delivering — a partial failure degrades one destination, not the tier.
+//
+// The dispatcher keeps no book of its own: each lane's busy flag, backoff
+// and counters live in the queue's lane table, under the queue's mutex.
 type Dispatcher struct {
-	q              Queue
+	q              *Queue
 	deliver        DeliverFunc
 	base           time.Duration // first retry delay
 	max            time.Duration // backoff ceiling
@@ -104,71 +99,55 @@ type Dispatcher struct {
 	results chan laneResult
 	wg      sync.WaitGroup
 
-	mu       sync.Mutex
-	lanes    map[string]*laneState
-	inFlight int // lanes handed to workers and not yet reported back
-	started  bool
+	started, closed sync.Once
 }
 
 // laneResult is a worker's report after releasing a lane. Deliveries
-// are not carried here: drainLane counts each ack into the lane's
-// state as it happens, so status snapshots stay live mid-drain.
+// are not carried here: each ack counts itself on the lane as it
+// happens, so status snapshots stay live mid-drain.
 type laneResult struct {
 	lane   string
 	failed bool // pass ended on a transient failure (back the lane off)
 }
 
 // NewDispatcher builds a dispatcher over q. Call Start to begin draining.
-func NewDispatcher(q Queue, deliver DeliverFunc, opts Options) *Dispatcher {
-	base, max := opts.RetryBase, opts.RetryMax
+func NewDispatcher(q *Queue, deliver DeliverFunc, opts Options) *Dispatcher {
+	base, ceiling := opts.RetryBase, opts.RetryMax
 	if base <= 0 {
 		base = DefaultRetryBase
 	}
-	if max <= 0 {
-		max = DefaultRetryMax
+	if ceiling <= 0 {
+		ceiling = DefaultRetryMax
 	}
-	if max < base {
-		max = base
+	if ceiling < base {
+		ceiling = base
 	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = DefaultWorkers
 	}
-	timeout := opts.AttemptTimeout
-	if timeout <= 0 {
-		timeout = DefaultAttemptTimeout
-	}
-	if timeout < max {
-		timeout = max
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Dispatcher{
-		q: q, deliver: deliver, base: base, max: max,
-		workers: workers, attemptTimeout: timeout,
+		q: q, deliver: deliver, base: base, max: ceiling,
+		workers: workers, attemptTimeout: max(DefaultAttemptTimeout, ceiling),
 		ctx: ctx, cancel: cancel,
 		wake:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 		jobs:    make(chan string, workers),
 		results: make(chan laneResult, workers),
-		lanes:   make(map[string]*laneState),
 	}
 }
 
 // Start launches the coordinator and the worker pool.
 func (d *Dispatcher) Start() {
-	d.mu.Lock()
-	if d.started {
-		d.mu.Unlock()
-		return
-	}
-	d.started = true
-	d.mu.Unlock()
-	for i := 0; i < d.workers; i++ {
-		d.wg.Add(1)
-		go d.worker()
-	}
-	go d.loop()
+	d.started.Do(func() {
+		for i := 0; i < d.workers; i++ {
+			d.wg.Add(1)
+			go d.worker()
+		}
+		go d.loop()
+	})
 }
 
 // Wake nudges the dispatcher after a Put (or after new routing state,
@@ -176,11 +155,11 @@ func (d *Dispatcher) Start() {
 // every lane's backoff gate is lifted so the fresh state is tried
 // immediately instead of at the next backoff tick.
 func (d *Dispatcher) Wake() {
-	d.mu.Lock()
-	for _, st := range d.lanes {
-		st.notBefore = time.Time{}
+	d.q.mu.Lock()
+	for _, l := range d.q.lanes {
+		l.notBefore = time.Time{}
 	}
-	d.mu.Unlock()
+	d.q.mu.Unlock()
 	select {
 	case d.wake <- struct{}{}:
 	default:
@@ -206,24 +185,12 @@ const closeGrace = time.Second
 // process; a cancelled attempt's entry was never acked, so it
 // redelivers.
 func (d *Dispatcher) Close() {
-	d.mu.Lock()
-	if !d.started {
-		d.started = true // a never-started dispatcher just closes its channels
-		close(d.done)
-		d.mu.Unlock()
-		d.cancel()
-		return
-	}
-	select {
-	case <-d.stop:
-		d.mu.Unlock()
-		<-d.done
-		d.joinWorkers()
-		return
-	default:
-	}
-	close(d.stop)
-	d.mu.Unlock()
+	d.closed.Do(func() {
+		// A never-started dispatcher has no coordinator to close done,
+		// and must not start one later.
+		d.started.Do(func() { close(d.done) })
+		close(d.stop)
+	})
 	<-d.done
 	d.joinWorkers()
 }
@@ -252,10 +219,10 @@ func (d *Dispatcher) Flush(ctx context.Context) error {
 	tick := time.NewTicker(2 * time.Millisecond)
 	defer tick.Stop()
 	for {
-		d.mu.Lock()
-		idle := d.inFlight == 0
-		d.mu.Unlock()
-		if idle && d.q.Len() == 0 {
+		d.q.mu.Lock()
+		idle := d.q.inFlight == 0 && len(d.q.bySeq) == 0
+		d.q.mu.Unlock()
+		if idle {
 			return nil
 		}
 		select {
@@ -266,69 +233,41 @@ func (d *Dispatcher) Flush(ctx context.Context) error {
 	}
 }
 
-// LaneStats snapshots every lane the dispatcher knows about — lanes with
-// pending entries plus lanes that delivered or failed since Start. The
-// per-lane depths come from ONE queue snapshot (a single lock
-// acquisition), so they are mutually consistent and sum to the queue's
-// total at that instant — polling them under load used to read each
-// lane's depth separately, racing the workers' acks in between, and
-// could report totals no single moment ever held.
 // Backlog reports the delivery backlog as two cheap scalars: total
 // pending entries across all lanes and the deepest single lane. It is
 // the admission gate's signal accessor — called on the ingress hot path
 // at snapshot cadence, so it skips LaneStats' per-lane time math and
-// sorted assembly.
+// assembly.
 func (d *Dispatcher) Backlog() (pending, maxLane int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, n := range d.q.LaneLens() {
-		pending += n
-		if n > maxLane {
-			maxLane = n
-		}
+	d.q.mu.Lock()
+	defer d.q.mu.Unlock()
+	for _, name := range d.q.active {
+		maxLane = max(maxLane, len(d.q.lanes[name].seqs))
 	}
-	return pending, maxLane
+	return len(d.q.bySeq), maxLane
 }
 
+// LaneStats snapshots every lane in the queue's table, sorted — lanes
+// with pending entries and lanes that delivered or failed before — in
+// one critical section, the one an ack counts and removes its entry in:
+// the depths sum to the queue's total at that instant, and an entry is
+// Pending or Delivered, never both and never neither.
 func (d *Dispatcher) LaneStats() []LaneStat {
 	now := time.Now()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	// The depth snapshot is taken while holding d.mu (the same
-	// mu-then-queue order loop uses): delivered counters bump under
-	// d.mu just before each ack, so reading depths outside the lock
-	// let workers ack entries between the two reads — entries then
-	// counted as both Pending and Delivered in one snapshot.
-	depths := d.q.LaneLens()
-	seen := make(map[string]bool, len(depths)+len(d.lanes))
-	names := make([]string, 0, len(depths)+len(d.lanes))
-	for lane := range depths {
-		if !seen[lane] {
-			seen[lane] = true
-			names = append(names, lane)
+	d.q.mu.Lock()
+	out := make([]LaneStat, 0, len(d.q.lanes))
+	for _, l := range d.q.lanes {
+		stat := LaneStat{
+			Lane: l.name, Pending: len(l.seqs), InFlight: l.busy,
+			Backoff: l.backoff, Delivered: l.delivered, Failures: l.failures,
 		}
-	}
-	for lane := range d.lanes {
-		if !seen[lane] {
-			seen[lane] = true
-			names = append(names, lane)
-		}
-	}
-	sort.Strings(names)
-	out := make([]LaneStat, 0, len(names))
-	for _, lane := range names {
-		stat := LaneStat{Lane: lane, Pending: depths[lane]}
-		if st := d.lanes[lane]; st != nil {
-			stat.InFlight = st.busy
-			stat.Backoff = st.backoff
-			stat.Delivered = st.delivered
-			stat.Failures = st.failures
-			if wait := st.notBefore.Sub(now); wait > 0 {
-				stat.NextRetry = wait
-			}
+		if wait := l.notBefore.Sub(now); wait > 0 {
+			stat.NextRetry = wait
 		}
 		out = append(out, stat)
 	}
+	d.q.mu.Unlock()
+	slices.SortFunc(out, func(a, b LaneStat) int { return strings.Compare(a.Lane, b.Lane) })
 	return out
 }
 
@@ -341,35 +280,37 @@ func (d *Dispatcher) loop() {
 	if !timer.Stop() {
 		<-timer.C
 	}
+	var ready []string // lanes handed out in one pass
 	for {
 		now := time.Now()
 		var nextGate time.Time
-		d.mu.Lock()
-		for _, lane := range d.q.Lanes() {
-			if d.inFlight >= d.workers {
+		ready = ready[:0]
+		d.q.mu.Lock()
+		for _, name := range d.q.active {
+			if d.q.inFlight >= d.workers {
 				break
 			}
-			st := d.lanes[lane]
-			if st == nil {
-				st = &laneState{}
-				d.lanes[lane] = st
-			}
-			if st.busy {
+			l := d.q.lanes[name]
+			if l.busy {
 				continue
 			}
-			if now.Before(st.notBefore) {
-				if nextGate.IsZero() || st.notBefore.Before(nextGate) {
-					nextGate = st.notBefore
+			if now.Before(l.notBefore) {
+				if nextGate.IsZero() || l.notBefore.Before(nextGate) {
+					nextGate = l.notBefore
 				}
 				continue
 			}
-			st.busy = true
-			d.inFlight++
-			// Never blocks: jobs is buffered to the worker count and
-			// inFlight < workers guarantees a free slot.
-			d.jobs <- lane
+			l.busy = true
+			d.q.inFlight++
+			ready = append(ready, name)
 		}
-		d.mu.Unlock()
+		d.q.mu.Unlock()
+		// Sent after the unlock, so a worker woken by its job does not
+		// find the queue mutex still held. Never blocks: jobs is buffered
+		// to the worker count and inFlight ≤ workers guarantees a slot.
+		for _, name := range ready {
+			d.jobs <- name
+		}
 
 		var timerC <-chan time.Time
 		if !nextGate.IsZero() {
@@ -396,29 +337,23 @@ func (d *Dispatcher) loop() {
 
 // settle applies a worker's report to the lane's retry state.
 func (d *Dispatcher) settle(res laneResult) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	st := d.lanes[res.lane]
-	if st == nil {
-		return
-	}
-	st.busy = false
-	d.inFlight--
+	d.q.mu.Lock()
+	defer d.q.mu.Unlock()
+	l := d.q.lanes[res.lane]
+	l.busy = false
+	d.q.inFlight--
 	if !res.failed {
-		st.backoff = 0
-		st.notBefore = time.Time{}
+		l.backoff = 0
+		l.notBefore = time.Time{}
 		return
 	}
-	st.failures++
-	if st.backoff <= 0 {
-		st.backoff = d.base
+	l.failures++
+	if l.backoff <= 0 {
+		l.backoff = d.base
 	} else {
-		st.backoff *= 2
-		if st.backoff > d.max {
-			st.backoff = d.max
-		}
+		l.backoff = min(2*l.backoff, d.max)
 	}
-	st.notBefore = time.Now().Add(jitter(st.backoff))
+	l.notBefore = time.Now().Add(jitter(l.backoff))
 }
 
 // jitter spreads a retry delay over [backoff/2, backoff]. The doubling
@@ -465,40 +400,32 @@ func (d *Dispatcher) drainLane(lane string) laneResult {
 			return res
 		default:
 		}
-		seq, payload, err := d.q.NextIn(lane)
-		if errors.Is(err, ErrEmpty) {
-			return res
-		}
-		if err != nil {
-			// Queue-level read failure with entries still indexed; back
-			// off rather than spin.
-			res.failed = true
+		e := d.q.head(lane)
+		if e == nil {
 			return res
 		}
 		// Derive the attempt from the dispatcher's lifetime, not
 		// context.Background(): Close cancels d.ctx, so shutdown aborts a
 		// hung attempt instead of waiting out attemptTimeout.
 		ctx, cancel := context.WithTimeout(d.ctx, d.attemptTimeout)
-		deliverErr := d.deliver(ctx, seq, payload)
+		err := d.deliver(ctx, e)
 		cancel()
 		var perm *PermanentError
 		switch {
-		case deliverErr == nil:
-			// Count the delivery BEFORE the ack removes the entry, under
-			// d.mu, so a concurrent LaneStats never sees an entry vanish
-			// from Pending without having appeared in Delivered (settle
-			// reporting at lane release left a whole drain pass torn).
-			d.mu.Lock()
-			if st := d.lanes[lane]; st != nil {
-				st.delivered++
+		case err == nil:
+			if err := d.q.Ack(e.Seq); err != nil {
+				// The entry left the lane but not the store. A directory
+				// entry that could not be removed is redelivered after a
+				// restart, the receiver refuses it as a stale duplicate,
+				// and it ends up a .bad file Open warns about: this line
+				// is the explanation.
+				log.Printf("outbox: lane %q entry %d delivered but not consumed: %v", lane, e.Seq, err)
 			}
-			d.mu.Unlock()
-			d.q.Ack(seq)
-		case errors.As(deliverErr, &perm):
+		case errors.As(err, &perm):
 			// Quarantining loses the entry from the delivery path; that
 			// must never be silent.
-			log.Printf("outbox: entry %d quarantined: %v", seq, deliverErr)
-			d.q.Quarantine(seq, deliverErr)
+			log.Printf("outbox: entry %d quarantined: %v", e.Seq, err)
+			d.q.Quarantine(e.Seq, err)
 		default:
 			res.failed = true
 			return res

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -40,36 +42,120 @@ func TestDeliveryLaneOf(t *testing.T) {
 	}
 }
 
-// TestDeliveryLaneQueueOrderAndRebuild drives the disk queue's lane
-// partitioning: per-lane FIFO order, lane bookkeeping across Ack, and the
-// lane index surviving a reopen (it is rebuilt from the envelope headers,
-// not persisted separately).
+// depths reads every lane's pending count out of the queue's lane table
+// in one critical section; drained lanes are left out.
+func depths(q *Queue) map[string]int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	out := make(map[string]int)
+	for name, l := range q.lanes {
+		if len(l.seqs) > 0 {
+			out[name] = len(l.seqs)
+		}
+	}
+	return out
+}
+
+// checkActive asserts the lanes holding entries, in the order the
+// dispatcher hands them out: sorted by name.
+func checkActive(t *testing.T, q *Queue, want ...string) {
+	t.Helper()
+	q.mu.Lock()
+	got := slices.Clone(q.active)
+	q.mu.Unlock()
+	if !slices.Equal(got, want) {
+		t.Fatalf("active lanes = %q, want %q", got, want)
+	}
+}
+
+// TestDeliveryLaneQueueOrderAndRebuild drives the queue's lane
+// partitioning over both stores: per-lane FIFO order and lane bookkeeping
+// across Ack and Quarantine; then, for the directory store, the lane
+// table surviving a reopen (it is rebuilt from the envelope headers, not
+// persisted separately).
 func TestDeliveryLaneQueueOrderAndRebuild(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ob")
-	q, err := Open(dir, nil, nil)
+	disk, err := Open(dir, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Interleave three lanes: "" (downstream), peer-a, peer-b.
-	lanesIn := []string{"", "peer-a", "", "peer-b", "peer-a", ""}
+	var seqs []uint64
+	for _, tc := range []struct {
+		store string
+		q     *Queue
+	}{{"map", NewMemory()}, {"directory", disk}} {
+		t.Run(tc.store, func(t *testing.T) { seqs = checkLaneOrder(t, tc.q) })
+	}
+	if t.Failed() {
+		return
+	}
+
+	// Reopen: the lane table is rebuilt from disk. peer-a is gone (both
+	// entries acked), peer-c's entry is a counted .bad file; the other
+	// lanes carry over in order.
+	q2, err := Open(dir, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkActive(t, q2, "", "peer-b")
+	if n := depths(q2)["peer-a"]; n != 0 {
+		t.Fatalf("reopened LaneLen(peer-a) = %d, want 0", n)
+	}
+	if n := depths(q2)[""]; n != 3 {
+		t.Fatalf("reopened LaneLen(\"\") = %d, want 3", n)
+	}
+	if n := q2.Quarantined(); n != 1 {
+		t.Fatalf("reopened Quarantined() = %d, want the 1 .bad file", n)
+	}
+	if seq, _, err := q2.NextIn("peer-b"); err != nil || seq != seqs[6] {
+		t.Fatalf("reopened peer-b head = seq %d err %v, want %d", seq, err, seqs[6])
+	}
+	var drained []uint64
+	for {
+		seq, _, err := q2.NextIn("")
+		if errors.Is(err, ErrEmpty) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		drained = append(drained, seq)
+		if err := q2.Ack(seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []uint64{seqs[0], seqs[2], seqs[5]}
+	if len(drained) != len(want) {
+		t.Fatalf("downstream drain = %v, want %v", drained, want)
+	}
+	for i := range want {
+		if drained[i] != want[i] {
+			t.Fatalf("downstream drain = %v, want %v", drained, want)
+		}
+	}
+}
+
+// checkLaneOrder is the store-independent half of
+// TestDeliveryLaneQueueOrderAndRebuild: it interleaves four lanes, acks
+// peer-a's two entries and quarantines peer-c's one, and returns the
+// sequence numbers Put assigned.
+func checkLaneOrder(t *testing.T, q *Queue) []uint64 {
+	t.Helper()
+	// Interleave four lanes: "" (downstream), peer-a, peer-b, peer-c.
+	// peer-c is first seen before peer-b: the active list is sorted by
+	// name, not by arrival.
+	lanesIn := []string{"", "peer-a", "", "peer-c", "peer-a", "", "peer-b"}
 	seqs := make([]uint64, len(lanesIn))
 	for i, lane := range lanesIn {
+		var err error
 		if seqs[i], err = q.Put(testEnvelopeDest(uint64(i), lane, fmt.Sprintf("u%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	wantLanes := []string{"", "peer-a", "peer-b"}
-	gotLanes := q.Lanes()
-	if len(gotLanes) != len(wantLanes) {
-		t.Fatalf("Lanes() = %v, want %v", gotLanes, wantLanes)
-	}
-	for i := range wantLanes {
-		if gotLanes[i] != wantLanes[i] {
-			t.Fatalf("Lanes() = %v, want %v", gotLanes, wantLanes)
-		}
-	}
-	if n := q.LaneLens()["peer-a"]; n != 2 {
-		t.Fatalf("LaneLen(peer-a) = %d, want 2", n)
+	checkActive(t, q, "", "peer-a", "peer-b", "peer-c")
+	wantDepths := map[string]int{"": 3, "peer-a": 2, "peer-b": 1, "peer-c": 1}
+	if got := depths(q); !maps.Equal(got, wantDepths) {
+		t.Fatalf("lane depths = %v, want %v", got, wantDepths)
 	}
 	// NextIn must return peer-a's entries in Put order without consuming
 	// the other lanes' heads.
@@ -104,45 +190,32 @@ func TestDeliveryLaneQueueOrderAndRebuild(t *testing.T) {
 	if _, _, err := q.NextIn("peer-a"); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("drained lane error = %v, want ErrEmpty", err)
 	}
-
-	// Reopen: the lane index is rebuilt from disk. peer-a is gone (both
-	// entries acked); the other lanes carry over in order.
-	q2, err := Open(dir, nil, nil)
-	if err != nil {
+	// A quarantined head leaves its lane (and no other) and is counted.
+	if seq, _, err = q.NextIn("peer-c"); err != nil || seq != seqs[3] {
+		t.Fatalf("peer-c head = seq %d err %v, want %d", seq, err, seqs[3])
+	}
+	if err := q.Quarantine(seq, errors.New("rejected")); err != nil {
 		t.Fatal(err)
 	}
-	if n := q2.LaneLens()["peer-a"]; n != 0 {
-		t.Fatalf("reopened LaneLen(peer-a) = %d, want 0", n)
+	if _, _, err := q.NextIn("peer-c"); !errors.Is(err, ErrEmpty) {
+		t.Fatalf("quarantined lane error = %v, want ErrEmpty", err)
 	}
-	if n := q2.LaneLens()[""]; n != 3 {
-		t.Fatalf("reopened LaneLen(\"\") = %d, want 3", n)
+	wantDepths = map[string]int{"": 3, "peer-b": 1}
+	if got := depths(q); !maps.Equal(got, wantDepths) || q.Len() != 4 || q.Quarantined() != 1 {
+		t.Fatalf("after ack and quarantine: depths %v, len %d, quarantined %d; want %v, 4, 1", got, q.Len(), q.Quarantined(), wantDepths)
 	}
-	if seq, _, err := q2.NextIn("peer-b"); err != nil || seq != seqs[3] {
-		t.Fatalf("reopened peer-b head = seq %d err %v, want %d", seq, err, seqs[3])
+	checkActive(t, q, "", "peer-b")
+	// LaneStats still lists the drained lanes, sorted, with their counts.
+	d := NewDispatcher(q, nil, Options{})
+	defer d.Close()
+	var stats []string
+	for _, ls := range d.LaneStats() {
+		stats = append(stats, fmt.Sprintf("%q:%d/%d", ls.Lane, ls.Pending, ls.Delivered))
 	}
-	var drained []uint64
-	for {
-		seq, _, err := q2.NextIn("")
-		if errors.Is(err, ErrEmpty) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		drained = append(drained, seq)
-		if err := q2.Ack(seq); err != nil {
-			t.Fatal(err)
-		}
+	if want := []string{`"":3/0`, `"peer-a":0/2`, `"peer-b":1/0`, `"peer-c":0/0`}; !slices.Equal(stats, want) {
+		t.Fatalf("LaneStats = %v, want %v", stats, want)
 	}
-	want := []uint64{seqs[0], seqs[2], seqs[5]}
-	if len(drained) != len(want) {
-		t.Fatalf("downstream drain = %v, want %v", drained, want)
-	}
-	for i := range want {
-		if drained[i] != want[i] {
-			t.Fatalf("downstream drain = %v, want %v", drained, want)
-		}
-	}
+	return seqs
 }
 
 // TestDeliveryDispatcherLaneIsolation is the package-level half of the
@@ -156,7 +229,8 @@ func TestDeliveryDispatcherLaneIsolation(t *testing.T) {
 		dead      = true
 		delivered = map[string][]uint64{}
 	)
-	d := NewDispatcher(q, func(ctx context.Context, seq uint64, payload []byte) error {
+	d := NewDispatcher(q, func(ctx context.Context, e *Entry) error {
+		seq, payload := e.Seq, e.Payload
 		env, err := ParseEnvelope(payload)
 		if err != nil {
 			return Permanent(err)
@@ -198,7 +272,7 @@ func TestDeliveryDispatcherLaneIsolation(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if n := q.LaneLens()["dead-peer"]; n != 3 {
+	if n := depths(q)["dead-peer"]; n != 3 {
 		t.Fatalf("dead lane holds %d entries, want 3", n)
 	}
 	// The coordinator records a failure in settle, after the worker's
@@ -247,7 +321,7 @@ func TestDeliveryDispatcherLaneIsolation(t *testing.T) {
 func TestDeliveryDispatcherWorkerCap(t *testing.T) {
 	q := NewMemory()
 	var inFlight, peak, total atomic.Int64
-	d := NewDispatcher(q, func(ctx context.Context, seq uint64, payload []byte) error {
+	d := NewDispatcher(q, func(ctx context.Context, e *Entry) error {
 		n := inFlight.Add(1)
 		defer inFlight.Add(-1)
 		for {
@@ -304,22 +378,22 @@ func TestDeliveryDispatcherBackoffJitter(t *testing.T) {
 	}
 }
 
-// TestDeliveryDispatcherTimeoutClamp pins the -delivery-timeout contract:
-// the per-attempt ceiling is configurable but never shorter than the
-// retry backoff ceiling, and zero means the default.
+// TestDeliveryDispatcherTimeoutClamp pins the attempt bound: the
+// default, raised to the retry backoff ceiling when that is longer — a
+// retry is never pre-empted faster than the dispatcher would retry it.
 func TestDeliveryDispatcherTimeoutClamp(t *testing.T) {
-	nop := func(ctx context.Context, seq uint64, payload []byte) error { return nil }
-	d := NewDispatcher(NewMemory(), nop, Options{RetryMax: 10 * time.Second, AttemptTimeout: time.Second})
-	if d.attemptTimeout != 10*time.Second {
-		t.Fatalf("attempt timeout %v not clamped to the %v backoff ceiling", d.attemptTimeout, 10*time.Second)
+	nop := func(ctx context.Context, e *Entry) error { return nil }
+	d := NewDispatcher(NewMemory(), nop, Options{RetryMax: 90 * time.Second})
+	if d.attemptTimeout != 90*time.Second {
+		t.Fatalf("attempt timeout %v not clamped to the %v backoff ceiling", d.attemptTimeout, 90*time.Second)
 	}
 	d = NewDispatcher(NewMemory(), nop, Options{})
 	if d.attemptTimeout != DefaultAttemptTimeout {
 		t.Fatalf("default attempt timeout = %v, want %v", d.attemptTimeout, DefaultAttemptTimeout)
 	}
-	d = NewDispatcher(NewMemory(), nop, Options{RetryMax: time.Second, AttemptTimeout: 90 * time.Second})
-	if d.attemptTimeout != 90*time.Second {
-		t.Fatalf("explicit attempt timeout %v not honoured", d.attemptTimeout)
+	d = NewDispatcher(NewMemory(), nop, Options{RetryMax: time.Second})
+	if d.attemptTimeout != DefaultAttemptTimeout {
+		t.Fatalf("attempt timeout under a %v backoff ceiling = %v, want the default %v", time.Second, d.attemptTimeout, DefaultAttemptTimeout)
 	}
 	d.Close()
 }

@@ -8,6 +8,16 @@
 // attempted, and a background dispatcher (dispatcher.go) retries delivery
 // with bounded backoff until the downstream acknowledges it.
 //
+// There is one queue type (queue.go) over two stores: a directory (Open)
+// and a map (NewMemory, for a tier without an outbox directory — still
+// asynchronous and retried, not crash-durable). The queue writes Put,
+// NextIn, Ack and Quarantine once; a store only keeps bytes by sequence
+// number. The queue's lane table is also the dispatcher's book: a lane's
+// pending entries, its opened head entry (which carries the deliverer's
+// memo until the entry is acked or quarantined) and its retry state sit
+// in one record under the queue's one mutex, so the dispatcher keeps
+// only its goroutines, channels and lifetime.
+//
 // Like internal/core, the package is crypto-free: entries pass through
 // caller-supplied Seal/Open funcs so the proxy can encrypt them under an
 // enclave-derived key (enclave.SealLabeled) and nothing mixed ever rests
@@ -23,73 +33,9 @@
 package outbox
 
 import (
-	"crypto/rand"
 	"encoding/binary"
-	"encoding/hex"
-	"errors"
 	"fmt"
-	"log"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-	"sync"
 )
-
-// SealFunc encrypts an entry before it touches disk (e.g. under an
-// enclave-derived key). Nil stores entries in plaintext.
-type SealFunc func(plain []byte) ([]byte, error)
-
-// OpenFunc reverses SealFunc.
-type OpenFunc func(sealed []byte) ([]byte, error)
-
-// ErrEmpty is returned by NextIn when the lane holds no deliverable entry.
-var ErrEmpty = errors.New("outbox: empty")
-
-// Queue is the delivery queue contract shared by the durable on-disk
-// outbox and the in-memory variant: per-destination-ordered Put/NextIn/Ack
-// with quarantine for undeliverable entries and a stable sender identity
-// for receiver-side redelivery detection. An entry is delivered whole —
-// one batch — or not at all; there is no partial-delivery state.
-//
-// Entries are partitioned into lanes keyed by the envelope destination
-// (LaneOf), so a dead peer's backlog never blocks deliveries bound for
-// the cascade hop, the aggregation server, or a healthy peer. Ordering
-// is guaranteed per lane, not across lanes.
-type Queue interface {
-	// Put commits one entry and returns its sequence number. For the disk
-	// queue the entry is durable (sealed, atomically renamed into place)
-	// before Put returns. The entry joins the lane named by its envelope
-	// destination (LaneOf of the plaintext payload).
-	Put(payload []byte) (uint64, error)
-	// NextIn returns the oldest entry of one lane, opened. Corrupt or
-	// unopenable entries are quarantined and skipped so one bad entry
-	// cannot wedge the lane. ErrEmpty when the lane is drained.
-	NextIn(lane string) (uint64, []byte, error)
-	// Lanes lists the lanes that currently hold pending entries, sorted.
-	Lanes() []string
-	// LaneLens counts every lane's pending entries in ONE consistent
-	// snapshot (a single lock acquisition), so the per-lane depths sum
-	// to the queue's total at that instant — per-lane reads would each
-	// race the dispatcher's acks.
-	LaneLens() map[string]int
-	// Ack consumes a delivered entry.
-	Ack(seq uint64) error
-	// Quarantine sets aside an entry the receiver permanently rejected.
-	Quarantine(seq uint64, reason error) error
-	// Len counts entries awaiting delivery.
-	Len() int
-	// Quarantined counts entries set aside since the queue was opened,
-	// including (for the disk queue) .bad files a previous process left
-	// behind — the operator surface for material that left the delivery
-	// path.
-	Quarantined() int
-	// SenderID is a stable identity for this queue (persisted alongside
-	// the disk queue, ephemeral for the in-memory one). Receivers use it
-	// with the entry sequence number to recognise stale redeliveries
-	// that have aged out of their dedup window.
-	SenderID() string
-}
 
 // Envelope is the payload of one outbox entry: one destination's share
 // of a drained round. Binary layout (little-endian), versioned so the
@@ -111,8 +57,9 @@ type Queue interface {
 //	  per update: len uint32, bytes (an encoded nn.ParamSet — opaque here)
 //
 // Ownership: an entry's bytes are IMMUTABLE from Put to Ack. The parsed
-// Updates and Batch alias the payload handed to ParseEnvelope, the
-// dispatcher memoises them across retries, and Loopback hands request
+// Updates and Batch alias the payload handed to ParseEnvelope, a
+// deliverer memoises them in the lane head's Entry.Memo across retries,
+// and Loopback hands request
 // bodies to the receiver without copying — so neither the sender nor a
 // receiver may decrypt, decode or otherwise write in place over them.
 type Envelope struct {
@@ -342,468 +289,4 @@ func LaneOf(payload []byte) string {
 		return ""
 	}
 	return string(dest)
-}
-
-// laneIndex is the pending-entry index both queues keep: each pending
-// seq's delivery lane, and every lane's pending seqs in ascending order.
-// Both are derived from the envelope headers. It has no lock of its own —
-// the queue embedding it guards it with the queue's mutex.
-type laneIndex struct {
-	laneOf map[uint64]string
-	lanes  map[string][]uint64
-}
-
-func newLaneIndex() laneIndex {
-	return laneIndex{laneOf: make(map[uint64]string), lanes: make(map[string][]uint64)}
-}
-
-// add files seq at the tail of lane (seqs are assigned ascending).
-func (x *laneIndex) add(seq uint64, lane string) {
-	x.laneOf[seq] = lane
-	x.lanes[lane] = append(x.lanes[lane], seq)
-}
-
-// drop forgets seq and reports the lane it was pending in.
-func (x *laneIndex) drop(seq uint64) (lane string, tracked bool) {
-	if lane, tracked = x.laneOf[seq]; !tracked {
-		return "", false
-	}
-	delete(x.laneOf, seq)
-	for i, s := range x.lanes[lane] {
-		if s == seq {
-			x.lanes[lane] = append(x.lanes[lane][:i], x.lanes[lane][i+1:]...)
-			break
-		}
-	}
-	if len(x.lanes[lane]) == 0 {
-		delete(x.lanes, lane)
-	}
-	return lane, true
-}
-
-// head returns the oldest pending seq of lane.
-func (x *laneIndex) head(lane string) (seq uint64, ok bool) {
-	if len(x.lanes[lane]) == 0 {
-		return 0, false
-	}
-	return x.lanes[lane][0], true
-}
-
-// names lists the lanes holding pending entries, sorted.
-func (x *laneIndex) names() []string {
-	out := make([]string, 0, len(x.lanes))
-	for lane := range x.lanes {
-		out = append(out, lane)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// lens counts every lane's pending entries.
-func (x *laneIndex) lens() map[string]int {
-	out := make(map[string]int, len(x.lanes))
-	for lane, seqs := range x.lanes {
-		out[lane] = len(seqs)
-	}
-	return out
-}
-
-// len counts the pending entries of all lanes.
-func (x *laneIndex) len() int { return len(x.laneOf) }
-
-// Disk is the durable on-disk queue.
-type Disk struct {
-	dir    string
-	seal   SealFunc
-	open   OpenFunc
-	sender string
-
-	mu   sync.Mutex
-	next uint64 // next sequence number to assign
-	// The lane index is recorded at Put and rebuilt at Open.
-	laneIndex
-	// heads caches the opened payload at the head of each lane between
-	// retry attempts (entries are immutable once written), so a long
-	// outage does not re-read and re-decrypt the same round every backoff
-	// tick.
-	heads map[string]headCache
-	// quarantined counts entries set aside: .bad files found at Open
-	// plus quarantines since.
-	quarantined int
-}
-
-// headCache is one lane's memoised head entry.
-type headCache struct {
-	seq     uint64
-	payload []byte
-}
-
-const (
-	entrySuffix      = ".ent"
-	quarantineSuffix = ".bad"
-	senderFile       = "sender.id"
-	// seqFile persists the next sequence number. The sender identity is
-	// durable, and receivers key their stale-redelivery watermark on
-	// (sender, seq) — so a sequence number must NEVER be reused, even
-	// after a restart over a fully-drained (or quarantined-at-head)
-	// directory where no .ent file remains to witness the high mark.
-	seqFile = "seq.next"
-)
-
-func entryName(seq uint64) string { return fmt.Sprintf("ob-%016x%s", seq, entrySuffix) }
-
-// Open opens (creating if needed) an outbox directory and indexes the
-// entries a previous process left behind — that carry-over is what makes
-// round delivery survive a crash. Quarantined (.bad) leftovers are
-// counted and reported loudly: they are rounds that left the delivery
-// path and need an operator.
-//
-// A directory holding a per-update progress marker (.prog, written by a
-// release that still forwarded update by update) is refused: its entry
-// was partly delivered, and this release sends entries whole, which would
-// count the confirmed updates twice.
-func Open(dir string, seal SealFunc, open OpenFunc) (*Disk, error) {
-	if err := os.MkdirAll(dir, 0o700); err != nil {
-		return nil, fmt.Errorf("outbox: create dir: %w", err)
-	}
-	names, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("outbox: scan dir: %w", err)
-	}
-	d := &Disk{
-		dir: dir, seal: seal, open: open,
-		laneIndex: newLaneIndex(),
-		heads:     make(map[string]headCache),
-	}
-	var seqs []uint64 // carried-over entries
-	for _, de := range names {
-		name := de.Name()
-		if strings.HasSuffix(name, quarantineSuffix) {
-			d.quarantined++
-			// A quarantined entry's sequence number is still consumed:
-			// the receiver may have recorded it in its watermark.
-			var seq uint64
-			if _, err := fmt.Sscanf(name, "ob-%016x", &seq); err == nil && seq >= d.next {
-				d.next = seq + 1
-			}
-			continue
-		}
-		if strings.HasSuffix(name, ".prog") {
-			return nil, fmt.Errorf("outbox: %s holds the per-update delivery marker %s: its entry was partly delivered update by update, and delivering it whole would count the confirmed updates twice; finish it with the release that wrote it", dir, name)
-		}
-		var seq uint64
-		// Sscanf ignores trailing input, so require an exact round-trip of
-		// the name — otherwise ob-N.ent.bad / ob-N.ent.tmp leftovers would
-		// be indexed as phantom entries.
-		if _, err := fmt.Sscanf(name, "ob-%016x"+entrySuffix, &seq); err != nil || name != entryName(seq) {
-			continue // tmp files, foreign files
-		}
-		seqs = append(seqs, seq)
-		if seq >= d.next {
-			d.next = seq + 1
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	// The persisted counter wins over anything derived from surviving
-	// files: acknowledged entries leave no .ent witness, but their
-	// sequence numbers are burned at the receivers.
-	if raw, err := os.ReadFile(filepath.Join(dir, seqFile)); err == nil {
-		var next uint64
-		if _, err := fmt.Sscanf(strings.TrimSpace(string(raw)), "%d", &next); err == nil && next > d.next {
-			d.next = next
-		}
-	}
-	// Rebuild the lane index: each carried-over entry is opened once to
-	// read its envelope destination. Entries that fail to read or unseal
-	// here would fail identically at delivery time, so they are
-	// quarantined now instead of wedging a lane later; the opened payloads
-	// are NOT retained (a restart after a long outage could hold many
-	// rounds) — only the lane label is.
-	for _, seq := range seqs {
-		raw, rerr := os.ReadFile(filepath.Join(dir, entryName(seq)))
-		if rerr == nil && d.open != nil {
-			raw, rerr = d.open(raw)
-		}
-		if rerr != nil {
-			d.quarantineLocked(seq)
-			continue
-		}
-		d.add(seq, LaneOf(raw))
-	}
-	if d.sender, err = loadSenderID(dir); err != nil {
-		return nil, err
-	}
-	if d.quarantined > 0 {
-		log.Printf("outbox: WARNING: %d quarantined entries (%s files) in %s — rounds that left the delivery path; inspect and re-inject or discard", d.quarantined, quarantineSuffix, dir)
-	}
-	return d, nil
-}
-
-// loadSenderID reads (or mints) the queue's stable sender identity.
-func loadSenderID(dir string) (string, error) {
-	path := filepath.Join(dir, senderFile)
-	raw, err := os.ReadFile(path)
-	if err == nil && len(raw) >= 8 {
-		return strings.TrimSpace(string(raw)), nil
-	}
-	id, err := mintSenderID()
-	if err != nil {
-		return "", err
-	}
-	if err := os.WriteFile(path, []byte(id), 0o600); err != nil {
-		return "", fmt.Errorf("outbox: persist sender id: %w", err)
-	}
-	return id, nil
-}
-
-// mintSenderID draws a fresh random sender identity.
-func mintSenderID() (string, error) {
-	var b [12]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "", fmt.Errorf("outbox: draw sender id: %w", err)
-	}
-	return hex.EncodeToString(b[:]), nil
-}
-
-// Dir returns the outbox directory.
-func (d *Disk) Dir() string { return d.dir }
-
-// Put seals the payload and commits it via tmp-file + rename, so a crash
-// or full disk mid-write cannot leave a truncated entry where a good one
-// should be.
-func (d *Disk) Put(payload []byte) (uint64, error) {
-	// The lane is read from the plaintext header, before sealing hides it.
-	lane := LaneOf(payload)
-	if d.seal != nil {
-		var err error
-		if payload, err = d.seal(payload); err != nil {
-			return 0, fmt.Errorf("outbox: seal entry: %w", err)
-		}
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	seq := d.next
-	// Burn the sequence number durably BEFORE the entry exists: once the
-	// entry is (ever) sent, the receiver's watermark remembers (sender,
-	// seq), and a post-restart reuse would make fresh rounds look like
-	// stale redeliveries — quarantined unseen. Best-effort on purpose: a
-	// failed counter write must not fail the round commit, and Open also
-	// rebuilds the counter from every on-disk witness.
-	seqTmp := filepath.Join(d.dir, seqFile+".tmp")
-	if err := os.WriteFile(seqTmp, []byte(fmt.Sprintf("%d\n", seq+1)), 0o600); err == nil {
-		os.Rename(seqTmp, filepath.Join(d.dir, seqFile))
-	}
-	path := filepath.Join(d.dir, entryName(seq))
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, payload, 0o600); err != nil {
-		return 0, fmt.Errorf("outbox: write entry: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("outbox: commit entry: %w", err)
-	}
-	d.next = seq + 1
-	d.add(seq, lane)
-	return seq, nil
-}
-
-// NextIn returns the oldest entry of one lane, opened. Entries that fail
-// to read or unseal are quarantined and skipped, so the lane drains past
-// garbage a corrupted disk (or an adversarial host) left in the directory.
-func (d *Disk) NextIn(lane string) (uint64, []byte, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.nextInLocked(lane)
-}
-
-func (d *Disk) nextInLocked(lane string) (uint64, []byte, error) {
-	for {
-		seq, ok := d.head(lane)
-		if !ok {
-			return 0, nil, ErrEmpty
-		}
-		if h, ok := d.heads[lane]; ok && h.seq == seq {
-			return seq, h.payload, nil
-		}
-		raw, err := os.ReadFile(filepath.Join(d.dir, entryName(seq)))
-		if err == nil && d.open != nil {
-			raw, err = d.open(raw)
-		}
-		if err != nil {
-			d.quarantineLocked(seq)
-			continue
-		}
-		d.heads[lane] = headCache{seq: seq, payload: raw}
-		return seq, raw, nil
-	}
-}
-
-// Lanes lists the lanes that currently hold pending entries, sorted.
-func (d *Disk) Lanes() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.names()
-}
-
-// LaneLens snapshots every lane's depth under one lock acquisition.
-func (d *Disk) LaneLens() map[string]int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.lens()
-}
-
-// Ack consumes a delivered entry.
-func (d *Disk) Ack(seq uint64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.dropLocked(seq)
-	if err := os.Remove(filepath.Join(d.dir, entryName(seq))); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("outbox: ack entry %d: %w", seq, err)
-	}
-	return nil
-}
-
-// SenderID returns the queue's persisted sender identity.
-func (d *Disk) SenderID() string { return d.sender }
-
-// Quarantined counts entries set aside since (and found at) Open.
-func (d *Disk) Quarantined() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.quarantined
-}
-
-// Quarantine renames an entry the downstream permanently rejected to its
-// .bad name so delivery continues and the operator keeps the evidence.
-func (d *Disk) Quarantine(seq uint64, reason error) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.quarantineLocked(seq)
-	return nil
-}
-
-func (d *Disk) quarantineLocked(seq uint64) {
-	d.dropLocked(seq)
-	d.quarantined++
-	path := filepath.Join(d.dir, entryName(seq))
-	if err := os.Rename(path, path+quarantineSuffix); err != nil && !errors.Is(err, os.ErrNotExist) {
-		// The entry could not even be set aside; remove it so the queue
-		// is not wedged forever.
-		os.Remove(path)
-	}
-}
-
-func (d *Disk) dropLocked(seq uint64) {
-	if lane, tracked := d.drop(seq); tracked && d.heads[lane].seq == seq {
-		delete(d.heads, lane)
-	}
-}
-
-// Len counts entries awaiting delivery.
-func (d *Disk) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.len()
-}
-
-// Memory is the in-memory queue used when no outbox directory is
-// configured: delivery is still decoupled from ingress (and retried), but
-// entries do not survive the process.
-type Memory struct {
-	sender string
-
-	mu          sync.Mutex
-	entries     map[uint64][]byte
-	next        uint64
-	quarantined int
-	laneIndex
-}
-
-// NewMemory builds an empty in-memory queue.
-func NewMemory() *Memory {
-	id, err := mintSenderID()
-	if err != nil {
-		// The system randomness source is broken; an empty sender id only
-		// disables receiver-side aged-redelivery detection.
-		id = ""
-	}
-	return &Memory{entries: make(map[uint64][]byte), laneIndex: newLaneIndex(), sender: id}
-}
-
-// Put implements Queue.
-func (m *Memory) Put(payload []byte) (uint64, error) {
-	lane := LaneOf(payload)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	seq := m.next
-	m.next++
-	m.entries[seq] = payload
-	m.add(seq, lane)
-	return seq, nil
-}
-
-// NextIn implements Queue.
-func (m *Memory) NextIn(lane string) (uint64, []byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	seq, ok := m.head(lane)
-	if !ok {
-		return 0, nil, ErrEmpty
-	}
-	return seq, m.entries[seq], nil
-}
-
-// Lanes implements Queue.
-func (m *Memory) Lanes() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.names()
-}
-
-// LaneLens implements Queue: every lane's depth under one lock
-// acquisition.
-func (m *Memory) LaneLens() map[string]int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lens()
-}
-
-// Ack implements Queue.
-func (m *Memory) Ack(seq uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.dropLocked(seq)
-	return nil
-}
-
-// Quarantine implements Queue (dropping the entry — there is no disk to
-// keep evidence on — but still counting it for the operator surface).
-func (m *Memory) Quarantine(seq uint64, reason error) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.dropLocked(seq)
-	m.quarantined++
-	return nil
-}
-
-// Quarantined implements Queue.
-func (m *Memory) Quarantined() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.quarantined
-}
-
-// SenderID implements Queue.
-func (m *Memory) SenderID() string { return m.sender }
-
-func (m *Memory) dropLocked(seq uint64) {
-	delete(m.entries, seq)
-	m.drop(seq)
-}
-
-// Len implements Queue.
-func (m *Memory) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.entries)
 }

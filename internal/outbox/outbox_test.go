@@ -248,7 +248,8 @@ func TestDeliveryDispatcherDrainRetryQuarantine(t *testing.T) {
 		delivered []uint64
 		fails     = map[uint64]int{1: 2} // entry 1 fails twice, then succeeds
 	)
-	d := NewDispatcher(q, func(ctx context.Context, seq uint64, payload []byte) error {
+	d := NewDispatcher(q, func(ctx context.Context, e *Entry) error {
+		seq, payload := e.Seq, e.Payload
 		mu.Lock()
 		defer mu.Unlock()
 		if bytes.Contains(payload, []byte("poison")) {
@@ -295,7 +296,7 @@ func TestDeliveryDispatcherDrainRetryQuarantine(t *testing.T) {
 func TestDeliveryDispatcherCloseStopsRetrying(t *testing.T) {
 	q := NewMemory()
 	attempts := make(chan struct{}, 64)
-	d := NewDispatcher(q, func(ctx context.Context, seq uint64, payload []byte) error {
+	d := NewDispatcher(q, func(ctx context.Context, e *Entry) error {
 		attempts <- struct{}{}
 		return errors.New("always down")
 	}, Options{RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond})
@@ -378,7 +379,7 @@ func TestOpenRefusesProgressSidecar(t *testing.T) {
 }
 
 // TestDeliveryQuarantinedCounting: counts accumulate from leftovers and
-// live quarantines, on both queue variants.
+// live quarantines, over both stores.
 func TestDeliveryQuarantinedCounting(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "ob-00000000000000aa.ent.bad"), []byte("junk"), 0o600); err != nil {

@@ -13,8 +13,9 @@ import (
 // dispatcher's lifetime, so Close aborts a hung attempt instead of
 // waiting out the full attempt timeout. Before the fix the attempt
 // context came from context.Background() — with a dead peer and a
-// large -delivery-timeout, mixnn-proxy shutdown stalled for the whole
-// AttemptTimeout (an hour here; the test would time out).
+// long attempt bound, mixnn-proxy shutdown stalled for the whole
+// attempt timeout (an hour here, clamped up to RetryMax; the test would
+// time out).
 func TestDispatcherCloseCancelsInflightAttempt(t *testing.T) {
 	q := NewMemory()
 	if _, err := q.Put(testEnvelopeDest(0, "http://peer-dead", "u")); err != nil {
@@ -22,13 +23,13 @@ func TestDispatcherCloseCancelsInflightAttempt(t *testing.T) {
 	}
 	var once sync.Once
 	started := make(chan struct{})
-	d := NewDispatcher(q, func(ctx context.Context, seq uint64, payload []byte) error {
+	d := NewDispatcher(q, func(ctx context.Context, e *Entry) error {
 		once.Do(func() { close(started) })
 		// A dead peer that blackholes the connection: the attempt only
 		// ends when its context does.
 		<-ctx.Done()
 		return fmt.Errorf("attempt aborted: %w", ctx.Err())
-	}, Options{RetryBase: time.Millisecond, RetryMax: time.Hour, AttemptTimeout: time.Hour})
+	}, Options{RetryBase: time.Millisecond, RetryMax: time.Hour})
 	d.Start()
 	<-started
 
@@ -40,7 +41,7 @@ func TestDispatcherCloseCancelsInflightAttempt(t *testing.T) {
 	select {
 	case <-closed:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Close did not cancel the hung in-flight attempt (shutdown held hostage by AttemptTimeout)")
+		t.Fatal("Close did not cancel the hung in-flight attempt (shutdown held hostage by the attempt timeout)")
 	}
 	// The aborted entry was never acked: it stays queued for the next
 	// process rather than being lost.
@@ -50,11 +51,12 @@ func TestDispatcherCloseCancelsInflightAttempt(t *testing.T) {
 }
 
 // TestLaneStatsLiveAndConsistentMidDrain pins the status-consistency
-// fix: (a) per-lane Pending comes from ONE queue snapshot, and (b)
+// fix: (a) per-lane Pending comes from ONE lane-table snapshot, and (b)
 // Delivered counts each ack as it happens, not when the worker
 // releases the lane. With one worker draining one lane, every
 // LaneStats snapshot must account for all N entries: Pending+Delivered
-// is N (plus at most 1 for the entry inside the count/ack window).
+// is exactly N — an ack counts the entry and removes it under the one
+// queue mutex LaneStats reads under, so there is no window between.
 // Before the fix, Delivered stayed 0 for the whole drain pass while
 // Pending fell, so snapshots under-counted by the number of acked
 // entries — exactly what a load harness polling every round saw.
@@ -66,7 +68,7 @@ func TestLaneStatsLiveAndConsistentMidDrain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d := NewDispatcher(q, func(ctx context.Context, seq uint64, payload []byte) error {
+	d := NewDispatcher(q, func(ctx context.Context, e *Entry) error {
 		time.Sleep(200 * time.Microsecond) // stretch the drain so the poller samples mid-pass
 		return nil
 	}, Options{Workers: 1, RetryBase: time.Millisecond, RetryMax: 10 * time.Millisecond})
@@ -83,8 +85,8 @@ func TestLaneStatsLiveAndConsistentMidDrain(t *testing.T) {
 			delivered += ls.Delivered
 		}
 		total := uint64(pending) + delivered
-		if total < n || total > n+1 {
-			t.Fatalf("snapshot lost track of entries: pending=%d delivered=%d (want %d ≤ sum ≤ %d)", pending, delivered, n, n+1)
+		if total != n {
+			t.Fatalf("snapshot lost track of entries: pending=%d delivered=%d (want the sum %d)", pending, delivered, n)
 		}
 		if pending > 0 && delivered > 0 {
 			sawMidDrain = true // a live mid-drain snapshot: some acked, some queued

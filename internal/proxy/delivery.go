@@ -6,7 +6,9 @@
 // Lock rule: p.mu (the round lock) may be held while taking delivery.mu,
 // never the reverse — nothing in this file touches p.mu, so a delivery
 // worker never waits on ingress, packaging or a seal. delivery.mu is
-// never held across a transport call.
+// never held across a transport call. Each entry's retry memo is not
+// delivery's to guard: it rides the outbox lane head the entry waits in,
+// owned by the one worker that drains the lane.
 package proxy
 
 import (
@@ -35,7 +37,7 @@ type delivery struct {
 	// tr, box, disp and downstream are set once by newDelivery and only
 	// read afterwards, so the round side may use them without mu.
 	tr   transport.Transport
-	box  outbox.Queue
+	box  *outbox.Queue
 	disp *outbox.Dispatcher
 	// downstream is where entries without a Dest go: the cascade's next
 	// hop, or the aggregation server (nil key = plaintext).
@@ -49,26 +51,18 @@ type delivery struct {
 	// re-attestation — restored from a seal blob with its trust material
 	// only; target refuses it (its entries stall, never lost) until
 	// reattest or a registration pins a key.
-	remotes map[string]RemoteShard
-	// memos caches each in-flight entry's parsed envelope and request
-	// body between retry attempts — entries are immutable, and a long
-	// outage must not re-parse/re-encode a large round every backoff
-	// tick. Keyed by entry seq: delivery lanes run concurrently. The
-	// mutex guards only the map: an entry's memo is mutated exclusively
-	// by the one worker that owns the entry's lane.
-	memos     map[uint64]*deliverMemo
+	remotes   map[string]RemoteShard
 	forwarded int // updates acknowledged downstream
 	batches   int // batch POSTs acknowledged downstream
 }
 
 // newDelivery builds the delivery half over an opened outbox and starts
 // its dispatcher.
-func newDelivery(cfg ShardedConfig, tr transport.Transport, box outbox.Queue, remotes map[string]RemoteShard) *delivery {
+func newDelivery(cfg ShardedConfig, tr transport.Transport, box *outbox.Queue, remotes map[string]RemoteShard) *delivery {
 	d := &delivery{
 		tr: tr, box: box,
 		downstream: hopTarget{base: cfg.Upstream},
 		remotes:    remotes,
-		memos:      make(map[uint64]*deliverMemo),
 	}
 	if cfg.NextHop != "" {
 		d.downstream = hopTarget{base: cfg.NextHop, sender: enclave.NewSender(cfg.NextHopKey), secret: cfg.NextHopSecret}
@@ -124,7 +118,10 @@ type RemoteTrust struct {
 }
 
 // deliverMemo caches one outbox entry's delivery artefacts across retry
-// attempts.
+// attempts — entries are immutable, and a long outage must not
+// re-parse/re-wrap a large round every backoff tick. It is the entry's
+// outbox.Entry.Memo, so it lives exactly as long as the entry waits at
+// its lane's head, and only the worker draining that lane touches it.
 type deliverMemo struct {
 	env *outbox.Envelope // aliases the queue's (immutable) entry payload
 	// body is the /v1/batch request body: the entry's own batch tail on
@@ -197,35 +194,17 @@ func (d *delivery) target(env *outbox.Envelope) (hopTarget, error) {
 // deliver is the dispatcher callback: it sends one outbox entry (one
 // destination's share of a drained round) onward. nil consumes the entry;
 // a PermanentError quarantines it; anything else retries with backoff.
-// It wraps deliverPayload to evict the entry's memo once the entry leaves
-// the queue (acked or quarantined) — the memo map must track only live
-// retries, not every entry ever delivered.
-func (d *delivery) deliver(ctx context.Context, seq uint64, payload []byte) error {
-	err := d.deliverPayload(ctx, seq, payload)
-	var perm *outbox.PermanentError
-	if err == nil || errors.As(err, &perm) {
-		d.mu.Lock()
-		delete(d.memos, seq)
-		d.mu.Unlock()
-	}
-	return err
-}
-
-func (d *delivery) deliverPayload(ctx context.Context, seq uint64, payload []byte) error {
-	d.mu.Lock()
-	c := d.memos[seq]
-	d.mu.Unlock()
+func (d *delivery) deliver(ctx context.Context, e *outbox.Entry) error {
+	c, _ := e.Memo.(*deliverMemo)
 	if c == nil {
-		env, err := outbox.ParseEnvelope(payload)
+		env, err := outbox.ParseEnvelope(e.Payload)
 		if err != nil {
 			// The queue's open hook already authenticated the entry, so a
 			// parse failure means a foreign or torn payload: set it aside.
 			return outbox.Permanent(err)
 		}
 		c = &deliverMemo{env: env}
-		d.mu.Lock()
-		d.memos[seq] = c
-		d.mu.Unlock()
+		e.Memo = c
 	}
 	env := c.env
 	if len(env.Updates) == 0 {
@@ -244,7 +223,7 @@ func (d *delivery) deliverPayload(ctx context.Context, seq uint64, payload []byt
 				return fmt.Errorf("proxy: wrap for %s: %w", tgt.base, err)
 			}
 		}
-		c.body, c.id = enc, batchIDFor(d.box.SenderID(), seq, env, payload)
+		c.body, c.id = enc, batchIDFor(d.box.SenderID(), e.Seq, env, e.Payload)
 	}
 	req := transport.BatchRequest{Body: c.body, ID: c.id}
 	if tgt.sender != nil {
@@ -253,7 +232,7 @@ func (d *delivery) deliverPayload(ctx context.Context, seq uint64, payload []byt
 	// Sender identity + entry sequence let the receiver detect a stale
 	// redelivery even after the id aged out of its dedup window.
 	if sender := d.box.SenderID(); sender != "" {
-		req.Sender, req.Seq, req.HasSeq = sender, seq, true
+		req.Sender, req.Seq, req.HasSeq = sender, e.Seq, true
 	}
 	if _, err := d.tr.SendBatch(ctx, tgt.base, req); err != nil {
 		if transport.SessionRejected(err) {

@@ -746,8 +746,8 @@ func TestOversizedShareSplits(t *testing.T) {
 	t.Cleanup(px.Close)
 	px.maxEntry = outbox.EntrySize(addr, 2, 2*nn.EncodedSize(initial))
 	// The relay share's first piece commits; its second is refused.
-	box := &failingBox{Queue: px.dlv.box, lane: addr, failing: true, skip: 1}
-	px.dlv.box = box
+	box := &refusingSeal{lane: addr, failing: true, skip: 1}
+	installQueue(t, px, box)
 	lb.Register("loop://front", px)
 
 	updates := perturbed(initial, 2*c, 300)
@@ -853,8 +853,8 @@ func TestRelayOnlyFrontCommitsNoEmptyEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(px.Close)
-	box := &failingBox{Queue: px.dlv.box}
-	px.dlv.box = box
+	box := &refusingSeal{}
+	installQueue(t, px, box)
 	lb.Register("loop://front", px)
 
 	for r := 0; r < rounds; r++ {

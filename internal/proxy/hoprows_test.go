@@ -469,11 +469,11 @@ func TestHopBatchPlaintextReleasedNeverRead(t *testing.T) {
 	}
 }
 
-// failingBox refuses to commit entries addressed to one lane while
-// failing is set — after letting the first skip of them through — and
-// counts what it committed per lane.
-type failingBox struct {
-	outbox.Queue
+// refusingSeal is an outbox SealFunc that refuses entries addressed to
+// one lane while failing is set — after letting the first skip of them
+// through — and counts what it let through per lane. It stores entries
+// in plaintext.
+type refusingSeal struct {
 	lane    string
 	mu      sync.Mutex
 	failing bool
@@ -482,23 +482,34 @@ type failingBox struct {
 	puts    map[string]int
 }
 
-func (b *failingBox) Put(payload []byte) (uint64, error) {
-	lane := outbox.LaneOf(payload)
-	b.mu.Lock()
-	if b.failing && lane == b.lane {
-		if b.skip == 0 {
-			b.refused++
-			b.mu.Unlock()
-			return 0, fmt.Errorf("disk full")
+func (s *refusingSeal) seal(plain []byte) ([]byte, error) {
+	lane := outbox.LaneOf(plain)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.failing && lane == s.lane {
+		if s.skip == 0 {
+			s.refused++
+			return nil, fmt.Errorf("disk full")
 		}
-		b.skip--
+		s.skip--
 	}
-	if b.puts == nil {
-		b.puts = make(map[string]int)
+	if s.puts == nil {
+		s.puts = make(map[string]int)
 	}
-	b.puts[lane]++
-	b.mu.Unlock()
-	return b.Queue.Put(payload)
+	s.puts[lane]++
+	return plain, nil
+}
+
+// installQueue rebuilds px's delivery half, before any traffic, over an
+// outbox directory whose entries seal through s.
+func installQueue(t *testing.T, px *ShardedProxy, s *refusingSeal) {
+	t.Helper()
+	q, err := outbox.Open(t.TempDir(), s.seal, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	px.dlv.disp.Close()
+	px.dlv = newDelivery(px.cfg, px.dlv.tr, q, px.dlv.remotes)
 }
 
 // TestRelayRefileMixesBeforeItTravels: a relay entry whose outbox commit
@@ -527,8 +538,8 @@ func TestRelayRefileMixesBeforeItTravels(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(px.Close)
-	box := &failingBox{Queue: px.dlv.box, lane: addr, failing: true}
-	px.dlv.box = box
+	box := &refusingSeal{lane: addr, failing: true}
+	installQueue(t, px, box)
 	pxSrv := httptest.NewServer(px.Handler())
 	t.Cleanup(pxSrv.Close)
 

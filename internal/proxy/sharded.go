@@ -313,7 +313,7 @@ func NewSharded(cfg ShardedConfig, encl *enclave.Enclave, platform *enclave.Plat
 	if err != nil {
 		return nil, err
 	}
-	var box outbox.Queue
+	var box *outbox.Queue
 	if cfg.OutboxDir != "" {
 		box, err = outbox.Open(cfg.OutboxDir,
 			func(plain []byte) ([]byte, error) { return encl.SealLabeled(outboxLabel, plain) },
