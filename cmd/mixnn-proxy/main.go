@@ -106,7 +106,6 @@ func run(args []string) error {
 		rateLimit    = fs.Float64("rate-limit", 0, "per-sender participant update budget in updates/sec (0 = unlimited)")
 		rateBurst    = fs.Float64("rate-burst", 0, "per-sender token-bucket burst (0 = max(1, -rate-limit))")
 		shedDepth    = fs.Int("shed-queue-depth", 0, "shed ALL participant ingress with 429 while the committed-but-undelivered outbox backlog reaches this (0 = never shed)")
-		metrics      = fs.Bool("metrics", true, "serve the Prometheus text exposition at /v1/metrics")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -158,7 +157,6 @@ func run(args []string) error {
 		RatePerSec:      *rateLimit,
 		RateBurst:       *rateBurst,
 		ShedQueueDepth:  *shedDepth,
-		DisableMetrics:  !*metrics,
 	}
 	// The shape this command line asks for, as a directive: the shards
 	// file when there is one, else whichever of -shards, -routing and

@@ -8,9 +8,10 @@ import (
 // Signals is a snapshot of the live tier pressure an admission gate and
 // the health score read: the ingress queue depth (bounded Loopback
 // queue or HTTP accept backlog), the deepest outbox delivery lane, and
-// the mean enclave decrypt latency in microseconds (the session-crypto
-// path's early-warning signal — RSA falling back onto the per-update
-// path shows up here long before queues fill).
+// the per-update enclave decrypt latency in microseconds. That latency is
+// the LIFETIME mean (the mixnn_decrypt_us histogram's), not a recent
+// one: RSA falling back onto the per-update path moves it quickly on a
+// young tier and ever more slowly as the tier ages.
 type Signals struct {
 	QueueDepth    int
 	LaneBacklog   int

@@ -190,6 +190,19 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
+// Mean returns the mean of every observation so far, 0 before the
+// first: the exposition's _sum over its _count.
+func (h *Histogram) Mean() float64 {
+	var n uint64
+	for i := range h.counts {
+		n += atomic.LoadUint64(&h.counts[i])
+	}
+	if n == 0 {
+		return 0
+	}
+	return math.Float64frombits(atomic.LoadUint64(&h.sumBits)) / float64(n)
+}
+
 func (h *Histogram) write(w io.Writer, name, labels string) error {
 	var cum uint64
 	for i, bound := range h.bounds {

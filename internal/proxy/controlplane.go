@@ -26,54 +26,42 @@ import (
 // irrelevant to thresholds that trip on sustained pressure.
 const signalCacheTTL = 2 * time.Millisecond
 
-// initControlPlane wires the admission gate and metrics registry from
-// the config. Called once from NewSharded, before the tier serves.
+// initControlPlane wires the admission gate and the metrics registry
+// with the instruments ingress and the gate record into. Called once from
+// NewSharded, before the tier serves.
 func (p *ShardedProxy) initControlPlane() {
 	p.admission = health.NewAdmission(health.AdmissionConfig{
 		RatePerSec:     p.cfg.RatePerSec,
 		Burst:          p.cfg.RateBurst,
 		ShedQueueDepth: p.cfg.ShedQueueDepth,
 	})
-	if !p.cfg.DisableMetrics {
-		p.metrics = health.NewRegistry()
-		// The decrypt histogram is the one instrument observed inline
-		// (per decrypt); everything else mirrors status counters at
-		// scrape time. Bounds span session-path GCM (~100µs) through
-		// RSA-fallback territory (>5ms).
-		p.decryptHist = p.metrics.NewHistogram("mixnn_decrypt_us",
-			"Per-update enclave decrypt latency in microseconds.",
-			[]float64{50, 100, 250, 500, 1000, 2500, 5000, 10000, 50000})
-	}
-}
-
-// timing accumulates a mean over observations.
-type timing struct {
-	total time.Duration
-	n     int
-}
-
-func (t *timing) add(d time.Duration) { t.total += d; t.n++ }
-
-// meanMillisExact returns the mean in milliseconds with sub-ms resolution.
-func (t *timing) meanMillisExact() float64 {
-	if t.n == 0 {
-		return 0
-	}
-	return t.total.Seconds() * 1000 / float64(t.n)
-}
-
-// observeDecrypt records one enclave decrypt into the metrics
-// histogram; a no-op with metrics disabled.
-func (p *ShardedProxy) observeDecrypt(d time.Duration) {
-	if p.decryptHist != nil {
-		p.decryptHist.Observe(float64(d) / float64(time.Microsecond))
-	}
+	m := health.NewRegistry()
+	p.metrics = m
+	// Decrypt bounds span session-path GCM (~100µs) through RSA-fallback
+	// territory (>5ms); a request's process time adds a whole batch's
+	// filing on top. Store and mix are a header check, a payload copy and
+	// pointer swaps: micro- not milliseconds.
+	latency := []float64{50, 100, 250, 500, 1000, 2500, 5000, 10000, 50000, 250000}
+	stage := []float64{1, 5, 10, 25, 50, 100, 250, 1000, 10000}
+	p.decryptUs = m.NewHistogram("mixnn_decrypt_us",
+		"Per-update enclave decrypt latency in microseconds (a batch's one decrypt spread over its items).", latency)
+	p.storeUs = m.NewHistogram("mixnn_store_us",
+		"Per-update store stage in microseconds: layout check plus filing into the shard's lists.", stage)
+	p.mixUs = m.NewHistogram("mixnn_mix_us",
+		"Per-update mix stage in microseconds: emission assembly plus any epoch swap.", stage)
+	p.processUs = m.NewHistogram("mixnn_process_us",
+		"Per-request enclave processing time in microseconds.", latency)
+	p.rateLimited = m.NewCounter("mixnn_admission_rate_limited_total",
+		"Updates refused 429: sender over its token-bucket budget.")
+	p.shed = m.NewCounter("mixnn_admission_shed_total",
+		"Updates refused 429: tier load-shedding.")
 }
 
 // signals returns the admission gate's pressure snapshot, refreshed at
 // most every signalCacheTTL. Lock order: sigMu alone, then (on refresh)
-// the dispatcher's domain and p.mu in turn — never nested inside each
-// other, and nothing takes sigMu while holding either.
+// the dispatcher's domain; the decrypt latency is the registry's, so the
+// round lock is never taken here, and nothing takes sigMu while holding
+// either.
 func (p *ShardedProxy) signals() health.Signals {
 	p.sigMu.Lock()
 	defer p.sigMu.Unlock()
@@ -92,9 +80,7 @@ func (p *ShardedProxy) signals() health.Signals {
 		// stands in as the depth signal.
 		sig.QueueDepth = pending
 	}
-	p.mu.Lock()
-	sig.DecryptMicros = p.decryptT.meanMillisExact() * 1000
-	p.mu.Unlock()
+	sig.DecryptMicros = p.decryptUs.Mean()
 	p.sig, p.sigAt = sig, time.Now()
 	return sig
 }
@@ -113,10 +99,10 @@ func (p *ShardedProxy) admit(sender string) error {
 	}
 	var msg string
 	if shed {
-		p.admShed.Add(1)
+		p.shed.Inc()
 		msg = "proxy: ingress load-shedding, retry later"
 	} else {
-		p.admRate.Add(1)
+		p.rateLimited.Inc()
 		msg = fmt.Sprintf("proxy: sender %q over its update rate budget", sender)
 	}
 	return &transport.StatusError{
@@ -139,16 +125,14 @@ func (p *ShardedProxy) HandleDiscover(ctx context.Context) (wire.DiscoverRespons
 	}, nil
 }
 
-// WriteMetrics implements transport.MetricsSource: it syncs the
-// registry from a fresh status snapshot (gauges set, monotonic totals
-// mirrored via Counter.Set — the status fields stay the source of
-// truth, /v1/status stays wire-compatible) and renders Prometheus text
-// exposition. With metrics disabled it returns ErrNotSupported and the
-// HTTP adapter answers 404.
+// WriteMetrics implements transport.MetricsSource: it renders the
+// registry as Prometheus text exposition. The stage histograms and the
+// admission and delivery counters are recorded where their events
+// happen; what is set here at scrape time is what other owners keep: the
+// round ledger (sealed with the tier, under p.mu), the gate's live
+// signals, and the outbox lane and enclave session snapshots.
+// Counter.Set ignores regressions, so those mirrors stay monotone.
 func (p *ShardedProxy) WriteMetrics(w io.Writer) error {
-	if p.metrics == nil {
-		return transport.ErrNotSupported
-	}
 	st := p.Status()
 	sig := p.signals()
 	shedding := p.admission.Shedding(sig)
@@ -158,12 +142,8 @@ func (p *ShardedProxy) WriteMetrics(w io.Writer) error {
 		"Participant updates ingested (hop 0).").Set(float64(st.Received))
 	m.NewCounter("mixnn_ingress_hops_total",
 		"Cascade updates ingested (hop >= 1).").Set(float64(st.HopReceived))
-	m.NewCounter("mixnn_forwarded_total",
-		"Updates acknowledged downstream.").Set(float64(st.Forwarded))
 	m.NewCounter("mixnn_rounds_total",
 		"Rounds closed and drained.").Set(float64(st.Rounds))
-	m.NewCounter("mixnn_batches_sent_total",
-		"Batch POSTs acknowledged downstream.").Set(float64(st.BatchesSent))
 	m.NewGauge("mixnn_in_round",
 		"Updates received in the open round.").Set(float64(st.InRound))
 	m.NewGauge("mixnn_round_size",
@@ -171,10 +151,6 @@ func (p *ShardedProxy) WriteMetrics(w io.Writer) error {
 	m.NewGauge("mixnn_topo_version",
 		"Routing-plane topology version.").Set(float64(st.TopoVersion))
 
-	m.NewCounter("mixnn_admission_rate_limited_total",
-		"Updates refused 429: sender over its token-bucket budget.").Set(float64(st.AdmissionRateLimited))
-	m.NewCounter("mixnn_admission_shed_total",
-		"Updates refused 429: tier load-shedding.").Set(float64(st.AdmissionShed))
 	shedV := 0.0
 	if shedding {
 		shedV = 1
@@ -301,19 +277,19 @@ func (p *ShardedProxy) Status() wire.ShardedProxyStatus {
 		stagedVer = staged.Version()
 	}
 	st := p.enclave.Stats()
-	forwarded, batches := p.dlv.counters()
+	decryptUs := p.decryptUs.Mean()
 	return wire.ShardedProxyStatus{
 		Shards:            shards,
 		Received:          p.received,
 		HopReceived:       p.hopReceived,
-		Forwarded:         forwarded,
+		Forwarded:         int(p.dlv.forwarded.Value()),
 		Rounds:            p.rounds,
 		InRound:           p.inRound,
 		RoundSize:         p.topo.RoundSize(),
 		Epoch:             p.rounds,
 		OutboxPending:     pending,
 		OutboxLanes:       lanes,
-		BatchesSent:       batches,
+		BatchesSent:       int(p.dlv.batches.Value()),
 		NextHop:           p.cfg.NextHop,
 		MaxHops:           p.cfg.MaxHops,
 		TopoVersion:       p.topo.Version(),
@@ -325,11 +301,11 @@ func (p *ShardedProxy) Status() wire.ShardedProxyStatus {
 		EnclaveUsed:       st.MemoryUsedBytes,
 		EnclavePeak:       st.MemoryPeakBytes,
 		EnclavePaging:     st.PageEvents,
-		DecryptMillis:     p.decryptT.meanMillisExact(),
-		DecryptMicros:     p.decryptT.meanMillisExact() * 1000,
-		StoreMillis:       p.storeT.meanMillisExact(),
-		MixMillis:         p.mixT.meanMillisExact(),
-		ProcessMillis:     p.processT.meanMillisExact(),
+		DecryptMillis:     decryptUs / 1000,
+		DecryptMicros:     decryptUs,
+		StoreMillis:       p.storeUs.Mean() / 1000,
+		MixMillis:         p.mixUs.Mean() / 1000,
+		ProcessMillis:     p.processUs.Mean() / 1000,
 
 		SessionsActive:      st.SessionsActive,
 		SessionsEstablished: st.SessionsEstablished,
@@ -338,7 +314,7 @@ func (p *ShardedProxy) Status() wire.ShardedProxyStatus {
 		SessionEvictions:    st.SessionEvictions,
 		SessionReplays:      st.SessionReplays,
 
-		AdmissionRateLimited: p.admRate.Load(),
-		AdmissionShed:        p.admShed.Load(),
+		AdmissionRateLimited: uint64(p.rateLimited.Value()),
+		AdmissionShed:        uint64(p.shed.Value()),
 	}
 }

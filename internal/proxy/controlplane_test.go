@@ -1,8 +1,11 @@
 package proxy
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -11,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"mixnn/internal/enclave"
 	"mixnn/internal/health"
+	"mixnn/internal/transport"
 )
 
 // admissionDeployment stands up a front proxy with the admission gate
@@ -168,17 +173,140 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestMetricsDisabled404: with the registry disabled the endpoint
-// answers 404 — the same wire shape as a binary without the route.
-func TestMetricsDisabled404(t *testing.T) {
-	_, proxyURL := admissionDeployment(t, ShardedConfig{Seed: 7, DisableMetrics: true})
-	resp, err := http.Get(proxyURL + "/v1/metrics")
+// TestStageInstrumentsCountFiledUpdates: on a hop tier fed multi-item
+// /v1/batch requests (and one participant update), every stage
+// histogram is observed once per filed update — a batch's one decrypt
+// spread over its items — and the process histogram once per request,
+// and /v1/status's stage means are those histograms' _sum over _count.
+func TestStageInstrumentsCountFiledUpdates(t *testing.T) {
+	platform, encl := fixtures(t)
+	lb := transport.NewLoopback()
+	t.Cleanup(lb.Close)
+	lb.Register("loop://sink", &batchSink{})
+	hop, err := NewSharded(ShardedConfig{
+		Upstream: "loop://sink", K: 2, RoundSize: 8, Seed: 31, Transport: lb,
+	}, encl, platform)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("metrics disabled: got %d, want 404", resp.StatusCode)
+	t.Cleanup(hop.Close)
+	sess, err := enclave.NewSession(encl.PublicKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrap := func(plain []byte) []byte {
+		ct, err := sess.Wrap(plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ct
+	}
+	const batches, perBatch = 3, 4
+	items := encodeUpdates(t, perturbed(testArch().New(1).SnapshotParams(), batches*perBatch+1, 31))
+	ctx := context.Background()
+	for b := 0; b < batches; b++ {
+		body := wrap(batchBody(t, items[b*perBatch:(b+1)*perBatch]...))
+		if _, err := hop.HandleBatch(ctx, transport.BatchRequest{Body: body, Hop: 1}); err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+	}
+	if _, err := hop.HandleUpdate(ctx, transport.UpdateRequest{Body: wrap(items[batches*perBatch]), ClientID: "p"}); err != nil {
+		t.Fatal(err)
+	}
+	const requests = batches + 1
+
+	var buf bytes.Buffer
+	if err := hop.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	series := make(map[string]float64)
+	for _, line := range strings.Split(buf.String(), "\n") {
+		name, v, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		f, err := strconv.ParseFloat(v, 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		series[name] = f
+	}
+	st := hop.Status()
+	filed := st.Received + st.HopReceived
+	if filed != batches*perBatch+1 {
+		t.Fatalf("tier filed %d updates, want %d", filed, batches*perBatch+1)
+	}
+	for _, stage := range []struct {
+		name string
+		mean float64 // µs, as /v1/status reports it
+	}{
+		{"mixnn_decrypt_us", st.DecryptMicros},
+		{"mixnn_decrypt_us", st.DecryptMillis * 1000},
+		{"mixnn_store_us", st.StoreMillis * 1000},
+		{"mixnn_mix_us", st.MixMillis * 1000},
+	} {
+		n, sum := series[stage.name+"_count"], series[stage.name+"_sum"]
+		if n != float64(filed) {
+			t.Fatalf("%s_count = %v, want %d (Received + HopReceived)", stage.name, n, filed)
+		}
+		if want := sum / n; math.Abs(stage.mean-want) > 1e-9*math.Abs(want) {
+			t.Fatalf("status mean of %s = %v µs, the histogram's _sum/_count = %v", stage.name, stage.mean, want)
+		}
+	}
+	if n := series["mixnn_process_us_count"]; n != requests {
+		t.Fatalf("mixnn_process_us_count = %v, want %d (one per request)", n, requests)
+	}
+	if want := series["mixnn_process_us_sum"] / requests; math.Abs(st.ProcessMillis*1000-want) > 1e-9*want {
+		t.Fatalf("process_ms_mean = %v ms, the histogram's mean = %v µs", st.ProcessMillis, want)
+	}
+}
+
+// TestControlPlaneNeverTakesRoundLock pins the admission gate's and
+// discovery's lock domain: with the round lock (px.mu) held by the test
+// and the signal snapshot expired, a discovery call and a participant
+// update the shed gate refuses must both refresh the signals and return.
+// A refresh that read anything under px.mu would sit behind the test
+// until the deadline.
+func TestControlPlaneNeverTakesRoundLock(t *testing.T) {
+	px, _ := admissionDeployment(t, ShardedConfig{
+		Seed: 7, ShedQueueDepth: 1, IngressDepth: func() int { return 1 },
+	})
+	ctx := context.Background()
+	calls := []struct {
+		name string
+		call func() error
+	}{
+		{"HandleDiscover", func() error {
+			dr, err := px.HandleDiscover(ctx)
+			if err == nil && dr.Health > 0.1 {
+				err = fmt.Errorf("health %v outside the shedding band", dr.Health)
+			}
+			return err
+		}},
+		{"HandleUpdate", func() error {
+			_, err := px.HandleUpdate(ctx, transport.UpdateRequest{Body: []byte("never decrypted"), ClientID: "c0"})
+			if se := transport.AsStatus(err); se == nil || se.Code != http.StatusTooManyRequests {
+				return fmt.Errorf("want the shed gate's 429, got %v", err)
+			}
+			return nil
+		}},
+	}
+	px.mu.Lock()
+	defer px.mu.Unlock()
+	for _, c := range calls {
+		px.sigMu.Lock()
+		px.sigAt = time.Time{} // expired: this call refreshes the snapshot
+		px.sigMu.Unlock()
+		done := make(chan error, 1)
+		go func() { done <- c.call() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s did not return while the round lock was held", c.name)
+		}
 	}
 }
 

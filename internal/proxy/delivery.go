@@ -6,7 +6,8 @@
 // Lock rule: p.mu (the round lock) may be held while taking delivery.mu,
 // never the reverse — nothing in this file touches p.mu, so a delivery
 // worker never waits on ingress, packaging or a seal. delivery.mu is
-// never held across a transport call. Each entry's retry memo is not
+// never held across a transport call, and an acknowledgement does not take
+// it: the ack counters are registry instruments. Each entry's retry memo is not
 // delivery's to guard: it rides the outbox lane head the entry waits in,
 // owned by the one worker that drains the lane.
 package proxy
@@ -24,6 +25,7 @@ import (
 	"time"
 
 	"mixnn/internal/enclave"
+	"mixnn/internal/health"
 	"mixnn/internal/outbox"
 	"mixnn/internal/transport"
 	"mixnn/internal/wire"
@@ -34,14 +36,17 @@ import (
 // destination, and the counters of what was acknowledged. It holds no
 // unmixed update and never sees the round lock.
 type delivery struct {
-	// tr, box, disp and downstream are set once by newDelivery and only
-	// read afterwards, so the round side may use them without mu.
+	// tr, box, disp, downstream and the ack counters are set once by
+	// newDelivery and only read afterwards, so the round side may use
+	// them without mu.
 	tr   transport.Transport
 	box  *outbox.Queue
 	disp *outbox.Dispatcher
 	// downstream is where entries without a Dest go: the cascade's next
 	// hop, or the aggregation server (nil key = plaintext).
 	downstream hopTarget
+	// Updates and batch POSTs acknowledged downstream (registry counters).
+	forwarded, batches *health.Counter
 
 	mu sync.Mutex
 	// remotes maps remote shard addresses to attested key material. It
@@ -51,17 +56,17 @@ type delivery struct {
 	// re-attestation — restored from a seal blob with its trust material
 	// only; target refuses it (its entries stall, never lost) until
 	// reattest or a registration pins a key.
-	remotes   map[string]RemoteShard
-	forwarded int // updates acknowledged downstream
-	batches   int // batch POSTs acknowledged downstream
+	remotes map[string]RemoteShard
 }
 
-// newDelivery builds the delivery half over an opened outbox and starts
-// its dispatcher.
-func newDelivery(cfg ShardedConfig, tr transport.Transport, box *outbox.Queue, remotes map[string]RemoteShard) *delivery {
+// newDelivery builds the delivery half over an opened outbox, with its
+// ack counters in reg, and starts its dispatcher.
+func newDelivery(cfg ShardedConfig, tr transport.Transport, box *outbox.Queue, remotes map[string]RemoteShard, reg *health.Registry) *delivery {
 	d := &delivery{
 		tr: tr, box: box,
 		downstream: hopTarget{base: cfg.Upstream},
+		forwarded:  reg.NewCounter("mixnn_forwarded_total", "Updates acknowledged downstream."),
+		batches:    reg.NewCounter("mixnn_batches_sent_total", "Batch POSTs acknowledged downstream."),
 		remotes:    remotes,
 	}
 	if cfg.NextHop != "" {
@@ -248,10 +253,8 @@ func (d *delivery) deliver(ctx context.Context, e *outbox.Entry) error {
 		}
 		return classifyDelivery(err)
 	}
-	d.mu.Lock()
-	d.forwarded += len(env.Updates)
-	d.batches++
-	d.mu.Unlock()
+	d.forwarded.Add(float64(len(env.Updates)))
+	d.batches.Inc()
 	return nil
 }
 
@@ -388,21 +391,15 @@ func (d *delivery) trust() map[string]RemoteTrust {
 	return trust
 }
 
-// counters returns the updates and batches acknowledged downstream.
-func (d *delivery) counters() (forwarded, batches int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.forwarded, d.batches
-}
-
 // restore carries a sealed tier's delivery state into this one: its
-// forwarded count, and a keyless entry holding the sealed trust of every
+// forwarded count (added, so acknowledgements this process already saw
+// stay counted), and a keyless entry holding the sealed trust of every
 // address not registered here — reattest (or an explicit RegisterRemote)
 // turns those into deliverable relay legs.
 func (d *delivery) restore(forwarded int, trust map[string]RemoteTrust) {
+	d.forwarded.Add(float64(forwarded))
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.forwarded = forwarded
 	for addr, rt := range trust {
 		if _, ok := d.remotes[addr]; !ok {
 			d.remotes[addr] = RemoteShard{Secret: rt.Secret, Trust: &rt}

@@ -509,7 +509,7 @@ func installQueue(t *testing.T, px *ShardedProxy, s *refusingSeal) {
 		t.Fatal(err)
 	}
 	px.dlv.disp.Close()
-	px.dlv = newDelivery(px.cfg, px.dlv.tr, q, px.dlv.remotes)
+	px.dlv = newDelivery(px.cfg, px.dlv.tr, q, px.dlv.remotes, px.metrics)
 }
 
 // TestRelayRefileMixesBeforeItTravels: a relay entry whose outbox commit

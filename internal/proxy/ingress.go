@@ -1,8 +1,9 @@
 // Ingress: how an update enters the tier. The three transport.Server
-// entry points authorize, decrypt into a pooled buffer outside any lock,
-// and file the plaintext into the routed shard under the round lock
-// (p.mu); the update that completes a round swaps the tier to the next
-// epoch under that same lock and hands the closed round to round.go.
+// entry points authorize and hand the body to ingress, the one path they
+// share: it decrypts into a pooled buffer outside any lock and files each
+// update into its routed shard under the round lock (p.mu); the update
+// that completes a round swaps the tier to the next epoch under that same
+// lock and hands the closed round to round.go.
 package proxy
 
 import (
@@ -19,9 +20,11 @@ import (
 	"mixnn/internal/wire"
 )
 
-// authorizeHop enforces the inter-proxy secret and the cascade depth
-// rules shared by the hop and batch ingresses, over any transport.
-func (p *ShardedProxy) authorizeHop(secret string, hop int) (int, error) {
+// authorizeHop enforces the inter-proxy secret, the cascade depth rules
+// and the body bound shared by the hop and batch ingresses, over any
+// transport — all before the batch dedup claim, so a refused request
+// never takes a slot in the dedup window.
+func (p *ShardedProxy) authorizeHop(secret string, hop int, body []byte) (int, error) {
 	if p.cfg.HopSecret != "" &&
 		subtle.ConstantTimeCompare([]byte(secret), []byte(p.cfg.HopSecret)) != 1 {
 		return 0, transport.Errorf(http.StatusUnauthorized, "hop endpoint requires the inter-proxy secret")
@@ -35,7 +38,7 @@ func (p *ShardedProxy) authorizeHop(secret string, hop int) (int, error) {
 	if hop > p.cfg.MaxHops {
 		return 0, transport.Errorf(http.StatusLoopDetected, "cascade depth %d exceeds limit %d", hop, p.cfg.MaxHops)
 	}
-	return hop, nil
+	return hop, transport.CheckBody(body)
 }
 
 // HandleUpdate ingests one encrypted participant update (hop 0). It
@@ -52,61 +55,150 @@ func (p *ShardedProxy) HandleUpdate(ctx context.Context, req transport.UpdateReq
 	if err := p.admit(req.ClientID); err != nil {
 		return transport.Receipt{Shard: -1}, err
 	}
-	return p.ingressOne(req.Body, req.ClientID, 0, false)
+	if err := transport.CheckBody(req.Body); err != nil {
+		return transport.Receipt{Shard: -1}, err
+	}
+	return transport.Receipt{Shard: -1}, p.ingress(req.Body, req.ClientID, 0, false)
 }
 
 // HandleHop ingests one re-encrypted mixed update from an upstream
 // proxy of the cascade. It implements transport.Server.
 func (p *ShardedProxy) HandleHop(ctx context.Context, req transport.HopRequest) (transport.Receipt, error) {
-	hop, err := p.authorizeHop(req.Secret, req.Hop)
+	hop, err := p.authorizeHop(req.Secret, req.Hop, req.Body)
 	if err != nil {
 		return transport.Receipt{Shard: -1}, err
 	}
-	return p.ingressOne(req.Body, "", hop, true)
+	return transport.Receipt{Shard: -1}, p.ingress(req.Body, "", hop, false)
 }
 
-// ingressOne processes one encrypted update through the enclave
-// pipeline: decrypt into a pooled buffer, file into the routed shard,
-// and — when the round closes — package the round for delivery. body is
-// only read: it stays the transport's (see enclave.DecryptTo).
-func (p *ShardedProxy) ingressOne(body []byte, clientID string, hop int, fromHop bool) (transport.Receipt, error) {
-	if err := transport.CheckBody(body); err != nil {
+// HandleBatch ingests a whole drained round from an upstream proxy: a
+// BatchEnvelope wrapped for this enclave. It implements
+// transport.Server, shares the hop gate and depth rules with HandleHop,
+// and dedups on the sender's idempotency id so a redelivered batch
+// (lost acknowledgement, crashed upstream) cannot double-count a round.
+func (p *ShardedProxy) HandleBatch(ctx context.Context, req transport.BatchRequest) (transport.Receipt, error) {
+	hop, err := p.authorizeHop(req.Secret, req.Hop, req.Body)
+	if err != nil {
 		return transport.Receipt{Shard: -1}, err
 	}
-	var (
-		closed *roundClose
-		shard  int
-	)
+	duplicate, err := p.seen.Claim(req)
+	if duplicate || err != nil {
+		return transport.Receipt{Shard: -1, Duplicate: duplicate}, err
+	}
+	// A refused batch applied nothing (see ingress), so its id is released
+	// for a future redelivery.
+	err = p.ingress(req.Body, "", hop, true)
+	p.seen.Finish(req, err == nil)
+	return transport.Receipt{Shard: -1}, err
+}
+
+// ingress processes one request body through the enclave pipeline; a
+// participant update is a batch of one. It decrypts the body once into a
+// pooled buffer (body is only read: it stays the transport's, see
+// enclave.DecryptTo) and takes the items: the plaintext itself, or the
+// updates of the BatchEnvelope it holds. Every item is checked against
+// ONE layout (the first item's: the carried layout in the steady state)
+// before any is filed, so a malformed or heterogeneous batch cannot leave
+// the round half-applied (the upstream quarantines rejected entries and
+// must be able to trust that nothing was counted). Then each item is
+// filed through ingest, every round that closed is packaged for delivery,
+// and the stage instruments are recorded — none under the round lock.
+func (p *ShardedProxy) ingress(body []byte, clientID string, hop int, batch bool) error {
+	var lone [1]*roundClose // a lone update closes at most one round
+	closes := lone[:0]
 	start := time.Now()
 	procErr := p.enclave.Process(func() error {
-		bp, plain, decryptDur, err := p.decryptPooled(body)
+		bp, plain, decrypt, err := p.decryptPooled(body)
 		if err != nil {
 			return err
 		}
-		// No decode here: the wire bytes go straight to the routed shard
-		// (core.Shard.AddWire).
-		var kept bool
-		closed, shard, kept, err = p.ingest(plain, clientID, hop, fromHop, decryptDur, 0)
-		p.releasePlain(bp, kept)
-		return err
+		kept := false
+		defer func() { p.releasePlain(bp, kept) }()
+		items := [][]byte{plain}
+		if batch {
+			env, err := wire.DecodeBatchEnvelope(plain) // items alias plain
+			if err != nil {
+				return fmt.Errorf("proxy: %w", err)
+			}
+			items = env.Updates
+		}
+		t1 := time.Now()
+		layout, err := p.slabPool.LayoutFor(items[0])
+		if err != nil {
+			return itemError(batch, 0, err)
+		}
+		for i, raw := range items[1:] {
+			if err := layout.CheckWire(raw); err != nil {
+				return itemError(batch, i+1, err)
+			}
+		}
+		// A batch's one decrypt and one layout check are spread over its
+		// items, so every stage mean is per filed update whatever the verb.
+		n := time.Duration(len(items))
+		decrypt, check := decrypt/n, time.Since(t1)/n
+		var skipped int
+		var firstErr error
+		for i, raw := range items {
+			closed, k, store, mix, err := p.ingest(raw, clientID, hop)
+			kept = kept || k
+			if err != nil {
+				// An item the open round's mixers reject (structure set
+				// by earlier traffic of this epoch) can never be mixed at
+				// this hop — rejecting the WHOLE batch here would let a
+				// half-applied round masquerade as "nothing counted" when
+				// the upstream quarantines it. Skip just this item, keep
+				// the rest of the round.
+				if skipped++; firstErr == nil {
+					firstErr = itemError(batch, i, err)
+				}
+				continue
+			}
+			if closed != nil {
+				closes = append(closes, closed)
+			}
+			p.decryptUs.Observe(micros(decrypt))
+			p.storeUs.Observe(micros(check + store)) // §6.5 store stage: check + file into the lists
+			p.mixUs.Observe(micros(mix))             // §6.5 mix stage: emission assembly + epoch swap
+		}
+		if batch && skipped > 0 { // one line per batch: the peer chooses how many items it carries
+			log.Printf("proxy: batch: %d of %d updates skipped, first: %v", skipped, len(items), firstErr)
+		}
+		if skipped == len(items) {
+			return firstErr // nothing applied; safe for the upstream to quarantine
+		}
+		return nil
 	})
-	p.mu.Lock()
-	p.processT.add(time.Since(start))
-	p.mu.Unlock()
-	if procErr != nil {
-		return transport.Receipt{Shard: -1}, ingressError(procErr)
-	}
-	if closed != nil {
-		if err := p.packageRound(closed); err != nil {
-			// The round's material is retained in memory (see
-			// packageRound) and WILL be delivered with the next committed
-			// entry, so the update is still accepted — an error response
-			// here would make the sender retry and double-count it.
-			log.Printf("proxy: round %d outbox commit failed (material retained): %v", closed.epoch, err)
+	p.processUs.Observe(micros(time.Since(start)))
+	// Rounds that closed DID close — their mixers were swapped out and
+	// p.closing incremented — so package them even when a later item
+	// failed: skipping would leak p.closing/putEpoch and wedge SealState,
+	// Flush and every future round's commit.
+	for _, c := range closes {
+		if err := p.packageRound(c); err != nil {
+			// The round's material is retained (see packageRound) and WILL
+			// be delivered with the next committed entry; it IS applied, so
+			// an error response here would make the sender retry (or
+			// redeliver) and double-count it.
+			log.Printf("proxy: round %d outbox commit failed (material retained): %v", c.epoch, err)
 		}
 	}
-	return transport.Receipt{Shard: shard}, nil
+	if procErr != nil {
+		return ingressError(procErr)
+	}
+	return nil
 }
+
+// itemError names the item of a batch an error belongs to; a lone
+// update's error needs no index.
+func itemError(batch bool, i int, err error) error {
+	if batch {
+		return fmt.Errorf("proxy: batch update %d: %w", i, err)
+	}
+	return fmt.Errorf("proxy: %w", err)
+}
+
+// micros converts a stage duration to the instruments' unit.
+func micros(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
 // decryptPooled opens body (only read, see enclave.DecryptTo) into a
 // buffer leased from plainPool; releasePlain ends the lease.
@@ -121,7 +213,6 @@ func (p *ShardedProxy) decryptPooled(body []byte) (bp *[]byte, plain []byte, dur
 	t0 := time.Now()
 	plain, err = p.enclave.DecryptTo(*bp, body)
 	dur = time.Since(t0)
-	p.observeDecrypt(dur)
 	if err != nil {
 		p.plainPool.Put(bp)
 		return nil, nil, dur, fmt.Errorf("proxy: decrypt: %w", err)
@@ -161,110 +252,6 @@ func ingressError(err error) error {
 	return transport.Errorf(http.StatusBadRequest, "%s", err.Error())
 }
 
-// HandleBatch ingests a whole drained round from an upstream proxy: a
-// BatchEnvelope wrapped for this enclave. It implements
-// transport.Server, shares the hop gate and depth rules with HandleHop,
-// and dedups on the sender's idempotency id so a redelivered batch
-// (lost acknowledgement, crashed upstream) cannot double-count a round.
-func (p *ShardedProxy) HandleBatch(ctx context.Context, req transport.BatchRequest) (transport.Receipt, error) {
-	hop, err := p.authorizeHop(req.Secret, req.Hop)
-	if err != nil {
-		return transport.Receipt{Shard: -1}, err
-	}
-	if err := transport.CheckBody(req.Body); err != nil {
-		return transport.Receipt{Shard: -1}, err
-	}
-	duplicate, err := p.seen.Claim(req)
-	if duplicate || err != nil {
-		return transport.Receipt{Shard: -1, Duplicate: duplicate}, err
-	}
-	var closes []*roundClose
-	start := time.Now()
-	procErr := p.enclave.Process(func() error {
-		bp, plain, decryptDur, err := p.decryptPooled(req.Body)
-		if err != nil {
-			return err
-		}
-		kept := false
-		defer func() { p.releasePlain(bp, kept) }()
-		env, err := wire.DecodeBatchEnvelope(plain) // items alias plain
-		if err != nil {
-			return fmt.Errorf("proxy: %w", err)
-		}
-		// Check every item against ONE layout (the first item's: the
-		// carried layout in the steady state) before filing any, so a
-		// malformed or heterogeneous batch cannot leave the round
-		// half-applied (the upstream quarantines rejected entries and must
-		// be able to trust that nothing was counted).
-		t1 := time.Now()
-		layout, err := p.slabPool.LayoutFor(env.Updates[0])
-		if err != nil {
-			return fmt.Errorf("proxy: batch update 0: %w", err)
-		}
-		for i, raw := range env.Updates[1:] {
-			if err := layout.CheckWire(raw); err != nil {
-				return fmt.Errorf("proxy: batch update %d: %w", i+1, err)
-			}
-		}
-		checkDur := time.Since(t1)
-		// Spread the one decrypt/check over the items so per-update stage
-		// means stay comparable with the single-update path.
-		n := time.Duration(len(env.Updates))
-		var skipped int
-		var firstErr error
-		for i, raw := range env.Updates {
-			closed, _, k, err := p.ingest(raw, "", hop, true, decryptDur/n, checkDur/n)
-			kept = kept || k
-			if err != nil {
-				// An item the open round's mixers reject (structure set
-				// by earlier traffic of this epoch) can never be mixed at
-				// this hop — rejecting the WHOLE batch here would let a
-				// half-applied round masquerade as "nothing counted" when
-				// the upstream quarantines it. Skip just this item, keep
-				// the rest of the round.
-				if skipped++; firstErr == nil {
-					firstErr = fmt.Errorf("proxy: batch update %d: %w", i, err)
-				}
-				continue
-			}
-			if closed != nil {
-				closes = append(closes, closed)
-			}
-		}
-		if skipped > 0 { // one line per batch: the peer chooses how many items it carries
-			log.Printf("proxy: batch: %d of %d updates skipped, first: %v", skipped, len(env.Updates), firstErr)
-		}
-		if skipped == len(env.Updates) {
-			return firstErr // nothing applied; safe for the upstream to quarantine
-		}
-		return nil
-	})
-	p.mu.Lock()
-	p.processT.add(time.Since(start))
-	p.mu.Unlock()
-	// Rounds that closed DID close — their mixers were swapped out and
-	// p.closing incremented — so package them even when a later item
-	// failed: skipping would leak p.closing/putEpoch and wedge SealState,
-	// Flush and every future round's commit.
-	for _, c := range closes {
-		if err := p.packageRound(c); err != nil {
-			// Retained in p.pending (see packageRound); the material IS
-			// applied, so this is not the sender's problem — an error
-			// response would trigger a redelivery that double-counts.
-			log.Printf("proxy: round %d outbox commit failed (material retained): %v", c.epoch, err)
-		}
-	}
-	if procErr != nil {
-		// Nothing was applied (structure check failures precede any ingest,
-		// and the all-items-failed path mixes nothing), so release the id
-		// for a future redelivery.
-		p.seen.Finish(req, false)
-		return transport.Receipt{Shard: -1}, ingressError(procErr)
-	}
-	p.seen.Finish(req, true)
-	return transport.Receipt{Shard: -1}, nil
-}
-
 // ingest files one encoded update into its shard's mixer and, when the
 // round completes, swaps the tier to fresh mixers and returns a
 // roundClose for packaging. The expensive stage (decrypt) already ran
@@ -274,7 +261,8 @@ func (p *ShardedProxy) HandleBatch(ctx context.Context, req transport.BatchReque
 // drain can never sweep in an update that belongs to the next round, and
 // updates arriving an instant after the swap land in epoch N+1's fresh
 // mixers while epoch N drains in the background (cross-round
-// pipelining).
+// pipelining). store and mix are how long the filing and the rest took;
+// the caller records them once the lock is released.
 //
 // The close's hop is the depth to stamp on the delivered round: one past
 // the highest incoming depth seen in the current round. Buffered material
@@ -284,31 +272,30 @@ func (p *ShardedProxy) HandleBatch(ctx context.Context, req transport.BatchReque
 //
 // keptWire reports whether the shard still references raw after the
 // call (core.Shard.RetainsWire); otherwise the caller may reuse it.
-func (p *ShardedProxy) ingest(raw []byte, clientID string, hop int, fromHop bool, decryptDur, checkDur time.Duration) (closed *roundClose, shard int, keptWire bool, err error) {
+func (p *ShardedProxy) ingest(raw []byte, clientID string, hop int) (closed *roundClose, keptWire bool, store, mix time.Duration, err error) {
 	size := len(raw)
 	p.enclave.Alloc(size)
 
 	p.mu.Lock()
-	shard = p.topo.Route(clientID, p.rst)
-	p.decryptT.add(decryptDur)
+	shard := p.topo.Route(clientID, p.rst)
 	p.updateBytes = size
 	tAdd := time.Now()
 	out, err := p.shards[shard].AddWire(raw)
-	keptWire = err == nil && p.shards[shard].RetainsWire()
-	p.storeT.add(checkDur + time.Since(tAdd)) // §6.5 store stage: check + file into the lists
 	if err != nil {
 		// Route already charged the shard's quota; a rejected update must
 		// not consume it.
 		p.rst.Load[shard]--
 		p.mu.Unlock()
 		p.enclave.Free(size)
-		return nil, shard, false, fmt.Errorf("proxy: shard %d mix: %w", shard, err)
+		return nil, false, 0, 0, fmt.Errorf("shard %d mix: %w", shard, err)
 	}
+	keptWire = p.shards[shard].RetainsWire()
 	t2 := time.Now()
+	store = t2.Sub(tAdd)
 	if out != nil {
 		p.pending = append(p.pending, *out)
 	}
-	if fromHop {
+	if hop > 0 {
 		p.hopReceived++
 	} else {
 		p.received++
@@ -327,9 +314,8 @@ func (p *ShardedProxy) ingest(raw []byte, clientID string, hop int, fromHop bool
 		if ferr != nil {
 			// Unreachable for a validated topology; leave the round open
 			// so the next ingest retries the close.
-			p.mixT.add(time.Since(t2))
 			p.mu.Unlock()
-			return nil, shard, keptWire, ferr
+			return nil, keptWire, store, 0, ferr
 		}
 		closed = &roundClose{epoch: p.rounds, hop: p.hopMark + 1, topo: p.topo, mixers: p.shards, pending: p.pending}
 		// Roll the retired mixers' counters into the cumulative ledger
@@ -352,7 +338,7 @@ func (p *ShardedProxy) ingest(raw []byte, clientID string, hop int, fromHop bool
 		p.hopMark = 0
 		p.closing++
 	}
-	p.mixT.add(time.Since(t2)) // §6.5 mix stage: emission assembly + epoch swap
+	mix = time.Since(t2)
 	p.mu.Unlock()
-	return closed, shard, keptWire, nil
+	return closed, keptWire, store, mix, nil
 }

@@ -370,13 +370,14 @@ func TestDeliveryNeverTakesRoundLock(t *testing.T) {
 	}
 
 	px.mu.Lock()
-	defer px.mu.Unlock()
 	lb.Register(aggEP, agg)
 	lb.Register(addr, peer)
 	px.dlv.disp.Wake()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := px.dlv.disp.Flush(ctx); err != nil {
+	err = px.dlv.disp.Flush(ctx)
+	px.mu.Unlock() // Status below takes the round lock; the acks were counted without it
+	if err != nil {
 		t.Fatalf("delivery did not drain while the round lock was held: %v", err)
 	}
 	if agg.Round() < 1 {
@@ -385,7 +386,7 @@ func TestDeliveryNeverTakesRoundLock(t *testing.T) {
 	if hr := peer.Status().HopReceived; hr != c/2 {
 		t.Fatalf("peer ingested %d relayed updates, want %d", hr, c/2)
 	}
-	if forwarded, batches := px.dlv.counters(); forwarded != c || batches != 2 {
-		t.Fatalf("delivery acknowledged %d updates in %d batches, want %d in 2", forwarded, batches, c)
+	if st := px.Status(); st.Forwarded != c || st.BatchesSent != 2 {
+		t.Fatalf("delivery acknowledged %d updates in %d batches, want %d in 2", st.Forwarded, st.BatchesSent, c)
 	}
 }

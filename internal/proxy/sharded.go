@@ -9,7 +9,6 @@ import (
 	randv2 "math/rand/v2"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mixnn/internal/core"
@@ -134,9 +133,6 @@ type ShardedConfig struct {
 	// ingress-to-egress queue in deployments with no observable
 	// transport queue (the HTTP daemon).
 	IngressDepth func() int
-	// DisableMetrics turns off the /v1/metrics operator registry; the
-	// endpoint then answers 404, like a binary without it.
-	DisableMetrics bool
 }
 
 // ShardedProxy is the horizontally-scaled MixNN mixing tier: participants
@@ -224,23 +220,21 @@ type ShardedProxy struct {
 	hopReceived  int // cascade updates ingested (hop >= 1)
 	restoredFrom int // shard count of the blob this tier restored from (0 = fresh)
 	updateBytes  int
-	decryptT     timing
-	storeT       timing
-	mixT         timing
-	processT     timing
+
+	// metrics is the registry behind /v1/metrics and the one store of
+	// what a stage measures (see initControlPlane); Status and the gate's
+	// signals read its instruments, and nothing records one under p.mu.
+	metrics                              *health.Registry
+	decryptUs, storeUs, mixUs, processUs *health.Histogram
+	rateLimited, shed                    *health.Counter
 
 	// Control plane (see controlplane.go): the admission gate in front
-	// of participant ingress, the operator metrics registry behind
-	// /v1/metrics (nil with DisableMetrics), and the short-lived signal
-	// snapshot the gate reads instead of polling queues per update.
-	admission   *health.Admission
-	metrics     *health.Registry
-	decryptHist *health.Histogram
-	admRate     atomic.Uint64 // 429s: sender over its token-bucket budget
-	admShed     atomic.Uint64 // 429s: tier load-shedding
-	sigMu       sync.Mutex
-	sigAt       time.Time
-	sig         health.Signals
+	// of participant ingress and the short-lived signal snapshot the gate
+	// reads instead of polling queues per update.
+	admission *health.Admission
+	sigMu     sync.Mutex
+	sigAt     time.Time
+	sig       health.Signals
 }
 
 // outboxLabel domain-separates outbox entries from other sealed material.
@@ -337,7 +331,7 @@ func NewSharded(cfg ShardedConfig, encl *enclave.Enclave, platform *enclave.Plat
 	p.seen.SetWindow(cfg.DedupWindow)
 	p.cond = sync.NewCond(&p.mu)
 	p.initControlPlane()
-	p.dlv = newDelivery(cfg, tr, box, remotes)
+	p.dlv = newDelivery(cfg, tr, box, remotes, p.metrics)
 	return p, nil
 }
 

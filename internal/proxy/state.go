@@ -61,7 +61,6 @@ func (p *ShardedProxy) SealState() ([]byte, error) {
 			return nil, fmt.Errorf("proxy: marshal remote trust: %w", err)
 		}
 	}
-	forwarded, _ := p.dlv.counters()
 	raw, err := core.SealShardedState(p.shards, core.ShardedStateMeta{
 		Routing:       uint8(p.topo.Mode()),
 		RRCursor:      p.rst.RR,
@@ -70,7 +69,7 @@ func (p *ShardedProxy) SealState() ([]byte, error) {
 		HopMark:       p.hopMark,
 		Received:      p.received,
 		HopReceived:   p.hopReceived,
-		Forwarded:     forwarded,
+		Forwarded:     int(p.dlv.forwarded.Value()),
 		ShardReceived: shardRecv,
 		ShardEmitted:  shardEmit,
 		Pending:       p.pending,

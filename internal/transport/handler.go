@@ -16,9 +16,7 @@ import (
 
 // MetricsSource is the optional capability a Server may implement to
 // serve operator metrics: WriteMetrics renders Prometheus text
-// exposition, or returns ErrNotSupported when the tier runs with
-// metrics disabled (the HTTP adapter answers 404 either way — same
-// wire shape as a binary without the endpoint).
+// exposition.
 type MetricsSource interface {
 	WriteMetrics(w io.Writer) error
 }
@@ -112,8 +110,8 @@ func newHandler(s Server) *handler {
 			return
 		}
 		defer h.single.release(body)
-		rcpt, err := s.HandleUpdate(r.Context(), UpdateRequest{Body: *body, ClientID: r.Header.Get(wire.HeaderClient)})
-		writeReceipt(w, rcpt, err)
+		_, err := s.HandleUpdate(r.Context(), UpdateRequest{Body: *body, ClientID: r.Header.Get(wire.HeaderClient)})
+		writeReceipt(w, err)
 	})
 	mux.HandleFunc("POST /v1/hop", func(w http.ResponseWriter, r *http.Request) {
 		if !checkProto(w, r) {
@@ -129,8 +127,8 @@ func newHandler(s Server) *handler {
 			return
 		}
 		defer h.single.release(body)
-		rcpt, err := s.HandleHop(r.Context(), HopRequest{Body: *body, Hop: hop, Secret: bearerToken(r.Header)})
-		writeReceipt(w, rcpt, err)
+		_, err = s.HandleHop(r.Context(), HopRequest{Body: *body, Hop: hop, Secret: bearerToken(r.Header)})
+		writeReceipt(w, err)
 	})
 	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
 		if !checkProto(w, r) {
@@ -239,9 +237,8 @@ func newHandler(s Server) *handler {
 			if !checkProto(w, r) {
 				return
 			}
-			// Render into a buffer first: a source with metrics disabled
-			// returns ErrNotSupported, which must become a clean 404 — and
-			// headers cannot be unsent.
+			// Render into a buffer first: a failed render must become a
+			// clean error response, and headers cannot be unsent.
 			var buf bytes.Buffer
 			if err := ms.WriteMetrics(&buf); err != nil {
 				writeError(w, r, err)
@@ -311,15 +308,13 @@ func checkProto(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// writeReceipt renders an ingress acknowledgement: the shard diagnostic
-// plus 202, or the typed rejection.
-func writeReceipt(w http.ResponseWriter, rcpt Receipt, err error) {
+// writeReceipt renders an ingress acknowledgement: 202, or the typed
+// rejection. It names no shard: which shard the enclave routed an update
+// to is not the host's to see.
+func writeReceipt(w http.ResponseWriter, err error) {
 	if err != nil {
 		writeError(w, nil, err)
 		return
-	}
-	if rcpt.Shard >= 0 {
-		w.Header().Set(wire.HeaderShard, strconv.Itoa(rcpt.Shard))
 	}
 	w.WriteHeader(http.StatusAccepted)
 }

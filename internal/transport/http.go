@@ -98,24 +98,18 @@ func hopHeaders(hop int, secret string) func(http.Header) {
 
 // SendUpdate implements Transport.
 func (t *HTTP) SendUpdate(ctx context.Context, ep string, req UpdateRequest) (Receipt, error) {
-	resp, err := t.post(ctx, ep+"/v1/update", wire.ContentTypeUpdate, req.Body, func(h http.Header) {
+	_, err := t.post(ctx, ep+"/v1/update", wire.ContentTypeUpdate, req.Body, func(h http.Header) {
 		if req.ClientID != "" {
 			h.Set(wire.HeaderClient, req.ClientID)
 		}
 	})
-	if err != nil {
-		return Receipt{Shard: -1}, err
-	}
-	return receiptFrom(resp), nil
+	return Receipt{Shard: -1}, err
 }
 
 // Hop implements Transport.
 func (t *HTTP) Hop(ctx context.Context, ep string, req HopRequest) (Receipt, error) {
-	resp, err := t.post(ctx, ep+"/v1/hop", wire.ContentTypeUpdate, req.Body, hopHeaders(req.Hop, req.Secret))
-	if err != nil {
-		return Receipt{Shard: -1}, err
-	}
-	return receiptFrom(resp), nil
+	_, err := t.post(ctx, ep+"/v1/hop", wire.ContentTypeUpdate, req.Body, hopHeaders(req.Hop, req.Secret))
+	return Receipt{Shard: -1}, err
 }
 
 // SendBatch implements Transport. The hop depth and secret only travel
@@ -137,20 +131,7 @@ func (t *HTTP) SendBatch(ctx context.Context, ep string, req BatchRequest) (Rece
 	if err != nil {
 		return Receipt{Shard: -1}, err
 	}
-	r := receiptFrom(resp)
-	r.Duplicate = resp.StatusCode == http.StatusOK
-	return r, nil
-}
-
-// receiptFrom reads the shard diagnostic off an accepted response.
-func receiptFrom(resp *http.Response) Receipt {
-	shard := -1
-	if v := resp.Header.Get(wire.HeaderShard); v != "" {
-		if s, err := strconv.Atoi(v); err == nil {
-			shard = s
-		}
-	}
-	return Receipt{Shard: shard}
+	return Receipt{Shard: -1, Duplicate: resp.StatusCode == http.StatusOK}, nil
 }
 
 // get runs one GET through the status mapping.

@@ -65,8 +65,7 @@ type BatchRequest struct {
 
 // Receipt acknowledges an accepted send.
 type Receipt struct {
-	// Shard is the mixing shard that ingested the update (diagnostics;
-	// wire.HeaderShard), -1 when the receiver does not report one.
+	// Shard is always -1; retired with the Hop verb.
 	Shard int
 	// Duplicate reports that the receiver had already applied this batch
 	// (idempotency-id dedup) and acknowledged without reprocessing.

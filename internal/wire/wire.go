@@ -30,8 +30,7 @@
 //	                              SDKs bootstrap and rank their failover
 //	                              list from it)
 //	GET  {proxy}/v1/metrics       Prometheus text exposition (operator
-//	                              metrics; 404 when the proxy runs with
-//	                              metrics disabled)
+//	                              metrics)
 //	POST {proxy}/v1/admin/topology  JSON TopologyDirective: stage the next
 //	                              epoch's topology (applied at round close);
 //	                              requires the inter-proxy secret — 403
@@ -60,9 +59,6 @@ const (
 	// on. Proxies reject updates whose hop exceeds their configured bound,
 	// which breaks forwarding loops.
 	HeaderHop = "X-Mixnn-Hop"
-	// HeaderShard reports, on proxy responses, which shard ingested the
-	// update (diagnostics only; it reveals nothing beyond arrival order).
-	HeaderShard = "X-Mixnn-Shard"
 	// HeaderBatch carries the idempotency id of a /v1/batch POST. The
 	// sender derives it deterministically from the outbox entry, so a
 	// redelivery after a lost acknowledgement carries the same id and the
