@@ -636,9 +636,11 @@ func BenchmarkProxyMixWire(b *testing.B) {
 // process's, so the dispatcher's and aggregator's goroutines are in.
 //
 // x-wire is bytes allocated per update as a multiple of the update's wire
-// size, and CI holds it under 1.25: the entry itself is the 1.0, and
-// every other stage of the leg must work in place or out of a pool. A
-// stage that starts copying the round again shows up as +1.0.
+// size, and CI holds it under 0.25: the entry is built in the spare an
+// acked entry left behind (outbox.Queue.NewEntry), and every other stage
+// of the leg works in place or out of a pool — 0.036 when the spares
+// landed, 1.04 when every round allocated its entry. A stage that starts
+// copying the round again shows up as +1.0.
 func BenchmarkDeliveryLeg(b *testing.B) {
 	const round = 64
 	arch := experiment.PerfModels(experiment.ScaleQuick)[0].Arch
@@ -749,15 +751,16 @@ func (s *countingSink) HandleBatch(context.Context, transport.BatchRequest) (tra
 // batch of one round; the sender's wrap is outside the window.
 //
 // The conv arm (round 64) is gated on bytes: x-wire — bytes allocated per
-// update over the update's wire size — must stay under 1.25. The outbox
-// entry the round close writes is the 1.0, as on the delivery leg; a
-// stage that copies the batch again (an unpooled plaintext, per-item
-// trees with their misaligned-tensor copies) shows up as +1.0 or more.
-// What is left above 1.0 is the plaintext pool missing after a GC cycle
-// or two (a 2.7MB buffer; the sender's wrap allocates as much again
-// between windows). Both arms are gated on allocs/update at 1.5x what
-// this path measured when it landed (parent → change, 8 runs each, Go
-// 1.24, 2 cores; the tree-building ingress read the same on every run):
+// update over the update's wire size — must stay under 0.25. The outbox
+// entry the round close writes is built in an acked entry's spare, as on
+// the delivery leg (0.031 when the spares landed, 1.04 before); a stage
+// that copies the batch again (an unpooled plaintext, per-item trees with
+// their misaligned-tensor copies) shows up as +1.0 or more. What is left
+// is the plaintext pool missing after a GC cycle or two (a 2.7MB buffer;
+// the sender's wrap allocates as much again between windows). Both arms
+// are gated on allocs/update at 1.5x what this path measured when it
+// landed (parent → change, 8 runs each, Go 1.24, 2 cores; the
+// tree-building ingress read the same on every run):
 //
 //	mlp  round 16: 25.75 → 3.69 allocs/update, 5.92 → 2.03 x-wire
 //	conv round 64: 52.0  → 1.27 allocs/update, 3.06–3.12 → 1.09–1.15 x-wire
@@ -770,7 +773,7 @@ func BenchmarkHopIngress(b *testing.B) {
 		maxAllocs float64
 	}{
 		{"mlp", nn.NewMLP("net", 4, []int{6}, 2), 16, 0, 1.5 * 3.69},
-		{"conv", experiment.PerfModels(experiment.ScaleQuick)[0].Arch, 64, 1.25, 1.5 * 1.27},
+		{"conv", experiment.PerfModels(experiment.ScaleQuick)[0].Arch, 64, 0.25, 1.5 * 1.27},
 	}
 	platform, err := enclave.NewPlatform()
 	if err != nil {

@@ -358,9 +358,30 @@ func (c *Participant) attestOne(ctx context.Context, ep string) (*enclave.Sender
 	return snd, nil
 }
 
-// encodeBufs recycles SendUpdate's plaintext encode buffers (*[]byte)
-// across the process's participants.
+// sendLease is the pair of buffers one SendUpdate call works in: the
+// encoded plaintext, and the ciphertext every attempt of the call seals
+// it into. Neither outlives the call — a Transport reads a body only
+// until it returns, and each attempt starts after the previous one's
+// transport call returned — so the pair recycles when SendUpdate does.
+type sendLease struct {
+	plain, ct []byte
+}
+
+// encodeBufs recycles SendUpdate's leases (*sendLease) across the
+// process's participants.
 var encodeBufs sync.Pool
+
+// release ends the lease. Under the race detector the ciphertext is
+// overwritten first, so a transport or a receiver that kept a slice of a
+// body past its return reads garbage at once instead of a later update.
+func (l *sendLease) release() {
+	if raceEnabled {
+		for i := range l.ct {
+			l.ct[i] = 0xA5
+		}
+	}
+	encodeBufs.Put(l)
+}
 
 // Busy-tier backoff: when a whole failover walk comes back with every
 // proxy rejecting at the ingress door and at least one of them answering
@@ -398,22 +419,18 @@ const (
 // across downstream outages), so observe round progress with
 // WaitForRound rather than inferring it from the send.
 func (c *Participant) SendUpdate(ctx context.Context, ps nn.ParamSet) error {
-	// The encoded plaintext only feeds the wraps below (every attempt
-	// seals it into a fresh ciphertext, which is what the transport
-	// owns), so it is dead once this call returns and its buffer recycles.
-	bp, _ := encodeBufs.Get().(*[]byte)
-	if bp == nil {
-		bp = new([]byte)
+	l, _ := encodeBufs.Get().(*sendLease)
+	if l == nil {
+		l = new(sendLease)
 	}
-	defer encodeBufs.Put(bp)
-	if need := nn.EncodedSize(ps); cap(*bp) < need {
-		*bp = make([]byte, 0, need)
+	defer l.release()
+	if need := nn.EncodedSize(ps); cap(l.plain) < need {
+		l.plain = make([]byte, 0, need)
 	}
-	raw, err := nn.AppendParamSet((*bp)[:0], ps)
-	if err != nil {
+	var err error
+	if l.plain, err = nn.AppendParamSet(l.plain[:0], ps); err != nil {
 		return err
 	}
-	*bp = raw
 	c.mu.Lock()
 	clientID := c.clientID
 	haveAny := c.authority != nil || len(c.senders) > 0
@@ -423,7 +440,7 @@ func (c *Participant) SendUpdate(ctx context.Context, ps nn.ParamSet) error {
 	}
 	backoff := busyRetryBase
 	for {
-		err := c.sendWalk(ctx, raw, clientID)
+		err := c.sendWalk(ctx, l, clientID)
 		if err == nil {
 			return nil
 		}
@@ -492,8 +509,8 @@ func rateLimited(err error) (bool, time.Duration) {
 }
 
 // sendWalk runs one failover walk down the proxy list with the
-// SendUpdate semantics above.
-func (c *Participant) sendWalk(ctx context.Context, raw []byte, clientID string) error {
+// SendUpdate semantics above, sealing l.plain into l.ct for each attempt.
+func (c *Participant) sendWalk(ctx context.Context, l *sendLease, clientID string) error {
 	var errs []error
 	var err error
 	for _, ep := range c.proxySnapshot() {
@@ -510,10 +527,11 @@ func (c *Participant) sendWalk(ctx context.Context, raw []byte, clientID string)
 				continue
 			}
 		}
-		ct, sess, err := snd.Wrap(raw)
+		ct, sess, err := snd.WrapTo(l.ct, l.plain)
 		if err != nil {
 			return err
 		}
+		l.ct = ct
 		_, err = c.tr.SendUpdate(ctx, ep, transport.UpdateRequest{Body: ct, ClientID: clientID})
 		if err != nil && transport.SessionRejected(err) {
 			// The proxy's enclave no longer holds our session (cache
@@ -528,9 +546,10 @@ func (c *Participant) sendWalk(ctx context.Context, raw []byte, clientID string)
 			// one retry suffices. A rejection of the fresh establish
 			// itself falls through to the ordinary classification below.
 			snd.Drop(sess)
-			if ct, _, err = snd.WrapFresh(raw); err != nil {
+			if ct, _, err = snd.WrapFreshTo(l.ct, l.plain); err != nil {
 				return err
 			}
+			l.ct = ct
 			_, err = c.tr.SendUpdate(ctx, ep, transport.UpdateRequest{Body: ct, ClientID: clientID})
 		}
 		if err == nil {

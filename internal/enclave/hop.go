@@ -84,6 +84,12 @@ func NewSender(key *HopKey) *Sender { return &Sender{key: key} }
 // establish: concurrent wrappers wait for the one RSA wrap instead of each
 // paying their own and discarding all but one.
 func (s *Sender) Wrap(plaintext []byte) ([]byte, *Session, error) {
+	return s.WrapTo(nil, plaintext)
+}
+
+// WrapTo is Wrap sealing into dst's storage when its capacity suffices
+// (see Session.WrapTo).
+func (s *Sender) WrapTo(dst, plaintext []byte) ([]byte, *Session, error) {
 	for attempt := 0; ; attempt++ {
 		s.mu.Lock()
 		sess := s.cur
@@ -96,7 +102,7 @@ func (s *Sender) Wrap(plaintext []byte) ([]byte, *Session, error) {
 			s.cur = sess
 		}
 		s.mu.Unlock()
-		ct, err := sess.Wrap(plaintext)
+		ct, err := sess.WrapTo(dst, plaintext)
 		if err == nil {
 			return ct, sess, nil
 		}
@@ -129,11 +135,17 @@ func (s *Sender) Drop(sess *Session) {
 // installed only after its establish frame is taken, so no other wrapper
 // can claim counter 0.
 func (s *Sender) WrapFresh(plaintext []byte) ([]byte, *Session, error) {
+	return s.WrapFreshTo(nil, plaintext)
+}
+
+// WrapFreshTo is WrapFresh sealing into dst's storage when its capacity
+// suffices (see Session.WrapTo).
+func (s *Sender) WrapFreshTo(dst, plaintext []byte) ([]byte, *Session, error) {
 	sess, err := s.key.NewSession()
 	if err != nil {
 		return nil, nil, err
 	}
-	ct, err := sess.Wrap(plaintext) // first wrap of a session = establish
+	ct, err := sess.WrapTo(dst, plaintext) // first wrap of a session = establish
 	if err != nil {
 		return nil, nil, err
 	}

@@ -129,31 +129,50 @@ func NewSession(pub *rsa.PublicKey) (*Session, error) {
 // Wrap encrypts one payload for the session's enclave: the establish
 // message on the session's first call (counter 0, carrying the wrapped
 // key so the handshake costs no extra round trip), a data message with
-// the next counter after that. The output is a single exact-size
-// allocation — the session's cipher instance is reused, nothing else is
-// allocated per call.
+// the next counter after that. The output is a single allocation — the
+// session's cipher instance is reused, nothing else is allocated per
+// call.
 func (s *Session) Wrap(plaintext []byte) ([]byte, error) {
+	return s.WrapTo(nil, plaintext)
+}
+
+// WrapTo is Wrap sealing into dst's storage when its capacity holds the
+// frame plus the 12-byte GCM nonce, and into one fresh allocation when it
+// does not; dst's contents are overwritten, and it must not overlap
+// plaintext. The frame is returned with the nonce in its spare capacity
+// (a nonce on the stack would escape through the cipher.AEAD interface,
+// an allocation per wrap), so a sender that seals every update into the
+// buffer the previous one returned allocates nothing per update.
+func (s *Session) WrapTo(dst, plaintext []byte) ([]byte, error) {
 	c := s.ctr.Add(1) - 1
 	if c >= sessionCounterLimit {
 		return nil, fmt.Errorf("enclave: session counter exhausted; establish a new session")
 	}
-	var out []byte
+	n := dataHeaderSize + len(plaintext) + s.aead.Overhead()
 	if c == 0 {
-		out = make([]byte, 0, establishHeaderSize+len(s.wrapped)+len(plaintext)+s.aead.Overhead())
+		n = establishHeaderSize + len(s.wrapped) + len(plaintext) + s.aead.Overhead()
+	}
+	out := dst[:0]
+	if cap(out) < n+gcmNonceSize {
+		out = make([]byte, 0, n+gcmNonceSize)
+	}
+	// Past the frame, so the seal never writes over it.
+	nonce := out[n : n+gcmNonceSize]
+	binary.LittleEndian.PutUint64(nonce, c)
+	clear(nonce[8:])
+	if c == 0 {
 		out = append(out, sessionMagicEstablish...)
 		out = append(out, sessionVersion)
 		out = append(out, s.sid[:]...)
 		out = binary.LittleEndian.AppendUint16(out, uint16(len(s.wrapped)))
 		out = append(out, s.wrapped...)
 	} else {
-		out = make([]byte, 0, dataHeaderSize+len(plaintext)+s.aead.Overhead())
 		out = append(out, sessionMagicData...)
 		out = append(out, sessionVersion)
 		out = append(out, s.sid[:]...)
 		out = binary.LittleEndian.AppendUint64(out, c)
 	}
-	nonce := sessionNonce(c)
-	return s.aead.Seal(out, nonce[:], plaintext, out), nil
+	return s.aead.Seal(out, nonce, plaintext, out), nil
 }
 
 // sessionState is the ENCLAVE side of one session: the key schedule

@@ -62,6 +62,9 @@ import (
 // and Loopback hands request
 // bodies to the receiver without copying — so neither the sender nor a
 // receiver may decrypt, decode or otherwise write in place over them.
+// Ack ends that: the acked payload becomes the queue's to reuse for a
+// later entry (Queue.NewEntry), so nothing may hold a slice of it past
+// the delivery that Ack acknowledges.
 type Envelope struct {
 	Epoch       uint64
 	TopoVersion uint64
@@ -115,7 +118,8 @@ func EntrySize(dest string, count, payloadBytes int) int {
 // append-encode its updates (nn.AppendParamSet) writes each update's
 // bytes exactly once — straight into the entry the queue will hold —
 // instead of encoding them elsewhere and copying them in. Size the
-// builder with EntrySize and the entry is one allocation.
+// builder with EntrySize and the entry is one allocation, or none when
+// Queue.NewEntry finds a spare.
 type EntryBuilder struct {
 	buf      []byte
 	countOff int
@@ -124,16 +128,21 @@ type EntryBuilder struct {
 
 // NewEntryBuilder starts an entry with hdr's epoch, topology version, hop
 // and destination (hdr.Updates and hdr.Batch are ignored); size is the
-// capacity to reserve.
+// capacity to reserve. A producer that commits to a Queue starts its
+// entries with Queue.NewEntry instead, which reuses acked entries.
 func NewEntryBuilder(hdr Envelope, size int) (*EntryBuilder, error) {
+	return buildEntry(make([]byte, 0, size), hdr)
+}
+
+// buildEntry starts an entry over buf's storage.
+func buildEntry(buf []byte, hdr Envelope) (*EntryBuilder, error) {
 	if hdr.Hop < 0 {
 		return nil, fmt.Errorf("outbox: negative hop %d", hdr.Hop)
 	}
 	if len(hdr.Dest) > maxEnvelopeDestBytes {
 		return nil, fmt.Errorf("outbox: destination exceeds %d bytes", maxEnvelopeDestBytes)
 	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, envelopeMagic...)
+	buf = append(buf[:0], envelopeMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, EnvelopeVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, hdr.Epoch)
 	buf = binary.LittleEndian.AppendUint64(buf, hdr.TopoVersion)

@@ -412,6 +412,68 @@ func TestDeliveryQuarantinedCounting(t *testing.T) {
 	}
 }
 
+// TestDeliveryQueueReusesAckedEntries: the payload of an acked lane head
+// becomes a spare — poisoned first when poisoning is on — and NewEntry
+// builds the next entry of a fitting size in it; a spare more than twice
+// the size asked for is left alone, a too-small one cannot serve, and the
+// queue keeps at most maxSpares of them.
+func TestDeliveryQueueReusesAckedEntries(t *testing.T) {
+	PoisonSpares(t)
+	q := NewMemory()
+	build := func(item string) []byte {
+		b, err := q.NewEntry(Envelope{Epoch: 1, Hop: 1}, EntrySize("", 1, len(item)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Append(func(buf []byte) ([]byte, error) { return append(buf, item...), nil }); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	deliver := func(raw []byte) {
+		seq, err := q.Put(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := q.NextIn(""); err != nil { // the dispatcher opens the head first
+			t.Fatal(err)
+		}
+		if err := q.Ack(seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same := func(a, b []byte) bool { return &a[:1][0] == &b[:1][0] }
+
+	round := func(c byte) string { return strings.Repeat(string(c), 100) }
+	first := build(round('1'))
+	deliver(first)
+	if !bytes.Equal(first, bytes.Repeat([]byte{0xA5}, len(first))) {
+		t.Fatal("an acked payload became a spare without being poisoned")
+	}
+	second := build(round('2'))
+	if !same(second, first) {
+		t.Fatal("NewEntry allocated although an acked entry of the same size was spare")
+	}
+	if env, err := ParseEnvelope(second); err != nil || string(env.Updates[0]) != round('2') {
+		t.Fatalf("the entry built in a spare does not parse back: %v", err)
+	}
+	deliver(second)
+	big := build(strings.Repeat("x", 4*len(second)))
+	if same(big, second) {
+		t.Fatal("NewEntry built a larger entry in a spare too small for it")
+	}
+	small := build("")
+	if same(small, second) {
+		t.Fatal("NewEntry built an entry in a spare more than twice its size")
+	}
+	deliver(big)
+	deliver(small)
+	deliver(build(round('3')))
+	if n := len(q.spares); n != maxSpares {
+		t.Fatalf("the queue keeps %d spares, want %d", n, maxSpares)
+	}
+}
+
 // TestDeliverySeqNeverReused pins the watermark-safety invariant: a
 // restart over a fully-drained (or quarantined-at-head) directory must
 // NOT recycle sequence numbers — receivers key their stale-redelivery

@@ -93,7 +93,23 @@ type Queue struct {
 	// quarantined counts entries set aside: .bad files found at Open
 	// plus quarantines since.
 	quarantined int
+	// spares holds up to maxSpares acked payloads for NewEntry to build
+	// the next entries in, newest last.
+	spares [][]byte
 }
+
+// maxSpares bounds the acked payloads a queue keeps for reuse: a tier
+// commits about one entry per destination per round, so two cover the
+// round being built while the last one's buffer is still on its way
+// back, and what the queue pins stays two entries' worth, each bounded
+// by the receiver's read bound.
+const maxSpares = 2
+
+// poisonSpares overwrites an acked payload as it becomes a spare, so a
+// holder that kept a slice of it past its delivery reads garbage at once
+// instead of a later round some day. On under the race detector; tests
+// turn it on in any build.
+var poisonSpares = raceEnabled
 
 func newQueue(s store, seal SealFunc, open OpenFunc) *Queue {
 	return &Queue{store: s, seal: seal, open: open, lanes: make(map[string]*lane), bySeq: make(map[uint64]*lane)}
@@ -228,9 +244,32 @@ func mintSenderID() (string, error) {
 	return hex.EncodeToString(b[:]), nil
 }
 
+// NewEntry starts an entry like NewEntryBuilder, in a spare when the
+// queue holds one of size to 2·size bytes: the payload of an entry Ack
+// consumed, so steady rounds of a steady size are built without
+// allocating.
+func (q *Queue) NewEntry(hdr Envelope, size int) (*EntryBuilder, error) {
+	var buf []byte
+	q.mu.Lock()
+	for i := len(q.spares) - 1; i >= 0; i-- {
+		if c := cap(q.spares[i]); size <= c && c <= 2*size {
+			buf = q.spares[i]
+			q.spares = slices.Delete(q.spares, i, i+1)
+			break
+		}
+	}
+	q.mu.Unlock()
+	if buf == nil {
+		buf = make([]byte, 0, size)
+	}
+	return buildEntry(buf, hdr)
+}
+
 // Put commits one entry and returns its sequence number. The entry is
 // sealed first and, in a directory store, durable before Put returns. It
-// joins the lane named by its envelope destination (LaneOf).
+// joins the lane named by its envelope destination (LaneOf). Put takes
+// ownership of payload: the caller must not touch it again, whatever Put
+// returns.
 func (q *Queue) Put(payload []byte) (uint64, error) {
 	// The lane is read from the plaintext header, before sealing hides it.
 	name := LaneOf(payload)
@@ -287,15 +326,34 @@ func (q *Queue) head(name string) *Entry {
 
 // Ack consumes a delivered entry and counts it delivered on its lane, in
 // one critical section: a LaneStats snapshot sees the entry pending or
-// delivered, never both and never neither.
+// delivered, never both and never neither. When the entry was its lane's
+// opened head, its payload becomes a spare for NewEntry: whoever
+// delivered it must hold no slice of it any more — nor may anything the
+// delivery handed it to, which the Transport contract guarantees once
+// the send returned.
 func (q *Queue) Ack(seq uint64) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	var payload []byte
+	if l := q.bySeq[seq]; l != nil && l.head != nil && l.head.Seq == seq {
+		payload = l.head.Payload
+	}
 	if l := q.dropLocked(seq); l != nil {
 		l.delivered++
 	}
 	if err := q.store.remove(seq); err != nil {
 		return fmt.Errorf("outbox: ack entry %d: %w", seq, err)
+	}
+	if cap(payload) > 0 {
+		if poisonSpares {
+			for i := range payload {
+				payload[i] = 0xA5
+			}
+		}
+		if len(q.spares) == maxSpares {
+			q.spares = slices.Delete(q.spares, 0, 1)
+		}
+		q.spares = append(q.spares, payload[:0])
 	}
 	return nil
 }

@@ -769,7 +769,7 @@ func TestOversizedShareSplits(t *testing.T) {
 		t.Fatalf("the two downstream pieces share an identity: %q/%d and %q/%d", down[0].req.ID, down[0].req.Seq, down[2].req.ID, down[2].req.Seq)
 	}
 	for i, call := range down {
-		env, err := wire.DecodeBatchEnvelope(call.req.Body)
+		env, err := wire.DecodeBatchEnvelope(call.body)
 		if err != nil || len(env.Updates) != 2 {
 			t.Fatalf("downstream delivery %d: %v, %d updates, want a complete batch of 2", i, err, len(env.Updates))
 		}

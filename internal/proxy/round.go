@@ -149,9 +149,10 @@ func (p *ShardedProxy) packageRound(rc *roundClose) error {
 	}
 	// Encode everything before taking the epoch's commit turn. Each
 	// update is append-encoded (a relayed image: copied) straight into
-	// its exactly-sized entry — the buffer the queue will hold and the
-	// request body the receiver will read — so a round's bytes are
-	// written once on their way to the outbox.
+	// its entry — the buffer the queue will hold and the request body the
+	// receiver will read, built in an acked entry's spare when the queue
+	// has one that fits — so a round's bytes are written once on their
+	// way to the outbox.
 	type rawEntry struct {
 		destEntry
 		raw   []byte
@@ -165,7 +166,7 @@ pack:
 			hi, size := share.cut(lo, p.maxEntry)
 			de := share.piece(lo, hi)
 			lo = hi
-			b, err := outbox.NewEntryBuilder(outbox.Envelope{
+			b, err := p.dlv.box.NewEntry(outbox.Envelope{
 				Epoch:       uint64(rc.epoch),
 				TopoVersion: rc.topo.Version(),
 				Hop:         rc.hop,

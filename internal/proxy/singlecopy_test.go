@@ -40,7 +40,10 @@ type batchTap struct {
 }
 
 type tapCall struct {
+	// req is the request as handed over; its Body is kept only for its
+	// address — the sender may reuse the buffer once the call returned.
 	req       transport.BatchRequest
+	body      []byte   // a copy of the body as it arrived
 	sum       [32]byte // of the body as it arrived
 	intact    bool     // body unchanged when the handler returned
 	applied   bool     // the inner handler ran
@@ -49,7 +52,7 @@ type tapCall struct {
 }
 
 func (b *batchTap) HandleBatch(ctx context.Context, req transport.BatchRequest) (transport.Receipt, error) {
-	call := tapCall{req: req, sum: sha256.Sum256(req.Body)}
+	call := tapCall{req: req, body: append([]byte(nil), req.Body...), sum: sha256.Sum256(req.Body)}
 	b.mu.Lock()
 	down, lose := b.down, !b.down && b.loseAcks > 0
 	if lose {

@@ -26,12 +26,17 @@ type reframe struct {
 	declare func(n int64) int64
 }
 
+// RoundTrip closes the request body it was handed once the round trip is
+// over, as the RoundTripper contract requires: the body it passes on is
+// a wrapper whose close never reaches the original.
 func (f reframe) RoundTrip(req *http.Request) (*http.Response, error) {
 	if req.Method == http.MethodPost {
+		orig := req.Body
 		req = req.Clone(req.Context())
 		req.ContentLength = f.declare(req.ContentLength)
-		if req.Body != http.NoBody {
-			req.Body = io.NopCloser(req.Body) // hide the length from net/http
+		if orig != nil && orig != http.NoBody {
+			req.Body = io.NopCloser(orig) // hide the length from net/http
+			defer orig.Close()
 		}
 	}
 	if f.next != nil {

@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"mixnn/internal/wire"
@@ -24,7 +26,9 @@ type HTTP struct {
 }
 
 // NewHTTP builds the HTTP transport; httpc may be nil for a default
-// client with a 60 s timeout.
+// client with a 60 s timeout. The client's RoundTripper must close every
+// request body, as net/http's does: a data-plane send waits for those
+// closes before it returns.
 func NewHTTP(httpc *http.Client) *HTTP {
 	if httpc == nil {
 		httpc = &http.Client{Timeout: 60 * time.Second}
@@ -68,11 +72,21 @@ func (t *HTTP) do(req *http.Request) (*http.Response, error) {
 	return nil, se
 }
 
-// post builds and runs one POST, discarding the response body.
+// post builds and runs one POST, discarding the response body. It
+// returns only once net/http has closed every reader of body it opened
+// (see sentBody), which is what lets the caller reuse body afterwards.
 func (t *HTTP) post(ctx context.Context, url, contentType string, body []byte, hdr func(http.Header)) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, http.NoBody)
 	if err != nil {
 		return nil, err
+	}
+	if len(body) > 0 {
+		sb := &sentBody{buf: body}
+		sb.cond.L = &sb.mu
+		defer sb.wait()
+		req.ContentLength = int64(len(body))
+		req.Body, _ = sb.reader()
+		req.GetBody = sb.reader
 	}
 	req.Header.Set("Content-Type", contentType)
 	if hdr != nil {
@@ -84,6 +98,75 @@ func (t *HTTP) post(ctx context.Context, url, contentType string, body []byte, h
 	}
 	resp.Body.Close()
 	return resp, nil
+}
+
+// sentBody hands one request body to net/http and tells the sender when
+// net/http is done with it. A RoundTripper must close the request body,
+// and each copy it took through GetBody, but may do so after RoundTrip
+// returned (net/http's own closes it from the connection's write loop);
+// so a sender that reuses the bytes waits for those closes. Every reader
+// counts from open to its first Close, a closed reader reads nothing
+// more, and once wait returned no reader is opened again: from then on
+// nothing net/http holds touches buf.
+type sentBody struct {
+	buf  []byte
+	mu   sync.Mutex
+	cond sync.Cond // on mu; signalled when open drops to 0
+	open int       // readers opened and not yet closed
+	done bool      // wait returned: buf is the sender's again
+}
+
+// reader opens one reader of the body: the request's own, or a GetBody
+// copy.
+func (b *sentBody) reader() (io.ReadCloser, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.done {
+		return nil, errBodyClosed
+	}
+	b.open++
+	r := &sentBodyReader{b: b}
+	r.r.Reset(b.buf)
+	return r, nil
+}
+
+// wait blocks until every reader opened so far was closed.
+func (b *sentBody) wait() {
+	b.mu.Lock()
+	for b.open > 0 {
+		b.cond.Wait()
+	}
+	b.done = true
+	b.mu.Unlock()
+}
+
+var errBodyClosed = errors.New("transport: request body used after its Close or after the send returned")
+
+type sentBodyReader struct {
+	b      *sentBody
+	r      bytes.Reader
+	closed bool
+}
+
+func (r *sentBodyReader) Read(p []byte) (int, error) {
+	r.b.mu.Lock()
+	defer r.b.mu.Unlock()
+	if r.closed {
+		return 0, errBodyClosed
+	}
+	return r.r.Read(p)
+}
+
+func (r *sentBodyReader) Close() error {
+	r.b.mu.Lock()
+	defer r.b.mu.Unlock()
+	if !r.closed {
+		r.closed = true
+		if r.b.open--; r.b.open == 0 {
+			r.b.cond.Broadcast()
+		}
+	}
+	return nil
 }
 
 // hopHeaders stamps the cascade depth and bearer secret of a hop leg.

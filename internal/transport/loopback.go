@@ -15,8 +15,8 @@ import (
 // registry, and every operation reaches the registered Server without
 // HTTP framing, header encoding or a socket copy. Request bodies are
 // handed to the receiver without copying, so callers must not mutate a
-// Body after sending it (every production sender builds a fresh buffer
-// per send; retries resend the same, unmutated bytes).
+// Body while its send is in flight; once the send returned the handler
+// is done with it (see Transport), and the SDK and the outbox reuse it.
 //
 // A whole multi-tier deployment — participants, a sharded front proxy,
 // relay shard proxies, cascade hops and the aggregation server — runs

@@ -41,6 +41,16 @@ import (
 // typed form of a non-2xx response) and ordinary errors for transport
 // failures (peer unreachable) — the distinction callers classify retry
 // policy on.
+//
+// A request body is the transport's to read from the call until it
+// returns, and no longer, however the call ends: success, rejection,
+// timeout or cancellation. Once a data-plane method returned, neither the
+// transport nor the receiving Server reads the body again, so the sender
+// may write the next request into the same buffer. Loopback returns only
+// after the handler returned or provably never started (the claim on a
+// queued request); HTTP returns only after net/http closed every reader
+// of the body it opened. TestLoopbackSendReturnsAfterHandler and
+// TestHTTPSendReturnsAfterBodyClosed pin the two halves.
 type Transport interface {
 	// SendUpdate posts one model update: an enclave ciphertext on the
 	// participant→proxy leg, a plaintext encoded ParamSet on the
@@ -77,7 +87,8 @@ type Transport interface {
 // server that keeps bytes copies them. Over HTTP the body sits in a
 // buffer the adapter leases for the call and hands to the next request
 // afterwards; over Loopback it is the sender's own buffer (an outbox
-// entry it will send again on a retry). Either way the server reads the
+// entry it will send again on a retry or build a later entry in, a
+// ciphertext buffer the SDK seals its next update into). Either way the server reads the
 // body and never writes it, decrypts or decodes into memory of its own,
 // and holds no slice of it past the return.
 type Server interface {

@@ -17,10 +17,11 @@ import (
 
 // UpdateRequest is one model update on its way into a tier: an enclave
 // ciphertext on the participant leg, a plaintext encoded ParamSet on
-// the server leg. The sender must not mutate the body after the send:
-// Loopback hands it over without a copy, and a send that timed out may
-// still be queued at the peer. The receiver only reads it, and only
-// until its handler returns (see Server).
+// the server leg. The sender must not mutate the body while the send is
+// in flight — Loopback hands it over without a copy — and may reuse it
+// once the send returned, whatever it returned (see Transport). The
+// receiver only reads it, and only until its handler returns (see
+// Server).
 type UpdateRequest struct {
 	Body []byte
 	// ClientID is the participant's pseudonymous id (wire.HeaderClient);
