@@ -17,19 +17,14 @@ import (
 // wire-only: inside the tier an update is a validated wire image or a
 // slab row, never a ParamSet tree built for the occasion.
 type Shard interface {
-	// AddWire files one ENCODED update, fully validating it, by the
-	// shard's cheapest path from wire bytes to its storage: a slab mixer
-	// copies the payload into its slab row, a relay keeps the image, a
-	// legacy mixer decodes over the buffer and aliases it. A non-nil
-	// return is an emission (a mixed update leaving the shard mid-round).
-	// The shard only reads wire; whether the caller gets the buffer back
-	// is RetainsWire's answer.
+	// AddWire files one ENCODED update, fully validating it against the
+	// round's model structure, by the shard's cheapest path from wire
+	// bytes to its storage: a slab shard copies the payload into its slab
+	// row, a tree mixer decodes a copy. A non-nil return is an emission
+	// (a mixed update leaving the shard mid-round). Nothing the shard
+	// keeps references wire, so the caller may reuse the buffer as soon
+	// as AddWire returns.
 	AddWire(wire []byte) (*nn.ParamSet, error)
-	// RetainsWire reports whether material filed with AddWire keeps
-	// referencing the wire buffer (until the round's drain has been
-	// encoded). When false the caller may reuse the buffer as soon as
-	// AddWire returns; when true it must leave it alone.
-	RetainsWire() bool
 	// Drain empties the shard at round close and returns the remainder.
 	Drain() []nn.ParamSet
 	// Buffered, Received and Emitted report the shard's ledger.
@@ -49,82 +44,77 @@ type Shard interface {
 // RelayShard is the local stand-in for a REMOTE shard of the tier: it
 // buffers the round's material routed to that shard so the delivery
 // pipeline can relay it — re-encrypted for the remote proxy's enclave —
-// when the round closes. It never mixes (the remote enclave does), so it
-// holds an update as the bytes it arrived as: validated wire images in,
-// the same images out of DrainWire, conservation trivially. Only the
-// cold ParamSet doors (Drain, SnapshotEntries, RestoreEntry) decode or
-// encode.
+// when the round closes. It never mixes (the remote enclave does): it
+// files each update into a slab row drawn from the tier's SlabPool, as a
+// mixer does, and Drain hands the rows' views back unmixed in arrival
+// order, conservation trivially.
 type RelayShard struct {
-	pool     *SlabPool
 	mu       sync.Mutex
 	k        int
-	buf      [][]byte
+	store    *slabStore
+	rows     []nn.ParamSet // the buffered rows' views, in arrival order
 	received int
 	emitted  int
 }
 
 // NewRelayShard builds a relay buffer; k is the shard's round quota
-// (capacity hint only — a relay never rejects, because the router already
-// enforces quotas). pool carries the layout incoming images are checked
-// against (see SlabPool.LayoutFor); nil validates each one by decoding it.
+// (capacity hint only — a relay never rejects for room, because the
+// router already enforces quotas). Its rows come from pool in chunks of
+// minChunkRows, the size the tier's mixers draw, so relays and mixers
+// recycle each other's chunks; nil allocates chunks that die with it.
 func NewRelayShard(k int, pool *SlabPool) *RelayShard {
 	if k <= 0 {
 		k = 1
 	}
-	return &RelayShard{k: k, pool: pool}
+	return &RelayShard{k: k, store: newSlabStore(minChunkRows, pool)}
 }
 
-// RetainsWire implements Shard: the buffer holds the image itself.
-func (r *RelayShard) RetainsWire() bool { return true }
-
-// AddWire implements Shard: validate (a header comparison against the
-// carried layout in the steady state), keep the image, never emit. Any
-// well-formed update is taken — the remote mixer decides what it mixes.
+// AddWire implements Shard: decode the update into a fresh row (the
+// round's first update settles the structure, as for a mixer), never
+// emit.
 func (r *RelayShard) AddWire(wire []byte) (*nn.ParamSet, error) {
-	if _, err := r.pool.LayoutFor(wire); err != nil {
-		return nil, err
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.buf = append(r.buf, wire)
-	r.received++
-	return nil, nil
+	return nil, r.file(r.store.fileWire(wire))
 }
 
-// DrainWire hands the round's buffered images to the relay leg, exactly
-// as they arrived.
-func (r *RelayShard) DrainWire() [][]byte {
+// file buffers a freshly filed row's view. Caller holds r.mu.
+func (r *RelayShard) file(view nn.ParamSet, err error) error {
+	if err != nil {
+		return fmt.Errorf("core: update incompatible with relay model structure: %w", err)
+	}
+	r.rows = append(r.rows, view)
+	r.received++
+	return nil
+}
+
+// Drain implements Shard: the buffered rows, unmixed, in arrival order.
+// The views stay valid until ReleaseSlab.
+func (r *RelayShard) Drain() []nn.ParamSet {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := r.buf
-	r.buf = nil
+	out := r.rows
+	r.rows = nil
 	r.emitted += len(out)
 	return out
 }
 
-// Drain implements Shard: DrainWire, viewed as ParamSets.
-func (r *RelayShard) Drain() []nn.ParamSet { return DecodeImages(r.DrainWire()) }
-
-// DecodeImages views wire images a RelayShard validated as ParamSets
-// aliasing them — for the cold paths that must speak ParamSet.
-func DecodeImages(images [][]byte) []nn.ParamSet {
-	out := make([]nn.ParamSet, len(images))
-	for i, w := range images {
-		ps, err := nn.DecodeParamSetNoCopy(w)
-		if err != nil {
-			// AddWire validated every image and nothing may write to one.
-			panic(fmt.Sprintf("core: relay image %d no longer decodes: %v", i, err))
-		}
-		out[i] = ps
+// ReleaseSlab recycles the relay's rows into its pool, under the same
+// contract as StreamMixer.ReleaseSlab: only after the round's entries
+// committed, and ignored while material is still buffered.
+func (r *RelayShard) ReleaseSlab() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.rows) == 0 {
+		r.store.release()
 	}
-	return out
 }
 
 // Buffered implements Shard.
 func (r *RelayShard) Buffered() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.buf)
+	return len(r.rows)
 }
 
 // Received implements Shard.
@@ -144,29 +134,20 @@ func (r *RelayShard) Emitted() int {
 // K implements Shard.
 func (r *RelayShard) K() int { return r.k }
 
-// SnapshotEntries implements Shard: the buffered images, decoded — a
-// seal blob's relay section is their bytes again.
+// SnapshotEntries implements Shard: the buffered rows' views, so a seal
+// blob's relay section encodes to the bytes the updates arrived as.
 func (r *RelayShard) SnapshotEntries() []nn.ParamSet {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return DecodeImages(r.buf)
+	return append([]nn.ParamSet(nil), r.rows...)
 }
 
-// RestoreEntry implements Shard: a restored (or re-filed) update
-// re-enters the buffer as its wire image.
+// RestoreEntry implements Shard: a restored (or re-filed) update is
+// copied into a fresh row.
 func (r *RelayShard) RestoreEntry(u nn.ParamSet) error {
-	if len(u.Layers) == 0 {
-		return fmt.Errorf("core: restore of empty update")
-	}
-	wire, err := nn.EncodeParamSet(u)
-	if err != nil {
-		return fmt.Errorf("core: restore into relay: %w", err)
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.buf = append(r.buf, wire)
-	r.received++
-	return nil
+	return r.file(r.store.fileParamSet(u))
 }
 
 // Sharded mixing (the multi-proxy tier). A round of C participants is

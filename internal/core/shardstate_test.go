@@ -512,7 +512,9 @@ func TestRelayShardConservation(t *testing.T) {
 
 // TestShardedStateRelayInTier: a tier mixing StreamMixers and a
 // RelayShard seals and restores like any other tier — the relay's
-// buffered (unmixed) material is a shard section like the rest.
+// buffered (unmixed) material is a shard section like the rest, and that
+// section is byte-identical to the relayed updates' wire images in
+// arrival order, before and after a restore.
 func TestShardedStateRelayInTier(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	updates := makeUpdates(6, 2, rng)
@@ -520,8 +522,31 @@ func TestShardedStateRelayInTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tier := []Shard{m, NewRelayShard(3, nil)}
+	tier := []Shard{m, NewRelayShard(3, NewSlabPool())}
 	emitted := feedTier(t, tier, updates)
+	// feedTier routes update i to shard i%2: the relay took 1, 3 and 5.
+	wantSection := binary.LittleEndian.AppendUint32(nil, 3)
+	for i, img := range encodeAll(t, updates) {
+		if i%2 == 1 {
+			wantSection = append(wantSection, img...)
+		}
+	}
+	relaySection := func(shards []Shard) {
+		t.Helper()
+		var got []byte
+		if _, err := SealShardedState(shards, ShardedStateMeta{}, func(s int, plain []byte) ([]byte, error) {
+			if s == 1 {
+				got = plain
+			}
+			return plain, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, wantSection) {
+			t.Fatal("the relay's sealed section is not its inputs' wire images in arrival order")
+		}
+	}
+	relaySection(tier)
 	blob, err := SealShardedState(tier, ShardedStateMeta{Routing: 3, InRound: 6}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -534,6 +559,7 @@ func TestShardedStateRelayInTier(t *testing.T) {
 	if _, err := RestoreShardedState(blob, fresh, nil); err != nil {
 		t.Fatal(err)
 	}
+	relaySection(fresh)
 	out := append([]nn.ParamSet{}, emitted...)
 	out = append(out, drainTier(fresh)...)
 	want, _ := nn.Average(updates)

@@ -11,12 +11,12 @@ import (
 
 // SlabPool recycles slab chunks across rounds: a round-scoped pool, in
 // the sense that a chunk returns to it exactly once — at the epoch swap,
-// after the retired mixers' round has been drained, encoded and
+// after the retired shards' round has been drained, encoded and
 // committed to the outbox — and is handed to a later epoch's fresh
-// mixers. Steady-state rounds therefore allocate no slab storage and no
-// per-row view structures at all: the chunk carries its ParamSet views
-// with it, and because a recycled chunk keeps its layout, the views are
-// valid the moment the chunk is reused.
+// shards (mixers and relays alike). Steady-state rounds therefore
+// allocate no slab storage and no per-row view structures at all: the
+// chunk carries its ParamSet views with it, and because a recycled chunk
+// keeps its layout, the views are valid the moment the chunk is reused.
 //
 // Matching is by layout identity (skeleton bytes): a pooled chunk of a
 // different model structure or a smaller row count is dropped to the GC
@@ -114,17 +114,18 @@ func (c *SlabChunk) Row(i int) []float64 { return c.data[i*c.stride : (i+1)*c.st
 // aliases Row(i) and shows whatever the row holds at the time it is read.
 func (c *SlabChunk) Views() []nn.ParamSet { return c.views }
 
-// slabStore is a StreamMixer's slab-backed storage: each accepted update
-// occupies one stride-length row of a chunk, and what the mixing lists
-// hold are LayerParams drawn from the row's pre-built view — so the
-// mixer's swap/drain logic runs unchanged (and RNG-identically) over
-// tensors that all live in a handful of flat float64 allocations.
+// slabStore is a slab shard's storage (a StreamMixer's or a RelayShard's):
+// each accepted update occupies one stride-length row of a chunk, and what
+// the mixing lists hold are LayerParams drawn from the row's pre-built
+// view — so the mixer's swap/drain logic runs unchanged (and
+// RNG-identically) over tensors that all live in a handful of flat
+// float64 allocations.
 //
 // Rows are never reused within a round: an emitted update's view aliases
 // its row until the round's outbox entry is committed, so the store only
 // ever appends. The whole round's storage is recycled at once through
 // the SlabPool (see StreamMixer.ReleaseSlab). The store is guarded by
-// the owning mixer's mutex.
+// the owning shard's mutex.
 type slabStore struct {
 	pool      *SlabPool
 	layout    *nn.SlabLayout
@@ -143,12 +144,13 @@ type slabStore struct {
 	emLayUsed int
 }
 
+// minChunkRows is the smallest chunk a store draws: a mixer of K ≤ 8 and
+// every relay draw the same shape, so the shared pool hands either kind's
+// chunks to the other.
+const minChunkRows = 8
+
 func newSlabStore(k int, pool *SlabPool) *slabStore {
-	rows := k
-	if rows < 8 {
-		rows = 8
-	}
-	return &slabStore{pool: pool, chunkRows: rows}
+	return &slabStore{pool: pool, chunkRows: max(k, minChunkRows)}
 }
 
 // nextRow claims a fresh row, returning its pre-built view and storage.
@@ -222,7 +224,7 @@ func (s *slabStore) emission(L int) *nn.ParamSet {
 	return out
 }
 
-// release returns every chunk to the pool for the next epoch's mixers.
+// release returns every chunk to the pool for the next epoch's shards.
 // The caller (ReleaseSlab) guarantees no view into the chunks is still
 // referenced.
 func (s *slabStore) release() {
@@ -259,22 +261,18 @@ func (m *StreamMixer) ReleaseSlab() {
 	m.template = nn.ParamSet{}
 }
 
-// RetainsWire implements Shard: a slab mixer copies the payload into its
-// row, a legacy mixer's lists alias the decoded buffer.
-func (m *StreamMixer) RetainsWire() bool { return m.slab == nil }
-
 // AddWire ingests one ENCODED update: the slab path decodes it straight
 // into a fresh slab row (header-skeleton validation plus one bulk
 // payload copy — no intermediate ParamSet, no per-tensor allocation) and
-// mixes the row's pre-built view; a legacy mixer falls back to the
-// zero-copy decoder plus Add. Emission semantics and the RNG call
-// sequence are identical to Add, so slab and legacy mixers given the
-// same seed produce bit-identical streams.
+// mixes the row's pre-built view; a legacy mixer decodes a copy of wire
+// and mixes that tree. Emission semantics and the RNG call sequence are
+// identical to Add, so slab and legacy mixers given the same seed
+// produce bit-identical streams.
 func (m *StreamMixer) AddWire(wire []byte) (*nn.ParamSet, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.slab == nil {
-		ps, err := nn.DecodeParamSetNoCopy(wire)
+		ps, err := nn.DecodeParamSetNoCopy(bytes.Clone(wire)) // the lists alias the clone, never wire
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -385,39 +384,51 @@ func TestSlabPoolChunks(t *testing.T) {
 	}
 }
 
-// TestRetainsWire pins who keeps an AddWire buffer: only a slab mixer
-// copies out of it — and it really does, so the proxy may recycle the
-// buffer the moment AddWire returns.
+// TestRetainsWire pins who keeps an AddWire buffer: no shard does. A slab
+// mixer, a tree mixer and a relay each copy what they file, so the proxy
+// may recycle the buffer the moment AddWire returns — overwriting it
+// changes nothing the shard drains or seals.
 func TestRetainsWire(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	slab, _ := NewStreamMixerSlab(2, rng, nil)
-	legacy, _ := NewStreamMixer(2, rng)
-	for name, tc := range map[string]struct {
-		s    Shard
-		want bool
-	}{"slab": {slab, false}, "legacy": {legacy, true}, "relay": {NewRelayShard(2, nil), true}} {
-		if got := tc.s.RetainsWire(); got != tc.want {
-			t.Fatalf("%s mixer RetainsWire = %v, want %v", name, got, tc.want)
+	updates := makeUpdates(3, 3, rand.New(rand.NewSource(1)))
+	want, _ := nn.Average(updates)
+	for name, s := range map[string]Shard{
+		"slab":  must(NewStreamMixerSlab(3, rand.New(rand.NewSource(2)), nil)),
+		"tree":  must(NewStreamMixer(3, rand.New(rand.NewSource(2)))),
+		"relay": NewRelayShard(3, NewSlabPool()),
+	} {
+		for _, buf := range encodeAll(t, updates) {
+			if out, err := s.AddWire(buf); err != nil || out != nil {
+				t.Fatalf("%s: AddWire = %v, %v", name, out, err)
+			}
+			for i := range buf {
+				buf[i] = 0xFF // the next update decrypted into the recycled buffer
+			}
 		}
-	}
-	u := makeUpdates(1, 3, rng)[0]
-	buf := encodeAll(t, []nn.ParamSet{u})[0]
-	if _, err := slab.AddWire(buf); err != nil {
-		t.Fatal(err)
-	}
-	for i := range buf {
-		buf[i] = 0xFF // the next update decrypted into the recycled buffer
-	}
-	if out := slab.Drain(); len(out) != 1 || !out[0].ApproxEqual(u, 0) {
-		t.Fatal("slab mixer's stored update followed the wire buffer")
+		for i, e := range s.SnapshotEntries() {
+			if !e.ApproxEqual(updates[i], 0) {
+				t.Fatalf("%s: sealed entry %d followed the wire buffer", name, i)
+			}
+		}
+		got, err := nn.Average(s.Drain())
+		if err != nil || !got.ApproxEqual(want, 1e-12) {
+			t.Fatalf("%s: drained updates followed the wire buffer (%v)", name, err)
+		}
 	}
 }
 
-// TestRelayShardKeepsWireImages: a relay holds an update as the bytes it
-// arrived as. DrainWire returns the very slices AddWire was handed (no
-// copy, no re-encode), the ParamSet doors are views of them, and
-// SnapshotEntries → RestoreEntry lands the same bytes in the restored
-// relay — which is what keeps a seal blob's relay section byte-identical.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// TestRelayShardKeepsWireImages: a relay files each update into a slab
+// row of the round's structure and refuses anything else — a malformed
+// image or an update of another model — without touching the pool's
+// carried layout. Drain hands back the updates unmixed in arrival order,
+// SnapshotEntries → RestoreEntry lands the same updates in a restored
+// relay, and none of it follows the buffers AddWire was handed.
 func TestRelayShardKeepsWireImages(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	updates := makeUpdates(5, 3, rng)
@@ -433,18 +444,22 @@ func TestRelayShardKeepsWireImages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range [][]byte{nil, images[0][:len(images[0])-1], append(append([]byte{}, images[0]...), 0)} {
+	foreign := encodeAll(t, makeUpdates(1, 2, rng))[0]
+	for _, bad := range [][]byte{nil, images[0][:len(images[0])-1], append(append([]byte{}, images[0]...), 0), foreign} {
 		if _, err := r.AddWire(bad); err == nil {
-			t.Fatalf("relay accepted a %d-byte malformed image", len(bad))
+			t.Fatalf("relay accepted a %d-byte image outside the round's structure", len(bad))
 		}
 	}
 	if l, _ := pool.LayoutFor(images[1]); l != carried {
 		t.Fatal("rejected images replaced the pool's carried layout")
 	}
+	for _, img := range images {
+		clear(img)
+	}
 
 	snap := r.SnapshotEntries()
-	if len(snap) != len(updates) || r.Buffered() != len(updates) {
-		t.Fatalf("snapshot of %d entries, %d still buffered, want %d of each", len(snap), r.Buffered(), len(updates))
+	if len(snap) != len(updates) || r.Buffered() != len(updates) || r.Received() != len(updates) {
+		t.Fatalf("snapshot of %d entries, %d buffered, %d received, want %d of each", len(snap), r.Buffered(), r.Received(), len(updates))
 	}
 	restored := NewRelayShard(5, nil)
 	for i, u := range snap {
@@ -456,18 +471,13 @@ func TestRelayShardKeepsWireImages(t *testing.T) {
 		}
 	}
 
-	drained := r.DrainWire()
-	if len(drained) != len(images) || r.Buffered() != 0 || r.Emitted() != len(images) {
-		t.Fatalf("drained %d images, buffered %d, emitted %d", len(drained), r.Buffered(), r.Emitted())
+	drained := r.Drain()
+	if len(drained) != len(updates) || r.Buffered() != 0 || r.Emitted() != len(updates) {
+		t.Fatalf("drained %d updates, buffered %d, emitted %d", len(drained), r.Buffered(), r.Emitted())
 	}
-	for i := range drained {
-		if &drained[i][0] != &images[i][0] || len(drained[i]) != len(images[i]) {
-			t.Fatalf("drained image %d is not the slice AddWire was handed", i)
-		}
-	}
-	for i, img := range restored.DrainWire() {
-		if !bytes.Equal(img, images[i]) {
-			t.Fatalf("restored image %d is not byte-identical to the original", i)
+	for i, u := range restored.Drain() {
+		if !drained[i].ApproxEqual(updates[i], 0) || !u.ApproxEqual(updates[i], 0) {
+			t.Fatalf("drained update %d is not its input, in arrival order", i)
 		}
 	}
 }

@@ -264,8 +264,8 @@ func (p *ShardedProxy) Status() wire.ShardedProxyStatus {
 			Shard:    s,
 			K:        m.K(),
 			Buffered: m.Buffered(),
-			Received: p.shardRecv[s] + m.Received(),
-			Emitted:  p.shardEmit[s] + m.Emitted(),
+			Received: p.shardRecv[s],
+			Emitted:  p.shardEmit[s],
 			Quota:    p.topo.Quota(s),
 			Load:     p.rst.Load[s],
 			Addr:     spec.Addr,

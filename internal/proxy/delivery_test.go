@@ -878,6 +878,71 @@ func TestRelayOnlyFrontCommitsNoEmptyEntry(t *testing.T) {
 	}
 }
 
+// TestRelayRefusesForeignStructure: a relay shard files rows of its
+// round's model structure, so a participant update of another
+// architecture routed to it is refused at ingress. Acked instead, it
+// would ride the relay entry, the peer's one-layout batch check would
+// refuse that entry (a permanent 400) and the front would quarantine the
+// honest updates relayed beside it.
+func TestRelayRefusesForeignStructure(t *testing.T) {
+	const c = 4
+	platform, encl := fixtures(t)
+	initial := testArch().New(1).SnapshotParams()
+	agg, err := NewAggServer(initial, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb := transport.NewLoopback()
+	t.Cleanup(lb.Close)
+	lb.Register("loop://agg", agg)
+	shardPx, addr, rs := remoteShardFixtureOver(t, platform, lb, "loop://agg", c, 98)
+	px, err := NewSharded(ShardedConfig{
+		Upstream: "loop://agg", K: 1, RoundSize: c, Seed: 101,
+		Routing:      route.ModeHashQuota,
+		ShardSpecs:   []route.ShardSpec{{Addr: addr}},
+		RemoteShards: map[string]RemoteShard{addr: rs},
+		Transport:    lb, RetryBase: time.Millisecond, RetryMax: 5 * time.Millisecond,
+	}, encl, platform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(px.Close)
+	lb.Register("loop://front", px)
+
+	honest := perturbed(initial, c, 500)
+	for _, u := range honest[:2] {
+		sendTyped(t, lb, encl, "loop://front", "", u)
+	}
+	other, err := nn.EncodeParamSet(nn.NewMLP("other", 3, []int{2}, 2).New(1).SnapshotParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := enclave.Encrypt(encl.PublicKey(), other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = lb.SendUpdate(context.Background(), "loop://front", transport.UpdateRequest{Body: ct, ClientID: "other"})
+	var se *transport.StatusError
+	if !errors.As(err, &se) || se.Code < 400 || se.Code >= 500 {
+		t.Fatalf("an update of another structure routed to a relay got %v, want a 4xx refusal", err)
+	}
+	for _, u := range honest[2:] {
+		sendTyped(t, lb, encl, "loop://front", "", u)
+	}
+	flushTier(t, px, shardPx)
+	waitServerRound(t, agg, 1)
+	if st := px.Status(); st.OutboxQuarantined != 0 || st.Received != c || st.Forwarded != c {
+		t.Fatalf("quarantined/received/forwarded = %d/%d/%d, want 0/%d/%d", st.OutboxQuarantined, st.Received, st.Forwarded, c, c)
+	}
+	want, err := nn.Average(honest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !agg.Global().ApproxEqual(want, 1e-9) {
+		t.Fatal("the aggregate is not the classic mean of the honest updates")
+	}
+}
+
 // TestDeliveryBatchIncompatibleWithOpenRound: a batch whose items cannot
 // be mixed into the epoch's established model structure is rejected
 // whole (nothing counted), so the upstream can safely quarantine it.

@@ -1,8 +1,8 @@
 package proxy
 
 // Batteries for the rows-only hop leg: /v1/batch ingress files wire
-// images into slab rows (or a relay's buffer) out of a pooled plaintext,
-// a relay carries images to its entry byte for byte, and every epoch's
+// images into slab rows (a mixer's or a relay's) out of a pooled
+// plaintext, a relay's failed commit re-files its rows, and every epoch's
 // mixing stream is keyed by a hash.
 
 import (
@@ -341,10 +341,11 @@ func hopFixture(t *testing.T, platform *enclave.Platform, identity string, cfg S
 // a plaintext buffer with 0xA5 the moment it recycles it, while
 // concurrent senders drive front → relay → cascade → AggServer over
 // real HTTP. Anything that still referenced a recycled buffer — a slab
-// row filed late, a relay image, an outbox entry — would trip the race
+// row filed late, a relayed update, an outbox entry — would trip the race
 // detector on the poisoning write or break the books. The relay-of-relay
 // arm puts a relay shard BEHIND a /v1/batch ingress, so the same run
-// proves the other half: a buffer a shard retains is never recycled.
+// proves that a relay copies each item it is routed into its own row
+// before the batch plaintext is recycled.
 func TestHopBatchPlaintextReleasedNeverRead(t *testing.T) {
 	for _, relayOfRelay := range []bool{false, true} {
 		t.Run(fmt.Sprintf("relayOfRelay=%v", relayOfRelay), func(t *testing.T) {
@@ -453,7 +454,7 @@ func TestHopBatchPlaintextReleasedNeverRead(t *testing.T) {
 			}
 			// Both arms ran: a hop whose batches land in slab rows recycled
 			// its plaintexts; a relay shard behind relay-1's batch ingress
-			// kept images of the batches it was routed.
+			// filed items of the batches it was routed.
 			for _, name := range []string{"front", "cascade"} {
 				if _, recycled := poisoned.Load(name); !recycled {
 					t.Fatalf("%s never recycled a plaintext buffer", name)
@@ -513,9 +514,10 @@ func installQueue(t *testing.T, px *ShardedProxy, s *refusingSeal) {
 }
 
 // TestRelayRefileMixesBeforeItTravels: a relay entry whose outbox commit
-// fails goes back — as images, through the one cold decode — into the
-// live relay shard for its address, rides the next round's relay entry,
-// and reaches the aggregator only through the remote shard's mixer.
+// fails goes back — the retired relay's rows, copied by RestoreEntry —
+// into the live relay shard for its address, rides the next round's relay
+// entry, and reaches the aggregator only through the remote shard's
+// mixer. The per-shard books count those updates once.
 func TestRelayRefileMixesBeforeItTravels(t *testing.T) {
 	const c = 4
 	platform, encl := fixtures(t)

@@ -112,8 +112,7 @@ func (p *ShardedProxy) ingress(body []byte, clientID string, hop int, batch bool
 		if err != nil {
 			return err
 		}
-		kept := false
-		defer func() { p.releasePlain(bp, kept) }()
+		defer p.releasePlain(bp)
 		items := [][]byte{plain}
 		if batch {
 			env, err := wire.DecodeBatchEnvelope(plain) // items alias plain
@@ -139,8 +138,7 @@ func (p *ShardedProxy) ingress(body []byte, clientID string, hop int, batch bool
 		var skipped int
 		var firstErr error
 		for i, raw := range items {
-			closed, k, store, mix, err := p.ingest(raw, clientID, hop)
-			kept = kept || k
+			closed, store, mix, err := p.ingest(raw, clientID, hop)
 			if err != nil {
 				// An item the open round's mixers reject (structure set
 				// by earlier traffic of this epoch) can never be mixed at
@@ -220,13 +218,10 @@ func (p *ShardedProxy) decryptPooled(body []byte) (bp *[]byte, plain []byte, dur
 	return bp, plain, dur, nil
 }
 
-// releasePlain ends a plaintext lease: the buffer is recycled at once,
-// unless a shard kept (part of) it — then that shard's round owns it and
-// only the lease's box returns to the pool.
-func (p *ShardedProxy) releasePlain(bp *[]byte, kept bool) {
-	if kept {
-		*bp = nil
-	} else if p.plainReleased != nil {
+// releasePlain ends a plaintext lease: every shard copied what it filed,
+// so the buffer is recycled at once.
+func (p *ShardedProxy) releasePlain(bp *[]byte) {
+	if p.plainReleased != nil {
 		p.plainReleased((*bp)[:cap(*bp)])
 	}
 	p.plainPool.Put(bp)
@@ -270,9 +265,9 @@ func ingressError(err error) error {
 // keeps depth monotone — in an accidental proxy cycle the watermark grows
 // every traversal until the MaxHops check breaks the loop.
 //
-// keptWire reports whether the shard still references raw after the
-// call (core.Shard.RetainsWire); otherwise the caller may reuse it.
-func (p *ShardedProxy) ingest(raw []byte, clientID string, hop int) (closed *roundClose, keptWire bool, store, mix time.Duration, err error) {
+// The per-shard books are kept here, where the events happen: the update
+// filed into shard s, and an emission if filing it swapped one out.
+func (p *ShardedProxy) ingest(raw []byte, clientID string, hop int) (closed *roundClose, store, mix time.Duration, err error) {
 	size := len(raw)
 	p.enclave.Alloc(size)
 
@@ -287,13 +282,14 @@ func (p *ShardedProxy) ingest(raw []byte, clientID string, hop int) (closed *rou
 		p.rst.Load[shard]--
 		p.mu.Unlock()
 		p.enclave.Free(size)
-		return nil, false, 0, 0, fmt.Errorf("shard %d mix: %w", shard, err)
+		return nil, 0, 0, fmt.Errorf("shard %d mix: %w", shard, err)
 	}
-	keptWire = p.shards[shard].RetainsWire()
 	t2 := time.Now()
 	store = t2.Sub(tAdd)
+	p.shardRecv[shard]++
 	if out != nil {
 		p.pending = append(p.pending, *out)
+		p.shardEmit[shard]++
 	}
 	if hop > 0 {
 		p.hopReceived++
@@ -315,19 +311,9 @@ func (p *ShardedProxy) ingest(raw []byte, clientID string, hop int) (closed *rou
 			// Unreachable for a validated topology; leave the round open
 			// so the next ingest retries the close.
 			p.mu.Unlock()
-			return nil, keptWire, store, 0, ferr
+			return nil, store, 0, ferr
 		}
 		closed = &roundClose{epoch: p.rounds, hop: p.hopMark + 1, topo: p.topo, mixers: p.shards, pending: p.pending}
-		// Roll the retired mixers' counters into the cumulative ledger
-		// HERE, under the same lock as the swap, so per-shard Received
-		// never appears to regress in a concurrently-polled Status. The
-		// drain's emissions land later (see packageRound/emitBase).
-		closed.emitBase = make([]int, len(closed.mixers))
-		for s, m := range closed.mixers {
-			p.shardRecv[s] += m.Received()
-			closed.emitBase[s] = m.Emitted()
-			p.shardEmit[s] += closed.emitBase[s]
-		}
 		p.installEpochLocked(nextTopo, fresh, p.rst.RR)
 		p.pending = nil
 		// Any retained (failed-commit) material just moved into this
@@ -340,5 +326,5 @@ func (p *ShardedProxy) ingest(raw []byte, clientID string, hop int) (closed *rou
 	}
 	mix = time.Since(t2)
 	p.mu.Unlock()
-	return closed, keptWire, store, mix, nil
+	return closed, store, mix, nil
 }

@@ -26,29 +26,16 @@ type roundClose struct {
 	topo    *route.Topology
 	mixers  []core.Shard
 	pending []nn.ParamSet
-	// emitBase is each retired mixer's emitted count at swap time; the
-	// swap already rolled counters up to here into the cumulative shard
-	// ledger, so packageRound only adds what Drain emits beyond it.
-	emitBase []int
 }
 
 // destEntry is one destination's share of a closed round on its way to
-// the outbox: the tier's ordinary downstream (dest == "") or a remote
-// shard address.
+// the outbox: the tier's ordinary downstream (dest == "", the mixed
+// material) or a remote shard address (the material its relay buffered).
+// Either way the updates are views of slab rows, encoded into the entry.
 type destEntry struct {
-	dest string
-	// An entry carries mixed material (the downstream entry: views of
-	// slab rows, encoded into it) or relayed material (a remote shard's:
-	// the images the relay buffered, copied into it) — never both.
+	dest    string
 	updates []nn.ParamSet
-	images  [][]byte
-	// shard is the remote shard index the material came from (-1 for the
-	// downstream entry), used to return material on a commit failure.
-	shard int
 }
-
-// count is the number of updates in the share.
-func (de destEntry) count() int { return len(de.updates) + len(de.images) }
 
 // cut returns the end of the longest run of the share's updates from lo
 // whose entry stays within limit bytes, and the run's encoded size. A run
@@ -56,29 +43,14 @@ func (de destEntry) count() int { return len(de.updates) + len(de.images) }
 // made smaller here, and the receiver's refusal quarantines its entry
 // with the reason in the log.
 func (de destEntry) cut(lo, limit int) (hi, size int) {
-	for hi = lo; hi < de.count(); hi++ {
-		var n int
-		if len(de.updates) > 0 {
-			n = nn.EncodedSize(de.updates[hi])
-		} else {
-			n = len(de.images[hi])
-		}
+	for hi = lo; hi < len(de.updates); hi++ {
+		n := nn.EncodedSize(de.updates[hi])
 		if hi > lo && outbox.EntrySize(de.dest, hi-lo+1, size+n) > limit {
 			break
 		}
 		size += n
 	}
 	return hi, size
-}
-
-// piece is the share narrowed to updates [lo, hi).
-func (de destEntry) piece(lo, hi int) destEntry {
-	if len(de.updates) > 0 {
-		de.updates = de.updates[lo:hi]
-	} else {
-		de.images = de.images[lo:hi]
-	}
-	return de
 }
 
 // resizeLedger maps a cumulative per-shard ledger onto a new shard count:
@@ -137,22 +109,24 @@ func (p *ShardedProxy) installEpochLocked(topo *route.Topology, shards []core.Sh
 // material back in the live relay shard for its address when one exists
 // — so nothing mixed (or relayed) is ever dropped.
 func (p *ShardedProxy) packageRound(rc *roundClose) error {
-	entries := []destEntry{{dest: "", updates: rc.pending, shard: -1}}
+	entries := []destEntry{{dest: "", updates: rc.pending}}
+	drained := make([]int, len(rc.mixers))
 	for s, m := range rc.mixers {
-		if relay, ok := m.(*core.RelayShard); ok {
-			if images := relay.DrainWire(); len(images) > 0 {
-				entries = append(entries, destEntry{dest: rc.topo.Spec(s).Addr, images: images, shard: s})
+		updates := m.Drain()
+		drained[s] = len(updates)
+		if addr := rc.topo.Spec(s).Addr; addr != "" {
+			if len(updates) > 0 {
+				entries = append(entries, destEntry{dest: addr, updates: updates})
 			}
 			continue
 		}
-		entries[0].updates = append(entries[0].updates, m.Drain()...)
+		entries[0].updates = append(entries[0].updates, updates...)
 	}
 	// Encode everything before taking the epoch's commit turn. Each
-	// update is append-encoded (a relayed image: copied) straight into
-	// its entry — the buffer the queue will hold and the request body the
-	// receiver will read, built in an acked entry's spare when the queue
-	// has one that fits — so a round's bytes are written once on their
-	// way to the outbox.
+	// update is append-encoded straight into its entry — the buffer the
+	// queue will hold and the request body the receiver will read, built
+	// in an acked entry's spare when the queue has one that fits — so a
+	// round's bytes are written once on their way to the outbox.
 	type rawEntry struct {
 		destEntry
 		raw   []byte
@@ -162,21 +136,18 @@ func (p *ShardedProxy) packageRound(rc *roundClose) error {
 	var encErr error
 pack:
 	for _, share := range entries {
-		for lo := 0; lo < share.count(); {
+		for lo := 0; lo < len(share.updates); {
 			hi, size := share.cut(lo, p.maxEntry)
-			de := share.piece(lo, hi)
+			de := destEntry{dest: share.dest, updates: share.updates[lo:hi]}
 			lo = hi
 			b, err := p.dlv.box.NewEntry(outbox.Envelope{
 				Epoch:       uint64(rc.epoch),
 				TopoVersion: rc.topo.Version(),
 				Hop:         rc.hop,
 				Dest:        de.dest,
-			}, outbox.EntrySize(de.dest, de.count(), size))
+			}, outbox.EntrySize(de.dest, len(de.updates), size))
 			for i := 0; err == nil && i < len(de.updates); i++ {
 				err = b.Append(func(buf []byte) ([]byte, error) { return nn.AppendParamSet(buf, de.updates[i]) })
-			}
-			for i := 0; err == nil && i < len(de.images); i++ {
-				err = b.Append(func(buf []byte) ([]byte, error) { return append(buf, de.images[i]...), nil })
 			}
 			if err != nil {
 				encErr = err
@@ -224,12 +195,11 @@ pack:
 	}
 
 	p.mu.Lock()
-	// The swap already rolled the retired mixers' counters; only the
-	// drain's emissions (beyond emitBase) remain, regardless of the
-	// commit outcome (they describe mixing history, not delivery). The
-	// ledger may have been resized by a concurrent membership change.
-	for s, m := range rc.mixers {
-		p.shardEmit[s%len(p.shardEmit)] += m.Emitted() - rc.emitBase[s]
+	// The drain emitted what each retired shard still held, whatever the
+	// commit outcome (the books describe mixing history, not delivery).
+	// The ledger may have been resized by a concurrent membership change.
+	for s, n := range drained {
+		p.shardEmit[s%len(p.shardEmit)] += n
 	}
 	for _, de := range failed {
 		if de.dest != "" {
@@ -247,32 +217,25 @@ pack:
 			s := p.relayShardLocked(de.dest)
 			if s < 0 {
 				s = 0
-				log.Printf("proxy: remote shard %s left the topology with %d uncommitted updates; re-filing them into shard 0 of the current epoch", de.dest, len(de.images))
+				log.Printf("proxy: remote shard %s left the topology with %d uncommitted updates; re-filing them into shard 0 of the current epoch", de.dest, len(de.updates))
 			}
-			updates := core.DecodeImages(de.images) // RestoreEntry speaks ParamSet
-			refiled := len(updates)
-			for i, u := range updates {
+			// Re-filed updates were counted when ingest first filed them;
+			// the books do not count them again.
+			for i, u := range de.updates {
 				if rerr := p.shards[s].RestoreEntry(u); rerr != nil {
 					// Structurally incompatible with the open round (model
 					// changed between epochs) — the only escape left is
 					// the pending buffer; it reaches the server mixed with
 					// nothing, so be loud about the privacy downgrade.
-					log.Printf("proxy: re-file update into shard %d failed (%v); %d updates will deliver downstream UNMIXED", s, rerr, len(updates)-i)
-					p.pending = append(append([]nn.ParamSet{}, updates[i:]...), p.pending...)
-					refiled = i
+					log.Printf("proxy: re-file update into shard %d failed (%v); %d updates will deliver downstream UNMIXED", s, rerr, len(de.updates)-i)
+					p.pending = append(append([]nn.ParamSet{}, de.updates[i:]...), p.pending...)
 					break
 				}
 			}
-			// The re-filed updates were already counted once (the retired
-			// relay's AddWire, rolled into the cumulative ledger at the swap);
-			// RestoreEntry counted them again inside the live shard, so
-			// compensate the carry to keep sum(per-shard Received) equal
-			// to the tier's Received.
-			p.shardRecv[s%len(p.shardRecv)] -= refiled
 			// Both halves await the next round close (re-filed head in a
 			// shard, incompatible tail in pending), so both count as
 			// retained: Flush must keep failing until they move.
-			p.retained += len(updates)
+			p.retained += len(de.updates)
 			continue
 		}
 		// Downstream material is already mixed; retain it in memory and
@@ -288,12 +251,12 @@ pack:
 	if err == nil {
 		// The whole round is sealed in the outbox: every emission and
 		// drained update was copied into the committed entries, so nothing
-		// references the retired mixers' slab rows any more — recycle the
-		// chunks for a future epoch's mixers. On a failed commit the
+		// references the retired shards' slab rows any more — recycle the
+		// chunks for a future epoch's shards. On a failed commit the
 		// retained material still aliases the slabs, so we skip this and
 		// let the GC reclaim them instead.
 		for _, m := range rc.mixers {
-			if sm, ok := m.(*core.StreamMixer); ok {
+			if sm, ok := m.(interface{ ReleaseSlab() }); ok {
 				sm.ReleaseSlab()
 			}
 		}

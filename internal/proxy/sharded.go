@@ -161,15 +161,14 @@ type ShardedProxy struct {
 	// planner owns the routing plane's lifecycle: admin directives stage
 	// the next epoch's topology there; the round-close swap advances it.
 	planner *route.Planner
-	// slabPool recycles the local mixers' slab chunks across epochs and
-	// carries the model's slab layout with them. Chunks return to it only
+	// slabPool recycles the shards' slab chunks (mixers' and relays')
+	// across epochs and carries the model's slab layout with them. Chunks return to it only
 	// after their round's outbox commit fully succeeded — see packageRound.
 	slabPool *core.SlabPool
 	// plainPool recycles the plaintext buffers request bodies (single
 	// updates and whole batches) are decrypted into (*[]byte). A buffer
-	// returns to it as soon as the shards have filed what it holds,
-	// unless one retains it (core.Shard.RetainsWire: a relay shard
-	// aliases the buffer until the round's entries commit).
+	// returns to it as soon as the shards have filed (copied) what it
+	// holds, when the request's enclave pass ends.
 	plainPool sync.Pool
 	// plainReleased, when set (tests), sees a plaintext buffer at the
 	// moment it is recycled — after which nothing may read it.
@@ -208,8 +207,10 @@ type ShardedProxy struct {
 	// putEpoch is the epoch whose outbox commit may proceed next —
 	// concurrent round closes commit strictly in epoch order.
 	putEpoch int
-	// shardRecv/shardEmit carry each shard's mixer ledger across epoch
-	// swaps (and restores), so per-shard counters are cumulative.
+	// shardRecv/shardEmit are the per-shard books, cumulative across
+	// epoch swaps and restores: updates filed into shard s and updates it
+	// emitted, counted where that happens (ingest files and swaps out,
+	// packageRound drains), never read back from a shard.
 	shardRecv []int
 	shardEmit []int
 

@@ -43,12 +43,6 @@ func (p *ShardedProxy) SealState() ([]byte, error) {
 	for p.closing > 0 {
 		p.cond.Wait()
 	}
-	shardRecv := make([]int, len(p.shards))
-	shardEmit := make([]int, len(p.shards))
-	for s, m := range p.shards {
-		shardRecv[s] = p.shardRecv[s] + m.Received()
-		shardEmit[s] = p.shardEmit[s] + m.Emitted()
-	}
 	load := make([]int, len(p.rst.Load))
 	copy(load, p.rst.Load)
 	// Remote-shard trust material rides the blob (sealed under its own
@@ -70,8 +64,8 @@ func (p *ShardedProxy) SealState() ([]byte, error) {
 		Received:      p.received,
 		HopReceived:   p.hopReceived,
 		Forwarded:     int(p.dlv.forwarded.Value()),
-		ShardReceived: shardRecv,
-		ShardEmitted:  shardEmit,
+		ShardReceived: p.shardRecv,
+		ShardEmitted:  p.shardEmit,
 		Pending:       p.pending,
 		ShardLoad:     load,
 		Topo:          p.topo.Marshal(),
@@ -97,7 +91,7 @@ func (p *ShardedProxy) SealState() ([]byte, error) {
 // anonymity sets and quotas, so the round finishes under the plan it
 // opened under. A different shape is a directive like any other
 // (StageTopology after the restore): promoted at once when the restored
-// tier is idle, at the next round close otherwise. Per-shard mixer ledgers
+// tier is idle, at the next round close otherwise. The per-shard books
 // restore exactly; pending emissions restore into the pending buffer and
 // ride the next round's outbox entry.
 func (p *ShardedProxy) RestoreState(blob []byte) error {
@@ -169,12 +163,7 @@ func (p *ShardedProxy) RestoreState(blob []byte) error {
 	p.hopReceived = meta.HopReceived
 	p.pending = meta.Pending
 	p.restoredFrom = meta.SealedShards
-	// Each mixer already re-counted its restored entries; the carry is the
-	// history beyond them.
-	for s, m := range fresh {
-		p.shardRecv[s] = max(meta.ShardReceived[s]-m.Received(), 0)
-		p.shardEmit[s] = meta.ShardEmitted[s]
-	}
+	p.shardRecv, p.shardEmit = meta.ShardReceived, meta.ShardEmitted
 	p.dlv.restore(meta.Forwarded, trust)
 	return nil
 }

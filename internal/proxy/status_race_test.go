@@ -14,12 +14,15 @@ import (
 // composite that added up to nonsense. Now both come from ONE queue
 // snapshot, so every Status the poller sees must satisfy
 // OutboxPending == Σ lanes.Pending, with per-lane Delivered and the
-// ingest counter monotone. Run under -race this also covers the
+// ingest counter monotone. The tier has two shards, and the per-shard
+// books must add up at every poll: Σ Shards[].Received == Received +
+// HopReceived, which pins that ingest counts each filed update once, in
+// the shard it filed it into. Run under -race this also covers the
 // counter reads themselves.
 func TestStatusConsistentUnderDelivery(t *testing.T) {
 	const roundSize, rounds, senders = 4, 24, 4
 	platform, encl := fixtures(t)
-	agg, px, tr, frontEP, _ := deployTier(t, "loopback", encl, platform, roundSize, 1, 811)
+	agg, px, tr, frontEP, _ := deployTier(t, "loopback", encl, platform, roundSize, 2, 811)
 
 	stop := make(chan struct{})
 	pollErr := make(chan error, 1)
@@ -45,6 +48,14 @@ func TestStatusConsistentUnderDelivery(t *testing.T) {
 			}
 			if st.OutboxPending != sum {
 				pollErr <- fmt.Errorf("torn snapshot: OutboxPending=%d but lanes sum to %d (%+v)", st.OutboxPending, sum, st.OutboxLanes)
+				return
+			}
+			shardSum := 0
+			for _, sh := range st.Shards {
+				shardSum += sh.Received
+			}
+			if shardSum != st.Received+st.HopReceived {
+				pollErr <- fmt.Errorf("per-shard books torn: shards received %d, tier received %d + %d", shardSum, st.Received, st.HopReceived)
 				return
 			}
 			if st.Received < lastReceived {
