@@ -38,7 +38,6 @@ func run(args []string) error {
 		scaleS  = fs.String("scale", "quick", "experiment scale: quick or full")
 		seed    = fs.Int64("seed", 1, "model-initialisation seed (must match clients)")
 		expect  = fs.Int("expect", 8, "updates per aggregation round")
-		dedupW  = fs.Int("dedup-window", proxy.DefaultDedupWindow, "batch-dedup FIFO window; aged-out redeliveries are rejected with 409 via the sender sequence watermark")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -56,7 +55,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	agg.SetDedupWindow(*dedupW)
 	log.Printf("fl-server: dataset=%s scale=%s expect=%d listening on %s", *dataset, scale, *expect, *listen)
 	srv := &http.Server{
 		Addr:              *listen,

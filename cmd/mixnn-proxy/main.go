@@ -88,7 +88,6 @@ func run(args []string) error {
 		shards       = fs.Int("shards", 1, "number of independent mixing shards (P)")
 		routing      = fs.String("routing", "sticky", "shard routing mode: sticky or hash-quota")
 		shardsFile   = fs.String("shards-file", "", "topology file (JSON TopologyDirective: mode, weighted shards, remote shards with trust_file); staged over -shards/-routing at start-up and hot-reloaded on change, at round boundaries")
-		dedupWindow  = fs.Int("dedup-window", proxy.DefaultDedupWindow, "batch-dedup FIFO window; aged-out redeliveries are rejected with 409 via the sender sequence watermark")
 		roundSize    = fs.Int("round-size", 8, "total updates per round (C) across all shards")
 		k            = fs.Int("k", 4, "per-shard mixing list capacity (<= shard round share)")
 		maxHops      = fs.Int("max-hops", proxy.DefaultMaxHops, "maximum cascade depth accepted/forwarded")
@@ -99,7 +98,7 @@ func run(args []string) error {
 		fuseFile     = fs.String("fuse-file", "", "platform fuse-secret file (created if missing); required for -state-file/-outbox-dir restores across process restarts")
 		outboxDir    = fs.String("outbox-dir", "", "sealed delivery outbox directory: drained rounds are committed here before forwarding and survive restarts (requires -fuse-file); empty = in-memory queue")
 		retry        = fs.Duration("retry", 5*time.Second, "maximum delivery retry backoff per destination lane (jittered)")
-		workers      = fs.Int("delivery-workers", outbox.DefaultWorkers, "destination lanes delivered concurrently; a dead peer stalls only its own lane")
+		workers      = fs.Int("delivery-workers", outbox.DefaultWorkers, "destination lanes delivering at once; a dead peer stalls only its own lane")
 		seed         = fs.Int64("seed", time.Now().UnixNano(), "mixing randomness seed")
 		endpoint     = fs.String("endpoint", "", "this proxy's advertised base URL in /v1/discover (empty = not advertised)")
 		peers        = fs.String("peers", "", "comma-separated peer front endpoints advertised via /v1/discover for SDK bootstrap")
@@ -142,7 +141,6 @@ func run(args []string) error {
 		Upstream:        *upstream,
 		Shards:          *shards,
 		Routing:         mode,
-		DedupWindow:     *dedupWindow,
 		K:               *k,
 		RoundSize:       *roundSize,
 		MaxHops:         *maxHops,

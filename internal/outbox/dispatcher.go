@@ -49,9 +49,9 @@ type Options struct {
 	// RetryMax is its backoff ceiling (doubling in between, jittered).
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// Workers bounds how many lanes deliver concurrently. One lane is
-	// only ever drained by one worker at a time, so per-lane ordering
-	// holds for any worker count.
+	// Workers bounds how many lanes deliver at once: a lane holds one of
+	// Workers slots for each drain pass. A lane is only ever drained by
+	// its own goroutine, so per-lane ordering holds for any count.
 	Workers int
 }
 
@@ -60,29 +60,30 @@ type LaneStat struct {
 	// Lane is the envelope destination ("" = the tier's downstream).
 	Lane      string
 	Pending   int           // entries awaiting delivery
-	InFlight  bool          // a worker is draining the lane right now
+	InFlight  bool          // the lane holds a delivery slot right now
 	Backoff   time.Duration // current retry delay (0 when healthy)
 	NextRetry time.Duration // time until the next gated attempt (0 = none)
 	Delivered uint64        // entries acknowledged since the queue opened
 	Failures  uint64        // transient failures since the queue opened
 }
 
-// Dispatcher drains a Queue through a DeliverFunc using a pool of
-// workers, one independent delivery lane per envelope destination. It is
-// the background half of the delivery pipeline: ingress commits rounds to
-// the queue and returns immediately; the dispatcher owns every retry.
-// Each lane keeps its own jittered exponential backoff, so a dead peer's
-// lane parks itself between retries while every other lane keeps
-// delivering — a partial failure degrades one destination, not the tier.
+// Dispatcher drains a Queue through a DeliverFunc, one goroutine per
+// delivery lane (envelope destination), at most Workers of them
+// delivering at once. It is the background half of the delivery
+// pipeline: ingress commits rounds to the queue and returns immediately;
+// the dispatcher owns every retry. Each lane keeps its own jittered
+// exponential backoff, so a dead peer's lane parks itself between retries
+// while every other lane keeps delivering — a partial failure degrades
+// one destination, not the tier.
 //
-// The dispatcher keeps no book of its own: each lane's busy flag, backoff
-// and counters live in the queue's lane table, under the queue's mutex.
+// The dispatcher keeps no book of its own: each lane's goroutine flag,
+// wake signal, slot, backoff and counters live in the queue's lane
+// table, under the queue's mutex.
 type Dispatcher struct {
 	q              *Queue
 	deliver        DeliverFunc
 	base           time.Duration // first retry delay
 	max            time.Duration // backoff ceiling
-	workers        int
 	attemptTimeout time.Duration
 
 	// ctx is the dispatcher's lifetime: every delivery attempt derives
@@ -92,22 +93,14 @@ type Dispatcher struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	wake    chan struct{}
-	stop    chan struct{}
-	done    chan struct{}
-	jobs    chan string
-	results chan laneResult
-	wg      sync.WaitGroup
+	// slots holds a token per lane in a drain pass: Workers of them.
+	slots chan struct{}
+	stop  chan struct{} // closed by Close: every lane goroutine returns
+	wg    sync.WaitGroup
 
-	started, closed sync.Once
-}
-
-// laneResult is a worker's report after releasing a lane. Deliveries
-// are not carried here: each ack counts itself on the lane as it
-// happens, so status snapshots stay live mid-drain.
-type laneResult struct {
-	lane   string
-	failed bool // pass ended on a transient failure (back the lane off)
+	// started and stopped are guarded by q.mu: lane goroutines start
+	// only in between, so none is added once Close waits for them.
+	started, stopped bool
 }
 
 // NewDispatcher builds a dispatcher over q. Call Start to begin draining.
@@ -128,42 +121,55 @@ func NewDispatcher(q *Queue, deliver DeliverFunc, opts Options) *Dispatcher {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Dispatcher{
-		q: q, deliver: deliver, base: base, max: ceiling,
-		workers: workers, attemptTimeout: max(DefaultAttemptTimeout, ceiling),
-		ctx: ctx, cancel: cancel,
-		wake:    make(chan struct{}, 1),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-		jobs:    make(chan string, workers),
-		results: make(chan laneResult, workers),
+		q: q, deliver: deliver, base: base, max: ceiling, ctx: ctx, cancel: cancel,
+		attemptTimeout: max(DefaultAttemptTimeout, ceiling),
+		slots:          make(chan struct{}, workers),
+		stop:           make(chan struct{}),
 	}
 }
 
-// Start launches the coordinator and the worker pool.
+// Start begins draining: every lane holding entries gets its goroutine.
 func (d *Dispatcher) Start() {
-	d.started.Do(func() {
-		for i := 0; i < d.workers; i++ {
-			d.wg.Add(1)
-			go d.worker()
-		}
-		go d.loop()
-	})
+	d.q.mu.Lock()
+	defer d.q.mu.Unlock()
+	d.started = true
+	for _, name := range d.q.active {
+		d.spawn(d.q.lanes[name])
+	}
 }
 
 // Wake nudges the dispatcher after a Put (or after new routing state,
 // e.g. a remote key registration, may have unblocked a stalled lane):
 // every lane's backoff gate is lifted so the fresh state is tried
-// immediately instead of at the next backoff tick.
+// immediately instead of at the next backoff tick, and every lane
+// holding entries is signalled — or gets its goroutine, the first time.
 func (d *Dispatcher) Wake() {
 	d.q.mu.Lock()
+	defer d.q.mu.Unlock()
 	for _, l := range d.q.lanes {
 		l.notBefore = time.Time{}
+		switch {
+		case len(l.seqs) == 0: // nothing to deliver
+		case !l.running:
+			d.spawn(l)
+		default:
+			select {
+			case l.wake <- struct{}{}:
+			default:
+			}
+		}
 	}
-	d.q.mu.Unlock()
-	select {
-	case d.wake <- struct{}{}:
-	default:
+}
+
+// spawn starts l's goroutine unless it has one, or the dispatcher is not
+// started or is closing. Called under q.mu.
+func (d *Dispatcher) spawn(l *lane) {
+	if l.running || !d.started || d.stopped {
+		return
 	}
+	l.running = true
+	d.wg.Add(1)
+	go d.run(l)
 }
 
 // closeGrace is how long Close lets an in-flight delivery attempt run
@@ -177,60 +183,48 @@ func (d *Dispatcher) Wake() {
 // second, and aborting that one is safe (nothing was acked).
 const closeGrace = time.Second
 
-// Close stops the coordinator and workers and waits for them to
-// return. In-flight delivery attempts get closeGrace to complete
-// cleanly; attempts still running after that are cancelled via the
+// Close stops every lane goroutine and waits for them to return.
+// In-flight delivery attempts get closeGrace to complete cleanly;
+// attempts still running after that are cancelled via the
 // dispatcher-lifetime context every attempt derives from. Queued
 // entries stay queued (on disk for a durable queue) for the next
 // process; a cancelled attempt's entry was never acked, so it
 // redelivers.
 func (d *Dispatcher) Close() {
-	d.closed.Do(func() {
-		// A never-started dispatcher has no coordinator to close done,
-		// and must not start one later.
-		d.started.Do(func() { close(d.done) })
+	d.q.mu.Lock()
+	first := !d.stopped
+	d.stopped = true
+	d.q.mu.Unlock()
+	if first {
 		close(d.stop)
-	})
-	<-d.done
-	d.joinWorkers()
-}
-
-// joinWorkers waits for the worker pool: a grace period first, so an
-// attempt that is mid-response can finish and record its progress,
-// then the lifetime context is cancelled to abort attempts that are
-// actually hung.
-func (d *Dispatcher) joinWorkers() {
+	}
 	defer d.cancel() // release the lifetime context either way
-	workersDone := make(chan struct{})
-	go func() { d.wg.Wait(); close(workersDone) }()
+	lanesDone := make(chan struct{})
+	go func() { d.wg.Wait(); close(lanesDone) }()
 	select {
-	case <-workersDone:
+	case <-lanesDone:
 		return
 	case <-time.After(closeGrace):
 	}
 	d.cancel()
-	<-workersDone
+	<-lanesDone
 }
 
-// Flush blocks until the queue is empty and no delivery is in flight, or
-// ctx expires. It is the test/shutdown helper for "everything the tier
-// drained has reached the downstream".
+// Flush blocks until the queue is empty, or ctx expires: an entry stays
+// pending until its attempt acks or quarantines it. It is the
+// test/shutdown helper for "everything the tier drained has reached the
+// downstream".
 func (d *Dispatcher) Flush(ctx context.Context) error {
 	tick := time.NewTicker(2 * time.Millisecond)
 	defer tick.Stop()
-	for {
-		d.q.mu.Lock()
-		idle := d.q.inFlight == 0 && len(d.q.bySeq) == 0
-		d.q.mu.Unlock()
-		if idle {
-			return nil
-		}
+	for d.q.Len() != 0 {
 		select {
 		case <-ctx.Done():
 			return fmt.Errorf("outbox: flush: %d entries still pending: %w", d.q.Len(), ctx.Err())
 		case <-tick.C:
 		}
 	}
+	return nil
 }
 
 // Backlog reports the delivery backlog as two cheap scalars: total
@@ -271,62 +265,45 @@ func (d *Dispatcher) LaneStats() []LaneStat {
 	return out
 }
 
-// loop is the coordinator: it hands eligible lanes to workers, applies
-// each worker's verdict to the lane's backoff state, and sleeps until the
-// earliest gated retry (or a wake) when nothing is runnable.
-func (d *Dispatcher) loop() {
-	defer close(d.done)
+// run is lane l's goroutine, from the first time the lane holds entries
+// until Close. It parks on the lane's wake signal while the lane is
+// empty, and on that or its backoff timer while the lane is gated;
+// otherwise it takes a slot for a drain pass.
+func (d *Dispatcher) run(l *lane) {
+	defer d.wg.Done()
+	// One timer for the lane's life. go.mod's language version keeps the
+	// pre-1.23 timer channel, which can hold a stale tick after a Stop
+	// that lost the race: drained below, or it would cut a backoff short.
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
 		<-timer.C
 	}
-	var ready []string // lanes handed out in one pass
 	for {
-		now := time.Now()
-		var nextGate time.Time
-		ready = ready[:0]
 		d.q.mu.Lock()
-		for _, name := range d.q.active {
-			if d.q.inFlight >= d.workers {
-				break
-			}
-			l := d.q.lanes[name]
-			if l.busy {
-				continue
-			}
-			if now.Before(l.notBefore) {
-				if nextGate.IsZero() || l.notBefore.Before(nextGate) {
-					nextGate = l.notBefore
-				}
-				continue
-			}
-			l.busy = true
-			d.q.inFlight++
-			ready = append(ready, name)
-		}
+		idle, wait := len(l.seqs) == 0, time.Until(l.notBefore)
 		d.q.mu.Unlock()
-		// Sent after the unlock, so a worker woken by its job does not
-		// find the queue mutex still held. Never blocks: jobs is buffered
-		// to the worker count and inFlight ≤ workers guarantees a slot.
-		for _, name := range ready {
-			d.jobs <- name
+		if !idle && wait <= 0 {
+			select {
+			case d.slots <- struct{}{}:
+				d.pass(l)
+			case <-d.stop:
+				return
+			}
+			continue
 		}
-
-		var timerC <-chan time.Time
-		if !nextGate.IsZero() {
-			timer.Reset(time.Until(nextGate))
-			timerC = timer.C
+		var gate <-chan time.Time
+		if !idle {
+			timer.Reset(wait)
+			gate = timer.C
 		}
 		select {
 		case <-d.stop:
 			return
-		case <-d.wake:
-		case res := <-d.results:
-			d.settle(res)
-		case <-timerC:
-			timerC = nil
+		case <-l.wake:
+		case <-gate:
+			gate = nil
 		}
-		if timerC != nil && !timer.Stop() {
+		if gate != nil && !timer.Stop() {
 			select {
 			case <-timer.C:
 			default:
@@ -335,14 +312,24 @@ func (d *Dispatcher) loop() {
 	}
 }
 
-// settle applies a worker's report to the lane's retry state.
-func (d *Dispatcher) settle(res laneResult) {
+// pass drains l on a slot it holds, then frees the slot and settles the
+// lane's retry state. A Wake that landed during the pass is consumed
+// here, under the lock that schedules the retry, so a failed pass still
+// waits out the backoff it scheduled.
+func (d *Dispatcher) pass(l *lane) {
+	d.q.mu.Lock()
+	l.busy = true
+	d.q.mu.Unlock()
+	failed := d.drainLane(l.name)
 	d.q.mu.Lock()
 	defer d.q.mu.Unlock()
-	l := d.q.lanes[res.lane]
 	l.busy = false
-	d.q.inFlight--
-	if !res.failed {
+	<-d.slots
+	select {
+	case <-l.wake:
+	default:
+	}
+	if !failed {
 		l.backoff = 0
 		l.notBefore = time.Time{}
 		return
@@ -369,40 +356,20 @@ func jitter(backoff time.Duration) time.Duration {
 	return half + time.Duration(rand.Int63n(int64(half)+1))
 }
 
-// worker takes lane assignments from the coordinator, drains each as far
-// as it will go, and reports the outcome.
-func (d *Dispatcher) worker() {
-	defer d.wg.Done()
-	for {
-		select {
-		case <-d.stop:
-			return
-		case lane := <-d.jobs:
-			res := d.drainLane(lane)
-			select {
-			case d.results <- res:
-			case <-d.stop:
-				return
-			}
-		}
-	}
-}
-
 // drainLane delivers a lane's entries head-first until the lane is empty,
-// a transient failure parks it, or the dispatcher stops. Permanent
-// rejections quarantine the entry and the drain continues — one poisoned
-// round must not park the lane behind it.
-func (d *Dispatcher) drainLane(lane string) laneResult {
-	res := laneResult{lane: lane}
+// a transient failure parks it (reported true), or the dispatcher stops.
+// Permanent rejections quarantine the entry and the drain continues — one
+// poisoned round must not park the lane behind it.
+func (d *Dispatcher) drainLane(lane string) (failed bool) {
 	for {
 		select {
 		case <-d.stop:
-			return res
+			return false
 		default:
 		}
 		e := d.q.head(lane)
 		if e == nil {
-			return res
+			return false
 		}
 		// Derive the attempt from the dispatcher's lifetime, not
 		// context.Background(): Close cancels d.ctx, so shutdown aborts a
@@ -427,8 +394,7 @@ func (d *Dispatcher) drainLane(lane string) laneResult {
 			log.Printf("outbox: entry %d quarantined: %v", e.Seq, err)
 			d.q.Quarantine(e.Seq, err)
 		default:
-			res.failed = true
-			return res
+			return true
 		}
 	}
 }

@@ -40,8 +40,8 @@ type Entry struct {
 // entries and the dispatcher's retry state for it, guarded by the queue's
 // mutex. A lane that drains stays in the table, so its counters describe
 // the destination for as long as the queue is open; it leaves the
-// queue's active list, so per-pass and per-ack work scales with the lanes
-// holding entries, not with every destination ever seen.
+// queue's active list, so a walk of the lanes holding entries (Start,
+// Backlog) scales with those, not with every destination ever seen.
 type lane struct {
 	name string
 	seqs []uint64 // pending entries, ascending: delivery order
@@ -50,7 +50,9 @@ type lane struct {
 	// the DeliverFunc's memo lives in it. nil until read, and again once
 	// the entry leaves the lane.
 	head      *Entry
-	busy      bool          // a worker currently owns this lane
+	running   bool          // the Dispatcher started this lane's goroutine
+	wake      chan struct{} // 1-slot: Wake's signal to that goroutine
+	busy      bool          // the lane holds a delivery slot
 	backoff   time.Duration // delay the last failure scheduled (0 = healthy)
 	notBefore time.Time     // next attempt is gated until this instant
 	delivered uint64        // entries acknowledged on this lane
@@ -69,7 +71,7 @@ type lane struct {
 // is guaranteed per lane, not across lanes.
 //
 // At most one Dispatcher may drain a Queue: the lane table holds that
-// dispatcher's busy flags, backoff and in-flight count.
+// dispatcher's goroutine flags, wake signals, slots and backoff.
 type Queue struct {
 	store  store
 	seal   SealFunc
@@ -81,15 +83,11 @@ type Queue struct {
 	mu    sync.Mutex
 	next  uint64 // next sequence number to assign
 	lanes map[string]*lane
-	// active lists the lanes holding entries, sorted: the order the
-	// dispatcher hands them out in.
+	// active lists the lanes holding entries, sorted by name.
 	active []string
 	// bySeq maps each pending entry to its lane, so an ack finds it
 	// without a search; len(bySeq) is the queue's depth.
 	bySeq map[uint64]*lane
-	// inFlight counts lanes a Dispatcher handed to workers and has not
-	// settled yet.
-	inFlight int
 	// quarantined counts entries set aside: .bad files found at Open
 	// plus quarantines since.
 	quarantined int
@@ -412,7 +410,7 @@ func (q *Queue) read(seq uint64) ([]byte, error) {
 func (q *Queue) file(seq uint64, name string) {
 	l := q.lanes[name]
 	if l == nil {
-		l = &lane{name: name}
+		l = &lane{name: name, wake: make(chan struct{}, 1)}
 		q.lanes[name] = l
 	}
 	if len(l.seqs) == 0 {

@@ -94,7 +94,8 @@ func (p *ShardedProxy) StageTopology(ctx context.Context, d wire.TopologyDirecti
 }
 
 // requireQuiesced fails unless the tier has no open round, no round
-// close in flight, and an empty delivery outbox — the precondition for
+// close in flight, no material retained from a failed outbox commit, and
+// an empty delivery outbox — the precondition for
 // reshaping both ends of a relay leg atomically. Advisory: an update
 // racing in between this check and the staged plan's promotion narrows
 // but cannot fully close the window; the systematic mid-round skew is
@@ -103,8 +104,11 @@ func (p *ShardedProxy) requireQuiesced() error {
 	p.mu.Lock()
 	inRound, closing, retained := p.inRound, p.closing, p.retained
 	p.mu.Unlock()
-	if inRound != 0 || closing != 0 || retained != 0 {
+	if inRound != 0 || closing != 0 {
 		return fmt.Errorf("tier is mid-round (%d updates in, %d closes in flight); retry between rounds", inRound, closing)
+	}
+	if retained != 0 {
+		return fmt.Errorf("%d updates retained from a failed outbox commit ride the next round close; retry once that round has committed and delivered", retained)
 	}
 	if n := p.dlv.box.Len(); n != 0 {
 		return fmt.Errorf("delivery outbox still holds %d entries routed under the current quotas; retry after it drains", n)

@@ -88,12 +88,6 @@ func (s *AggServer) SetObserver(obs fl.Observer) {
 	s.observer = obs
 }
 
-// SetDedupWindow sizes the batch-dedup FIFO (default DefaultDedupWindow).
-// Call before serving.
-func (s *AggServer) SetDedupWindow(n int) {
-	s.seen.SetWindow(n)
-}
-
 // SetDisseminated overrides the model served to clients for the current
 // round (the active-attack hook).
 func (s *AggServer) SetDisseminated(ps nn.ParamSet) {

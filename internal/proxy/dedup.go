@@ -7,9 +7,10 @@ import (
 	"mixnn/internal/transport"
 )
 
-// DefaultDedupWindow is the batch-dedup FIFO capacity when the operator
-// does not override it (-dedup-window).
-const DefaultDedupWindow = 1024
+// dedupWindow is the batch-dedup id FIFO's capacity. Its size is not
+// what rejects an aged-out redelivery — the sender sequence watermark
+// is — so it is not a knob.
+const dedupWindow = 1024
 
 // maxDedupSenders bounds the per-sender sequence watermark map (FIFO:
 // the oldest sender ages out first).
@@ -50,7 +51,7 @@ const (
 //     (dedupStale) instead of re-absorbing a round that already counted.
 type batchDedup struct {
 	mu    sync.Mutex
-	cap   int
+	cap   int             // id FIFO capacity; 0 = dedupWindow
 	state map[string]bool // false = application in flight, true = applied
 	order []string
 	// hwm maps sender id → highest entry sequence acknowledged as
@@ -59,21 +60,11 @@ type batchDedup struct {
 	hwmOrder []string
 }
 
-// SetWindow sizes the id FIFO (<= 0 keeps DefaultDedupWindow). Call
-// before first use.
-func (d *batchDedup) SetWindow(n int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if n > 0 {
-		d.cap = n
-	}
-}
-
 func (d *batchDedup) capLocked() int {
 	if d.cap > 0 {
 		return d.cap
 	}
-	return DefaultDedupWindow
+	return dedupWindow
 }
 
 // Begin atomically decides what to do with batch id from (sender, seq);

@@ -8,8 +8,7 @@ import (
 // TestDedupSenderWatermarkLRU: an active durable sender's watermark must
 // survive a churn of one-shot senders (LRU, not insertion-order FIFO).
 func TestDedupSenderWatermarkLRU(t *testing.T) {
-	var d batchDedup
-	d.SetWindow(1)
+	d := batchDedup{cap: 1}
 	// The durable sender registers first and keeps delivering.
 	d.Begin("id-a1", "durable", 1, true)
 	d.Done("id-a1", "durable", 1, true)
@@ -31,8 +30,7 @@ func TestDedupSenderWatermarkLRU(t *testing.T) {
 
 // TestDedupWatermarkVerdicts pins the Begin decision table.
 func TestDedupWatermarkVerdicts(t *testing.T) {
-	var d batchDedup
-	d.SetWindow(1)
+	d := batchDedup{cap: 1}
 	if got := d.Begin("i1", "s", 1, true); got != dedupClaimed {
 		t.Fatalf("fresh id = %v", got)
 	}

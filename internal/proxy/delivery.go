@@ -5,11 +5,11 @@
 //
 // Lock rule: p.mu (the round lock) may be held while taking delivery.mu,
 // never the reverse — nothing in this file touches p.mu, so a delivery
-// worker never waits on ingress, packaging or a seal. delivery.mu is
+// lane never waits on ingress, packaging or a seal. delivery.mu is
 // never held across a transport call, and an acknowledgement does not take
 // it: the ack counters are registry instruments. Each entry's retry memo is not
 // delivery's to guard: it rides the outbox lane head the entry waits in,
-// owned by the one worker that drains the lane.
+// owned by the lane's one goroutine.
 package proxy
 
 import (
@@ -31,7 +31,7 @@ import (
 	"mixnn/internal/wire"
 )
 
-// delivery owns everything a delivery worker touches: the transport, the
+// delivery owns everything a delivery lane touches: the transport, the
 // outbox and its dispatcher, the hop keys and inter-proxy secrets of every
 // destination, and the counters of what was acknowledged. It holds no
 // unmixed update and never sees the round lock.

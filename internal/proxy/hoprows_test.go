@@ -592,6 +592,56 @@ func TestRelayRefileMixesBeforeItTravels(t *testing.T) {
 	}
 }
 
+// TestSyncPeersRefusalNamesRetainedMaterial: a sync_peers directive
+// refused only because a failed outbox commit retained a round's relayed
+// material says so — how many updates, and that the next round close
+// carries them — instead of calling an idle tier mid-round.
+func TestSyncPeersRefusalNamesRetainedMaterial(t *testing.T) {
+	const c = 4
+	platform, encl := fixtures(t)
+	initial := testArch().New(1).SnapshotParams()
+	agg, err := NewAggServer(initial, 2*c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aggSrv := httptest.NewServer(agg.Handler())
+	t.Cleanup(aggSrv.Close)
+	_, addr, rs := remoteShardFixture(t, platform, aggSrv.URL, c/2, 97)
+	px, err := NewSharded(ShardedConfig{
+		Upstream: aggSrv.URL, K: 1, RoundSize: c, Seed: 98,
+		Routing:      route.ModeHashQuota,
+		ShardSpecs:   []route.ShardSpec{{}, {Addr: addr}},
+		RemoteShards: map[string]RemoteShard{addr: rs},
+		RetryBase:    time.Millisecond, RetryMax: 5 * time.Millisecond,
+	}, encl, platform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(px.Close)
+	box := &refusingSeal{lane: addr, failing: true}
+	installQueue(t, px, box)
+	pxSrv := httptest.NewServer(px.Handler())
+	t.Cleanup(pxSrv.Close)
+	for i, u := range perturbed(initial, c, 130) {
+		resp := sendRaw(t, encl, pxSrv.URL, fmt.Sprintf("r-%d", i), u)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("send r-%d: %s", i, resp.Status)
+		}
+	}
+	if box.refused == 0 || px.Status().Rounds != 1 {
+		t.Fatalf("want the round closed on a refused relay commit: %d refusals, status %+v", box.refused, px.Status())
+	}
+	_, err = px.StageTopology(context.Background(), wire.TopologyDirective{Mode: "hash-quota", SyncPeers: true})
+	if err == nil {
+		t.Fatal("sync_peers accepted with relayed material retained")
+	}
+	want := fmt.Sprintf("%d updates retained", c/2)
+	if msg := err.Error(); !strings.Contains(msg, want) || !strings.Contains(msg, "next round close") || strings.Contains(msg, "mid-round") {
+		t.Fatalf("refusal = %q, want it to name the %q that ride the next round close", msg, want)
+	}
+}
+
 // TestHopBatchSkipsLoggedOnce: items the open round refuses are skipped
 // one by one but reported once per batch — the peer chooses how many
 // items a request carries, not how many lines it costs.

@@ -63,11 +63,6 @@ type ShardedConfig struct {
 	// material. Every remote address in ShardSpecs needs an entry (or a
 	// later RegisterRemote) before its material can be relayed.
 	RemoteShards map[string]RemoteShard
-	// DedupWindow sizes the batch-dedup FIFO on this proxy's /v1/batch
-	// endpoint (default DefaultDedupWindow). Redeliveries whose id has
-	// aged out of the window are rejected with 409 via the sender
-	// sequence watermark instead of being silently re-absorbed.
-	DedupWindow int
 	// K is the per-shard list capacity of each stream mixer; it is clamped
 	// to the shard's round-robin share of RoundSize so every shard's
 	// buffer fills and drains within a round.
@@ -92,10 +87,9 @@ type ShardedConfig struct {
 	// backoff (defaults outbox.DefaultRetryBase/Max).
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// DeliveryWorkers bounds how many destination lanes deliver
-	// concurrently (default outbox.DefaultWorkers). A lane is drained by
-	// at most one worker at a time, so per-destination ordering is
-	// unaffected by the worker count.
+	// DeliveryWorkers bounds how many destination lanes deliver at once
+	// (default outbox.DefaultWorkers). A lane is drained only by its own
+	// goroutine, so per-destination ordering is unaffected by the count.
 	DeliveryWorkers int
 	// Transport carries every outbound leg of this tier — batch delivery
 	// downstream, relay legs to remote shards, and the hop attestation
@@ -329,7 +323,6 @@ func NewSharded(cfg ShardedConfig, encl *enclave.Enclave, platform *enclave.Plat
 		shardRecv: make([]int, topo.P()),
 		shardEmit: make([]int, topo.P()),
 	}
-	p.seen.SetWindow(cfg.DedupWindow)
 	p.cond = sync.NewCond(&p.mu)
 	p.initControlPlane()
 	p.dlv = newDelivery(cfg, tr, box, remotes, p.metrics)

@@ -531,17 +531,17 @@ func TestTopologyRemoteKeyMissingStallsNotLoses(t *testing.T) {
 	}
 }
 
-// TestDedupWindowAgedOutStale pins the -dedup-window satellite: an id
-// that aged out of the FIFO is rejected with 409 (+ stale marker) via
-// the sender sequence watermark instead of being silently re-absorbed,
-// while a lost-ack redelivery of the sender's LAST applied entry still
-// acks 200.
+// TestDedupWindowAgedOutStale pins aged-redelivery rejection: an id
+// that aged out of the batch-dedup FIFO is rejected with 409 (+ stale
+// marker) via the sender sequence watermark instead of being silently
+// re-absorbed, while a lost-ack redelivery of the sender's LAST applied
+// entry still acks 200.
 func TestDedupWindowAgedOutStale(t *testing.T) {
 	agg, err := NewAggServer(testArch().New(1).SnapshotParams(), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg.SetDedupWindow(1)
+	agg.seen.cap = 1
 	srv := httptest.NewServer(agg.Handler())
 	t.Cleanup(srv.Close)
 
