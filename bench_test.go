@@ -887,11 +887,13 @@ func (noopIngress) HandleBatch(context.Context, transport.BatchRequest) (transpo
 // bytes allocated per request must not scale with the body — at most
 // 4KB at either size, which is the recorder and the request. Reading
 // with io.ReadAll cost ~200KB and ~13MB. The server arms put a real
-// connection and transport.HTTP in front; they are recorded, not gated:
-// net/http's client allocates a 32KB copy buffer per request of its
-// own.
+// connection and transport.HTTP in front, and are gated at 12KB per
+// request at either size: net/http's own headers, contexts and
+// connection state on both sides, ~7KB. The client writes the body from
+// the sender's bytes; when net/http copied it through a fresh 32KB
+// buffer per request, these arms read ~40KB.
 func BenchmarkHTTPIngress(b *testing.B) {
-	const round, ceiling = 64, 4 << 10
+	const round, ceiling, serverCeiling = 64, 4 << 10, 12 << 10
 	update, err := nn.EncodeParamSet(experiment.PerfModels(experiment.ScaleQuick)[0].Arch.New(1).SnapshotParams())
 	if err != nil {
 		b.Fatal(err)
@@ -944,10 +946,6 @@ func BenchmarkHTTPIngress(b *testing.B) {
 		}},
 	} {
 		b.Run("direct/"+arm.name, func(b *testing.B) {
-			// One P: the lease pools are sync.Pools, which cache per P, so
-			// a goroutine rescheduled between two requests pays for one
-			// buffer. The gate counts copies, not migrations.
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			b.SetBytes(int64(len(arm.body)))
 			perReq := measure(b, func() {
 				req, err := http.NewRequest(http.MethodPost, arm.path, bytes.NewReader(arm.body)) // sets ContentLength
@@ -966,11 +964,14 @@ func BenchmarkHTTPIngress(b *testing.B) {
 		})
 		b.Run("server/"+arm.name, func(b *testing.B) {
 			b.SetBytes(int64(len(arm.body)))
-			measure(b, func() {
+			perReq := measure(b, func() {
 				if err := arm.send(); err != nil {
 					b.Fatal(err)
 				}
 			})
+			if perReq > serverCeiling {
+				b.Fatalf("a %d-byte %s request over HTTP allocates %.0f bytes, above the %d-byte ceiling: a body is being copied on its way", len(arm.body), arm.path, perReq, serverCeiling)
+			}
 		})
 	}
 }

@@ -3,7 +3,9 @@ package transport
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -212,4 +214,178 @@ func TestLoopbackSendReturnsAfterHandler(t *testing.T) {
 			t.Fatalf("%s returned before the handler's last read of the body (sum %d, want %d)", send.name, got, want)
 		}
 	}
+}
+
+// TestHTTPDirectWriteReturnsBeforeSend pins the lease contract on the
+// connections NewHTTP dials, which write a body from the sender's bytes
+// in one Write: a send returns only after that Write returned. Twice per
+// transport — a send cancelled while its Write is blocked on a peer that
+// never reads, and a send the server answered with a 400 before it read
+// the body — for a caller's *http.Transport and for NewHTTP(nil). A
+// Transport that dials for itself keeps net/http's own copy.
+func TestHTTPDirectWriteReturnsBeforeSend(t *testing.T) {
+	body := bytes.Repeat([]byte{0x3C}, 16<<20) // far more than the socket buffers hold
+
+	// A peer that accepts and never reads.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var mu sync.Mutex
+	var held []net.Conn
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, c)
+			mu.Unlock()
+		}
+	}()
+	defer func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range held {
+			c.Close()
+		}
+	}()
+	stalled := "http://" + ln.Addr().String()
+
+	// A server whose handler is told the participant forged a cascade
+	// depth, so it answers 400 before it reads the body.
+	h := NewHandler(&fakeServer{receipt: Receipt{Shard: -1}})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Header.Set(wire.HeaderHop, "1")
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	if NewHTTP(nil).c.Transport == http.DefaultTransport {
+		t.Fatal("NewHTTP(nil) sends through http.DefaultTransport, want its own clone")
+	}
+	var d net.Dialer
+	for _, tc := range []struct {
+		name   string
+		tr     *HTTP
+		direct bool
+	}{
+		{"caller's Transport", NewHTTP(&http.Client{Transport: &http.Transport{}}), true},
+		{"NewHTTP(nil)", NewHTTP(nil), true},
+		{"Transport with its own dialer", NewHTTP(&http.Client{Transport: &http.Transport{DialContext: d.DialContext}}), false},
+	} {
+		want := int64(0)
+		if tc.direct {
+			want = 1
+		}
+		// send runs one SendUpdate and reports its error and how many
+		// direct writes started and returned by the time it returned.
+		send := func(ctx context.Context, ep string) (started, returned int64, err error) {
+			s0, r0 := DirectWrites()
+			_, err = tc.tr.SendUpdate(ctx, ep, UpdateRequest{Body: body})
+			s1, r1 := DirectWrites()
+			return s1 - s0, r1 - r0, err
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		type result struct {
+			err               error
+			started, returned int64
+		}
+		done := make(chan result, 1)
+		s0, r0 := DirectWrites()
+		go func() {
+			s, r, err := send(ctx, stalled)
+			done <- result{err, s, r}
+		}()
+		if tc.direct {
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+				if s, _ := DirectWrites(); s > s0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: no direct write started", tc.name)
+				}
+			}
+		}
+		time.Sleep(50 * time.Millisecond)
+		if _, r := DirectWrites(); r != r0 {
+			t.Fatalf("%s: the write returned to a peer that never reads", tc.name)
+		}
+		select {
+		case res := <-done:
+			t.Fatalf("%s: the send returned (%v) before it was cancelled", tc.name, res.err)
+		default:
+		}
+		cancel()
+		res := <-done
+		if !errors.Is(res.err, context.Canceled) {
+			t.Fatalf("%s: cancelled send returned %v", tc.name, res.err)
+		}
+		if res.started != want || res.returned != want {
+			t.Fatalf("%s: cancelled send returned with %d direct writes started and %d returned, want %d and %d", tc.name, res.started, res.returned, want, want)
+		}
+
+		started, returned, err := send(context.Background(), srv.URL)
+		if se := AsStatus(err); se == nil || se.Code != http.StatusBadRequest {
+			t.Fatalf("%s answered %v, want the 400 sent before the body was read", tc.name, err)
+		}
+		if started != want || returned != want {
+			t.Fatalf("%s: answered send returned with %d direct writes started and %d returned, want %d and %d", tc.name, started, returned, want, want)
+		}
+	}
+}
+
+// TestHTTPDirectWriteOutlivesClose: a reader closed while its direct
+// write blocks — a RoundTripper may close a body from any goroutine —
+// does not hand the body back: wait returns only once the Write did, and
+// no reader opens after it.
+func TestHTTPDirectWriteOutlivesClose(t *testing.T) {
+	sb := &sentBody{buf: bytes.Repeat([]byte{7}, 1<<10)}
+	sb.cond.L = &sb.mu
+	rc, err := sb.reader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := &blockingConn{entered: make(chan struct{}), release: make(chan struct{})}
+	wrote := make(chan int64, 1)
+	go func() {
+		n, _ := directConn{conn}.ReadFrom(&io.LimitedReader{R: rc, N: int64(len(sb.buf))})
+		wrote <- n
+	}()
+	<-conn.entered
+	rc.Close()
+	waited := make(chan struct{})
+	go func() {
+		sb.wait()
+		close(waited)
+	}()
+	select {
+	case <-waited:
+		t.Fatal("wait returned while a direct write of the body was in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(conn.release)
+	<-waited
+	if n := <-wrote; n != int64(len(sb.buf)) {
+		t.Fatalf("the direct write reported %d bytes, want %d", n, len(sb.buf))
+	}
+	if _, err := sb.reader(); err == nil {
+		t.Fatal("a reader opened after wait returned")
+	}
+}
+
+// blockingConn's Write blocks until release is closed. It has no other
+// working method.
+type blockingConn struct {
+	net.Conn
+	entered, release chan struct{}
+}
+
+func (c *blockingConn) Write(p []byte) (int, error) {
+	close(c.entered)
+	<-c.release
+	return len(p), nil
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -25,8 +24,16 @@ type MetricsSource interface {
 // body is read once, into a buffer that lives from the read until the
 // Server method returns (see the Server contract) and then goes back for
 // the next request, so steady traffic is read without allocating.
+//
+// The free list is a bounded channel, not a sync.Pool, so it survives
+// GC: a paced tier idles across GC cycles, which would empty a sync.Pool
+// between two requests. What it keeps is bounded instead: at most
+// freeBodies buffers, each at least half filled by the last body it
+// held, and a buffer taken for a body that declares less than half its
+// size is dropped, so one oversized body pins nothing past the next
+// lease on its route.
 type bodyPool struct {
-	free sync.Pool // *[]byte
+	free chan *[]byte
 	// leased counts buffers out on lease; it is back at zero whenever
 	// no request is in flight, whatever path the requests took.
 	leased atomic.Int64
@@ -38,11 +45,25 @@ type bodyPool struct {
 	poison bool
 }
 
+// freeBodies is how many idle buffers one bodyPool keeps: more than the
+// requests one route of a paced tier has in flight at once (a lane
+// delivers one batch at a time), and all an idle tier pins per route.
+const freeBodies = 8
+
+func newBodyPool() bodyPool {
+	return bodyPool{free: make(chan *[]byte, freeBodies), bound: wire.MaxBodyBytes, poison: raceEnabled}
+}
+
 // read leases a buffer and reads r's body into it. On failure it answers
 // the 400, ends the lease and reports false.
 func (p *bodyPool) read(w http.ResponseWriter, r *http.Request) (*[]byte, bool) {
-	bp, _ := p.free.Get().(*[]byte)
-	if bp == nil {
+	var bp *[]byte
+	select {
+	case bp = <-p.free:
+		if r.ContentLength >= 0 && int64(cap(*bp)) > 2*r.ContentLength {
+			bp = new([]byte)
+		}
+	default:
 		bp = new([]byte)
 	}
 	p.leased.Add(1)
@@ -56,7 +77,8 @@ func (p *bodyPool) read(w http.ResponseWriter, r *http.Request) (*[]byte, bool) 
 	return bp, true
 }
 
-// release ends a lease.
+// release ends a lease, keeping the buffer when the body filled at least
+// half of it and the free list has room.
 func (p *bodyPool) release(bp *[]byte) {
 	if p.poison {
 		for i := range *bp {
@@ -64,7 +86,13 @@ func (p *bodyPool) release(bp *[]byte) {
 		}
 	}
 	p.leased.Add(-1)
-	p.free.Put(bp)
+	if cap(*bp) == 0 || 2*len(*bp) < cap(*bp) {
+		return
+	}
+	select {
+	case p.free <- bp:
+	default:
+	}
 }
 
 // handler is the HTTP adapter of one Server. Its body pools are its own:
@@ -90,8 +118,8 @@ func NewHandler(s Server) http.Handler {
 
 func newHandler(s Server) *handler {
 	h := &handler{
-		single: bodyPool{bound: wire.MaxBodyBytes, poison: raceEnabled},
-		batch:  bodyPool{bound: wire.MaxBodyBytes, poison: raceEnabled},
+		single: newBodyPool(),
+		batch:  newBodyPool(),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/update", func(w http.ResponseWriter, r *http.Request) {

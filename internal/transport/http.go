@@ -8,9 +8,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mixnn/internal/wire"
@@ -29,11 +31,72 @@ type HTTP struct {
 // client with a 60 s timeout. The client's RoundTripper must close every
 // request body, as net/http's does: a data-plane send waits for those
 // closes before it returns.
+//
+// A data-plane body goes to the socket from the sender's own bytes, in
+// one Write, where the connection is one NewHTTP dialled: net/http would
+// otherwise copy it through a fresh 32KB buffer per request. Those are
+// the connections of NewHTTP(nil), which share one clone of
+// http.DefaultTransport (http.DefaultTransport itself is left alone), and
+// of a caller's *http.Transport that sets none of DialContext, Dial,
+// DialTLSContext and DialTLS: NewHTTP installs its dialer on that
+// Transport in place, so call it before the Transport carries requests.
+// Any other RoundTripper, a Transport with a dialer of its own, and TLS
+// connections send as net/http does.
 func NewHTTP(httpc *http.Client) *HTTP {
 	if httpc == nil {
-		httpc = &http.Client{Timeout: 60 * time.Second}
+		return &HTTP{c: &http.Client{Timeout: 60 * time.Second, Transport: sharedTransport()}}
+	}
+	if ht, ok := httpc.Transport.(*http.Transport); ok && ht.DialContext == nil && ht.Dial == nil && ht.DialTLSContext == nil && ht.DialTLS == nil {
+		ht.DialContext = directDial(nil)
+		// net/http upgrades https to HTTP/2 by itself only for a Transport
+		// without a dialer or TLS config; keep that as it was.
+		ht.ForceAttemptHTTP2 = ht.ForceAttemptHTTP2 || ht.TLSClientConfig == nil
 	}
 	return &HTTP{c: httpc}
+}
+
+// sharedTransport is the one connection pool of every NewHTTP(nil)
+// client, as http.DefaultTransport was: its settings and dialer, the
+// dialer's connections writing bodies directly.
+var sharedTransport = sync.OnceValue(func() http.RoundTripper {
+	dt, ok := http.DefaultTransport.(*http.Transport)
+	if !ok {
+		return http.DefaultTransport
+	}
+	ht := dt.Clone()
+	ht.DialContext = directDial(dt.DialContext)
+	return ht
+})
+
+// directDial wraps dial's connections in directConn. A nil dial is what
+// net/http dials with when a Transport sets no dialer.
+func directDial(dial func(ctx context.Context, network, addr string) (net.Conn, error)) func(ctx context.Context, network, addr string) (net.Conn, error) {
+	if dial == nil {
+		var d net.Dialer
+		dial = d.DialContext
+	}
+	return func(ctx context.Context, network, addr string) (net.Conn, error) {
+		c, err := dial(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return directConn{c}, nil
+	}
+}
+
+// directConn is a connection net/http hands request bodies to: for a
+// declared-length body it calls ReadFrom with an *io.LimitedReader over
+// the request's body. Over a sentBodyReader that is one Write of the
+// sender's bytes; anything else goes where it went without the wrapper.
+type directConn struct{ net.Conn }
+
+func (c directConn) ReadFrom(r io.Reader) (int64, error) {
+	if lr, ok := r.(*io.LimitedReader); ok {
+		if br, ok := lr.R.(*sentBodyReader); ok {
+			return br.writeTo(c.Conn, lr)
+		}
+	}
+	return io.Copy(c.Conn, r)
 }
 
 // do runs one request, mapping non-2xx responses onto StatusError and
@@ -107,13 +170,15 @@ func (t *HTTP) post(ctx context.Context, url, contentType string, body []byte, h
 // so a sender that reuses the bytes waits for those closes. Every reader
 // counts from open to its first Close, a closed reader reads nothing
 // more, and once wait returned no reader is opened again: from then on
-// nothing net/http holds touches buf.
+// nothing net/http holds touches buf. A directConn's Write of buf counts
+// too, from its start to its return, whatever Close ran meanwhile.
 type sentBody struct {
-	buf  []byte
-	mu   sync.Mutex
-	cond sync.Cond // on mu; signalled when open drops to 0
-	open int       // readers opened and not yet closed
-	done bool      // wait returned: buf is the sender's again
+	buf     []byte
+	mu      sync.Mutex
+	cond    sync.Cond // on mu; signalled when open or writing drops to 0
+	open    int       // readers opened and not yet closed
+	writing int       // direct writes of buf in flight
+	done    bool      // wait returned: buf is the sender's again
 }
 
 // reader opens one reader of the body: the request's own, or a GetBody
@@ -125,15 +190,14 @@ func (b *sentBody) reader() (io.ReadCloser, error) {
 		return nil, errBodyClosed
 	}
 	b.open++
-	r := &sentBodyReader{b: b}
-	r.r.Reset(b.buf)
-	return r, nil
+	return &sentBodyReader{b: b}, nil
 }
 
-// wait blocks until every reader opened so far was closed.
+// wait blocks until every reader opened so far was closed and no direct
+// write of buf is in flight.
 func (b *sentBody) wait() {
 	b.mu.Lock()
-	for b.open > 0 {
+	for b.open > 0 || b.writing > 0 {
 		b.cond.Wait()
 	}
 	b.done = true
@@ -142,9 +206,13 @@ func (b *sentBody) wait() {
 
 var errBodyClosed = errors.New("transport: request body used after its Close or after the send returned")
 
+// directWrites counts direct writes as they start and as they return;
+// tests read it.
+var directWrites struct{ started, returned atomic.Int64 }
+
 type sentBodyReader struct {
 	b      *sentBody
-	r      bytes.Reader
+	off    int // bytes of b.buf read or written so far
 	closed bool
 }
 
@@ -154,7 +222,41 @@ func (r *sentBodyReader) Read(p []byte) (int, error) {
 	if r.closed {
 		return 0, errBodyClosed
 	}
-	return r.r.Read(p)
+	if r.off == len(r.b.buf) {
+		return 0, io.EOF
+	}
+	n := copy(p, r.b.buf[r.off:])
+	r.off += n
+	return n, nil
+}
+
+// writeTo writes what lr has left of the body to w in one Write of buf
+// itself. The mutex is not held across the Write, which may block for as
+// long as the peer does not read; the write counts as in flight instead.
+func (r *sentBodyReader) writeTo(w io.Writer, lr *io.LimitedReader) (int64, error) {
+	b := r.b
+	b.mu.Lock()
+	if r.closed {
+		b.mu.Unlock()
+		return 0, errBodyClosed
+	}
+	p := b.buf[r.off:]
+	p = p[:min(int64(len(p)), lr.N)]
+	b.writing++
+	b.mu.Unlock()
+
+	directWrites.started.Add(1)
+	n, err := w.Write(p)
+	directWrites.returned.Add(1)
+
+	b.mu.Lock()
+	r.off += n
+	lr.N -= int64(n)
+	if b.writing--; b.writing == 0 {
+		b.cond.Broadcast()
+	}
+	b.mu.Unlock()
+	return int64(n), err
 }
 
 func (r *sentBodyReader) Close() error {

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"mixnn/internal/wire"
@@ -143,4 +144,122 @@ type keepingServer struct {
 func (k *keepingServer) HandleUpdate(_ context.Context, req UpdateRequest) (Receipt, error) {
 	k.kept = req.Body
 	return Receipt{Shard: -1}, nil
+}
+
+// gatedBatch is a Server whose HandleBatch waits at gate, if set, and
+// reads nothing; ungated, it notes the capacity of the buffer each body
+// came in.
+type gatedBatch struct {
+	fakeServer
+	gate    *sync.WaitGroup
+	lastCap int
+}
+
+func (g *gatedBatch) HandleBatch(_ context.Context, req BatchRequest) (Receipt, error) {
+	if g.gate != nil {
+		g.gate.Done()
+		g.gate.Wait()
+	} else {
+		g.lastCap = cap(req.Body)
+	}
+	return Receipt{Shard: -1}, nil
+}
+
+// freeBuffers empties a pool's free list and returns what it held.
+func freeBuffers(p *bodyPool) []*[]byte {
+	var out []*[]byte
+	for {
+		select {
+		case bp := <-p.free:
+			out = append(out, bp)
+		default:
+			return out
+		}
+	}
+}
+
+// TestHandlerFreeListDoesNotPin: the body leases' free list keeps little
+// and nothing oversized. An oversized body's buffer is dropped at the
+// next lease on its route, a burst of concurrent requests leaves at most
+// freeBodies buffers idle, and released buffers are poisoned as before
+// under the race detector.
+func TestHandlerFreeListDoesNotPin(t *testing.T) {
+	// post sends an n-byte batch, its length declared or, when chunked,
+	// not, and reports what it was answered other than a 202.
+	post := func(h http.Handler, n int, chunked bool) error {
+		req := httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(make([]byte, n)))
+		if chunked {
+			req.ContentLength = -1
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusAccepted {
+			return fmt.Errorf("a %d-byte batch answered %d", n, rec.Code)
+		}
+		return nil
+	}
+	const small = 42_000
+
+	g := &gatedBatch{}
+	h := newHandler(g)
+	for _, tc := range []struct {
+		name    string
+		big     int
+		chunked bool
+	}{
+		{"declared", 64 << 20, false},
+		{"chunked", 4 << 20, true},
+	} {
+		for _, n := range []int{tc.big, small} {
+			if err := post(h, n, tc.chunked); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !tc.chunked && g.lastCap > 2*small {
+			t.Fatalf("a %d-byte batch was read into a %d-byte buffer, want the oversized one dropped", small, g.lastCap)
+		}
+		for _, bp := range freeBuffers(&h.batch) {
+			if cap(*bp) > 2*small {
+				t.Fatalf("%s: after a %d-byte batch and a %d-byte one the free list holds a %d-byte buffer, want none above %d", tc.name, tc.big, small, cap(*bp), 2*small)
+			}
+		}
+	}
+	if err := post(h, small, false); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(h.batch.free); n != 1 {
+		t.Fatalf("a %d-byte batch left %d buffers free, want its own", small, n)
+	}
+
+	const burst = 32
+	g.gate = new(sync.WaitGroup)
+	g.gate.Add(burst)
+	var wg sync.WaitGroup
+	for i := 0; i < burst; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := post(h, small, false); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := LeasedBodies(h); n != 0 {
+		t.Fatalf("%d buffers still on lease after the burst", n)
+	}
+	free := freeBuffers(&h.batch)
+	if len(free) > freeBodies {
+		t.Fatalf("%d concurrent requests left %d buffers free, want at most %d", burst, len(free), freeBodies)
+	}
+	if h.batch.poison != raceEnabled || h.single.poison != raceEnabled {
+		t.Fatalf("poisoning is %v/%v, want it on exactly under the race detector", h.single.poison, h.batch.poison)
+	}
+	if raceEnabled {
+		for _, bp := range free {
+			if !bytes.Equal(*bp, bytes.Repeat([]byte{0xA5}, len(*bp))) {
+				t.Fatal("a released buffer was not poisoned")
+			}
+		}
+	}
 }
