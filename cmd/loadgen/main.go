@@ -46,7 +46,6 @@ func run(args []string) error {
 		workers      = fs.Int("workers", 0, "ingress workers per Loopback peer (0 = GOMAXPROCS)")
 		straggler    = fs.Float64("straggler", 0.05, "fraction of participants per churn wave that delay their send")
 		disconnect   = fs.Float64("disconnect", 0.02, "fraction of sessions per churn wave replaced mid-run")
-		rsaBits      = fs.Int("rsa-bits", 0, "enclave RSA key size (0 = production 2048)")
 		seed         = fs.Int64("seed", 1, "base random seed")
 		timeout      = fs.Duration("timeout", 10*time.Minute, "whole-run deadline")
 		out          = fs.String("out", "", "write the LoadgenResult JSON here (e.g. loadgen.json)")
@@ -85,7 +84,7 @@ func run(args []string) error {
 		Participants: *participants, FrontRound: *round, K: *k, Waves: *waves,
 		QueueDepth: *queueDepth, Workers: *workers,
 		StragglerFrac: *straggler, DisconnectFrac: *disconnect,
-		RSABits: *rsaBits, Seed: *seed, Timeout: *timeout,
+		Seed: *seed, Timeout: *timeout,
 		MetricsOut: *metricsOut,
 	})
 	if err != nil {

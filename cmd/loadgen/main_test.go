@@ -15,7 +15,7 @@ func TestLoadgenSmallScale(t *testing.T) {
 	cpu, mem := filepath.Join(dir, "cpu.pb.gz"), filepath.Join(dir, "mem.pb.gz")
 	err := run([]string{
 		"-participants", "24", "-round", "12", "-k", "2", "-waves", "3",
-		"-queue-depth", "16", "-workers", "4", "-rsa-bits", "1024",
+		"-queue-depth", "16", "-workers", "4",
 		"-straggler", "0.2", "-disconnect", "0.1",
 		"-out", out, "-cpuprofile", cpu, "-memprofile", mem,
 	})

@@ -18,8 +18,8 @@ package client
 
 import (
 	"context"
+	"crypto/ecdh"
 	"crypto/ecdsa"
-	"crypto/rsa"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -75,9 +75,10 @@ type Participant struct {
 	// senders holds, per proxy endpoint, the attested (or pinned) enclave
 	// key and the current crypto session toward it (enclave.Sender):
 	// failover re-encrypts for the endpoint it lands on, steady-state
-	// sends are GCM-only under the session key, and the one-time RSA wrap
-	// rides the session's first update. Re-pinning an endpoint replaces
-	// its Sender, and the session built for the superseded key with it.
+	// sends are GCM-only under the session key, and the one-time key
+	// agreement rides the session's first update. Re-pinning an endpoint
+	// replaces its Sender, and the session built for the superseded key
+	// with it.
 	senders map[string]*enclave.Sender
 	// flights single-flights the lazy failover attestation per endpoint:
 	// when many goroutines share one client and fail over simultaneously
@@ -127,7 +128,7 @@ func (c *Participant) SetClientID(id string) {
 // SetEnclaveKey pins the primary proxy's enclave key directly (for
 // deployments where the key is distributed out of band instead of via
 // attestation).
-func (c *Participant) SetEnclaveKey(pub *rsa.PublicKey) {
+func (c *Participant) SetEnclaveKey(pub *ecdh.PublicKey) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.senders[c.proxies[0]] = enclave.NewSender(enclave.PinnedHop(pub, c.measurement))

@@ -2,8 +2,8 @@ package client_test
 
 import (
 	"context"
+	"crypto/ecdh"
 	"crypto/rand"
-	"crypto/rsa"
 	"errors"
 	"net/http"
 	"sync"
@@ -56,13 +56,13 @@ func testUpdate() nn.ParamSet {
 	return nn.NewMLP("net", 4, []int{6}, 2).New(1).SnapshotParams()
 }
 
-func testKey(t *testing.T) *rsa.PublicKey {
+func testKey(t *testing.T) *ecdh.PublicKey {
 	t.Helper()
-	key, err := rsa.GenerateKey(rand.Reader, 2048)
+	key, err := ecdh.X25519().GenerateKey(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &key.PublicKey
+	return key.PublicKey()
 }
 
 func TestNewRequiresProxies(t *testing.T) {

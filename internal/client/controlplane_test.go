@@ -103,7 +103,7 @@ func ctrlTier(t *testing.T, lb *transport.Loopback, n int) (*enclave.Platform, [
 	}
 	servers := make([]*ctrlServer, n)
 	for i := range servers {
-		encl, err := enclave.New(enclave.Config{RSABits: 1024}, platform)
+		encl, err := enclave.New(enclave.Config{}, platform)
 		if err != nil {
 			t.Fatal(err)
 		}

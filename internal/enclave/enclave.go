@@ -1,9 +1,9 @@
 // Package enclave is a behavioural simulation of the Intel SGX enclave
 // that hosts the MixNN proxy (paper §2.5, §4.3).
 //
-// What is real: all cryptography. Participants encrypt updates with the
-// enclave's RSA-2048 public key (one OAEP key wrap per session around
-// AES-256-GCM, session.go);
+// What is real: all cryptography. Participants encrypt updates for the
+// enclave's X25519 public key (one ephemeral-static key agreement plus
+// HKDF-SHA256 per session, then AES-256-GCM, session.go);
 // attestation reports bind a SHA-256 measurement of the enclave's code
 // identity and are signed by a (simulated) attestation authority with
 // ECDSA P-256; sealing uses AES-GCM under a key derived from a simulated
@@ -21,8 +21,8 @@ import (
 	"container/list"
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/ecdh"
 	"crypto/rand"
-	"crypto/rsa"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -41,7 +41,8 @@ type Config struct {
 	CodeIdentity string
 	// MemoryLimitBytes is the usable EPC size (default UsableEPCBytes).
 	MemoryLimitBytes int
-	// RSABits sizes the enclave key pair (default 2048).
+	// RSABits is ignored: the enclave's key pair is X25519, whose size
+	// is fixed. It stays only so that callers which still set it compile.
 	RSABits int
 	// ConstantProcessing, when positive, makes every Process call take at
 	// least this long (side-channel hardening, §4.3).
@@ -59,9 +60,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MemoryLimitBytes == 0 {
 		c.MemoryLimitBytes = UsableEPCBytes
-	}
-	if c.RSABits == 0 {
-		c.RSABits = 2048
 	}
 	if c.SessionCacheEntries == 0 {
 		c.SessionCacheEntries = DefaultSessionCacheEntries
@@ -91,7 +89,7 @@ type Stats struct {
 // Enclave is a simulated SGX enclave instance.
 type Enclave struct {
 	cfg         Config
-	priv        *rsa.PrivateKey
+	priv        *ecdh.PrivateKey
 	measurement [32]byte
 	sealKey     [32]byte
 
@@ -114,7 +112,7 @@ type Enclave struct {
 // and derives its sealing key from the platform's fuse secret.
 func New(cfg Config, platform *Platform) (*Enclave, error) {
 	cfg.fillDefaults()
-	priv, err := rsa.GenerateKey(rand.Reader, cfg.RSABits)
+	priv, err := ecdh.X25519().GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("enclave: generate key pair: %w", err)
 	}
@@ -139,15 +137,15 @@ func (e *Enclave) Measurement() [32]byte { return e.measurement }
 
 // PublicKey returns the enclave's encryption public key (k_pub in the
 // paper); participants encrypt their parameter updates with it.
-func (e *Enclave) PublicKey() *rsa.PublicKey { return &e.priv.PublicKey }
+func (e *Enclave) PublicKey() *ecdh.PublicKey { return e.priv.PublicKey() }
 
 const gcmNonceSize = 12
 
 // Encrypt encrypts one plaintext for the enclave holding pub as a
 // self-contained session establish frame (session.go): a fresh session
-// whose only message this is — one RSA-OAEP key wrap per call. A sender
-// with more than one update to send keeps the Session instead.
-func Encrypt(pub *rsa.PublicKey, plaintext []byte) ([]byte, error) {
+// whose only message this is — one X25519 key agreement per call. A
+// sender with more than one update to send keeps the Session instead.
+func Encrypt(pub *ecdh.PublicKey, plaintext []byte) ([]byte, error) {
 	s, err := NewSession(pub)
 	if err != nil {
 		return nil, err

@@ -10,8 +10,8 @@ import (
 	"time"
 )
 
-// Shared fixtures: RSA keygen is the slow part, so tests reuse one platform
-// and enclave pair where mutation is not an issue.
+// Shared fixtures: tests reuse one platform and enclave pair where
+// mutation is not an issue.
 var (
 	testOnce     sync.Once
 	testPlatform *Platform
@@ -238,7 +238,7 @@ func TestAttestationRejections(t *testing.T) {
 
 func TestMemoryAccounting(t *testing.T) {
 	p, _ := fixtures(t)
-	e, err := New(Config{MemoryLimitBytes: 100, RSABits: 2048}, p)
+	e, err := New(Config{MemoryLimitBytes: 100}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,9 +288,6 @@ func TestConstantProcessingGate(t *testing.T) {
 
 // Property: Encrypt/Decrypt round-trips arbitrary payloads.
 func TestQuickEncryptRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("RSA operations in -short mode")
-	}
 	_, e := fixtures(t)
 	f := func(msg []byte) bool {
 		ct, err := Encrypt(e.PublicKey(), msg)
@@ -371,7 +368,7 @@ func TestSealSurvivesPlatformRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1, err := New(Config{CodeIdentity: "restartable", RSABits: 1024}, p1)
+	e1, err := New(Config{CodeIdentity: "restartable"}, p1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +381,7 @@ func TestSealSurvivesPlatformRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := New(Config{CodeIdentity: "restartable", RSABits: 1024}, p2)
+	e2, err := New(Config{CodeIdentity: "restartable"}, p2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +413,7 @@ func TestSealSurvivesPlatformRestart(t *testing.T) {
 		t.Fatal("platforms with different fuse secrets share an attestation authority")
 	}
 
-	other, err := New(Config{CodeIdentity: "different-build", RSABits: 1024}, p2)
+	other, err := New(Config{CodeIdentity: "different-build"}, p2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 package enclave
 
 import (
+	"crypto/ecdh"
 	"crypto/ecdsa"
-	"crypto/rsa"
 	"fmt"
 	"sync"
 )
@@ -14,7 +14,7 @@ import (
 // the next enclave, so the untrusted network between hops (and the
 // forwarding proxy's own host) never sees plaintext updates.
 type HopKey struct {
-	pub         *rsa.PublicKey
+	pub         *ecdh.PublicKey
 	measurement [32]byte
 }
 
@@ -27,17 +27,17 @@ func TrustHop(rep Report, authority *ecdsa.PublicKey, expectedMeasurement [32]by
 	if err != nil {
 		return nil, fmt.Errorf("enclave: trust hop: %w", err)
 	}
-	rsaPub, ok := pub.(*rsa.PublicKey)
-	if !ok {
-		return nil, fmt.Errorf("enclave: hop attested a %T key, want RSA", pub)
+	xpub, ok := pub.(*ecdh.PublicKey)
+	if !ok || xpub.Curve() != ecdh.X25519() {
+		return nil, fmt.Errorf("enclave: hop attested a %T key, want X25519", pub)
 	}
-	return &HopKey{pub: rsaPub, measurement: rep.Measurement}, nil
+	return &HopKey{pub: xpub, measurement: rep.Measurement}, nil
 }
 
 // PinnedHop builds a HopKey from out-of-band key material (deployments
 // that distribute the next hop's key alongside its trust bundle instead of
 // attesting at startup).
-func PinnedHop(pub *rsa.PublicKey, measurement [32]byte) *HopKey {
+func PinnedHop(pub *ecdh.PublicKey, measurement [32]byte) *HopKey {
 	return &HopKey{pub: pub, measurement: measurement}
 }
 
@@ -45,10 +45,10 @@ func PinnedHop(pub *rsa.PublicKey, measurement [32]byte) *HopKey {
 func (h *HopKey) Measurement() [32]byte { return h.measurement }
 
 // NewSession starts a crypto session against the hop's enclave: one
-// RSA wrap here, then Session.Wrap is GCM-only for every forwarded
-// round (see session.go). Cascade and relay legs use it so steady-state
-// inter-proxy delivery sheds the per-round RSA cost the same way
-// participant ingress does.
+// X25519 agreement here, then Session.Wrap is GCM-only for every
+// forwarded round (see session.go). Cascade and relay legs use it so
+// steady-state inter-proxy delivery sheds the per-round key agreement
+// the same way participant ingress does.
 func (h *HopKey) NewSession() (*Session, error) {
 	if h == nil || h.pub == nil {
 		return nil, fmt.Errorf("enclave: no hop key pinned")
@@ -78,11 +78,11 @@ func NewSender(key *HopKey) *Sender { return &Sender{key: key} }
 // Wrap seals plaintext under the current session — establishing one when
 // there is none, and rotating once when the current one's counter space
 // is exhausted. The first wrap of a session is the establish frame
-// carrying the RSA-wrapped key; every later one is GCM-only. The session
+// carrying the ephemeral key; every later one is GCM-only. The session
 // that produced the ciphertext is returned so the caller can Drop
 // precisely it on a typed session rejection. The mutex is held across an
-// establish: concurrent wrappers wait for the one RSA wrap instead of each
-// paying their own and discarding all but one.
+// establish: concurrent wrappers wait for the one key agreement instead
+// of each paying their own and discarding all but one.
 func (s *Sender) Wrap(plaintext []byte) ([]byte, *Session, error) {
 	return s.WrapTo(nil, plaintext)
 }

@@ -2,6 +2,12 @@ package enclave
 
 import (
 	"bytes"
+	"crypto/ecdh"
+	"crypto/ecdsa"
+	"crypto/rand"
+	"crypto/x509"
+	"encoding/asn1"
+	"math/big"
 	"sync"
 	"testing"
 )
@@ -11,7 +17,7 @@ func TestTrustHopWrapRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next, err := New(Config{CodeIdentity: "hop-b", RSABits: 1024}, platform)
+	next, err := New(Config{CodeIdentity: "hop-b"}, platform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +56,7 @@ func TestTrustHopRejectsWrongMeasurement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next, err := New(Config{CodeIdentity: "hop-genuine", RSABits: 1024}, platform)
+	next, err := New(Config{CodeIdentity: "hop-genuine"}, platform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +65,7 @@ func TestTrustHopRejectsWrongMeasurement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	imposter, err := New(Config{CodeIdentity: "hop-imposter", RSABits: 1024}, platform)
+	imposter, err := New(Config{CodeIdentity: "hop-imposter"}, platform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,6 +74,72 @@ func TestTrustHopRejectsWrongMeasurement(t *testing.T) {
 	}
 	if _, err := TrustHop(rep, platform.AttestationPublicKey(), next.Measurement(), []byte("other")); err == nil {
 		t.Fatal("replayed hop report trusted")
+	}
+}
+
+// rsaPKIX is the PKIX DER of an RSA public key (2048-bit modulus, e =
+// 65537), assembled with encoding/asn1 so the module needs no RSA code.
+func rsaPKIX(t *testing.T) []byte {
+	t.Helper()
+	n := new(big.Int).Lsh(big.NewInt(1), 2047)
+	n.Add(n, big.NewInt(1))
+	key, err := asn1.Marshal(struct {
+		N *big.Int
+		E int
+	}{n, 65537})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type algorithm struct {
+		OID    asn1.ObjectIdentifier
+		Params asn1.RawValue
+	}
+	der, err := asn1.Marshal(struct {
+		Algorithm algorithm
+		Key       asn1.BitString
+	}{
+		algorithm{asn1.ObjectIdentifier{1, 2, 840, 113549, 1, 1, 1}, asn1.NullRawValue},
+		asn1.BitString{Bytes: key, BitLength: 8 * len(key)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return der
+}
+
+// TestTrustHopRefusesNonX25519Key: a genuinely signed report whose
+// attested key is RSA or P-256 verifies as a report, but TrustHop pins
+// only an X25519 key.
+func TestTrustHopRefusesNonX25519Key(t *testing.T) {
+	platform, err := NewPlatform()
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := New(Config{CodeIdentity: "hop-keytype"}, platform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p256, err := ecdh.P256().GenerateKey(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p256DER, err := x509.MarshalPKIXPublicKey(p256.PublicKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonce := []byte("hop-nonce-keytype")
+	for name, der := range map[string][]byte{"RSA": rsaPKIX(t), "P-256": p256DER} {
+		rep := Report{Measurement: next.Measurement(), Nonce: nonce, PubKeyDER: der}
+		digest := rep.digest()
+		if rep.Signature, err = ecdsa.SignASN1(rand.Reader, platform.iasKey, digest[:]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rep.Verify(platform.AttestationPublicKey(), next.Measurement(), nonce); err != nil {
+			t.Fatalf("%s: the report itself does not verify: %v", name, err)
+		}
+		if _, err := TrustHop(rep, platform.AttestationPublicKey(), next.Measurement(), nonce); err == nil {
+			t.Fatalf("TrustHop pinned an attested %s key", name)
+		}
 	}
 }
 

@@ -1,37 +1,47 @@
 // Session-keyed enclave crypto: the one ciphertext family the enclave
-// opens. A session wraps one AES-256 key once with RSA-OAEP (~1ms), tags
-// it with a random session id, and every subsequent update is a pure
-// AES-GCM open under that key (tens of µs). Only the enclave ever sees
-// the session key: it is wrapped for the attested enclave key.
+// opens. A session starts with one ephemeral-static X25519 agreement
+// against the attested enclave key (the DHKEM shape of RFC 9180): the
+// sender draws a fresh ephemeral key, both sides derive a 32-byte
+// AES-256 key from the shared secret with HKDF-SHA256, and every
+// subsequent update is a pure AES-GCM open under that key (tens of µs).
+// Only the enclave can derive the session key: it needs the private half
+// of the attested key.
 //
 // Two frame layouts, told apart by a 4-byte magic; a body that starts
 // with neither is refused with ErrCiphertext:
 //
-//	establish "MXSE" | ver u8 | sid [16]byte | wlen u16 | wrappedKey | AES-GCM ct
-//	data      "MXSD" | ver u8 | sid [16]byte | counter u64 | AES-GCM ct
+//	establish "MXSE" | ver=2 | sid [16]byte | eph [32]byte | AES-GCM ct
+//	data      "MXSD" | ver=1 | sid [16]byte | counter u64  | AES-GCM ct
 //
-// The establish message CARRIES the first update (counter 0), so
-// starting a session costs zero extra round trips. The GCM nonce is the
-// deterministic 12-byte little-endian encoding of the counter — safe
-// because the key is fresh per session and the Session API makes each
-// counter single-use — and the full header is bound as AAD, so neither
-// the session id nor the counter can be spliced across messages.
+// with key = HKDF-SHA256(IKM = X25519(eph, enclave), salt =
+// "mixnn/session/v2", info = eph ‖ enclavePub ‖ sid). The establish
+// message CARRIES the first update (counter 0), so starting a session
+// costs zero extra round trips. The GCM nonce is the deterministic
+// 12-byte little-endian encoding of the counter — safe because the key
+// is fresh per session and the Session API makes each counter
+// single-use — and the full header is bound as AAD, so neither the
+// session id, the ephemeral key nor the counter can be spliced across
+// messages. An establish frame of the RSA era (ver 1) is refused before
+// any work.
 //
 // The enclave keeps a bounded LRU of sessions, EPC-accounted at one
 // page each. A data message for an unknown session (evicted, or the
-// enclave restarted and lost its RSA key anyway) is rejected with
+// enclave restarted and lost its key anyway) is rejected with
 // ErrSessionUnknown BEFORE anything is ingested; senders answer it by
-// re-establishing with a full wrap. A counter already admitted is
-// rejected with ErrSessionReplay — same sender response, since the
-// current attempt provably ingested nothing.
+// re-establishing. A counter already admitted is rejected with
+// ErrSessionReplay — same sender response, since the current attempt
+// provably ingested nothing. A live session is never re-keyed or
+// rewound: an establish for its sid under another ephemeral key is
+// ErrCiphertext, and the identical establish is counter 0 replayed.
 package enclave
 
 import (
 	"container/list"
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/ecdh"
+	"crypto/hmac"
 	"crypto/rand"
-	"crypto/rsa"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -42,11 +52,13 @@ import (
 const (
 	sessionMagicEstablish = "MXSE"
 	sessionMagicData      = "MXSD"
-	sessionVersion        = 1
+	establishVersion      = 2
+	dataVersion           = 1
 
 	sessionIDSize = 16
-	// magic + version + sid [+ u16 wlen | + u64 counter]
-	establishHeaderSize = 4 + 1 + sessionIDSize + 2
+	ephKeySize    = 32 // an X25519 public key
+	// magic + version + sid + (eph key | u64 counter)
+	establishHeaderSize = 4 + 1 + sessionIDSize + ephKeySize
 	dataHeaderSize      = 4 + 1 + sessionIDSize + 8
 
 	// sessionEPCBytes is the EPC charge per cached session: one page
@@ -66,9 +78,10 @@ const DefaultSessionCacheEntries = 4096
 var ErrSessionUnknown = errors.New("enclave: unknown crypto session")
 
 // ErrSessionReplay rejects a session-data ciphertext whose counter was
-// already admitted (or fell behind the reorder window). The current
-// attempt provably ingested nothing; senders recover exactly as for
-// ErrSessionUnknown — re-establish with a full wrap.
+// already admitted (or fell behind the reorder window), and an establish
+// frame replayed while its session is live (counter 0 again). The
+// current attempt provably ingested nothing; senders recover exactly as
+// for ErrSessionUnknown — re-establish under a fresh session.
 var ErrSessionReplay = errors.New("enclave: session counter replayed")
 
 // sessionNonce encodes a message counter as the deterministic GCM
@@ -79,6 +92,30 @@ func sessionNonce(counter uint64) [gcmNonceSize]byte {
 	return n
 }
 
+// sessionKDFSalt domain-separates the session key derivation.
+const sessionKDFSalt = "mixnn/session/v2"
+
+// hkdfSHA256 is RFC 5869 HKDF-SHA256 cut to one output block: extract
+// PRK = HMAC(salt, ikm), then expand T(1) = HMAC(PRK, info ‖ 0x01), the
+// 32-byte output key. (crypto/hkdf arrived in Go 1.24; go.mod targets
+// 1.22.)
+func hkdfSHA256(ikm, salt, info []byte) []byte {
+	extract := hmac.New(sha256.New, salt)
+	extract.Write(ikm)
+	expand := hmac.New(sha256.New, extract.Sum(nil))
+	expand.Write(info)
+	expand.Write([]byte{1})
+	return expand.Sum(nil)
+}
+
+// sessionAEAD derives a session's AES-256-GCM instance from the X25519
+// shared secret, binding both public keys and the session id.
+func sessionAEAD(shared, eph, enclavePub []byte, sid [sessionIDSize]byte) (cipher.AEAD, error) {
+	info := make([]byte, 0, len(eph)+len(enclavePub)+sessionIDSize)
+	info = append(append(append(info, eph...), enclavePub...), sid[:]...)
+	return newSessionAEAD(hkdfSHA256(shared, []byte(sessionKDFSalt), info))
+}
+
 func newSessionAEAD(key []byte) (cipher.AEAD, error) {
 	block, err := aes.NewCipher(key)
 	if err != nil {
@@ -87,47 +124,49 @@ func newSessionAEAD(key []byte) (cipher.AEAD, error) {
 	return cipher.NewGCM(block)
 }
 
-// Session is the SENDER side of one crypto session: the wrapped key,
-// the cached GCM instance and the message counter. The first Wrap
-// emits the establish message (which carries that first payload); every
-// later Wrap emits a data message with the next counter. Safe for
-// concurrent use — the counter is atomic and GCM seal is stateless.
+// Session is the SENDER side of one crypto session: the ephemeral
+// public key its establish frame carries, the cached GCM instance and
+// the message counter. The first Wrap emits the establish message
+// (which carries that first payload); every later Wrap emits a data
+// message with the next counter. Safe for concurrent use — the counter
+// is atomic and GCM seal is stateless.
 type Session struct {
-	sid     [sessionIDSize]byte
-	wrapped []byte
-	aead    cipher.AEAD
-	ctr     atomic.Uint64
+	sid  [sessionIDSize]byte
+	eph  [ephKeySize]byte
+	aead cipher.AEAD
+	ctr  atomic.Uint64
 }
 
 // sessionCounterLimit forces a key rotation long before the counter
 // space (and the deterministic nonces derived from it) could wrap.
 const sessionCounterLimit = 1 << 62
 
-// NewSession draws a fresh session key and id and wraps the key for the
-// enclave holding pub. The RSA cost is paid HERE, once; Wrap is then
-// GCM-only for the session's lifetime.
-func NewSession(pub *rsa.PublicKey) (*Session, error) {
-	key := make([]byte, 32)
-	if _, err := rand.Read(key); err != nil {
-		return nil, fmt.Errorf("enclave: draw session key: %w", err)
-	}
+// NewSession draws a fresh session id and ephemeral X25519 key and
+// agrees the session key with the enclave holding pub. The two scalar
+// multiplications (key draw and agreement) are paid HERE, once; Wrap is
+// then GCM-only for the session's lifetime.
+func NewSession(pub *ecdh.PublicKey) (*Session, error) {
 	s := &Session{}
 	if _, err := rand.Read(s.sid[:]); err != nil {
 		return nil, fmt.Errorf("enclave: draw session id: %w", err)
 	}
-	wrapped, err := rsa.EncryptOAEP(sha256.New(), rand.Reader, pub, key, nil)
+	eph, err := ecdh.X25519().GenerateKey(rand.Reader)
 	if err != nil {
-		return nil, fmt.Errorf("enclave: wrap session key: %w", err)
+		return nil, fmt.Errorf("enclave: draw ephemeral key: %w", err)
 	}
-	s.wrapped = wrapped
-	if s.aead, err = newSessionAEAD(key); err != nil {
+	shared, err := eph.ECDH(pub)
+	if err != nil {
+		return nil, fmt.Errorf("enclave: session key agreement: %w", err)
+	}
+	copy(s.eph[:], eph.PublicKey().Bytes())
+	if s.aead, err = sessionAEAD(shared, s.eph[:], pub.Bytes(), s.sid); err != nil {
 		return nil, fmt.Errorf("enclave: session cipher: %w", err)
 	}
 	return s, nil
 }
 
 // Wrap encrypts one payload for the session's enclave: the establish
-// message on the session's first call (counter 0, carrying the wrapped
+// message on the session's first call (counter 0, carrying the ephemeral
 // key so the handshake costs no extra round trip), a data message with
 // the next counter after that. The output is a single allocation — the
 // session's cipher instance is reused, nothing else is allocated per
@@ -150,7 +189,7 @@ func (s *Session) WrapTo(dst, plaintext []byte) ([]byte, error) {
 	}
 	n := dataHeaderSize + len(plaintext) + s.aead.Overhead()
 	if c == 0 {
-		n = establishHeaderSize + len(s.wrapped) + len(plaintext) + s.aead.Overhead()
+		n = establishHeaderSize + len(plaintext) + s.aead.Overhead()
 	}
 	out := dst[:0]
 	if cap(out) < n+gcmNonceSize {
@@ -162,26 +201,27 @@ func (s *Session) WrapTo(dst, plaintext []byte) ([]byte, error) {
 	clear(nonce[8:])
 	if c == 0 {
 		out = append(out, sessionMagicEstablish...)
-		out = append(out, sessionVersion)
+		out = append(out, establishVersion)
 		out = append(out, s.sid[:]...)
-		out = binary.LittleEndian.AppendUint16(out, uint16(len(s.wrapped)))
-		out = append(out, s.wrapped...)
+		out = append(out, s.eph[:]...)
 	} else {
 		out = append(out, sessionMagicData...)
-		out = append(out, sessionVersion)
+		out = append(out, dataVersion)
 		out = append(out, s.sid[:]...)
 		out = binary.LittleEndian.AppendUint64(out, c)
 	}
 	return s.aead.Seal(out, nonce, plaintext, out), nil
 }
 
-// sessionState is the ENCLAVE side of one session: the key schedule
-// plus replay-protection state. hwm is the highest admitted counter;
-// window is a 64-bit bitmap of the counters hwm-1 .. hwm-64 (bit k set
-// = counter hwm-1-k admitted), so modest network reordering is admitted
-// while anything at or below hwm-65, or already admitted, is a replay.
+// sessionState is the ENCLAVE side of one session: the establishing
+// ephemeral key, the key schedule and replay-protection state. hwm is
+// the highest admitted counter; window is a 64-bit bitmap of the
+// counters hwm-1 .. hwm-64 (bit k set = counter hwm-1-k admitted), so
+// modest network reordering is admitted while anything at or below
+// hwm-65, or already admitted, is a replay.
 type sessionState struct {
 	sid    [sessionIDSize]byte
+	eph    [ephKeySize]byte
 	aead   cipher.AEAD
 	hwm    uint64
 	window uint64
@@ -222,22 +262,23 @@ func (s *sessionState) admit(c uint64) bool {
 	}
 }
 
-// installSession (re)creates the enclave-side state for sid. An
-// establish for a sid the cache already holds REPLACES it with fresh
-// replay state — the retry of a lost establish acknowledgement carries
-// the identical ciphertext, and a fresh establish under the same sid
-// necessarily proved knowledge of the enclave's public key anyway.
-func (e *Enclave) installSession(sid [sessionIDSize]byte, aead cipher.AEAD) {
+// installSession creates the enclave-side state for sid. A live session
+// is never replaced: the sid travels in clear, so an establish for it
+// under another ephemeral key is a take-over attempt (ErrCiphertext),
+// and the identical establish is counter 0 replayed (ErrSessionReplay,
+// the typed rejection whose recovery is a fresh session). Either way the
+// live session keeps its key and replay window.
+func (e *Enclave) installSession(sid [sessionIDSize]byte, eph [ephKeySize]byte, aead cipher.AEAD) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if s := e.sessions[sid]; s != nil {
-		s.aead = aead
-		s.hwm, s.window = 0, 0
-		e.sessLRU.MoveToFront(s.elem)
-		e.sessEstablished++
-		return
+		if s.eph != eph {
+			return fmt.Errorf("%w: session id already established under another key", ErrCiphertext)
+		}
+		e.sessReplays++
+		return ErrSessionReplay
 	}
-	s := &sessionState{sid: sid, aead: aead}
+	s := &sessionState{sid: sid, eph: eph, aead: aead}
 	s.elem = e.sessLRU.PushFront(s)
 	e.sessions[sid] = s
 	e.allocLocked(sessionEPCBytes)
@@ -252,6 +293,7 @@ func (e *Enclave) installSession(sid [sessionIDSize]byte, aead cipher.AEAD) {
 		e.freeLocked(sessionEPCBytes)
 		e.sessEvicts++
 	}
+	return nil
 }
 
 // ResetSessions drops every cached session: the volatile-state loss of
@@ -270,41 +312,42 @@ func (e *Enclave) ResetSessions() {
 	e.sessLRU.Init()
 }
 
-// decryptEstablish opens an "MXSE" establish message: unwrap the
-// session key with the enclave's RSA key, authenticate the carried
-// payload under it (into dst, see DecryptTo), and only then install the
-// session.
+// decryptEstablish opens an "MXSE" establish message: agree the session
+// key with the carried ephemeral key, authenticate the carried payload
+// under it (into dst, see DecryptTo), and only then install the session.
+// Any other version is refused before any work.
 func (e *Enclave) decryptEstablish(dst, ct []byte) ([]byte, error) {
 	if len(ct) < establishHeaderSize {
 		return nil, fmt.Errorf("%w: truncated session establish", ErrCiphertext)
 	}
-	if ct[4] != sessionVersion {
-		return nil, fmt.Errorf("%w: unsupported session version %d", ErrCiphertext, ct[4])
+	if ct[4] != establishVersion {
+		return nil, fmt.Errorf("%w: unsupported session establish version %d", ErrCiphertext, ct[4])
 	}
-	wlen := int(binary.LittleEndian.Uint16(ct[establishHeaderSize-2:]))
-	hdrLen := establishHeaderSize + wlen
-	if len(ct) < hdrLen {
-		return nil, fmt.Errorf("%w: truncated session establish", ErrCiphertext)
-	}
-	key, err := rsa.DecryptOAEP(sha256.New(), nil, e.priv, ct[establishHeaderSize:hdrLen], nil)
+	var sid [sessionIDSize]byte
+	var eph [ephKeySize]byte
+	copy(sid[:], ct[5:5+sessionIDSize])
+	copy(eph[:], ct[5+sessionIDSize:establishHeaderSize])
+	ephPub, err := ecdh.X25519().NewPublicKey(eph[:])
 	if err != nil {
-		return nil, fmt.Errorf("%w: session key unwrap failed", ErrCiphertext)
+		return nil, fmt.Errorf("%w: malformed ephemeral key", ErrCiphertext)
 	}
-	if len(key) != 32 {
-		return nil, fmt.Errorf("%w: session key has wrong length", ErrCiphertext)
+	// ECDH refuses low-order points (an all-zero shared secret).
+	shared, err := e.priv.ECDH(ephPub)
+	if err != nil {
+		return nil, fmt.Errorf("%w: session key agreement failed", ErrCiphertext)
 	}
-	aead, err := newSessionAEAD(key)
+	aead, err := sessionAEAD(shared, eph[:], e.priv.PublicKey().Bytes(), sid)
 	if err != nil {
 		return nil, fmt.Errorf("%w: session cipher", ErrCiphertext)
 	}
 	nonce := sessionNonce(0)
-	plain, err := aead.Open(dst, nonce[:], ct[hdrLen:], ct[:hdrLen])
+	plain, err := aead.Open(dst, nonce[:], ct[establishHeaderSize:], ct[:establishHeaderSize])
 	if err != nil {
 		return nil, fmt.Errorf("%w: authentication failed", ErrCiphertext)
 	}
-	var sid [sessionIDSize]byte
-	copy(sid[:], ct[5:5+sessionIDSize])
-	e.installSession(sid, aead)
+	if err := e.installSession(sid, eph, aead); err != nil {
+		return nil, err
+	}
 	return plain, nil
 }
 
@@ -316,7 +359,7 @@ func (e *Enclave) decryptData(dst, ct []byte) ([]byte, error) {
 	if len(ct) < dataHeaderSize {
 		return nil, fmt.Errorf("%w: truncated session data", ErrCiphertext)
 	}
-	if ct[4] != sessionVersion {
+	if ct[4] != dataVersion {
 		return nil, fmt.Errorf("%w: unsupported session version %d", ErrCiphertext, ct[4])
 	}
 	var sid [sessionIDSize]byte
@@ -344,7 +387,7 @@ func (e *Enclave) decryptData(dst, ct []byte) ([]byte, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if cur := e.sessions[sid]; cur == nil || cur.aead != aead {
-		// Evicted (or re-established) while the open ran.
+		// Evicted (and perhaps re-established) while the open ran.
 		e.sessMisses++
 		return nil, ErrSessionUnknown
 	} else if !cur.admit(counter) {

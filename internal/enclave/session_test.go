@@ -2,10 +2,10 @@ package enclave
 
 import (
 	"bytes"
+	"crypto/ecdh"
 	"crypto/rand"
-	"crypto/rsa"
-	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"sync"
 	"testing"
@@ -16,8 +16,8 @@ var (
 	sessFixEncl *Enclave
 )
 
-// sessionFixture shares one small-key enclave across the session tests
-// (RSA keygen dominates otherwise).
+// sessionFixture shares one enclave across the session tests; their
+// assertions read its lifetime counters as deltas.
 func sessionFixture(t testing.TB) *Enclave {
 	t.Helper()
 	sessFixOnce.Do(func() {
@@ -25,38 +25,90 @@ func sessionFixture(t testing.TB) *Enclave {
 		if err != nil {
 			panic(err)
 		}
-		if sessFixEncl, err = New(Config{RSABits: 1024}, platform); err != nil {
+		if sessFixEncl, err = New(Config{}, platform); err != nil {
 			panic(err)
 		}
 	})
 	return sessFixEncl
 }
 
+// randomBytes returns n bytes from crypto/rand.
+func randomBytes(t testing.TB, n int) []byte {
+	t.Helper()
+	b := make([]byte, n)
+	if _, err := rand.Read(b); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // hybridCiphertext builds the one-shot layout the enclave used to open
 // and no sender produces any more — u16 wrappedKeyLen | RSA-OAEP wrapped
 // AES-256 key | 12-byte nonce | AES-GCM ciphertext — so the tests can
-// show a well-formed one is refused.
-func hybridCiphertext(t testing.TB, pub *rsa.PublicKey, plaintext []byte) []byte {
+// show a well-formed one is refused. The layout is refused on its first
+// four bytes, so 256 random bytes stand where the wrapped key sat.
+func hybridCiphertext(t testing.TB, plaintext []byte) []byte {
 	t.Helper()
-	key := make([]byte, 32)
-	nonce := make([]byte, gcmNonceSize)
-	for _, b := range [][]byte{key, nonce} {
-		if _, err := rand.Read(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wrapped, err := rsa.EncryptOAEP(sha256.New(), rand.Reader, pub, key, nil)
+	nonce := randomBytes(t, gcmNonceSize)
+	aead, err := newSessionAEAD(randomBytes(t, 32))
 	if err != nil {
 		t.Fatal(err)
 	}
-	aead, err := newSessionAEAD(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := binary.LittleEndian.AppendUint16(nil, uint16(len(wrapped)))
-	out = append(append(out, wrapped...), nonce...)
+	out := binary.LittleEndian.AppendUint16(nil, 256)
+	out = append(append(out, randomBytes(t, 256)...), nonce...)
 	return aead.Seal(out, nonce, plaintext, nil)
 }
+
+// establishV1 builds an establish frame of the RSA era — "MXSE" | ver 1 |
+// sid | u16 wlen | 256-byte wrapped key | AES-GCM ct, the header as AAD —
+// with random bytes where the wrapped key sat.
+func establishV1(t testing.TB, plaintext []byte) []byte {
+	t.Helper()
+	aead, err := newSessionAEAD(randomBytes(t, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte(sessionMagicEstablish), 1)
+	out = append(out, randomBytes(t, sessionIDSize)...)
+	out = binary.LittleEndian.AppendUint16(out, 256)
+	out = append(out, randomBytes(t, 256)...)
+	nonce := sessionNonce(0)
+	return aead.Seal(out, nonce[:], plaintext, out)
+}
+
+// withEph returns a copy of an establish frame whose ephemeral key field
+// reads eph.
+func withEph(est, eph []byte) []byte {
+	out := append([]byte(nil), est...)
+	copy(out[5+sessionIDSize:establishHeaderSize], eph)
+	return out
+}
+
+// sessionUnder is NewSession under a chosen session id: what an on-path
+// party that read a live sid from a header can build with a genuine key
+// agreement of its own.
+func sessionUnder(t testing.TB, pub *ecdh.PublicKey, sid [sessionIDSize]byte) *Session {
+	t.Helper()
+	eph, err := ecdh.X25519().GenerateKey(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := eph.ECDH(pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &Session{sid: sid}
+	copy(s.eph[:], eph.PublicKey().Bytes())
+	if s.aead, err = sessionAEAD(shared, s.eph[:], pub.Bytes(), sid); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// x25519OrderEight is a point of order 8 on Curve25519: any clamped
+// scalar times it is the identity, so an agreement with it yields the
+// all-zero secret.
+const x25519OrderEight = "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800"
 
 func TestSessionRoundTripAndLegacyInterleave(t *testing.T) {
 	e := sessionFixture(t)
@@ -87,9 +139,9 @@ func TestSessionRoundTripAndLegacyInterleave(t *testing.T) {
 	if hits := st.SessionHits - before.SessionHits; hits != 2 {
 		t.Fatalf("hits = %d, want 2", hits)
 	}
-	// The retired one-shot layout, well-formed and wrapped for this very
-	// enclave, is not opened: no RSA unwrap, no session, nothing counted.
-	if _, err := e.Decrypt(hybridCiphertext(t, e.PublicKey(), msgs[0])); !errors.Is(err, ErrCiphertext) {
+	// The retired one-shot layout is not opened: no session, nothing
+	// counted.
+	if _, err := e.Decrypt(hybridCiphertext(t, msgs[0])); !errors.Is(err, ErrCiphertext) {
 		t.Fatalf("hybrid ciphertext: got %v, want ErrCiphertext", err)
 	}
 	if after := e.Stats(); after != st {
@@ -176,7 +228,7 @@ func TestSessionCacheEvictionAndEPCAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(Config{RSABits: 1024, SessionCacheEntries: 2}, platform)
+	e, err := New(Config{SessionCacheEntries: 2}, platform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,12 +432,115 @@ func TestDecryptToReusesCallerBuffer(t *testing.T) {
 	}
 }
 
+// TestHKDFSHA256RFC5869 checks the session KDF against RFC 5869 Test
+// Case 1, whose 42-byte output key starts with the one block the helper
+// derives.
+func TestHKDFSHA256RFC5869(t *testing.T) {
+	ikm := bytes.Repeat([]byte{0x0b}, 22)
+	salt, _ := hex.DecodeString("000102030405060708090a0b0c")
+	info, _ := hex.DecodeString("f0f1f2f3f4f5f6f7f8f9")
+	want := "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
+	if got := hex.EncodeToString(hkdfSHA256(ikm, salt, info)); got != want {
+		t.Fatalf("HKDF-SHA256 OKM = %s, want %s", got, want)
+	}
+}
+
+// TestSessionRefusesV1Establish: an establish frame of the RSA era is
+// refused on its version byte, before any work — nothing is counted.
+func TestSessionRefusesV1Establish(t *testing.T) {
+	e := sessionFixture(t)
+	before := e.Stats()
+	if _, err := e.Decrypt(establishV1(t, []byte("rsa era"))); !errors.Is(err, ErrCiphertext) {
+		t.Fatalf("v1 establish: got %v, want ErrCiphertext", err)
+	}
+	if after := e.Stats(); after != before {
+		t.Fatalf("refused v1 establish moved the enclave stats: %+v -> %+v", before, after)
+	}
+}
+
+// TestSessionRefusesBadEphemeral: an establish whose ephemeral key is a
+// low-order point (the agreement yields the all-zero secret) or another
+// valid key than the one the frame was sealed under is refused with
+// ErrCiphertext, and no session is installed.
+func TestSessionRefusesBadEphemeral(t *testing.T) {
+	e := sessionFixture(t)
+	sess, err := NewSession(e.PublicKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, err := sess.Wrap([]byte("first"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := ecdh.X25519().GenerateKey(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orderEight, _ := hex.DecodeString(x25519OrderEight)
+	before := e.Stats()
+	for name, eph := range map[string][]byte{
+		"zero point":    make([]byte, ephKeySize),
+		"order-8 point": orderEight,
+		"swapped key":   other.PublicKey().Bytes(),
+	} {
+		if _, err := e.Decrypt(withEph(est, eph)); !errors.Is(err, ErrCiphertext) {
+			t.Fatalf("%s: got %v, want ErrCiphertext", name, err)
+		}
+	}
+	if after := e.Stats(); after.SessionsActive != before.SessionsActive ||
+		after.SessionsEstablished != before.SessionsEstablished {
+		t.Fatalf("a refused establish installed a session: %+v -> %+v", before, after)
+	}
+	if _, err := e.Decrypt(est); err != nil {
+		t.Fatalf("the genuine establish after the refusals: %v", err)
+	}
+}
+
+// TestSessionEstablishCannotTakeOverLiveSession: the sid travels in
+// clear, so an on-path party can send an establish frame for a live
+// session under a key of its own, or replay the victim's establish frame
+// and then its old data frames. Neither takes: the foreign key is
+// ErrCiphertext, the replayed establish is counter 0 again
+// (ErrSessionReplay, the typed 428), its data frames stay replays, and
+// the live session keeps serving.
+func TestSessionEstablishCannotTakeOverLiveSession(t *testing.T) {
+	e := sessionFixture(t)
+	victim, err := NewSession(e.PublicKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, _ := victim.Wrap([]byte("establish"))
+	data, _ := victim.Wrap([]byte("data"))
+	for _, ct := range [][]byte{est, data} {
+		if _, err := e.Decrypt(ct); err != nil {
+			t.Fatal(err)
+		}
+	}
+	takeover, _ := sessionUnder(t, e.PublicKey(), victim.sid).Wrap([]byte("attacker's establish"))
+	before := e.Stats()
+	if _, err := e.Decrypt(takeover); !errors.Is(err, ErrCiphertext) {
+		t.Fatalf("take-over establish: got %v, want ErrCiphertext", err)
+	}
+	for name, ct := range map[string][]byte{"replayed establish": est, "replayed data": data} {
+		if _, err := e.Decrypt(ct); !errors.Is(err, ErrSessionReplay) {
+			t.Fatalf("%s: got %v, want ErrSessionReplay", name, err)
+		}
+	}
+	if st := e.Stats(); st.SessionsEstablished != before.SessionsEstablished || st.SessionHits != before.SessionHits {
+		t.Fatalf("a refused frame established or ingested: %+v -> %+v", before, st)
+	}
+	next, _ := victim.Wrap([]byte("still live"))
+	if plain, err := e.Decrypt(next); err != nil || string(plain) != "still live" {
+		t.Fatalf("the victim's session stopped serving: %q, %v", plain, err)
+	}
+}
+
 // FuzzSessionCiphertext drives garbage at the session ciphertext parser:
 // truncations, flipped version/sid/counter bytes, cross-session splices
 // and counter reuse must all reject cleanly — never panic, and never
 // silently ingest. The iteration re-arms a fixed session state so the
-// invariant is exact: only a byte-identical replay of the establish
-// message may succeed (re-establishment is idempotent by design).
+// invariant is exact: nothing opens, not even a byte-identical replay of
+// the establish message (a live session is never re-established).
 func FuzzSessionCiphertext(f *testing.F) {
 	e := sessionFixture(f)
 	sess, err := NewSession(e.PublicKey())
@@ -424,7 +579,19 @@ func FuzzSessionCiphertext(f *testing.F) {
 	zeroCtr := append([]byte(nil), consumed...)
 	binary.LittleEndian.PutUint64(zeroCtr[dataHeaderSize-8:], 0)
 	f.Add(zeroCtr)
-	f.Add(hybridCiphertext(f, e.PublicKey(), []byte("retired one-shot layout")))
+	f.Add(hybridCiphertext(f, []byte("retired one-shot layout")))
+	f.Add(establishV1(f, []byte("rsa-era establish")))
+	f.Add(withEph(est, make([]byte, ephKeySize)))
+	other, err := ecdh.X25519().GenerateKey(rand.Reader)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(withEph(est, other.PublicKey().Bytes()))
+	takeover, err := sessionUnder(f, e.PublicKey(), sess.sid).Wrap([]byte("take-over establish"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(takeover)
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		// Re-arm: session installed, counter 1 consumed. Every valid
@@ -437,7 +604,7 @@ func FuzzSessionCiphertext(f *testing.F) {
 			t.Fatal(err)
 		}
 		plain, err := e.Decrypt(body)
-		if err == nil && !bytes.Equal(body, est) {
+		if err == nil {
 			t.Fatalf("forged/replayed session ciphertext accepted (%d bytes, plaintext %q)", len(body), plain)
 		}
 		if err != nil && !errors.Is(err, ErrCiphertext) &&

@@ -56,10 +56,7 @@ type LoadgenConfig struct {
 	// client id, lazy re-attestation) before sending.
 	StragglerFrac  float64
 	DisconnectFrac float64
-	// RSABits sizes the tier's enclave keys (0 = the production 2048;
-	// CI smokes may drop to 1024 to cut handshake cost).
-	RSABits int
-	Seed    int64
+	Seed           int64
 	// Timeout bounds the whole run (0 = 10 minutes).
 	Timeout time.Duration
 	// MetricsOut, when set, writes the tier's Prometheus text exposition
@@ -294,7 +291,7 @@ func (h *loadgenHarness) deploy(ctx context.Context) error {
 	h.lb.Register(lgAggEP, agg)
 
 	mkEnclave := func(identity string) (*enclave.Enclave, error) {
-		return enclave.New(enclave.Config{CodeIdentity: identity, RSABits: cfg.RSABits}, platform)
+		return enclave.New(enclave.Config{CodeIdentity: identity}, platform)
 	}
 
 	// Cascade hop: re-mixes every Q-sized chunk (front local output and

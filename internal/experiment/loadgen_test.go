@@ -16,7 +16,7 @@ func TestLoadgenSmoke(t *testing.T) {
 		Participants: 24, FrontRound: 12, K: 2, Waves: 4,
 		QueueDepth: 16, Workers: 4,
 		StragglerFrac: 0.2, DisconnectFrac: 0.1,
-		RSABits: 1024, Seed: 7, Timeout: 2 * time.Minute,
+		Seed: 7, Timeout: 2 * time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)

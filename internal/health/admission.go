@@ -10,8 +10,8 @@ import (
 // queue or HTTP accept backlog), the deepest outbox delivery lane, and
 // the per-update enclave decrypt latency in microseconds. That latency is
 // the LIFETIME mean (the mixnn_decrypt_us histogram's), not a recent
-// one: RSA falling back onto the per-update path moves it quickly on a
-// young tier and ever more slowly as the tier ages.
+// one: a key agreement falling back onto the per-update path moves it
+// quickly on a young tier and ever more slowly as the tier ages.
 type Signals struct {
 	QueueDepth    int
 	LaneBacklog   int

@@ -6,7 +6,7 @@ package health
 const (
 	scaleQueueDepth    = 1024 // DefaultLoopbackQueueDepth; a full ingress queue is ~1.0
 	scaleLaneBacklog   = 32   // a delivery lane 32 deep is stalled, not busy
-	scaleDecryptMicros = 5000 // session decrypt ~100us; 5ms means RSA is back on the hot path
+	scaleDecryptMicros = 5000 // session decrypt ~100us; 5ms means a key agreement is back on the hot path
 )
 
 // Score maps a Signals snapshot to a health score in (0, 1]: 1 is idle

@@ -141,7 +141,7 @@ func TestCascadeEndToEnd(t *testing.T) {
 // cascade security rests on per-hop keys.
 func TestCascadeRejectsUnattestedHopTraffic(t *testing.T) {
 	platform, frontEncl := fixtures(t)
-	hopEncl, err := enclave.New(enclave.Config{CodeIdentity: "mixnn-proxy-hop-2", RSABits: 1024}, platform)
+	hopEncl, err := enclave.New(enclave.Config{CodeIdentity: "mixnn-proxy-hop-2"}, platform)
 	if err != nil {
 		t.Fatal(err)
 	}

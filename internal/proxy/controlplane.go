@@ -37,8 +37,8 @@ func (p *ShardedProxy) initControlPlane() {
 	})
 	m := health.NewRegistry()
 	p.metrics = m
-	// Decrypt bounds span session-path GCM (~100µs) through RSA-fallback
-	// territory (>5ms); a request's process time adds a whole batch's
+	// Decrypt bounds span session-path GCM (~100µs) through a key
+	// agreement per update (>250µs) and beyond; a request's process time adds a whole batch's
 	// filing on top. Store and mix are a header check, a payload copy and
 	// pointer swaps: micro- not milliseconds.
 	latency := []float64{50, 100, 250, 500, 1000, 2500, 5000, 10000, 50000, 250000}
@@ -185,7 +185,7 @@ func (p *ShardedProxy) WriteMetrics(w io.Writer) error {
 	m.NewGauge("mixnn_sessions_active",
 		"Live crypto sessions in the enclave cache.").Set(float64(st.SessionsActive))
 	m.NewCounter("mixnn_sessions_established_total",
-		"Crypto sessions established (full RSA wrap).").Set(float64(st.SessionsEstablished))
+		"Crypto sessions established (one X25519 key agreement each).").Set(float64(st.SessionsEstablished))
 	m.NewCounter("mixnn_session_hits_total",
 		"Decrypts served from a cached session.").Set(float64(st.SessionHits))
 	m.NewCounter("mixnn_session_misses_total",

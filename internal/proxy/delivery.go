@@ -171,7 +171,7 @@ func batchIDFor(sender string, seq uint64, env *outbox.Envelope, payload []byte)
 
 // hopTarget is the resolved destination of one outbox entry: where to
 // POST, and the session holder to wrap through, so cascade and relay legs
-// pay the RSA wrap once per session instead of once per round (nil sender
+// pay the key agreement once per session instead of once per round (nil sender
 // = plaintext to the aggregation server).
 type hopTarget struct {
 	base   string

@@ -285,7 +285,7 @@ func TestDeliveryOutboxGarbageRobustness(t *testing.T) {
 	plant("ob-0000000000000000.ent", []byte{0x01, 0x02}) // truncated
 	// A well-formed sealed entry from a DIFFERENT enclave identity: the
 	// open hook must reject it (sealing keys are measurement-bound).
-	other, err := enclave.New(enclave.Config{CodeIdentity: "other-outbox", RSABits: 1024}, platform)
+	other, err := enclave.New(enclave.Config{CodeIdentity: "other-outbox"}, platform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1004,20 +1004,33 @@ func TestDeliveryBatchIncompatibleWithOpenRound(t *testing.T) {
 	}
 	// The rejected batch released its id (nothing was applied), so a
 	// redelivery is processed afresh — and still rejected, not 200-acked
-	// as a duplicate of something that never landed.
-	req2, err := http.NewRequest(http.MethodPost, pxSrv.URL+"/v1/batch", bytes.NewReader(ct))
+	// as a duplicate of something that never landed. The byte-identical
+	// establish frame is counter 0 of a live session replayed, the typed
+	// 428; the lane answers it by wrapping again, under a fresh session.
+	redeliver := func(body []byte) int {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, pxSrv.URL+"/v1/batch", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(wire.HeaderHop, "1")
+		req.Header.Set(wire.HeaderBatch, "incompatible-batch")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := redeliver(ct); code != http.StatusPreconditionRequired {
+		t.Fatalf("replayed establish frame returned %d, want 428", code)
+	}
+	fresh, err := enclave.Encrypt(encl.PublicKey(), enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req2.Header.Set(wire.HeaderHop, "1")
-	req2.Header.Set(wire.HeaderBatch, "incompatible-batch")
-	resp3, err := http.DefaultClient.Do(req2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp3.Body.Close()
-	if resp3.StatusCode != http.StatusBadRequest {
-		t.Fatalf("redelivered rejected batch returned %s, want 400 (id must have been released)", resp3.Status)
+	if code := redeliver(fresh); code != http.StatusBadRequest {
+		t.Fatalf("redelivered rejected batch returned %d, want 400 (id must have been released)", code)
 	}
 }
 

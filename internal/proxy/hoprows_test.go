@@ -184,7 +184,7 @@ func FuzzHopBatchIngress(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	encl, err := enclave.New(enclave.Config{CodeIdentity: "fuzz-hop", RSABits: 1024}, platform)
+	encl, err := enclave.New(enclave.Config{CodeIdentity: "fuzz-hop"}, platform)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func FuzzHopBatchIngress(f *testing.F) {
 // deployment: its own enclave, served over httptest, attested.
 func hopFixture(t *testing.T, platform *enclave.Platform, identity string, cfg ShardedConfig) (*ShardedProxy, string, *enclave.HopKey) {
 	t.Helper()
-	encl, err := enclave.New(enclave.Config{CodeIdentity: identity, RSABits: 1024}, platform)
+	encl, err := enclave.New(enclave.Config{CodeIdentity: identity}, platform)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ import (
 // and the handshake is a GET, but the ordering keeps the fixture honest).
 func gatedRemoteShard(t *testing.T, platform *enclave.Platform, upstream string, roundSize int, seed int64) (*ShardedProxy, *gatedServer, string, RemoteShard) {
 	t.Helper()
-	encl, err := enclave.New(enclave.Config{CodeIdentity: fmt.Sprintf("shard-enclave-%d", seed), RSABits: 1024}, platform)
+	encl, err := enclave.New(enclave.Config{CodeIdentity: fmt.Sprintf("shard-enclave-%d", seed)}, platform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestDeliveryLaneCrashRestartProgress(t *testing.T) {
 
 	// The peer applies the first POST but its answer never reaches the
 	// sender; every later POST fails outright until the gate reopens.
-	peerEncl, err := enclave.New(enclave.Config{CodeIdentity: "shard-enclave-210", RSABits: 1024}, platform)
+	peerEncl, err := enclave.New(enclave.Config{CodeIdentity: "shard-enclave-210"}, platform)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ var (
 	fixEncl *enclave.Enclave
 )
 
-// fixtures shares one platform/enclave across tests (RSA keygen is slow).
+// fixtures shares one platform/enclave across tests.
 func fixtures(t *testing.T) (*enclave.Platform, *enclave.Enclave) {
 	t.Helper()
 	fixOnce.Do(func() {

@@ -120,7 +120,7 @@ func TestRestoreStateRejectsForeignBlob(t *testing.T) {
 	// A blob sealed by a DIFFERENT enclave identity must not restore:
 	// sealing keys are measurement-bound, so a compromised host cannot
 	// graft one proxy's buffered round onto another.
-	other, err := enclave.New(enclave.Config{CodeIdentity: "other-proxy", RSABits: 1024}, platform)
+	other, err := enclave.New(enclave.Config{CodeIdentity: "other-proxy"}, platform)
 	if err != nil {
 		t.Fatal(err)
 	}

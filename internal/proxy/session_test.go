@@ -17,16 +17,13 @@ import (
 	"mixnn/internal/transport"
 )
 
-// sessionEnclave builds a dedicated small-key enclave (the shared
-// fixture enclave must not have its sessions reset under other tests).
+// sessionEnclave builds a dedicated enclave (the shared fixture enclave
+// must not have its sessions reset under other tests).
 func sessionEnclave(t *testing.T, cfg enclave.Config) (*enclave.Platform, *enclave.Enclave) {
 	t.Helper()
 	platform, err := enclave.NewPlatform()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cfg.RSABits == 0 {
-		cfg.RSABits = 1024
 	}
 	encl, err := enclave.New(cfg, platform)
 	if err != nil {

@@ -376,7 +376,7 @@ func remoteShardFixture(t *testing.T, platform *enclave.Platform, upstream strin
 // otherwise.
 func remoteShardFixtureOver(t *testing.T, platform *enclave.Platform, lb *transport.Loopback, upstream string, roundSize int, seed int64) (*ShardedProxy, string, RemoteShard) {
 	t.Helper()
-	encl, err := enclave.New(enclave.Config{CodeIdentity: fmt.Sprintf("shard-enclave-%d", seed), RSABits: 1024}, platform)
+	encl, err := enclave.New(enclave.Config{CodeIdentity: fmt.Sprintf("shard-enclave-%d", seed)}, platform)
 	if err != nil {
 		t.Fatal(err)
 	}

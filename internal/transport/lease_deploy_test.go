@@ -69,7 +69,7 @@ func TestHandlerLeaseReleasedBodyNeverRead(t *testing.T) {
 		return srv.URL
 	}
 	mkEnclave := func(identity string) *enclave.Enclave {
-		e, err := enclave.New(enclave.Config{CodeIdentity: identity, RSABits: 1024}, platform)
+		e, err := enclave.New(enclave.Config{CodeIdentity: identity}, platform)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -142,7 +142,7 @@ func AsStatus(err error) *StatusError {
 
 // SessionRejected reports whether err is the typed crypto-session
 // rejection: the receiver provably ingested nothing, and the sender
-// should re-establish its session (a fresh RSA-wrapped key) and resend
+// should re-establish its session (a fresh key agreement) and resend
 // the same material.
 func SessionRejected(err error) bool {
 	se := AsStatus(err)

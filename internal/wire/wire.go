@@ -82,7 +82,7 @@ const (
 	// HeaderSessionUnknown marks a rejection (428) as a crypto-session
 	// miss: the receiver's enclave no longer holds the session the
 	// ciphertext names (cache eviction or a restart), so NOTHING was
-	// ingested and the sender must re-establish with a full RSA wrap and
+	// ingested and the sender must re-establish under a fresh session and
 	// resend. Distinct from plain 4xx so senders never quarantine or
 	// fail over on what is a recoverable key-cache condition.
 	HeaderSessionUnknown = "X-Mixnn-Session-Unknown"
@@ -349,8 +349,8 @@ type ShardedProxyStatus struct {
 	// count plus its lifetime establish/hit/miss/evict/replay counters.
 	// A healthy steady state shows hits ≫ establishes, with misses
 	// clustered around restarts or cache pressure; a sustained miss or
-	// replay rate means senders are re-establishing (and paying RSA)
-	// per send.
+	// replay rate means senders are re-establishing (and paying a key
+	// agreement) per send.
 	SessionsActive      int    `json:"sessions_active"`
 	SessionsEstablished uint64 `json:"sessions_established"`
 	SessionHits         uint64 `json:"session_hits"`
