@@ -304,12 +304,14 @@ func (e *Enclave) Stats() Stats {
 // information about the update (§4.3: "the cost to process an update is
 // constantly the same").
 func (e *Enclave) Process(fn func() error) error {
+	d := e.cfg.ConstantProcessing
+	if d <= 0 {
+		return fn()
+	}
 	start := time.Now()
 	err := fn()
-	if d := e.cfg.ConstantProcessing; d > 0 {
-		if rem := d - time.Since(start); rem > 0 {
-			time.Sleep(rem)
-		}
+	if rem := d - time.Since(start); rem > 0 {
+		time.Sleep(rem)
 	}
 	return err
 }

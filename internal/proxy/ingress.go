@@ -106,13 +106,16 @@ func (p *ShardedProxy) HandleBatch(ctx context.Context, req transport.BatchReque
 func (p *ShardedProxy) ingress(body []byte, clientID string, hop int, batch bool) error {
 	var lone [1]*roundClose // a lone update closes at most one round
 	closes := lone[:0]
+	// One clock reading per stage boundary: start opens the request and
+	// its decrypt, t1 closes the decrypt and opens the layout check.
 	start := time.Now()
 	procErr := p.enclave.Process(func() error {
-		bp, plain, decrypt, err := p.decryptPooled(body)
+		bp, plain, t1, err := p.decryptPooled(body)
 		if err != nil {
 			return err
 		}
 		defer p.releasePlain(bp)
+		decrypt := t1.Sub(start)
 		items := [][]byte{plain}
 		if batch {
 			env, err := wire.DecodeBatchEnvelope(plain) // items alias plain
@@ -120,8 +123,8 @@ func (p *ShardedProxy) ingress(body []byte, clientID string, hop int, batch bool
 				return fmt.Errorf("proxy: %w", err)
 			}
 			items = env.Updates
+			t1 = time.Now()
 		}
-		t1 := time.Now()
 		layout, err := p.slabPool.LayoutFor(items[0])
 		if err != nil {
 			return itemError(batch, 0, err)
@@ -199,8 +202,9 @@ func itemError(batch bool, i int, err error) error {
 func micros(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
 // decryptPooled opens body (only read, see enclave.DecryptTo) into a
-// buffer leased from plainPool; releasePlain ends the lease.
-func (p *ShardedProxy) decryptPooled(body []byte) (bp *[]byte, plain []byte, dur time.Duration, err error) {
+// buffer leased from plainPool; releasePlain ends the lease. end is the
+// clock reading the decrypt finished at.
+func (p *ShardedProxy) decryptPooled(body []byte) (bp *[]byte, plain []byte, end time.Time, err error) {
 	bp, _ = p.plainPool.Get().(*[]byte)
 	if bp == nil {
 		bp = new([]byte)
@@ -208,14 +212,12 @@ func (p *ShardedProxy) decryptPooled(body []byte) (bp *[]byte, plain []byte, dur
 	if cap(*bp) < len(body) {
 		*bp = make([]byte, 0, len(body)) // the plaintext is shorter than its ciphertext
 	}
-	t0 := time.Now()
 	plain, err = p.enclave.DecryptTo(*bp, body)
-	dur = time.Since(t0)
 	if err != nil {
 		p.plainPool.Put(bp)
-		return nil, nil, dur, fmt.Errorf("proxy: decrypt: %w", err)
+		return nil, nil, time.Time{}, fmt.Errorf("proxy: decrypt: %w", err)
 	}
-	return bp, plain, dur, nil
+	return bp, plain, time.Now(), nil
 }
 
 // releasePlain ends a plaintext lease: every shard copied what it filed,

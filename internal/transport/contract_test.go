@@ -1,9 +1,11 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -16,30 +18,19 @@ import (
 	"mixnn/internal/wire"
 )
 
-// countedBody counts the Close calls one request-body reader receives.
-type countedBody struct {
-	io.ReadCloser
-	closes atomic.Int32
-}
-
-func (b *countedBody) Close() error {
-	b.closes.Add(1)
-	return b.ReadCloser.Close()
-}
-
 // lateCloser is an http.RoundTripper over net/http's own transport that
-// closes every request body it is handed about 20ms after RoundTrip
-// returned — late, as the RoundTripper contract allows. Like a retrying
-// RoundTripper it also takes one GetBody copy of each body and reads it.
-// It forges the header that makes the server answer before it reads the
+// reads and closes the request body it is handed about 20ms after
+// RoundTrip returned — late, as the RoundTripper contract allows — and
+// so does a GetBody copy it takes, as a retrying RoundTripper would. It
+// forges the header that makes the server answer before it reads the
 // body, so net/http may still be writing the body when the response is
 // back.
 type lateCloser struct {
 	next http.RoundTripper
 
-	mu      sync.Mutex
-	readers []*countedBody // every reader of the current send
-	wg      sync.WaitGroup // the late closes
+	mu   sync.Mutex
+	late [][]byte       // what each late reader read
+	wg   sync.WaitGroup // the late readers
 }
 
 func (l *lateCloser) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -51,58 +42,46 @@ func (l *lateCloser) RoundTrip(req *http.Request) (*http.Response, error) {
 	} else {
 		out.Header.Set(wire.HeaderHop, "deep")
 	}
-	var held []*countedBody
+	var held []io.ReadCloser
 	if req.Body != nil && req.Body != http.NoBody {
-		held = append(held, &countedBody{ReadCloser: req.Body})
 		cp, err := req.GetBody()
 		if err != nil {
 			return nil, err
 		}
-		c := &countedBody{ReadCloser: cp}
-		if _, err := io.Copy(io.Discard, c); err != nil {
-			return nil, err
-		}
-		held = append(held, c)
-		out.Body = io.NopCloser(held[0]) // net/http's close stops here
+		out.Body = http.NoBody
+		out.ContentLength = 0
+		held = append(held, req.Body, cp)
 	}
-	l.mu.Lock()
-	l.readers = append(l.readers, held...)
-	l.mu.Unlock()
 	resp, err := l.next.RoundTrip(out)
 	l.wg.Add(1)
 	go func() {
 		defer l.wg.Done()
 		time.Sleep(20 * time.Millisecond)
 		for _, b := range held {
+			got, _ := io.ReadAll(b)
 			b.Close()
+			l.mu.Lock()
+			l.late = append(l.late, got)
+			l.mu.Unlock()
 		}
 	}()
 	return resp, err
 }
 
-// take returns the readers of the send just made and starts a new list.
-func (l *lateCloser) take() []*countedBody {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	r := l.readers
-	l.readers = nil
-	return r
-}
-
 // TestHTTPSendReturnsAfterBodyClosed pins the HTTP half of the Transport
-// contract: a data-plane send returns only once every reader of the body
-// it handed net/http — the request's own and each GetBody copy — was
-// closed, exactly once each, even when the server answered before reading
-// the body and the RoundTripper closes late. Only then may the sender
-// reuse the buffer.
+// contract on the http.Client path: once a data-plane send returned, the
+// sender may overwrite its body, even where the RoundTripper reads the
+// body it was handed — the request's own and a GetBody copy — after
+// RoundTrip returned, and the server answered before reading it. Every
+// late reader still reads the bytes as sent.
 func TestHTTPSendReturnsAfterBodyClosed(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(&fakeServer{receipt: Receipt{Shard: -1}}))
 	defer srv.Close()
 	rt := &lateCloser{next: srv.Client().Transport}
-	defer rt.wg.Wait()
 	tr := NewHTTP(&http.Client{Transport: rt})
 	ctx := context.Background()
-	body := bytes.Repeat([]byte{0x5C}, 64<<10)
+	const sent = 0x5C
+	body := make([]byte, 64<<10)
 	for _, send := range []struct {
 		name string
 		do   func() error
@@ -120,18 +99,28 @@ func TestHTTPSendReturnsAfterBodyClosed(t *testing.T) {
 			return err
 		}},
 	} {
-		err := send.do()
-		readers := rt.take()
-		for i, r := range readers {
-			if n := r.closes.Load(); n != 1 {
-				t.Fatalf("%s returned with body reader %d closed %d times, want exactly once", send.name, i, n)
-			}
+		for i := range body {
+			body[i] = sent
 		}
-		if len(readers) != 2 {
-			t.Fatalf("%s: the RoundTripper saw %d body readers, want the body and one GetBody copy", send.name, len(readers))
+		err := send.do()
+		for i := range body {
+			body[i] = 0
 		}
 		if se := AsStatus(err); se == nil || se.Code != http.StatusBadRequest {
 			t.Fatalf("%s answered %v, want the 400 sent before the body was read", send.name, err)
+		}
+		rt.wg.Wait()
+		rt.mu.Lock()
+		late := rt.late
+		rt.late = nil
+		rt.mu.Unlock()
+		if len(late) != 2 {
+			t.Fatalf("%s: the RoundTripper read %d bodies late, want the body and one GetBody copy", send.name, len(late))
+		}
+		for i, got := range late {
+			if !bytes.Equal(got, bytes.Repeat([]byte{sent}, len(body))) {
+				t.Fatalf("%s: late reader %d read %d bytes that are not the body as sent", send.name, i, len(got))
+			}
 		}
 	}
 }
@@ -217,175 +206,149 @@ func TestLoopbackSendReturnsAfterHandler(t *testing.T) {
 }
 
 // TestHTTPDirectWriteReturnsBeforeSend pins the lease contract on the
-// connections NewHTTP dials, which write a body from the sender's bytes
-// in one Write: a send returns only after that Write returned. Twice per
-// transport — a send cancelled while its Write is blocked on a peer that
-// never reads, and a send the server answered with a 400 before it read
-// the body — for a caller's *http.Transport and for NewHTTP(nil). A
-// Transport that dials for itself keeps net/http's own copy.
+// pool's connections, which write a body from the sender's bytes: a send
+// returns only after that write returned, so the sender may overwrite
+// the body at once. Twice per transport — a send cancelled while its
+// write is blocked on a peer that never reads, and a send the server
+// answers with a 400 before it reads the body and only then reads it —
+// for a caller's *http.Transport and for NewHTTP(nil). Each time the
+// sender overwrites the body the moment the send returned, and every
+// byte the peer reads afterwards must still be the body as sent.
 func TestHTTPDirectWriteReturnsBeforeSend(t *testing.T) {
-	body := bytes.Repeat([]byte{0x3C}, 16<<20) // far more than the socket buffers hold
+	const sent = 0x3C
+	body := make([]byte, 16<<20) // far more than the socket buffers hold
 
-	// A peer that accepts and never reads.
+	// A peer that accepts and reads nothing until told to.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	var mu sync.Mutex
-	var held []net.Conn
+	accepted := make(chan net.Conn, 4)
 	go func() {
 		for {
 			c, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			mu.Lock()
-			held = append(held, c)
-			mu.Unlock()
-		}
-	}()
-	defer func() {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, c := range held {
-			c.Close()
+			accepted <- c
 		}
 	}()
 	stalled := "http://" + ln.Addr().String()
 
-	// A server whose handler is told the participant forged a cascade
-	// depth, so it answers 400 before it reads the body.
-	h := NewHandler(&fakeServer{receipt: Receipt{Shard: -1}})
+	// A server that answers 400 at once and then reads the whole body,
+	// reporting whether it read the body as sent.
+	verdict := make(chan error, 1)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		r.Header.Set(wire.HeaderHop, "1")
-		h.ServeHTTP(w, r)
+		if err := http.NewResponseController(w).EnableFullDuplex(); err != nil {
+			verdict <- err
+			return
+		}
+		w.WriteHeader(http.StatusBadRequest)
+		w.(http.Flusher).Flush()
+		time.Sleep(20 * time.Millisecond)
+		verdict <- readAsSent(r.Body, sent, len(body))
 	}))
 	defer srv.Close()
 
-	if NewHTTP(nil).c.Transport == http.DefaultTransport {
-		t.Fatal("NewHTTP(nil) sends through http.DefaultTransport, want its own clone")
-	}
-	var d net.Dialer
 	for _, tc := range []struct {
-		name   string
-		tr     *HTTP
-		direct bool
+		name string
+		tr   *HTTP
 	}{
-		{"caller's Transport", NewHTTP(&http.Client{Transport: &http.Transport{}}), true},
-		{"NewHTTP(nil)", NewHTTP(nil), true},
-		{"Transport with its own dialer", NewHTTP(&http.Client{Transport: &http.Transport{DialContext: d.DialContext}}), false},
+		{"caller's Transport", NewHTTP(&http.Client{Transport: &http.Transport{}})},
+		{"NewHTTP(nil)", NewHTTP(nil)},
 	} {
-		want := int64(0)
-		if tc.direct {
-			want = 1
+		if tc.tr.pool == nil {
+			t.Fatalf("%s sends through net/http's client", tc.name)
 		}
-		// send runs one SendUpdate and reports its error and how many
-		// direct writes started and returned by the time it returned.
-		send := func(ctx context.Context, ep string) (started, returned int64, err error) {
-			s0, r0 := DirectWrites()
-			_, err = tc.tr.SendUpdate(ctx, ep, UpdateRequest{Body: body})
-			s1, r1 := DirectWrites()
-			return s1 - s0, r1 - r0, err
-		}
-
-		ctx, cancel := context.WithCancel(context.Background())
-		type result struct {
-			err               error
-			started, returned int64
-		}
-		done := make(chan result, 1)
-		s0, r0 := DirectWrites()
-		go func() {
-			s, r, err := send(ctx, stalled)
-			done <- result{err, s, r}
-		}()
-		if tc.direct {
-			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-				if s, _ := DirectWrites(); s > s0 {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("%s: no direct write started", tc.name)
-				}
+		fill := func() {
+			for i := range body {
+				body[i] = sent
 			}
 		}
+
+		fill()
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			_, err := tc.tr.SendUpdate(ctx, stalled, UpdateRequest{Body: body})
+			clear(body)
+			done <- err
+		}()
+		peer := <-accepted
 		time.Sleep(50 * time.Millisecond)
-		if _, r := DirectWrites(); r != r0 {
-			t.Fatalf("%s: the write returned to a peer that never reads", tc.name)
-		}
 		select {
-		case res := <-done:
-			t.Fatalf("%s: the send returned (%v) before it was cancelled", tc.name, res.err)
+		case err := <-done:
+			t.Fatalf("%s: the send returned (%v) before it was cancelled", tc.name, err)
 		default:
 		}
 		cancel()
-		res := <-done
-		if !errors.Is(res.err, context.Canceled) {
-			t.Fatalf("%s: cancelled send returned %v", tc.name, res.err)
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: cancelled send returned %v", tc.name, err)
 		}
-		if res.started != want || res.returned != want {
-			t.Fatalf("%s: cancelled send returned with %d direct writes started and %d returned, want %d and %d", tc.name, res.started, res.returned, want, want)
+		if err := readHeadThen(peer, sent); err != nil {
+			t.Fatalf("%s: cancelled send: %v", tc.name, err)
 		}
+		peer.Close()
 
-		started, returned, err := send(context.Background(), srv.URL)
+		fill()
+		_, err := tc.tr.SendUpdate(context.Background(), srv.URL, UpdateRequest{Body: body})
+		clear(body)
 		if se := AsStatus(err); se == nil || se.Code != http.StatusBadRequest {
 			t.Fatalf("%s answered %v, want the 400 sent before the body was read", tc.name, err)
 		}
-		if started != want || returned != want {
-			t.Fatalf("%s: answered send returned with %d direct writes started and %d returned, want %d and %d", tc.name, started, returned, want, want)
+		if err := <-verdict; err != nil {
+			t.Fatalf("%s: answered send: %v", tc.name, err)
 		}
 	}
 }
 
-// TestHTTPDirectWriteOutlivesClose: a reader closed while its direct
-// write blocks — a RoundTripper may close a body from any goroutine —
-// does not hand the body back: wait returns only once the Write did, and
-// no reader opens after it.
-func TestHTTPDirectWriteOutlivesClose(t *testing.T) {
-	sb := &sentBody{buf: bytes.Repeat([]byte{7}, 1<<10)}
-	sb.cond.L = &sb.mu
-	rc, err := sb.reader()
-	if err != nil {
-		t.Fatal(err)
+// readAsSent reads r to its end and checks that it held n bytes, each
+// of them b.
+func readAsSent(r io.Reader, b byte, n int) error {
+	buf := make([]byte, 64<<10)
+	got := 0
+	for {
+		m, err := r.Read(buf)
+		for _, x := range buf[:m] {
+			if x != b {
+				return fmt.Errorf("byte %d of the body read %#x, want %#x: it was written after the send returned", got, x, b)
+			}
+			got++
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
 	}
-	conn := &blockingConn{entered: make(chan struct{}), release: make(chan struct{})}
-	wrote := make(chan int64, 1)
-	go func() {
-		n, _ := directConn{conn}.ReadFrom(&io.LimitedReader{R: rc, N: int64(len(sb.buf))})
-		wrote <- n
-	}()
-	<-conn.entered
-	rc.Close()
-	waited := make(chan struct{})
-	go func() {
-		sb.wait()
-		close(waited)
-	}()
-	select {
-	case <-waited:
-		t.Fatal("wait returned while a direct write of the body was in flight")
-	case <-time.After(20 * time.Millisecond):
+	if got != n {
+		return fmt.Errorf("read %d bytes of the body, want %d", got, n)
 	}
-	close(conn.release)
-	<-waited
-	if n := <-wrote; n != int64(len(sb.buf)) {
-		t.Fatalf("the direct write reported %d bytes, want %d", n, len(sb.buf))
-	}
-	if _, err := sb.reader(); err == nil {
-		t.Fatal("a reader opened after wait returned")
-	}
+	return nil
 }
 
-// blockingConn's Write blocks until release is closed. It has no other
-// working method.
-type blockingConn struct {
-	net.Conn
-	entered, release chan struct{}
-}
-
-func (c *blockingConn) Write(p []byte) (int, error) {
-	close(c.entered)
-	<-c.release
-	return len(p), nil
+// readHeadThen reads a request head from c and then every byte the
+// connection still delivers, which must all be b.
+func readHeadThen(c net.Conn, b byte) error {
+	c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(c)
+	if _, err := http.ReadRequest(br); err != nil {
+		return err
+	}
+	n := 0
+	for {
+		x, err := br.ReadByte()
+		if err != nil {
+			if n == 0 {
+				return fmt.Errorf("the peer read no body (%v)", err)
+			}
+			return nil // the sender closed the connection
+		}
+		if x != b {
+			return fmt.Errorf("byte %d of the body read %#x, want %#x: it was written after the send returned", n, x, b)
+		}
+		n++
+	}
 }

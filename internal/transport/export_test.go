@@ -17,10 +17,3 @@ func LeasedBodies(h http.Handler) int64 {
 	hh := h.(*handler)
 	return hh.single.leased.Load() + hh.batch.leased.Load()
 }
-
-// DirectWrites reports how many request bodies connections dialled by
-// NewHTTP have started to write straight from the sender's bytes, and
-// how many of those writes have returned.
-func DirectWrites() (started, returned int64) {
-	return directWrites.started.Load(), directWrites.returned.Load()
-}

@@ -48,7 +48,7 @@ func (f reframe) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // FuzzEnvelopeRoundtrip checks that typed request envelopes survive the
-// HTTP wire form losslessly: whatever a typed sender puts into an
+// HTTP wire form losslessly, whichever way they are sent: whatever a typed sender puts into an
 // UpdateRequest / HopRequest / BatchRequest arrives bit-identical in
 // the typed handler on the far side — bodies, ids, sender identity,
 // sequence numbers, hop depth and secrets. This is the encode/decode
@@ -56,9 +56,12 @@ func (f reframe) RoundTrip(req *http.Request) (*http.Response, error) {
 // HTTP client and the HTTP adapter are exact inverses over the header
 // vocabulary of package wire.
 //
-// Every request is delivered under each body framing a peer can use: an
-// exact Content-Length (this sender) and chunked (old or foreign
-// senders) must hand the Server the identical typed request; a
+// Every request goes out over the transport's own connection pool and
+// through net/http's client, which must refuse the same header values
+// and deliver the same requests. Every request is delivered under each
+// body framing a peer can use: an exact Content-Length (this sender)
+// and chunked (old or foreign senders) must hand the Server the
+// identical typed request; a
 // Content-Length the body falls short of, or one above the body bound,
 // must draw a 400 and hand the Server nothing. Released bodies are
 // poisoned throughout, so a request read out of a recycled buffer would
@@ -67,15 +70,8 @@ func FuzzEnvelopeRoundtrip(f *testing.F) {
 	f.Add([]byte("update"), "client-1", "batch-id", "sender-a", uint64(3), uint8(2), "secret", true)
 	f.Add([]byte{}, "", "", "", uint64(0), uint8(0), "", false)
 	f.Add([]byte{0xff, 0x00, 0x7f}, "c", "id", "s", uint64(1<<63), uint8(9), "tok", true)
+	f.Add([]byte("x"), "a\r\nX-Mixnn-Hop: 1", "id", "s", uint64(1), uint8(1), " tok\t", true)
 	f.Fuzz(func(t *testing.T, body []byte, clientID, batchID, sender string, seq uint64, hop uint8, secret string, hasSeq bool) {
-		// Header values must be valid header strings or net/http refuses
-		// the request client-side; restrict the fuzzed strings the way
-		// real ids are restricted (token-ish, no control bytes).
-		for _, s := range []string{clientID, batchID, sender, secret} {
-			if !validHeaderValue(s) {
-				t.Skip()
-			}
-		}
 		srv := &fakeServer{receipt: Receipt{Shard: -1}}
 		h := NewPoisoningHandler(srv)
 		var declared atomic.Int64 // Content-Length of the last request, as the server parsed it
@@ -102,8 +98,31 @@ func FuzzEnvelopeRoundtrip(f *testing.F) {
 		}
 		wire1 := hsrv.Client().Transport
 
+		// The pool's connections (NewHTTP over a plain *http.Transport)
+		// and net/http's client (the reframing arm) refuse the same
+		// header values before a byte is sent, and hand the Server the
+		// same typed requests for every value they accept.
 		exact := func(n int64) int64 { return n }
+		pu, ph, pb, perrs := deliver(&http.Transport{})
 		got, gh, gb, errs := deliver(reframe{next: wire1, declare: exact})
+		for i, verb := range [3]string{"update", "hop", "batch"} {
+			if (perrs[i] == nil) != (errs[i] == nil) || AsStatus(perrs[i]) != nil || AsStatus(errs[i]) != nil {
+				t.Fatalf("%s: the pool answered %v, net/http's client %v", verb, perrs[i], errs[i])
+			}
+		}
+		for _, pair := range [][2]any{{pu, got}, {ph, gh}, {pb, gb}} {
+			if !reflect.DeepEqual(pair[0], pair[1]) {
+				t.Fatalf("the pool and net/http's client delivered different requests: %+v, %+v", pair[0], pair[1])
+			}
+		}
+		// The rest checks the wire form is lossless, which holds for
+		// values restricted the way real ids are (token-ish, no control
+		// bytes, nothing net/http trims).
+		for _, s := range []string{clientID, batchID, sender, secret} {
+			if !validHeaderValue(s) {
+				return
+			}
+		}
 		for i, err := range errs {
 			if err != nil {
 				t.Fatalf("%s: %v", [3]string{"update", "hop", "batch"}[i], err)

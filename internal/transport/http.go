@@ -5,14 +5,11 @@ import (
 	"context"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
+	"net/url"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"mixnn/internal/wire"
@@ -24,79 +21,50 @@ import (
 // both directions. The only addition is the X-Mixnn-Proto version tag,
 // which old receivers ignore and old senders omit (= version 1).
 type HTTP struct {
-	c *http.Client
+	c    *http.Client
+	pool *pool // the data plane's connections; nil: they go through c
 }
 
 // NewHTTP builds the HTTP transport; httpc may be nil for a default
-// client with a 60 s timeout. The client's RoundTripper must close every
-// request body, as net/http's does: a data-plane send waits for those
-// closes before it returns.
+// client with a 60 s timeout.
 //
-// A data-plane body goes to the socket from the sender's own bytes, in
-// one Write, where the connection is one NewHTTP dialled: net/http would
-// otherwise copy it through a fresh 32KB buffer per request. Those are
-// the connections of NewHTTP(nil), which share one clone of
-// http.DefaultTransport (http.DefaultTransport itself is left alone), and
-// of a caller's *http.Transport that sets none of DialContext, Dial,
-// DialTLSContext and DialTLS: NewHTTP installs its dialer on that
-// Transport in place, so call it before the Transport carries requests.
-// Any other RoundTripper, a Transport with a dialer of its own, and TLS
-// connections send as net/http does.
+// The data-plane verbs (SendUpdate, Hop, SendBatch) do not go through
+// httpc's RoundTripper when it is an *http.Transport (httpc's
+// Transport, or http.DefaultTransport when that is nil): each send takes
+// a keep-alive connection from the transport's own pool, writes the
+// request head and the sender's body in one writev and reads the
+// response on the caller's goroutine, so the send is done with the body
+// when the write returned. The bytes on the wire are net/http's. From
+// httpc the pool takes Timeout, which bounds each send together with
+// its context; from the Transport, MaxConnsPerHost (a send waits in
+// line for a connection, as with net/http), MaxIdleConnsPerHost (0
+// means http.DefaultMaxIdleConnsPerHost), IdleConnTimeout,
+// DialContext, Proxy (asked once per endpoint),
+// MaxResponseHeaderBytes and DisableCompression; no other setting
+// reaches a data-plane send. NewHTTP(nil) clients share one pool with
+// http.DefaultTransport's settings; any other client has a pool of its
+// own. The cost: the Transport's CloseIdleConnections does not reach the
+// pool's connections. A peer's shutdown closes them, and the pool drops
+// a closed one at its next use.
+//
+// Everything else goes through httpc: the control-plane requests, and
+// every request when httpc's RoundTripper is not an *http.Transport,
+// the Transport sets DisableKeepAlives or only the deprecated Dial, or
+// the endpoint is https or reached through a proxy. A data-plane body is
+// copied once on that path, so the RoundTripper may read and close it
+// whenever it likes.
 func NewHTTP(httpc *http.Client) *HTTP {
 	if httpc == nil {
-		return &HTTP{c: &http.Client{Timeout: 60 * time.Second, Transport: sharedTransport()}}
+		return &HTTP{c: &http.Client{Timeout: 60 * time.Second}, pool: sharedPool()}
 	}
-	if ht, ok := httpc.Transport.(*http.Transport); ok && ht.DialContext == nil && ht.Dial == nil && ht.DialTLSContext == nil && ht.DialTLS == nil {
-		ht.DialContext = directDial(nil)
-		// net/http upgrades https to HTTP/2 by itself only for a Transport
-		// without a dialer or TLS config; keep that as it was.
-		ht.ForceAttemptHTTP2 = ht.ForceAttemptHTTP2 || ht.TLSClientConfig == nil
+	t := &HTTP{c: httpc}
+	switch rt := httpc.Transport.(type) {
+	case nil:
+		t.pool = sharedPool()
+	case *http.Transport:
+		t.pool = newPool(rt)
 	}
-	return &HTTP{c: httpc}
-}
-
-// sharedTransport is the one connection pool of every NewHTTP(nil)
-// client, as http.DefaultTransport was: its settings and dialer, the
-// dialer's connections writing bodies directly.
-var sharedTransport = sync.OnceValue(func() http.RoundTripper {
-	dt, ok := http.DefaultTransport.(*http.Transport)
-	if !ok {
-		return http.DefaultTransport
-	}
-	ht := dt.Clone()
-	ht.DialContext = directDial(dt.DialContext)
-	return ht
-})
-
-// directDial wraps dial's connections in directConn. A nil dial is what
-// net/http dials with when a Transport sets no dialer.
-func directDial(dial func(ctx context.Context, network, addr string) (net.Conn, error)) func(ctx context.Context, network, addr string) (net.Conn, error) {
-	if dial == nil {
-		var d net.Dialer
-		dial = d.DialContext
-	}
-	return func(ctx context.Context, network, addr string) (net.Conn, error) {
-		c, err := dial(ctx, network, addr)
-		if err != nil {
-			return nil, err
-		}
-		return directConn{c}, nil
-	}
-}
-
-// directConn is a connection net/http hands request bodies to: for a
-// declared-length body it calls ReadFrom with an *io.LimitedReader over
-// the request's body. Over a sentBodyReader that is one Write of the
-// sender's bytes; anything else goes where it went without the wrapper.
-type directConn struct{ net.Conn }
-
-func (c directConn) ReadFrom(r io.Reader) (int64, error) {
-	if lr, ok := r.(*io.LimitedReader); ok {
-		if br, ok := lr.R.(*sentBodyReader); ok {
-			return br.writeTo(c.Conn, lr)
-		}
-	}
-	return io.Copy(c.Conn, r)
+	return t
 }
 
 // do runs one request, mapping non-2xx responses onto StatusError and
@@ -109,7 +77,7 @@ func (c directConn) ReadFrom(r io.Reader) (int64, error) {
 // already served it compatibly, and discarding the acknowledgement
 // would turn a success into a retry.
 func (t *HTTP) do(req *http.Request) (*http.Response, error) {
-	req.Header.Set(wire.HeaderProto, strconv.Itoa(wire.ProtoV1))
+	req.Header.Set(wire.HeaderProto, protoV1)
 	resp, err := t.c.Do(req)
 	if err != nil {
 		return nil, err
@@ -117,8 +85,16 @@ func (t *HTTP) do(req *http.Request) (*http.Response, error) {
 	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusAccepted {
 		return resp, nil
 	}
-	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+	msg, _ := io.ReadAll(io.LimitReader(resp.Body, maxMsg))
 	resp.Body.Close()
+	return nil, statusError(resp, msg)
+}
+
+var protoV1 = strconv.Itoa(wire.ProtoV1)
+
+// statusError is the typed form of a non-2xx response whose body began
+// with msg.
+func statusError(resp *http.Response, msg []byte) *StatusError {
 	se := &StatusError{
 		Code:           resp.StatusCode,
 		Stale:          resp.Header.Get(wire.HeaderStale) != "",
@@ -132,168 +108,81 @@ func (t *HTTP) do(req *http.Request) (*http.Response, error) {
 			se.RetryAfter = time.Duration(secs) * time.Second
 		}
 	}
-	return nil, se
+	return se
 }
 
-// post builds and runs one POST, discarding the response body. It
-// returns only once net/http has closed every reader of body it opened
-// (see sentBody), which is what lets the caller reuse body afterwards.
-func (t *HTTP) post(ctx context.Context, url, contentType string, body []byte, hdr func(http.Header)) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, http.NoBody)
+// post sends one data-plane POST of body to ep+path with the headers fs
+// and returns the response's status code. It returns only once nothing
+// it started reads body any more: on the pool's connections the write
+// ran on this goroutine, and the http.Client path sends a copy.
+func (t *HTTP) post(ctx context.Context, ep, path, contentType string, body []byte, fs ...field) (int, error) {
+	var buf [8]field
+	all := append(append(buf[:0], fs...), field{"Content-Type", contentType}, field{wire.HeaderProto, protoV1})
+	var e *endpoint
+	if t.pool != nil {
+		e = t.pool.endpoint(ep)
+	}
+	if e == nil {
+		return t.postCopy(ctx, ep+path, body, all)
+	}
+	for _, f := range all {
+		if !validFieldValue(f.value) {
+			return 0, &url.Error{Op: "Post", URL: ep + path, Err: fmt.Errorf("net/http: invalid header field value for %q", f.key)}
+		}
+	}
+	sortFields(all)
+	var deadline time.Time
+	if t.c.Timeout > 0 {
+		deadline = time.Now().Add(t.c.Timeout)
+	}
+	code, err := t.pool.post(ctx, e, deadline, path, body, all)
+	if err != nil && AsStatus(err) == nil {
+		err = &url.Error{Op: "Post", URL: ep + path, Err: err}
+	}
+	return code, err
+}
+
+// postCopy sends a data-plane POST through the http.Client, with a copy
+// of body: the RoundTripper may read and close it after Do returned.
+func (t *HTTP) postCopy(ctx context.Context, target string, body []byte, fs []field) (int, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, bytes.NewReader(bytes.Clone(body)))
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	if len(body) > 0 {
-		sb := &sentBody{buf: body}
-		sb.cond.L = &sb.mu
-		defer sb.wait()
-		req.ContentLength = int64(len(body))
-		req.Body, _ = sb.reader()
-		req.GetBody = sb.reader
-	}
-	req.Header.Set("Content-Type", contentType)
-	if hdr != nil {
-		hdr(req.Header)
+	for _, f := range fs {
+		req.Header.Set(f.key, f.value)
 	}
 	resp, err := t.do(req)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	resp.Body.Close()
-	return resp, nil
+	return resp.StatusCode, nil
 }
 
-// sentBody hands one request body to net/http and tells the sender when
-// net/http is done with it. A RoundTripper must close the request body,
-// and each copy it took through GetBody, but may do so after RoundTrip
-// returned (net/http's own closes it from the connection's write loop);
-// so a sender that reuses the bytes waits for those closes. Every reader
-// counts from open to its first Close, a closed reader reads nothing
-// more, and once wait returned no reader is opened again: from then on
-// nothing net/http holds touches buf. A directConn's Write of buf counts
-// too, from its start to its return, whatever Close ran meanwhile.
-type sentBody struct {
-	buf     []byte
-	mu      sync.Mutex
-	cond    sync.Cond // on mu; signalled when open or writing drops to 0
-	open    int       // readers opened and not yet closed
-	writing int       // direct writes of buf in flight
-	done    bool      // wait returned: buf is the sender's again
-}
-
-// reader opens one reader of the body: the request's own, or a GetBody
-// copy.
-func (b *sentBody) reader() (io.ReadCloser, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.done {
-		return nil, errBodyClosed
+// hopFields are the cascade depth and bearer secret of a hop leg.
+func hopFields(buf []field, hop int, secret string) []field {
+	buf = append(buf, field{wire.HeaderHop, strconv.Itoa(hop)})
+	if secret != "" {
+		buf = append(buf, field{"Authorization", "Bearer " + secret})
 	}
-	b.open++
-	return &sentBodyReader{b: b}, nil
-}
-
-// wait blocks until every reader opened so far was closed and no direct
-// write of buf is in flight.
-func (b *sentBody) wait() {
-	b.mu.Lock()
-	for b.open > 0 || b.writing > 0 {
-		b.cond.Wait()
-	}
-	b.done = true
-	b.mu.Unlock()
-}
-
-var errBodyClosed = errors.New("transport: request body used after its Close or after the send returned")
-
-// directWrites counts direct writes as they start and as they return;
-// tests read it.
-var directWrites struct{ started, returned atomic.Int64 }
-
-type sentBodyReader struct {
-	b      *sentBody
-	off    int // bytes of b.buf read or written so far
-	closed bool
-}
-
-func (r *sentBodyReader) Read(p []byte) (int, error) {
-	r.b.mu.Lock()
-	defer r.b.mu.Unlock()
-	if r.closed {
-		return 0, errBodyClosed
-	}
-	if r.off == len(r.b.buf) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b.buf[r.off:])
-	r.off += n
-	return n, nil
-}
-
-// writeTo writes what lr has left of the body to w in one Write of buf
-// itself. The mutex is not held across the Write, which may block for as
-// long as the peer does not read; the write counts as in flight instead.
-func (r *sentBodyReader) writeTo(w io.Writer, lr *io.LimitedReader) (int64, error) {
-	b := r.b
-	b.mu.Lock()
-	if r.closed {
-		b.mu.Unlock()
-		return 0, errBodyClosed
-	}
-	p := b.buf[r.off:]
-	p = p[:min(int64(len(p)), lr.N)]
-	b.writing++
-	b.mu.Unlock()
-
-	directWrites.started.Add(1)
-	n, err := w.Write(p)
-	directWrites.returned.Add(1)
-
-	b.mu.Lock()
-	r.off += n
-	lr.N -= int64(n)
-	if b.writing--; b.writing == 0 {
-		b.cond.Broadcast()
-	}
-	b.mu.Unlock()
-	return int64(n), err
-}
-
-func (r *sentBodyReader) Close() error {
-	r.b.mu.Lock()
-	defer r.b.mu.Unlock()
-	if !r.closed {
-		r.closed = true
-		if r.b.open--; r.b.open == 0 {
-			r.b.cond.Broadcast()
-		}
-	}
-	return nil
-}
-
-// hopHeaders stamps the cascade depth and bearer secret of a hop leg.
-func hopHeaders(hop int, secret string) func(http.Header) {
-	return func(h http.Header) {
-		h.Set(wire.HeaderHop, strconv.Itoa(hop))
-		if secret != "" {
-			h.Set("Authorization", "Bearer "+secret)
-		}
-	}
+	return buf
 }
 
 // SendUpdate implements Transport.
 func (t *HTTP) SendUpdate(ctx context.Context, ep string, req UpdateRequest) (Receipt, error) {
-	_, err := t.post(ctx, ep+"/v1/update", wire.ContentTypeUpdate, req.Body, func(h http.Header) {
-		if req.ClientID != "" {
-			h.Set(wire.HeaderClient, req.ClientID)
-		}
-	})
+	var fs []field
+	if req.ClientID != "" {
+		fs = []field{{wire.HeaderClient, req.ClientID}}
+	}
+	_, err := t.post(ctx, ep, "/v1/update", wire.ContentTypeUpdate, req.Body, fs...)
 	return Receipt{Shard: -1}, err
 }
 
 // Hop implements Transport.
 func (t *HTTP) Hop(ctx context.Context, ep string, req HopRequest) (Receipt, error) {
-	_, err := t.post(ctx, ep+"/v1/hop", wire.ContentTypeUpdate, req.Body, hopHeaders(req.Hop, req.Secret))
+	var buf [2]field
+	_, err := t.post(ctx, ep, "/v1/hop", wire.ContentTypeUpdate, req.Body, hopFields(buf[:0], req.Hop, req.Secret)...)
 	return Receipt{Shard: -1}, err
 }
 
@@ -301,22 +190,22 @@ func (t *HTTP) Hop(ctx context.Context, ep string, req HopRequest) (Receipt, err
 // on cascade/relay legs (Hop > 0), exactly as the pre-transport sender
 // behaved on the plaintext server leg.
 func (t *HTTP) SendBatch(ctx context.Context, ep string, req BatchRequest) (Receipt, error) {
-	resp, err := t.post(ctx, ep+"/v1/batch", wire.ContentTypeBatch, req.Body, func(h http.Header) {
-		if req.Hop > 0 {
-			hopHeaders(req.Hop, req.Secret)(h)
-		}
-		if req.ID != "" {
-			h.Set(wire.HeaderBatch, req.ID)
-		}
-		if req.HasSeq && req.Sender != "" {
-			h.Set(wire.HeaderSender, req.Sender)
-			h.Set(wire.HeaderBatchSeq, strconv.FormatUint(req.Seq, 10))
-		}
-	})
+	var buf [5]field
+	fs := buf[:0]
+	if req.Hop > 0 {
+		fs = hopFields(fs, req.Hop, req.Secret)
+	}
+	if req.ID != "" {
+		fs = append(fs, field{wire.HeaderBatch, req.ID})
+	}
+	if req.HasSeq && req.Sender != "" {
+		fs = append(fs, field{wire.HeaderSender, req.Sender}, field{wire.HeaderBatchSeq, strconv.FormatUint(req.Seq, 10)})
+	}
+	code, err := t.post(ctx, ep, "/v1/batch", wire.ContentTypeBatch, req.Body, fs...)
 	if err != nil {
 		return Receipt{Shard: -1}, err
 	}
-	return Receipt{Shard: -1, Duplicate: resp.StatusCode == http.StatusOK}, nil
+	return Receipt{Shard: -1, Duplicate: code == http.StatusOK}, nil
 }
 
 // get runs one GET through the status mapping.

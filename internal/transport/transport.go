@@ -48,9 +48,10 @@ import (
 // transport nor the receiving Server reads the body again, so the sender
 // may write the next request into the same buffer. Loopback returns only
 // after the handler returned or provably never started (the claim on a
-// queued request); HTTP returns only after net/http closed every reader
-// of the body it opened. TestLoopbackSendReturnsAfterHandler and
-// TestHTTPSendReturnsAfterBodyClosed pin the two halves.
+// queued request); HTTP writes the body on the caller's goroutine, or
+// hands net/http's client a copy of it. TestLoopbackSendReturnsAfterHandler,
+// TestHTTPDirectWriteReturnsBeforeSend and TestHTTPSendReturnsAfterBodyClosed
+// pin the three cases.
 type Transport interface {
 	// SendUpdate posts one model update: an enclave ciphertext on the
 	// participant→proxy leg, a plaintext encoded ParamSet on the

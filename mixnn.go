@@ -146,7 +146,13 @@ type (
 )
 
 // NewHTTPTransport returns the wire-compatible network transport;
-// httpc may be nil for a default client.
+// httpc may be nil for a default client. Update, hop and batch sends go
+// over the transport's own keep-alive pool when httpc's RoundTripper is
+// an *http.Transport: httpc's Timeout and the Transport's per-host
+// connection limits, idle timeout, dialer, proxy, response-head bound
+// and compression setting apply to them, and its CloseIdleConnections
+// does not reach them. Every other request goes through httpc (see
+// transport.NewHTTP).
 func NewHTTPTransport(httpc *http.Client) Transport { return transport.NewHTTP(httpc) }
 
 // NewLoopbackTransport returns an empty in-process transport registry.
