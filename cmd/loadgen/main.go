@@ -43,7 +43,7 @@ func run(args []string) error {
 		k            = fs.Int("k", 4, "per-shard stream-mixer list capacity")
 		waves        = fs.Int("waves", 5, "send waves (>= 3: calm, churn, failover)")
 		queueDepth   = fs.Int("queue-depth", 1024, "bounded ingress queue depth per Loopback peer (0 = default)")
-		workers      = fs.Int("workers", 0, "ingress workers per Loopback peer (0 = GOMAXPROCS)")
+		workers      = fs.Int("workers", 0, "data-plane requests one Loopback peer runs at once, each on its sender's goroutine (0 = GOMAXPROCS, floor 4)")
 		straggler    = fs.Float64("straggler", 0.05, "fraction of participants per churn wave that delay their send")
 		disconnect   = fs.Float64("disconnect", 0.02, "fraction of sessions per churn wave replaced mid-run")
 		seed         = fs.Int64("seed", 1, "base random seed")

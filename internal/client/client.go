@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -67,7 +68,8 @@ type Participant struct {
 	// proxies is the ordered failover list. It starts as the configured
 	// static list and is REPLACED by Discover: bootstrapped to the full
 	// peer set learned from one seed and re-ranked by observed health.
-	// Every reader takes a snapshot under mu (proxySnapshot/primary).
+	// A published list is never written again, so a reader reads the
+	// slice under mu once (proxySnapshot/primary) and walks it freely.
 	proxies     []string
 	clientID    string
 	authority   *ecdsa.PublicKey
@@ -108,7 +110,7 @@ func New(cfg Config) (*Participant, error) {
 	}
 	return &Participant{
 		tr:          tr,
-		proxies:     append([]string(nil), cfg.Proxies...),
+		proxies:     slices.Clip(slices.Clone(cfg.Proxies)),
 		server:      cfg.Server,
 		clientID:    cfg.ClientID,
 		authority:   cfg.Authority,
@@ -136,16 +138,17 @@ func (c *Participant) SetEnclaveKey(pub *ecdh.PublicKey) {
 
 // Proxies returns the session's current failover list (a copy).
 func (c *Participant) Proxies() []string {
-	return c.proxySnapshot()
+	return slices.Clone(c.proxySnapshot())
 }
 
-// proxySnapshot copies the failover list under the lock; walks iterate
-// the snapshot so a concurrent Discover re-rank cannot skip or repeat
-// an endpoint mid-walk.
+// proxySnapshot returns the current failover list itself, read under
+// the lock. Discover replaces the list and never writes one it
+// published, so a walk over the snapshot cannot skip or repeat an
+// endpoint when a re-rank lands mid-walk. The slice is read-only.
 func (c *Participant) proxySnapshot() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]string(nil), c.proxies...)
+	return c.proxies
 }
 
 // primary returns the current head of the failover list.
@@ -186,7 +189,7 @@ const maxDiscoverProbes = 64
 // the same attestation handshake as configured ones (lazy, on first
 // use).
 func (c *Participant) Discover(ctx context.Context) error {
-	frontier := c.proxySnapshot()
+	frontier := slices.Clone(c.proxySnapshot())
 	seen := make(map[string]bool, len(frontier))
 	for _, ep := range frontier {
 		seen[ep] = true
@@ -238,7 +241,7 @@ func (c *Participant) Discover(ctx context.Context) error {
 		return score[order[i]] > score[order[j]]
 	})
 	c.mu.Lock()
-	c.proxies = order
+	c.proxies = slices.Clip(order)
 	c.mu.Unlock()
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"net/http"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -342,5 +343,91 @@ func TestDiscoveryConcurrentWithSends(t *testing.T) {
 	ub, _ := servers[1].counts()
 	if ua+ub != 20 {
 		t.Fatalf("tier ingested %d updates, want 20 (none lost or duplicated across re-ranks)", ua+ub)
+	}
+}
+
+// walkRecorder records, per send, the endpoints its failover walk
+// tried, keyed by the walkID the send's ctx carries.
+type walkRecorder struct {
+	transport.Transport
+	mu    sync.Mutex
+	walks map[int][]string
+}
+
+type walkID struct{}
+
+func (w *walkRecorder) SendUpdate(ctx context.Context, ep string, req transport.UpdateRequest) (transport.Receipt, error) {
+	w.mu.Lock()
+	id := ctx.Value(walkID{}).(int)
+	w.walks[id] = append(w.walks[id], ep)
+	w.mu.Unlock()
+	return w.Transport.SendUpdate(ctx, ep, req)
+}
+
+// TestDiscoverReRankNeverBendsAWalk: Discover re-ranks the failover
+// list over and over while sends walk it. Every proxy answers 503, so
+// each send walks the whole list; a walk reads the list once and a
+// published list is never written, so every walk must try each
+// endpoint exactly once, whatever order the re-ranks leave.
+func TestDiscoverReRankNeverBendsAWalk(t *testing.T) {
+	const fronts, senders, sends = 4, 4, 25
+	lb := transport.NewLoopback()
+	platform, servers := ctrlTier(t, lb, fronts)
+	peers := make([]string, fronts)
+	for i := range peers {
+		peers[i] = frontEP(i)
+	}
+	for i, s := range servers {
+		s.discover = wire.DiscoverResponse{Endpoint: frontEP(i), Peers: peers}
+		s.failFirst, s.failErr = 1<<30, transport.Errorf(http.StatusServiceUnavailable, "draining")
+	}
+	rec := &walkRecorder{Transport: lb, walks: make(map[int][]string)}
+	p, err := client.New(client.Config{Proxies: peers, Transport: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := p.Attest(ctx, platform.AttestationPublicKey(), servers[0].encl.Measurement()); err != nil {
+		t.Fatal(err)
+	}
+
+	var rerank sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		rerank.Add(1)
+		go func(g int) {
+			defer rerank.Done()
+			for i := 0; ctx.Err() == nil; i++ {
+				servers[(i+g)%fronts].setHealth(float64((i*7+g)%10) / 10)
+				_ = p.Discover(ctx)
+			}
+		}(g)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < sends; i++ {
+				sctx := context.WithValue(ctx, walkID{}, g*sends+i)
+				if err := p.SendUpdate(sctx, testUpdate()); err == nil {
+					t.Errorf("sender %d: a send succeeded with every proxy answering 503", g)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	cancel()
+	rerank.Wait()
+
+	if len(rec.walks) != senders*sends {
+		t.Fatalf("recorded %d walks, want %d", len(rec.walks), senders*sends)
+	}
+	for id, walk := range rec.walks {
+		got := slices.Clone(walk)
+		slices.Sort(got)
+		if !slices.Equal(got, peers) {
+			t.Fatalf("walk %d tried %v, want each of %v exactly once", id, walk, peers)
+		}
 	}
 }

@@ -27,7 +27,7 @@ func (a *attestCounter) HandleAttest(ctx context.Context, nonce []byte) (wire.At
 }
 
 // blockingIngress wraps a real proxy and parks HandleUpdate on a gate,
-// so a test can hold the peer's loopback workers busy; every other
+// so a test can hold the peer's loopback slots busy; every other
 // operation (attestation included) passes through.
 type blockingIngress struct {
 	transport.Server
@@ -82,11 +82,9 @@ func ident(s transport.Server) transport.Server { return s }
 
 // wedgePrimary parks one raw send inside the gated handler and then
 // fills the depth-1 queue with a second, returning a WaitGroup that
-// drains once gate.release is closed. The two sends MUST be staged
-// sequentially — launched together they race into the depth-1 queue,
-// and if the second arrives before the worker dequeues the first it
-// bounces ErrBusy, leaving the queue empty once the worker parks in
-// the gate (and a Queued>=1 poll waiting forever).
+// drains once gate.release is closed. The two sends are staged
+// sequentially, so the first holds the one slot in the gate before the
+// second queues behind it.
 func wedgePrimary(lb *transport.Loopback, gate *blockingIngress) *sync.WaitGroup {
 	wedged := &sync.WaitGroup{}
 	send := func() {
@@ -95,7 +93,7 @@ func wedgePrimary(lb *transport.Loopback, gate *blockingIngress) *sync.WaitGroup
 	}
 	wedged.Add(1)
 	go send()
-	<-gate.entered // the worker owns the first send
+	<-gate.entered // the first send holds the slot
 	wedged.Add(1)
 	go send()
 	for { // wait until the second fills the queue
@@ -192,8 +190,8 @@ func TestSendUpdateFailsOverOnBusy(t *testing.T) {
 	// Wedge the primary: one request inside the handler, one filling the
 	// depth-1 queue. (Raw sends — they park in the gate before the real
 	// proxy would decode them.) Staged sequentially: the second send may
-	// only go out after the worker owns the first, or the two race into
-	// the depth-1 queue and one bounces ErrBusy, leaving nothing queued.
+	// only go out after the first holds the slot, so the second is the
+	// one that queues.
 	wedged := wedgePrimary(lb, gate)
 
 	if err := c.SendUpdate(ctx, testUpdate()); err != nil {

@@ -160,9 +160,9 @@ func (h *handlerReader) HandleBatch(ctx context.Context, req BatchRequest) (Rece
 // TestLoopbackSendReturnsAfterHandler pins the Loopback half of the
 // Transport contract: a send whose context is cancelled while the
 // handler runs returns only after the handler's last read of the body —
-// the worker's claim makes the send wait for the handler rather than
-// report the cancellation — so the sender may overwrite the body the
-// moment the call returns.
+// the handler runs on the sender's own goroutine, which returns its
+// result rather than the cancellation — so the sender may overwrite the
+// body the moment the call returns.
 func TestLoopbackSendReturnsAfterHandler(t *testing.T) {
 	lb := NewLoopback()
 	defer lb.Close()

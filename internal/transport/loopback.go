@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"mixnn/internal/wire"
 )
@@ -25,17 +25,18 @@ import (
 // speed, and lets the typed-protocol test batteries drive every leg
 // without a port.
 //
-// Data-plane operations (SendUpdate, Hop, SendBatch) go through a
-// BOUNDED PER-PEER INGRESS QUEUE drained by a per-peer worker pool,
-// mirroring a real listener's accept queue: a slow receiver makes its
-// own queue fill instead of borrowing the caller's goroutine for the
-// whole handler, so one stalled peer cannot backpressure every sender
-// in the process. A send that finds the queue full fails fast with
-// ErrBusy — a transient, provably-not-ingested rejection (Unreached
-// reports true) that the SDK fails over on and the outbox dispatcher
-// retries with backoff. Control-plane operations (Attest, Model,
-// Topology, Status) stay direct calls: polling a tier's status or
-// attesting an enclave must not queue behind ten thousand updates.
+// Data-plane operations (SendUpdate, Hop, SendBatch) pass a BOUNDED
+// PER-PEER DOOR and then run the peer's handler on the sender's own
+// goroutine: at most Workers requests run in one peer at once, up to
+// QueueDepth more wait for a slot in arrival order, mirroring a real
+// listener's accept queue, and a slow receiver stalls only its own
+// senders, never a send to another peer. A send
+// that finds the queue full fails fast with ErrBusy — a transient,
+// provably-not-ingested rejection (Unreached reports true) that the SDK
+// fails over on and the outbox dispatcher retries with backoff.
+// Control-plane operations (Attest, Model, Topology, Status, Discover)
+// are plain direct calls: polling a tier's status or attesting an
+// enclave must not queue behind ten thousand updates.
 type Loopback struct {
 	opts LoopbackOptions
 
@@ -43,16 +44,15 @@ type Loopback struct {
 	peers map[string]*loopbackPeer
 }
 
-// LoopbackOptions sizes the per-peer ingress machinery. Zero values
-// take the defaults.
+// LoopbackOptions sizes each peer's data-plane door. Zero values take
+// the defaults.
 type LoopbackOptions struct {
-	// QueueDepth bounds each peer's data-plane ingress queue (default
-	// DefaultLoopbackQueueDepth). A send that finds the queue full
-	// fails with ErrBusy instead of blocking.
+	// QueueDepth bounds how many senders wait for one peer's slot
+	// (default DefaultLoopbackQueueDepth). A send that finds that many
+	// waiting fails with ErrBusy instead of blocking.
 	QueueDepth int
-	// Workers is each peer's handler pool size (default GOMAXPROCS,
-	// floor 4): how many data-plane requests one peer processes
-	// concurrently.
+	// Workers is how many data-plane requests one peer runs at once,
+	// each on its sender's goroutine (default GOMAXPROCS, floor 4).
 	Workers int
 }
 
@@ -62,31 +62,29 @@ type LoopbackOptions struct {
 // harness can observe real backpressure by tightening it.
 const DefaultLoopbackQueueDepth = 1024
 
-// loopbackPeer is one registered endpoint: its Server plus the bounded
-// ingress queue and the worker pool draining it. quit is closed when
-// the peer is unregistered, replaced, or the Loopback closes; workers
-// exit and queued-but-unclaimed senders fail over as unreachable.
+// loopbackPeer is one registered endpoint: its Server and the door in
+// front of its data plane. quit is closed when the peer is
+// unregistered, replaced, or the Loopback closes: the door admits
+// nothing more, and senders still waiting fail over as unreachable.
 type loopbackPeer struct {
 	srv  Server
-	jobs chan *loopbackJob
 	quit chan struct{}
 
-	handled atomic.Uint64 // data-plane requests executed
-	busy    atomic.Uint64 // sends rejected queue-full
-	peak    atomic.Int64  // ingress queue high watermark
+	mu      sync.Mutex
+	running int               // data-plane requests holding a slot
+	waiting []*loopbackWaiter // senders waiting for a slot, oldest first
+	peak    int               // len(waiting) high watermark
+	handled uint64            // data-plane requests executed
+	busy    uint64            // sends rejected queue-full
 }
 
-// loopbackJob is one queued data-plane request. Exactly one party —
-// the draining worker, a cancelling sender, or an unregistering peer's
-// waiter — claims it: the worker runs claimed jobs and discards jobs a
-// canceller claimed first, so a request either executes exactly once
-// or provably never executes.
-type loopbackJob struct {
-	ctx     context.Context
-	run     func(ctx context.Context, s Server)
-	claimed atomic.Bool
-	done    chan struct{}
-}
+// loopbackWaiter is a sender parked at a peer's door. leave hands it a
+// slot by taking it off the queue and sending on ready; a sender that
+// gives up first takes itself off, so a waiter either runs exactly once
+// or provably never runs.
+type loopbackWaiter struct{ ready chan struct{} }
+
+var loopbackWaiters = sync.Pool{New: func() any { return &loopbackWaiter{ready: make(chan struct{}, 1)} }}
 
 // NewLoopback builds an empty registry with default queue sizing.
 func NewLoopback() *Loopback {
@@ -109,15 +107,11 @@ func NewLoopbackWith(opts LoopbackOptions) *Loopback {
 
 // Register binds a name to a Server; sends addressed to ep reach it. A
 // later Register for the same name replaces the peer (a "restart"):
-// the old instance's workers stop and its queued-but-unstarted
-// requests fail over as unreachable, exactly like requests caught in a
-// real listener's accept queue when the process dies.
+// the old instance admits nothing more and its waiting senders fail
+// over as unreachable, exactly like requests caught in a real
+// listener's accept queue when the process dies.
 func (l *Loopback) Register(ep string, s Server) {
-	p := &loopbackPeer{
-		srv:  s,
-		jobs: make(chan *loopbackJob, l.opts.QueueDepth),
-		quit: make(chan struct{}),
-	}
+	p := &loopbackPeer{srv: s, quit: make(chan struct{})}
 	l.mu.Lock()
 	old := l.peers[ep]
 	l.peers[ep] = p
@@ -125,17 +119,13 @@ func (l *Loopback) Register(ep string, s Server) {
 	if old != nil {
 		close(old.quit)
 	}
-	for i := 0; i < l.opts.Workers; i++ {
-		go p.drain()
-	}
 }
 
 // Unregister removes a peer; subsequent sends to ep fail as
-// unreachable (a transient error, like a downed HTTP listener), its
-// workers stop, and senders whose requests were queued but not yet
-// started fail over as unreachable too — they provably were not
-// ingested. A request a worker already started runs to completion and
-// its sender gets the real result, like an in-flight request on a
+// unreachable (a transient error, like a downed HTTP listener), and
+// senders still waiting at its door fail over as unreachable too —
+// they provably were not ingested. A request already running completes
+// and its sender gets the real result, like an in-flight request on a
 // connection that outlives the listener.
 func (l *Loopback) Unregister(ep string) {
 	l.mu.Lock()
@@ -147,8 +137,8 @@ func (l *Loopback) Unregister(ep string) {
 	}
 }
 
-// Close unregisters every peer, stopping all worker pools. Senders
-// with queued requests fail over as unreachable.
+// Close unregisters every peer. Senders waiting at a door fail over as
+// unreachable.
 func (l *Loopback) Close() {
 	l.mu.Lock()
 	peers := l.peers
@@ -175,167 +165,174 @@ func (l *Loopback) Stats() []LoopbackPeerStats {
 	l.mu.RLock()
 	out := make([]LoopbackPeerStats, 0, len(l.peers))
 	for ep, p := range l.peers {
+		p.mu.Lock()
 		out = append(out, LoopbackPeerStats{
 			Endpoint: ep,
-			Queued:   len(p.jobs),
-			Peak:     int(p.peak.Load()),
-			Handled:  p.handled.Load(),
-			Busy:     p.busy.Load(),
+			Queued:   len(p.waiting),
+			Peak:     p.peak,
+			Handled:  p.handled,
+			Busy:     p.busy,
 		})
+		p.mu.Unlock()
 	}
 	l.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Endpoint < out[j].Endpoint })
 	return out
 }
 
-// drain is one worker of a peer's pool: it claims queued jobs and runs
-// them until the peer goes away. Jobs a canceller claimed first are
-// discarded (their sender already returned "not ingested").
-func (p *loopbackPeer) drain() {
-	for {
-		// Check quit first so a retired peer's workers exit even while
-		// jobs remain queued (their senders fail over via quit).
-		select {
-		case <-p.quit:
-			return
-		default:
-		}
-		select {
-		case <-p.quit:
-			return
-		case job := <-p.jobs:
-			if job.claimed.CompareAndSwap(false, true) {
-				job.run(job.ctx, p.srv)
-				p.handled.Add(1)
-			}
-			close(job.done)
-		}
+// enter takes one of ep's slots for a data-plane request, waiting its
+// turn if all are taken; the caller runs the handler and then leave.
+// The error taxonomy is exact because the door is in process: an
+// unknown or retired peer, and a waiting sender that gave up before a
+// slot was handed to it, are UNREACHED (safe to fail over / retry
+// elsewhere); a full queue is ErrBusy (also unreached — rejected at the
+// door); and a sender handed a slot runs the handler and gets its real
+// result, however its ctx fares (the handler sees ctx and honours it,
+// like an in-flight HTTP request).
+func (l *Loopback) enter(ctx context.Context, ep string) (*loopbackPeer, error) {
+	p, err := l.peer(ep)
+	if err != nil {
+		return nil, err
 	}
+	p.mu.Lock()
+	select {
+	case <-p.quit:
+		p.mu.Unlock()
+		return nil, fmt.Errorf("transport: loopback peer %q: %w", ep, ErrUnreachable)
+	default:
+	}
+	if p.running < l.opts.Workers {
+		p.running++
+		p.mu.Unlock()
+		return p, nil
+	}
+	if len(p.waiting) >= l.opts.QueueDepth {
+		p.busy++
+		p.mu.Unlock()
+		return nil, fmt.Errorf("transport: loopback peer %q: %w", ep, ErrBusy)
+	}
+	w := loopbackWaiters.Get().(*loopbackWaiter)
+	p.waiting = append(p.waiting, w)
+	p.peak = max(p.peak, len(p.waiting))
+	p.mu.Unlock()
+	select {
+	case <-w.ready:
+		loopbackWaiters.Put(w)
+		return p, nil
+	case <-ctx.Done():
+		err = fmt.Errorf("transport: loopback peer %q: request cancelled while queued: %w (%w)", ep, ctx.Err(), ErrUnreachable)
+	case <-p.quit:
+		err = fmt.Errorf("transport: loopback peer %q went away with the request still queued: %w", ep, ErrUnreachable)
+	}
+	p.mu.Lock()
+	if i := slices.Index(p.waiting, w); i >= 0 {
+		p.waiting = slices.Delete(p.waiting, i, i+1)
+		p.mu.Unlock()
+		loopbackWaiters.Put(w)
+		return nil, err
+	}
+	p.mu.Unlock()
+	// leave handed this sender a slot before it gave up: the request
+	// runs, and the sender gets the handler's result.
+	<-w.ready
+	loopbackWaiters.Put(w)
+	return p, nil
 }
 
-// submit queues one data-plane request for ep and waits for its
-// outcome. The error taxonomy is exact because the queue is in
-// process: an unknown or retired peer, and a queued request nobody
-// started, are UNREACHED (safe to fail over / retry elsewhere); a full
-// queue is ErrBusy (also unreached — rejected at the door); and once a
-// worker claims the request, submit waits for the handler's real
-// result, however the caller's ctx fares (the handler sees ctx and
-// honours it, like an in-flight HTTP request).
-func (l *Loopback) submit(ctx context.Context, ep string, run func(ctx context.Context, s Server)) error {
-	l.mu.RLock()
-	p, ok := l.peers[ep]
-	l.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("transport: loopback peer %q: %w", ep, ErrUnreachable)
-	}
-	job := &loopbackJob{ctx: ctx, run: run, done: make(chan struct{})}
+// leave gives a slot back: straight to the oldest waiting sender, or
+// free once nobody waits or the peer is retired.
+func (p *loopbackPeer) leave() {
+	p.mu.Lock()
+	p.handled++
 	select {
-	case p.jobs <- job:
-	default:
-		p.busy.Add(1)
-		return fmt.Errorf("transport: loopback peer %q: %w", ep, ErrBusy)
-	}
-	if d := int64(len(p.jobs)); d > p.peak.Load() {
-		// Benign race on the watermark: Stats tolerance, not accounting.
-		p.peak.Store(d)
-	}
-	select {
-	case <-job.done:
-		return nil
-	case <-ctx.Done():
-		if job.claimed.CompareAndSwap(false, true) {
-			// Claimed before any worker: the request never started, so
-			// this cancellation is provably-not-ingested, not ambiguous.
-			return fmt.Errorf("transport: loopback peer %q: request cancelled while queued: %w (%w)", ep, ctx.Err(), ErrUnreachable)
-		}
-		<-job.done
-		return nil
 	case <-p.quit:
-		if job.claimed.CompareAndSwap(false, true) {
-			return fmt.Errorf("transport: loopback peer %q went away with the request still queued: %w", ep, ErrUnreachable)
+	default:
+		if len(p.waiting) > 0 {
+			w := p.waiting[0]
+			p.waiting = slices.Delete(p.waiting, 0, 1)
+			p.mu.Unlock()
+			w.ready <- struct{}{}
+			return
 		}
-		<-job.done
-		return nil
 	}
+	p.running--
+	p.mu.Unlock()
 }
 
 // SendUpdate implements Transport.
 func (l *Loopback) SendUpdate(ctx context.Context, ep string, req UpdateRequest) (Receipt, error) {
-	rec, herr := Receipt{Shard: -1}, error(nil)
-	if err := l.submit(ctx, ep, func(ctx context.Context, s Server) {
-		rec, herr = s.HandleUpdate(ctx, req)
-	}); err != nil {
+	p, err := l.enter(ctx, ep)
+	if err != nil {
 		return Receipt{Shard: -1}, err
 	}
-	return rec, herr
+	defer p.leave()
+	return p.srv.HandleUpdate(ctx, req)
 }
 
 // Hop implements Transport.
 func (l *Loopback) Hop(ctx context.Context, ep string, req HopRequest) (Receipt, error) {
-	rec, herr := Receipt{Shard: -1}, error(nil)
-	if err := l.submit(ctx, ep, func(ctx context.Context, s Server) {
-		rec, herr = s.HandleHop(ctx, req)
-	}); err != nil {
+	p, err := l.enter(ctx, ep)
+	if err != nil {
 		return Receipt{Shard: -1}, err
 	}
-	return rec, herr
+	defer p.leave()
+	return p.srv.HandleHop(ctx, req)
 }
 
 // SendBatch implements Transport.
 func (l *Loopback) SendBatch(ctx context.Context, ep string, req BatchRequest) (Receipt, error) {
-	rec, herr := Receipt{Shard: -1}, error(nil)
-	if err := l.submit(ctx, ep, func(ctx context.Context, s Server) {
-		rec, herr = s.HandleBatch(ctx, req)
-	}); err != nil {
+	p, err := l.enter(ctx, ep)
+	if err != nil {
 		return Receipt{Shard: -1}, err
 	}
-	return rec, herr
+	defer p.leave()
+	return p.srv.HandleBatch(ctx, req)
 }
 
-func (l *Loopback) peer(ep string) (Server, error) {
+func (l *Loopback) peer(ep string) (*loopbackPeer, error) {
 	l.mu.RLock()
 	p, ok := l.peers[ep]
 	l.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("transport: loopback peer %q: %w", ep, ErrUnreachable)
 	}
-	return p.srv, nil
+	return p, nil
 }
 
 // Attest implements Transport.
 func (l *Loopback) Attest(ctx context.Context, ep string, nonce []byte) (wire.AttestationResponse, error) {
-	s, err := l.peer(ep)
+	p, err := l.peer(ep)
 	if err != nil {
 		return wire.AttestationResponse{}, err
 	}
-	return s.HandleAttest(ctx, nonce)
+	return p.srv.HandleAttest(ctx, nonce)
 }
 
 // Model implements Transport.
 func (l *Loopback) Model(ctx context.Context, ep string) (ModelResponse, error) {
-	s, err := l.peer(ep)
+	p, err := l.peer(ep)
 	if err != nil {
 		return ModelResponse{}, err
 	}
-	return s.HandleModel(ctx)
+	return p.srv.HandleModel(ctx)
 }
 
 // Topology implements Transport.
 func (l *Loopback) Topology(ctx context.Context, ep string, req TopologyRequest) (wire.TopologyStatus, error) {
-	s, err := l.peer(ep)
+	p, err := l.peer(ep)
 	if err != nil {
 		return wire.TopologyStatus{}, err
 	}
-	return s.HandleTopology(ctx, req)
+	return p.srv.HandleTopology(ctx, req)
 }
 
 // Status implements Transport.
 func (l *Loopback) Status(ctx context.Context, ep string) (StatusResponse, error) {
-	s, err := l.peer(ep)
+	p, err := l.peer(ep)
 	if err != nil {
 		return StatusResponse{}, err
 	}
-	return s.HandleStatus(ctx)
+	return p.srv.HandleStatus(ctx)
 }
 
 // Discover implements Transport. Like the other control-plane verbs it
@@ -343,11 +340,11 @@ func (l *Loopback) Status(ctx context.Context, ep string) (StatusResponse, error
 // ingress — that would make every overloaded peer look unreachable
 // exactly when the SDK needs its health score.
 func (l *Loopback) Discover(ctx context.Context, ep string) (wire.DiscoverResponse, error) {
-	s, err := l.peer(ep)
+	p, err := l.peer(ep)
 	if err != nil {
 		return wire.DiscoverResponse{}, err
 	}
-	return s.HandleDiscover(ctx)
+	return p.srv.HandleDiscover(ctx)
 }
 
 // QueueDepth reports one peer's current data-plane ingress queue length
@@ -360,5 +357,7 @@ func (l *Loopback) QueueDepth(ep string) int {
 	if !ok {
 		return -1
 	}
-	return len(p.jobs)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.waiting)
 }

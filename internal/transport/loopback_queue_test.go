@@ -3,13 +3,15 @@ package transport
 import (
 	"context"
 	"errors"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 )
 
 // gateServer blocks HandleUpdate until released, so tests can hold a
-// peer's workers busy and fill its ingress queue deterministically.
+// peer's slots busy and fill its ingress queue deterministically.
 type gateServer struct {
 	fakeServer
 	mu      sync.Mutex
@@ -40,7 +42,7 @@ func (g *gateServer) Served() int {
 	return g.served
 }
 
-// TestLoopbackQueueFullBusy: with the one worker held inside a handler
+// TestLoopbackQueueFullBusy: with the one slot held inside a handler
 // and the depth-1 queue occupied, the next send is rejected at the door
 // with ErrBusy — typed, transient, and provably not ingested.
 func TestLoopbackQueueFullBusy(t *testing.T) {
@@ -55,7 +57,7 @@ func TestLoopbackQueueFullBusy(t *testing.T) {
 		errc <- err
 	}
 	go send()
-	<-g.entered // the worker owns send #1
+	<-g.entered // send #1 holds the slot
 	go send()   // send #2 sits in the depth-1 queue
 	waitQueued(t, lb, "loop://px", 1)
 
@@ -97,8 +99,8 @@ func waitQueued(t *testing.T, lb *Loopback, ep string, n int) {
 }
 
 // TestLoopbackSlowPeerIsolation: a peer wedged inside its handler must
-// not delay sends to a different peer — the whole point of per-peer
-// queues over deliver-on-the-caller's-goroutine.
+// not delay sends to a different peer — each peer has its own door, so
+// a wedged handler holds only its own peer's slots and senders.
 func TestLoopbackSlowPeerIsolation(t *testing.T) {
 	lb := NewLoopbackWith(LoopbackOptions{QueueDepth: 4, Workers: 1})
 	slow := newGateServer()
@@ -128,7 +130,7 @@ func TestLoopbackSlowPeerIsolation(t *testing.T) {
 
 // TestLoopbackUnregisterFailsQueuedAsUnreached: killing a peer fails its
 // QUEUED-but-unstarted requests as unreachable (safe to fail over — they
-// provably were not ingested), while a request a worker already started
+// provably were not ingested), while a request that already holds a slot
 // runs to completion and its sender gets the real result.
 func TestLoopbackUnregisterFailsQueuedAsUnreached(t *testing.T) {
 	lb := NewLoopbackWith(LoopbackOptions{QueueDepth: 2, Workers: 1})
@@ -140,7 +142,7 @@ func TestLoopbackUnregisterFailsQueuedAsUnreached(t *testing.T) {
 		_, err := lb.SendUpdate(context.Background(), "loop://px", UpdateRequest{Body: []byte("started")})
 		inflight <- err
 	}()
-	<-g.entered // worker started request #1
+	<-g.entered // request #1 holds the slot
 
 	queued := make(chan error, 1)
 	go func() {
@@ -206,7 +208,7 @@ func TestLoopbackCancelWhileQueued(t *testing.T) {
 }
 
 // TestLoopbackRegisterReplacesPeer: re-registering a name is a restart —
-// the old instance's workers stop, and new sends reach the new Server.
+// the old instance admits nothing more, and new sends reach the new Server.
 func TestLoopbackRegisterReplacesPeer(t *testing.T) {
 	lb := NewLoopback()
 	defer lb.Close()
@@ -223,7 +225,7 @@ func TestLoopbackRegisterReplacesPeer(t *testing.T) {
 }
 
 // TestLoopbackHandlerErrorsPassThrough: handler results (including
-// typed StatusError rejections) cross the queue unchanged, so the
+// typed StatusError rejections) cross the door unchanged, so the
 // bounded queue is invisible to the protocol semantics.
 func TestLoopbackHandlerErrorsPassThrough(t *testing.T) {
 	lb := NewLoopback()
@@ -237,5 +239,196 @@ func TestLoopbackHandlerErrorsPassThrough(t *testing.T) {
 	}
 	if Unreached(err) {
 		t.Fatal("a handler rejection reached the peer; it must NOT report Unreached")
+	}
+}
+
+// orderServer records the body of every HandleUpdate in the order the
+// handlers were entered, and blocks the ones whose body has a gate
+// until that gate closes.
+type orderServer struct {
+	fakeServer
+	mu      sync.Mutex
+	entered []string
+	gates   map[string]chan struct{}
+}
+
+func (o *orderServer) HandleUpdate(ctx context.Context, req UpdateRequest) (Receipt, error) {
+	o.mu.Lock()
+	o.entered = append(o.entered, string(req.Body))
+	gate := o.gates[string(req.Body)]
+	o.mu.Unlock()
+	if gate != nil {
+		<-gate
+	}
+	return Receipt{Shard: 0}, nil
+}
+
+func (o *orderServer) Entered() []string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return slices.Clone(o.entered)
+}
+
+func (o *orderServer) waitEntered(t *testing.T, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); len(o.Entered()) < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("handlers entered %v, want %d", o.Entered(), n)
+		}
+	}
+}
+
+// TestLoopbackQueuedServedOldestFirst: with the one slot held, three
+// sends queue one after another; once the slot frees they run in the
+// order they arrived.
+func TestLoopbackQueuedServedOldestFirst(t *testing.T) {
+	lb := NewLoopbackWith(LoopbackOptions{QueueDepth: 4, Workers: 1})
+	defer lb.Close()
+	hold := make(chan struct{})
+	o := &orderServer{gates: map[string]chan struct{}{"hold": hold}}
+	lb.Register("loop://px", o)
+
+	errc := make(chan error, 4)
+	send := func(body string) {
+		_, err := lb.SendUpdate(context.Background(), "loop://px", UpdateRequest{Body: []byte(body)})
+		errc <- err
+	}
+	go send("hold")
+	o.waitEntered(t, 1)
+	for i, body := range []string{"first", "second", "third"} {
+		go send(body)
+		waitQueued(t, lb, "loop://px", i+1)
+	}
+	close(hold)
+	for i := 0; i < 4; i++ {
+		if err := <-errc; err != nil {
+			t.Fatalf("send failed: %v", err)
+		}
+	}
+	if got, want := o.Entered(), []string{"hold", "first", "second", "third"}; !slices.Equal(got, want) {
+		t.Fatalf("handlers ran %v, want %v (queued sends oldest first)", got, want)
+	}
+}
+
+// TestLoopbackFreedSlotGoesToQueued: the slot a finishing request frees
+// goes straight to the sender already waiting, never to a newcomer that
+// arrives the moment it frees. The newcomer's ctx is already cancelled,
+// so if it has to wait it gives up at once: it must come back Unreached,
+// and its handler must never run.
+func TestLoopbackFreedSlotGoesToQueued(t *testing.T) {
+	lb := NewLoopbackWith(LoopbackOptions{QueueDepth: 4, Workers: 1})
+	defer lb.Close()
+	hold, queued := make(chan struct{}), make(chan struct{})
+	o := &orderServer{gates: map[string]chan struct{}{"hold": hold, "queued": queued}}
+	lb.Register("loop://px", o)
+
+	qerr := make(chan error, 1)
+	go func() { // polls without t: only the test goroutine may fail the test
+		for len(o.Entered()) < 1 {
+			time.Sleep(time.Millisecond)
+		}
+		go func() {
+			_, err := lb.SendUpdate(context.Background(), "loop://px", UpdateRequest{Body: []byte("queued")})
+			qerr <- err
+		}()
+		for lb.QueueDepth("loop://px") < 1 {
+			time.Sleep(time.Millisecond)
+		}
+		close(hold)
+	}()
+	if _, err := lb.SendUpdate(context.Background(), "loop://px", UpdateRequest{Body: []byte("hold")}); err != nil {
+		t.Fatalf("holding send failed: %v", err)
+	}
+	// The slot is freed; the newcomer arrives at once, on this goroutine.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := lb.SendUpdate(ctx, "loop://px", UpdateRequest{Body: []byte("newcomer")})
+	if !Unreached(err) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("newcomer got %v, want an Unreached cancellation: the freed slot belonged to the queued sender", err)
+	}
+	close(queued)
+	if err := <-qerr; err != nil {
+		t.Fatalf("queued send failed: %v", err)
+	}
+	if got, want := o.Entered(), []string{"hold", "queued"}; !slices.Equal(got, want) {
+		t.Fatalf("handlers ran %v, want %v", got, want)
+	}
+}
+
+// noopServer answers every data-plane request without touching it.
+type noopServer struct{ fakeServer }
+
+func (*noopServer) HandleUpdate(context.Context, UpdateRequest) (Receipt, error) {
+	return Receipt{Shard: 0}, nil
+}
+func (*noopServer) HandleHop(context.Context, HopRequest) (Receipt, error) {
+	return Receipt{Shard: 0}, nil
+}
+func (*noopServer) HandleBatch(context.Context, BatchRequest) (Receipt, error) {
+	return Receipt{Shard: 0}, nil
+}
+
+// TestLoopbackIdleSendAllocatesNothing: a data-plane send to an idle
+// peer takes a slot, runs the handler on the sender's goroutine and
+// gives the slot back, allocating nothing on the way.
+func TestLoopbackIdleSendAllocatesNothing(t *testing.T) {
+	lb := NewLoopback()
+	defer lb.Close()
+	lb.Register("loop://noop", &noopServer{})
+	ctx, body := context.Background(), make([]byte, 64)
+	for _, send := range []struct {
+		name string
+		do   func() error
+	}{
+		{"SendUpdate", func() error {
+			_, err := lb.SendUpdate(ctx, "loop://noop", UpdateRequest{Body: body, ClientID: "c"})
+			return err
+		}},
+		{"Hop", func() error {
+			_, err := lb.Hop(ctx, "loop://noop", HopRequest{Body: body, Hop: 1})
+			return err
+		}},
+		{"SendBatch", func() error {
+			_, err := lb.SendBatch(ctx, "loop://noop", BatchRequest{Body: body, Hop: 1, ID: "b"})
+			return err
+		}},
+	} {
+		var err error
+		allocs := testing.AllocsPerRun(100, func() {
+			if e := send.do(); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", send.name, err)
+		}
+		if allocs != 0 {
+			t.Errorf("%s to an idle peer allocates %.1f times per send, want 0", send.name, allocs)
+		}
+	}
+}
+
+// TestLoopbackRegisterStartsNoGoroutine: registering and unregistering
+// peers starts and leaves behind no goroutine; a send runs on its
+// sender's.
+func TestLoopbackRegisterStartsNoGoroutine(t *testing.T) {
+	lb := NewLoopbackWith(LoopbackOptions{Workers: 4})
+	defer lb.Close()
+	eps := make([]string, 16)
+	for i := range eps {
+		eps[i] = "loop://px-" + string(rune('a'+i))
+	}
+	before := runtime.NumGoroutine()
+	for _, ep := range eps {
+		lb.Register(ep, &noopServer{})
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("registering %d peers took the process from %d to %d goroutines", len(eps), before, n)
+	}
+	for _, ep := range eps {
+		lb.Unregister(ep)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("after unregistering every peer the process runs %d goroutines, %d before", n, before)
 	}
 }

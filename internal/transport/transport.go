@@ -47,9 +47,10 @@ import (
 // timeout or cancellation. Once a data-plane method returned, neither the
 // transport nor the receiving Server reads the body again, so the sender
 // may write the next request into the same buffer. Loopback returns only
-// after the handler returned or provably never started (the claim on a
-// queued request); HTTP writes the body on the caller's goroutine, or
-// hands net/http's client a copy of it. TestLoopbackSendReturnsAfterHandler,
+// after the handler returned or provably never started (a queued sender
+// that gave up before a slot was handed to it); HTTP writes the body on
+// the caller's goroutine, or hands net/http's client a copy of it.
+// TestLoopbackSendReturnsAfterHandler,
 // TestHTTPDirectWriteReturnsBeforeSend and TestHTTPSendReturnsAfterBodyClosed
 // pin the three cases.
 type Transport interface {
