@@ -546,7 +546,7 @@ func (c *Participant) sendWalk(ctx context.Context, l *sendLease, clientID strin
 			// to the failover walk. The rewrap deliberately bypasses
 			// the current session: the resent ciphertext must be a
 			// self-contained establish frame, which the enclave can
-			// never reject as unknown (see enclave.Sender.WrapFresh), so
+			// never reject as unknown (see enclave.Sender.WrapFreshTo), so
 			// one retry suffices. A rejection of the fresh establish
 			// itself falls through to the ordinary classification below.
 			snd.Drop(sess)

@@ -61,7 +61,7 @@ func FuzzShardedStateRestore(f *testing.F) {
 			}
 			fresh[s] = m
 		}
-		if _, err := RestoreShardedState(data, asShards(fresh), nil); err != nil {
+		if _, err := restoreInto(data, asShards(fresh), nil); err != nil {
 			return
 		}
 		// Anything accepted must leave the tier usable and conservative:
@@ -215,7 +215,7 @@ func FuzzSealRestoreRoundtrip(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		meta, err := RestoreShardedState(blob, asShards(restored), nil)
+		meta, err := restoreInto(blob, asShards(restored), nil)
 		if err != nil {
 			t.Fatalf("C=%d split=%d P=%d k=%d k'=%d: restore: %v", c, split, p, k, kPrime, err)
 		}

@@ -161,23 +161,6 @@ func (r *RelayShard) RestoreEntry(u nn.ParamSet) error {
 // exchanged within a shard (anonymity set C/P per shard instead of C),
 // which is why the deployment cascades shards through a second mixing hop.
 
-// ShardSizes returns the per-shard round sizes of a round-robin partition
-// of c participants over p shards: sizes[s] counts the i in [0, c) with
-// i % p == s. It panics if p <= 0.
-func ShardSizes(c, p int) []int {
-	if p <= 0 {
-		panic(fmt.Sprintf("core: ShardSizes with %d shards", p))
-	}
-	sizes := make([]int, p)
-	for s := range sizes {
-		sizes[s] = c / p
-		if s < c%p {
-			sizes[s]++
-		}
-	}
-	return sizes
-}
-
 // shardUpdates partitions updates round-robin: shard s receives updates
 // i with i % p == s, in arrival order.
 func shardUpdates(updates []nn.ParamSet, p int) [][]nn.ParamSet {

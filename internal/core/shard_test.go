@@ -8,36 +8,6 @@ import (
 	"mixnn/internal/nn"
 )
 
-func TestShardSizes(t *testing.T) {
-	cases := []struct {
-		c, p int
-		want []int
-	}{
-		{8, 1, []int{8}},
-		{8, 2, []int{4, 4}},
-		{9, 2, []int{5, 4}},
-		{13, 4, []int{4, 3, 3, 3}},
-		{2, 4, []int{1, 1, 0, 0}},
-		{0, 3, []int{0, 0, 0}},
-	}
-	for _, tc := range cases {
-		got := ShardSizes(tc.c, tc.p)
-		if len(got) != len(tc.want) {
-			t.Fatalf("ShardSizes(%d,%d) = %v, want %v", tc.c, tc.p, got, tc.want)
-		}
-		total := 0
-		for i := range got {
-			total += got[i]
-			if got[i] != tc.want[i] {
-				t.Fatalf("ShardSizes(%d,%d) = %v, want %v", tc.c, tc.p, got, tc.want)
-			}
-		}
-		if total != tc.c {
-			t.Fatalf("ShardSizes(%d,%d) sums to %d", tc.c, tc.p, total)
-		}
-	}
-}
-
 func TestShardedStreamPreservesAggregation(t *testing.T) {
 	for _, p := range []int{1, 2, 4} {
 		for _, c := range []int{4, 13, 64} {
@@ -79,10 +49,10 @@ func TestShardedStreamConservesLayers(t *testing.T) {
 	for li := 0; li < 3; li++ {
 		seen := make(map[float64]int)
 		for _, u := range updates {
-			seen[u.Layers[li].Tensors[0].At(0, 0)]++
+			seen[u.Layers[li].Tensors[0].Data()[0]]++
 		}
 		for _, m := range mixed {
-			seen[m.Layers[li].Tensors[0].At(0, 0)]--
+			seen[m.Layers[li].Tensors[0].Data()[0]]--
 		}
 		for v, n := range seen {
 			if n != 0 {
@@ -105,14 +75,14 @@ func TestShardedStreamMixesOnlyWithinShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Outputs are concatenated shard by shard; shard s contributes
-	// ShardSizes(c,p)[s] outputs.
-	sizes := ShardSizes(c, p)
+	// Outputs are concatenated shard by shard; shard s contributes as
+	// many outputs as the partition routed to it.
+	parts := shardUpdates(updates, p)
 	idx := 0
 	for s := 0; s < p; s++ {
-		for n := 0; n < sizes[s]; n++ {
+		for n := 0; n < len(parts[s]); n++ {
 			for li := range mixed[idx].Layers {
-				base := mixed[idx].Layers[li].Tensors[0].At(0, 0)
+				base := mixed[idx].Layers[li].Tensors[0].Data()[0]
 				src := int(base+0.5) / 100 // recover i from i*100+j tag
 				if src%p != s {
 					t.Fatalf("output %d layer %d came from participant %d (shard %d), want shard %d",

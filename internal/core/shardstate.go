@@ -93,7 +93,7 @@ type OpenSectionFunc func(shard int, sealed []byte) ([]byte, error)
 // to the shard buffers.
 type ShardedStateMeta struct {
 	// SealedShards is the shard count P of the tier that produced the
-	// blob. It is an output of RestoreShardedState (ignored on seal,
+	// blob. It is an output of OpenShardedState (ignored on seal,
 	// where it is taken from the mixer slice).
 	SealedShards int
 	// Routing is the tier's routing mode tag as internal/route numbers
@@ -545,16 +545,4 @@ func (st *OpenedState) FileInto(shards []Shard) error {
 		}
 	}
 	return nil
-}
-
-// RestoreShardedState is OpenShardedState and FileInto composed, for a
-// caller that already holds the shard set: len(shards) must equal the
-// sealed shard count, and each shard's buffered material returns to its
-// own mixer.
-func RestoreShardedState(blob []byte, shards []Shard, open OpenSectionFunc) (ShardedStateMeta, error) {
-	st, err := OpenShardedState(blob, open)
-	if err != nil {
-		return ShardedStateMeta{}, err
-	}
-	return st.Meta, st.FileInto(shards)
 }

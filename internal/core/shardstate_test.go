@@ -28,6 +28,16 @@ func newTier(t testing.TB, p, k int) []Shard {
 	return tier
 }
 
+// restoreInto opens blob and files it into shards, the restart of a
+// caller that already holds the shard set.
+func restoreInto(blob []byte, shards []Shard, open OpenSectionFunc) (ShardedStateMeta, error) {
+	st, err := OpenShardedState(blob, open)
+	if err != nil {
+		return ShardedStateMeta{}, err
+	}
+	return st.Meta, st.FileInto(shards)
+}
+
 // feedTier routes updates round-robin into the tier — as wire images,
 // the one way in the Shard contract has — and collects whatever the
 // mixers emit.
@@ -84,7 +94,7 @@ func TestShardedStateSealedSections(t *testing.T) {
 	}
 
 	var opened []int
-	if _, err := RestoreShardedState(blob, newTier(t, 3, 2), func(s int, sec []byte) ([]byte, error) {
+	if _, err := restoreInto(blob, newTier(t, 3, 2), func(s int, sec []byte) ([]byte, error) {
 		opened = append(opened, s)
 		return xor(s, sec), nil
 	}); err != nil {
@@ -95,13 +105,13 @@ func TestShardedStateSealedSections(t *testing.T) {
 	}
 
 	// Opening with the wrong per-shard key material must fail loudly.
-	if _, err := RestoreShardedState(blob, newTier(t, 3, 2), func(s int, sec []byte) ([]byte, error) {
+	if _, err := restoreInto(blob, newTier(t, 3, 2), func(s int, sec []byte) ([]byte, error) {
 		return xor(s+1, sec), nil
 	}); err == nil {
 		t.Fatal("mismatched section opener accepted")
 	}
 	// As must skipping the opener entirely.
-	if _, err := RestoreShardedState(blob, newTier(t, 3, 2), nil); err == nil {
+	if _, err := restoreInto(blob, newTier(t, 3, 2), nil); err == nil {
 		t.Fatal("sealed sections restored without an opener")
 	}
 }
@@ -129,7 +139,7 @@ func TestShardedStateLedgersAndPendingRoundTrip(t *testing.T) {
 	}
 
 	fresh := newTier(t, 2, 2)
-	meta, err := RestoreShardedState(blob, fresh, nil)
+	meta, err := restoreInto(blob, fresh, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,21 +190,21 @@ func TestRestoreShardedStateRejects(t *testing.T) {
 
 	fresh := func() []Shard { return newTier(t, 2, 2) }
 	t.Run("garbage", func(t *testing.T) {
-		if _, err := RestoreShardedState([]byte("not a blob"), fresh(), nil); err == nil {
+		if _, err := restoreInto([]byte("not a blob"), fresh(), nil); err == nil {
 			t.Fatal("garbage accepted")
 		}
 	})
 	t.Run("bad magic", func(t *testing.T) {
 		bad := append([]byte(nil), blob...)
 		bad[0] = 'Z'
-		if _, err := RestoreShardedState(bad, fresh(), nil); err == nil {
+		if _, err := restoreInto(bad, fresh(), nil); err == nil {
 			t.Fatal("bad magic accepted")
 		}
 	})
 	t.Run("wrong version", func(t *testing.T) {
 		bad := append([]byte(nil), blob...)
 		bad[4] = 0xFE
-		if _, err := RestoreShardedState(bad, fresh(), nil); err == nil {
+		if _, err := restoreInto(bad, fresh(), nil); err == nil {
 			t.Fatal("future version accepted")
 		}
 	})
@@ -204,7 +214,7 @@ func TestRestoreShardedStateRejects(t *testing.T) {
 		for v := byte(1); v <= 3; v++ {
 			old := append([]byte(nil), blob...)
 			old[4] = v
-			_, rerr := RestoreShardedState(old, fresh(), nil)
+			_, rerr := restoreInto(old, fresh(), nil)
 			_, oerr := OpenShardedState(old, nil)
 			for _, err := range []error{rerr, oerr} {
 				if err == nil {
@@ -219,19 +229,19 @@ func TestRestoreShardedStateRejects(t *testing.T) {
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
-		if _, err := RestoreShardedState(blob[:len(blob)-5], fresh(), nil); err == nil {
+		if _, err := restoreInto(blob[:len(blob)-5], fresh(), nil); err == nil {
 			t.Fatal("truncated blob accepted")
 		}
 	})
 	t.Run("trailing bytes", func(t *testing.T) {
-		if _, err := RestoreShardedState(append(append([]byte(nil), blob...), 0xAA), fresh(), nil); err == nil {
+		if _, err := restoreInto(append(append([]byte(nil), blob...), 0xAA), fresh(), nil); err == nil {
 			t.Fatal("trailing bytes accepted")
 		}
 	})
 	t.Run("non-fresh target", func(t *testing.T) {
 		used := fresh()
 		feedTier(t, used, makeUpdates(1, 2, rng))
-		if _, err := RestoreShardedState(blob, used, nil); err == nil {
+		if _, err := restoreInto(blob, used, nil); err == nil {
 			t.Fatal("restore into used tier accepted")
 		}
 	})
@@ -240,7 +250,7 @@ func TestRestoreShardedStateRejects(t *testing.T) {
 		// refused, wider or narrower, before any target shard is touched.
 		for _, pPrime := range []int{1, 3} {
 			target := newTier(t, pPrime, 2)
-			_, err := RestoreShardedState(blob, target, nil)
+			_, err := restoreInto(blob, target, nil)
 			if err == nil || !strings.Contains(err.Error(), "2-shard blob") {
 				t.Fatalf("restore of a 2-shard blob into %d shards: err = %v", pPrime, err)
 			}
@@ -252,7 +262,7 @@ func TestRestoreShardedStateRejects(t *testing.T) {
 		}
 	})
 	t.Run("zero target shards", func(t *testing.T) {
-		if _, err := RestoreShardedState(blob, nil, nil); err == nil {
+		if _, err := restoreInto(blob, nil, nil); err == nil {
 			t.Fatal("restore into empty tier accepted")
 		}
 	})
@@ -279,7 +289,7 @@ func TestRestoreShardedStateRejects(t *testing.T) {
 		// Forge the trust-section length (the first length-prefixed
 		// section).
 		binary.Write(&forged, binary.LittleEndian, uint32(maxSectionBytes-1))
-		if _, err := RestoreShardedState(forged.Bytes(), fresh(), nil); err == nil {
+		if _, err := restoreInto(forged.Bytes(), fresh(), nil); err == nil {
 			t.Fatal("forged oversized section length accepted")
 		}
 	})
@@ -290,7 +300,7 @@ func TestRestoreShardedStateRejects(t *testing.T) {
 		forged := forgedEntryCountBlob()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := RestoreShardedState(forged, newTier(t, 1, 2), nil)
+		_, err := restoreInto(forged, newTier(t, 1, 2), nil)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Fatal("forged section entry count accepted")
@@ -343,7 +353,7 @@ func TestRestoredOverfullMixerStaysConservative(t *testing.T) {
 
 	// The k=4 mixer's 4 buffered entries land in a k=2 mixer: over-full by 2.
 	narrow := newTier(t, 1, 2)
-	if _, err := RestoreShardedState(blob, narrow, nil); err != nil {
+	if _, err := restoreInto(blob, narrow, nil); err != nil {
 		t.Fatal(err)
 	}
 	if narrow[0].Buffered() != 4 {
@@ -400,7 +410,7 @@ func TestSealShardedStateConcurrentWithAdd(t *testing.T) {
 				t.Errorf("concurrent seal: %v", err)
 				return
 			}
-			if _, err := RestoreShardedState(blob, newTier(t, p, 2), nil); err != nil {
+			if _, err := restoreInto(blob, newTier(t, p, 2), nil); err != nil {
 				t.Errorf("concurrent seal produced unrestorable blob: %v", err)
 				return
 			}
@@ -434,7 +444,7 @@ func TestShardedStateV3TopoAndLoads(t *testing.T) {
 	if string(opened.Meta.Topo) != string(topoBlob) {
 		t.Fatalf("opened topo = %q, want %q", opened.Meta.Topo, topoBlob)
 	}
-	meta, err := RestoreShardedState(blob, newTier(t, 2, 2), nil)
+	meta, err := restoreInto(blob, newTier(t, 2, 2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,7 +566,7 @@ func TestShardedStateRelayInTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := []Shard{m2, NewRelayShard(3, nil)}
-	if _, err := RestoreShardedState(blob, fresh, nil); err != nil {
+	if _, err := restoreInto(blob, fresh, nil); err != nil {
 		t.Fatal(err)
 	}
 	relaySection(fresh)

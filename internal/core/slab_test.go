@@ -302,7 +302,7 @@ func TestSlabSealRestoreV4Unchanged(t *testing.T) {
 			}
 			tier[s] = m
 		}
-		if _, err := RestoreShardedState(legacyBlob, asShards(tier), nil); err != nil {
+		if _, err := restoreInto(legacyBlob, asShards(tier), nil); err != nil {
 			t.Fatal(err)
 		}
 		var out []nn.ParamSet

@@ -112,15 +112,6 @@ func (g *CIFAR) AttrClasses() int { return len(g.cfg.GroupSizes) }
 // AttrName implements Source.
 func (g *CIFAR) AttrName(a int) string { return fmt.Sprintf("preference-group-%d", a) }
 
-// Groups returns the preferred main-task classes of each preference group.
-func (g *CIFAR) Groups() [][]int {
-	out := make([][]int, len(g.groups))
-	for i, grp := range g.groups {
-		out[i] = append([]int(nil), grp...)
-	}
-	return out
-}
-
 // sampleClass draws one image of the given class.
 func (g *CIFAR) sampleClass(class int, rng *rand.Rand, dst []float64) {
 	td := g.templates[class].Data()

@@ -198,7 +198,7 @@ func TestCIFARSource(t *testing.T) {
 	}
 
 	// Preference skew: ~80% of a participant's labels in its group classes.
-	groups := src.Groups()
+	groups := src.groups
 	for _, p := range parts[:3] {
 		pref := make(map[int]bool)
 		for _, c := range groups[p.Attribute] {
@@ -227,7 +227,7 @@ func TestCIFARSource(t *testing.T) {
 func TestCIFARGroupsDisjoint(t *testing.T) {
 	src := NewCIFAR(CIFARConfig{})
 	seen := make(map[int]int)
-	for gi, g := range src.Groups() {
+	for gi, g := range src.groups {
 		for _, c := range g {
 			if prev, ok := seen[c]; ok {
 				t.Fatalf("class %d in groups %d and %d", c, prev, gi)

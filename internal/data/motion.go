@@ -121,9 +121,6 @@ func (g *Motion) AttrName(a int) string {
 	return "female"
 }
 
-// ActivityName returns the main-task class name.
-func (g *Motion) ActivityName(class int) string { return motionActivities[class].name }
-
 // subjectTraits holds per-subject variability so participants of the same
 // gender still differ from one another.
 type subjectTraits struct {

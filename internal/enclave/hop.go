@@ -124,22 +124,17 @@ func (s *Sender) Drop(sess *Session) {
 	}
 }
 
-// WrapFresh seals plaintext under a brand-new session, so the ciphertext
-// is the self-contained establish frame the enclave can always open, and
-// makes that session current (last establisher wins). It is the resend
-// after a typed session rejection when senders share the Sender: going
-// back through Wrap is not enough there, because a concurrent sender may
-// have re-established already and the current session's OWN establish
-// frame may still be in flight — a data frame wrapped under it can race
-// ahead of that establish and be rejected all over again. The session is
-// installed only after its establish frame is taken, so no other wrapper
-// can claim counter 0.
-func (s *Sender) WrapFresh(plaintext []byte) ([]byte, *Session, error) {
-	return s.WrapFreshTo(nil, plaintext)
-}
-
-// WrapFreshTo is WrapFresh sealing into dst's storage when its capacity
-// suffices (see Session.WrapTo).
+// WrapFreshTo seals plaintext under a brand-new session, into dst's
+// storage when its capacity suffices (see Session.WrapTo), so the
+// ciphertext is the self-contained establish frame the enclave can always
+// open, and makes that session current (last establisher wins). It is the
+// resend after a typed session rejection when senders share the Sender:
+// going back through Wrap is not enough there, because a concurrent
+// sender may have re-established already and the current session's OWN
+// establish frame may still be in flight — a data frame wrapped under it
+// can race ahead of that establish and be rejected all over again. The
+// session is installed only after its establish frame is taken, so no
+// other wrapper can claim counter 0.
 func (s *Sender) WrapFreshTo(dst, plaintext []byte) ([]byte, *Session, error) {
 	sess, err := s.key.NewSession()
 	if err != nil {

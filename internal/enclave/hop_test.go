@@ -155,7 +155,7 @@ func TestWrapWithoutKeyFails(t *testing.T) {
 // Sender while one keeps dropping the session it sees and one keeps
 // wrapping fresh (run under -race). Every session the Sender hands out
 // emits exactly one establish frame — the mutex is held across an
-// establish and WrapFresh installs only after taking counter 0 — and
+// establish and WrapFreshTo installs only after taking counter 0 — and
 // every ciphertext opens at the enclave once its session's establish has.
 func TestSenderConcurrentWrapDropFresh(t *testing.T) {
 	encl := sessionFixture(t)
@@ -202,7 +202,7 @@ func TestSenderConcurrentWrapDropFresh(t *testing.T) {
 	go func() { // a sender resending under self-contained establish frames
 		defer wg.Done()
 		for i := 0; i < churn; i++ {
-			record(snd.WrapFresh([]byte("payload")))
+			record(snd.WrapFreshTo(nil, []byte("payload")))
 		}
 	}()
 	wg.Wait()

@@ -89,17 +89,13 @@ func TestArms(t *testing.T) {
 	if len(arms) != 3 {
 		t.Fatalf("arms = %d, want 3", len(arms))
 	}
-	for _, key := range []string{"fl", "mixnn", "noisy", "mixnn-stream"} {
-		arm, err := ArmByKey(key)
-		if err != nil {
-			t.Fatalf("ArmByKey(%q): %v", key, err)
-		}
-		if arm.Transform == nil {
+	for _, key := range []string{"fl", "mixnn", "noisy"} {
+		if arm := mustArm(t, key); arm.Transform == nil {
 			t.Fatalf("arm %q has no transform", key)
 		}
 	}
-	if _, err := ArmByKey("quantum"); err == nil {
-		t.Fatal("unknown arm accepted")
+	if arm := StreamArm(0); arm.Key != "mixnn-stream" || arm.Transform == nil {
+		t.Fatalf("stream arm %+v", arm)
 	}
 }
 
@@ -259,9 +255,11 @@ func smallSpec(t *testing.T, key string) DatasetSpec {
 
 func mustArm(t *testing.T, key string) Arm {
 	t.Helper()
-	arm, err := ArmByKey(key)
-	if err != nil {
-		t.Fatal(err)
+	for _, arm := range Arms() {
+		if arm.Key == key {
+			return arm
+		}
 	}
-	return arm
+	t.Fatalf("no arm %q", key)
+	return Arm{}
 }

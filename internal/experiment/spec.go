@@ -5,8 +5,6 @@ package experiment
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"mixnn/internal/core"
 	"mixnn/internal/data"
@@ -212,29 +210,6 @@ func Arms() []Arm {
 		{Key: "mixnn", Transform: core.Transform{}},
 		{Key: "noisy", Transform: privacy.NoisyTransform{Sigma: privacy.DefaultSigma}},
 	}
-}
-
-// ArmByKey returns the named arm.
-func ArmByKey(key string) (Arm, error) {
-	for _, a := range Arms() {
-		if a.Key == key {
-			return a, nil
-		}
-	}
-	switch key {
-	case "mixnn-stream":
-		return StreamArm(0), nil
-	case "mixnn-sharded":
-		return ShardedStreamArm(0, 2), nil
-	}
-	// Round-trip the sharded arm's own key ("mixnn-sharded-p<P>") so a
-	// reported arm label resolves back to the arm that produced it.
-	if p, ok := strings.CutPrefix(key, "mixnn-sharded-p"); ok {
-		if shards, err := strconv.Atoi(p); err == nil && shards > 0 {
-			return ShardedStreamArm(0, shards), nil
-		}
-	}
-	return Arm{}, fmt.Errorf("experiment: unknown arm %q", key)
 }
 
 // StreamArm returns the streaming-mixer arm with buffer size k

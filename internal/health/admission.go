@@ -158,13 +158,3 @@ func (a *Admission) evictStalest() {
 		delete(a.buckets, stalest)
 	}
 }
-
-// Senders reports how many per-sender buckets are live (observability).
-func (a *Admission) Senders() int {
-	if a == nil {
-		return 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.buckets)
-}

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"mixnn/internal/tensor"
 )
@@ -61,48 +60,6 @@ func (r *ReLU) Params() []*tensor.Tensor { return nil }
 
 // Grads implements Layer (stateless).
 func (r *ReLU) Grads() []*tensor.Tensor { return nil }
-
-// Tanh applies tanh element-wise.
-type Tanh struct {
-	name     string
-	cacheOut *tensor.Tensor
-}
-
-// NewTanh constructs a tanh activation layer.
-func NewTanh(name string) *Tanh { return &Tanh{name: name} }
-
-var _ Layer = (*Tanh)(nil)
-
-// Name implements Layer.
-func (t *Tanh) Name() string { return t.name }
-
-// Forward implements Layer.
-func (t *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := x.Clone().Apply(math.Tanh)
-	if train {
-		t.cacheOut = y
-	}
-	return y
-}
-
-// Backward implements Layer.
-func (t *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if t.cacheOut == nil {
-		panic(fmt.Sprintf("nn: Tanh %q Backward without training Forward", t.name))
-	}
-	dx := grad.Clone()
-	od := t.cacheOut.Data()
-	for i := range dx.Data() {
-		dx.Data()[i] *= 1 - od[i]*od[i]
-	}
-	return dx
-}
-
-// Params implements Layer (stateless).
-func (t *Tanh) Params() []*tensor.Tensor { return nil }
-
-// Grads implements Layer (stateless).
-func (t *Tanh) Grads() []*tensor.Tensor { return nil }
 
 // Flatten is an identity layer kept for architectural readability when
 // porting conv→dense transitions (all batch rows are already flat).

@@ -47,9 +47,6 @@ var _ Layer = (*Conv2D)(nil)
 // Name implements Layer.
 func (c *Conv2D) Name() string { return c.name }
 
-// Geom returns the convolution geometry.
-func (c *Conv2D) Geom() tensor.ConvGeom { return c.geom }
-
 // InDim returns the flat input width (inC*inH*inW).
 func (c *Conv2D) InDim() int { return c.geom.InC * c.geom.InH * c.geom.InW }
 

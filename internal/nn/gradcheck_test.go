@@ -89,16 +89,6 @@ func TestGradCheckDenseReLU(t *testing.T) {
 	checkGrads(t, net, x, []int{1, 0, 2})
 }
 
-func TestGradCheckDenseTanh(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	net := NewNetwork(
-		NewDense("fc1", 4, 6, rng), NewTanh("tanh1"),
-		NewDense("fc2", 6, 2, rng),
-	)
-	x := tensor.New(3, 4).RandN(rng, 0, 1)
-	checkGrads(t, net, x, []int{0, 1, 1})
-}
-
 func TestGradCheckConv(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	geom := tensor.ConvGeom{InC: 2, InH: 5, InW: 5, KH: 3, KW: 3, Stride: 1, Pad: 1}

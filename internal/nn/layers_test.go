@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -34,27 +33,11 @@ func TestReLUBackwardMasks(t *testing.T) {
 	}
 }
 
-func TestTanhForwardValues(t *testing.T) {
-	th := NewTanh("t")
-	x := tensor.MustFromSlice([]float64{0, 1, -1}, 1, 3)
-	y := th.Forward(x, false)
-	if math.Abs(y.At(0, 0)) > 1e-15 {
-		t.Fatalf("tanh(0) = %g", y.At(0, 0))
-	}
-	if math.Abs(y.At(0, 1)-math.Tanh(1)) > 1e-15 {
-		t.Fatalf("tanh(1) = %g", y.At(0, 1))
-	}
-	if math.Abs(y.At(0, 2)+y.At(0, 1)) > 1e-15 {
-		t.Fatal("tanh not odd")
-	}
-}
-
 func TestBackwardWithoutForwardPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	grad := tensor.New(1, 4)
 	layers := map[string]Layer{
 		"relu":  NewReLU("r"),
-		"tanh":  NewTanh("t"),
 		"dense": NewDense("d", 4, 4, rng),
 		"pool":  NewMaxPool2D("p", 1, 2, 2, 2),
 		"conv":  NewConv2D("c", tensor.ConvGeom{InC: 1, InH: 2, InW: 2, KH: 1, KW: 1, Stride: 1}, 1, rng),
@@ -211,8 +194,8 @@ func TestConvDims(t *testing.T) {
 	if c.OutDim() != 5*8*8 {
 		t.Fatalf("OutDim = %d", c.OutDim())
 	}
-	if c.Geom() != geom {
-		t.Fatalf("Geom = %+v", c.Geom())
+	if c.geom != geom {
+		t.Fatalf("geom = %+v", c.geom)
 	}
 	l := NewLocallyConnected2D("l", geom, 2, rng)
 	if l.InDim() != 3*8*8 || l.OutDim() != 2*8*8 {

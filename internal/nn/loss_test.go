@@ -15,7 +15,7 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		sum := 0.0
 		for j := 0; j < 7; j++ {
-			p := probs.At(i, j)
+			p := probs.Data()[i*7+j]
 			if p < 0 || p > 1 {
 				t.Fatalf("prob out of range: %g", p)
 			}
@@ -35,7 +35,7 @@ func TestSoftmaxNumericalStability(t *testing.T) {
 			t.Fatalf("softmax overflowed: %v", probs)
 		}
 	}
-	if probs.At(0, 0) <= probs.At(0, 2) {
+	if probs.Data()[0] <= probs.Data()[2] {
 		t.Fatal("softmax lost ordering")
 	}
 }
@@ -84,7 +84,7 @@ func TestSoftmaxCrossEntropyGradientSignature(t *testing.T) {
 	grad := loss.Backward(probs, []int{2})
 	sum := 0.0
 	for j := 0; j < 4; j++ {
-		g := grad.At(0, j)
+		g := grad.Data()[j]
 		sum += g
 		if j == 2 && g >= 0 {
 			t.Fatalf("true-class gradient %g not negative", g)

@@ -124,9 +124,6 @@ func SlabLayoutFromWire(data []byte) (*SlabLayout, error) {
 // Stride returns the scalars per update (the row length).
 func (l *SlabLayout) Stride() int { return l.stride }
 
-// WireSize returns the exact encoded size of one update.
-func (l *SlabLayout) WireSize() int { return l.wireSize }
-
 // Skeleton returns the layout's zero-payload wire image. Two layouts
 // describe the same model structure iff their skeletons are equal, which
 // is how the slab pool matches recycled chunks to mixers. Callers must

@@ -92,7 +92,7 @@ func TestClippedNoisyTransformClips(t *testing.T) {
 	// An update far from the reference must come back within ClipNorm
 	// (plus noise, which we disable to isolate clipping).
 	far := ref.Clone()
-	far.Layers[0].Tensors[0].AddScalar(100)
+	far.Layers[0].Tensors[0].Apply(func(v float64) float64 { return v + 100 })
 	out, err := ClippedNoisyTransform{Reference: ref, ClipNorm: 1, Sigma: 0}.Apply([]nn.ParamSet{far}, rng)
 	if err != nil {
 		t.Fatal(err)

@@ -76,8 +76,8 @@ func TestCascadeEndToEnd(t *testing.T) {
 	updates := make([]nn.ParamSet, clients)
 	for i := range updates {
 		u := initial.Clone()
-		u.Layers[0].Tensors[0].AddScalar(float64(i + 1))
-		u.Layers[len(u.Layers)-1].Tensors[0].AddScalar(-float64(i + 1))
+		u.Layers[0].Tensors[0].Apply(func(v float64) float64 { return v + float64(i+1) })
+		u.Layers[len(u.Layers)-1].Tensors[0].Apply(func(v float64) float64 { return v + -float64(i+1) })
 		updates[i] = u
 	}
 	var wg sync.WaitGroup

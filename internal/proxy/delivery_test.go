@@ -54,8 +54,8 @@ func perturbed(base nn.ParamSet, c int, offset float64) []nn.ParamSet {
 	updates := make([]nn.ParamSet, c)
 	for i := range updates {
 		u := base.Clone()
-		u.Layers[0].Tensors[0].AddScalar(offset + float64(i+1))
-		u.Layers[len(u.Layers)-1].Tensors[0].AddScalar(-(offset + float64(i+1)) / 2)
+		u.Layers[0].Tensors[0].Apply(func(v float64) float64 { return v + offset + float64(i+1) })
+		u.Layers[len(u.Layers)-1].Tensors[0].Apply(func(v float64) float64 { return v + -(offset+float64(i+1))/2 })
 		updates[i] = u
 	}
 	return updates

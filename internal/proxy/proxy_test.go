@@ -100,7 +100,7 @@ func TestEndToEndNetworkedRound(t *testing.T) {
 			t.Fatalf("initial round = %d, want 0", round)
 		}
 		u := model.Clone()
-		u.Layers[0].Tensors[0].AddScalar(float64(i + 1))
+		u.Layers[0].Tensors[0].Apply(func(v float64) float64 { return v + float64(i+1) })
 		updates[i] = u
 		if err := p.SendUpdate(ctx, u); err != nil {
 			t.Fatalf("participant %d send: %v", i, err)

@@ -306,7 +306,7 @@ func TestSealStateConcurrentWithIngress(t *testing.T) {
 	updates := make([]nn.ParamSet, clients)
 	for i := range updates {
 		u := base.Clone()
-		u.Layers[0].Tensors[0].AddScalar(float64(i + 1))
+		u.Layers[0].Tensors[0].Apply(func(v float64) float64 { return v + float64(i+1) })
 		updates[i] = u
 	}
 

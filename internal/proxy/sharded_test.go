@@ -89,7 +89,7 @@ func TestShardedProxyRoundClosure(t *testing.T) {
 			t.Fatal(err)
 		}
 		u := model.Clone()
-		u.Layers[0].Tensors[0].AddScalar(float64(i + 1))
+		u.Layers[0].Tensors[0].Apply(func(v float64) float64 { return v + float64(i+1) })
 		updates[i] = u
 		if err := p.SendUpdate(ctx, u); err != nil {
 			t.Fatalf("participant %d send: %v", i, err)
@@ -232,7 +232,7 @@ func TestShardedProxyConcurrentRequests(t *testing.T) {
 	updates := make([]nn.ParamSet, clients)
 	for i := range updates {
 		u := base.Clone()
-		u.Layers[0].Tensors[0].AddScalar(float64(i + 1))
+		u.Layers[0].Tensors[0].Apply(func(v float64) float64 { return v + float64(i+1) })
 		updates[i] = u
 	}
 

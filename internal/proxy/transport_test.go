@@ -161,7 +161,7 @@ func TestTransportLoopbackEquivalence(t *testing.T) {
 	updates := make([]nn.ParamSet, clients)
 	for i := range updates {
 		u := initial.Clone()
-		u.Layers[0].Tensors[0].AddScalar(float64(i + 1))
+		u.Layers[0].Tensors[0].Apply(func(v float64) float64 { return v + float64(i+1) })
 		updates[i] = u
 	}
 	want, err := nn.Average(updates)
@@ -251,7 +251,7 @@ func TestParticipantFailoverExactlyOnce(t *testing.T) {
 	parts := make([]*client.Participant, clients)
 	for i := range parts {
 		u := initial.Clone()
-		u.Layers[0].Tensors[0].AddScalar(float64(i + 1))
+		u.Layers[0].Tensors[0].Apply(func(v float64) float64 { return v + float64(i+1) })
 		updates[i] = u
 		var err error
 		parts[i], err = client.New(client.Config{
@@ -627,7 +627,7 @@ func TestSyncPeersDirective(t *testing.T) {
 	updates := make([]nn.ParamSet, clients)
 	for i := range updates {
 		u := initial.Clone()
-		u.Layers[0].Tensors[0].AddScalar(float64(i + 1))
+		u.Layers[0].Tensors[0].Apply(func(v float64) float64 { return v + float64(i+1) })
 		updates[i] = u
 		part, err := client.New(client.Config{
 			Proxies: []string{"loop://front"}, Server: "loop://agg", Transport: lb,

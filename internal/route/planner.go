@@ -36,13 +36,6 @@ func NewPlanner(initial *Topology) *Planner {
 	return &Planner{cur: initial}
 }
 
-// Current returns the topology of the epoch being ingested.
-func (p *Planner) Current() *Topology {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.cur
-}
-
 // Staged returns the topology staged for the next epoch, nil if none.
 func (p *Planner) Staged() *Topology {
 	p.mu.Lock()

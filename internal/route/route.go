@@ -300,13 +300,6 @@ func (t *Topology) Specs() []ShardSpec {
 // Quota returns shard s's per-round update quota.
 func (t *Topology) Quota(s int) int { return t.quotas[s] }
 
-// Quotas returns a copy of the per-shard quotas (summing to RoundSize).
-func (t *Topology) Quotas() []int {
-	out := make([]int, len(t.quotas))
-	copy(out, t.quotas)
-	return out
-}
-
 // IsRemote reports whether shard s is a remote placement.
 func (t *Topology) IsRemote(s int) bool { return t.specs[s].Addr != "" }
 

@@ -34,7 +34,7 @@ func TestQuotasApportionWeights(t *testing.T) {
 			specs[i].Weight = w
 		}
 		topo := mustNew(t, 1, ModeHashQuota, tc.roundSize, specs)
-		got := topo.Quotas()
+		got := topo.quotas
 		sum := 0
 		for i, q := range got {
 			sum += q
@@ -84,7 +84,7 @@ func TestHashQuotaRespectsQuotas(t *testing.T) {
 	}
 	for s, load := range st.Load {
 		if load != topo.Quota(s) {
-			t.Fatalf("after a full round, load = %v, want quotas %v", st.Load, topo.Quotas())
+			t.Fatalf("after a full round, load = %v, want quotas %v", st.Load, topo.quotas)
 		}
 	}
 }
@@ -220,7 +220,7 @@ func TestPlannerStageAdvance(t *testing.T) {
 	if next.RoundSize() != 8 {
 		t.Fatalf("round size not kept: %d", next.RoundSize())
 	}
-	if cur := p.Current(); !cur.Equal(initial) {
+	if cur := p.cur; !cur.Equal(initial) {
 		t.Fatal("stage mutated the current topology")
 	}
 	if got := p.Advance(); !got.Equal(next) {

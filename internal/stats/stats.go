@@ -1,10 +1,9 @@
 // Package stats provides the small statistics toolkit the experiments
-// need: moments, CDFs, percentiles and simple text rendering of series.
+// need: the mean, CDFs, percentiles and simple text rendering of series.
 package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
@@ -19,21 +18,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Std returns the population standard deviation (0 for fewer than two
-// values).
-func Std(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }
 
 // MinMax returns the extrema (0,0 for an empty slice).
@@ -92,20 +76,6 @@ func CDF(xs []float64) []Point {
 		out[i] = Point{X: v, Y: float64(i+1) / float64(len(sorted))}
 	}
 	return out
-}
-
-// CDFAt evaluates the empirical CDF of xs at x.
-func CDFAt(xs []float64, x float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range xs {
-		if v <= x {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
 }
 
 // Series is a named curve, used by the experiment tables.

@@ -9,22 +9,19 @@ import (
 
 func TestMeanStd(t *testing.T) {
 	tests := []struct {
-		name     string
-		xs       []float64
-		mean, sd float64
+		name string
+		xs   []float64
+		mean float64
 	}{
-		{"empty", nil, 0, 0},
-		{"single", []float64{5}, 5, 0},
-		{"simple", []float64{1, 2, 3, 4}, 2.5, math.Sqrt(1.25)},
-		{"constant", []float64{7, 7, 7}, 7, 0},
+		{"empty", nil, 0},
+		{"single", []float64{5}, 5},
+		{"simple", []float64{1, 2, 3, 4}, 2.5},
+		{"constant", []float64{7, 7, 7}, 7},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			if got := Mean(tt.xs); math.Abs(got-tt.mean) > 1e-12 {
 				t.Fatalf("Mean = %g, want %g", got, tt.mean)
-			}
-			if got := Std(tt.xs); math.Abs(got-tt.sd) > 1e-12 {
-				t.Fatalf("Std = %g, want %g", got, tt.sd)
 			}
 		})
 	}
@@ -78,22 +75,6 @@ func TestCDF(t *testing.T) {
 	}
 }
 
-func TestCDFAt(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if got := CDFAt(xs, 2.5); got != 0.5 {
-		t.Fatalf("CDFAt(2.5) = %g, want 0.5", got)
-	}
-	if got := CDFAt(xs, 0); got != 0 {
-		t.Fatalf("CDFAt(0) = %g, want 0", got)
-	}
-	if got := CDFAt(xs, 10); got != 1 {
-		t.Fatalf("CDFAt(10) = %g, want 1", got)
-	}
-	if got := CDFAt(nil, 1); got != 0 {
-		t.Fatalf("CDFAt(nil) = %g", got)
-	}
-}
-
 func TestFormatSeriesTable(t *testing.T) {
 	s := []Series{
 		{Name: "fl", X: []float64{1, 2}, Y: []float64{0.5, 0.6}},
@@ -141,7 +122,7 @@ func TestQuickCDFBounds(t *testing.T) {
 			}
 		}
 		min, max := MinMax(xs)
-		if CDFAt(xs, max) != 1 {
+		if pts := CDF(xs); pts[len(pts)-1].X != max || pts[len(pts)-1].Y != 1 {
 			return false
 		}
 		for _, p := range []float64{0, 25, 50, 75, 100} {

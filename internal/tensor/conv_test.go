@@ -76,7 +76,7 @@ func TestIm2ColPaddingZeros(t *testing.T) {
 	// Corner output (0,0): kernel centre at (0,0); 5 of 9 taps fall outside.
 	col0Sum := 0.0
 	for r := 0; r < 9; r++ {
-		col0Sum += cols.At(r, 0)
+		col0Sum += cols.data[r*cols.shape[1]]
 	}
 	if col0Sum != 4 { // all four image pixels visible, rest zero-padded
 		t.Fatalf("padded corner column sum = %g, want 4", col0Sum)

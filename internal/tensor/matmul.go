@@ -95,18 +95,3 @@ func check2D(a, b *Tensor, transA, transB bool) (int, int, int) {
 	}
 	return am, ak, bn
 }
-
-// Transpose2D returns a new tensor that is the transpose of the 2-D tensor t.
-func Transpose2D(t *Tensor) *Tensor {
-	if len(t.shape) != 2 {
-		panic(fmt.Sprintf("tensor: Transpose2D requires rank 2, got %v", t.shape))
-	}
-	r, c := t.shape[0], t.shape[1]
-	out := New(c, r)
-	for i := 0; i < r; i++ {
-		for j := 0; j < c; j++ {
-			out.data[j*r+i] = t.data[i*c+j]
-		}
-	}
-	return out
-}

@@ -15,9 +15,21 @@ func naiveMatMul(a, b *Tensor) *Tensor {
 		for j := 0; j < n; j++ {
 			s := 0.0
 			for p := 0; p < k; p++ {
-				s += a.At(i, p) * b.At(p, j)
+				s += a.data[i*k+p] * b.data[p*n+j]
 			}
 			out.Set(s, i, j)
+		}
+	}
+	return out
+}
+
+// transposed is the reference transpose of a 2-D tensor.
+func transposed(t *Tensor) *Tensor {
+	r, c := t.Dim(0), t.Dim(1)
+	out := New(c, r)
+	for i := 0; i < r; i++ {
+		for j := 0; j < c; j++ {
+			out.data[j*r+i] = t.data[i*c+j]
 		}
 	}
 	return out
@@ -65,7 +77,7 @@ func TestMatMulTAMatchesTranspose(t *testing.T) {
 	a := New(6, 4).RandN(rng, 0, 1) // logical aᵀ is 4x6
 	b := New(6, 5).RandN(rng, 0, 1)
 	got := MatMulTA(a, b)
-	want := MatMul(Transpose2D(a), b)
+	want := MatMul(transposed(a), b)
 	if !ApproxEqual(got, want, 1e-9) {
 		t.Fatal("MatMulTA != Transpose(a)·b")
 	}
@@ -76,7 +88,7 @@ func TestMatMulTBMatchesTranspose(t *testing.T) {
 	a := New(3, 4).RandN(rng, 0, 1)
 	b := New(5, 4).RandN(rng, 0, 1) // logical bᵀ is 4x5
 	got := MatMulTB(a, b)
-	want := MatMul(a, Transpose2D(b))
+	want := MatMul(a, transposed(b))
 	if !ApproxEqual(got, want, 1e-9) {
 		t.Fatal("MatMulTB != a·Transpose(b)")
 	}
@@ -91,7 +103,6 @@ func TestMatMulPanics(t *testing.T) {
 		{"rank", func() { MatMul(New(2, 3, 1), New(3, 2)) }},
 		{"TA mismatch", func() { MatMulTA(New(2, 3), New(3, 2)) }},
 		{"TB mismatch", func() { MatMulTB(New(2, 3), New(2, 4)) }},
-		{"transpose rank", func() { Transpose2D(New(2)) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -105,18 +116,6 @@ func TestMatMulPanics(t *testing.T) {
 	}
 }
 
-func TestTranspose2D(t *testing.T) {
-	a := MustFromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	got := Transpose2D(a)
-	want := MustFromSlice([]float64{1, 4, 2, 5, 3, 6}, 3, 2)
-	if !Equal(got, want) {
-		t.Fatalf("Transpose2D = %v, want %v", got, want)
-	}
-	if !Equal(Transpose2D(got), a) {
-		t.Fatal("double transpose is not identity")
-	}
-}
-
 // Property: (A·B)ᵀ == Bᵀ·Aᵀ for random small matrices.
 func TestQuickMatMulTransposeIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -124,8 +123,8 @@ func TestQuickMatMulTransposeIdentity(t *testing.T) {
 		m, k, n := int(m8%6)+1, int(k8%6)+1, int(n8%6)+1
 		a := New(m, k).RandN(rng, 0, 1)
 		b := New(k, n).RandN(rng, 0, 1)
-		lhs := Transpose2D(MatMul(a, b))
-		rhs := MatMul(Transpose2D(b), Transpose2D(a))
+		lhs := transposed(MatMul(a, b))
+		rhs := MatMul(transposed(b), transposed(a))
 		return ApproxEqual(lhs, rhs, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -11,7 +11,7 @@
 //     convention as gonum). Anything that parses untrusted input (the wire
 //     codec) returns errors instead.
 //   - Methods that mutate the receiver return the receiver to allow
-//     chaining; methods named with a -d suffix (e.g. Added) allocate.
+//     chaining.
 package tensor
 
 import (
@@ -122,16 +122,6 @@ func (t *Tensor) Clone() *Tensor {
 	}
 }
 
-// Reshape returns a view sharing storage with t but with a new shape.
-// The element counts must match.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := checkShape(shape)
-	if n != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)", t.shape, len(t.data), shape, n))
-	}
-	return &Tensor{shape: append([]int(nil), shape...), data: t.data}
-}
-
 // index converts a multi-dimensional index to a flat offset.
 func (t *Tensor) index(idx []int) int {
 	if len(idx) != len(t.shape) {
@@ -146,9 +136,6 @@ func (t *Tensor) index(idx []int) int {
 	}
 	return off
 }
-
-// At returns the element at the given multi-dimensional index.
-func (t *Tensor) At(idx ...int) float64 { return t.data[t.index(idx)] }
 
 // Set assigns the element at the given multi-dimensional index.
 func (t *Tensor) Set(v float64, idx ...int) { t.data[t.index(idx)] = v }
@@ -180,14 +167,6 @@ func (t *Tensor) Zero() *Tensor {
 	return t
 }
 
-// Fill sets every element to v and returns t.
-func (t *Tensor) Fill(v float64) *Tensor {
-	for i := range t.data {
-		t.data[i] = v
-	}
-	return t
-}
-
 // Add adds o element-wise into t and returns t.
 func (t *Tensor) Add(o *Tensor) *Tensor {
 	t.mustSameSize(o, "Add")
@@ -206,27 +185,10 @@ func (t *Tensor) Sub(o *Tensor) *Tensor {
 	return t
 }
 
-// Mul multiplies t by o element-wise and returns t.
-func (t *Tensor) Mul(o *Tensor) *Tensor {
-	t.mustSameSize(o, "Mul")
-	for i, v := range o.data {
-		t.data[i] *= v
-	}
-	return t
-}
-
 // Scale multiplies every element by alpha and returns t.
 func (t *Tensor) Scale(alpha float64) *Tensor {
 	for i := range t.data {
 		t.data[i] *= alpha
-	}
-	return t
-}
-
-// AddScalar adds alpha to every element and returns t.
-func (t *Tensor) AddScalar(alpha float64) *Tensor {
-	for i := range t.data {
-		t.data[i] += alpha
 	}
 	return t
 }
@@ -247,15 +209,6 @@ func (t *Tensor) Apply(f func(float64) float64) *Tensor {
 	}
 	return t
 }
-
-// Added returns a new tensor t+o.
-func (t *Tensor) Added(o *Tensor) *Tensor { return t.Clone().Add(o) }
-
-// Subbed returns a new tensor t-o.
-func (t *Tensor) Subbed(o *Tensor) *Tensor { return t.Clone().Sub(o) }
-
-// Scaled returns a new tensor alpha*t.
-func (t *Tensor) Scaled(alpha float64) *Tensor { return t.Clone().Scale(alpha) }
 
 // Sum returns the sum of all elements.
 func (t *Tensor) Sum() float64 {
@@ -289,17 +242,6 @@ func (t *Tensor) Min() float64 {
 		}
 	}
 	return m
-}
-
-// ArgMax returns the flat index of the first maximum element.
-func (t *Tensor) ArgMax() int {
-	best, bestV := 0, math.Inf(-1)
-	for i, v := range t.data {
-		if v > bestV {
-			best, bestV = i, v
-		}
-	}
-	return best
 }
 
 // ArgMaxRows treats t as a 2-D [rows, cols] tensor and returns, for each

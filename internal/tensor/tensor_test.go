@@ -49,8 +49,8 @@ func TestFromSlice(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FromSlice: %v", err)
 	}
-	if x.At(1, 2) != 6 {
-		t.Fatalf("At(1,2) = %g, want 6", x.At(1, 2))
+	if x.data[1*3+2] != 6 {
+		t.Fatalf("element (1,2) = %g, want 6", x.data[1*3+2])
 	}
 	if _, err := FromSlice(d, 2, 2); err == nil {
 		t.Fatal("FromSlice with wrong shape did not error")
@@ -60,9 +60,6 @@ func TestFromSlice(t *testing.T) {
 func TestAtSetRoundTrip(t *testing.T) {
 	x := New(3, 4)
 	x.Set(7.5, 2, 1)
-	if got := x.At(2, 1); got != 7.5 {
-		t.Fatalf("At(2,1) = %g, want 7.5", got)
-	}
 	if got := x.Data()[2*4+1]; got != 7.5 {
 		t.Fatalf("flat layout wrong: %g", got)
 	}
@@ -72,10 +69,10 @@ func TestAtPanicsOutOfRange(t *testing.T) {
 	x := New(2, 2)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("out-of-range At did not panic")
+			t.Fatal("out-of-range Set did not panic")
 		}
 	}()
-	x.At(2, 0)
+	x.Set(1, 2, 0)
 }
 
 func TestCloneIsDeep(t *testing.T) {
@@ -87,21 +84,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestReshapeSharesStorage(t *testing.T) {
-	x := MustFromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	y := x.Reshape(4)
-	y.Data()[3] = 42
-	if x.At(1, 1) != 42 {
-		t.Fatal("Reshape does not share storage")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad Reshape did not panic")
-		}
-	}()
-	x.Reshape(3)
-}
-
 func TestElementwiseOps(t *testing.T) {
 	a := MustFromSlice([]float64{1, 2, 3}, 3)
 	b := MustFromSlice([]float64{10, 20, 30}, 3)
@@ -111,12 +93,7 @@ func TestElementwiseOps(t *testing.T) {
 		got  *Tensor
 		want []float64
 	}{
-		{"Added", a.Added(b), []float64{11, 22, 33}},
-		{"Subbed", b.Subbed(a), []float64{9, 18, 27}},
-		{"Scaled", a.Scaled(2), []float64{2, 4, 6}},
-		{"Mul", a.Clone().Mul(b), []float64{10, 40, 90}},
 		{"AddScaled", a.Clone().AddScaled(b, 0.1), []float64{2, 4, 6}},
-		{"AddScalar", a.Clone().AddScalar(1), []float64{2, 3, 4}},
 		{"Apply", a.Clone().Apply(func(x float64) float64 { return -x }), []float64{-1, -2, -3}},
 	}
 	for _, tt := range tests {
@@ -134,7 +111,6 @@ func TestOpsPanicOnSizeMismatch(t *testing.T) {
 	ops := map[string]func(){
 		"Add":               func() { a.Clone().Add(b) },
 		"Sub":               func() { a.Clone().Sub(b) },
-		"Mul":               func() { a.Clone().Mul(b) },
 		"AddScaled":         func() { a.Clone().AddScaled(b, 1) },
 		"Dot":               func() { Dot(a, b) },
 		"EuclideanDistance": func() { EuclideanDistance(a, b) },
@@ -164,9 +140,6 @@ func TestReductions(t *testing.T) {
 	}
 	if got := x.Min(); got != -5 {
 		t.Fatalf("Min = %g, want -5", got)
-	}
-	if got := x.ArgMax(); got != 5 {
-		t.Fatalf("ArgMax = %d, want 5", got)
 	}
 }
 
@@ -264,7 +237,7 @@ func TestQuickAddCommutative(t *testing.T) {
 		}
 		a := MustFromSlice(append([]float64(nil), vals...), len(vals))
 		b := New(len(vals)).RandN(rand.New(rand.NewSource(42)), 0, 1)
-		return ApproxEqual(a.Added(b), b.Added(a), 1e-12)
+		return ApproxEqual(a.Clone().Add(b), b.Clone().Add(a), 1e-12)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -283,7 +256,7 @@ func TestQuickScaleInverse(t *testing.T) {
 			}
 		}
 		a := MustFromSlice(append([]float64(nil), vals...), len(vals))
-		got := a.Scaled(alpha).Scale(1 / alpha)
+		got := a.Clone().Scale(alpha).Scale(1 / alpha)
 		return ApproxEqual(a, got, 1e-6*a.Norm()+1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -1,71 +1,112 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"context"
-	"io"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"sync/atomic"
+	"strconv"
 	"testing"
 	"unicode/utf8"
 
 	"mixnn/internal/wire"
 )
 
-// reframe is an http.RoundTripper that changes how a POST body is framed
-// before the handler sees it: declare maps the body's true length to
-// the length the request claims (negative = undeclared, sent chunked).
-// With next set the request crosses a real connection; without, it is
-// handed to h directly — the only way to deliver a declaration the body
-// does not honour, which net/http's client refuses to put on a wire.
-type reframe struct {
-	next    http.RoundTripper
-	h       http.Handler
-	declare func(n int64) int64
+// wireRequests builds, from the header vocabulary of package wire, the
+// three POSTs a sender of these typed requests puts on the wire: the
+// reference the transport's own encoding is held to.
+func wireRequests(t *testing.T, ep string, up UpdateRequest, hop HopRequest, b BatchRequest) [3]*http.Request {
+	t.Helper()
+	post := func(path, contentType string, body []byte, hdr ...string) *http.Request {
+		req, err := http.NewRequest(http.MethodPost, ep+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", contentType)
+		req.Header.Set(wire.HeaderProto, strconv.Itoa(wire.ProtoV1))
+		for i := 0; i < len(hdr); i += 2 {
+			req.Header.Set(hdr[i], hdr[i+1])
+		}
+		return req
+	}
+	hopHdr := func(depth int, secret string) []string {
+		h := []string{wire.HeaderHop, strconv.Itoa(depth)}
+		if secret != "" {
+			h = append(h, "Authorization", "Bearer "+secret)
+		}
+		return h
+	}
+	var upHdr, bHdr []string
+	if up.ClientID != "" {
+		upHdr = []string{wire.HeaderClient, up.ClientID}
+	}
+	if b.Hop > 0 {
+		bHdr = hopHdr(b.Hop, b.Secret)
+	}
+	if b.ID != "" {
+		bHdr = append(bHdr, wire.HeaderBatch, b.ID)
+	}
+	if b.HasSeq && b.Sender != "" {
+		bHdr = append(bHdr, wire.HeaderSender, b.Sender, wire.HeaderBatchSeq, strconv.FormatUint(b.Seq, 10))
+	}
+	return [3]*http.Request{
+		post("/v1/update", wire.ContentTypeUpdate, up.Body, upHdr...),
+		post("/v1/hop", wire.ContentTypeUpdate, hop.Body, hopHdr(hop.Hop, hop.Secret)...),
+		post("/v1/batch", wire.ContentTypeBatch, b.Body, bHdr...),
+	}
 }
 
-// RoundTrip closes the request body it was handed once the round trip is
-// over, as the RoundTripper contract requires: the body it passes on is
-// a wrapper whose close never reaches the original.
-func (f reframe) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.Method == http.MethodPost {
-		orig := req.Body
-		req = req.Clone(req.Context())
-		req.ContentLength = f.declare(req.ContentLength)
-		if orig != nil && orig != http.NoBody {
-			req.Body = io.NopCloser(orig) // hide the length from net/http
-			defer orig.Close()
+// serveFramed writes req's head and body as raw HTTP/1.1 bytes, the body
+// framed by the Content-Length declared (negative: chunked), reads them
+// back as net/http's server does, and serves the request on h. It
+// returns the response status and the Content-Length h saw. A
+// declaration the body does not honour goes out as written, which no
+// client of net/http would put on a wire.
+func serveFramed(t *testing.T, h http.Handler, req *http.Request, body []byte, declared int64) (int, int64) {
+	t.Helper()
+	var raw bytes.Buffer
+	fmt.Fprintf(&raw, "%s %s HTTP/1.1\r\nHost: %s\r\n", req.Method, req.URL.RequestURI(), req.URL.Host)
+	req.Header.Write(&raw)
+	if declared < 0 {
+		raw.WriteString("Transfer-Encoding: chunked\r\n\r\n")
+		if len(body) > 0 {
+			fmt.Fprintf(&raw, "%x\r\n%s\r\n", len(body), body)
 		}
+		raw.WriteString("0\r\n\r\n")
+	} else {
+		fmt.Fprintf(&raw, "Content-Length: %d\r\n\r\n%s", declared, body)
 	}
-	if f.next != nil {
-		return f.next.RoundTrip(req)
+	r, err := http.ReadRequest(bufio.NewReader(&raw))
+	if err != nil {
+		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()
-	f.h.ServeHTTP(rec, req)
-	return rec.Result(), nil
+	h.ServeHTTP(rec, r)
+	return rec.Code, r.ContentLength
 }
 
 // FuzzEnvelopeRoundtrip checks that typed request envelopes survive the
-// HTTP wire form losslessly, whichever way they are sent: whatever a typed sender puts into an
-// UpdateRequest / HopRequest / BatchRequest arrives bit-identical in
-// the typed handler on the far side — bodies, ids, sender identity,
-// sequence numbers, hop depth and secrets. This is the encode/decode
-// contract bit-compatibility with pre-transport binaries rests on: the
-// HTTP client and the HTTP adapter are exact inverses over the header
-// vocabulary of package wire.
+// HTTP wire form losslessly, however the body is framed: whatever a
+// typed sender puts into an UpdateRequest / HopRequest / BatchRequest
+// arrives bit-identical in the typed handler on the far side — bodies,
+// ids, sender identity, sequence numbers, hop depth and secrets. This is
+// the encode/decode contract bit-compatibility with pre-transport
+// binaries rests on: the HTTP client and the HTTP adapter are exact
+// inverses over the header vocabulary of package wire.
 //
-// Every request goes out over the transport's own connection pool and
-// through net/http's client, which must refuse the same header values
-// and deliver the same requests. Every request is delivered under each
-// body framing a peer can use: an exact Content-Length (this sender)
-// and chunked (old or foreign senders) must hand the Server the
-// identical typed request; a
-// Content-Length the body falls short of, or one above the body bound,
-// must draw a 400 and hand the Server nothing. Released bodies are
-// poisoned throughout, so a request read out of a recycled buffer would
-// show.
+// The transport sends every request over its own connection pool, and
+// net/http's client sends the same requests built from the wire
+// vocabulary (wireRequests): both must refuse the same header values
+// and deliver the same typed requests. The raw framings are served
+// straight to the handler: an exact Content-Length (this sender) and
+// chunked (old or foreign senders) must hand the Server the identical
+// typed request; a Content-Length the body falls short of, or one above
+// the body bound, must draw a 400 and hand the Server nothing. Released
+// bodies are poisoned throughout, so a request read out of a recycled
+// buffer would show.
 func FuzzEnvelopeRoundtrip(f *testing.F) {
 	f.Add([]byte("update"), "client-1", "batch-id", "sender-a", uint64(3), uint8(2), "secret", true)
 	f.Add([]byte{}, "", "", "", uint64(0), uint8(0), "", false)
@@ -74,39 +115,42 @@ func FuzzEnvelopeRoundtrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte, clientID, batchID, sender string, seq uint64, hop uint8, secret string, hasSeq bool) {
 		srv := &fakeServer{receipt: Receipt{Shard: -1}}
 		h := NewPoisoningHandler(srv)
-		var declared atomic.Int64 // Content-Length of the last request, as the server parsed it
-		hsrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			declared.Store(r.ContentLength)
-			h.ServeHTTP(w, r)
-		}))
+		hsrv := httptest.NewServer(h)
 		defer hsrv.Close()
 		ctx := context.Background()
 		upReq := UpdateRequest{Body: body, ClientID: clientID}
 		hopReq := HopRequest{Body: body, Hop: int(hop), Secret: secret}
 		bReq := BatchRequest{Body: body, Hop: int(hop), Secret: secret, ID: batchID, Sender: sender, Seq: seq, HasSeq: hasSeq}
+		verbs := [3]string{"update", "hop", "batch"}
+		reset := func() { srv.lastUpdate, srv.lastHop, srv.lastBatch = nil, nil, nil }
 
-		// deliver sends the three requests through one framing and
-		// returns what the Server was handed.
-		deliver := func(rt http.RoundTripper) (*UpdateRequest, *HopRequest, *BatchRequest, [3]error) {
-			srv.lastUpdate, srv.lastHop, srv.lastBatch = nil, nil, nil
-			tr := NewHTTP(&http.Client{Transport: rt})
-			var errs [3]error
-			_, errs[0] = tr.SendUpdate(ctx, hsrv.URL, upReq)
-			_, errs[1] = tr.Hop(ctx, hsrv.URL, hopReq)
-			_, errs[2] = tr.SendBatch(ctx, hsrv.URL, bReq)
-			return srv.lastUpdate, srv.lastHop, srv.lastBatch, errs
+		// The pool's connections (NewHTTP over a plain *http.Transport).
+		reset()
+		tr := NewHTTP(&http.Client{Transport: &http.Transport{}})
+		var perrs [3]error
+		_, perrs[0] = tr.SendUpdate(ctx, hsrv.URL, upReq)
+		_, perrs[1] = tr.Hop(ctx, hsrv.URL, hopReq)
+		_, perrs[2] = tr.SendBatch(ctx, hsrv.URL, bReq)
+		pu, ph, pb := srv.lastUpdate, srv.lastHop, srv.lastBatch
+
+		// net/http's client, sending the requests wireRequests built: it
+		// refuses the same header values before a byte is sent, and hands
+		// the Server the same typed requests for every value it accepts.
+		reset()
+		var errs [3]error
+		for i, req := range wireRequests(t, hsrv.URL, upReq, hopReq, bReq) {
+			resp, err := hsrv.Client().Do(req)
+			if err == nil {
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
+					err = fmt.Errorf("status %d", resp.StatusCode)
+				}
+			}
+			errs[i] = err
 		}
-		wire1 := hsrv.Client().Transport
-
-		// The pool's connections (NewHTTP over a plain *http.Transport)
-		// and net/http's client (the reframing arm) refuse the same
-		// header values before a byte is sent, and hand the Server the
-		// same typed requests for every value they accept.
-		exact := func(n int64) int64 { return n }
-		pu, ph, pb, perrs := deliver(&http.Transport{})
-		got, gh, gb, errs := deliver(reframe{next: wire1, declare: exact})
-		for i, verb := range [3]string{"update", "hop", "batch"} {
-			if (perrs[i] == nil) != (errs[i] == nil) || AsStatus(perrs[i]) != nil || AsStatus(errs[i]) != nil {
+		got, gh, gb := srv.lastUpdate, srv.lastHop, srv.lastBatch
+		for i, verb := range verbs {
+			if (perrs[i] == nil) != (errs[i] == nil) || AsStatus(perrs[i]) != nil {
 				t.Fatalf("%s: the pool answered %v, net/http's client %v", verb, perrs[i], errs[i])
 			}
 		}
@@ -125,7 +169,7 @@ func FuzzEnvelopeRoundtrip(f *testing.F) {
 		}
 		for i, err := range errs {
 			if err != nil {
-				t.Fatalf("%s: %v", [3]string{"update", "hop", "batch"}[i], err)
+				t.Fatalf("%s: %v", verbs[i], err)
 			}
 		}
 		if !bytes.Equal(got.Body, body) || got.ClientID != clientID {
@@ -155,35 +199,36 @@ func FuzzEnvelopeRoundtrip(f *testing.F) {
 			t.Fatalf("batch grew a sender watermark: %+v", *gb)
 		}
 
-		// Chunked: the same three typed requests, field for field.
-		chunked := func(int64) int64 { return -1 }
-		cu, ch, cb, errs := deliver(reframe{next: wire1, declare: chunked})
-		for _, err := range errs {
-			if err != nil {
-				t.Fatalf("chunked delivery: %v", err)
+		// Exact and chunked: the same three typed requests, field for
+		// field.
+		for _, declared := range []int64{int64(len(body)), -1} {
+			reset()
+			for i, req := range wireRequests(t, hsrv.URL, upReq, hopReq, bReq) {
+				code, seen := serveFramed(t, h, req, body, declared)
+				if code != http.StatusOK && code != http.StatusAccepted {
+					t.Fatalf("%s framed with Content-Length %d: status %d", verbs[i], declared, code)
+				}
+				if seen != declared {
+					t.Fatalf("%s framed with Content-Length %d arrived with %d", verbs[i], declared, seen)
+				}
 			}
-		}
-		if len(body) > 0 && declared.Load() != -1 {
-			t.Fatalf("the chunked arm arrived with Content-Length %d", declared.Load())
-		}
-		for _, pair := range [][2]any{{got, cu}, {gh, ch}, {gb, cb}} {
-			if !reflect.DeepEqual(pair[0], pair[1]) {
-				t.Fatalf("chunked delivery changed the typed request: exact %+v, chunked %+v", pair[0], pair[1])
+			for _, pair := range [][2]any{{got, srv.lastUpdate}, {gh, srv.lastHop}, {gb, srv.lastBatch}} {
+				if !reflect.DeepEqual(pair[0], pair[1]) {
+					t.Fatalf("framing with Content-Length %d changed the typed request: %+v, %+v", declared, pair[0], pair[1])
+				}
 			}
 		}
 
 		// A declaration the body does not honour: 400, Server untouched.
-		short := func(n int64) int64 { return n + 1 + int64(seq%5) }
-		long := func(int64) int64 { return wire.MaxBodyBytes + 1 }
-		for _, declare := range []func(int64) int64{short, long} {
-			lu, lh, lb, errs := deliver(reframe{h: h, declare: declare})
-			if lu != nil || lh != nil || lb != nil {
-				t.Fatalf("a body with a lying Content-Length reached the Server: %v %v %v", lu, lh, lb)
-			}
-			for _, err := range errs {
-				if se := AsStatus(err); se == nil || se.Code != http.StatusBadRequest {
-					t.Fatalf("lying Content-Length answered %v, want a 400", err)
+		for _, declared := range []int64{int64(len(body)) + 1 + int64(seq%5), wire.MaxBodyBytes + 1} {
+			reset()
+			for i, req := range wireRequests(t, hsrv.URL, upReq, hopReq, bReq) {
+				if code, _ := serveFramed(t, h, req, body, declared); code != http.StatusBadRequest {
+					t.Fatalf("%s with a lying Content-Length %d answered %d, want a 400", verbs[i], declared, code)
 				}
+			}
+			if srv.lastUpdate != nil || srv.lastHop != nil || srv.lastBatch != nil {
+				t.Fatalf("a body with a lying Content-Length reached the Server: %v %v %v", srv.lastUpdate, srv.lastHop, srv.lastBatch)
 			}
 		}
 		if n := LeasedBodies(h); n != 0 {

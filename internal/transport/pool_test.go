@@ -9,6 +9,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -329,22 +332,44 @@ func TestHTTPPoolKeepsNetHTTPBehaviour(t *testing.T) {
 				}
 			}()
 			ep := "http://" + ln.Addr().String()
-			for _, send := range []func(transport.Transport) error{
-				func(tr transport.Transport) error {
+			// request builds net/http's reference: the same POST, its
+			// headers spelled out from the wire vocabulary.
+			request := func(target, contentType string, body []byte, hdr ...string) *http.Request {
+				req, err := http.NewRequest(http.MethodPost, target, bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				req.Header.Set("Content-Type", contentType)
+				req.Header.Set(wire.HeaderProto, strconv.Itoa(wire.ProtoV1))
+				for i := 0; i < len(hdr); i += 2 {
+					req.Header.Set(hdr[i], hdr[i+1])
+				}
+				return req
+			}
+			for _, tc := range []struct {
+				send func(transport.Transport) error
+				ref  *http.Request
+			}{
+				{func(tr transport.Transport) error {
 					req := transport.BatchRequest{Body: []byte("batch"), Hop: 2, Secret: " s3 cret\t", ID: "b-1", Sender: "front", Seq: 9, HasSeq: true}
 					_, err := tr.SendBatch(context.Background(), ep, req)
 					return err
-				},
-				func(tr transport.Transport) error {
+				}, request(ep+"/v1/batch", wire.ContentTypeBatch, []byte("batch"),
+					wire.HeaderHop, "2", "Authorization", "Bearer  s3 cret\t", wire.HeaderBatch, "b-1",
+					wire.HeaderSender, "front", wire.HeaderBatchSeq, "9")},
+				{func(tr transport.Transport) error {
 					_, err := tr.SendUpdate(context.Background(), ep+"/", transport.UpdateRequest{ClientID: "p-1"})
 					return err
-				},
+				}, request(ep+"//v1/update", wire.ContentTypeUpdate, nil, wire.HeaderClient, "p-1")},
 			} {
-				for _, rt := range []http.RoundTripper{&http.Transport{}, roundTripper{&http.Transport{}}} {
-					if err := send(transport.NewHTTP(&http.Client{Transport: rt})); err != nil {
-						t.Fatal(err)
-					}
+				if err := tc.send(transport.NewHTTP(&http.Client{Transport: &http.Transport{}})); err != nil {
+					t.Fatal(err)
 				}
+				resp, err := (&http.Client{Transport: &http.Transport{}}).Do(tc.ref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
 				pooled, netHTTP := <-heads, <-heads
 				if !bytes.Equal(pooled, netHTTP) {
 					t.Fatalf("the pool wrote\n%q\nnet/http wrote\n%q", pooled, netHTTP)
@@ -356,9 +381,52 @@ func TestHTTPPoolKeepsNetHTTPBehaviour(t *testing.T) {
 	}
 }
 
-// roundTripper hides an *http.Transport behind the RoundTripper
-// interface, which sends through net/http's client.
-type roundTripper struct{ http.RoundTripper }
+// TestHTTPRefusesWhatThePoolCannotCarry: a data-plane send the pool
+// cannot carry fails with ErrNoPool before anything is sent — no
+// connection reaches the peer, or a proxy — and Unreached reports false
+// for it.
+func TestHTTPRefusesWhatThePoolCannotCarry(t *testing.T) {
+	var d net.Dialer
+	for _, tc := range []struct {
+		name   string
+		rt     func(peer string) http.RoundTripper
+		scheme string
+	}{
+		{"a RoundTripper that is not an *http.Transport", func(string) http.RoundTripper { return hiddenTransport{&http.Transport{}} }, "http"},
+		{"DisableKeepAlives", func(string) http.RoundTripper { return &http.Transport{DisableKeepAlives: true} }, "http"},
+		{"an https endpoint", func(string) http.RoundTripper { return &http.Transport{} }, "https"},
+		{"an endpoint the Proxy routes through a proxy", func(peer string) http.RoundTripper {
+			return &http.Transport{Proxy: func(*http.Request) (*url.URL, error) { return url.Parse(peer) }}
+		}, "http"},
+		{"only the deprecated Dial", func(string) http.RoundTripper { return &http.Transport{Dial: d.Dial} }, "http"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			peer := newRawPeer(t, "HTTP/1.1 202 Accepted\r\nContent-Length: 0\r\n\r\n")
+			ep := strings.Replace(peer.url, "http", tc.scheme, 1)
+			tr := transport.NewHTTP(&http.Client{Transport: tc.rt(peer.url)})
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second) // bounds a send that does go out
+			defer cancel()
+			_, errU := tr.SendUpdate(ctx, ep, transport.UpdateRequest{Body: []byte{1}})
+			_, errH := tr.Hop(ctx, ep, transport.HopRequest{Body: []byte{1}, Hop: 1})
+			_, errB := tr.SendBatch(ctx, ep, transport.BatchRequest{Body: []byte{1}, ID: "b"})
+			for verb, err := range map[string]error{"SendUpdate": errU, "Hop": errH, "SendBatch": errB} {
+				if !errors.Is(err, transport.ErrNoPool) {
+					t.Errorf("%s returned %v, want ErrNoPool", verb, err)
+				}
+				if transport.Unreached(err) {
+					t.Errorf("%s: Unreached reports true for %v", verb, err)
+				}
+			}
+			if n := peer.accepts.Load(); n != 0 {
+				t.Fatalf("the refused sends opened %d connections", n)
+			}
+		})
+	}
+}
+
+// hiddenTransport hides an *http.Transport behind the RoundTripper
+// interface.
+type hiddenTransport struct{ http.RoundTripper }
 
 // nopServer accepts every data-plane request.
 type nopServer struct{ transport.Server }
