@@ -10,9 +10,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mixnn/internal/wire"
 )
 
 // TestHTTPSendReturnsAfterBodyClosed pins the lease rule of the
@@ -71,6 +74,113 @@ func TestHTTPSendReturnsAfterBodyClosed(t *testing.T) {
 		}
 		if err := <-verdict; err != nil {
 			t.Fatalf("%s: %v", send.name, err)
+		}
+	}
+}
+
+// lateCloser is an http.RoundTripper over net/http's own transport that
+// reads and closes the request body it is handed about 20ms after
+// RoundTrip returned — late, as the RoundTripper contract allows — and
+// so does a GetBody copy it takes, as a retrying RoundTripper would. It
+// forges the header that makes the server answer before it reads the
+// body, so net/http may still be writing the body when the response is
+// back.
+type lateCloser struct {
+	next http.RoundTripper
+
+	mu   sync.Mutex
+	late [][]byte       // what each late reader read
+	wg   sync.WaitGroup // the late readers
+}
+
+func (l *lateCloser) RoundTrip(req *http.Request) (*http.Response, error) {
+	out := req.Clone(req.Context())
+	// Participants may not stamp a cascade depth, and the hop routes
+	// refuse one that does not parse: either way a 400 before the read.
+	if req.URL.Path == "/v1/update" {
+		out.Header.Set(wire.HeaderHop, "1")
+	} else {
+		out.Header.Set(wire.HeaderHop, "deep")
+	}
+	var held []io.ReadCloser
+	if req.Body != nil && req.Body != http.NoBody {
+		cp, err := req.GetBody()
+		if err != nil {
+			return nil, err
+		}
+		out.Body = http.NoBody
+		out.ContentLength = 0
+		held = append(held, req.Body, cp)
+	}
+	resp, err := l.next.RoundTrip(out)
+	l.wg.Add(1)
+	go func() {
+		defer l.wg.Done()
+		time.Sleep(20 * time.Millisecond)
+		for _, b := range held {
+			got, _ := io.ReadAll(b)
+			b.Close()
+			l.mu.Lock()
+			l.late = append(l.late, got)
+			l.mu.Unlock()
+		}
+	}()
+	return resp, err
+}
+
+// TestHTTPClientPathSendReturnsAfterBodyClosed pins the same rule on
+// the http.Client path: once a data-plane send returned, the
+// sender may overwrite its body, even where the RoundTripper reads the
+// body it was handed — the request's own and a GetBody copy — after
+// RoundTrip returned, and the server answered before reading it. Every
+// late reader still reads the bytes as sent.
+func TestHTTPClientPathSendReturnsAfterBodyClosed(t *testing.T) {
+	srv := httptest.NewServer(NewHandler(&fakeServer{receipt: Receipt{Shard: -1}}))
+	defer srv.Close()
+	rt := &lateCloser{next: srv.Client().Transport}
+	tr := NewHTTP(&http.Client{Transport: rt})
+	ctx := context.Background()
+	const sent = 0x5C
+	body := make([]byte, 64<<10)
+	for _, send := range []struct {
+		name string
+		do   func() error
+	}{
+		{"SendUpdate", func() error {
+			_, err := tr.SendUpdate(ctx, srv.URL, UpdateRequest{Body: body})
+			return err
+		}},
+		{"Hop", func() error {
+			_, err := tr.Hop(ctx, srv.URL, HopRequest{Body: body, Hop: 1})
+			return err
+		}},
+		{"SendBatch", func() error {
+			_, err := tr.SendBatch(ctx, srv.URL, BatchRequest{Body: body, Hop: 1, ID: "late"})
+			return err
+		}},
+	} {
+		for i := range body {
+			body[i] = sent
+		}
+		err := send.do()
+		for i := range body {
+			body[i] = 0
+		}
+		if se := AsStatus(err); se == nil || se.Code != http.StatusBadRequest {
+			t.Fatalf("%s answered %v, want the 400 sent before the body was read", send.name, err)
+		}
+		rt.wg.Wait()
+		rt.mu.Lock()
+		late := rt.late
+		rt.late = nil
+		rt.mu.Unlock()
+		if len(late) != 2 {
+			t.Fatalf("%s: the RoundTripper read %d bodies late, want the body and one GetBody copy", send.name, len(late))
+		}
+		for i, got := range late {
+			if !bytes.Equal(got, bytes.Repeat([]byte{sent}, len(body))) {
+				t.Fatalf("%s: late reader %d read %d bytes that are not the body as sent", send.name, i, len(got))
+			}
 		}
 	}
 }

@@ -22,7 +22,7 @@ import (
 // which old receivers ignore and old senders omit (= version 1).
 type HTTP struct {
 	c    *http.Client
-	pool *pool // the data plane's connections; nil: every data-plane send is refused
+	pool *pool // the data plane's connections; nil: they go through c
 }
 
 // NewHTTP builds the HTTP transport; httpc may be nil for a default
@@ -47,13 +47,12 @@ type HTTP struct {
 // pool's connections. A peer's shutdown closes them, and the pool drops
 // a closed one at its next use.
 //
-// The control-plane requests go through httpc. A data-plane send the
-// pool cannot carry fails with ErrNoPool before anything is sent: when
-// httpc's RoundTripper is not an *http.Transport, the Transport sets
-// DisableKeepAlives or only the deprecated Dial, or the endpoint is
-// https or reached through a proxy. Every deployment in this repository
-// sends its data plane over plain http on a keep-alive pool, so one send
-// path per verb carries all of it.
+// Everything else goes through httpc: the control-plane requests, and
+// every request when httpc's RoundTripper is not an *http.Transport,
+// the Transport sets DisableKeepAlives or only the deprecated Dial, or
+// the endpoint is https or reached through a proxy. A data-plane body is
+// copied once on that path, so the RoundTripper may read and close it
+// whenever it likes.
 func NewHTTP(httpc *http.Client) *HTTP {
 	if httpc == nil {
 		return &HTTP{c: &http.Client{Timeout: 60 * time.Second}, pool: sharedPool()}
@@ -113,9 +112,9 @@ func statusError(resp *http.Response, msg []byte) *StatusError {
 }
 
 // post sends one data-plane POST of body to ep+path with the headers fs
-// over the pool and returns the response's status code. It returns only
-// once nothing it started reads body any more: the write ran on this
-// goroutine.
+// and returns the response's status code. It returns only once nothing
+// it started reads body any more: on the pool's connections the write
+// ran on this goroutine, and the http.Client path sends a copy.
 func (t *HTTP) post(ctx context.Context, ep, path, contentType string, body []byte, fs ...field) (int, error) {
 	var buf [8]field
 	all := append(append(buf[:0], fs...), field{"Content-Type", contentType}, field{wire.HeaderProto, protoV1})
@@ -124,7 +123,7 @@ func (t *HTTP) post(ctx context.Context, ep, path, contentType string, body []by
 		e = t.pool.endpoint(ep)
 	}
 	if e == nil {
-		return 0, &url.Error{Op: "Post", URL: ep + path, Err: ErrNoPool}
+		return t.postCopy(ctx, ep+path, body, all)
 	}
 	for _, f := range all {
 		if !validFieldValue(f.value) {
@@ -141,6 +140,24 @@ func (t *HTTP) post(ctx context.Context, ep, path, contentType string, body []by
 		err = &url.Error{Op: "Post", URL: ep + path, Err: err}
 	}
 	return code, err
+}
+
+// postCopy sends a data-plane POST through the http.Client, with a copy
+// of body: the RoundTripper may read and close it after Do returned.
+func (t *HTTP) postCopy(ctx context.Context, target string, body []byte, fs []field) (int, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, bytes.NewReader(bytes.Clone(body)))
+	if err != nil {
+		return 0, err
+	}
+	for _, f := range fs {
+		req.Header.Set(f.key, f.value)
+	}
+	resp, err := t.do(req)
+	if err != nil {
+		return 0, err
+	}
+	resp.Body.Close()
+	return resp.StatusCode, nil
 }
 
 // hopFields are the cascade depth and bearer secret of a hop leg.

@@ -92,8 +92,8 @@ type host struct {
 	idle  []*conn       // under pool.mu; most recently used last
 }
 
-// endpoint returns ep's entry, deriving it on first use; nil means the
-// pool cannot carry sends to ep.
+// endpoint returns ep's entry, deriving it on first use; nil means
+// sends to ep go through http.Client.
 func (p *pool) endpoint(ep string) *endpoint {
 	p.mu.Lock()
 	e, ok := p.eps[ep]
@@ -121,8 +121,9 @@ func (p *pool) endpoint(ep string) *endpoint {
 }
 
 // resolve derives ep's entry and dial address. Anything but plain http
-// to a direct host in the form this package builds endpoints in is
-// refused: https, a proxy, user info, a query, a host that is not ASCII.
+// to a direct host in the form this package builds endpoints in goes
+// through http.Client: https, a proxy, user info, a query, a host that
+// is not ASCII.
 func (p *pool) resolve(ep string) (*endpoint, string) {
 	u, err := url.Parse(ep)
 	if err != nil || u.Scheme != "http" || u.Host == "" || u.User != nil || u.Opaque != "" ||

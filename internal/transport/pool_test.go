@@ -5,13 +5,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -381,52 +381,149 @@ func TestHTTPPoolKeepsNetHTTPBehaviour(t *testing.T) {
 	}
 }
 
-// TestHTTPRefusesWhatThePoolCannotCarry: a data-plane send the pool
-// cannot carry fails with ErrNoPool before anything is sent — no
-// connection reaches the peer, or a proxy — and Unreached reports false
-// for it.
-func TestHTTPRefusesWhatThePoolCannotCarry(t *testing.T) {
-	var d net.Dialer
+// TestHTTPClientCarriesWhatThePoolCannot: a data-plane send the pool
+// cannot carry goes through the http.Client, which delivers it — each
+// row checks a trace only that path leaves.
+func TestHTTPClientCarriesWhatThePoolCannot(t *testing.T) {
+	type seen struct{ served, closes, trips, dials atomic.Int32 }
 	for _, tc := range []struct {
-		name   string
-		rt     func(peer string) http.RoundTripper
-		scheme string
+		name string
+		// client returns the sender's client and endpoint for a peer
+		// served by srv.
+		client func(s *seen, srv *httptest.Server, direct *rawPeer) (*http.Client, string)
+		tls    bool
+		check  func(s *seen, direct *rawPeer) error
 	}{
-		{"a RoundTripper that is not an *http.Transport", func(string) http.RoundTripper { return hiddenTransport{&http.Transport{}} }, "http"},
-		{"DisableKeepAlives", func(string) http.RoundTripper { return &http.Transport{DisableKeepAlives: true} }, "http"},
-		{"an https endpoint", func(string) http.RoundTripper { return &http.Transport{} }, "https"},
-		{"an endpoint the Proxy routes through a proxy", func(peer string) http.RoundTripper {
-			return &http.Transport{Proxy: func(*http.Request) (*url.URL, error) { return url.Parse(peer) }}
-		}, "http"},
-		{"only the deprecated Dial", func(string) http.RoundTripper { return &http.Transport{Dial: d.Dial} }, "http"},
+		{"a RoundTripper that is not an *http.Transport", func(s *seen, srv *httptest.Server, _ *rawPeer) (*http.Client, string) {
+			return &http.Client{Transport: countingTransport{&http.Transport{}, &s.trips}}, srv.URL
+		}, false, func(s *seen, _ *rawPeer) error {
+			if n := s.trips.Load(); n != 3 {
+				return fmt.Errorf("the RoundTripper carried %d sends, want 3", n)
+			}
+			return nil
+		}},
+		{"DisableKeepAlives", func(_ *seen, srv *httptest.Server, _ *rawPeer) (*http.Client, string) {
+			return &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}, srv.URL
+		}, false, func(s *seen, _ *rawPeer) error {
+			if n := s.closes.Load(); n != 3 {
+				return fmt.Errorf("%d requests asked to close the connection, want 3", n)
+			}
+			return nil
+		}},
+		{"an https endpoint", func(_ *seen, srv *httptest.Server, _ *rawPeer) (*http.Client, string) {
+			return &http.Client{Transport: srv.Client().Transport.(*http.Transport).Clone()}, srv.URL
+		}, true, func(*seen, *rawPeer) error { return nil }},
+		{"an endpoint the Proxy routes through a proxy", func(_ *seen, srv *httptest.Server, direct *rawPeer) (*http.Client, string) {
+			return &http.Client{Transport: &http.Transport{Proxy: func(*http.Request) (*url.URL, error) { return url.Parse(srv.URL) }}}, direct.url
+		}, false, func(_ *seen, direct *rawPeer) error {
+			if n := direct.accepts.Load(); n != 0 {
+				return fmt.Errorf("the endpoint itself accepted %d connections, want 0", n)
+			}
+			return nil
+		}},
+		{"only the deprecated Dial", func(s *seen, srv *httptest.Server, _ *rawPeer) (*http.Client, string) {
+			var d net.Dialer
+			return &http.Client{Transport: &http.Transport{Dial: func(network, addr string) (net.Conn, error) {
+				s.dials.Add(1)
+				return d.Dial(network, addr)
+			}}}, srv.URL
+		}, false, func(s *seen, _ *rawPeer) error {
+			if s.dials.Load() == 0 {
+				return errors.New("the Transport's Dial was never called")
+			}
+			return nil
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			peer := newRawPeer(t, "HTTP/1.1 202 Accepted\r\nContent-Length: 0\r\n\r\n")
-			ep := strings.Replace(peer.url, "http", tc.scheme, 1)
-			tr := transport.NewHTTP(&http.Client{Transport: tc.rt(peer.url)})
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second) // bounds a send that does go out
+			var s seen
+			h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				io.Copy(io.Discard, r.Body)
+				s.served.Add(1)
+				if r.Close {
+					s.closes.Add(1)
+				}
+				w.WriteHeader(http.StatusAccepted)
+			})
+			srv := httptest.NewUnstartedServer(h)
+			if tc.tls {
+				srv.StartTLS()
+			} else {
+				srv.Start()
+			}
+			defer srv.Close()
+			direct := newRawPeer(t, "HTTP/1.1 202 Accepted\r\nContent-Length: 0\r\n\r\n")
+			httpc, ep := tc.client(&s, srv, direct)
+			tr := transport.NewHTTP(httpc)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
 			_, errU := tr.SendUpdate(ctx, ep, transport.UpdateRequest{Body: []byte{1}})
 			_, errH := tr.Hop(ctx, ep, transport.HopRequest{Body: []byte{1}, Hop: 1})
 			_, errB := tr.SendBatch(ctx, ep, transport.BatchRequest{Body: []byte{1}, ID: "b"})
 			for verb, err := range map[string]error{"SendUpdate": errU, "Hop": errH, "SendBatch": errB} {
-				if !errors.Is(err, transport.ErrNoPool) {
-					t.Errorf("%s returned %v, want ErrNoPool", verb, err)
-				}
-				if transport.Unreached(err) {
-					t.Errorf("%s: Unreached reports true for %v", verb, err)
+				if err != nil {
+					t.Errorf("%s: %v", verb, err)
 				}
 			}
-			if n := peer.accepts.Load(); n != 0 {
-				t.Fatalf("the refused sends opened %d connections", n)
+			if n := s.served.Load(); n != 3 {
+				t.Fatalf("the peer served %d sends, want 3", n)
+			}
+			if err := tc.check(&s, direct); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
 }
 
-// hiddenTransport hides an *http.Transport behind the RoundTripper
-// interface.
-type hiddenTransport struct{ http.RoundTripper }
+// TestSDKSendsThroughAWrappedRoundTripper: a participant whose client
+// wraps its *http.Transport — the pool cannot carry its sends — still
+// delivers its update through the http.Client.
+func TestSDKSendsThroughAWrappedRoundTripper(t *testing.T) {
+	platform, err := enclave.NewPlatform()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := enclave.New(enclave.Config{CodeIdentity: "wrapped-front"}, platform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := proxy.NewSharded(proxy.ShardedConfig{Upstream: "http://127.0.0.1:1", RoundSize: 64, K: 2, Seed: 5}, e, platform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	srv := httptest.NewServer(transport.NewHandler(p))
+	defer srv.Close()
+	var trips atomic.Int32
+	sdk, err := client.New(client.Config{
+		Proxies: []string{srv.URL}, ClientID: "wrapped",
+		Authority: platform.AttestationPublicKey(), Measurement: e.Measurement(),
+		Transport: transport.NewHTTP(&http.Client{Transport: countingTransport{&http.Transport{}, &trips}}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sdk.SendUpdate(context.Background(), nn.NewMLP("net", 4, []int{6}, 2).New(1).SnapshotParams()); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Status().Received; got != 1 {
+		t.Fatalf("the front acked %d updates, want 1", got)
+	}
+	if trips.Load() < 2 {
+		t.Fatalf("the RoundTripper carried %d requests, want the attestation and the update", trips.Load())
+	}
+}
+
+// countingTransport counts the requests it hands to an *http.Transport
+// hidden behind the RoundTripper interface.
+type countingTransport struct {
+	next  http.RoundTripper
+	trips *atomic.Int32
+}
+
+func (c countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	c.trips.Add(1)
+	return c.next.RoundTrip(req)
+}
 
 // nopServer accepts every data-plane request.
 type nopServer struct{ transport.Server }

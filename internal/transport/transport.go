@@ -49,9 +49,10 @@ import (
 // may write the next request into the same buffer. Loopback returns only
 // after the handler returned or provably never started (a queued sender
 // that gave up before a slot was handed to it); HTTP writes the body on
-// the caller's goroutine. TestLoopbackSendReturnsAfterHandler,
-// TestHTTPDirectWriteReturnsBeforeSend and TestHTTPSendReturnsAfterBodyClosed
-// pin the cases.
+// the caller's goroutine, or hands net/http's client a copy of it.
+// TestLoopbackSendReturnsAfterHandler,
+// TestHTTPDirectWriteReturnsBeforeSend, TestHTTPSendReturnsAfterBodyClosed
+// and TestHTTPClientPathSendReturnsAfterBodyClosed pin the three cases.
 type Transport interface {
 	// SendUpdate posts one model update: an enclave ciphertext on the
 	// participant→proxy leg, a plaintext encoded ParamSet on the
@@ -115,15 +116,6 @@ var ErrNotSupported = errors.New("transport: operation not supported by this end
 // the request went out is ambiguous. Detect it with Unreached, which
 // also recognises HTTP dial failures.
 var ErrUnreachable = errors.New("transport: peer unreachable")
-
-// ErrNoPool marks a data-plane send (SendUpdate, Hop, SendBatch) that
-// HTTP refused before sending anything, because its keep-alive pool
-// cannot carry it: an https endpoint, one the caller's Proxy routes
-// through a proxy, or a client whose RoundTripper is not an
-// *http.Transport or turns keep-alives off. It is a configuration error,
-// not a state of the peer, so no retry can succeed: Unreached reports
-// false for it, and the SDK surfaces it instead of failing over.
-var ErrNoPool = errors.New("transport: the data plane sends over plain http on an *http.Transport with keep-alives, and directly, never through a proxy")
 
 // ErrBusy marks a send rejected at the peer's ingress door because its
 // bounded delivery queue was full — backpressure, not failure. It is
