@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -219,23 +218,23 @@ func unmarshalSection(data []byte) ([]nn.ParamSet, error) {
 		return nil, fmt.Errorf("core: section of %d bytes holds no entry count", len(data))
 	}
 	n := binary.LittleEndian.Uint32(data)
-	r := bytes.NewReader(data[4:])
+	rest := data[4:]
 	// Bound the count by what the bytes present can hold — no entry is
 	// smaller than the codec's fixed header — before allocating: a forged
 	// count must not buy 24 MiB of slice against a 4-byte section.
-	if n > maxSectionEntries || int(n) > r.Len()/nn.EncodedSize(nn.ParamSet{}) {
-		return nil, fmt.Errorf("core: section entry count %d exceeds what its %d bytes can hold", n, r.Len())
+	if n > maxSectionEntries || int(n) > len(rest)/nn.EncodedSize(nn.ParamSet{}) {
+		return nil, fmt.Errorf("core: section entry count %d exceeds what its %d bytes can hold", n, len(rest))
 	}
 	entries := make([]nn.ParamSet, 0, n)
 	for i := uint32(0); i < n; i++ {
-		ps, err := nn.ReadParamSet(r)
+		ps, tail, err := nn.DecodeParamSetPrefix(rest)
 		if err != nil {
 			return nil, fmt.Errorf("core: read section entry %d: %w", i, err)
 		}
-		entries = append(entries, ps)
+		entries, rest = append(entries, ps), tail
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("core: %d trailing bytes after section entries", r.Len())
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("core: %d trailing bytes after section entries", len(rest))
 	}
 	return entries, nil
 }

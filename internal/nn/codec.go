@@ -1,10 +1,8 @@
 package nn
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"unsafe"
 
@@ -99,30 +97,88 @@ func appendU32(buf []byte, v uint32) []byte {
 	return append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
 
+// hostLittleEndian reports whether the host stores multi-byte words in
+// the wire format's byte order; only then can tensor payloads be aliased
+// or bulk-copied instead of converted.
+var hostLittleEndian = func() bool {
+	var x uint16 = 1
+	return *(*byte)(unsafe.Pointer(&x)) == 1
+}()
+
 // DecodeParamSet parses the binary wire format produced by EncodeParamSet.
+// The result owns its storage: nothing in it shares memory with data, so
+// data may be reused or shared once it returns (the SDK decodes the
+// aggregator's cached model body this way).
 func DecodeParamSet(data []byte) (ParamSet, error) {
-	return ReadParamSet(bytes.NewReader(data))
+	return decodeWhole(data, false)
 }
 
-// ReadParamSet streams a ParamSet from r, validating structural limits
-// before allocating.
-func ReadParamSet(r io.Reader) (ParamSet, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return ParamSet{}, fmt.Errorf("nn: read magic: %w", err)
+// DecodeParamSetNoCopy parses the binary wire format like DecodeParamSet
+// but, where possible, aliases each tensor's storage directly over the
+// input buffer instead of copying it — the §6.5 "store" stage of the
+// proxy then costs a structural walk rather than a full second copy of
+// the update. A tensor payload is aliased when the host is little-endian
+// and the payload happens to sit 8-byte aligned in data; other tensors
+// are copied, so the result is always correct.
+//
+// Ownership contract: the returned ParamSet shares memory with data. The
+// caller must neither modify data afterwards nor mutate the returned
+// tensors in place. The MixNN proxy satisfies both: each decrypted update
+// buffer is owned by the ingesting request, and mixers only ever swap
+// layer pointers.
+func DecodeParamSetNoCopy(data []byte) (ParamSet, error) {
+	return decodeWhole(data, true)
+}
+
+// DecodeParamSetPrefix decodes the param set at the start of data, copying
+// like DecodeParamSet, and returns the bytes that follow it: the reader of
+// param sets stored back to back.
+func DecodeParamSetPrefix(data []byte) (ParamSet, []byte, error) {
+	d := byteCursor{buf: data}
+	ps, err := d.paramSet(false)
+	if err != nil {
+		return ParamSet{}, nil, err
 	}
-	if string(magic[:]) != codecMagic {
+	return ps, data[d.off:], nil
+}
+
+func decodeWhole(data []byte, alias bool) (ParamSet, error) {
+	d := byteCursor{buf: data}
+	ps, err := d.paramSet(alias)
+	if err != nil {
+		return ParamSet{}, err
+	}
+	if d.off != len(data) {
+		return ParamSet{}, fmt.Errorf("nn: %d trailing bytes after param set", len(data)-d.off)
+	}
+	return ps, nil
+}
+
+// byteCursor walks a byte slice with bounds checking: the format's one
+// reader. It validates structure against the decode limits before
+// allocating, and keeps offsets, which is what aliasing needs.
+type byteCursor struct {
+	buf []byte
+	off int
+}
+
+// paramSet decodes one param set from the cursor. With alias set, aligned
+// tensor payloads share the input (DecodeParamSetNoCopy); otherwise every
+// payload is copied.
+func (d *byteCursor) paramSet(alias bool) (ParamSet, error) {
+	magic, err := d.take(4)
+	if err != nil || string(magic) != codecMagic {
 		return ParamSet{}, fmt.Errorf("nn: bad magic %q", magic)
 	}
-	var version uint8
-	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
+	version, err := d.u8()
+	if err != nil {
 		return ParamSet{}, fmt.Errorf("nn: read version: %w", err)
 	}
 	if version != codecVersion {
 		return ParamSet{}, fmt.Errorf("nn: unsupported codec version %d", version)
 	}
-	var layerCount uint32
-	if err := binary.Read(r, binary.LittleEndian, &layerCount); err != nil {
+	layerCount, err := d.u32()
+	if err != nil {
 		return ParamSet{}, fmt.Errorf("nn: read layer count: %w", err)
 	}
 	if layerCount > maxDecodeLayers {
@@ -131,16 +187,16 @@ func ReadParamSet(r io.Reader) (ParamSet, error) {
 	totalElems := 0
 	ps := ParamSet{Layers: make([]LayerParams, 0, layerCount)}
 	for li := uint32(0); li < layerCount; li++ {
-		var nameLen uint16
-		if err := binary.Read(r, binary.LittleEndian, &nameLen); err != nil {
+		nameLen, err := d.u16()
+		if err != nil {
 			return ParamSet{}, fmt.Errorf("nn: read name length: %w", err)
 		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(r, name); err != nil {
+		name, err := d.take(int(nameLen))
+		if err != nil {
 			return ParamSet{}, fmt.Errorf("nn: read name: %w", err)
 		}
-		var tensorCount uint32
-		if err := binary.Read(r, binary.LittleEndian, &tensorCount); err != nil {
+		tensorCount, err := d.u32()
+		if err != nil {
 			return ParamSet{}, fmt.Errorf("nn: read tensor count: %w", err)
 		}
 		if tensorCount > maxDecodeTensors {
@@ -148,7 +204,7 @@ func ReadParamSet(r io.Reader) (ParamSet, error) {
 		}
 		lp := LayerParams{Name: string(name), Tensors: make([]*tensor.Tensor, 0, tensorCount)}
 		for ti := uint32(0); ti < tensorCount; ti++ {
-			t, n, err := readTensor(r, maxDecodeTotalElements-totalElems)
+			t, n, err := d.tensor(maxDecodeTotalElements-totalElems, alias)
 			if err != nil {
 				return ParamSet{}, fmt.Errorf("nn: layer %q tensor %d: %w", lp.Name, ti, err)
 			}
@@ -160,9 +216,42 @@ func ReadParamSet(r io.Reader) (ParamSet, error) {
 	return ps, nil
 }
 
-func readTensor(r io.Reader, remainingBudget int) (*tensor.Tensor, int, error) {
-	var rank uint8
-	if err := binary.Read(r, binary.LittleEndian, &rank); err != nil {
+func (d *byteCursor) take(n int) ([]byte, error) {
+	if n < 0 || n > len(d.buf)-d.off {
+		return nil, fmt.Errorf("need %d bytes, have %d", n, len(d.buf)-d.off)
+	}
+	b := d.buf[d.off : d.off+n : d.off+n]
+	d.off += n
+	return b, nil
+}
+
+func (d *byteCursor) u8() (uint8, error) {
+	b, err := d.take(1)
+	if err != nil {
+		return 0, err
+	}
+	return b[0], nil
+}
+
+func (d *byteCursor) u16() (uint16, error) {
+	b, err := d.take(2)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint16(b), nil
+}
+
+func (d *byteCursor) u32() (uint32, error) {
+	b, err := d.take(4)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint32(b), nil
+}
+
+func (d *byteCursor) tensor(remainingBudget int, alias bool) (*tensor.Tensor, int, error) {
+	rank, err := d.u8()
+	if err != nil {
 		return nil, 0, fmt.Errorf("read rank: %w", err)
 	}
 	if rank == 0 || rank > maxDecodeRank {
@@ -171,26 +260,38 @@ func readTensor(r io.Reader, remainingBudget int) (*tensor.Tensor, int, error) {
 	shape := make([]int, rank)
 	elems := 1
 	for i := range shape {
-		var d uint32
-		if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
+		dim, err := d.u32()
+		if err != nil {
 			return nil, 0, fmt.Errorf("read dim: %w", err)
 		}
-		if d == 0 {
+		if dim == 0 {
 			return nil, 0, fmt.Errorf("zero dimension")
 		}
-		if elems > remainingBudget/int(d) {
+		if elems > remainingBudget/int(dim) {
 			return nil, 0, fmt.Errorf("tensor exceeds element budget")
 		}
-		elems *= int(d)
-		shape[i] = int(d)
+		elems *= int(dim)
+		shape[i] = int(dim)
 	}
-	raw := make([]byte, 8*elems)
-	if _, err := io.ReadFull(r, raw); err != nil {
+	raw, err := d.take(8 * elems)
+	if err != nil {
 		return nil, 0, fmt.Errorf("read data: %w", err)
 	}
-	data := make([]float64, elems)
-	for i := range data {
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	var data []float64
+	if alias && hostLittleEndian && uintptr(unsafe.Pointer(&raw[0]))%8 == 0 {
+		// The payload already IS the little-endian float64 slice; alias it
+		// (alignment-checked, so -race/checkptr is happy).
+		data = unsafe.Slice((*float64)(unsafe.Pointer(&raw[0])), elems)
+	} else if hostLittleEndian {
+		// The fresh slice is the aligned side, so viewing it as bytes
+		// makes one bulk copy legal whatever raw's alignment.
+		data = make([]float64, elems)
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(&data[0])), 8*elems), raw)
+	} else {
+		data = make([]float64, elems)
+		for i := range data {
+			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
 	}
 	t, err := tensor.FromSlice(data, shape...)
 	if err != nil {

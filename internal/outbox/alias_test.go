@@ -64,7 +64,7 @@ func referenceParse(data []byte) (*Envelope, error) {
 	if _, err := io.ReadFull(r, bm[:]); err != nil || string(bm[:4]) != "MXBE" || bm[4] != 1 {
 		return nil, fmt.Errorf("bad tail")
 	}
-	if err := binary.Read(r, binary.LittleEndian, &count); err != nil || count > maxEnvelopeUpdates {
+	if err := binary.Read(r, binary.LittleEndian, &count); err != nil || count > 1<<20 {
 		return nil, fmt.Errorf("bad count")
 	}
 	for i := uint32(0); i < count; i++ {
@@ -72,7 +72,7 @@ func referenceParse(data []byte) (*Envelope, error) {
 		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 			return nil, err
 		}
-		if uint64(n) > maxEnvelopeItemBytes || uint64(n) > uint64(r.Len()) {
+		if uint64(n) > wire.MaxBodyBytes || uint64(n) > uint64(r.Len()) {
 			return nil, fmt.Errorf("bad item length")
 		}
 		u := make([]byte, n)
@@ -195,7 +195,7 @@ func TestDeliveryEnvelopeVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(v3[4:]); v != EnvelopeVersion || EnvelopeVersion != 3 {
+	if v := binary.LittleEndian.Uint32(v3[4:]); v != envelopeVersion || envelopeVersion != 3 {
 		t.Fatalf("Marshal wrote version %d", v)
 	}
 	var v1 bytes.Buffer
@@ -232,7 +232,7 @@ func TestDeliveryEntryBuilderMatchesMarshal(t *testing.T) {
 		t.Fatal(err)
 	}
 	size := EntrySize(env.Dest, len(env.Updates), len("alpha")+len("be"))
-	b, err := NewEntryBuilder(env, size)
+	b, err := buildEntry(make([]byte, 0, size), env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestDeliveryEntryBuilderMatchesMarshal(t *testing.T) {
 	if err := b.Append(func(buf []byte) ([]byte, error) { return append(buf, "junk"...), fmt.Errorf("boom") }); err == nil {
 		t.Fatal("failed encode accepted")
 	}
-	got := b.Bytes()
+	got := b.Finish()
 	if !bytes.Equal(got, want) || len(got) != size || cap(got) != size {
 		t.Fatalf("built entry (%d bytes, cap %d) differs from Marshal's (%d bytes, EntrySize %d)", len(got), cap(got), len(want), size)
 	}

@@ -35,6 +35,8 @@ package outbox
 import (
 	"encoding/binary"
 	"fmt"
+
+	"mixnn/internal/wire"
 )
 
 // Envelope is the payload of one outbox entry: one destination's share
@@ -49,12 +51,10 @@ import (
 //	hop     uint32  cascade depth to stamp on delivery (watermark + 1)
 //	destLen uint16, dest bytes: remote-shard address this entry is
 //	                addressed to; empty = the tier's upstream/next-hop
-//	tail — a complete wire.BatchEnvelope body, so the /v1/batch request
-//	body is a sub-slice of the entry instead of a re-encoded copy:
-//	  magic   [4]byte "MXBE"
-//	  version uint8 (1)
-//	  count   uint32  updates in the round
-//	  per update: len uint32, bytes (an encoded nn.ParamSet — opaque here)
+//	tail — a complete wire.BatchEnvelope body of the updates (each an
+//	       encoded nn.ParamSet, opaque here), written by wire.BatchWriter
+//	       and read by wire.DecodeBatchEnvelope, so the /v1/batch request
+//	       body is a sub-slice of the entry instead of a re-encoded copy
 //
 // Ownership: an entry's bytes are IMMUTABLE from Put to Ack. The parsed
 // Updates and Batch alias the payload handed to ParseEnvelope, a
@@ -84,117 +84,55 @@ type Envelope struct {
 const (
 	envelopeMagic = "MXOB"
 
-	// EnvelopeVersion is the entry format Marshal and EntryBuilder write
-	// and the only one ParseEnvelope reads; versions 1 and 2 are refused
-	// by name (parseHeader).
-	EnvelopeVersion = 3
+	// envelopeVersion is the entry format Marshal and Queue.NewEntry
+	// write and the only one ParseEnvelope reads; versions 1 and 2 are
+	// refused by name (parseHeader).
+	envelopeVersion = 3
 
-	// maxEnvelopeUpdates bounds the updates one entry may claim (entries
-	// cross the sealing boundary, so parse limits guard allocations).
-	maxEnvelopeUpdates = 1 << 20
-	// maxEnvelopeItemBytes bounds one encoded update inside an entry.
-	maxEnvelopeItemBytes = 512 << 20
-	// maxEnvelopeDestBytes bounds the destination address.
+	// maxEnvelopeDestBytes bounds the destination address (entries cross
+	// the sealing boundary, so parse limits guard allocations).
 	maxEnvelopeDestBytes = 1 << 10
 
 	// envelopeFixedHeader is magic + version + epoch + topoVer + hop +
 	// destLen; the destination follows it.
 	envelopeFixedHeader = 4 + 4 + 8 + 8 + 4 + 2
-	// batchMagic/batchVersion/batchHeader restate wire.BatchEnvelope's
-	// framing (magic, version, count): the entry tail must BE that body, and
-	// FuzzEnvelopeAlias holds the two packages to it.
-	batchMagic   = "MXBE"
-	batchVersion = 1
-	batchHeader  = 4 + 1 + 4
 )
 
-// EntrySize returns the exact size of a v3 entry addressed to dest that
+// EntrySize returns the exact size of an entry addressed to dest that
 // carries count updates of payloadBytes encoded bytes in total.
 func EntrySize(dest string, count, payloadBytes int) int {
-	return envelopeFixedHeader + len(dest) + batchHeader + 4*count + payloadBytes
+	return envelopeFixedHeader + len(dest) + wire.BatchSize(count, payloadBytes)
 }
 
-// EntryBuilder assembles a v3 entry in place, so a producer that can
-// append-encode its updates (nn.AppendParamSet) writes each update's
-// bytes exactly once — straight into the entry the queue will hold —
-// instead of encoding them elsewhere and copying them in. Size the
-// builder with EntrySize and the entry is one allocation, or none when
-// Queue.NewEntry finds a spare.
-type EntryBuilder struct {
-	buf      []byte
-	countOff int
-	count    uint32
-}
-
-// NewEntryBuilder starts an entry with hdr's epoch, topology version, hop
-// and destination (hdr.Updates and hdr.Batch are ignored); size is the
-// capacity to reserve. A producer that commits to a Queue starts its
-// entries with Queue.NewEntry instead, which reuses acked entries.
-func NewEntryBuilder(hdr Envelope, size int) (*EntryBuilder, error) {
-	return buildEntry(make([]byte, 0, size), hdr)
-}
-
-// buildEntry starts an entry over buf's storage.
-func buildEntry(buf []byte, hdr Envelope) (*EntryBuilder, error) {
+// buildEntry writes the header of an entry with hdr's epoch, topology
+// version, hop and destination over buf's storage (hdr.Updates and
+// hdr.Batch are ignored) and starts its tail. The producer appends the
+// updates to the returned writer, and its Finish is the whole entry.
+func buildEntry(buf []byte, hdr Envelope) (wire.BatchWriter, error) {
 	if hdr.Hop < 0 {
-		return nil, fmt.Errorf("outbox: negative hop %d", hdr.Hop)
+		return wire.BatchWriter{}, fmt.Errorf("outbox: negative hop %d", hdr.Hop)
 	}
 	if len(hdr.Dest) > maxEnvelopeDestBytes {
-		return nil, fmt.Errorf("outbox: destination exceeds %d bytes", maxEnvelopeDestBytes)
+		return wire.BatchWriter{}, fmt.Errorf("outbox: destination exceeds %d bytes", maxEnvelopeDestBytes)
 	}
 	buf = append(buf[:0], envelopeMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, EnvelopeVersion)
+	buf = binary.LittleEndian.AppendUint32(buf, envelopeVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, hdr.Epoch)
 	buf = binary.LittleEndian.AppendUint64(buf, hdr.TopoVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(hdr.Hop))
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(hdr.Dest)))
 	buf = append(buf, hdr.Dest...)
-	buf = append(buf, batchMagic...)
-	buf = append(buf, batchVersion)
-	b := &EntryBuilder{countOff: len(buf)}
-	b.buf = binary.LittleEndian.AppendUint32(buf, 0) // count, patched by Bytes
-	return b, nil
-}
-
-// Append adds one update: encode appends the update's bytes to the slice
-// it is given and returns the extended slice. A failed encode leaves the
-// builder as it was.
-func (b *EntryBuilder) Append(encode func(buf []byte) ([]byte, error)) error {
-	if b.count >= maxEnvelopeUpdates {
-		return fmt.Errorf("outbox: more than %d updates in one entry", maxEnvelopeUpdates)
-	}
-	lenOff := len(b.buf)
-	buf, err := encode(binary.LittleEndian.AppendUint32(b.buf, 0))
-	if err != nil {
-		return err
-	}
-	n := len(buf) - lenOff - 4
-	if n < 0 || n > maxEnvelopeItemBytes {
-		return fmt.Errorf("outbox: update %d is %d bytes, outside [0, %d]", b.count, n, maxEnvelopeItemBytes)
-	}
-	binary.LittleEndian.PutUint32(buf[lenOff:], uint32(n))
-	b.buf = buf
-	b.count++
-	return nil
-}
-
-// Bytes returns the finished entry. The builder must not be used again.
-func (b *EntryBuilder) Bytes() []byte {
-	binary.LittleEndian.PutUint32(b.buf[b.countOff:], b.count)
-	return b.buf
+	return wire.StartBatch(buf), nil
 }
 
 // Marshal encodes the envelope (current version) into one exactly-sized
 // allocation.
 func (e *Envelope) Marshal() ([]byte, error) {
-	if len(e.Updates) > maxEnvelopeUpdates {
-		return nil, fmt.Errorf("outbox: %d updates exceed the per-entry limit", len(e.Updates))
-	}
 	payload := 0
 	for _, u := range e.Updates {
 		payload += len(u)
 	}
-	b, err := NewEntryBuilder(*e, EntrySize(e.Dest, len(e.Updates), payload))
+	b, err := buildEntry(make([]byte, 0, EntrySize(e.Dest, len(e.Updates), payload)), *e)
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +141,7 @@ func (e *Envelope) Marshal() ([]byte, error) {
 			return nil, err
 		}
 	}
-	return b.Bytes(), nil
+	return b.Finish(), nil
 }
 
 // parseHeader decodes an entry's header (magic through dest) by offset
@@ -217,11 +155,11 @@ func parseHeader(data []byte) (env Envelope, dest []byte, off int, err error) {
 		return env, nil, 0, fmt.Errorf("outbox: entry truncated before its version")
 	}
 	switch version := binary.LittleEndian.Uint32(data[4:]); version {
-	case EnvelopeVersion:
+	case envelopeVersion:
 	case 1, 2:
-		return env, nil, 0, fmt.Errorf("outbox: entry version %d is no longer supported, want %d; finish it with the release that wrote it", version, EnvelopeVersion)
+		return env, nil, 0, fmt.Errorf("outbox: entry version %d is no longer supported, want %d; finish it with the release that wrote it", version, envelopeVersion)
 	default:
-		return env, nil, 0, fmt.Errorf("outbox: entry version %d, want %d", version, EnvelopeVersion)
+		return env, nil, 0, fmt.Errorf("outbox: entry version %d, want %d", version, envelopeVersion)
 	}
 	if len(data) < envelopeFixedHeader {
 		return env, nil, 0, fmt.Errorf("outbox: entry truncated inside its header")
@@ -237,12 +175,21 @@ func parseHeader(data []byte) (env Envelope, dest []byte, off int, err error) {
 	return env, data[off : off+destLen], off + destLen, nil
 }
 
+// emptyTail is the tail of an entry without updates: the batch body the
+// writer finishes with none. DecodeBatchEnvelope refuses it (nothing is
+// sent for an empty share), so ParseEnvelope recognises it first.
+var emptyTail = func() string {
+	w := wire.StartBatch(nil)
+	return string(w.Finish())
+}()
+
 // ParseEnvelope decodes an entry payload (version 3 only), validating
 // structure before allocating. The result ALIASES data — Updates and
 // Batch are sub-slices of it, not copies — so data must stay unmodified
 // for as long as the envelope is in use (see Envelope). The only
 // allocations are the envelope, its destination string and one slice of
-// update headers.
+// update headers. An entry without updates parses with none and a nil
+// Batch.
 func ParseEnvelope(data []byte) (*Envelope, error) {
 	hdr, dest, off, err := parseHeader(data)
 	if err != nil {
@@ -250,38 +197,12 @@ func ParseEnvelope(data []byte) (*Envelope, error) {
 	}
 	env := &hdr
 	env.Dest = string(dest)
-	tail := off
-	if len(data)-off < batchHeader || string(data[off:off+4]) != batchMagic || data[off+4] != batchVersion {
-		return nil, fmt.Errorf("outbox: entry tail is not a version-%d batch body", batchVersion)
-	}
-	off += 5
-	count := binary.LittleEndian.Uint32(data[off:])
-	off += 4
-	// Each update needs at least its length prefix, so a count the entry
-	// cannot hold is rejected before the header slice is sized by it.
-	if count > maxEnvelopeUpdates || uint64(count) > uint64(len(data)-off)/4 {
-		return nil, fmt.Errorf("outbox: entry claims %d updates", count)
-	}
-	env.Updates = make([][]byte, count)
-	for i := range env.Updates {
-		if len(data)-off < 4 {
-			return nil, fmt.Errorf("outbox: entry truncated at update %d", i)
+	if tail := data[off:len(data):len(data)]; string(tail) != emptyTail {
+		batch, err := wire.DecodeBatchEnvelope(tail)
+		if err != nil {
+			return nil, fmt.Errorf("outbox: entry tail: %w", err)
 		}
-		// uint64 comparisons: int(n) would go negative on 32-bit
-		// platforms for adversarial lengths ≥ 2³¹ and bypass the bounds.
-		n := binary.LittleEndian.Uint32(data[off:])
-		off += 4
-		if uint64(n) > maxEnvelopeItemBytes || uint64(n) > uint64(len(data)-off) {
-			return nil, fmt.Errorf("outbox: update %d length %d exceeds remaining bytes", i, n)
-		}
-		env.Updates[i] = data[off : off+int(n) : off+int(n)]
-		off += int(n)
-	}
-	if off != len(data) {
-		return nil, fmt.Errorf("outbox: %d trailing bytes after entry", len(data)-off)
-	}
-	if count > 0 {
-		env.Batch = data[tail:len(data):len(data)]
+		env.Updates, env.Batch = batch.Updates, tail
 	}
 	return env, nil
 }

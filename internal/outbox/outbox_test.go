@@ -428,7 +428,7 @@ func TestDeliveryQueueReusesAckedEntries(t *testing.T) {
 		if err := b.Append(func(buf []byte) ([]byte, error) { return append(buf, item...), nil }); err != nil {
 			t.Fatal(err)
 		}
-		return b.Bytes()
+		return b.Finish()
 	}
 	deliver := func(raw []byte) {
 		seq, err := q.Put(raw)

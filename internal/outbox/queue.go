@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"mixnn/internal/wire"
 )
 
 // SealFunc encrypts an entry before it touches disk (e.g. under an
@@ -242,11 +244,14 @@ func mintSenderID() (string, error) {
 	return hex.EncodeToString(b[:]), nil
 }
 
-// NewEntry starts an entry like NewEntryBuilder, in a spare when the
-// queue holds one of size to 2·size bytes: the payload of an entry Ack
-// consumed, so steady rounds of a steady size are built without
-// allocating.
-func (q *Queue) NewEntry(hdr Envelope, size int) (*EntryBuilder, error) {
+// NewEntry starts an entry with hdr's epoch, topology version, hop and
+// destination (hdr.Updates and hdr.Batch are ignored) and returns the
+// writer of its tail: the producer appends each update to it, and its
+// Finish is the whole entry, for Put. Size the entry with EntrySize and
+// it is one allocation, or none when the queue holds a spare of size to
+// 2·size bytes: the payload of an entry Ack consumed, so steady rounds of
+// a steady size are built without allocating.
+func (q *Queue) NewEntry(hdr Envelope, size int) (wire.BatchWriter, error) {
 	var buf []byte
 	q.mu.Lock()
 	for i := len(q.spares) - 1; i >= 0; i-- {

@@ -153,7 +153,7 @@ pack:
 				encErr = err
 				break pack
 			}
-			raws = append(raws, rawEntry{destEntry: de, raw: b.Bytes(), bytes: size})
+			raws = append(raws, rawEntry{destEntry: de, raw: b.Finish(), bytes: size})
 		}
 	}
 	// Ordered commit: take this epoch's turn even when there is nothing

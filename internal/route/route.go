@@ -13,12 +13,10 @@
 package route
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"sort"
 )
 
@@ -408,7 +406,8 @@ func (t *Topology) Equal(o *Topology) bool {
 }
 
 // Binary topology blob, versioned ("MXTO" v1), embedded opaquely in the
-// proxy's sealed tier state (seal blob v3) and surfaced in admin status:
+// proxy's sealed tier state (the MXSH seal blob) and surfaced in admin
+// status:
 //
 //	magic     [4]byte "MXTO"
 //	blobVer   uint16 (1)
@@ -425,83 +424,65 @@ const (
 
 // Marshal encodes the topology.
 func (t *Topology) Marshal() []byte {
-	var buf bytes.Buffer
-	buf.WriteString(topoMagic)
-	binary.Write(&buf, binary.LittleEndian, uint16(topoBlobVer))
-	binary.Write(&buf, binary.LittleEndian, t.version)
-	buf.WriteByte(byte(t.mode))
-	binary.Write(&buf, binary.LittleEndian, uint32(t.roundSize))
-	binary.Write(&buf, binary.LittleEndian, uint32(len(t.specs)))
+	buf := append(make([]byte, 0, topoHeadSize), topoMagic...)
+	buf = binary.LittleEndian.AppendUint16(buf, topoBlobVer)
+	buf = binary.LittleEndian.AppendUint64(buf, t.version)
+	buf = append(buf, byte(t.mode))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.roundSize))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t.specs)))
 	for _, s := range t.specs {
-		binary.Write(&buf, binary.LittleEndian, uint32(s.Weight))
-		binary.Write(&buf, binary.LittleEndian, uint16(len(s.Addr)))
-		buf.WriteString(s.Addr)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(s.Weight))
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s.Addr)))
+		buf = append(buf, s.Addr...)
 	}
-	return buf.Bytes()
+	return buf
 }
 
-// Parse decodes a Marshal blob, re-validating through New so a parsed
-// topology is always as trustworthy as a constructed one.
+// Parse decodes a Marshal blob by offset arithmetic, re-validating
+// through New so a parsed topology is always as trustworthy as a
+// constructed one.
 func Parse(blob []byte) (*Topology, error) {
-	r := bytes.NewReader(blob)
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil || string(magic[:]) != topoMagic {
-		return nil, fmt.Errorf("route: bad topology magic %q", magic)
+	if len(blob) < 4 || string(blob[:4]) != topoMagic {
+		return nil, fmt.Errorf("route: bad topology magic %q", blob[:min(len(blob), 4)])
 	}
-	var blobVer uint16
-	if err := binary.Read(r, binary.LittleEndian, &blobVer); err != nil {
-		return nil, fmt.Errorf("route: read topology blob version: %w", err)
+	if len(blob) < topoHeadSize {
+		return nil, fmt.Errorf("route: topology blob truncated inside its header")
 	}
-	if blobVer != topoBlobVer {
+	if blobVer := binary.LittleEndian.Uint16(blob[4:]); blobVer != topoBlobVer {
 		return nil, fmt.Errorf("route: topology blob version %d, want %d", blobVer, topoBlobVer)
 	}
-	var version uint64
-	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
-		return nil, fmt.Errorf("route: read topology version: %w", err)
-	}
-	mode, err := r.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("route: read routing mode: %w", err)
-	}
-	var roundSize, p uint32
-	if err := binary.Read(r, binary.LittleEndian, &roundSize); err != nil {
-		return nil, fmt.Errorf("route: read round size: %w", err)
-	}
-	if err := binary.Read(r, binary.LittleEndian, &p); err != nil {
-		return nil, fmt.Errorf("route: read shard count: %w", err)
-	}
+	version := binary.LittleEndian.Uint64(blob[6:])
+	mode := Mode(blob[14])
+	roundSize := binary.LittleEndian.Uint32(blob[15:])
+	p := binary.LittleEndian.Uint32(blob[19:])
 	if p == 0 || p > MaxShards {
 		return nil, fmt.Errorf("route: shard count %d out of range", p)
 	}
+	off := topoHeadSize
 	// Each shard needs at least 6 bytes; reject counts the blob cannot
 	// hold before allocating.
-	if uint64(p) > uint64(r.Len())/6 {
+	if uint64(p) > uint64(len(blob)-off)/6 {
 		return nil, fmt.Errorf("route: shard count %d exceeds blob", p)
 	}
 	specs := make([]ShardSpec, p)
 	for i := range specs {
-		var weight uint32
-		var addrLen uint16
-		if err := binary.Read(r, binary.LittleEndian, &weight); err != nil {
-			return nil, fmt.Errorf("route: read shard %d weight: %w", i, err)
+		if len(blob)-off < 6 {
+			return nil, fmt.Errorf("route: topology blob truncated at shard %d", i)
 		}
-		if err := binary.Read(r, binary.LittleEndian, &addrLen); err != nil {
-			return nil, fmt.Errorf("route: read shard %d addr length: %w", i, err)
-		}
-		if int(addrLen) > maxAddrBytes || int(addrLen) > r.Len() {
+		weight := binary.LittleEndian.Uint32(blob[off:])
+		addrLen := int(binary.LittleEndian.Uint16(blob[off+4:]))
+		off += 6
+		if addrLen > maxAddrBytes || addrLen > len(blob)-off {
 			return nil, fmt.Errorf("route: shard %d addr length %d out of range", i, addrLen)
-		}
-		addr := make([]byte, addrLen)
-		if _, err := io.ReadFull(r, addr); err != nil {
-			return nil, fmt.Errorf("route: read shard %d addr: %w", i, err)
 		}
 		if weight > uint32(1<<20) {
 			return nil, fmt.Errorf("route: shard %d weight %d out of range", i, weight)
 		}
-		specs[i] = ShardSpec{Addr: string(addr), Weight: int(weight)}
+		specs[i] = ShardSpec{Addr: string(blob[off : off+addrLen]), Weight: int(weight)}
+		off += addrLen
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("route: %d trailing bytes after topology", r.Len())
+	if off != len(blob) {
+		return nil, fmt.Errorf("route: %d trailing bytes after topology", len(blob)-off)
 	}
-	return New(version, Mode(mode), int(roundSize), specs)
+	return New(version, mode, int(roundSize), specs)
 }

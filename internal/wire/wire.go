@@ -157,42 +157,91 @@ type BatchEnvelope struct {
 const (
 	batchMagic   = "MXBE"
 	batchVersion = 1
+	batchHeader  = 4 + 1 + 4 // magic, version, count
 
 	// maxBatchUpdates bounds the updates one envelope may claim (the
 	// decoder handles untrusted input).
 	maxBatchUpdates = 1 << 20
 )
 
+// BatchSize returns the exact size of a batch body of count updates that
+// carry payloadBytes encoded bytes in total.
+func BatchSize(count, payloadBytes int) int {
+	return batchHeader + 4*count + payloadBytes
+}
+
+// BatchWriter appends one batch body to a buffer in place: the format's
+// one writer. BatchEnvelope.Encode writes through it, and so does the
+// outbox, whose entry tail is a batch body, so a producer that can
+// append-encode its updates (nn.AppendParamSet) writes each update's
+// bytes exactly once, where they will be sent. Unlike Encode it writes a
+// body without updates too; DecodeBatchEnvelope refuses one.
+type BatchWriter struct {
+	buf   []byte
+	start int // offset of the body's header in buf
+	count uint32
+}
+
+// StartBatch begins a batch body at the end of buf. Size buf's capacity
+// with BatchSize and the body is written without reallocating.
+func StartBatch(buf []byte) BatchWriter {
+	start := len(buf)
+	buf = append(buf, batchMagic...)
+	buf = append(buf, batchVersion)
+	return BatchWriter{buf: binary.LittleEndian.AppendUint32(buf, 0), start: start}
+}
+
+// Append adds one update: encode appends the update's bytes to the slice
+// it is given and returns the extended slice. A failed encode, or an
+// update past the format's bounds, leaves the body as it was.
+func (w *BatchWriter) Append(encode func(buf []byte) ([]byte, error)) error {
+	if w.count >= maxBatchUpdates {
+		return fmt.Errorf("wire: more than %d updates in one batch", maxBatchUpdates)
+	}
+	lenOff := len(w.buf)
+	buf, err := encode(binary.LittleEndian.AppendUint32(w.buf, 0))
+	if err != nil {
+		return err
+	}
+	n := len(buf) - lenOff - 4
+	if n < 0 || n > MaxBodyBytes {
+		return fmt.Errorf("wire: batch update %d is %d bytes, outside [0, %d]", w.count, n, MaxBodyBytes)
+	}
+	binary.LittleEndian.PutUint32(buf[lenOff:], uint32(n))
+	w.buf = buf
+	w.count++
+	return nil
+}
+
+// Finish returns the buffer StartBatch was given with the finished body
+// appended. The writer must not be used again.
+func (w *BatchWriter) Finish() []byte {
+	binary.LittleEndian.PutUint32(w.buf[w.start+batchHeader-4:], w.count)
+	return w.buf
+}
+
 // Encode serialises the envelope.
 func (e BatchEnvelope) Encode() ([]byte, error) {
 	if len(e.Updates) == 0 {
 		return nil, fmt.Errorf("wire: empty batch envelope")
 	}
-	if len(e.Updates) > maxBatchUpdates {
-		return nil, fmt.Errorf("wire: batch of %d updates exceeds limit", len(e.Updates))
-	}
-	n := 4 + 1 + 4
+	payload := 0
 	for _, u := range e.Updates {
-		n += 4 + len(u)
+		payload += len(u)
 	}
-	out := make([]byte, 0, n)
-	out = append(out, batchMagic...)
-	out = append(out, batchVersion)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(e.Updates)))
-	for i, u := range e.Updates {
-		if len(u) > MaxBodyBytes {
-			return nil, fmt.Errorf("wire: batch update %d exceeds %d bytes", i, MaxBodyBytes)
+	w := StartBatch(make([]byte, 0, BatchSize(len(e.Updates), payload)))
+	for _, u := range e.Updates {
+		if err := w.Append(func(buf []byte) ([]byte, error) { return append(buf, u...), nil }); err != nil {
+			return nil, err
 		}
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(u)))
-		out = append(out, u...)
 	}
-	return out, nil
+	return w.Finish(), nil
 }
 
 // DecodeBatchEnvelope parses an envelope from untrusted input, validating
 // structure before allocating. The returned update slices alias data.
 func DecodeBatchEnvelope(data []byte) (BatchEnvelope, error) {
-	if len(data) < 9 || string(data[:4]) != batchMagic {
+	if len(data) < batchHeader || string(data[:4]) != batchMagic {
 		return BatchEnvelope{}, fmt.Errorf("wire: bad batch magic")
 	}
 	if data[4] != batchVersion {
@@ -205,10 +254,10 @@ func DecodeBatchEnvelope(data []byte) (BatchEnvelope, error) {
 	// Each update needs at least its 4-byte length prefix, so a count
 	// the body cannot possibly hold is rejected before the pre-sized
 	// allocation — a 13-byte forgery must not buy megabytes of headers.
-	if uint64(count) > uint64(len(data)-9)/4 {
+	if uint64(count) > uint64(len(data)-batchHeader)/4 {
 		return BatchEnvelope{}, fmt.Errorf("wire: batch update count %d exceeds body", count)
 	}
-	off := 9
+	off := batchHeader
 	env := BatchEnvelope{Updates: make([][]byte, 0, count)}
 	for i := uint32(0); i < count; i++ {
 		if len(data)-off < 4 {
@@ -218,7 +267,7 @@ func DecodeBatchEnvelope(data []byte) (BatchEnvelope, error) {
 		// length ≥ 2³¹ would go negative and slip past the bound.
 		n32 := binary.LittleEndian.Uint32(data[off:])
 		off += 4
-		if uint64(n32) > uint64(len(data)-off) {
+		if uint64(n32) > MaxBodyBytes || uint64(n32) > uint64(len(data)-off) {
 			return BatchEnvelope{}, fmt.Errorf("wire: batch update %d length %d exceeds remaining bytes", i, n32)
 		}
 		n := int(n32)
