@@ -317,7 +317,7 @@ func BenchmarkProxyMix(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.BatchMix(updates, rng); err != nil {
+		if _, err := (core.Transform{}).Apply(updates, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -467,18 +467,16 @@ func recordMixArm(b *testing.B, elapsed time.Duration, mallocs uint64) {
 
 // mixRoundSize is the per-mixer round the hot-path benchmarks cycle:
 // every mixRoundSize updates the round closes — drain, encode for the
-// outbox, swap to a fresh mixer (recycling the slab in slab mode) —
+// outbox, swap to a fresh mixer (recycling the slab) —
 // exactly the steady-state epoch cycle of the sharded proxy.
 const mixRoundSize = 64
 
-// BenchmarkStreamMixerAdd measures the §6.5 store+mix hot path per
-// storage mode over the REAL per-update cycle: a fresh wire buffer (the
-// decrypt output each request materialises), AddWire into the mixer, and
+// BenchmarkStreamMixerAdd measures the §6.5 store+mix hot path over the
+// REAL per-update cycle: a fresh wire buffer (the decrypt output each
+// request materialises), AddWire into the mixer's pooled slab rows, and
 // at each round close the drain plus the outbox-side re-encode of every
-// mixed update. The legacy arm is the pre-slab pipeline (zero-copy
-// decode aliasing the buffer, per-emission allocations, EncodeParamSet
-// per outgoing update); the slab arm decodes into pooled slab rows and
-// re-encodes through the skeleton fast path into a reused buffer.
+// mixed update through the skeleton fast path into a reused buffer. CI
+// gates on the allocs/update column of its one arm, slab.
 func BenchmarkStreamMixerAdd(b *testing.B) {
 	model := experiment.PerfModels(experiment.ScaleQuick)[0]
 	update := model.Arch.New(1).SnapshotParams()
@@ -486,75 +484,59 @@ func BenchmarkStreamMixerAdd(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []string{"legacy", "slab"} {
-		b.Run(mode, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			pool := core.NewSlabPool()
-			newMixer := func() *core.StreamMixer {
-				var m *core.StreamMixer
+	b.Run("slab", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		pool := core.NewSlabPool()
+		newMixer := func() *core.StreamMixer {
+			m, err := core.NewStreamMixerSlab(8, rng, pool)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return m
+		}
+		closeRound := func(m *core.StreamMixer, emitted []nn.ParamSet, encBuf []byte) []byte {
+			emitted = append(emitted, m.Drain()...)
+			for _, ps := range emitted {
 				var err error
-				if mode == "slab" {
-					m, err = core.NewStreamMixerSlab(8, rng, pool)
-				} else {
-					m, err = core.NewStreamMixer(8, rng)
-				}
-				if err != nil {
+				if encBuf, err = nn.AppendParamSet(encBuf[:0], ps); err != nil {
 					b.Fatal(err)
 				}
-				return m
 			}
-			closeRound := func(m *core.StreamMixer, emitted []nn.ParamSet, encBuf []byte) []byte {
-				emitted = append(emitted, m.Drain()...)
-				for _, ps := range emitted {
-					if mode == "slab" {
-						encBuf = encBuf[:0]
-						var err error
-						if encBuf, err = nn.AppendParamSet(encBuf, ps); err != nil {
-							b.Fatal(err)
-						}
-					} else {
-						if _, err := nn.EncodeParamSet(ps); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				m.ReleaseSlab()
-				return encBuf
+			m.ReleaseSlab()
+			return encBuf
+		}
+		m := newMixer()
+		emitted := make([]nn.ParamSet, 0, mixRoundSize)
+		encBuf := make([]byte, 0, len(wire))
+		b.ReportAllocs()
+		b.SetBytes(int64(len(wire)))
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		start := time.Now()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// The decrypt output is a fresh buffer per request; the mixer
+			// drops it as soon as the payload is copied into its row.
+			buf := make([]byte, len(wire))
+			copy(buf, wire)
+			out, err := m.AddWire(buf)
+			if err != nil {
+				b.Fatal(err)
 			}
-			m := newMixer()
-			emitted := make([]nn.ParamSet, 0, mixRoundSize)
-			encBuf := make([]byte, 0, len(wire))
-			b.ReportAllocs()
-			b.SetBytes(int64(len(wire)))
-			var ms0, ms1 runtime.MemStats
-			runtime.ReadMemStats(&ms0)
-			start := time.Now()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// The decrypt output is a fresh buffer per request in both
-				// modes; the slab arm drops it immediately after the copy,
-				// the legacy arm's views pin it until the round closes.
-				buf := make([]byte, len(wire))
-				copy(buf, wire)
-				out, err := m.AddWire(buf)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if out != nil {
-					emitted = append(emitted, *out)
-				}
-				if (i+1)%mixRoundSize == 0 {
-					encBuf = closeRound(m, emitted, encBuf)
-					emitted = emitted[:0]
-					m = newMixer()
-				}
+			if out != nil {
+				emitted = append(emitted, *out)
 			}
-			b.StopTimer()
-			elapsed := time.Since(start)
-			runtime.ReadMemStats(&ms1)
-			recordMixArm(b, elapsed, ms1.Mallocs-ms0.Mallocs)
-		})
-	}
+			if (i+1)%mixRoundSize == 0 {
+				encBuf = closeRound(m, emitted, encBuf)
+				emitted = emitted[:0]
+				m = newMixer()
+			}
+		}
+		b.StopTimer()
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&ms1)
+		recordMixArm(b, elapsed, ms1.Mallocs-ms0.Mallocs)
+	})
 }
 
 // BenchmarkProxyMixWire is the sharded wire-ingress benchmark: one round

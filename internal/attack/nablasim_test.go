@@ -71,7 +71,7 @@ func (s *gaussSource) Auxiliary(attr, n int, seed int64) data.Dataset {
 // Interface-compliance checks for the pipeline arms used below.
 var (
 	_ fl.UpdateTransform = core.Transform{}
-	_ fl.UpdateTransform = core.StreamTransform{}
+	_ fl.UpdateTransform = core.ShardedStreamTransform{}
 	_ fl.UpdateTransform = privacy.NoisyTransform{}
 	_ fl.UpdateTransform = fl.Identity{}
 )
@@ -146,7 +146,7 @@ func TestMixNNDefeatsActiveAttack(t *testing.T) {
 }
 
 func TestMixNNStreamDefeatsActiveAttack(t *testing.T) {
-	acc := runAttack(t, core.StreamTransform{K: 4}, true, 3)
+	acc := runAttack(t, core.ShardedStreamTransform{K: 4}, true, 3)
 	if acc > 0.75 {
 		t.Fatalf("active ∇Sim accuracy under streaming MixNN = %g, want ~0.5", acc)
 	}

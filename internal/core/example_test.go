@@ -9,9 +9,9 @@ import (
 	"mixnn/internal/tensor"
 )
 
-// ExampleBatchMix shows the paper's central property: mixing layers between
-// participants leaves the aggregated mean unchanged.
-func ExampleBatchMix() {
+// ExampleTransform shows the paper's central property: mixing layers
+// between participants leaves the aggregated mean unchanged.
+func ExampleTransform() {
 	rng := rand.New(rand.NewSource(1))
 
 	// Three participants, each with a two-layer update.
@@ -23,7 +23,7 @@ func ExampleBatchMix() {
 		}}
 	}
 
-	mixed, err := core.BatchMix(updates, rng)
+	mixed, err := core.Transform{}.Apply(updates, rng)
 	if err != nil {
 		panic(err)
 	}
@@ -41,7 +41,7 @@ func ExampleBatchMix() {
 // lists, then emit one mixed update per arrival.
 func ExampleStreamMixer() {
 	rng := rand.New(rand.NewSource(7))
-	mixer, err := core.NewStreamMixer(2, rng)
+	mixer, err := core.NewStreamMixerSlab(2, rng, nil)
 	if err != nil {
 		panic(err)
 	}

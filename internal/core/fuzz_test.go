@@ -24,7 +24,7 @@ func FuzzShardedStateRestore(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	mixers := make([]*StreamMixer, 2)
 	for s := range mixers {
-		m, err := NewStreamMixer(3, rand.New(rand.NewSource(int64(s))))
+		m, err := NewStreamMixerSlab(3, rand.New(rand.NewSource(int64(s))), nil)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -47,15 +47,7 @@ func FuzzShardedStateRestore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fresh := make([]*StreamMixer, 2)
 		for s := range fresh {
-			// Alternate the restored tier's storage mode by input length:
-			// garbage must be rejected cleanly by both.
-			var m *StreamMixer
-			var err error
-			if len(data)%2 == 0 {
-				m, err = NewStreamMixerSlab(3, rand.New(rand.NewSource(int64(10+s))), nil)
-			} else {
-				m, err = NewStreamMixer(3, rand.New(rand.NewSource(int64(10+s))))
-			}
+			m, err := NewStreamMixerSlab(3, rand.New(rand.NewSource(int64(10+s))), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,10 +72,11 @@ func FuzzShardedStateRestore(f *testing.F) {
 }
 
 // FuzzShardedAggregationEquivalence is the shard-aware property test: for
-// every granularity, shard count P ∈ {1, 2, 4} and round size C up to 64,
-// both sharded transforms must emit exactly C updates whose layer-wise
-// mean equals the mean of the inputs within 1e-9 (the §4.2 theorem
-// extended across shards).
+// round sizes C up to 64, the batch transform at every granularity and
+// the sharded stream transform at every shard count P ∈ {1, 2, 4} must
+// emit exactly C updates whose layer-wise mean equals the mean of the
+// inputs within 1e-9 (the §4.2 theorem extended across shards), and the
+// stream's output must be bit-identical to the tree-list reference.
 func FuzzShardedAggregationEquivalence(f *testing.F) {
 	f.Add(uint8(8), uint8(1), uint8(1), int64(1))
 	f.Add(uint8(13), uint8(2), uint8(2), int64(2))
@@ -119,22 +112,15 @@ func FuzzShardedAggregationEquivalence(f *testing.F) {
 			}
 		}
 
-		batch, err := ShardedTransform{Granularity: g, Shards: p}.Apply(updates, rng)
-		check("sharded batch", batch, err)
+		batch, err := Transform{Granularity: g}.Apply(updates, rng)
+		check("batch", batch, err)
 		// The stream mixer always works at layer granularity; sweep it over
-		// the same C × P grid with a k that exercises emit-then-drain. The
-		// legacy and slab storage modes run on identical fresh RNGs: beyond
-		// the mean property, their outputs must be BIT-identical (slab mode
-		// changes storage, not mixing decisions).
+		// the same C × P grid with a k that exercises emit-then-drain. On
+		// identical fresh rand sources its slab store must emit exactly what
+		// the tree-list reference does: storage is all the slab changes.
 		stream, err := ShardedStreamTransform{K: 2, Shards: p}.Apply(updates, rand.New(rand.NewSource(seed+7)))
 		check("sharded stream", stream, err)
-		slab, err := ShardedStreamTransform{K: 2, Shards: p, Slab: true}.Apply(updates, rand.New(rand.NewSource(seed+7)))
-		check("sharded slab stream", slab, err)
-		for i := range stream {
-			if !stream[i].ApproxEqual(slab[i], 0) {
-				t.Fatalf("C=%d P=%d: slab output %d is not bit-identical to legacy", c, p, i)
-			}
-		}
+		sameUpdates(t, "sharded stream", stream, refShardedStream(updates, 2, p, rand.New(rand.NewSource(seed+7))))
 	})
 }
 
@@ -150,7 +136,9 @@ var shardChoices = []int{1, 2, 4}
 // mean of all C inputs within 1e-9 — material is neither lost nor
 // double-counted across the crash, even when the restored lists are
 // narrower than what they receive (the over-full case RestoreEntry's
-// "past k" clause exists for) or wider.
+// "past k" clause exists for) or wider. The round's output must also be
+// bit-identical to a tree-list reference tier that crosses the crash by
+// its own snapshot.
 func FuzzSealRestoreRoundtrip(f *testing.F) {
 	f.Add(uint8(8), uint8(4), uint8(1), uint8(2), uint8(2), int64(1))
 	f.Add(uint8(13), uint8(6), uint8(2), uint8(0), uint8(1), int64(2))
@@ -166,12 +154,19 @@ func FuzzSealRestoreRoundtrip(f *testing.F) {
 		// longer reshards) chooses the restored mixers' capacity instead.
 		kPrime := int(kPrimeRaw)%4 + 1
 
-		// The storage-mode dimension rides the seed instead of a new fuzz
-		// parameter (which would orphan the existing corpus): both the
-		// sealed tier and the restored tier independently run slab-backed
-		// or legacy, covering all four cross-restore combinations.
-		slabSealed := seed&1 == 0
-		slabRestored := seed&2 == 0
+		// The pool dimension rides the seed instead of a new fuzz
+		// parameter (which would orphan the existing corpus): the sealed
+		// tier and the restored tier each draw their slabs from one shared
+		// SlabPool or from none, covering all four combinations. The
+		// crashed tier's storage goes back to the pool after the seal, so
+		// a restored tier on the pool may file into recycled chunks.
+		pool := NewSlabPool()
+		poolIf := func(bit int64) *SlabPool {
+			if seed&bit == 0 {
+				return pool
+			}
+			return nil
+		}
 
 		rng := rand.New(rand.NewSource(seed))
 		updates := makeUpdates(c, 3, rng)
@@ -180,28 +175,37 @@ func FuzzSealRestoreRoundtrip(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		newMixer := func(slab bool, k int, seed int64) (*StreamMixer, error) {
-			if slab {
-				return NewStreamMixerSlab(k, rand.New(rand.NewSource(seed)), nil)
+		// Every tier runs beside a tree-list reference tier on the same
+		// rand sources; the round's output must match it bit for bit.
+		var emitted, refEmitted []nn.ParamSet
+		newTiers := func(k int, seed int64, pool *SlabPool) ([]*StreamMixer, []*refStream) {
+			tier, ref := make([]*StreamMixer, p), make([]*refStream, p)
+			for s := range tier {
+				var err error
+				if tier[s], err = NewStreamMixerSlab(k, rand.New(rand.NewSource(seed+int64(s))), pool); err != nil {
+					t.Fatal(err)
+				}
+				ref[s] = &refStream{k: k, rng: rand.New(rand.NewSource(seed + int64(s)))}
 			}
-			return NewStreamMixer(k, rand.New(rand.NewSource(seed)))
+			return tier, ref
 		}
-		tier := make([]*StreamMixer, p)
-		for s := range tier {
-			if tier[s], err = newMixer(slabSealed, k, seed+int64(s)); err != nil {
-				t.Fatal(err)
+		feed := func(tier []*StreamMixer, ref []*refStream, updates []nn.ParamSet) {
+			for i, u := range updates {
+				out, err := tier[i%p].Add(u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out != nil {
+					// A clone: the emission must outlive its slab's release.
+					emitted = append(emitted, out.Clone())
+				}
+				if out := ref[i%p].add(u); out != nil {
+					refEmitted = append(refEmitted, *out)
+				}
 			}
 		}
-		var emitted []nn.ParamSet
-		for i, u := range updates[:split] {
-			out, err := tier[i%p].Add(u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if out != nil {
-				emitted = append(emitted, *out)
-			}
-		}
+		tier, ref := newTiers(k, seed, poolIf(1))
+		feed(tier, ref, updates[:split])
 
 		blob, err := SealShardedState(asShards(tier), ShardedStateMeta{
 			Routing: 1, RRCursor: split, InRound: split, Received: split,
@@ -209,10 +213,14 @@ func FuzzSealRestoreRoundtrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		restored := make([]*StreamMixer, p)
-		for s := range restored {
-			if restored[s], err = newMixer(slabRestored, kPrime, seed+100+int64(s)); err != nil {
-				t.Fatal(err)
+		for _, m := range tier {
+			m.Drain()
+			m.ReleaseSlab()
+		}
+		restored, refRestored := newTiers(kPrime, seed+100, poolIf(2))
+		for s := range refRestored {
+			for _, e := range ref[s].snapshot() {
+				refRestored[s].file(e)
 			}
 		}
 		meta, err := restoreInto(blob, asShards(restored), nil)
@@ -224,21 +232,15 @@ func FuzzSealRestoreRoundtrip(f *testing.F) {
 		}
 
 		// The remaining clients finish the round on the restored tier.
-		for i, u := range updates[split:] {
-			out, err := restored[i%p].Add(u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if out != nil {
-				emitted = append(emitted, *out)
-			}
-		}
-		for _, m := range restored {
+		feed(restored, refRestored, updates[split:])
+		for s, m := range restored {
 			emitted = append(emitted, m.Drain()...)
+			refEmitted = append(refEmitted, refRestored[s].drain()...)
 		}
 		if len(emitted) != c {
 			t.Fatalf("C=%d split=%d P=%d k=%d k'=%d: round emitted %d updates", c, split, p, k, kPrime, len(emitted))
 		}
+		sameUpdates(t, "seal/restore round", emitted, refEmitted)
 		after, err := nn.Average(emitted)
 		if err != nil {
 			t.Fatal(err)

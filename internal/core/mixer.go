@@ -7,9 +7,10 @@
 //
 // Two modes are provided, matching the paper:
 //
-//   - BatchMix (§4.2): wait for all C participants, then emit L = C mixed
-//     updates built from one independent uniform permutation per layer.
-//     Per-layer bijectivity gives the aggregation-equivalence theorem.
+//   - Transform (§4.2): wait for all C participants, then emit L = C
+//     mixed updates built from one independent uniform permutation per
+//     layer. Per-layer bijectivity gives the aggregation-equivalence
+//     theorem.
 //   - StreamMixer (§4.3): the implementation deployed inside the enclave.
 //     Per-layer lists of capacity k are filled first; each further update
 //     causes one element per layer to be drawn at random, assembled into
@@ -54,26 +55,21 @@ func (g Granularity) String() string {
 	}
 }
 
-// BatchMix mixes the C updates with one independent uniform permutation per
-// layer and returns C mixed updates (the paper's L = C setting, where the
-// proxy waits for every participant before mixing).
+// BatchMixAssignment mixes the C updates with one independent uniform
+// permutation per unit and returns C mixed updates (the paper's L = C
+// setting, where the proxy waits for every participant before mixing)
+// together with the mixing matrix: assign[i][j] is the index of the
+// participant whose unit j (layer or tensor, per the granularity) landed
+// in outgoing update i. For GranularityModel there is a single unit per
+// update. Tests use the assignment to verify per-unit bijectivity; the
+// robustness analysis (Figure 9) uses it as ground truth.
 //
 // The returned updates share tensor storage with the inputs; callers that
 // mutate updates afterwards must clone.
-func BatchMix(updates []nn.ParamSet, rng *rand.Rand) ([]nn.ParamSet, error) {
-	mixed, _, err := BatchMixAssignment(updates, rng, GranularityLayer)
-	return mixed, err
-}
-
-// BatchMixAssignment is BatchMix exposing the mixing matrix: assign[i][j]
-// is the index of the participant whose unit j (layer or tensor, per the
-// granularity) landed in outgoing update i. For GranularityModel there is
-// a single unit per update. Tests use the assignment to verify per-unit
-// bijectivity; the robustness analysis (Figure 9) uses it as ground truth.
 func BatchMixAssignment(updates []nn.ParamSet, rng *rand.Rand, g Granularity) ([]nn.ParamSet, [][]int, error) {
 	c := len(updates)
 	if c == 0 {
-		return nil, nil, fmt.Errorf("core: BatchMix of zero updates")
+		return nil, nil, fmt.Errorf("core: batch mix of zero updates")
 	}
 	for i := 1; i < c; i++ {
 		if !updates[0].Compatible(updates[i]) {

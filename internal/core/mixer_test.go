@@ -35,7 +35,7 @@ func layerName(j int) string { return string(rune('a' + j)) }
 func TestBatchMixPreservesAggregation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	updates := makeUpdates(8, 4, rng)
-	mixed, err := BatchMix(updates, rng)
+	mixed, err := Transform{}.Apply(updates, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,13 +173,13 @@ func TestBatchMixModelGranularityKeepsUpdatesIntact(t *testing.T) {
 
 func TestBatchMixErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	if _, err := BatchMix(nil, rng); err == nil {
-		t.Fatal("BatchMix(nil) succeeded")
+	if _, err := (Transform{}).Apply(nil, rng); err == nil {
+		t.Fatal("a batch mix of no updates succeeded")
 	}
 	a := makeUpdates(1, 2, rng)[0]
 	b := makeUpdates(1, 3, rng)[0]
-	if _, err := BatchMix([]nn.ParamSet{a, b}, rng); err == nil {
-		t.Fatal("BatchMix of incompatible updates succeeded")
+	if _, err := (Transform{}).Apply([]nn.ParamSet{a, b}, rng); err == nil {
+		t.Fatal("a batch mix of incompatible updates succeeded")
 	}
 	if _, _, err := BatchMixAssignment(makeUpdates(2, 2, rng), rng, Granularity(99)); err == nil {
 		t.Fatal("unknown granularity accepted")

@@ -18,9 +18,8 @@ import (
 // slab row, never a ParamSet tree built for the occasion.
 type Shard interface {
 	// AddWire files one ENCODED update, fully validating it against the
-	// round's model structure, by the shard's cheapest path from wire
-	// bytes to its storage: a slab shard copies the payload into its slab
-	// row, a tree mixer decodes a copy. A non-nil return is an emission
+	// round's model structure, by copying its payload into a slab row
+	// (mixers and relays store alike). A non-nil return is an emission
 	// (a mixed update leaving the shard mid-round). Nothing the shard
 	// keeps references wire, so the caller may reuse the buffer as soon
 	// as AddWire returns.
@@ -187,8 +186,11 @@ func clampShards(p, c int) int {
 // ShardedStreamTransform runs one independent k-buffer StreamMixer per
 // shard over a round-robin partition of the round and concatenates the
 // shards' outputs (emissions followed by the round-close drain, per shard).
-// With Shards = 1 it reduces exactly to StreamTransform. It satisfies
-// fl.UpdateTransform.
+// With Shards = 1 it is the paper's single §4.3 stream: it feeds the
+// round through a fresh k-buffer mixer and drains it, so the server
+// receives exactly as many updates as participants sent. The mixers are
+// the tier's own, so the offline experiments run the code a proxy runs.
+// It satisfies fl.UpdateTransform.
 type ShardedStreamTransform struct {
 	// K is the per-shard list capacity; it is clamped to the shard's round
 	// size (so the buffer always fills and drains within the round).
@@ -196,11 +198,6 @@ type ShardedStreamTransform struct {
 	// Shards is the shard count P (defaults to 1; clamped to the number of
 	// updates).
 	Shards int
-	// Slab runs each shard's mixer in slab-backed storage mode. The
-	// output is bit-identical to the legacy mode for the same rng (the
-	// mixing decisions consume the identical RNG sequence; only storage
-	// differs) — which is exactly what the equivalence fuzz targets pin.
-	Slab bool
 }
 
 // Name implements fl.UpdateTransform.
@@ -218,13 +215,7 @@ func (t ShardedStreamTransform) Apply(updates []nn.ParamSet, rng *rand.Rand) ([]
 		if k <= 0 || k > len(part) {
 			k = len(part)
 		}
-		var m *StreamMixer
-		var err error
-		if t.Slab {
-			m, err = NewStreamMixerSlab(k, rng, nil)
-		} else {
-			m, err = NewStreamMixer(k, rng)
-		}
+		m, err := NewStreamMixerSlab(k, rng, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -238,42 +229,6 @@ func (t ShardedStreamTransform) Apply(updates []nn.ParamSet, rng *rand.Rand) ([]
 			}
 		}
 		out = append(out, m.Drain()...)
-	}
-	return out, nil
-}
-
-// ShardedTransform is the batch mixer (§4.2) applied per shard: each shard
-// mixes its partition with one independent uniform permutation per unit at
-// the chosen granularity. With Shards = 1 it reduces exactly to Transform.
-// It satisfies fl.UpdateTransform.
-type ShardedTransform struct {
-	// Granularity defaults to GranularityLayer (the paper's design).
-	Granularity Granularity
-	// Shards is the shard count P (defaults to 1; clamped to the number of
-	// updates).
-	Shards int
-}
-
-// Name implements fl.UpdateTransform.
-func (t ShardedTransform) Name() string { return "mixnn-sharded-batch" }
-
-// Apply implements fl.UpdateTransform.
-func (t ShardedTransform) Apply(updates []nn.ParamSet, rng *rand.Rand) ([]nn.ParamSet, error) {
-	if len(updates) == 0 {
-		return nil, fmt.Errorf("core: sharded batch mix of zero updates")
-	}
-	g := t.Granularity
-	if g == 0 {
-		g = GranularityLayer
-	}
-	p := clampShards(t.Shards, len(updates))
-	out := make([]nn.ParamSet, 0, len(updates))
-	for s, part := range shardUpdates(updates, p) {
-		mixed, _, err := BatchMixAssignment(part, rng, g)
-		if err != nil {
-			return nil, fmt.Errorf("core: shard %d: %w", s, err)
-		}
-		out = append(out, mixed...)
 	}
 	return out, nil
 }

@@ -101,47 +101,15 @@ func TestShardedStreamReducesToStreamWhenOneShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng2 := rand.New(rand.NewSource(9))
-	plain, err := StreamTransform{K: 4}.Apply(updates, rng2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(one) != len(plain) {
-		t.Fatalf("single-shard output count %d, unsharded %d", len(one), len(plain))
-	}
-	for i := range one {
-		if !one[i].ApproxEqual(plain[i], 0) {
-			t.Fatalf("single-shard output %d differs from unsharded stream", i)
+	// One shard is the paper's single §4.3 stream.
+	ref := &refStream{k: 4, rng: rand.New(rand.NewSource(9))}
+	var plain []nn.ParamSet
+	for _, u := range updates {
+		if e := ref.add(u); e != nil {
+			plain = append(plain, *e)
 		}
 	}
-}
-
-func TestShardedBatchPreservesAggregationAllGranularities(t *testing.T) {
-	for _, g := range []Granularity{GranularityLayer, GranularityTensor, GranularityModel} {
-		for _, p := range []int{1, 2, 4} {
-			rng := rand.New(rand.NewSource(int64(int(g)*10 + p)))
-			updates := makeUpdates(11, 3, rng)
-			tr := ShardedTransform{Granularity: g, Shards: p}
-			mixed, err := tr.Apply(updates, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(mixed) != len(updates) {
-				t.Fatalf("g=%s P=%d: %d outputs from %d inputs", g, p, len(mixed), len(updates))
-			}
-			before, err := nn.Average(updates)
-			if err != nil {
-				t.Fatal(err)
-			}
-			after, err := nn.Average(mixed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !before.ApproxEqual(after, 1e-9) {
-				t.Fatalf("g=%s P=%d: sharded batch mixing changed the aggregate", g, p)
-			}
-		}
-	}
+	sameUpdates(t, "single-shard stream", one, append(plain, ref.drain()...))
 }
 
 func TestShardedTransformsClampShards(t *testing.T) {
@@ -154,13 +122,6 @@ func TestShardedTransformsClampShards(t *testing.T) {
 	if len(out) != 2 {
 		t.Fatalf("clamped sharded stream produced %d outputs, want 2", len(out))
 	}
-	out, err = ShardedTransform{Shards: 8}.Apply(updates, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 {
-		t.Fatalf("clamped sharded batch produced %d outputs, want 2", len(out))
-	}
 }
 
 // TestStreamMixerConcurrentAdd drives one mixer from many goroutines (the
@@ -169,7 +130,7 @@ func TestShardedTransformsClampShards(t *testing.T) {
 func TestStreamMixerConcurrentAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	updates := makeUpdates(64, 3, rng)
-	m, err := NewStreamMixer(8, rand.New(rand.NewSource(13)))
+	m, err := NewStreamMixerSlab(8, rand.New(rand.NewSource(13)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,10 +7,9 @@ import (
 	"mixnn/internal/nn"
 )
 
-// Shard-aware durable state for a whole mixing tier. Where state.go
-// snapshots ONE StreamMixer, this file snapshots every shard of a tier
-// plus the routing metadata and round ledger that make the snapshot
-// restorable into a tier of the same shape.
+// Shard-aware durable state for a whole mixing tier: this file snapshots
+// every shard of a tier plus the routing metadata and round ledger that
+// make the snapshot restorable into a tier of the same shape.
 //
 // Binary layout (little-endian), versioned so the format can evolve:
 //
@@ -168,29 +167,12 @@ func (m *StreamMixer) RestoreEntry(u nn.ParamSet) error {
 	if m.lists == nil && m.received != 0 {
 		return fmt.Errorf("core: RestoreEntry on a non-fresh mixer")
 	}
-	if m.slab != nil {
-		// A slab mixer owns its storage: copy the restored entry into a
-		// fresh row and file the row's view (restores may push past k —
-		// chunks grow, they never reject).
-		view, err := m.slab.fileParamSet(u)
-		if err != nil {
-			return fmt.Errorf("core: restored update incompatible with mixer model structure")
-		}
-		u = view
-	}
-	if m.lists == nil {
-		m.template = u
-		m.lists = make([][]nn.LayerParams, len(u.Layers))
-		for i := range m.lists {
-			m.lists[i] = make([]nn.LayerParams, 0, m.k)
-		}
-	} else if m.slab == nil && !m.template.Compatible(u) {
+	// Restores may push past k: chunks grow, they never reject.
+	row, err := m.slab.fileParamSet(u)
+	if err != nil {
 		return fmt.Errorf("core: restored update incompatible with mixer model structure")
 	}
-	for li, lp := range u.Layers {
-		m.lists[li] = append(m.lists[li], lp)
-	}
-	m.buffered++
+	m.bufferLocked(row)
 	m.received++
 	return nil
 }

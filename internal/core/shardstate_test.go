@@ -19,7 +19,7 @@ func newTier(t testing.TB, p, k int) []Shard {
 	t.Helper()
 	tier := make([]Shard, p)
 	for s := range tier {
-		m, err := NewStreamMixer(k, rand.New(rand.NewSource(int64(100+s))))
+		m, err := NewStreamMixerSlab(k, rand.New(rand.NewSource(int64(100+s))), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -528,7 +528,7 @@ func TestRelayShardConservation(t *testing.T) {
 func TestShardedStateRelayInTier(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	updates := makeUpdates(6, 2, rng)
-	m, err := NewStreamMixer(2, rand.New(rand.NewSource(5)))
+	m, err := NewStreamMixerSlab(2, rand.New(rand.NewSource(5)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,7 +561,7 @@ func TestShardedStateRelayInTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := NewStreamMixer(2, rand.New(rand.NewSource(6)))
+	m2, err := NewStreamMixerSlab(2, rand.New(rand.NewSource(6)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -117,9 +116,8 @@ func (c *SlabChunk) Views() []nn.ParamSet { return c.views }
 // slabStore is a slab shard's storage (a StreamMixer's or a RelayShard's):
 // each accepted update occupies one stride-length row of a chunk, and what
 // the mixing lists hold are LayerParams drawn from the row's pre-built
-// view — so the mixer's swap/drain logic runs unchanged (and
-// RNG-identically) over tensors that all live in a handful of flat
-// float64 allocations.
+// view — so the mixer's swap/drain logic runs over tensors that all live
+// in a handful of flat float64 allocations.
 //
 // Rows are never reused within a round: an emitted update's view aliases
 // its row until the round's outbox entry is committed, so the store only
@@ -134,10 +132,10 @@ type slabStore struct {
 	used      int // rows used in the last chunk
 
 	// Emission arenas: mid-round emissions hand out *nn.ParamSet whose
-	// struct and Layers slice come from bulk allocations, amortising the
-	// two per-emission allocations of the legacy path to ~zero. Exhausted
-	// arenas are abandoned to the GC (outstanding emissions keep them
-	// alive) and replaced.
+	// struct and Layers slice come from bulk allocations, and drained
+	// updates take their Layers slices from the same arena, so neither
+	// allocates per update. Exhausted arenas are abandoned to the GC
+	// (outstanding emissions keep them alive) and replaced.
 	emSets    []nn.ParamSet
 	emSetUsed int
 	emLayers  []nn.LayerParams
@@ -209,17 +207,20 @@ func (s *slabStore) emission(L int) *nn.ParamSet {
 		s.emSets = make([]nn.ParamSet, s.chunkRows)
 		s.emSetUsed = 0
 	}
-	if s.emLayUsed+L > len(s.emLayers) {
-		n := s.chunkRows * L
-		if n < L {
-			n = L
-		}
-		s.emLayers = make([]nn.LayerParams, n)
-		s.emLayUsed = 0
-	}
 	out := &s.emSets[s.emSetUsed]
 	s.emSetUsed++
-	out.Layers = s.emLayers[s.emLayUsed : s.emLayUsed+L : s.emLayUsed+L]
+	out.Layers = s.layers(L)
+	return out
+}
+
+// layers hands out a Layers slice of length L from the arena, room for
+// chunkRows updates at a time.
+func (s *slabStore) layers(L int) []nn.LayerParams {
+	if s.emLayUsed+L > len(s.emLayers) {
+		s.emLayers = make([]nn.LayerParams, s.chunkRows*L)
+		s.emLayUsed = 0
+	}
+	out := s.emLayers[s.emLayUsed : s.emLayUsed+L : s.emLayUsed+L]
 	s.emLayUsed += L
 	return out
 }
@@ -240,50 +241,22 @@ func (s *slabStore) release() {
 	s.emLayUsed = 0
 }
 
-// ReleaseSlab recycles a slab-backed mixer's storage into its pool. It
-// is the round-scoped half of the pool lifecycle: the proxy calls it on
-// a RETIRED epoch's mixers after the round's outbox entry committed —
-// at that point every emission and drained update of the round has been
+// ReleaseSlab recycles a mixer's storage into its pool. It is the
+// round-scoped half of the pool lifecycle: the proxy calls it on a
+// RETIRED epoch's mixers after the round's outbox entry committed — at
+// that point every emission and drained update of the round has been
 // encoded into the sealed entry, so no live reference into the slab
-// remains. It must NOT be called while the round's material can still
-// be referenced (a failed commit retains emissions that alias the slab;
-// the proxy skips the release and lets the GC reclaim the chunks
-// instead). A legacy mixer, a mixer without a pool, or a mixer still
-// holding buffered material ignores the call.
+// remains. It must NOT be called while the round's material can still be
+// referenced (a failed commit retains emissions that alias the slab; the
+// proxy skips the release and lets the GC reclaim the chunks instead). A
+// mixer without a pool, or one still holding buffered material, ignores
+// the call.
 func (m *StreamMixer) ReleaseSlab() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.slab == nil || m.slab.pool == nil || m.buffered != 0 {
+	if m.slab.pool == nil || m.buffered != 0 {
 		return
 	}
 	m.slab.release()
 	m.lists = nil
-	m.template = nn.ParamSet{}
-}
-
-// AddWire ingests one ENCODED update: the slab path decodes it straight
-// into a fresh slab row (header-skeleton validation plus one bulk
-// payload copy — no intermediate ParamSet, no per-tensor allocation) and
-// mixes the row's pre-built view; a legacy mixer decodes a copy of wire
-// and mixes that tree. Emission semantics and the RNG call sequence are
-// identical to Add, so slab and legacy mixers given the same seed
-// produce bit-identical streams.
-func (m *StreamMixer) AddWire(wire []byte) (*nn.ParamSet, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.slab == nil {
-		ps, err := nn.DecodeParamSetNoCopy(bytes.Clone(wire)) // the lists alias the clone, never wire
-		if err != nil {
-			return nil, err
-		}
-		if len(ps.Layers) == 0 {
-			return nil, fmt.Errorf("core: empty update")
-		}
-		return m.addLocked(ps)
-	}
-	view, err := m.slab.fileWire(wire)
-	if err != nil {
-		return nil, fmt.Errorf("core: update incompatible with mixer model structure: %w", err)
-	}
-	return m.addLocked(view)
 }

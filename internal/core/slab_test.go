@@ -23,53 +23,39 @@ func encodeAll(t testing.TB, updates []nn.ParamSet) [][]byte {
 }
 
 // TestSlabAddWireBitEquivalent drives the identical update stream through
-// a legacy mixer (zero-copy decode + Add) and a slab mixer (AddWire) with
-// the same seed: every emission and the round-close drain must be
-// BIT-identical, because slab mode changes storage, not mixing decisions.
+// the tree-list reference (Add of each decoded update) and a slab mixer
+// (AddWire) with the same seed: every emission and the round-close drain
+// must be BIT-identical, because the slab store changes storage, not
+// mixing decisions.
 func TestSlabAddWireBitEquivalent(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	updates := makeUpdates(23, 3, rng)
 	wires := encodeAll(t, updates)
 
-	legacy, err := NewStreamMixer(5, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := &refStream{k: 5, rng: rand.New(rand.NewSource(7))}
 	slab, err := NewStreamMixerSlab(5, rand.New(rand.NewSource(7)), NewSlabPool())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	var legacyOut, slabOut []nn.ParamSet
+	var refOut, slabOut []nn.ParamSet
 	for i := range updates {
-		lo, err := legacy.Add(updates[i])
-		if err != nil {
-			t.Fatal(err)
-		}
+		ro := ref.add(updates[i])
 		so, err := slab.AddWire(wires[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if (lo == nil) != (so == nil) {
-			t.Fatalf("update %d: legacy emitted %v, slab emitted %v", i, lo != nil, so != nil)
+		if (ro == nil) != (so == nil) {
+			t.Fatalf("update %d: reference emitted %v, slab emitted %v", i, ro != nil, so != nil)
 		}
-		if lo != nil {
-			legacyOut = append(legacyOut, *lo)
+		if ro != nil {
+			refOut = append(refOut, *ro)
 			slabOut = append(slabOut, *so)
 		}
 	}
-	legacyOut = append(legacyOut, legacy.Drain()...)
-	slabOut = append(slabOut, slab.Drain()...)
-	if len(legacyOut) != len(updates) || len(slabOut) != len(updates) {
-		t.Fatalf("emitted %d legacy / %d slab updates from %d inputs", len(legacyOut), len(slabOut), len(updates))
-	}
-	for i := range legacyOut {
-		if !legacyOut[i].ApproxEqual(slabOut[i], 0) {
-			t.Fatalf("output %d differs between legacy and slab storage", i)
-		}
-	}
-	if got, want := slab.Received(), legacy.Received(); got != want {
-		t.Fatalf("slab received %d, legacy %d", got, want)
+	sameUpdates(t, "slab stream", append(slabOut, slab.Drain()...), append(refOut, ref.drain()...))
+	if got := slab.Received(); got != len(updates) {
+		t.Fatalf("slab received %d, want %d", got, len(updates))
 	}
 }
 
@@ -202,9 +188,8 @@ func TestSlabReleaseRefusesBufferedMaterial(t *testing.T) {
 	}
 }
 
-// TestSlabRestorePastK mirrors the over-full restore contract of the
-// legacy mixer: restores may push the buffer past k and the mixer stays
-// conservative.
+// TestSlabRestorePastK pins the over-full restore contract: restores may
+// push the buffer past k and the mixer stays conservative.
 func TestSlabRestorePastK(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	updates := makeUpdates(7, 2, rng)
@@ -236,89 +221,6 @@ func TestSlabRestorePastK(t *testing.T) {
 	// the mean's float additions run in a different order.
 	if !before.ApproxEqual(after, 1e-9) {
 		t.Fatal("over-full slab restore changed the aggregate")
-	}
-}
-
-// TestSlabSealRestoreV4Unchanged is the seal-compat contract of slab
-// mode: a slab-backed tier seals into a v4 blob BYTE-IDENTICAL to the
-// one a legacy tier with the same contents produces, and that blob
-// restores into either storage mode with bit-identical buffered
-// material — so seal blobs taken before and after this refactor are
-// interchangeable in both directions.
-func TestSlabSealRestoreV4Unchanged(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	// 6 updates over 2 shards of k=3 leave both tiers exactly full with
-	// no mid-round emissions, so every input is in the sealed blob.
-	updates := makeUpdates(6, 3, rng)
-
-	build := func(slab bool) []*StreamMixer {
-		tier := make([]*StreamMixer, 2)
-		for s := range tier {
-			var m *StreamMixer
-			var err error
-			if slab {
-				m, err = NewStreamMixerSlab(3, rand.New(rand.NewSource(int64(s))), NewSlabPool())
-			} else {
-				m, err = NewStreamMixer(3, rand.New(rand.NewSource(int64(s))))
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			tier[s] = m
-		}
-		for i, u := range updates {
-			if _, err := tier[i%2].Add(u); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return tier
-	}
-	meta := ShardedStateMeta{Routing: 1, InRound: len(updates), Received: len(updates)}
-	legacyBlob, err := SealShardedState(asShards(build(false)), meta, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slabBlob, err := SealShardedState(asShards(build(true)), meta, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(legacyBlob) != string(slabBlob) {
-		t.Fatal("slab-mode tier sealed a different v4 blob than the legacy tier")
-	}
-
-	// The blob restores into both storage modes with identical contents.
-	restore := func(slab bool) []nn.ParamSet {
-		tier := make([]*StreamMixer, 2)
-		for s := range tier {
-			var m *StreamMixer
-			var err error
-			if slab {
-				m, err = NewStreamMixerSlab(3, rand.New(rand.NewSource(int64(50+s))), nil)
-			} else {
-				m, err = NewStreamMixer(3, rand.New(rand.NewSource(int64(50+s))))
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			tier[s] = m
-		}
-		if _, err := restoreInto(legacyBlob, asShards(tier), nil); err != nil {
-			t.Fatal(err)
-		}
-		var out []nn.ParamSet
-		for _, m := range tier {
-			out = append(out, m.SnapshotEntries()...)
-		}
-		return out
-	}
-	intoLegacy, intoSlab := restore(false), restore(true)
-	if len(intoLegacy) != len(updates) || len(intoSlab) != len(updates) {
-		t.Fatalf("restored %d legacy / %d slab entries from %d sealed", len(intoLegacy), len(intoSlab), len(updates))
-	}
-	for i := range intoLegacy {
-		if !intoLegacy[i].ApproxEqual(intoSlab[i], 0) {
-			t.Fatalf("restored entry %d differs between storage modes", i)
-		}
 	}
 }
 
@@ -384,8 +286,8 @@ func TestSlabPoolChunks(t *testing.T) {
 	}
 }
 
-// TestRetainsWire pins who keeps an AddWire buffer: no shard does. A slab
-// mixer, a tree mixer and a relay each copy what they file, so the proxy
+// TestRetainsWire pins who keeps an AddWire buffer: no shard does. A
+// mixer and a relay each copy what they file, so the proxy
 // may recycle the buffer the moment AddWire returns — overwriting it
 // changes nothing the shard drains or seals.
 func TestRetainsWire(t *testing.T) {
@@ -393,7 +295,6 @@ func TestRetainsWire(t *testing.T) {
 	want, _ := nn.Average(updates)
 	for name, s := range map[string]Shard{
 		"slab":  must(NewStreamMixerSlab(3, rand.New(rand.NewSource(2)), nil)),
-		"tree":  must(NewStreamMixer(3, rand.New(rand.NewSource(2)))),
 		"relay": NewRelayShard(3, NewSlabPool()),
 	} {
 		for _, buf := range encodeAll(t, updates) {

@@ -15,6 +15,11 @@ import (
 // those elements into an outgoing update, and file the arriving update's
 // layers into the freed slots.
 //
+// Storage is a slab (slab.go): every accepted update is copied (or
+// wire-decoded) into one stride-length row of a contiguous float64 chunk
+// and the lists hold that row's pre-built view, so nothing the mixer
+// keeps aliases the caller's ParamSet or wire bytes.
+//
 // A StreamMixer is safe for concurrent use: Add, Drain, the counters and
 // the state snapshot methods serialise on an internal mutex, so the
 // sharded proxy tier can drive one mixer per shard from concurrent
@@ -24,43 +29,25 @@ type StreamMixer struct {
 	rng *rand.Rand
 
 	mu       sync.Mutex
-	template nn.ParamSet // structure of the first update; guards compatibility
+	slab     *slabStore
 	lists    [][]nn.LayerParams
 	buffered int
 	emitted  int
 	received int
-	// slab, when non-nil, switches the mixer to slab-backed storage:
-	// every accepted update is copied (or wire-decoded) into one
-	// stride-length row of a contiguous float64 chunk and the lists hold
-	// that row's pre-built view, so the swap/drain logic below runs
-	// unchanged — and RNG-identically — while per-update allocation
-	// drops to ~zero. See slab.go.
-	slab *slabStore
 }
 
-// NewStreamMixer creates a mixer with per-layer lists of capacity k.
-func NewStreamMixer(k int, rng *rand.Rand) (*StreamMixer, error) {
+// NewStreamMixerSlab creates a mixer with per-layer lists of capacity k,
+// its storage in contiguous per-round float64 slabs drawn from pool. pool
+// may be nil (the mixer then allocates chunks that die with it instead of
+// recycling them at the epoch swap).
+func NewStreamMixerSlab(k int, rng *rand.Rand, pool *SlabPool) (*StreamMixer, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: stream mixer requires k > 0, got %d", k)
 	}
 	if rng == nil {
 		return nil, fmt.Errorf("core: stream mixer requires a rand source")
 	}
-	return &StreamMixer{k: k, rng: rng}, nil
-}
-
-// NewStreamMixerSlab creates a slab-backed mixer: same mixing semantics
-// as NewStreamMixer (bit-identical output for the same seed), storage in
-// contiguous per-round float64 slabs drawn from pool. pool may be nil
-// (the mixer then allocates chunks that die with it instead of
-// recycling them at the epoch swap).
-func NewStreamMixerSlab(k int, rng *rand.Rand, pool *SlabPool) (*StreamMixer, error) {
-	m, err := NewStreamMixer(k, rng)
-	if err != nil {
-		return nil, err
-	}
-	m.slab = newSlabStore(k, pool)
-	return m, nil
+	return &StreamMixer{k: k, rng: rng, slab: newSlabStore(k, pool)}, nil
 }
 
 // K returns the list capacity.
@@ -87,67 +74,73 @@ func (m *StreamMixer) Emitted() int {
 	return m.emitted
 }
 
-// Add accepts one participant update. While the lists are filling
-// (fewer than k buffered) it returns (nil, nil). Once the lists are full,
-// each Add returns exactly one mixed update assembled from randomly-drawn
-// buffered layers, with the arriving layers taking the freed slots.
+// Add accepts one participant update, copying it into a slab row. While
+// the lists are filling (fewer than k buffered) it returns (nil, nil).
+// Once the lists are full, each Add returns exactly one mixed update
+// assembled from randomly-drawn buffered layers, with the arriving layers
+// taking the freed slots.
 func (m *StreamMixer) Add(u nn.ParamSet) (*nn.ParamSet, error) {
 	if len(u.Layers) == 0 {
 		return nil, fmt.Errorf("core: empty update")
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.slab != nil {
-		view, err := m.slab.fileParamSet(u)
-		if err != nil {
-			return nil, fmt.Errorf("core: update incompatible with mixer model structure")
-		}
-		u = view
-	}
-	return m.addLocked(u)
-}
-
-// addLocked runs the §4.3 fill/swap step on an update whose storage is
-// already settled (the caller's ParamSet for a legacy mixer, a slab row
-// view for a slab mixer). Caller holds m.mu.
-func (m *StreamMixer) addLocked(u nn.ParamSet) (*nn.ParamSet, error) {
-	if m.lists == nil {
-		m.template = u
-		m.lists = make([][]nn.LayerParams, len(u.Layers))
-		for i := range m.lists {
-			m.lists[i] = make([]nn.LayerParams, 0, m.k)
-		}
-	} else if m.slab == nil && !m.template.Compatible(u) {
-		// A slab mixer already checked structure against its layout while
-		// filing the row.
+	row, err := m.slab.fileParamSet(u)
+	if err != nil {
 		return nil, fmt.Errorf("core: update incompatible with mixer model structure")
 	}
-	m.received++
+	return m.addLocked(row)
+}
 
+// AddWire ingests one ENCODED update: it is decoded straight into a fresh
+// slab row (header-skeleton validation plus one bulk payload copy — no
+// intermediate ParamSet, no per-tensor allocation) and the row's view is
+// mixed. Emission semantics and the RNG call sequence are those of Add.
+func (m *StreamMixer) AddWire(wire []byte) (*nn.ParamSet, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	row, err := m.slab.fileWire(wire)
+	if err != nil {
+		return nil, fmt.Errorf("core: update incompatible with mixer model structure: %w", err)
+	}
+	return m.addLocked(row)
+}
+
+// addLocked runs the §4.3 fill/swap step on a filed row's view. Caller
+// holds m.mu.
+func (m *StreamMixer) addLocked(row nn.ParamSet) (*nn.ParamSet, error) {
+	m.received++
 	if m.buffered < m.k {
-		for li, lp := range u.Layers {
-			m.lists[li] = append(m.lists[li], lp)
-		}
-		m.buffered++
+		m.bufferLocked(row)
 		return nil, nil
 	}
 
-	var out *nn.ParamSet
-	if m.slab != nil {
-		out = m.slab.emission(len(m.lists))
-	} else {
-		out = &nn.ParamSet{Layers: make([]nn.LayerParams, len(m.lists))}
-	}
+	out := m.slab.emission(len(m.lists))
 	for li := range m.lists {
 		pick := m.rng.Intn(len(m.lists[li]))
 		out.Layers[li] = m.lists[li][pick]
 		// Replace the drawn element with the arriving layer ("the empty
 		// element in each list is then filled out with information coming
 		// from the incoming update", §4.3).
-		m.lists[li][pick] = u.Layers[li]
+		m.lists[li][pick] = row.Layers[li]
 	}
 	m.emitted++
 	return out, nil
+}
+
+// bufferLocked appends a filed row's layers to the lists, creating them
+// on the round's first row. Caller holds m.mu.
+func (m *StreamMixer) bufferLocked(row nn.ParamSet) {
+	if m.lists == nil {
+		m.lists = make([][]nn.LayerParams, len(row.Layers))
+		for i := range m.lists {
+			m.lists[i] = make([]nn.LayerParams, 0, m.k)
+		}
+	}
+	for li, lp := range row.Layers {
+		m.lists[li] = append(m.lists[li], lp)
+	}
+	m.buffered++
 }
 
 // Drain empties the lists at the end of a round, emitting the remaining
@@ -155,60 +148,23 @@ func (m *StreamMixer) addLocked(u nn.ParamSet) (*nn.ParamSet, error) {
 // element per layer, without replacement). After Drain the mixer is ready
 // for a new round. The paper's proxy drains once all C participants of a
 // round have been forwarded, which restores L = C and therefore exact
-// aggregation equivalence.
+// aggregation equivalence. The drained updates' Layers slices come from
+// the emission arena, so a drain allocates O(1), not O(round).
 func (m *StreamMixer) Drain() []nn.ParamSet {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]nn.ParamSet, 0, m.buffered)
-	for m.buffered > 0 {
-		ps := nn.ParamSet{Layers: make([]nn.LayerParams, len(m.lists))}
+	out := make([]nn.ParamSet, m.buffered)
+	for i := range out {
+		out[i].Layers = m.slab.layers(len(m.lists))
 		for li := range m.lists {
 			pick := m.rng.Intn(len(m.lists[li]))
 			last := len(m.lists[li]) - 1
-			ps.Layers[li] = m.lists[li][pick]
+			out[i].Layers[li] = m.lists[li][pick]
 			m.lists[li][pick] = m.lists[li][last]
 			m.lists[li] = m.lists[li][:last]
 		}
-		m.buffered--
-		m.emitted++
-		out = append(out, ps)
 	}
+	m.emitted += m.buffered
+	m.buffered = 0
 	return out
-}
-
-// StreamTransform adapts StreamMixer to the federated pipeline: it feeds
-// the round's updates through a fresh k-buffer stream and drains it, so the
-// server receives exactly as many updates as participants sent
-// (it satisfies fl.UpdateTransform).
-type StreamTransform struct {
-	// K is the list capacity; it must be at most the number of
-	// participants per round (otherwise the buffer never fills).
-	K int
-}
-
-// Name implements fl.UpdateTransform.
-func (t StreamTransform) Name() string { return "mixnn-stream" }
-
-// Apply implements fl.UpdateTransform.
-func (t StreamTransform) Apply(updates []nn.ParamSet, rng *rand.Rand) ([]nn.ParamSet, error) {
-	k := t.K
-	if k <= 0 || k > len(updates) {
-		k = len(updates)
-	}
-	m, err := NewStreamMixer(k, rng)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]nn.ParamSet, 0, len(updates))
-	for i, u := range updates {
-		mixed, err := m.Add(u)
-		if err != nil {
-			return nil, fmt.Errorf("core: stream update %d: %w", i, err)
-		}
-		if mixed != nil {
-			out = append(out, *mixed)
-		}
-	}
-	out = append(out, m.Drain()...)
-	return out, nil
 }

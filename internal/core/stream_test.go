@@ -12,7 +12,7 @@ import (
 func TestStreamMixerFillsThenEmits(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	updates := makeUpdates(7, 3, rng)
-	m, err := NewStreamMixer(4, rng)
+	m, err := NewStreamMixerSlab(4, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestStreamMixerConservesLayers(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	c, l := 9, 4
 	updates := makeUpdates(c, l, rng)
-	m, err := NewStreamMixer(3, rng)
+	m, err := NewStreamMixerSlab(3, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,13 +117,13 @@ func TestStreamMixerConservesLayers(t *testing.T) {
 
 func TestStreamMixerRejects(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	if _, err := NewStreamMixer(0, rng); err == nil {
+	if _, err := NewStreamMixerSlab(0, rng, nil); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := NewStreamMixer(2, nil); err == nil {
+	if _, err := NewStreamMixerSlab(2, nil, nil); err == nil {
 		t.Fatal("nil rng accepted")
 	}
-	m, err := NewStreamMixer(2, rng)
+	m, err := NewStreamMixerSlab(2, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestStreamMixerRejects(t *testing.T) {
 func TestStreamTransformRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	updates := makeUpdates(10, 3, rng)
-	tr := StreamTransform{K: 4}
+	tr := ShardedStreamTransform{K: 4}
 	out, err := tr.Apply(updates, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func TestStreamTransformClampsK(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	updates := makeUpdates(3, 2, rng)
 	// K larger than the population must still emit everything.
-	out, err := StreamTransform{K: 50}.Apply(updates, rng)
+	out, err := ShardedStreamTransform{K: 50}.Apply(updates, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestQuickStreamConservation(t *testing.T) {
 		k := int(k8%8) + 1
 		rng := rand.New(rand.NewSource(seed))
 		updates := makeUpdates(c, 3, rng)
-		out, err := StreamTransform{K: k}.Apply(updates, rng)
+		out, err := ShardedStreamTransform{K: k}.Apply(updates, rng)
 		if err != nil || len(out) != c {
 			return false
 		}
@@ -195,5 +195,36 @@ func TestQuickStreamConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDrainAllocsConstant pins a drain's cost: the drained updates take
+// their Layers slices from the emission arena, so draining a full mixer
+// costs the result slice and at most an arena refill or two, whatever k.
+func TestDrainAllocsConstant(t *testing.T) {
+	const k, runs = 32, 8
+	wires := encodeAll(t, makeUpdates(k, 3, rand.New(rand.NewSource(31))))
+	full := make([]*StreamMixer, runs+1) // AllocsPerRun warms up once
+	for i := range full {
+		m, err := NewStreamMixerSlab(k, rand.New(rand.NewSource(int64(i))), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range wires {
+			if _, err := m.AddWire(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		full[i] = m
+	}
+	i := 0
+	avg := testing.AllocsPerRun(runs, func() {
+		if n := len(full[i].Drain()); n != k {
+			t.Fatalf("drained %d of %d", n, k)
+		}
+		i++
+	})
+	if avg > 4 {
+		t.Fatalf("draining %d updates costs %.0f allocations, want <= 4", k, avg)
 	}
 }

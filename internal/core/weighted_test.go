@@ -18,7 +18,7 @@ func TestWeightedAverageBreaksUnderMixing(t *testing.T) {
 	updates := makeUpdates(6, 3, rng)
 	weights := []float64{1, 2, 3, 4, 5, 6} // deliberately non-uniform
 
-	mixed, err := BatchMix(updates, rng)
+	mixed, err := Transform{}.Apply(updates, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -215,7 +215,7 @@ func Arms() []Arm {
 // StreamArm returns the streaming-mixer arm with buffer size k
 // (k <= 0 lets the transform clamp to the population size).
 func StreamArm(k int) Arm {
-	return Arm{Key: "mixnn-stream", Transform: core.StreamTransform{K: k}}
+	return Arm{Key: "mixnn-stream", Transform: core.ShardedStreamTransform{K: k}}
 }
 
 // ShardedStreamArm returns the sharded mixing-tier arm: P independent

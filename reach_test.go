@@ -22,8 +22,6 @@ var unreached = map[string]string{
 	"attack.NewLayerObserver":            "the tier-level layer attack (ROADMAP item 7) wires it in or deletes it",
 	"attack.LayerObserver.LayerNames":    "the tier-level layer attack (ROADMAP item 7) wires it in or deletes it",
 	"attack.LayerObserver.LayerAccuracy": "the tier-level layer attack (ROADMAP item 7) wires it in or deletes it",
-	"core.BatchMix":                      "the batch mixer the root benchmarks that CI gates run",
-	"core.ShardedTransform":              "no arm runs it; FuzzShardedAggregationEquivalence and the shard tests check its conservation",
 	"enclave.Encrypt":                    "the one-shot seal the root crypto benchmarks that CI gates run",
 	"enclave.NewObliviousStore":          "the oblivious store (ROADMAP item 7) is wired in or deleted with the attack",
 	"enclave.ObliviousStore.Accesses":    "the oblivious store (ROADMAP item 7) is wired in or deleted with the attack",

@@ -3,8 +3,11 @@ package mixnn
 import (
 	"bytes"
 	"encoding/hex"
+	"math/rand"
+	"reflect"
 	"testing"
 
+	"mixnn/internal/core"
 	"mixnn/internal/nn"
 	"mixnn/internal/outbox"
 	"mixnn/internal/route"
@@ -28,6 +31,15 @@ const (
 		"7a0100000071"
 	goldenTopology = "4d58544f01000700000000000000030c00000002000000020000000000010000" +
 		"000d00687474703a2f2f706565723a39"
+	goldenState = "4d58534804000000020000000103000000020000000400000001000000090000" +
+		"0000000000020000000000000007000000000000000500000000000000030000" +
+		"0000000000040000000000000004000000000000000100000001000000300000" +
+		"004d58544f01000700000000000000030c000000020000000200000000000100" +
+		"00000d00687474703a2f2f706565723a39050000007472757374270000000100" +
+		"00004d585053010100000003006f757401000000020100000001000000000000" +
+		"0000001ec027000000010000004d585053010100000003006f75740100000002" +
+		"01000000010000000000000000001ec027000000010000004d58505301010000" +
+		"0003006f7574010000000201000000010000000000000000001ec0"
 )
 
 func goldenInputs(t *testing.T) (nn.ParamSet, wire.BatchEnvelope, outbox.Envelope, *route.Topology) {
@@ -113,5 +125,54 @@ func TestWireFormatsGolden(t *testing.T) {
 	back, err := route.Parse(blob)
 	if err != nil || !back.Equal(topo) {
 		t.Fatalf("route.Parse of the golden MXTO bytes: %v", err)
+	}
+
+	// MXSH: SealShardedState with no section sealer over a fixed two-shard
+	// tier — a mixer and a relay, one restored entry each — with every
+	// ledger field, a pending emission, a topology and a trust section
+	// set; OpenShardedState reads it back and FileInto files the same
+	// entries into a fresh tier.
+	held := nn.ParamSet{Layers: ps.Layers[1:]}
+	tier := func() []core.Shard {
+		m, err := core.NewStreamMixerSlab(2, rand.New(rand.NewSource(1)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []core.Shard{m, core.NewRelayShard(2, nil)}
+	}
+	sealed := tier()
+	for _, s := range sealed {
+		if err := s.RestoreEntry(held); err != nil {
+			t.Fatal(err)
+		}
+	}
+	meta := core.ShardedStateMeta{
+		Routing: 1, RRCursor: 3, InRound: 2, Rounds: 4, HopMark: 1,
+		Received: 9, HopReceived: 2, Forwarded: 7,
+		ShardReceived: []int{5, 4}, ShardEmitted: []int{3, 4}, ShardLoad: []int{1, 1},
+		Pending: []nn.ParamSet{held}, Topo: topo.Marshal(), RemoteTrust: []byte("trust"),
+	}
+	state, err := core.SealShardedState(sealed, meta, nil)
+	state = check("MXSH", goldenState, state, err)
+	st, err := core.OpenShardedState(state, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := st.Meta
+	if got.SealedShards != 2 || len(got.Pending) != 1 || !got.Pending[0].ApproxEqual(held, 0) {
+		t.Fatalf("golden MXSH meta = %+v", got)
+	}
+	got.SealedShards, got.Pending, meta.Pending = 0, nil, nil
+	if !reflect.DeepEqual(got, meta) {
+		t.Fatalf("golden MXSH meta = %+v, want %+v", got, meta)
+	}
+	restored := tier()
+	if err := st.FileInto(restored); err != nil {
+		t.Fatal(err)
+	}
+	for s, shard := range restored {
+		if e := shard.SnapshotEntries(); len(e) != 1 || !e[0].ApproxEqual(held, 0) {
+			t.Fatalf("golden MXSH shard %d restored %d entries, not the sealed one", s, len(e))
+		}
 	}
 }
